@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import fuchsian
 from .errors import IntegrationError, OscillationError, OutOfDomainError
@@ -87,6 +86,9 @@ def integrate(ode: fuchsian.RationalCoeffODE, u0: float, psi0: complex,
     with relative tolerance tol. The returned grid is ascending
     regardless of integration direction.
     """
+    # imported here so that the CLI's other commands start without scipy
+    from scipy.integrate import solve_ivp
+
     if tol <= 0:
         raise ValueError("tol must be positive")
     if u0 == u_end:

@@ -34,7 +34,6 @@ from .errors import (
     KGCoulombError,
     OscillationError,
     OutOfDomainError,
-    PhysicsDomainError,
     UsageError,
 )
 from .fuchsian import INFINITY, indicial_exponents
@@ -379,7 +378,7 @@ def cmd_wavefunction(cfg: dict) -> _Table:
     """Sample psi on a logarithmic momentum grid."""
     model = cfg["model"]
     lo, hi = _parse_window(cfg["window"])
-    grid = np.geomspace(lo, hi, _WAVEFUNCTION_POINTS)
+    grid = [float(u) for u in np.geomspace(lo, hi, _WAVEFUNCTION_POINTS)]
     g = _coupling(cfg)
 
     if model == "ordinary":
@@ -391,8 +390,15 @@ def cmd_wavefunction(cfg: dict) -> _Table:
         system = _system(cfg, eta)
         meta = {"model": model, "g": g, "eta": eta}
 
-        def sample(u: float) -> complex:
-            return psi_ordinary(system, u)
+        def sample(us: list[float]) -> list[complex]:
+            out = []
+            for i, u in enumerate(us):
+                try:
+                    out.append(psi_ordinary(system, u))
+                except KGCoulombError as exc:
+                    exc.index = i
+                    raise
+            return out
 
     elif model == "deformed-zero-energy":
         dp = _deformation(cfg)
@@ -400,22 +406,22 @@ def cmd_wavefunction(cfg: dict) -> _Table:
         meta = {"model": model, "g": g, "theta": dp.theta,
                 "theta_prime": dp.theta_prime, "xi0": hp.xi0}
 
-        def sample(u: float) -> complex:
-            xi = vmap.forward(u)
-            return (1.0 - xi) * heun_local(hp, xi, order=cfg["order"])
+        def sample(us: list[float]) -> list[complex]:
+            xis = [vmap.forward(u) for u in us]
+            heun = heun_local(hp, xis, order=cfg["order"])
+            return [(1.0 - xi) * h for xi, h in zip(xis, heun)]
 
     else:
         raise UsageError(f"unknown wavefunction model {model!r}; "
                          "choose 'ordinary' or 'deformed-zero-energy'")
 
-    rows = []
-    for u in grid:
-        try:
-            psi = sample(float(u))
-        except (OutOfDomainError, KGCoulombError) as exc:
-            raise OutOfDomainError(
-                f"wavefunction grid point u = {u:.6g} cannot be evaluated: {exc}")
-        rows.append([float(u), psi.real, psi.imag, abs(psi)])
+    try:
+        psis = sample(grid)
+    except KGCoulombError as exc:
+        u = grid[exc.index or 0]
+        raise OutOfDomainError(
+            f"wavefunction grid point u = {u:.6g} cannot be evaluated: {exc}")
+    rows = [[u, psi.real, psi.imag, abs(psi)] for u, psi in zip(grid, psis)]
     columns = ["u", "re_psi", "im_psi", "abs_psi"]
     return _Table("wavefunction", meta, columns, rows)
 
@@ -474,14 +480,14 @@ def cmd_heun_check(cfg: dict) -> _Table:
                          "or set it equal to --theta")
     dp = DeformationParams(theta, theta)
     hp, _ = to_heun(g, dp)
+    grid = [float(xi) for xi in np.linspace(0.0, 0.4, _HEUN_CHECK_POINTS)]
     rows = []
     worst = 0.0
-    for xi in np.linspace(0.0, 0.4, _HEUN_CHECK_POINTS):
-        h = heun_local(hp, float(xi), order=cfg["order"])
-        f = hyp2f1(hp.a, hp.b, hp.c, float(xi) / hp.xi0)
+    for xi, h in zip(grid, heun_local(hp, grid, order=cfg["order"])):
+        f = hyp2f1(hp.a, hp.b, hp.c, xi / hp.xi0)
         diff = abs(h - f)
         worst = max(worst, diff)
-        rows.append([float(xi), h.real, f.real, diff])
+        rows.append([xi, h.real, f.real, diff])
     meta = {"g": g, "theta": theta, "a": hp.a.real if isinstance(hp.a, complex) else hp.a,
             "b": hp.b.real if isinstance(hp.b, complex) else hp.b,
             "c": hp.c, "xi0": hp.xi0, "max_abs_diff": worst}
@@ -515,9 +521,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"kgcoulomb: usage error: {exc}", file=sys.stderr)
         return 1
-    except PhysicsDomainError as exc:
-        print(f"kgcoulomb: {exc}", file=sys.stderr)
-        return 2
     except KGCoulombError as exc:
         print(f"kgcoulomb: {exc}", file=sys.stderr)
         return 2

@@ -7,7 +7,13 @@ Library callers can catch ``KGCoulombError`` to get everything at once.
 
 
 class KGCoulombError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    ``index`` is the position of the offending point when the error
+    comes from evaluating a whole grid in one call, else None.
+    """
+
+    index: int | None = None
 
 
 class UsageError(KGCoulombError):

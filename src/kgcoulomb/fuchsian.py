@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -184,6 +185,10 @@ def _same_point(a: complex, b: complex, tol: float = _MATCH_TOL) -> bool:
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
+def _reversed_coeffs(coeffs) -> tuple[complex, ...]:
+    return tuple(reversed(coeffs))
+
+
 # ---------------------------------------------------------------------------
 # the ODE container
 # ---------------------------------------------------------------------------
@@ -218,6 +223,43 @@ class RationalCoeffODE:
 
     def p0(self, z: complex) -> complex:
         return _polyval(self.p0_num, z) / _polyval(self.p0_den, z)
+
+    # The census and the pullback depend only on the frozen polynomial
+    # data, so each is computed once per equation; every re-centred
+    # series reads the census for its radius.
+
+    @cached_property
+    def _census(self) -> tuple["SingularPoint", ...]:
+        return _take_census(self)
+
+    @cached_property
+    def _pullback(self) -> "RationalCoeffODE":
+        """The equation satisfied by W(t) = w(1/t) near t = 0.
+
+        P1(t) = 2/t - p1(1/t)/t^2 and P0(t) = p0(1/t)/t^4.
+        """
+        n1, d1 = self.p1_num, self.p1_den
+        m = (len(d1) - 1) - (len(n1) - 1) - 2
+        rn1, rd1 = _reversed_coeffs(n1), _reversed_coeffs(d1)
+        if m >= 0:
+            num = _polyadd(_polyscale(rd1, 2.0), _polyscale(_polymul((0j,) * (m + 1) + (1 + 0j,), rn1), -1.0))
+            den = _polymul((0j, 1 + 0j), rd1)
+        else:
+            num = _polyadd(_polymul((0j,) * (-m - 1) + (2 + 0j,), rd1), _polyscale(rn1, -1.0))
+            den = _polymul((0j,) * (-m) + (1 + 0j,), rd1)
+
+        n0, d0 = self.p0_num, self.p0_den
+        e = (len(d0) - 1) - (len(n0) - 1) - 4
+        rn0, rd0 = _reversed_coeffs(n0), _reversed_coeffs(d0)
+        if e >= 0:
+            num0 = _polymul((0j,) * e + (1 + 0j,), rn0) if e > 0 else rn0
+            den0 = rd0
+        else:
+            num0 = rn0
+            den0 = _polymul((0j,) * (-e) + (1 + 0j,), rd0)
+
+        return RationalCoeffODE(num, den, num0, den0,
+                                label=(self.label + "@infinity") if self.label else "pullback")
 
 
 def _normalize_quotient(num, den):
@@ -288,46 +330,19 @@ def _local_exponents(ode: RationalCoeffODE, z0: complex):
     return o1, o0, _sorted_pair(s1, s2)
 
 
-def _reversed_coeffs(coeffs) -> tuple[complex, ...]:
-    return tuple(reversed(coeffs))
-
-
-def _pullback(ode: RationalCoeffODE) -> RationalCoeffODE:
-    """The equation satisfied by W(t) = w(1/t) near t = 0.
-
-    P1(t) = 2/t - p1(1/t)/t^2 and P0(t) = p0(1/t)/t^4.
-    """
-    n1, d1 = ode.p1_num, ode.p1_den
-    m = (len(d1) - 1) - (len(n1) - 1) - 2
-    rn1, rd1 = _reversed_coeffs(n1), _reversed_coeffs(d1)
-    if m >= 0:
-        num = _polyadd(_polyscale(rd1, 2.0), _polyscale(_polymul((0j,) * (m + 1) + (1 + 0j,), rn1), -1.0))
-        den = _polymul((0j, 1 + 0j), rd1)
-    else:
-        num = _polyadd(_polymul((0j,) * (-m - 1) + (2 + 0j,), rd1), _polyscale(rn1, -1.0))
-        den = _polymul((0j,) * (-m) + (1 + 0j,), rd1)
-
-    n0, d0 = ode.p0_num, ode.p0_den
-    e = (len(d0) - 1) - (len(n0) - 1) - 4
-    rn0, rd0 = _reversed_coeffs(n0), _reversed_coeffs(d0)
-    if e >= 0:
-        num0 = _polymul((0j,) * e + (1 + 0j,), rn0) if e > 0 else rn0
-        den0 = rd0
-    else:
-        num0 = rn0
-        den0 = _polymul((0j,) * (-e) + (1 + 0j,), rd0)
-
-    return RationalCoeffODE(num, den, num0, den0, label=(ode.label + "@infinity") if ode.label else "pullback")
-
-
 def singular_points(ode: RationalCoeffODE) -> list[SingularPoint]:
     """All finite singular points plus the point at infinity.
 
     Finite points are the denominator roots surviving normalization;
     infinity is always reported, classified through the pullback. Points
     are ordered by (real, imaginary), infinity last. Exponents at
-    infinity use the z^sigma convention.
+    infinity use the z^sigma convention. The census is taken once per
+    equation; each call returns a fresh list.
     """
+    return list(ode._census)
+
+
+def _take_census(ode: RationalCoeffODE) -> tuple[SingularPoint, ...]:
     locs: list[complex] = []
     for root, _ in _cluster(_poly_roots(ode.p1_den)) + _cluster(_poly_roots(ode.p0_den)):
         if not any(_same_point(root, other) for other in locs):
@@ -340,13 +355,12 @@ def singular_points(ode: RationalCoeffODE) -> list[SingularPoint]:
         kind = "regular" if exps is not None else "irregular"
         out.append(SingularPoint(z0, kind, o1, o0, exps))
 
-    pb = _pullback(ode)
-    o1, o0, exps = _local_exponents(pb, 0j)
+    o1, o0, exps = _local_exponents(ode._pullback, 0j)
     if exps is not None:
         exps = _sorted_pair(-exps[0], -exps[1])
     kind = "regular" if exps is not None else "irregular"
     out.append(SingularPoint(INFINITY, kind, o1, o0, exps))
-    return out
+    return tuple(out)
 
 
 def indicial_exponents(ode: RationalCoeffODE, point: Point) -> tuple[complex, complex]:
@@ -356,11 +370,12 @@ def indicial_exponents(ode: RationalCoeffODE, point: Point) -> tuple[complex, co
     Raises IrregularPointError when the point fails the pole-order test.
     """
     if point is INFINITY:
-        o1, o0, exps = _local_exponents(_pullback(ode), 0j)
-        if exps is None:
+        inf = ode._census[-1]
+        if inf.exponents is None:
             raise IrregularPointError(
-                f"infinity is irregular: pullback pole orders ({o1}, {o0})")
-        return _sorted_pair(-exps[0], -exps[1])
+                f"infinity is irregular: pullback pole orders "
+                f"({inf.pole_order_p1}, {inf.pole_order_p0})")
+        return inf.exponents
     z0 = complex(point)
     o1, o0, exps = _local_exponents(ode, z0)
     if exps is None:
@@ -389,7 +404,6 @@ class FrobeniusSolution:
     exponent: complex
     coefficients: tuple[complex, ...]
     radius: float
-    _taylor_pair: bool = field(default=False, repr=False)
 
 
 def _series_triple(ode: RationalCoeffODE, z0: complex):
@@ -443,10 +457,13 @@ def _recurrence(p2, p1, p0, kappa: int, rho: complex, order: int,
     def pivot(s: complex) -> complex:
         return a(kappa) * s * (s - 1.0) + b(kappa - 1) * s + d(kappa - 2)
 
+    # L(m, k) reads P2, P1, P0 at offsets m - k above kappa, kappa - 1,
+    # kappa - 2, so it vanishes once m - k reaches the band width
+    band = max(len(p2) - kappa, len(p1) - kappa + 1, len(p0) - kappa + 2)
     coeffs: list[complex] = list(seeds)
     for m in range(len(seeds), order + 1):
         acc = 0j
-        for k in range(m):
+        for k in range(max(0, m - band + 1), m):
             s = rho + k
             term = (a(kappa + m - k) * s * (s - 1.0)
                     + b(kappa - 1 + m - k) * s
@@ -485,7 +502,7 @@ def frobenius_series(ode: RationalCoeffODE, point: Point, exponent: complex,
     if point is INFINITY:
         rho = -matched
         rho_other = -other
-        work = _pullback(ode)
+        work = ode._pullback
         z0 = 0j
     else:
         rho, rho_other = matched, other
@@ -513,8 +530,7 @@ def taylor_series(ode: RationalCoeffODE, center: complex, value: complex,
     if kappa != 0:
         raise ValueError(f"{center} is a singular point; taylor_series needs an ordinary one")
     coeffs = _recurrence(p2, p1, p0, 0, 0j, order, [complex(value), complex(derivative)])
-    return FrobeniusSolution(center, 0j, tuple(coeffs), _series_radius(ode, center),
-                             _taylor_pair=True)
+    return FrobeniusSolution(center, 0j, tuple(coeffs), _series_radius(ode, center))
 
 
 # ---------------------------------------------------------------------------

@@ -13,16 +13,21 @@ The Heun side stores the parameter block of
 and evaluates the local solution analytic at xi = 0 (normalized to
 H(0) = 1) by Frobenius expansion, continued by stepped Taylor
 re-expansion when the target lies past the first disk of convergence.
+A whole grid is evaluated in one sweep: the series at 0 is built once,
+and the points on the real ray xi > 0 share one chain of Taylor hops,
+which gives the same values as marching to each point alone.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import fuchsian
-from .errors import ConvergenceError, OutOfDomainError, ParameterPoleError
+from .errors import ConvergenceError, KGCoulombError, OutOfDomainError, ParameterPoleError
 from .physcore import CoulombSystem
 
 __all__ = [
@@ -222,57 +227,117 @@ def heun_series_coefficients(params: HeunParams, n: int) -> list[complex]:
     return h
 
 
-def _march_to(ode: fuchsian.RationalCoeffODE, start: fuchsian.FrobeniusSolution,
-              target: complex, order: int) -> tuple[complex, complex]:
-    """(value, derivative) at target, marching by Taylor re-expansion.
+_MAX_HOPS = 200
 
-    The path is the straight segment from the start expansion point.
-    Each local series is trusted to half its own radius (the radius
-    already measures the distance to the nearest singular point), and
-    each hop advances 0.4 of it.
+
+def _reach(ode: fuchsian.RationalCoeffODE, chain: list[fuchsian.FrobeniusSolution],
+           target: complex, order: int, first: int = 0) -> int:
+    """Index of the first series in ``chain``, from ``first`` on, whose
+    trusted disk holds ``target``; hops are appended past the end as needed.
+
+    ``chain`` starts with the series at the start point; each appended
+    hop is the Taylor re-expansion 0.4 of the last radius further along
+    the straight path toward the target that needed it. Each local
+    series is trusted to half its own radius (the radius already
+    measures the distance to the nearest singular point).
     """
-    center = complex(start.expansion_point)
-    sings = [s.location for s in fuchsian.singular_points(ode)
-             if s.location is not fuchsian.INFINITY]
+    k = first
+    while True:
+        current = chain[k]
+        center = complex(current.expansion_point)
+        remaining = target - center
+        if abs(remaining) <= 0.5 * current.radius:
+            return k
+        k += 1
+        if k == _MAX_HOPS:
+            raise ConvergenceError(
+                f"analytic continuation toward {target} did not converge in {_MAX_HOPS} "
+                "steps (target too close to a singular point?)")
+        if k == len(chain):
+            nxt = center + remaining / abs(remaining) * (0.4 * current.radius)
+            w, dw, _ = fuchsian.evaluate_with_derivatives(current, nxt)
+            try:
+                chain.append(fuchsian.taylor_series(ode, nxt, w, dw, order=order))
+            except ValueError as exc:
+                raise OutOfDomainError(
+                    f"continuation toward {target} stalls at {nxt}: {exc}") from exc
+
+
+def _value_at(sol: fuchsian.FrobeniusSolution, target: complex) -> tuple[complex, complex]:
+    if target == complex(sol.expansion_point):
+        # only reachable for exponent-0 series, whose leading
+        # coefficients are the value and derivative at the center
+        c = sol.coefficients
+        return c[0], (c[1] if len(c) > 1 else 0j)
+    w, dw, _ = fuchsian.evaluate_with_derivatives(sol, target)
+    return w, dw
+
+
+def _check_target(sings: list[complex], target: complex) -> None:
     if min((abs(target - s) for s in sings), default=math.inf) < 1e-9:
         raise OutOfDomainError(f"target {target} sits on a singular point")
 
-    current = start
-    for _ in range(200):
-        remaining = target - center
-        if remaining == 0:
-            # only reachable for exponent-0 series, whose leading
-            # coefficients are the value and derivative at the center
-            c = current.coefficients
-            return c[0], (c[1] if len(c) > 1 else 0j)
-        if abs(remaining) <= 0.5 * current.radius:
-            w, dw, _ = fuchsian.evaluate_with_derivatives(current, target)
-            return w, dw
-        step = 0.4 * current.radius
-        nxt = center + remaining / abs(remaining) * step
-        w, dw, _ = fuchsian.evaluate_with_derivatives(current, nxt)
-        current = fuchsian.taylor_series(ode, nxt, w, dw, order=order)
-        center = nxt
-    raise ConvergenceError(
-        f"analytic continuation toward {target} did not converge in 200 steps "
-        "(target too close to a singular point?)")
+
+def _finite_singular_points(ode: fuchsian.RationalCoeffODE) -> list[complex]:
+    return [s.location for s in fuchsian.singular_points(ode)
+            if s.location is not fuchsian.INFINITY]
 
 
-def heun_local(params: HeunParams, xi: complex, order: int = 64) -> complex:
+def _march_to(ode: fuchsian.RationalCoeffODE, start: fuchsian.FrobeniusSolution,
+              target: complex, order: int) -> tuple[complex, complex]:
+    """(value, derivative) at target, marching by Taylor re-expansion
+    along the straight segment from the start expansion point."""
+    _check_target(_finite_singular_points(ode), target)
+    chain = [start]
+    return _value_at(chain[_reach(ode, chain, target, order)], target)
+
+
+def heun_local(params: HeunParams, xi: complex | Sequence[complex],
+               order: int = 64) -> complex | list[complex]:
     """The local Heun solution analytic at xi = 0 with H(0) = 1.
 
-    Inside half the first radius of convergence this is a single
-    Frobenius sum; beyond it the solution is carried to xi by stepped
-    Taylor re-expansion along the straight path, stopping short of any
-    singular point.
+    ``xi`` is a point (the result is a complex) or a 1-D sequence of
+    points (the result is a list of values in input order). Points
+    inside half the first radius of convergence are single Frobenius
+    sums. The others are reached by stepped Taylor re-expansion along a
+    straight path from 0, stopping short of any singular point.
+
+    One sweep serves a whole grid: points on the real ray xi > 0 are
+    visited in ascending order along one chain of hops, each evaluated
+    from the first hop whose trusted disk holds it. On that ray every
+    hop heads in the direction exactly 1, so the hop centres do not
+    depend on the target and the shared chain is the one each point
+    would march alone; values are identical to one call per point. Any
+    other point marches its own chain from 0.
+
+    When a point cannot be reached, the raised error's ``index`` is its
+    position in the input.
     """
-    xi = complex(xi)
+    scalar = isinstance(xi, numbers.Number)
+    targets = [complex(xi)] if scalar else [complex(x) for x in xi]
     ode = heun_ode(params)
     series = fuchsian.frobenius_series(ode, 0j, 0j, order=order)
-    if abs(xi) <= 0.5 * series.radius:
-        return fuchsian.evaluate(series, xi).value
-    value, _ = _march_to(ode, series, xi, order)
-    return value
+    values = [0j] * len(targets)
+    ray, off_ray = [], []
+    for i, x in enumerate(targets):
+        if abs(x) <= 0.5 * series.radius:
+            values[i] = fuchsian.evaluate(series, x).value
+        else:
+            (ray if x.imag == 0 and x.real > 0 else off_ray).append(i)
+    ray.sort(key=lambda i: targets[i].real)
+    sings = _finite_singular_points(ode)
+    chain, k = [series], 0
+    try:
+        for i in ray:
+            _check_target(sings, targets[i])
+            k = _reach(ode, chain, targets[i], order, k)
+            values[i] = _value_at(chain[k], targets[i])[0]
+        for i in off_ray:
+            values[i] = _march_to(ode, series, targets[i], order)[0]
+    except KGCoulombError as exc:
+        exc.index = i
+        raise
+    return values[0] if scalar else values
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,14 @@
 import filecmp
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from kgcoulomb import cli
+from kgcoulomb import cli, fuchsian
 
 
 def _run(capsys, *argv):
@@ -141,6 +145,39 @@ class TestWavefunction:
         assert all(float(r[2]) == 0.0 for r in rows)
         assert float(rows[-1][3]) < float(rows[0][3])
 
+    def test_march_toward_xi_one_exits_cleanly(self, capsys):
+        # a hop lands within ~1e-4 of the double zero at xi = 1, where
+        # no ordinary-point series can be built
+        code, out, err = _run(capsys, "wavefunction", "--model", "deformed-zero-energy",
+                              "--theta", "0.05", "--theta-prime", "0.02", "--g", "0.2",
+                              "--window", "0.01:1000")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("kgcoulomb: wavefunction grid point u = ")
+        assert "Traceback" not in err
+
+    def test_one_census_per_equation(self, capsys, monkeypatch):
+        # 200 grid points reached through many Taylor hops; the Heun
+        # equation and its pullback are each normalised (two root
+        # solves) and censused (two more) once
+        counts = {"roots": 0, "hops": 0}
+
+        def counted(fn, key):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(fuchsian, "_poly_roots", counted(fuchsian._poly_roots, "roots"))
+        monkeypatch.setattr(fuchsian, "taylor_series", counted(fuchsian.taylor_series, "hops"))
+        code, out, _ = _run(capsys, "wavefunction", "--model", "deformed-zero-energy",
+                            "--theta", "0.05", "--theta-prime", "0.02", "--g", "0.2",
+                            "--window", "0.01:100")
+        assert code == 0
+        assert len(_csv_rows(out)) == 200
+        assert counts["hops"] > 8
+        assert counts["roots"] <= 8
+
     def test_gnuplot_format(self, capsys):
         code, out, _ = _run(capsys, "wavefunction", "--Z", "1",
                             "--format", "gnuplot-dat")
@@ -228,3 +265,11 @@ class TestConfigPrecedence:
                             str(tmp_path / "absent.cfg"))
         assert code == 1
         assert err != ""
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, kgcoulomb.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.strip() == "False"

@@ -22,6 +22,8 @@ from kgcoulomb.fuchsian import (
 )
 from kgcoulomb.specialfn import hyp2f1, hypergeometric_ode
 from kgcoulomb.kgmodels import (
+    build_deformed_first_order,
+    build_deformed_first_order_psi,
     build_deformed_zero_energy,
     build_ordinary_kg,
     gen_heun_ode,
@@ -260,3 +262,66 @@ class TestQuotientNormalization:
         rho = indicial_exponents(ode, INFINITY)
         assert type(rho[0]) is complex
         assert type(rho[1]) is complex
+
+
+def _full_sum_recurrence(p2, p1, p0, kappa, rho, order, seeds):
+    """The recurrence summed over every k < m, with no band."""
+
+    def at(poly, j):
+        return poly[j] if 0 <= j < len(poly) else 0j
+
+    coeffs = list(seeds)
+    for m in range(len(seeds), order + 1):
+        acc = 0j
+        for k in range(m):
+            s = rho + k
+            term = (at(p2, kappa + m - k) * s * (s - 1.0)
+                    + at(p1, kappa - 1 + m - k) * s
+                    + at(p0, kappa - 2 + m - k))
+            if term != 0j and coeffs[k] != 0j:
+                acc += coeffs[k] * term
+        s = rho + m
+        piv = at(p2, kappa) * s * (s - 1.0) + at(p1, kappa - 1) * s + at(p0, kappa - 2)
+        coeffs.append(-acc / piv)
+    return coeffs
+
+
+def _model_odes():
+    s = CoulombSystem(z=10, eta=0.6)
+    return [build_ordinary_kg(s),
+            build_deformed_zero_energy(0.3, DeformationParams(0.05, 0.02)),
+            build_deformed_first_order(s, 0.04),
+            build_deformed_first_order_psi(s, 0.04)]
+
+
+class TestBandedRecurrence:
+    """The banded recurrence skips only terms that are exactly zero, so
+    it must reproduce the full sum bit for bit."""
+
+    @pytest.mark.parametrize("point", [0j, INFINITY], ids=["origin", "infinity"])
+    @pytest.mark.parametrize("model", range(4))
+    def test_frobenius_matches_full_sum(self, model, point):
+        ode = _model_odes()[model]
+        work = ode._pullback if point is INFINITY else ode
+        p2, p1, p0 = fuchsian._series_triple(work, 0j)
+        kappa = fuchsian._vanish_order(p2, 0j)
+        compared = 0
+        for exponent in indicial_exponents(ode, point):
+            try:
+                sol = frobenius_series(ode, point, exponent, order=40)
+            except ResonantExponentsError:
+                continue
+            rho = -sol.exponent if point is INFINITY else sol.exponent
+            ref = _full_sum_recurrence(p2, p1, p0, kappa, rho, 40, [1 + 0j])
+            assert list(sol.coefficients) == ref
+            compared += 1
+        assert compared > 0
+
+    @pytest.mark.parametrize("model", range(4))
+    def test_taylor_matches_full_sum(self, model):
+        ode = _model_odes()[model]
+        center = 0.37 + 0.11j
+        sol = taylor_series(ode, center, 0.8 - 0.2j, 1.3 + 0.4j, order=40)
+        p2, p1, p0 = fuchsian._series_triple(ode, center)
+        ref = _full_sum_recurrence(p2, p1, p0, 0, 0j, 40, [0.8 - 0.2j, 1.3 + 0.4j])
+        assert list(sol.coefficients) == ref

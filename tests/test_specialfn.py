@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from kgcoulomb import fuchsian
 from kgcoulomb.errors import OutOfDomainError, ParameterPoleError
-from kgcoulomb.physcore import CoulombSystem
+from kgcoulomb.kgmodels import to_heun
+from kgcoulomb.physcore import CoulombSystem, DeformationParams
 from kgcoulomb.spectra import energy_closed_form
 from kgcoulomb.specialfn import (
     HeunParams,
@@ -204,6 +205,29 @@ class TestHeunLocal:
     def test_singular_target_rejected(self):
         with pytest.raises(OutOfDomainError):
             heun_local(self._generic(), 1.0)
+
+    # unsorted, real, from the first disk out to several hops
+    _GRID = [0.93, 0.05, 0.6, 0.0, 0.99, 0.31, 0.12, 0.75, 0.45, 0.31, 0.999, 0.2]
+
+    @pytest.mark.parametrize("block", ["generic", "unequal", "equal"])
+    def test_grid_matches_pointwise(self, block):
+        hp = {"generic": self._generic(),
+              "unequal": to_heun(0.3, DeformationParams(0.05, 0.02))[0],
+              "equal": to_heun(0.3, DeformationParams(0.08, 0.08))[0]}[block]
+        assert heun_local(hp, self._GRID) == [heun_local(hp, x) for x in self._GRID]
+
+    def test_complex_point_in_grid_matches_scalar(self):
+        hp = self._generic()
+        grid = [0.6, 0.4 + 0.3j, 0.9]
+        got = heun_local(hp, grid)
+        assert got[1] == heun_local(hp, 0.4 + 0.3j)
+        assert got[0] == heun_local(hp, 0.6)
+        assert got[2] == heun_local(hp, 0.9)
+
+    def test_singular_point_in_grid_rejected(self):
+        with pytest.raises(OutOfDomainError) as info:
+            heun_local(self._generic(), [0.3, 0.8, 1.0, 0.5])
+        assert info.value.index == 2
 
     @staticmethod
     def _generic():

@@ -18,7 +18,8 @@ file using the long flag names (without the leading dashes).
 
 Exit codes: 0 on success, 1 on a usage or configuration error, 2 on
 a physics-domain error (supercritical coupling, parameter pole,
-evaluation outside a solution's domain).
+evaluation outside a solution's domain). Warnings go to stderr as one
+``kgcoulomb: warning:`` line each.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -38,6 +40,7 @@ from .errors import (
 )
 from .fuchsian import INFINITY, indicial_exponents
 from .kgmodels import (
+    ConfluenceWarning,
     build_deformed_first_order_psi,
     build_deformed_zero_energy,
     build_ordinary_kg,
@@ -352,8 +355,11 @@ def cmd_exponents(cfg: dict) -> _Table:
     fits = [None, None]
     if not oscillatory:
         try:
-            fits[0] = fit_exponent(
-                subdominant_branch(ode, window, tol=cfg["tol"]), window)
+            sub = subdominant_branch(ode, window, tol=cfg["tol"])
+        except ValueError as exc:  # window starts at or below the seed point
+            raise UsageError(f"--window {cfg['window']}: {exc}")
+        try:
+            fits[0] = fit_exponent(sub, window)
             fits[1] = fit_exponent(
                 dominant_branch(ode, window, order=cfg["order"], tol=cfg["tol"]), window)
         except OscillationError:
@@ -511,19 +517,27 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"kgcoulomb: warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
-    try:
-        args = _build_parser().parse_args(argv)
-        cfg = _merge(args)
-        table = _DISPATCH[cfg["command"]](cfg)
-        _emit(_render(table, cfg["format"]), cfg.get("out"))
-        return 0
-    except UsageError as exc:
-        print(f"kgcoulomb: usage error: {exc}", file=sys.stderr)
-        return 1
-    except KGCoulombError as exc:
-        print(f"kgcoulomb: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        # setting a filter re-arms "default" warnings for every run
+        warnings.simplefilter("default", ConfluenceWarning)
+        warnings.showwarning = _show_warning
+        try:
+            args = _build_parser().parse_args(argv)
+            cfg = _merge(args)
+            table = _DISPATCH[cfg["command"]](cfg)
+            _emit(_render(table, cfg["format"]), cfg.get("out"))
+            return 0
+        except UsageError as exc:
+            print(f"kgcoulomb: usage error: {exc}", file=sys.stderr)
+            return 1
+        except KGCoulombError as exc:
+            print(f"kgcoulomb: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

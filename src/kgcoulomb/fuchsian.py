@@ -10,6 +10,14 @@ infinity through the pullback t = 1/z), Frobenius and Taylor series with
 banded recurrences read off the polynomial data, and series evaluation
 with derivatives and a defect check.
 
+It also holds the one analytic-continuation engine of the package: a
+chain of Taylor re-expansions (``reach``), each hop 0.4 of the last
+radius of convergence along a straight path, with dense output from
+every local disk (``evaluate_chain``). These equations are D-finite, so
+every re-expansion is one banded recurrence; since the radius grows with
+the distance from the finite singular points, the hop count grows only
+logarithmically along a ray to infinity.
+
 Exponents at infinity follow the convention w ~ z^sigma, so decaying
 solutions carry negative sigma; the pullback exponent in t is -sigma.
 """
@@ -25,7 +33,8 @@ from typing import Union
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import IrregularPointError, OutOfDomainError, ResonantExponentsError
+from .errors import (ConvergenceError, IrregularPointError, OutOfDomainError,
+                     ResonantExponentsError)
 
 __all__ = [
     "INFINITY",
@@ -37,13 +46,16 @@ __all__ = [
     "indicial_exponents",
     "frobenius_series",
     "taylor_series",
+    "reach",
     "evaluate",
     "evaluate_with_derivatives",
+    "evaluate_chain",
     "residual",
 ]
 
 _TRIM_TOL = 1e-13
 _MATCH_TOL = 1e-7
+_MAX_HOPS = 200
 
 
 class _InfinityType:
@@ -102,27 +114,23 @@ def _polyscale(a, s: complex) -> tuple[complex, ...]:
 def _shift(coeffs, z0: complex) -> tuple[complex, ...]:
     """Taylor coefficients of the polynomial around z0 (synthetic division)."""
     work = [complex(x) for x in coeffs]
-    n = len(work)
     out = []
-    for _ in range(n):
-        # divide by (z - z0): remainder is the next Taylor coefficient
-        rem = 0j
-        for i in reversed(range(len(work))):
-            rem = rem * z0 + work[i]
-        new = []
+    while work:
+        # divide by (z - z0): the Horner partial sums are the quotient,
+        # the last one, the remainder, is the next Taylor coefficient
         acc = 0j
-        for i in reversed(range(1, len(work))):
-            acc = acc * z0 + work[i]
-            new.append(acc)
-        new.reverse()
-        out.append(rem)
-        work = new if new else [0j]
+        partial = []
+        for c in reversed(work):
+            acc = acc * z0 + c
+            partial.append(acc)
+        out.append(partial.pop())
+        work = partial[::-1]
     return tuple(out)
 
 
 def _vanish_order(coeffs, z0: complex) -> int:
     """Order of the zero of the polynomial at z0 (0 if no zero there)."""
-    shifted = _shift(coeffs, z0)
+    shifted = _shift(coeffs, z0) if z0 != 0 else coeffs
     scale = max(abs(x) for x in shifted)
     if scale == 0.0:
         return len(shifted)
@@ -231,6 +239,13 @@ class RationalCoeffODE:
     @cached_property
     def _census(self) -> tuple["SingularPoint", ...]:
         return _take_census(self)
+
+    @cached_property
+    def _products(self) -> tuple[tuple[complex, ...], ...]:
+        """Unshifted (P2, P1, P0) of the polynomial form; see _series_triple."""
+        return (_polymul(self.p1_den, self.p0_den),
+                _polymul(self.p1_num, self.p0_den),
+                _polymul(self.p0_num, self.p1_den))
 
     @cached_property
     def _pullback(self) -> "RationalCoeffODE":
@@ -397,28 +412,29 @@ class FrobeniusSolution:
     exponent there. For infinity x = 1/z and ``exponent`` stores sigma
     (the z^sigma convention), so the series is z^sigma * sum c_k z^-k.
     ``radius`` is the distance to the nearest other singular point in
-    the local variable; evaluation refuses points at or beyond it.
+    the local variable (or less, when capped); evaluation refuses points
+    at or beyond it. With ``scale`` other than 1 the coefficients are
+    those of the scaled variable, sum c_k (x/scale)^k.
     """
 
     expansion_point: Point
     exponent: complex
     coefficients: tuple[complex, ...]
     radius: float
+    scale: float = 1.0
 
 
 def _series_triple(ode: RationalCoeffODE, z0: complex):
     """Polynomial triple (P2, P1, P0), shifted to z0, with
     P2 w'' + P1 w' + P0 w = 0 equivalent to the stored quotients."""
-    p2 = _polymul(ode.p1_den, ode.p0_den)
-    p1 = _polymul(ode.p1_num, ode.p0_den)
-    p0 = _polymul(ode.p0_num, ode.p1_den)
+    p2, p1, p0 = ode._products
     if z0 != 0:
         p2, p1, p0 = _shift(p2, z0), _shift(p1, z0), _shift(p0, z0)
     return p2, p1, p0
 
 
 def _series_radius(ode: RationalCoeffODE, point: Point) -> float:
-    sings = singular_points(ode)
+    sings = ode._census
     best = math.inf
     if point is INFINITY:
         for s in sings:
@@ -437,44 +453,50 @@ def _series_radius(ode: RationalCoeffODE, point: Point) -> float:
 
 
 def _recurrence(p2, p1, p0, kappa: int, rho: complex, order: int,
-                seeds: list[complex]) -> list[complex]:
+                seeds: list[complex], tol: float | None = None) -> list[complex]:
     """Run the banded recurrence c_m I(rho+m) = -sum_{k<m} c_k L(m, k).
 
     ``seeds`` supplies the leading coefficients (one for a Frobenius
     series, two for a Taylor series at an ordinary point); pivots for
-    the seeded indices are never evaluated.
+    the seeded indices are never evaluated. With ``tol`` the series
+    stops before ``order`` once two successive terms on the half disk
+    |x| <= 1/2, |c_m| / 2^m, fall below tol times the largest term.
     """
-
-    def a(j):
-        return p2[j] if 0 <= j < len(p2) else 0j
-
-    def b(j):
-        return p1[j] if 0 <= j < len(p1) else 0j
-
-    def d(j):
-        return p0[j] if 0 <= j < len(p0) else 0j
-
-    def pivot(s: complex) -> complex:
-        return a(kappa) * s * (s - 1.0) + b(kappa - 1) * s + d(kappa - 2)
-
-    # L(m, k) reads P2, P1, P0 at offsets m - k above kappa, kappa - 1,
-    # kappa - 2, so it vanishes once m - k reaches the band width
+    # L(m, k) reads P2, P1, P0 at offsets j = m - k above kappa,
+    # kappa - 1, kappa - 2, so it vanishes once j reaches the band width;
+    # the tables hold those entries, zero-padded, for j = 0 .. band - 1
     band = max(len(p2) - kappa, len(p1) - kappa + 1, len(p0) - kappa + 2)
+
+    def table(p, offset):
+        return [p[offset + j] if 0 <= offset + j < len(p) else 0j for j in range(band)]
+
+    a, b, d = table(p2, kappa), table(p1, kappa - 1), table(p0, kappa - 2)
+    s_at = [rho + k for k in range(order + 1)]
+    s_less_1 = [s - 1.0 for s in s_at]
     coeffs: list[complex] = list(seeds)
+    largest = max(math.ldexp(abs(c), -k) for k, c in enumerate(coeffs)) if tol else 0.0
+    quiet = 0
     for m in range(len(seeds), order + 1):
         acc = 0j
-        for k in range(max(0, m - band + 1), m):
-            s = rho + k
-            term = (a(kappa + m - k) * s * (s - 1.0)
-                    + b(kappa - 1 + m - k) * s
-                    + d(kappa - 2 + m - k))
+        for k in range(m - band + 1 if m >= band else 0, m):
+            j = m - k
+            s = s_at[k]
+            term = a[j] * s * s_less_1[k] + b[j] * s + d[j]
             if term != 0j and coeffs[k] != 0j:
                 acc += coeffs[k] * term
-        piv = pivot(rho + m)
+        s = s_at[m]
+        piv = a[0] * s * s_less_1[m] + b[0] * s + d[0]
         if piv == 0j:
             raise ResonantExponentsError(
                 f"recurrence pivot vanished at series index {m}")
         coeffs.append(-acc / piv)
+        if tol is not None:
+            size = math.ldexp(abs(coeffs[m]), -m)
+            if size > largest:
+                largest = size
+            quiet = quiet + 1 if size <= tol * largest else 0
+            if quiet == 2:
+                break
     return coeffs
 
 
@@ -522,15 +544,83 @@ def frobenius_series(ode: RationalCoeffODE, point: Point, exponent: complex,
 
 
 def taylor_series(ode: RationalCoeffODE, center: complex, value: complex,
-                  derivative: complex, order: int = 64) -> FrobeniusSolution:
-    """Power series at an ordinary point with given w(center), w'(center)."""
+                  derivative: complex, order: int = 64, tol: float | None = None,
+                  max_radius: float = math.inf) -> FrobeniusSolution:
+    """Power series at an ordinary point with given w(center), w'(center).
+
+    The radius is capped at ``max_radius``. With ``tol`` the series is
+    built for marching: its coefficients are those of the scaled
+    variable (z - center) / radius, so they neither overflow nor
+    underflow however large the disk, and the order is chosen from the
+    tail: the series stops once two successive terms on the trusted half
+    disk fall below tol times the largest (at most ``order``). That
+    needs a finite radius.
+    """
     center = complex(center)
     p2, p1, p0 = _series_triple(ode, center)
+    if not all(math.isfinite(abs(c)) for c in p2 + p1 + p0):
+        raise OutOfDomainError(f"the equation's polynomial coefficients overflow at {center}")
     kappa = _vanish_order(p2, 0j)
     if kappa != 0:
         raise ValueError(f"{center} is a singular point; taylor_series needs an ordinary one")
-    coeffs = _recurrence(p2, p1, p0, 0, 0j, order, [complex(value), complex(derivative)])
-    return FrobeniusSolution(center, 0j, tuple(coeffs), _series_radius(ode, center))
+    radius = min(_series_radius(ode, center), max_radius)
+    seeds = [complex(value), complex(derivative)]
+    scale = 1.0
+    if tol is not None:
+        if not math.isfinite(radius):
+            raise ValueError("a tail-truncated series needs a finite radius; pass max_radius")
+        # w(center + scale t) solves P2 w_tt + scale P1 w_t + scale^2 P0 w = 0;
+        # the powers are built by products, which overflow to inf, not raise
+        scale = radius
+
+        def scaled(poly, power):
+            out = []
+            for c in poly:
+                out.append(c * power)
+                power *= scale
+            return out
+
+        p2, p1, p0 = scaled(p2, 1.0), scaled(p1, scale), scaled(p0, scale * scale)
+        seeds[1] *= scale
+    coeffs = _recurrence(p2, p1, p0, 0, 0j, order, seeds, tol)
+    return FrobeniusSolution(center, 0j, tuple(coeffs), radius, scale)
+
+
+def reach(ode: RationalCoeffODE, chain: list[FrobeniusSolution], target: complex,
+          order: int, first: int = 0, tol: float | None = None,
+          max_radius: float = math.inf) -> int:
+    """Index of the first series in ``chain``, from ``first`` on, whose
+    trusted disk holds ``target``; hops are appended past the end as needed.
+
+    ``chain`` starts with a series at the start point, analytic there
+    (exponent 0). Each appended hop is the Taylor re-expansion 0.4 of the
+    last radius further along the straight path toward the target that
+    needed it, built by ``taylor_series`` with ``order``, ``tol`` and
+    ``max_radius``. Each local series is trusted to half its own radius
+    (the radius already measures the distance to the nearest singular
+    point). On a real ray every hop heads in the direction exactly +1 or
+    -1, so the hop centres do not depend on which target is asked for.
+    """
+    k = first
+    while True:
+        current = chain[k]
+        center = complex(current.expansion_point)
+        remaining = target - center
+        if abs(remaining) <= 0.5 * current.radius:
+            return k
+        k += 1
+        if k == _MAX_HOPS:
+            raise ConvergenceError(
+                f"analytic continuation toward {target} did not arrive in {_MAX_HOPS} "
+                "hops (target too close to a singular point, or too far away?)")
+        if k == len(chain):
+            nxt = center + remaining / abs(remaining) * (0.4 * current.radius)
+            w, dw, _ = evaluate_with_derivatives(current, nxt)
+            try:
+                chain.append(taylor_series(ode, nxt, w, dw, order, tol, max_radius))
+            except ValueError as exc:
+                raise OutOfDomainError(
+                    f"continuation toward {target} stalls at {nxt}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -553,8 +643,15 @@ def _local_coordinate(sol: FrobeniusSolution, z: complex) -> tuple[complex, comp
     return complex(z) - complex(sol.expansion_point), sol.exponent
 
 
-def _series_sums(coeffs, x: complex):
-    """sum c_k x^k and its first two derivatives with respect to x."""
+def _series_sums(coeffs, x, scale=1.0):
+    """sum c_k (x/scale)^k and its first two derivatives with respect to x.
+
+    ``x`` may be an array, with ``coeffs`` then a sequence of arrays of
+    the same shape (one per power) and ``scale`` a scalar or an array.
+    """
+    if np.any(scale != 1.0):
+        s0, s1, s2 = _series_sums(coeffs, x / scale)
+        return s0, s1 / scale, s2 / (scale * scale)
     s0 = s1 = s2 = 0j
     for c in reversed(coeffs):
         s2 = s2 * x + 2.0 * s1
@@ -565,7 +662,7 @@ def _series_sums(coeffs, x: complex):
 
 def _tail_estimate(sol: FrobeniusSolution, x: complex) -> float:
     n = len(sol.coefficients) - 1
-    last = abs(sol.coefficients[n]) * abs(x) ** n
+    last = abs(sol.coefficients[n]) * (abs(x) / sol.scale) ** n
     if math.isfinite(sol.radius) and sol.radius > 0:
         ratio = abs(x) / sol.radius
     else:
@@ -586,7 +683,7 @@ def evaluate(sol: FrobeniusSolution, z: complex) -> EvalResult:
     """Value of the local solution at z, with a crude tail error estimate."""
     x, rho = _local_coordinate(sol, z)
     _check_domain(sol, x)
-    s0, _, _ = _series_sums(sol.coefficients, x)
+    s0, _, _ = _series_sums(sol.coefficients, x, sol.scale)
     if x == 0:
         if rho == 0:
             return EvalResult(sol.coefficients[0], 0.0)
@@ -603,7 +700,7 @@ def evaluate_with_derivatives(sol: FrobeniusSolution, z: complex) -> tuple[compl
     _check_domain(sol, x)
     if x == 0:
         raise OutOfDomainError("derivative evaluation needs a point away from the expansion center")
-    s0, s1, s2 = _series_sums(sol.coefficients, x)
+    s0, s1, s2 = _series_sums(sol.coefficients, x, sol.scale)
     w = x ** rho * s0
     dw_dx = x ** (rho - 1) * (rho * s0 + x * s1)
     d2w_dx2 = x ** (rho - 2) * (rho * (rho - 1.0) * s0 + 2.0 * rho * x * s1 + x * x * s2)
@@ -613,6 +710,28 @@ def evaluate_with_derivatives(sol: FrobeniusSolution, z: complex) -> tuple[compl
         d2w_dz2 = t ** 4 * d2w_dx2 + 2.0 * t ** 3 * dw_dx
         return w, dw_dz, d2w_dz2
     return w, dw_dx, d2w_dx2
+
+
+def evaluate_chain(chain: list[FrobeniusSolution], points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense output of a chain built by ``reach``: arrays (w, w', w'') at
+    the points, each taken from the first series whose trusted disk (half
+    its radius) holds it, all in one vectorised Horner pass.
+    """
+    points = np.asarray(points, dtype=complex)
+    centres = np.array([complex(s.expansion_point) for s in chain])
+    radii = np.array([s.radius for s in chain])
+    held = np.abs(points[:, None] - centres[None, :]) <= 0.5 * radii[None, :]
+    if not np.all(held.any(axis=1)):
+        raise OutOfDomainError("a point lies outside every disk of the continuation chain")
+    hop = held.argmax(axis=1)
+    width = max(len(s.coefficients) for s in chain)
+    table = np.zeros((len(chain), width), dtype=complex)
+    for i, s in enumerate(chain):
+        if s.exponent != 0:
+            raise ValueError("evaluate_chain needs series analytic at their centres")
+        table[i, :len(s.coefficients)] = s.coefficients
+    scales = np.array([s.scale for s in chain])[hop]
+    return _series_sums(table[hop].T, points - centres[hop], scales)
 
 
 def residual(ode: RationalCoeffODE, sol: FrobeniusSolution, z: complex) -> float:

@@ -12,7 +12,8 @@ The Heun side stores the parameter block of
 
 and evaluates the local solution analytic at xi = 0 (normalized to
 H(0) = 1) by Frobenius expansion, continued by stepped Taylor
-re-expansion when the target lies past the first disk of convergence.
+re-expansion (``fuchsian.reach``) when the target lies past the first
+disk of convergence.
 A whole grid is evaluated in one sweep: the series at 0 is built once,
 and the points on the real ray xi > 0 share one chain of Taylor hops,
 which gives the same values as marching to each point alone.
@@ -227,42 +228,6 @@ def heun_series_coefficients(params: HeunParams, n: int) -> list[complex]:
     return h
 
 
-_MAX_HOPS = 200
-
-
-def _reach(ode: fuchsian.RationalCoeffODE, chain: list[fuchsian.FrobeniusSolution],
-           target: complex, order: int, first: int = 0) -> int:
-    """Index of the first series in ``chain``, from ``first`` on, whose
-    trusted disk holds ``target``; hops are appended past the end as needed.
-
-    ``chain`` starts with the series at the start point; each appended
-    hop is the Taylor re-expansion 0.4 of the last radius further along
-    the straight path toward the target that needed it. Each local
-    series is trusted to half its own radius (the radius already
-    measures the distance to the nearest singular point).
-    """
-    k = first
-    while True:
-        current = chain[k]
-        center = complex(current.expansion_point)
-        remaining = target - center
-        if abs(remaining) <= 0.5 * current.radius:
-            return k
-        k += 1
-        if k == _MAX_HOPS:
-            raise ConvergenceError(
-                f"analytic continuation toward {target} did not converge in {_MAX_HOPS} "
-                "steps (target too close to a singular point?)")
-        if k == len(chain):
-            nxt = center + remaining / abs(remaining) * (0.4 * current.radius)
-            w, dw, _ = fuchsian.evaluate_with_derivatives(current, nxt)
-            try:
-                chain.append(fuchsian.taylor_series(ode, nxt, w, dw, order=order))
-            except ValueError as exc:
-                raise OutOfDomainError(
-                    f"continuation toward {target} stalls at {nxt}: {exc}") from exc
-
-
 def _value_at(sol: fuchsian.FrobeniusSolution, target: complex) -> tuple[complex, complex]:
     if target == complex(sol.expansion_point):
         # only reachable for exponent-0 series, whose leading
@@ -289,7 +254,7 @@ def _march_to(ode: fuchsian.RationalCoeffODE, start: fuchsian.FrobeniusSolution,
     along the straight segment from the start expansion point."""
     _check_target(_finite_singular_points(ode), target)
     chain = [start]
-    return _value_at(chain[_reach(ode, chain, target, order)], target)
+    return _value_at(chain[fuchsian.reach(ode, chain, target, order)], target)
 
 
 def heun_local(params: HeunParams, xi: complex | Sequence[complex],
@@ -300,7 +265,8 @@ def heun_local(params: HeunParams, xi: complex | Sequence[complex],
     points (the result is a list of values in input order). Points
     inside half the first radius of convergence are single Frobenius
     sums. The others are reached by stepped Taylor re-expansion along a
-    straight path from 0, stopping short of any singular point.
+    straight path from 0 (``fuchsian.reach``, at the given order),
+    stopping short of any singular point.
 
     One sweep serves a whole grid: points on the real ray xi > 0 are
     visited in ascending order along one chain of hops, each evaluated
@@ -330,7 +296,7 @@ def heun_local(params: HeunParams, xi: complex | Sequence[complex],
     try:
         for i in ray:
             _check_target(sings, targets[i])
-            k = _reach(ode, chain, targets[i], order, k)
+            k = fuchsian.reach(ode, chain, targets[i], order, k)
             values[i] = _value_at(chain[k], targets[i])[0]
         for i in off_ray:
             values[i] = _march_to(ode, series, targets[i], order)[0]

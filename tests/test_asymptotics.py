@@ -15,10 +15,10 @@ from kgcoulomb.asymptotics import (
     subdominant_branch,
 )
 from kgcoulomb.errors import OscillationError, OutOfDomainError
-from kgcoulomb.fuchsian import RationalCoeffODE
-from kgcoulomb.kgmodels import build_deformed_zero_energy, build_ordinary_kg
+from kgcoulomb.fuchsian import RationalCoeffODE, evaluate_with_derivatives, frobenius_series
+from kgcoulomb.kgmodels import build_deformed_zero_energy, build_ordinary_kg, to_heun
 from kgcoulomb.physcore import CoulombSystem, DeformationParams
-from kgcoulomb.specialfn import hypergeometric_ode, psi_ordinary, psi_ordinary_with_derivative
+from kgcoulomb.specialfn import heun_local, hypergeometric_ode, psi_ordinary, psi_ordinary_with_derivative
 from kgcoulomb.spectra import energy_closed_form
 
 # psi'' - psi = 0: the solution through (1, 1) at u = 0 is exp(u)
@@ -66,6 +66,69 @@ class TestIntegrate:
     def test_nonpositive_tol_rejected(self):
         with pytest.raises(ValueError):
             integrate(_EXP_ODE, 0.0, 1.0 + 0j, 0j, 1.0, tol=0.0)
+
+
+class TestTaylorContinuation:
+    """integrate against routes that share none of its continuation code,
+    and the hop count and residual its trajectories report."""
+
+    # largest relative error over the grid, no looser than what an
+    # adaptive Runge-Kutta scheme (DOP853, rtol = tol) reaches here
+    _BOUNDS = {(1e-10, "forward"): 1e-8, (1e-10, "backward"): 2e-9,
+               (1e-12, "forward"): 2e-9, (1e-12, "backward"): 1e-11}
+
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12])
+    @pytest.mark.parametrize("z,n", [(1, 0), (40, 2), (68, 1)])
+    def test_closed_form_at_every_point(self, z, n, tol, direction):
+        s = CoulombSystem(z=z, eta=energy_closed_form(CoulombSystem(z=z).g, n))
+        start, end = (5.0, 1e4) if direction == "forward" else (1e4, 5.0)
+        psi0, dpsi0 = psi_ordinary_with_derivative(s, start)
+        traj = integrate(build_ordinary_kg(s), start, psi0, dpsi0, end, tol=tol)
+        ref = np.array([psi_ordinary(s, float(u)) for u in traj.grid])
+        worst = float(np.max(np.abs(traj.values - ref) / np.abs(ref)))
+        assert worst <= self._BOUNDS[tol, direction]
+
+    @pytest.mark.parametrize("g,theta,theta_prime", [(0.2, 0.05, 0.02), (0.7, 0.1, 0.03)])
+    def test_matches_marched_heun_route(self, g, theta, theta_prime):
+        # psi = (1 - xi) H(xi) from the Heun reduction against direct
+        # continuation of the u-equation, seeded from its regular
+        # Frobenius solution at u = 0 and scaled to agree at the seed
+        dp = DeformationParams(theta, theta_prime)
+        ode = build_deformed_zero_energy(g, dp)
+        series = frobenius_series(ode, 0, 0)
+        u_seed = 0.25 * series.radius
+        w, dw, _ = evaluate_with_derivatives(series, u_seed)
+        traj = integrate(ode, u_seed, w, dw, 100.0)
+        hp, vmap = to_heun(g, dp)
+        xis = [vmap.forward(float(u)) for u in traj.grid]
+        psi = np.array([(1.0 - xi) * h for xi, h in zip(xis, heun_local(hp, xis))])
+        direct = traj.values * (psi[0] / traj.values[0])
+        assert len(psi) == 400
+        assert np.max(np.abs(direct - psi) / np.abs(psi)) <= 1e-9
+
+    def test_hops_grow_logarithmically(self):
+        s = CoulombSystem(z=1, alpha=0.3, eta=0.5)
+        ode = build_ordinary_kg(s)
+        near = integrate(ode, 1.0, 1.0 + 0j, 0j, 1e4)
+        far = integrate(ode, 1.0, 1.0 + 0j, 0j, 1e12)
+        assert 10 < near.hops < 40
+        assert far.hops < 3 * near.hops
+        # the slow branch decays by 24 decades and stays a clean power law
+        assert abs(far.values[-1]) < 1e-20
+        assert fit_exponent(far, (1e6, 1e12)).exponent == pytest.approx(-2.1, rel=1e-3)
+
+    def test_residual_follows_tol(self):
+        ode = build_ordinary_kg(CoulombSystem(z=1, alpha=0.3, eta=0.5))
+        coarse = integrate(ode, 1.0, 1.0 + 0j, 0j, 1e4, tol=1e-6)
+        fine = integrate(ode, 1.0, 1.0 + 0j, 0j, 1e4, tol=1e-12)
+        assert 0.0 < fine.max_residual < coarse.max_residual
+        assert fine.max_residual <= 1e-9
+
+    def test_exp_residual_and_hops(self):
+        traj = integrate(_EXP_ODE, 0.0, 1.0 + 0j, 1.0 + 0j, 1.0, tol=1e-12)
+        assert traj.hops == 3  # radius capped at the interval: hops to 0.4, 0.8
+        assert traj.max_residual <= 1e-12
 
 
 class TestTrajectoryValidation:

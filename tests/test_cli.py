@@ -114,6 +114,29 @@ class TestExponents:
         assert analytic[0] == pytest.approx(-10.0 / 3.0, abs=1e-12)
         assert analytic[1] == pytest.approx(-2.0, abs=1e-12)
 
+    def test_wide_window_keeps_real_pair(self, capsys):
+        # the slow branch decays to ~1e-24 over this window; it must
+        # still fit as a power law, not trip the oscillation test
+        code, out, _ = _run(capsys, "exponents", "--window", "10:1e12")
+        assert code == 0
+        for row in _csv_rows(out):
+            analytic, fitted = float(row[1]), float(row[3])
+            assert row[5] == "0"
+            assert abs(fitted - analytic) <= 0.01 * abs(analytic)
+
+    def test_window_below_seed_is_usage_error(self, capsys):
+        code, out, err = _run(capsys, "exponents", "--window", "1e-6:1e6")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("kgcoulomb: usage error: ")
+        assert "seed point" in err
+
+    def test_unreachable_window_exits_cleanly(self, capsys):
+        code, out, err = _run(capsys, "exponents", "--window", "2:1e100")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("kgcoulomb: ")
+
     def test_bad_window_rejected(self, capsys):
         code, _, err = _run(capsys, "exponents", "--model", "deformed",
                             "--g", "0.3", "--theta", "0.05", "--window", "5:2")
@@ -210,6 +233,20 @@ class TestParams:
         assert all(v[1] == 0.0 for v in vals.values())
         assert vals["x1"][0] + vals["x2"][0] == pytest.approx(1.0, rel=1e-14)
 
+    def test_confluence_warning_is_one_prefixed_line(self, capsys):
+        outs = []
+        for _ in range(2):  # reported on every run, not once per process
+            code, out, err = _run(capsys, "params", "--model", "generalized-heun",
+                                  "--theta", "1e-9")
+            assert code == 0
+            lines = err.splitlines()
+            assert len(lines) == 1
+            assert lines[0].startswith("kgcoulomb: warning: singular points x1, x2")
+            assert "confluent" in lines[0]
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert len(_csv_rows(outs[0])) == 11
+
     def test_parameter_pole_exit_code(self, capsys):
         # theta + theta' = 1 degenerates the reduction
         code, _, err = _run(capsys, "params", "--model", "heun", "--g", "0.2",
@@ -270,6 +307,18 @@ class TestConfigPrecedence:
 def test_cli_import_leaves_scipy_unloaded():
     src = str(Path(cli.__file__).resolve().parents[1])
     code = "import sys, kgcoulomb.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.strip() == "False"
+
+
+def test_exponents_leave_scipy_unloaded():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import contextlib, io, sys\n"
+            "from kgcoulomb import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['exponents']) == 0\n"
+            "print('scipy' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
     assert proc.stdout.strip() == "False"

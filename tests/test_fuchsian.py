@@ -5,6 +5,7 @@ import pytest
 
 from kgcoulomb import fuchsian
 from kgcoulomb.errors import (
+    ConvergenceError,
     IrregularPointError,
     OutOfDomainError,
     ResonantExponentsError,
@@ -13,9 +14,11 @@ from kgcoulomb.fuchsian import (
     INFINITY,
     RationalCoeffODE,
     evaluate,
+    evaluate_chain,
     evaluate_with_derivatives,
     frobenius_series,
     indicial_exponents,
+    reach,
     residual,
     singular_points,
     taylor_series,
@@ -325,3 +328,51 @@ class TestBandedRecurrence:
         p2, p1, p0 = fuchsian._series_triple(ode, center)
         ref = _full_sum_recurrence(p2, p1, p0, 0, 0j, 40, [0.8 - 0.2j, 1.3 + 0.4j])
         assert list(sol.coefficients) == ref
+
+
+class TestContinuationChain:
+    def test_tail_rule_picks_order_from_tol(self):
+        ode = build_ordinary_kg(CoulombSystem(z=1, alpha=0.3, eta=0.5))
+        coarse = taylor_series(ode, 3.0, 1.0, -0.5, order=64, tol=1e-5)
+        fine = taylor_series(ode, 3.0, 1.0, -0.5, order=64, tol=1e-12)
+        assert len(coarse.coefficients) < len(fine.coefficients) < 65
+        # the tail-truncated series is the plain one in x / radius
+        plain = taylor_series(ode, 3.0, 1.0, -0.5, order=len(fine.coefficients) - 1)
+        assert fine.scale == fine.radius == plain.radius
+        for k, (c, ref) in enumerate(zip(fine.coefficients, plain.coefficients)):
+            assert c == pytest.approx(ref * fine.radius**k, rel=1e-9)
+        z = 3.0 + 0.45 * fine.radius
+        for a, b in zip(evaluate_with_derivatives(fine, z), evaluate_with_derivatives(plain, z)):
+            assert a == pytest.approx(b, rel=1e-11)
+
+    def test_scaled_coefficients_stay_finite_far_out(self):
+        # unscaled, c_k ~ u^-k underflows by k = 30 at u = 1e12
+        ode = build_ordinary_kg(CoulombSystem(z=1, alpha=0.3, eta=0.5))
+        sol = taylor_series(ode, 1e12, 1e-24, -2e-36, order=64, tol=1e-10)
+        assert sol.radius > 1e11
+        assert all(math.isfinite(abs(c)) for c in sol.coefficients)
+        assert min(abs(c) for c in sol.coefficients[:2]) > 1e-30
+
+    def test_tail_rule_needs_finite_radius(self):
+        with pytest.raises(ValueError):
+            taylor_series(_COS_ODE, 0.0, 1.0, 0.0, tol=1e-10)
+        sol = taylor_series(_COS_ODE, 0.0, 1.0, 0.0, tol=1e-10, max_radius=2.0)
+        assert sol.radius == 2.0
+
+    def test_dense_output_matches_pointwise_evaluation(self):
+        chain = [taylor_series(_COS_ODE, 0.0, 1.0, 0.0, order=64, tol=1e-14, max_radius=1.0)]
+        last = reach(_COS_ODE, chain, 10.0 + 0j, 64, tol=1e-14, max_radius=1.0)
+        assert last == len(chain) - 1 == 24  # hops of 0.4 up to 9.6
+        points = [0.0, 0.2, 3.3, 7.77, 10.0]
+        w, dw, d2w = evaluate_chain(chain, points)
+        for i, x in enumerate(points):
+            assert w[i] == pytest.approx(math.cos(x), abs=1e-13)
+            assert dw[i] == pytest.approx(-math.sin(x), abs=1e-13)
+            assert d2w[i] == pytest.approx(-math.cos(x), abs=1e-12)
+        with pytest.raises(OutOfDomainError):
+            evaluate_chain(chain, [11.0])
+
+    def test_hop_budget_ends_in_convergence_error(self):
+        chain = [taylor_series(_COS_ODE, 0.0, 1.0, 0.0, order=16, tol=1e-8, max_radius=1.0)]
+        with pytest.raises(ConvergenceError):
+            reach(_COS_ODE, chain, 1e3 + 0j, 16, tol=1e-8, max_radius=1.0)

@@ -20,14 +20,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import fuchsian
 from .errors import IntegrationError, OscillationError, OutOfDomainError
 from .kgmodels import build_deformed_zero_energy, build_ordinary_kg
 from .physcore import CoulombSystem, DeformationParams
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Trajectory",
@@ -60,6 +61,8 @@ class Trajectory:
     max_residual: float = math.nan
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         if not np.all(np.diff(self.grid) > 0):
             raise ValueError("trajectory grid must be strictly increasing")
         if not (np.all(np.isfinite(self.values)) and np.all(np.isfinite(self.derivatives))):
@@ -110,6 +113,8 @@ def integrate(ode: fuchsian.RationalCoeffODE, u0: float, psi0: complex,
     Every grid point is read off the first disk that holds it. The
     returned grid is ascending regardless of integration direction.
     """
+    import numpy as np
+
     if tol <= 0:
         raise ValueError("tol must be positive")
     if u0 == u_end:
@@ -153,6 +158,8 @@ def fit_exponent(traj: Trajectory, window: tuple[float, float]) -> FitResult:
     Coulomb), where |psi| ~ u^re * |beat(im * log u)| and a single real
     slope would be meaningless.
     """
+    import numpy as np
+
     lo, hi = window
     if not (traj.grid[0] <= lo < hi <= traj.grid[-1]):
         raise ValueError(

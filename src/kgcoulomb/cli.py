@@ -9,14 +9,22 @@ Usage:
 
 Every subcommand writes a table to stdout (or to --out) in CSV,
 JSON, or gnuplot-ready whitespace format.  Runs are deterministic:
-the same configuration always produces byte-identical output.
+on one machine the same configuration always produces byte-identical
+output.  Across machines only ``exponents`` can differ, in the last
+digits: its array work (``fuchsian.evaluate_chain``,
+``asymptotics.integrate`` and ``fit_exponent``) runs on numpy ufuncs,
+which numpy dispatches to AVX-512 kernels with fused multiply-add where
+the CPU has them, and those round differently.  The other subcommands
+never import numpy; they compute with Python floats and the C math
+library alone.
 Numbers are printed with 17 significant digits, locale-independent.
 
 Configuration precedence: command-line flags > --config file >
 built-in defaults.  The config file is a flat ``key = value`` text
 file using the long flag names (without the leading dashes).
 
-Exit codes: 0 on success, 1 on a usage or configuration error, 2 on
+Exit codes: 0 on success, 1 on a usage or configuration error (a
+``--tol`` above 1e-3 among them: too coarse for a 1% exponent fit), 2 on
 a physics-domain error (supercritical coupling, parameter pole,
 evaluation outside a solution's domain). Warnings go to stderr as one
 ``kgcoulomb: warning:`` line each.
@@ -25,11 +33,11 @@ evaluation outside a solution's domain). Warnings go to stderr as one
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 import warnings
-
-import numpy as np
 
 from .asymptotics import dominant_branch, fit_exponent, subdominant_branch
 from .errors import (
@@ -53,6 +61,9 @@ from .spectra import energy_closed_form, solve_quantization
 
 _WAVEFUNCTION_POINTS = 200
 _HEUN_CHECK_POINTS = 50
+# Largest relative tolerance that still supports a 1% exponent fit;
+# above it the slow branch is flagged oscillatory more and more often.
+_MAX_TOL = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +157,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process (parse_args leaves no
+    state on it)."""
     common = argparse.ArgumentParser(add_help=False)
     com = common.add_argument_group("common options")
     com.add_argument("--Z", type=int, default=None, help="nuclear charge (default 1)")
@@ -216,8 +230,9 @@ def _merge(args: argparse.Namespace) -> dict:
             cfg[key] = flag
     if cfg.get("format") not in _FORMATS:
         raise UsageError(f"unknown format {cfg.get('format')!r}")
-    if cfg.get("tol") is not None and not cfg["tol"] > 0.0:
-        raise UsageError("--tol must be positive")
+    if cfg.get("tol") is not None and not 0.0 < cfg["tol"] <= _MAX_TOL:
+        raise UsageError(f"--tol must be positive and at most {_MAX_TOL:g}, "
+                         f"got {cfg['tol']:g}")
     if cfg.get("order") is not None and cfg["order"] < 4:
         raise UsageError("--order must be at least 4")
     if cfg.get("Z") is not None and cfg["Z"] < 1:
@@ -271,9 +286,24 @@ def _fmt(value) -> str:
         return "nan"
     if isinstance(value, str):
         return value
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, int):
         return str(int(value))
     return format(float(value), ".17g")
+
+
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """n evenly spaced points, i * step + lo, with hi set exactly (the
+    formula of numpy.linspace)."""
+    step = (hi - lo) / (n - 1)
+    return [i * step + lo for i in range(n - 1)] + [hi]
+
+
+def _geomspace(lo: float, hi: float, n: int) -> list[float]:
+    """n log-spaced points, 10 ** (i * step + log10(lo)), with both ends
+    set exactly (the formula of numpy.geomspace)."""
+    grid = [10.0 ** x for x in _linspace(math.log10(lo), math.log10(hi), n)]
+    grid[0], grid[-1] = lo, hi
+    return grid
 
 
 def _render(table: _Table, fmt: str) -> str:
@@ -384,7 +414,7 @@ def cmd_wavefunction(cfg: dict) -> _Table:
     """Sample psi on a logarithmic momentum grid."""
     model = cfg["model"]
     lo, hi = _parse_window(cfg["window"])
-    grid = [float(u) for u in np.geomspace(lo, hi, _WAVEFUNCTION_POINTS)]
+    grid = _geomspace(lo, hi, _WAVEFUNCTION_POINTS)
     g = _coupling(cfg)
 
     if model == "ordinary":
@@ -486,7 +516,7 @@ def cmd_heun_check(cfg: dict) -> _Table:
                          "or set it equal to --theta")
     dp = DeformationParams(theta, theta)
     hp, _ = to_heun(g, dp)
-    grid = [float(xi) for xi in np.linspace(0.0, 0.4, _HEUN_CHECK_POINTS)]
+    grid = _linspace(0.0, 0.4, _HEUN_CHECK_POINTS)
     rows = []
     worst = 0.0
     for xi, h in zip(grid, heun_local(hp, grid, order=cfg["order"])):

@@ -28,13 +28,13 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
-
-import numpy as np
-from numpy.polynomial import polynomial as npoly
+from typing import TYPE_CHECKING, Union
 
 from .errors import (ConvergenceError, IrregularPointError, OutOfDomainError,
                      ResonantExponentsError)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "INFINITY",
@@ -56,6 +56,8 @@ __all__ = [
 _TRIM_TOL = 1e-13
 _MATCH_TOL = 1e-7
 _MAX_HOPS = 200
+_ABERTH_MAX_ITER = 100
+_EPS = 2.0 ** -52
 
 
 class _InfinityType:
@@ -100,11 +102,22 @@ def _polyval(coeffs, z: complex) -> complex:
 
 
 def _polymul(a, b) -> tuple[complex, ...]:
-    return _trim(npoly.polymul(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)))
+    b = [complex(y) for y in b]
+    out = [0j] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        x = complex(x)
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
 
 
 def _polyadd(a, b) -> tuple[complex, ...]:
-    return _trim(npoly.polyadd(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)))
+    if len(a) < len(b):
+        a, b = b, a
+    out = [complex(x) for x in a]
+    for i, y in enumerate(b):
+        out[i] += complex(y)
+    return _trim(out)
 
 
 def _polyscale(a, s: complex) -> tuple[complex, ...]:
@@ -153,26 +166,100 @@ def _deflate(coeffs, z0: complex) -> tuple[complex, ...]:
 
 
 def _poly_roots(coeffs) -> list[complex]:
-    c = _trim(coeffs)
-    if len(c) == 1:
-        return []
-    arr = np.asarray(c, dtype=complex)
-    darr = npoly.polyder(arr)
-    out = []
-    for r in npoly.polyroots(arr):
-        r = complex(r)
-        # Newton polish; a tiny derivative means a clustered root, where
-        # polishing would drift, so leave those to the clustering pass
+    """All roots, repeated by multiplicity; exact zero roots come out as 0j."""
+    c = list(_trim(coeffs))
+    zeros = 0
+    while len(c) > 1 and c[0] == 0:
+        c.pop(0)
+        zeros += 1
+    dc = [k * c[k] for k in range(1, len(c))]
+    out = [0j] * zeros
+    for r, stalled in _aberth(c, dc):
+        # Newton polish; near a multiple root (the iteration stalled
+        # there, or the derivative is tiny) polishing would only follow
+        # rounding noise, so leave those to the clustering pass
         for _ in range(2):
-            dv = _polyval(darr, r)
-            if abs(dv) < 1e-12:
+            dv = _polyval(dc, r)
+            if stalled or abs(dv) < 1e-12:
                 break
-            step = _polyval(arr, r) / dv
+            step = _polyval(c, r) / dv
             if abs(step) > 1e-2 * max(1.0, abs(r)):
                 break
             r = r - step
-        out.append(complex(r))
+        out.append(r)
     return out
+
+
+def _aberth(c, dc) -> list[tuple[complex, bool]]:
+    """Roots of the polynomial c (derivative dc), constant term nonzero,
+    by Aberth-Ehrlich simultaneous iteration (Aberth, Math. Comp. 27,
+    1973), each approximation updated in place.
+
+    The starting points lie on one circle per edge of the Newton polygon
+    of the coefficients, so roots of very different moduli start near
+    their own modulus. An approximation is final once its correction is
+    below 1e-15 relative, or once corrections stop shrinking while the
+    polynomial's value there is down to the rounding error of evaluating
+    it: that is a multiple root, where corrections stall near sqrt(eps),
+    and the stalled step is dropped. Returns (root, stalled) pairs.
+    """
+    n = len(c) - 1
+    z = _newton_polygon_start(c)
+    stalled = [False] * n
+    # twice the rounding-error bound of Horner's rule, 2 n eps sum |c_k| |z|^k
+    noise = 4.0 * n * _EPS
+    sizes = [abs(x) for x in c]
+    last = [math.inf] * n
+    active = list(range(n))
+    for _ in range(_ABERTH_MAX_ITER):
+        still = []
+        for k in active:
+            zk = z[k]
+            p = _polyval(c, zk)
+            if p == 0:
+                continue
+            pull = 0j
+            for j in range(n):
+                if j != k:
+                    pull += 1.0 / (zk - z[j])
+            step = p / (_polyval(dc, zk) - p * pull)
+            size = abs(step)
+            if size >= last[k] and abs(p) <= noise * abs(_polyval(sizes, abs(zk))):
+                stalled[k] = True  # the step follows rounding noise: drop it
+                continue
+            z[k] = zk - step
+            if size <= 1e-15 * abs(z[k]):
+                continue
+            last[k] = size
+            still.append(k)
+        active = still
+        if not active:
+            break
+    return list(zip(z, stalled))
+
+
+def _newton_polygon_start(c) -> list[complex]:
+    """Starting points: j - i roots on the circle of radius
+    (|c_i| / |c_j|)^(1/(j - i)) for each edge (i, j) of the upper convex
+    hull of the points (k, log|c_k|) (Bini, Numer. Algorithms 13, 1996)."""
+    n = len(c) - 1
+    hull: list[tuple[int, float]] = []
+    for k, x in enumerate(c):
+        if x == 0:
+            continue
+        pt = (k, math.log(abs(x)))
+        while len(hull) >= 2:
+            (i0, l0), (i1, l1) = hull[-2], hull[-1]
+            if (i1 - i0) * (pt[1] - l0) - (l1 - l0) * (pt[0] - i0) < 0:
+                break
+            hull.pop()
+        hull.append(pt)
+    z = []
+    for (i, li), (j, lj) in zip(hull, hull[1:]):
+        radius = math.exp((li - lj) / (j - i))
+        for q in range(j - i):
+            z.append(cmath.rect(radius, 2.0 * math.pi * (q / (j - i) + i / n) + 0.4))
+    return z
 
 
 def _cluster(roots: list[complex], tol: float = _MATCH_TOL) -> list[tuple[complex, int]]:
@@ -643,13 +730,13 @@ def _local_coordinate(sol: FrobeniusSolution, z: complex) -> tuple[complex, comp
     return complex(z) - complex(sol.expansion_point), sol.exponent
 
 
-def _series_sums(coeffs, x, scale=1.0):
+def _series_sums(coeffs, x, scale: float = 1.0):
     """sum c_k (x/scale)^k and its first two derivatives with respect to x.
 
     ``x`` may be an array, with ``coeffs`` then a sequence of arrays of
-    the same shape (one per power) and ``scale`` a scalar or an array.
+    the same shape (one per power).
     """
-    if np.any(scale != 1.0):
+    if scale != 1.0:
         s0, s1, s2 = _series_sums(coeffs, x / scale)
         return s0, s1 / scale, s2 / (scale * scale)
     s0 = s1 = s2 = 0j
@@ -717,6 +804,8 @@ def evaluate_chain(chain: list[FrobeniusSolution], points) -> tuple[np.ndarray, 
     the points, each taken from the first series whose trusted disk (half
     its radius) holds it, all in one vectorised Horner pass.
     """
+    import numpy as np
+
     points = np.asarray(points, dtype=complex)
     centres = np.array([complex(s.expansion_point) for s in chain])
     radii = np.array([s.radius for s in chain])
@@ -731,7 +820,8 @@ def evaluate_chain(chain: list[FrobeniusSolution], points) -> tuple[np.ndarray, 
             raise ValueError("evaluate_chain needs series analytic at their centres")
         table[i, :len(s.coefficients)] = s.coefficients
     scales = np.array([s.scale for s in chain])[hop]
-    return _series_sums(table[hop].T, points - centres[hop], scales)
+    s0, s1, s2 = _series_sums(table[hop].T, (points - centres[hop]) / scales)
+    return s0, s1 / scales, s2 / (scales * scales)
 
 
 def residual(ode: RationalCoeffODE, sol: FrobeniusSolution, z: complex) -> float:

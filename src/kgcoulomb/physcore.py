@@ -18,21 +18,14 @@ FINE_STRUCTURE_ALPHA = 1.0 / 137.035999
 
 @dataclass(frozen=True)
 class DeformationParams:
-    """Minimal-length deformation strengths in dimensionless form.
-
-    ``gamma`` is accepted for interface completeness but must be zero;
-    the momentum-space representation used throughout fixes that gauge.
-    """
+    """Minimal-length deformation strengths in dimensionless form."""
 
     theta: float
     theta_prime: float
-    gamma: float = 0.0
 
     def __post_init__(self) -> None:
         if self.theta < 0 or self.theta_prime < 0:
             raise ValueError("deformation strengths must be nonnegative")
-        if self.gamma != 0.0:
-            raise ValueError("gamma must be 0; other gauges are not supported")
 
     @property
     def total(self) -> float:

@@ -4,10 +4,12 @@ import filecmp
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kgcoulomb import cli, fuchsian
@@ -136,6 +138,22 @@ class TestExponents:
         assert code == 2
         assert out == ""
         assert err.startswith("kgcoulomb: ")
+
+    @pytest.mark.parametrize("tol", ["0.002", "0.1", "0.5", "10"])
+    def test_tol_too_coarse_for_a_fit_is_usage_error(self, capsys, tol):
+        # at tol 0.1 and above most real pairs came out nan with the
+        # oscillatory flag set, a silently wrong answer
+        code, out, err = _run(capsys, "exponents", "--tol", tol)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("kgcoulomb: usage error: --tol")
+
+    def test_coarsest_tol_still_fits(self, capsys):
+        code, out, _ = _run(capsys, "exponents", "--tol", "1e-3")
+        assert code == 0
+        for row in _csv_rows(out):
+            assert row[5] == "0"
+            assert abs(float(row[3]) - float(row[1])) <= 0.01 * abs(float(row[1]))
 
     def test_bad_window_rejected(self, capsys):
         code, _, err = _run(capsys, "exponents", "--model", "deformed",
@@ -273,6 +291,26 @@ class TestHeunCheck:
         assert "equal deformation" in err
 
 
+class TestGrids:
+    def test_linspace_matches_numpy(self):
+        assert cli._linspace(0.0, 0.4, 50) == [float(x) for x in np.linspace(0.0, 0.4, 50)]
+
+    def test_geomspace_matches_numpy(self):
+        # same formula; numpy's vectorised log10 and pow may round the
+        # exponent and the power differently by an ulp each, and the
+        # exponent's error is amplified by ln(10) |log10 u|
+        rng = random.Random(5)
+        eps = 2.0 ** -52
+        for _ in range(300):
+            lo = 10.0 ** rng.uniform(-4.0, 2.0)
+            hi = lo * 10.0 ** rng.uniform(0.01, 6.0)
+            ours = cli._geomspace(lo, hi, 200)
+            ref = np.geomspace(lo, hi, 200)
+            assert ours[0] == lo and ours[-1] == hi
+            bound = 8 * eps * (1.0 + math.log(10.0) * max(abs(math.log10(lo)), abs(math.log10(hi))))
+            assert max(abs(x - y) / y for x, y in zip(ours, ref)) <= bound
+
+
 class TestConfigPrecedence:
     def test_flag_beats_config_beats_default(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -322,3 +360,31 @@ def test_exponents_leave_scipy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_parser_built_once_keeps_no_state(capsys):
+    assert cli._build_parser() is cli._build_parser()
+    code, out, _ = _run(capsys, "spectrum", "--Z", "10", "--n", "0")
+    assert code == 0 and "# Z = 10" in out
+    code, out, _ = _run(capsys, "spectrum")
+    assert code == 0 and "# Z = 1\n" in out
+    assert len(_csv_rows(out)) == 6
+
+
+def test_commands_without_arrays_leave_numpy_unloaded():
+    # numpy loads only inside the exponents integration and fit
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import contextlib, io, sys\n"
+            "from kgcoulomb import cli\n"
+            "runs = [['spectrum'], ['params'],\n"
+            "        ['params', '--model', 'generalized-heun', '--theta', '0.05'],\n"
+            "        ['wavefunction'],\n"
+            "        ['wavefunction', '--model', 'deformed-zero-energy', '--theta', '0.05',\n"
+            "         '--theta-prime', '0.02', '--g', '0.2'],\n"
+            "        ['heun-check']]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [cli.main(argv) for argv in runs]\n"
+            "print(codes, 'numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.strip() == "[0, 0, 0, 0, 0, 0] False"

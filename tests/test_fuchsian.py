@@ -1,7 +1,11 @@
 import cmath
 import math
+import random
+import warnings
 
+import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from kgcoulomb import fuchsian
 from kgcoulomb.errors import (
@@ -23,7 +27,7 @@ from kgcoulomb.fuchsian import (
     singular_points,
     taylor_series,
 )
-from kgcoulomb.specialfn import hyp2f1, hypergeometric_ode
+from kgcoulomb.specialfn import heun_ode, hyp2f1, hypergeometric_ode
 from kgcoulomb.kgmodels import (
     build_deformed_first_order,
     build_deformed_first_order_psi,
@@ -31,6 +35,7 @@ from kgcoulomb.kgmodels import (
     build_ordinary_kg,
     gen_heun_ode,
     to_generalized_heun,
+    to_heun,
 )
 from kgcoulomb.physcore import CoulombSystem, DeformationParams
 
@@ -265,6 +270,117 @@ class TestQuotientNormalization:
         rho = indicial_exponents(ode, INFINITY)
         assert type(rho[0]) is complex
         assert type(rho[1]) is complex
+
+
+def _numpy_roots(coeffs):
+    """Reference roots: numpy's companion-matrix eigenvalues, followed by
+    the same Newton polish as fuchsian._poly_roots."""
+    c = np.asarray(fuchsian._trim(coeffs), dtype=complex)
+    if len(c) == 1:
+        return []
+    dc = npoly.polyder(c)
+    out = []
+    for r in npoly.polyroots(c):
+        r = complex(r)
+        for _ in range(2):
+            dv = fuchsian._polyval(dc, r)
+            if abs(dv) < 1e-12:
+                break
+            step = fuchsian._polyval(c, r) / dv
+            if abs(step) > 1e-2 * max(1.0, abs(r)):
+                break
+            r = r - step
+        out.append(r)
+    return out
+
+
+def _same_clusters(ours, ref, tol=1e-7):
+    """Equal multiplicities and centroids within tol relative, each of
+    our clusters paired with the nearest reference cluster."""
+    if sorted(m for _, m in ours) != sorted(m for _, m in ref):
+        return False
+    unused = list(ref)
+    for centre, mult in ours:
+        near = min(unused, key=lambda cl: abs(cl[0] - centre))
+        if near[1] != mult or abs(near[0] - centre) > tol * max(1.0, abs(near[0])):
+            return False
+        unused.remove(near)
+    return True
+
+
+def _package_denominators(draws):
+    """(label, p1_den or p0_den) of every equation the package builds,
+    and of their pullbacks, over the CLI's parameter ranges."""
+    rng = random.Random(7)
+    odes = []
+    for _ in range(draws):
+        g = rng.uniform(0.005, 1.0)
+        eta = rng.uniform(0.05, 0.999)
+        theta = math.exp(rng.uniform(math.log(1e-4), math.log(1.0)))
+        theta_prime = rng.choice([0.0, theta, math.exp(rng.uniform(math.log(1e-4), 0.0))])
+        s = CoulombSystem(z=1, alpha=g, eta=eta)
+        dp = DeformationParams(theta, theta_prime)
+        hp, _ = to_heun(g, dp)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ghp, _ = to_generalized_heun(s, theta)
+        odes += [build_ordinary_kg(s), build_deformed_zero_energy(g, dp),
+                 build_deformed_first_order(s, theta), build_deformed_first_order_psi(s, theta),
+                 heun_ode(hp), hypergeometric_ode(hp.a, hp.b, hp.c), gen_heun_ode(ghp)]
+    for ode in odes:
+        for eq in (ode, ode._pullback):
+            yield eq.label, eq.p1_den
+            yield eq.label, eq.p0_den
+
+
+class TestPolynomialAlgebra:
+    def test_roots_match_numpy_on_package_denominators(self):
+        # Near a double root both methods carry errors of about
+        # sqrt(eps), and rounding of the coefficients splits the root by
+        # up to a few 1e-8: whether the pair falls within the 1e-7
+        # clustering tolerance is then a toss-up for either method. Such
+        # a pair must still agree as one cluster at 1e-5, and the
+        # toss-ups must stay rare.
+        total = tossups = 0
+        for label, den in _package_denominators(150):
+            total += 1
+            ours, ref = fuchsian._poly_roots(den), _numpy_roots(den)
+            assert len(ours) == len(ref) == len(fuchsian._trim(den)) - 1
+            if _same_clusters(fuchsian._cluster(ours), fuchsian._cluster(ref)):
+                continue
+            tossups += 1
+            assert _same_clusters(fuchsian._cluster(ours, 1e-5), fuchsian._cluster(ref, 1e-5)), \
+                (label, den)
+        assert tossups <= 0.005 * total
+
+    @pytest.mark.parametrize("coeffs, expected", [
+        ((0j, 0j, 1.0), [(0j, 2)]),                                  # u^2
+        ((1.0, 0.0, 2.0, 0.0, 1.0), [(-1j, 2), (1j, 2)]),            # (1 + u^2)^2
+        ((0.0, 0.0, 1.0, -2.0, 1.0), [(0j, 2), (1 + 0j, 2)]),        # u^2 (u - 1)^2
+        ((-6.0, 11.0, -6.0, 1.0), [(1 + 0j, 1), (2 + 0j, 1), (3 + 0j, 1)]),
+    ])
+    def test_exact_zero_and_double_roots(self, coeffs, expected):
+        roots = fuchsian._poly_roots(coeffs)
+        assert _same_clusters(fuchsian._cluster(roots), expected)
+        zeros = sum(m for z, m in expected if z == 0)
+        assert roots.count(0j) == zeros  # exact zero roots come out exactly
+
+    def test_polymul_matches_numpy(self):
+        # each coefficient is a sum of at most 9 products, which numpy
+        # may add in another order: allow 2 * 9 rounding errors of the
+        # sum of the products' magnitudes
+        rng = random.Random(3)
+        eps = 2.0 ** -52
+        for _ in range(200):
+            a = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(rng.randint(1, 9))]
+            b = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(rng.randint(1, 9))]
+            ours = fuchsian._polymul(a, b)
+            ref = fuchsian._trim(npoly.polymul(a, b))
+            assert len(ours) == len(ref)
+            for k, (x, y) in enumerate(zip(ours, ref)):
+                size = sum(abs(a[i]) * abs(b[k - i]) for i in range(len(a)) if 0 <= k - i < len(b))
+                assert abs(x - y) <= 18 * eps * size
+            assert fuchsian._polyadd(a, b) == fuchsian._trim(npoly.polyadd(a, b))
 
 
 def _full_sum_recurrence(p2, p1, p0, kappa, rho, order, seeds):

@@ -78,10 +78,6 @@ class TestDeformationParams:
         with pytest.raises(ValueError):
             DeformationParams(0.0, -1e-9)
 
-    def test_rejects_nonzero_gamma(self):
-        with pytest.raises(ValueError):
-            DeformationParams(0.01, 0.01, gamma=0.5)
-
     def test_frozen(self):
         dp = DeformationParams(0.01, 0.02)
         with pytest.raises(Exception):

@@ -19,9 +19,9 @@ from .kgmodels import (ConfluenceWarning, GenHeunParams, VariableMap,
                        gen_heun_ode, to_generalized_heun, to_heun)
 from .physcore import (FINE_STRUCTURE_ALPHA, CoulombSystem, DeformationParams,
                        critical_Z, minimal_length, mu_of_coupling)
-from .specialfn import (HeunParams, heun_local, heun_ode, heun_series_coefficients,
-                        hyp2f1, hyp2f1_with_derivatives, hypergeometric_ode,
-                        psi_ordinary, psi_ordinary_with_derivative)
+from .specialfn import (HeunParams, heun_local, heun_ode, hyp2f1,
+                        hyp2f1_with_derivatives, hypergeometric_ode, psi_ordinary,
+                        psi_ordinary_with_derivative)
 from .spectra import (SpectrumLine, energy_closed_form, quantization_residual,
                       solve_quantization)
 

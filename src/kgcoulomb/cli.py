@@ -24,8 +24,9 @@ built-in defaults.  The config file is a flat ``key = value`` text
 file using the long flag names (without the leading dashes).
 
 Exit codes: 0 on success, 1 on a usage or configuration error (a
-``--tol`` above 1e-3 among them: too coarse for a 1% exponent fit), 2 on
-a physics-domain error (supercritical coupling, parameter pole,
+non-finite or out-of-range number among them, e.g. ``--eta`` outside
+(0, 1) or a ``--tol`` above 1e-3, too coarse for a 1% exponent fit), 2
+on a physics-domain error (supercritical coupling, parameter pole,
 evaluation outside a solution's domain). Warnings go to stderr as one
 ``kgcoulomb: warning:`` line each.
 """
@@ -94,30 +95,31 @@ def _parse_window(text: str) -> tuple[float, float]:
         lo, hi = float(lo_s), float(hi_s)
     except ValueError:
         raise UsageError(f"cannot parse --window value {text!r}; expected 'lo:hi'")
-    if not (0.0 < lo < hi):
-        raise UsageError(f"empty or invalid window {text!r}; need 0 < lo < hi")
+    if not 0.0 < lo < hi < math.inf:
+        raise UsageError(f"empty or invalid window {text!r}; need 0 < lo < hi < inf")
     return lo, hi
 
 
-# (converter, help) per configuration key; config-file keys are the
-# long flag names, so '--theta-prime' appears as 'theta-prime'.
-_CONVERTERS = {
-    "Z": int,
-    "alpha": float,
-    "eta": float,
-    "n": str,
-    "theta": float,
-    "theta-prime": float,
-    "g": float,
-    "model": str,
-    "tol": float,
-    "order": int,
-    "window": str,
-    "format": str,
-    "out": str,
-}
-
 _FORMATS = ("csv", "json", "gnuplot-dat")
+
+# (type, help) per option, for the flags and the config file alike;
+# config-file keys are the long flag names, so '--theta-prime' appears
+# as 'theta-prime'.
+_OPTIONS = {
+    "Z": (int, "nuclear charge (default 1)"),
+    "alpha": (float, f"coupling per unit charge (default {FINE_STRUCTURE_ALPHA:.12g})"),
+    "eta": (float, "energy in rest-mass units, 0 < eta < 1"),
+    "n": (str, "level index or inclusive range, e.g. '0' or '0..5'"),
+    "theta": (float, "dimensionless deformation parameter"),
+    "theta-prime": (float, "second deformation parameter"),
+    "g": (float, "total coupling; overrides Z * alpha when given"),
+    "model": (str, "model selector (see subcommand help)"),
+    "tol": (float, "integrator tolerance"),
+    "order": (int, "series truncation order"),
+    "window": (str, "grid or fit window 'lo:hi'"),
+    "format": (str, f"output format: {', '.join(_FORMATS)} (default csv)"),
+    "out": (str, "output file (default stdout)"),
+}
 
 
 def _read_config(path: str) -> dict:
@@ -136,10 +138,10 @@ def _read_config(path: str) -> dict:
         key, _, val = line.partition("=")
         key = key.strip().replace("_", "-")
         val = val.strip()
-        if key not in _CONVERTERS:
+        if key not in _OPTIONS:
             raise UsageError(f"{path}:{lineno}: unknown configuration key {key!r}")
         try:
-            values[key] = _CONVERTERS[key](val)
+            values[key] = _OPTIONS[key][0](val)
         except ValueError:
             raise UsageError(f"{path}:{lineno}: bad value {val!r} for key {key!r}")
     return values
@@ -163,26 +165,8 @@ def _build_parser() -> _Parser:
     state on it)."""
     common = argparse.ArgumentParser(add_help=False)
     com = common.add_argument_group("common options")
-    com.add_argument("--Z", type=int, default=None, help="nuclear charge (default 1)")
-    com.add_argument("--alpha", type=float, default=None,
-                     help=f"coupling per unit charge (default {FINE_STRUCTURE_ALPHA:.12g})")
-    com.add_argument("--eta", type=float, default=None,
-                     help="energy in rest-mass units, 0 < eta < 1")
-    com.add_argument("--n", type=str, default=None,
-                     help="level index or inclusive range, e.g. '0' or '0..5'")
-    com.add_argument("--theta", type=float, default=None,
-                     help="dimensionless deformation parameter")
-    com.add_argument("--theta-prime", type=float, default=None, dest="theta_prime",
-                     help="second deformation parameter")
-    com.add_argument("--g", type=float, default=None,
-                     help="total coupling; overrides Z * alpha when given")
-    com.add_argument("--model", type=str, default=None, help="model selector (see subcommand help)")
-    com.add_argument("--tol", type=float, default=None, help="integrator tolerance")
-    com.add_argument("--order", type=int, default=None, help="series truncation order")
-    com.add_argument("--window", type=str, default=None, help="grid or fit window 'lo:hi'")
-    com.add_argument("--format", type=str, default=None, choices=_FORMATS,
-                     help="output format (default csv)")
-    com.add_argument("--out", type=str, default=None, help="output file (default stdout)")
+    for key, (kind, text) in _OPTIONS.items():
+        com.add_argument("--" + key, type=kind, default=None, help=text)
     com.add_argument("--config", type=str, default=None, help="flat key=value configuration file")
 
     parser = _Parser(prog="kgcoulomb",
@@ -224,10 +208,16 @@ def _merge(args: argparse.Namespace) -> dict:
     cfg["command"] = args.command
     if args.config is not None:
         cfg.update(_read_config(args.config))
-    for key in _CONVERTERS:
+    for key, (kind, _) in _OPTIONS.items():
         flag = getattr(args, key.replace("-", "_"))
         if flag is not None:
             cfg[key] = flag
+        if kind is float and cfg.get(key) is not None and not math.isfinite(cfg[key]):
+            raise UsageError(f"--{key} must be a finite number, got {cfg[key]!r}")
+    if not cfg["alpha"] > 0.0:
+        raise UsageError("--alpha must be positive")
+    if cfg.get("eta") is not None and not 0.0 < cfg["eta"] < 1.0:
+        raise UsageError(f"--eta must lie strictly between 0 and 1, got {cfg['eta']!r}")
     if cfg.get("format") not in _FORMATS:
         raise UsageError(f"unknown format {cfg.get('format')!r}")
     if cfg.get("tol") is not None and not 0.0 < cfg["tol"] <= _MAX_TOL:
@@ -259,8 +249,8 @@ def _system(cfg: dict, eta: float) -> CoulombSystem:
 def _deformation(cfg: dict) -> DeformationParams:
     theta = cfg.get("theta")
     theta_prime = cfg.get("theta-prime", 0.0)
-    if theta is None:
-        raise UsageError("--theta is required for deformed models")
+    if theta is None or not theta + theta_prime > 0.0:
+        raise UsageError("deformed models need --theta, with theta + theta' positive")
     try:
         return DeformationParams(theta, theta_prime)
     except ValueError as exc:
@@ -423,6 +413,9 @@ def cmd_wavefunction(cfg: dict) -> _Table:
         else:
             n = _parse_n_range(cfg["n"])[0] if cfg.get("n") is not None else 0
             eta = energy_closed_form(g, n)
+            if not eta < 1.0:
+                raise OutOfDomainError(f"level n = {n} at g = {g:g} is bound by less than "
+                                       "the rounding of eta = 1; no wavefunction to sample")
         system = _system(cfg, eta)
         meta = {"model": model, "g": g, "eta": eta}
 
@@ -514,7 +507,7 @@ def cmd_heun_check(cfg: dict) -> _Table:
         raise UsageError("the reduction to a hypergeometric function needs "
                          "equal deformation parameters; drop --theta-prime "
                          "or set it equal to --theta")
-    dp = DeformationParams(theta, theta)
+    dp = _deformation({**cfg, "theta-prime": theta})
     hp, _ = to_heun(g, dp)
     grid = _linspace(0.0, 0.4, _HEUN_CHECK_POINTS)
     rows = []

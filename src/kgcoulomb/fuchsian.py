@@ -18,6 +18,10 @@ every re-expansion is one banded recurrence; since the radius grows with
 the distance from the finite singular points, the hop count grows only
 logarithmically along a ray to infinity.
 
+Two transforms act on raw coefficient quotients: ``substitute`` changes
+the variable, z = a(t)/b(t) (the pullback is z = 1/t), and ``gauge``
+peels off a prefactor, w = f^k v.
+
 Exponents at infinity follow the convention w ~ z^sigma, so decaying
 solutions carry negative sigma; the pullback exponent in t is -sigma.
 """
@@ -27,7 +31,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import TYPE_CHECKING, Union
 
 from .errors import (ConvergenceError, IrregularPointError, OutOfDomainError,
@@ -51,6 +55,8 @@ __all__ = [
     "evaluate_with_derivatives",
     "evaluate_chain",
     "residual",
+    "substitute",
+    "gauge",
 ]
 
 _TRIM_TOL = 1e-13
@@ -101,36 +107,47 @@ def _polyval(coeffs, z: complex) -> complex:
     return acc
 
 
-def _polymul(a, b) -> tuple[complex, ...]:
-    b = [complex(y) for y in b]
-    out = [0j] * (len(a) + len(b) - 1)
+def _polymul(a, b) -> tuple:
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        x = complex(x)
         for j, y in enumerate(b):
             out[i + j] += x * y
-    return _trim(out)
+    return tuple(out)
 
 
-def _polyadd(a, b) -> tuple[complex, ...]:
+def _polyadd(a, b) -> tuple:
     if len(a) < len(b):
         a, b = b, a
-    out = [complex(x) for x in a]
+    out = list(a)
     for i, y in enumerate(b):
-        out[i] += complex(y)
-    return _trim(out)
+        out[i] += y
+    return tuple(out)
 
 
-def _polyscale(a, s: complex) -> tuple[complex, ...]:
-    return tuple(complex(s) * complex(x) for x in a)
+def _polyscale(a, s) -> tuple:
+    return tuple(s * x for x in a)
+
+
+def _polyder(a) -> tuple:
+    return tuple(k * a[k] for k in range(1, len(a)))
+
+
+def _divide(coeffs, z0) -> tuple[list, complex]:
+    """Quotient and remainder (the value at z0) of division by (z - z0)."""
+    acc = 0j
+    partial = []
+    for c in reversed(coeffs):
+        acc = acc * z0 + c
+        partial.append(acc)
+    remainder = partial.pop()
+    return partial[::-1], remainder
 
 
 def _shift(coeffs, z0: complex) -> tuple[complex, ...]:
-    """Taylor coefficients of the polynomial around z0 (synthetic division)."""
+    """Taylor coefficients of the polynomial around z0 (_divide repeated, inlined)."""
     work = [complex(x) for x in coeffs]
     out = []
     while work:
-        # divide by (z - z0): the Horner partial sums are the quotient,
-        # the last one, the remainder, is the next Taylor coefficient
         acc = 0j
         partial = []
         for c in reversed(work):
@@ -141,28 +158,26 @@ def _shift(coeffs, z0: complex) -> tuple[complex, ...]:
     return tuple(out)
 
 
-def _vanish_order(coeffs, z0: complex) -> int:
-    """Order of the zero of the polynomial at z0 (0 if no zero there)."""
-    shifted = _shift(coeffs, z0) if z0 != 0 else coeffs
-    scale = max(abs(x) for x in shifted)
-    if scale == 0.0:
-        return len(shifted)
+def _vanish_order(coeffs, z0: complex, shifted=None) -> int:
+    """Order of the zero at z0: the j-th Taylor coefficient there (``shifted``,
+    if at hand) is zero while below 4 n eps sum_k C(k, j) |c_k| |z0|^(k-j),
+    twice Horner's rounding bound (as in _aberth); at 0 only exact zeros are."""
+    if shifted is None:
+        shifted = _shift(coeffs, z0)
+    tol = 4.0 * (len(coeffs) - 1) * _EPS
+    sizes = [abs(x) for x in coeffs]
     for j, c in enumerate(shifted):
-        if abs(c) > 1e-9 * scale:
+        sizes, level = _divide(sizes, abs(z0))
+        if abs(c) > tol * abs(level):
             return j
     return len(shifted)
 
 
 def _deflate(coeffs, z0: complex) -> tuple[complex, ...]:
-    """Divide by (z - z0), discarding the remainder."""
-    work = [complex(x) for x in coeffs]
-    new = []
-    acc = 0j
-    for i in reversed(range(1, len(work))):
-        acc = acc * z0 + work[i]
-        new.append(acc)
-    new.reverse()
-    return tuple(new) if new else (0j,)
+    """Divide by (z - z0), discarding the remainder; low-order exact zeros stay."""
+    k = next((i for i, c in enumerate(coeffs) if c != 0), len(coeffs) - 1)
+    quotient, _ = _divide(coeffs[k:], z0)
+    return tuple([0j] * k + quotient) if quotient else (0j,)
 
 
 def _poly_roots(coeffs) -> list[complex]:
@@ -172,7 +187,7 @@ def _poly_roots(coeffs) -> list[complex]:
     while len(c) > 1 and c[0] == 0:
         c.pop(0)
         zeros += 1
-    dc = [k * c[k] for k in range(1, len(c))]
+    dc = _polyder(c)
     out = [0j] * zeros
     for r, stalled in _aberth(c, dc):
         # Newton polish; near a multiple root (the iteration stalled
@@ -280,8 +295,81 @@ def _same_point(a: complex, b: complex, tol: float = _MATCH_TOL) -> bool:
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
-def _reversed_coeffs(coeffs) -> tuple[complex, ...]:
-    return tuple(reversed(coeffs))
+# ---------------------------------------------------------------------------
+# coefficient transforms on raw ((p1_num, p1_den), (p0_num, p0_den)) pairs;
+# only +, - and * touch the coefficients, so sympy tables pass through too
+# ---------------------------------------------------------------------------
+
+
+def _polypow(p, k: int) -> tuple:
+    return reduce(_polymul, [p] * k, (1,))
+
+
+def _homogenize(p, a, b) -> tuple:
+    """b^n p(a/b) = sum_k p_k a^k b^(n-k), n = len(p) - 1, by Horner's rule."""
+    acc, bk = (p[-1],), (1,)
+    for c in reversed(p[:-1]):
+        bk = _polymul(bk, b)
+        acc = _polyadd(_polymul(acc, a), _polyscale(bk, c))
+    return acc
+
+
+def _cancel_t(num, den) -> tuple[tuple, tuple]:
+    """Strip the power of t that num and den share (exact zeros only)."""
+    k = 0
+    while k < min(len(num), len(den)) - 1 and num[k] == 0 and den[k] == 0:
+        k += 1
+    return num[k:], den[k:]
+
+
+def substitute(pair, a, b):
+    """The equation for W(t) = w(a(t)/b(t)), a and b polynomials in t.
+
+    With z = a/b, E = a b' - a' b (so z' = -E/b^2) and N, D the
+    numerators and denominators homogenized by b (b^deg N(a/b), ...):
+
+        P1 = p1(z) z' - z''/z' = [(2 E b' - E' b) D1 - N1 E^2 b^m1] / (b E D1),
+        P0 = p0(z) z'^2 = N0 E^2 b^m0 / D0,
+
+    m1 = deg D1 - deg N1 - 1, m0 = deg D0 - deg N0 - 4; a negative power
+    of b moves to the denominator, and shared powers of t cancel exactly.
+    """
+    (n1, d1), (n0, d0) = pair
+    db = _polyder(b)
+    e = _polyadd(_polymul(a, db), _polyscale(_polymul(_polyder(a), b), -1))
+    e2 = _polymul(e, e)
+    d1h = _homogenize(d1, a, b)
+    bend = _polyadd(_polyscale(_polymul(e, db), 2), _polyscale(_polymul(_polyder(e), b), -1))
+    m1, m0 = len(d1) - len(n1) - 1, len(d0) - len(n0) - 4
+    s1, s0 = max(0, -m1), max(0, -m0)
+    drift = _polymul(_polymul(_homogenize(n1, a, b), e2), _polypow(b, m1 + s1))
+    num1 = _polyadd(_polymul(_polymul(bend, d1h), _polypow(b, s1)), _polyscale(drift, -1))
+    den1 = _polymul(_polymul(_polymul(b, e), d1h), _polypow(b, s1))
+    num0 = _polymul(_polymul(_homogenize(n0, a, b), e2), _polypow(b, m0 + s0))
+    den0 = _polymul(_homogenize(d0, a, b), _polypow(b, s0))
+    return _cancel_t(num1, den1), _cancel_t(num0, den0)
+
+
+def gauge(pair, f, k: int):
+    """The equation for v where w = f^k v, f a polynomial:
+
+        Q1 = p1 + 2 k f'/f,
+        Q0 = p0 + k p1 f'/f + k f''/f + k (k - 1) (f'/f)^2,
+
+    both over C f^2, with C = D1 when p1 and p0 share their denominator
+    and D0 D1 otherwise; shared powers of t cancel exactly in each.
+    """
+    (n1, common), (n0, d0) = pair
+    if common != d0:
+        common, n1, n0 = _polymul(d0, common), _polymul(n1, d0), _polymul(n0, common)
+    df = _polyder(f)
+    curve = _polyadd(_polyscale(_polymul(_polyder(df), f), k),
+                     _polyscale(_polymul(df, df), k * (k - 1)))
+    num1 = _polymul(_polyadd(_polymul(n1, f), _polyscale(_polymul(df, common), 2 * k)), f)
+    num0 = _polyadd(_polymul(_polyadd(_polymul(n0, f), _polyscale(_polymul(n1, df), k)), f),
+                    _polymul(curve, common))
+    den = _polymul(common, _polymul(f, f))
+    return _cancel_t(num1, den), _cancel_t(num0, den)
 
 
 # ---------------------------------------------------------------------------
@@ -330,37 +418,15 @@ class RationalCoeffODE:
     @cached_property
     def _products(self) -> tuple[tuple[complex, ...], ...]:
         """Unshifted (P2, P1, P0) of the polynomial form; see _series_triple."""
-        return (_polymul(self.p1_den, self.p0_den),
-                _polymul(self.p1_num, self.p0_den),
-                _polymul(self.p0_num, self.p1_den))
+        pairs = ((self.p1_den, self.p0_den), (self.p1_num, self.p0_den), (self.p0_num, self.p1_den))
+        return tuple(_trim(_polymul(x, y)) for x, y in pairs)
 
     @cached_property
     def _pullback(self) -> "RationalCoeffODE":
-        """The equation satisfied by W(t) = w(1/t) near t = 0.
-
-        P1(t) = 2/t - p1(1/t)/t^2 and P0(t) = p0(1/t)/t^4.
-        """
-        n1, d1 = self.p1_num, self.p1_den
-        m = (len(d1) - 1) - (len(n1) - 1) - 2
-        rn1, rd1 = _reversed_coeffs(n1), _reversed_coeffs(d1)
-        if m >= 0:
-            num = _polyadd(_polyscale(rd1, 2.0), _polyscale(_polymul((0j,) * (m + 1) + (1 + 0j,), rn1), -1.0))
-            den = _polymul((0j, 1 + 0j), rd1)
-        else:
-            num = _polyadd(_polymul((0j,) * (-m - 1) + (2 + 0j,), rd1), _polyscale(rn1, -1.0))
-            den = _polymul((0j,) * (-m) + (1 + 0j,), rd1)
-
-        n0, d0 = self.p0_num, self.p0_den
-        e = (len(d0) - 1) - (len(n0) - 1) - 4
-        rn0, rd0 = _reversed_coeffs(n0), _reversed_coeffs(d0)
-        if e >= 0:
-            num0 = _polymul((0j,) * e + (1 + 0j,), rn0) if e > 0 else rn0
-            den0 = rd0
-        else:
-            num0 = rn0
-            den0 = _polymul((0j,) * (-e) + (1 + 0j,), rd0)
-
-        return RationalCoeffODE(num, den, num0, den0,
+        """The equation satisfied by W(t) = w(1/t) near t = 0."""
+        (n1, d1), (n0, d0) = substitute(
+            ((self.p1_num, self.p1_den), (self.p0_num, self.p0_den)), (1,), (0, 1))
+        return RationalCoeffODE(n1, d1, n0, d0,
                                 label=(self.label + "@infinity") if self.label else "pullback")
 
 
@@ -625,7 +691,7 @@ def frobenius_series(ode: RationalCoeffODE, point: Point, exponent: complex,
             "request the other branch or treat the log solution separately")
 
     p2, p1, p0 = _series_triple(work, z0)
-    kappa = _vanish_order(p2, 0j)
+    kappa = _vanish_order(work._products[0], z0, p2)
     coeffs = _recurrence(p2, p1, p0, kappa, rho, order, [1 + 0j])
     return FrobeniusSolution(point, matched, tuple(coeffs), _series_radius(ode, point))
 
@@ -647,8 +713,7 @@ def taylor_series(ode: RationalCoeffODE, center: complex, value: complex,
     p2, p1, p0 = _series_triple(ode, center)
     if not all(math.isfinite(abs(c)) for c in p2 + p1 + p0):
         raise OutOfDomainError(f"the equation's polynomial coefficients overflow at {center}")
-    kappa = _vanish_order(p2, 0j)
-    if kappa != 0:
+    if _vanish_order(ode._products[0], center, p2) != 0:
         raise ValueError(f"{center} is a singular point; taylor_series needs an ordinary one")
     radius = min(_series_radius(ode, center), max_radius)
     seeds = [complex(value), complex(derivative)]
@@ -670,6 +735,10 @@ def taylor_series(ode: RationalCoeffODE, center: complex, value: complex,
         p2, p1, p0 = scaled(p2, 1.0), scaled(p1, scale), scaled(p0, scale * scale)
         seeds[1] *= scale
     coeffs = _recurrence(p2, p1, p0, 0, 0j, order, seeds, tol)
+    if tol is None and not all(math.isfinite(abs(c)) for c in coeffs):
+        # unscaled coefficients grow like radius^-m, too fast near a singular point
+        raise ValueError(f"the series at {center} (radius {radius:.3g}) overflows "
+                         f"before order {len(coeffs) - 1}")
     return FrobeniusSolution(center, 0j, tuple(coeffs), radius, scale)
 
 

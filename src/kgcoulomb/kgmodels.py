@@ -1,31 +1,36 @@
-"""Builders for the three momentum-space bound-state equations and their
-Heun normal forms.
+"""Builders for the three momentum-space bound-state equations and the
+parameter blocks and variable maps of their Heun normal forms.
 
 All equations are radial s-wave equations in the dimensionless momentum
 u = p/(mc), derived from the squared interaction form
 
-    (E^2 R^2 + 2 Z e^2 E R + Z^2 e^4) psi = R^2 (m^2 c^4 + c^2 p^2) psi
+    (E^2 R^2 + 2 Z e^2 E R + Z^2 e^4) psi = R^2 [(m^2 c^4 + c^2 p^2) psi]
 
 with R the momentum-space position operator: the ordinary one for the
 undeformed case, the minimal-length-deformed one at zero energy, and
 the first-order (theta' = 2 theta) deformed one at general energy.
 
-The ``_*_coeffs`` helpers do plain scalar arithmetic on their inputs so
-that exact (rational) number types pass through unchanged; the public
-builders wrap them into RationalCoeffODE values. The imaginary unit is
-injected for the same reason.
+Each equation has one coefficient table, a ``_*_coeffs`` helper doing
+plain scalar arithmetic on its inputs, so that exact (sympy) number
+types pass through unchanged; the two helpers with complex coefficients
+take the imaginary unit as an argument for the same reason. The public
+builders wrap the tables into RationalCoeffODE values. The first-order
+equation is tabulated for phi = u psi; its psi form is derived from that
+table by ``fuchsian.gauge``. The normal-form maps are VariableMap
+(num, den) pairs, which ``fuchsian.substitute`` takes to push a normal
+form back to u.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import ParameterPoleError
-from .fuchsian import RationalCoeffODE, _polyadd, _polymul
+from .fuchsian import RationalCoeffODE, _polyadd, _polymul, _polyscale, gauge
 from .physcore import CoulombSystem, DeformationParams
 from .specialfn import HeunParams
 
@@ -49,11 +54,17 @@ class ConfluenceWarning(UserWarning):
 
 @dataclass(frozen=True)
 class VariableMap:
-    """An invertible change of independent variable with a description."""
+    """A change of independent variable x = num(u) / den(u), held as the
+    polynomial pair (ascending powers) that ``fuchsian.substitute`` takes."""
 
-    forward: Callable[[complex], complex]
-    inverse: Callable[[complex], complex]
-    description: str
+    num: tuple
+    den: tuple
+
+    def forward(self, u):
+        """x(u) by Horner's rule in u's own type: a real u gives a float."""
+        num, den = (functools.reduce(lambda acc, c: acc * u + c, reversed(p))
+                    for p in (self.num, self.den))
+        return num / den
 
 
 # ---------------------------------------------------------------------------
@@ -89,22 +100,6 @@ def _first_order_phi_coeffs(g, eta, theta, imag=1j):
     den = (eps2, 0, 1 + 6 * theta * eps2, 0, 6 * theta)  # (u^2+eps2)(1+6 theta u^2)
     p1_num = (2 * imag * om, 2 * theta * eps2 + 4, 6 * imag * om * theta, 26 * theta)
     p0_num = (2 + g * g - 2 * theta * eps2, -4 * imag * om * theta, 14 * theta)
-    return (p1_num, den), (p0_num, den)
-
-
-def _first_order_psi_coeffs(g, eta, theta, imag=1j):
-    """Same equation rewritten for psi itself (phi = u psi unwrapped).
-
-    Multiplying through by u keeps the coefficients polynomial; the
-    indicial exponents at infinity then read directly in the psi
-    convention, which is what asymptotic fits compare against.
-    """
-    eps2 = (1 - eta) * (1 + eta)
-    om = g * eta
-    den = (0, eps2, 0, 1 + 6 * theta * eps2, 0, 6 * theta)
-    p1_num = (2 * eps2, 2 * imag * om, 6 + 14 * theta * eps2,
-              6 * imag * om * theta, 38 * theta)
-    p0_num = (2 * imag * om, 6 + g * g, 2 * imag * om * theta, 40 * theta)
     return (p1_num, den), (p0_num, den)
 
 
@@ -162,12 +157,13 @@ def build_deformed_first_order(system: CoulombSystem, theta: float) -> RationalC
 
 
 def build_deformed_first_order_psi(system: CoulombSystem, theta: float) -> RationalCoeffODE:
-    """The same first-order model written for psi directly (no u prefactor
-    bookkeeping); used when fits should report psi exponents."""
+    """The same first-order model written for psi directly, derived from
+    the phi form by the gauge phi = u psi; its exponents at infinity are
+    psi exponents, which is what asymptotic fits compare against."""
     _require_bound_state(system)
     if theta <= 0.0:
         raise ValueError("theta must be positive; for theta = 0 use build_ordinary_kg")
-    (p1n, p1d), (p0n, p0d) = _first_order_psi_coeffs(system.g, system.eta, theta)
+    (p1n, p1d), (p0n, p0d) = gauge(_first_order_phi_coeffs(system.g, system.eta, theta), (0, 1), 1)
     return RationalCoeffODE(p1n, p1d, p0n, p0d, label="deformed-first-order-psi")
 
 
@@ -191,7 +187,8 @@ def to_heun(g: float, params: DeformationParams) -> tuple[HeunParams, VariableMa
 
     For theta = theta' this gives e = 0 (the xi = 1 singularity drops
     out) and the solution collapses to a hypergeometric function, which
-    is the cross-check the heun-check command runs.
+    is the cross-check the heun-check command runs. The map returned is
+    xi(u).
     """
     t = params.total
     if t <= 0.0:
@@ -211,12 +208,7 @@ def to_heun(g: float, params: DeformationParams) -> tuple[HeunParams, VariableMa
         d=2.0,
         e=0.5 - r,
     )
-    vmap = VariableMap(
-        forward=lambda u: t * u * u / (1.0 + t * u * u),
-        inverse=lambda xi: cmath.sqrt(xi / (t * (1.0 - xi))),
-        description="xi = T u^2 / (1 + T u^2), psi = (1 - xi) f(xi)",
-    )
-    return hp, vmap
+    return hp, VariableMap((0, 0, t), (1, 0, t))
 
 
 @dataclass(frozen=True)
@@ -260,7 +252,7 @@ def to_generalized_heun(system: CoulombSystem, theta: float) -> tuple[GenHeunPar
     The four finite singular points are {0, 1, x1, x2} with
     x1,2 = (1 +- sqrt(6 theta) eps_tilde)/2; they collide as theta -> 0,
     which triggers a ConfluenceWarning rather than an error since the
-    map stays valid for any positive theta.
+    map stays valid for any positive theta. The map returned is x(u).
     """
     _require_bound_state(system)
     if theta <= 0.0:
@@ -291,35 +283,15 @@ def to_generalized_heun(system: CoulombSystem, theta: float) -> tuple[GenHeunPar
         x1=(1.0 + s * et) / 2.0,
         x2=(1.0 - s * et) / 2.0,
     )
-    vmap = VariableMap(
-        forward=lambda u: (1.0 - 1j * s * u) / 2.0,
-        inverse=lambda x: 1j * (2.0 * x - 1.0) / s,
-        description="x = (1 - i sqrt(6 theta) u) / 2, acting on phi = u psi",
-    )
-    return gp, vmap
+    return gp, VariableMap((1.0, -1j * s), (2.0,))
 
 
 def gen_heun_ode(params: GenHeunParams) -> RationalCoeffODE:
     """The normal-form equation of GenHeunParams as a RationalCoeffODE."""
     p = params
-    lin = {
-        "zero": (0j, 1 + 0j),
-        "one": (-1 + 0j, 1 + 0j),
-        "x1": (-p.x1, 1 + 0j),
-        "x2": (-p.x2, 1 + 0j),
-    }
-    den = _polymul(_polymul(lin["zero"], lin["one"]), _polymul(lin["x1"], lin["x2"]))
-    num = (0j,)
-    for coef, skip in ((p.c, "zero"), (p.d, "one"), (p.e, "x1"), (p.f, "x2")):
-        prod = (coef,)
-        for name, factor in lin.items():
-            if name != skip:
-                prod = _polymul(prod, factor)
-        num = _polyadd(num, prod)
-    return RationalCoeffODE(
-        p1_num=num,
-        p1_den=den,
-        p0_num=(p.rho2, p.rho1, p.a * p.b),
-        p0_den=den,
-        label="generalized-heun",
-    )
+    # partial fractions sum_j coef_j / (x - x_j), put over one denominator
+    num, den = (0,), (1,)
+    for coef, pole in ((p.c, 0.0), (p.d, 1.0), (p.e, p.x1), (p.f, p.x2)):
+        num = _polyadd(_polymul(num, (-pole, 1)), _polyscale(den, coef))
+        den = _polymul(den, (-pole, 1))
+    return RationalCoeffODE(num, den, (p.rho2, p.rho1, p.a * p.b), den, label="generalized-heun")

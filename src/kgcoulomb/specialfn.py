@@ -37,7 +37,6 @@ __all__ = [
     "hypergeometric_ode",
     "HeunParams",
     "heun_ode",
-    "heun_series_coefficients",
     "heun_local",
     "psi_ordinary",
     "psi_ordinary_with_derivative",
@@ -189,43 +188,8 @@ def heun_ode(params: HeunParams) -> fuchsian.RationalCoeffODE:
     # denominator xi (xi - 1) (xi - xi0), expanded
     den = (0j, p.xi0, -(1.0 + p.xi0), 1 + 0j)
     # numerator of p1: c (xi-1)(xi-xi0) + d xi (xi-1) + e xi (xi-xi0)
-    num = [0j, 0j, 0j]
-    num[0] += p.c * p.xi0
-    num[1] += -p.c * (1.0 + p.xi0) + p.d * (-1.0) + p.e * (-p.xi0)
-    num[2] += p.c + p.d + p.e
-    return fuchsian.RationalCoeffODE(
-        p1_num=tuple(num),
-        p1_den=den,
-        p0_num=(p.q, p.a * p.b),
-        p0_den=den,
-        label="heun",
-    )
-
-
-def heun_series_coefficients(params: HeunParams, n: int) -> list[complex]:
-    """First n+1 coefficients of the solution analytic at xi = 0, H(0) = 1.
-
-    Independent of the Frobenius engine: this is the classical
-    three-term recurrence written out explicitly, useful as a cross
-    check of the generic banded recurrence.
-    """
-    p = params
-    if _near_nonpositive_int(p.c) is not None:
-        raise ParameterPoleError(
-            f"local solution at 0 undefined: c = {p.c} makes the recurrence pivot vanish")
-    h = [1 + 0j]
-    prev2 = 0j
-    for m in range(1, n + 1):
-        prev1 = h[m - 1]
-        rise = ((1.0 + p.xi0) * (m - 1.0) * (m - 2.0)
-                + (p.c * (1.0 + p.xi0) + p.d + p.e * p.xi0) * (m - 1.0)
-                - p.q)
-        fall = ((m - 2.0) * (m - 3.0)
-                + (p.a + p.b + 1.0) * (m - 2.0)
-                + p.a * p.b)
-        h.append((rise * prev1 - fall * prev2) / (p.xi0 * m * (m - 1.0 + p.c)))
-        prev2 = prev1
-    return h
+    num = (p.c * p.xi0, -p.c * (1.0 + p.xi0) + p.d * (-1.0) + p.e * (-p.xi0), p.c + p.d + p.e)
+    return fuchsian.RationalCoeffODE(num, den, (p.q, p.a * p.b), den, label="heun")
 
 
 def _value_at(sol: fuchsian.FrobeniusSolution, target: complex) -> tuple[complex, complex]:

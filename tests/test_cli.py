@@ -186,16 +186,55 @@ class TestWavefunction:
         assert all(float(r[2]) == 0.0 for r in rows)
         assert float(rows[-1][3]) < float(rows[0][3])
 
+    def test_computed_energy_at_threshold_is_domain_error(self, capsys):
+        # at g = 1e-9 the closed-form eta rounds to 1; no flag is at fault
+        code, out, err = _run(capsys, "wavefunction", "--g", "1e-9")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("kgcoulomb: level n = 0 ")
+        assert "--eta" not in err and "Traceback" not in err
+
     def test_march_toward_xi_one_exits_cleanly(self, capsys):
-        # a hop lands within ~1e-4 of the double zero at xi = 1, where
-        # no ordinary-point series can be built
+        # past u ~ 1500 the hops come within ~1e-5 of the singular point
+        # xi = 1, where the order-64 series overflows
         code, out, err = _run(capsys, "wavefunction", "--model", "deformed-zero-energy",
                               "--theta", "0.05", "--theta-prime", "0.02", "--g", "0.2",
-                              "--window", "0.01:1000")
+                              "--window", "0.01:1e4")
         assert code == 2
         assert out == ""
         assert err.startswith("kgcoulomb: wavefunction grid point u = ")
+        assert "overflows" in err
         assert "Traceback" not in err
+
+    def test_march_close_to_xi_one_matches_direct_integration(self, capsys):
+        # hops reach xi = 1 - 1.4e-5; the last values are checked against
+        # a 20-digit Taylor integration of the Heun equation by mpmath
+        import mpmath
+        from kgcoulomb.kgmodels import to_heun
+        from kgcoulomb.physcore import DeformationParams
+        from kgcoulomb.specialfn import heun_ode
+
+        code, out, _ = _run(capsys, "wavefunction", "--model", "deformed-zero-energy",
+                            "--theta", "0.05", "--theta-prime", "0.02", "--g", "0.2",
+                            "--window", "0.01:1000")
+        assert code == 0
+        rows = _csv_rows(out)
+        hp, vmap = to_heun(0.2, DeformationParams(0.05, 0.02))
+        start = fuchsian.frobenius_series(heun_ode(hp), 0j, 0j)
+        x0 = 0.25 * start.radius
+        h0, dh0, _ = fuchsian.evaluate_with_derivatives(start, x0)
+
+        def rhs(x, y):
+            p1 = hp.c / x + hp.e / (x - 1) + hp.d / (x - hp.xi0)
+            p0 = (hp.a * hp.b * x + hp.q) / (x * (x - 1) * (x - hp.xi0))
+            return [y[1], -p1 * y[1] - p0 * y[0]]
+
+        with mpmath.workdps(20):
+            heun = mpmath.odefun(rhs, x0, [mpmath.mpc(h0), mpmath.mpc(dh0)])
+            for row in rows[-11::5]:  # u from about 530 to 1000
+                xi = vmap.forward(float(row[0]))
+                ref = complex((1 - xi) * heun(xi)[0])
+                assert abs(complex(float(row[1]), float(row[2])) - ref) <= 1e-12 * abs(ref)
 
     def test_one_census_per_equation(self, capsys, monkeypatch):
         # 200 grid points reached through many Taylor hops; the Heun
@@ -340,6 +379,27 @@ class TestConfigPrecedence:
                             str(tmp_path / "absent.cfg"))
         assert code == 1
         assert err != ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--alpha", "-1"],
+    ["wavefunction", "--alpha", "0"],
+    ["exponents", "--eta", "1"],
+    ["wavefunction", "--eta", "0"],
+    ["heun-check", "--theta", "0"],
+    ["exponents", "--model", "deformed-zero-energy", "--theta", "nan"],
+    ["exponents", "--g", "inf"],
+    ["exponents", "--window", "2:inf"],
+    ["spectrum", "--format", "xml"],
+], ids=lambda argv: " ".join(argv))
+def test_out_of_range_flag_is_usage_error(capsys, argv):
+    # these raised a traceback, or printed numbers for an infinite coupling
+    code, out, err = _run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("kgcoulomb: usage error: ")
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgcoulomb import fuchsian
-from kgcoulomb.errors import OutOfDomainError, ParameterPoleError
+from kgcoulomb.errors import OutOfDomainError, ParameterPoleError, ResonantExponentsError
 from kgcoulomb.kgmodels import to_heun
 from kgcoulomb.physcore import CoulombSystem, DeformationParams
 from kgcoulomb.spectra import energy_closed_form
@@ -21,7 +21,6 @@ from kgcoulomb.specialfn import (
     HeunParams,
     heun_local,
     heun_ode,
-    heun_series_coefficients,
     hyp2f1,
     hyp2f1_with_derivatives,
     hypergeometric_ode,
@@ -147,6 +146,26 @@ class TestHeunParams:
         assert hp.fuchsian_residual == 0.0
 
 
+def heun_series_coefficients(params: HeunParams, n: int) -> list[complex]:
+    """First n+1 coefficients of the Heun solution analytic at xi = 0,
+    H(0) = 1, from the classical three-term recurrence written out
+    explicitly: an oracle independent of the banded Frobenius engine."""
+    p = params
+    h = [1 + 0j]
+    prev2 = 0j
+    for m in range(1, n + 1):
+        prev1 = h[m - 1]
+        rise = ((1.0 + p.xi0) * (m - 1.0) * (m - 2.0)
+                + (p.c * (1.0 + p.xi0) + p.d + p.e * p.xi0) * (m - 1.0)
+                - p.q)
+        fall = ((m - 2.0) * (m - 3.0)
+                + (p.a + p.b + 1.0) * (m - 2.0)
+                + p.a * p.b)
+        h.append((rise * prev1 - fall * prev2) / (p.xi0 * m * (m - 1.0 + p.c)))
+        prev2 = prev1
+    return h
+
+
 class TestHeunRecurrence:
     # block produced by the deformed zero-energy reduction at
     # g = 0.2, theta = theta' = 0.05
@@ -178,9 +197,10 @@ class TestHeunRecurrence:
         assert heun_local(self._BLOCK, xi) == pytest.approx(direct, rel=1e-13)
 
     def test_pivot_pole(self):
-        with pytest.raises(ParameterPoleError):
-            heun_series_coefficients(
-                HeunParams(xi0=-0.5, q=0.1, a=1.0, b=2.0, c=0.0, d=2.0, e=2.0), 5)
+        # c = 0 puts the exponents {0, 1} at xi = 0: no analytic solution
+        # with H(0) = 1 in general, and the recurrence pivot vanishes
+        with pytest.raises(ResonantExponentsError):
+            heun_local(HeunParams(xi0=-0.5, q=0.1, a=1.0, b=2.0, c=0.0, d=2.0, e=2.0), 0.1)
 
 
 class TestHeunLocal:

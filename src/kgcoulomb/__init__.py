@@ -22,7 +22,7 @@ from .physcore import (FINE_STRUCTURE_ALPHA, CoulombSystem, DeformationParams,
 from .specialfn import (HeunParams, heun_local, heun_ode, hyp2f1,
                         hyp2f1_with_derivatives, hypergeometric_ode, psi_ordinary,
                         psi_ordinary_with_derivative)
-from .spectra import (SpectrumLine, energy_closed_form, quantization_residual,
-                      solve_quantization)
+from .spectra import (SpectrumLine, binding_residual, energy_closed_form,
+                      quantization_residual, solve_quantization)
 
 __version__ = "0.1.0"

@@ -91,10 +91,7 @@ _MAX_ORDER = 64
 def _real_singularities_on(ode: fuchsian.RationalCoeffODE,
                            lo: float, hi: float) -> list[complex]:
     out = []
-    for s in fuchsian.singular_points(ode):
-        if s.location is fuchsian.INFINITY:
-            continue
-        z = s.location
+    for z, _, _ in ode.points:
         if abs(z.imag) < 1e-9 * max(1.0, abs(z.real)) and lo - 1e-12 <= z.real <= hi + 1e-12:
             out.append(z)
     return out
@@ -200,13 +197,15 @@ def dominant_branch(ode: fuchsian.RationalCoeffODE, window: tuple[float, float],
     """Trajectory of the fastest-decaying solution over the window.
 
     Seeded from the Frobenius series about infinity at the upper window
-    edge and integrated backward; the seed is rescaled to unit magnitude
-    (the equations are linear, so shape is all that matters).
+    edge, or further out where the edge lies outside the series' trusted
+    disk (1/u at most half its radius), and integrated backward; the
+    seed is rescaled to unit magnitude (the equations are linear, so
+    shape is all that matters).
     """
     exps = fuchsian.indicial_exponents(ode, fuchsian.INFINITY)
     dominant = exps[1]  # sorted descending by real part: [1] decays fastest
     series = fuchsian.frobenius_series(ode, fuchsian.INFINITY, dominant, order=order)
-    u_hi = window[1]
+    u_hi = max(window[1], 2.0 / series.radius)
     w, dw, _ = fuchsian.evaluate_with_derivatives(series, u_hi)
     s = max(abs(w), abs(dw))
     return integrate(ode, u_hi, w / s, dw / s, window[0], tol=tol)

@@ -27,7 +27,8 @@ Exit codes: 0 on success, 1 on a usage or configuration error (a
 non-finite or out-of-range number among them, e.g. ``--eta`` outside
 (0, 1) or a ``--tol`` above 1e-3, too coarse for a 1% exponent fit), 2
 on a physics-domain error (supercritical coupling, parameter pole,
-evaluation outside a solution's domain). Warnings go to stderr as one
+evaluation outside a solution's domain, a result that left the
+floating-point range). Warnings go to stderr as one
 ``kgcoulomb: warning:`` line each.
 """
 
@@ -216,6 +217,8 @@ def _merge(args: argparse.Namespace) -> dict:
             raise UsageError(f"--{key} must be a finite number, got {cfg[key]!r}")
     if not cfg["alpha"] > 0.0:
         raise UsageError("--alpha must be positive")
+    if cfg.get("g") is not None and not cfg["g"] > 0.0:
+        raise UsageError("--g must be positive")
     if cfg.get("eta") is not None and not 0.0 < cfg["eta"] < 1.0:
         raise UsageError(f"--eta must lie strictly between 0 and 1, got {cfg['eta']!r}")
     if cfg.get("format") not in _FORMATS:
@@ -231,11 +234,10 @@ def _merge(args: argparse.Namespace) -> dict:
 
 
 def _coupling(cfg: dict) -> float:
-    if cfg.get("g") is not None:
-        if not cfg["g"] > 0.0:
-            raise UsageError("--g must be positive")
-        return cfg["g"]
-    return cfg["Z"] * cfg["alpha"]
+    g = cfg["g"] if cfg.get("g") is not None else cfg["Z"] * cfg["alpha"]
+    if not math.isfinite(g * g):
+        raise UsageError(f"coupling g = {g:g} is out of range: g^2 overflows")
+    return g
 
 
 def _system(cfg: dict, eta: float) -> CoulombSystem:
@@ -268,6 +270,17 @@ class _Table:
         self.meta = meta
         self.columns = columns
         self.rows = rows
+
+    def check_finite(self) -> None:
+        """Refuse a table holding inf or nan, which no input should print;
+        None, an absent fit printed as nan, passes."""
+        cells = list(self.meta.items())
+        cells += [(name, cell) for row in self.rows for name, cell in zip(self.columns, row)]
+        for name, cell in cells:
+            if isinstance(cell, (int, float, complex)) and not math.isfinite(abs(cell)):
+                raise OutOfDomainError(
+                    f"{self.command} gives {name} = {cell}: the inputs take the "
+                    "computation out of the floating-point range")
 
 
 def _fmt(value) -> str:
@@ -331,7 +344,7 @@ def cmd_spectrum(cfg: dict) -> _Table:
         line = solve_quantization(g, n, z=cfg["Z"])
         agreement = abs(line.eta - eta_closed) / eta_closed
         rows.append([n, cfg["Z"], eta_closed, line.eta, agreement,
-                     line.residual, 1.0 - line.eta])
+                     line.residual, line.binding])
     meta = {"Z": cfg["Z"], "alpha": cfg["alpha"], "g": g}
     columns = ["n", "Z", "eta_closed", "eta_solver", "agreement", "residual", "binding"]
     return _Table("spectrum", meta, columns, rows)
@@ -553,6 +566,7 @@ def main(argv=None) -> int:
             args = _build_parser().parse_args(argv)
             cfg = _merge(args)
             table = _DISPATCH[cfg["command"]](cfg)
+            table.check_finite()
             _emit(_render(table, cfg["format"]), cfg.get("out"))
             return 0
         except UsageError as exc:

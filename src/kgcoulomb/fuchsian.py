@@ -4,11 +4,16 @@ The central object is ``RationalCoeffODE``, the equation
 
     w''(z) + p1(z) w'(z) + p0(z) w(z) = 0
 
-with both coefficients stored as polynomial quotients. On top of it sit
-a census of singular points, indicial exponents (including the point at
-infinity through the pullback t = 1/z), Frobenius and Taylor series with
-banded recurrences read off the polynomial data, and series evaluation
-with derivatives and a defect check.
+with both coefficients stored as polynomial quotients, together with
+the finite part of its Riemann scheme: the singular points and their
+multiplicities in each denominator, exact data supplied by whoever
+builds the equation (a Fuchsian equation is fixed by its singular
+points and their exponents). Nothing here searches for roots. On top
+of it sit the census of singular points, indicial exponents (including
+the point at infinity through the pullback t = 1/z, which sends each
+point r to 1/r), Frobenius and Taylor series with banded recurrences
+read off the polynomial data, and series evaluation with derivatives
+and a defect check.
 
 It also holds the one analytic-continuation engine of the package: a
 chain of Taylor re-expansions (``reach``), each hop 0.4 of the last
@@ -59,10 +64,7 @@ __all__ = [
     "gauge",
 ]
 
-_TRIM_TOL = 1e-13
-_MATCH_TOL = 1e-7
 _MAX_HOPS = 200
-_ABERTH_MAX_ITER = 100
 _EPS = 2.0 ** -52
 
 
@@ -88,16 +90,6 @@ Point = Union[complex, _InfinityType]
 # ---------------------------------------------------------------------------
 # polynomial helpers (coefficient tuples, ascending powers)
 # ---------------------------------------------------------------------------
-
-
-def _trim(coeffs) -> tuple[complex, ...]:
-    c = [complex(x) for x in coeffs]
-    scale = max((abs(x) for x in c), default=0.0)
-    if scale == 0.0:
-        return (0j,)
-    while len(c) > 1 and abs(c[-1]) <= _TRIM_TOL * scale:
-        c.pop()
-    return tuple(c)
 
 
 def _polyval(coeffs, z: complex) -> complex:
@@ -161,7 +153,7 @@ def _shift(coeffs, z0: complex) -> tuple[complex, ...]:
 def _vanish_order(coeffs, z0: complex, shifted=None) -> int:
     """Order of the zero at z0: the j-th Taylor coefficient there (``shifted``,
     if at hand) is zero while below 4 n eps sum_k C(k, j) |c_k| |z0|^(k-j),
-    twice Horner's rounding bound (as in _aberth); at 0 only exact zeros are."""
+    twice Horner's rounding bound; at 0 only exact zeros are."""
     if shifted is None:
         shifted = _shift(coeffs, z0)
     tol = 4.0 * (len(coeffs) - 1) * _EPS
@@ -173,126 +165,19 @@ def _vanish_order(coeffs, z0: complex, shifted=None) -> int:
     return len(shifted)
 
 
+def _exact_zeros(coeffs) -> int:
+    """Number of exactly zero low-order coefficients: the order of the zero at 0."""
+    return next((i for i, c in enumerate(coeffs) if c != 0), len(coeffs))
+
+
 def _deflate(coeffs, z0: complex) -> tuple[complex, ...]:
-    """Divide by (z - z0), discarding the remainder; low-order exact zeros stay."""
-    k = next((i for i, c in enumerate(coeffs) if c != 0), len(coeffs) - 1)
+    """Divide by (z - z0), discarding the remainder; low-order exact zeros
+    stay exact, and at z0 = 0 the division is exact."""
+    if z0 == 0:
+        return coeffs[1:]
+    k = _exact_zeros(coeffs)
     quotient, _ = _divide(coeffs[k:], z0)
-    return tuple([0j] * k + quotient) if quotient else (0j,)
-
-
-def _poly_roots(coeffs) -> list[complex]:
-    """All roots, repeated by multiplicity; exact zero roots come out as 0j."""
-    c = list(_trim(coeffs))
-    zeros = 0
-    while len(c) > 1 and c[0] == 0:
-        c.pop(0)
-        zeros += 1
-    dc = _polyder(c)
-    out = [0j] * zeros
-    for r, stalled in _aberth(c, dc):
-        # Newton polish; near a multiple root (the iteration stalled
-        # there, or the derivative is tiny) polishing would only follow
-        # rounding noise, so leave those to the clustering pass
-        for _ in range(2):
-            dv = _polyval(dc, r)
-            if stalled or abs(dv) < 1e-12:
-                break
-            step = _polyval(c, r) / dv
-            if abs(step) > 1e-2 * max(1.0, abs(r)):
-                break
-            r = r - step
-        out.append(r)
-    return out
-
-
-def _aberth(c, dc) -> list[tuple[complex, bool]]:
-    """Roots of the polynomial c (derivative dc), constant term nonzero,
-    by Aberth-Ehrlich simultaneous iteration (Aberth, Math. Comp. 27,
-    1973), each approximation updated in place.
-
-    The starting points lie on one circle per edge of the Newton polygon
-    of the coefficients, so roots of very different moduli start near
-    their own modulus. An approximation is final once its correction is
-    below 1e-15 relative, or once corrections stop shrinking while the
-    polynomial's value there is down to the rounding error of evaluating
-    it: that is a multiple root, where corrections stall near sqrt(eps),
-    and the stalled step is dropped. Returns (root, stalled) pairs.
-    """
-    n = len(c) - 1
-    z = _newton_polygon_start(c)
-    stalled = [False] * n
-    # twice the rounding-error bound of Horner's rule, 2 n eps sum |c_k| |z|^k
-    noise = 4.0 * n * _EPS
-    sizes = [abs(x) for x in c]
-    last = [math.inf] * n
-    active = list(range(n))
-    for _ in range(_ABERTH_MAX_ITER):
-        still = []
-        for k in active:
-            zk = z[k]
-            p = _polyval(c, zk)
-            if p == 0:
-                continue
-            pull = 0j
-            for j in range(n):
-                if j != k:
-                    pull += 1.0 / (zk - z[j])
-            step = p / (_polyval(dc, zk) - p * pull)
-            size = abs(step)
-            if size >= last[k] and abs(p) <= noise * abs(_polyval(sizes, abs(zk))):
-                stalled[k] = True  # the step follows rounding noise: drop it
-                continue
-            z[k] = zk - step
-            if size <= 1e-15 * abs(z[k]):
-                continue
-            last[k] = size
-            still.append(k)
-        active = still
-        if not active:
-            break
-    return list(zip(z, stalled))
-
-
-def _newton_polygon_start(c) -> list[complex]:
-    """Starting points: j - i roots on the circle of radius
-    (|c_i| / |c_j|)^(1/(j - i)) for each edge (i, j) of the upper convex
-    hull of the points (k, log|c_k|) (Bini, Numer. Algorithms 13, 1996)."""
-    n = len(c) - 1
-    hull: list[tuple[int, float]] = []
-    for k, x in enumerate(c):
-        if x == 0:
-            continue
-        pt = (k, math.log(abs(x)))
-        while len(hull) >= 2:
-            (i0, l0), (i1, l1) = hull[-2], hull[-1]
-            if (i1 - i0) * (pt[1] - l0) - (l1 - l0) * (pt[0] - i0) < 0:
-                break
-            hull.pop()
-        hull.append(pt)
-    z = []
-    for (i, li), (j, lj) in zip(hull, hull[1:]):
-        radius = math.exp((li - lj) / (j - i))
-        for q in range(j - i):
-            z.append(cmath.rect(radius, 2.0 * math.pi * (q / (j - i) + i / n) + 0.4))
-    return z
-
-
-def _cluster(roots: list[complex], tol: float = _MATCH_TOL) -> list[tuple[complex, int]]:
-    """Group near-coincident roots; returns (centroid, multiplicity) pairs."""
-    clusters: list[list[complex]] = []
-    for r in sorted(roots, key=lambda z: (z.real, z.imag)):
-        for cl in clusters:
-            center = sum(cl) / len(cl)
-            if abs(r - center) <= tol * max(1.0, abs(center)):
-                cl.append(r)
-                break
-        else:
-            clusters.append([r])
-    return [(sum(cl) / len(cl), len(cl)) for cl in clusters]
-
-
-def _same_point(a: complex, b: complex, tol: float = _MATCH_TOL) -> bool:
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+    return tuple([0j] * k + quotient)
 
 
 # ---------------------------------------------------------------------------
@@ -314,14 +199,6 @@ def _homogenize(p, a, b) -> tuple:
     return acc
 
 
-def _cancel_t(num, den) -> tuple[tuple, tuple]:
-    """Strip the power of t that num and den share (exact zeros only)."""
-    k = 0
-    while k < min(len(num), len(den)) - 1 and num[k] == 0 and den[k] == 0:
-        k += 1
-    return num[k:], den[k:]
-
-
 def substitute(pair, a, b):
     """The equation for W(t) = w(a(t)/b(t)), a and b polynomials in t.
 
@@ -332,7 +209,8 @@ def substitute(pair, a, b):
         P0 = p0(z) z'^2 = N0 E^2 b^m0 / D0,
 
     m1 = deg D1 - deg N1 - 1, m0 = deg D0 - deg N0 - 4; a negative power
-    of b moves to the denominator, and shared powers of t cancel exactly.
+    of b moves to the denominator. Nothing is cancelled: RationalCoeffODE
+    cancels common factors at the singular points it is given.
     """
     (n1, d1), (n0, d0) = pair
     db = _polyder(b)
@@ -347,7 +225,7 @@ def substitute(pair, a, b):
     den1 = _polymul(_polymul(_polymul(b, e), d1h), _polypow(b, s1))
     num0 = _polymul(_polymul(_homogenize(n0, a, b), e2), _polypow(b, m0 + s0))
     den0 = _polymul(_homogenize(d0, a, b), _polypow(b, s0))
-    return _cancel_t(num1, den1), _cancel_t(num0, den0)
+    return (num1, den1), (num0, den0)
 
 
 def gauge(pair, f, k: int):
@@ -357,7 +235,8 @@ def gauge(pair, f, k: int):
         Q0 = p0 + k p1 f'/f + k f''/f + k (k - 1) (f'/f)^2,
 
     both over C f^2, with C = D1 when p1 and p0 share their denominator
-    and D0 D1 otherwise; shared powers of t cancel exactly in each.
+    and D0 D1 otherwise. Each root of f enters both denominators twice
+    over, through f^2; RationalCoeffODE cancels what the numerators share.
     """
     (n1, common), (n0, d0) = pair
     if common != d0:
@@ -369,7 +248,7 @@ def gauge(pair, f, k: int):
     num0 = _polyadd(_polymul(_polyadd(_polymul(n0, f), _polyscale(_polymul(n1, df), k)), f),
                     _polymul(curve, common))
     den = _polymul(common, _polymul(f, f))
-    return _cancel_t(num1, den), _cancel_t(num0, den)
+    return (num1, den), (num0, den)
 
 
 # ---------------------------------------------------------------------------
@@ -379,27 +258,47 @@ def gauge(pair, f, k: int):
 
 @dataclass(frozen=True)
 class RationalCoeffODE:
-    """w'' + (p1_num/p1_den) w' + (p0_num/p0_den) w = 0.
+    """w'' + (p1_num/p1_den) w' + (p0_num/p0_den) w = 0 with its finite
+    singular points.
 
-    Coefficient tuples are ascending-power. Construction normalizes each
-    quotient: trailing zeros trimmed, the denominator made monic, and
-    common roots cancelled so pole orders read directly off the stored
-    polynomials.
+    Coefficient tuples are ascending-power. ``points`` is the finite part
+    of the Riemann scheme as the builder knows it: (r, m1, m0) triples,
+    each root r of the denominators with its multiplicity in p1_den and in
+    p0_den, so that each denominator is its top coefficient times the
+    product of (z - r)^m. Points that are exactly equal are merged, their
+    multiplicities added. Construction normalizes each quotient: exactly
+    zero top coefficients dropped, factors common to numerator and
+    denominator cancelled at the known roots (the numerator's zeros
+    counted by ``_vanish_order``), and the denominator made monic; the
+    stored ``points`` are sorted by (real, imaginary) and keep the
+    multiplicities left after cancelling, so they are the pole orders.
+    Singular points are never searched for numerically.
     """
 
     p1_num: tuple[complex, ...]
     p1_den: tuple[complex, ...]
     p0_num: tuple[complex, ...]
     p0_den: tuple[complex, ...]
+    points: tuple[tuple[complex, int, int], ...]
     label: str = ""
 
     def __post_init__(self) -> None:
-        n1, d1 = _normalize_quotient(self.p1_num, self.p1_den)
-        n0, d0 = _normalize_quotient(self.p0_num, self.p0_den)
+        merged: dict[complex, list[int]] = {}
+        for r, m1, m0 in self.points:
+            counts = merged.setdefault(complex(r), [0, 0])
+            counts[0] += m1
+            counts[1] += m0
+        roots = sorted(merged, key=lambda z: (z.real, z.imag))
+        n1, d1, k1 = _normalize_quotient(self.p1_num, self.p1_den, roots,
+                                         [merged[r][0] for r in roots])
+        n0, d0, k0 = _normalize_quotient(self.p0_num, self.p0_den, roots,
+                                         [merged[r][1] for r in roots])
         object.__setattr__(self, "p1_num", n1)
         object.__setattr__(self, "p1_den", d1)
         object.__setattr__(self, "p0_num", n0)
         object.__setattr__(self, "p0_den", d0)
+        object.__setattr__(self, "points", tuple(
+            (r, a, b) for r, a, b in zip(roots, k1, k0) if a or b))
 
     def p1(self, z: complex) -> complex:
         return _polyval(self.p1_num, z) / _polyval(self.p1_den, z)
@@ -407,46 +306,90 @@ class RationalCoeffODE:
     def p0(self, z: complex) -> complex:
         return _polyval(self.p0_num, z) / _polyval(self.p0_den, z)
 
+    def _multiplicities(self, z0: complex) -> tuple[int, int]:
+        """(m1, m0) of z0 in the denominators; (0, 0) off the known roots."""
+        for r, m1, m0 in self.points:
+            if r == z0:
+                return m1, m0
+        return 0, 0
+
     # The census and the pullback depend only on the frozen polynomial
-    # data, so each is computed once per equation; every re-centred
-    # series reads the census for its radius.
+    # data, so each is computed once per equation.
 
     @cached_property
     def _census(self) -> tuple["SingularPoint", ...]:
+        """The finite singular points with their local data."""
         return _take_census(self)
 
     @cached_property
+    def _infinity(self) -> "SingularPoint":
+        """The point at infinity, classified through the pullback."""
+        o1, o0, exps = _local_exponents(self._pullback, 0j)
+        if exps is not None:
+            exps = _sorted_pair(-exps[0], -exps[1])
+        kind = "regular" if exps is not None else "irregular"
+        return SingularPoint(INFINITY, kind, o1, o0, exps)
+
+    @cached_property
     def _products(self) -> tuple[tuple[complex, ...], ...]:
-        """Unshifted (P2, P1, P0) of the polynomial form; see _series_triple."""
-        pairs = ((self.p1_den, self.p0_den), (self.p1_num, self.p0_den), (self.p0_num, self.p1_den))
-        return tuple(_trim(_polymul(x, y)) for x, y in pairs)
+        """Unshifted (P2, P1, P0) of the polynomial form; see _series_triple.
+        Each quotient is scaled by a power of two, exact and common to all
+        three, so the series are unchanged while the products stay in range
+        however far a singular point spreads the monic coefficients."""
+        n1, d1 = _pow2_scaled(self.p1_num, self.p1_den)
+        n0, d0 = _pow2_scaled(self.p0_num, self.p0_den)
+        return _polymul(d1, d0), _polymul(n1, d0), _polymul(n0, d1)
 
     @cached_property
     def _pullback(self) -> "RationalCoeffODE":
-        """The equation satisfied by W(t) = w(1/t) near t = 0."""
+        """The equation satisfied by W(t) = w(1/t) near t = 0. A root r != 0
+        goes to 1/r with its multiplicities; the order of t = 0 in each
+        denominator is its count of exactly zero low-order coefficients."""
         (n1, d1), (n0, d0) = substitute(
             ((self.p1_num, self.p1_den), (self.p0_num, self.p0_den)), (1,), (0, 1))
-        return RationalCoeffODE(n1, d1, n0, d0,
+        points = [(1.0 / r, m1, m0) for r, m1, m0 in self.points if r != 0]
+        points.append((0j, _exact_zeros(d1), _exact_zeros(d0)))
+        return RationalCoeffODE(n1, d1, n0, d0, tuple(points),
                                 label=(self.label + "@infinity") if self.label else "pullback")
 
 
-def _normalize_quotient(num, den):
-    num = _trim(num)
-    den = _trim(den)
-    if len(den) == 1 and den[0] == 0:
+def _normalize_quotient(num, den, roots, mults):
+    """(num, den, multiplicities) with the factors (z - r) that num and
+    den share cancelled at the known roots, and den monic."""
+    num, den = _exact_top(num), _exact_top(den)
+    if den == (0j,):
         raise ValueError("coefficient denominator is identically zero")
-    if len(num) == 1 and num[0] == 0:
-        return (0j,), (1 + 0j,)
-    # cancel shared roots
-    for root, mult in _cluster(_poly_roots(den)):
+    if not all(math.isfinite(abs(c)) for c in num + den):
+        raise OutOfDomainError("a coefficient of the equation left the floating-point range")
+    if len(den) - 1 != sum(mults):
+        raise OutOfDomainError(
+            f"the singular data give {sum(mults)} roots to a denominator of degree "
+            f"{len(den) - 1}: its top coefficient underflowed, or the data are wrong")
+    if num == (0j,):
+        return num, (1 + 0j,), [0] * len(mults)
+    left = []
+    for root, mult in zip(roots, mults):
         k = min(mult, _vanish_order(num, root))
         for _ in range(k):
             num = _deflate(num, root)
             den = _deflate(den, root)
+        left.append(mult - k)
     lead = den[-1]
-    num = _polyscale(num, 1.0 / lead)
-    den = _polyscale(den, 1.0 / lead)
-    return _trim(num), _trim(den)
+    return _polyscale(num, 1.0 / lead), _polyscale(den, 1.0 / lead), left
+
+
+def _pow2_scaled(num, den):
+    """num and den times 2^-e, 2^e the binade of den's largest coefficient."""
+    s = math.ldexp(1.0, -math.frexp(max(abs(c) for c in den))[1])
+    return _polyscale(num, s), _polyscale(den, s)
+
+
+def _exact_top(coeffs) -> tuple[complex, ...]:
+    """The coefficients as complex numbers, exactly zero top ones dropped."""
+    c = [complex(x) for x in coeffs]
+    while len(c) > 1 and c[-1] == 0:
+        c.pop()
+    return tuple(c)
 
 
 # ---------------------------------------------------------------------------
@@ -463,16 +406,18 @@ class SingularPoint:
     exponents: tuple[complex, complex] | None  # None when irregular
 
 
-def _quotient_local(num, den, z0: complex, weight: int) -> tuple[int, complex]:
-    """Pole order of num/den at z0 and the limit of (z-z0)^weight * num/den."""
+def _quotient_local(num, den, z0: complex, kd: int, weight: int) -> tuple[int, complex]:
+    """Pole order of num/den at z0, a root of den of multiplicity kd (0
+    off the known roots), and the limit of (z-z0)^weight * num/den."""
     kn = _vanish_order(num, z0)
-    kd = _vanish_order(den, z0)
     order = kd - kn
     if kn + weight > kd:
         lim = 0j
     elif kn + weight == kd:
         ns = _shift(num, z0)
         ds = _shift(den, z0)
+        if ds[kd] == 0:
+            raise OutOfDomainError(f"the expansion at {z0} is lost to rounding or overflow")
         lim = ns[kn] / ds[kd]
     else:
         lim = complex(math.inf, 0.0)
@@ -487,12 +432,16 @@ def _sorted_pair(a: complex, b: complex) -> tuple[complex, complex]:
 
 def _local_exponents(ode: RationalCoeffODE, z0: complex):
     """(pole orders, exponent pair or None) at a finite point."""
-    o1, q1 = _quotient_local(ode.p1_num, ode.p1_den, z0, 1)
-    o0, q0 = _quotient_local(ode.p0_num, ode.p0_den, z0, 2)
+    m1, m0 = ode._multiplicities(z0)
+    o1, q1 = _quotient_local(ode.p1_num, ode.p1_den, z0, m1, 1)
+    o0, q0 = _quotient_local(ode.p0_num, ode.p0_den, z0, m0, 2)
     if o1 > 1 or o0 > 2:
         return o1, o0, None
     q1, q0 = complex(q1), complex(q0)
-    disc = cmath.sqrt((q1 - 1.0) ** 2 - 4.0 * q0)
+    try:
+        disc = cmath.sqrt((q1 - 1.0) ** 2 - 4.0 * q0)
+    except OverflowError as exc:
+        raise OutOfDomainError(f"the exponents at {z0} overflow") from exc
     s1 = (-(q1 - 1.0) + disc) / 2.0
     s2 = (-(q1 - 1.0) - disc) / 2.0
     return o1, o0, _sorted_pair(s1, s2)
@@ -501,33 +450,23 @@ def _local_exponents(ode: RationalCoeffODE, z0: complex):
 def singular_points(ode: RationalCoeffODE) -> list[SingularPoint]:
     """All finite singular points plus the point at infinity.
 
-    Finite points are the denominator roots surviving normalization;
+    Finite points are the equation's known roots surviving normalization;
     infinity is always reported, classified through the pullback. Points
     are ordered by (real, imaginary), infinity last. Exponents at
     infinity use the z^sigma convention. The census is taken once per
     equation; each call returns a fresh list.
     """
-    return list(ode._census)
+    return list(ode._census) + [ode._infinity]
 
 
 def _take_census(ode: RationalCoeffODE) -> tuple[SingularPoint, ...]:
-    locs: list[complex] = []
-    for root, _ in _cluster(_poly_roots(ode.p1_den)) + _cluster(_poly_roots(ode.p0_den)):
-        if not any(_same_point(root, other) for other in locs):
-            locs.append(root)
     out = []
-    for z0 in sorted(locs, key=lambda z: (z.real, z.imag)):
+    for z0, _, _ in ode.points:
         o1, o0, exps = _local_exponents(ode, z0)
         if o1 <= 0 and o0 <= 0:
             continue  # removable; nothing singular survived normalization
         kind = "regular" if exps is not None else "irregular"
         out.append(SingularPoint(z0, kind, o1, o0, exps))
-
-    o1, o0, exps = _local_exponents(ode._pullback, 0j)
-    if exps is not None:
-        exps = _sorted_pair(-exps[0], -exps[1])
-    kind = "regular" if exps is not None else "irregular"
-    out.append(SingularPoint(INFINITY, kind, o1, o0, exps))
     return tuple(out)
 
 
@@ -538,7 +477,7 @@ def indicial_exponents(ode: RationalCoeffODE, point: Point) -> tuple[complex, co
     Raises IrregularPointError when the point fails the pole-order test.
     """
     if point is INFINITY:
-        inf = ode._census[-1]
+        inf = ode._infinity
         if inf.exponents is None:
             raise IrregularPointError(
                 f"infinity is irregular: pullback pole orders "
@@ -587,22 +526,12 @@ def _series_triple(ode: RationalCoeffODE, z0: complex):
 
 
 def _series_radius(ode: RationalCoeffODE, point: Point) -> float:
-    sings = ode._census
-    best = math.inf
+    """Distance from the expansion point to the nearest other finite
+    singular point, in the local variable (1/z at infinity)."""
     if point is INFINITY:
-        for s in sings:
-            if s.location is INFINITY:
-                continue
-            r = abs(s.location)
-            if r > _MATCH_TOL:
-                best = min(best, 1.0 / r)
-        return best
+        return min((1.0 / abs(r) for r, _, _ in ode.points if r != 0), default=math.inf)
     z0 = complex(point)
-    for s in sings:
-        if s.location is INFINITY or _same_point(s.location, z0):
-            continue
-        best = min(best, abs(s.location - z0))
-    return best
+    return min((abs(r - z0) for r, _, _ in ode.points if r != z0), default=math.inf)
 
 
 def _recurrence(p2, p1, p0, kappa: int, rho: complex, order: int,
@@ -661,7 +590,8 @@ def frobenius_series(ode: RationalCoeffODE, point: Point, exponent: complex,
     the exact root, so a few digits are enough to select a branch.
     Raises ResonantExponentsError when the other root sits a nonnegative
     integer above the requested one (vanishing pivot); the series for
-    the larger root of a resonant pair is still available.
+    the larger root of a resonant pair is still available. Below radius
+    1 the coefficients are in x / scale, scale the power of two <= radius.
     """
     pair = indicial_exponents(ode, point)
     matched = None
@@ -691,9 +621,28 @@ def frobenius_series(ode: RationalCoeffODE, point: Point, exponent: complex,
             "request the other branch or treat the log solution separately")
 
     p2, p1, p0 = _series_triple(work, z0)
-    kappa = _vanish_order(work._products[0], z0, p2)
+    kappa = sum(work._multiplicities(z0))
+    radius = _series_radius(ode, point)
+    # unscaled, the coefficients grow like radius^-k; a power of two scales exactly
+    scale = math.ldexp(0.5, math.frexp(min(radius, 1.0))[1])
+    p2, p1, p0 = _scaled_triple(p2, p1, p0, scale)
     coeffs = _recurrence(p2, p1, p0, kappa, rho, order, [1 + 0j])
-    return FrobeniusSolution(point, matched, tuple(coeffs), _series_radius(ode, point))
+    return FrobeniusSolution(point, matched, tuple(coeffs), radius, scale)
+
+
+def _scaled_triple(p2, p1, p0, scale: float):
+    """The triple for w(z0 + scale y): P2 w_yy + scale P1 w_y + scale^2 P0 w
+    = 0 with each polynomial in y; the powers are built by products, which
+    overflow to inf, not raise."""
+
+    def scaled(poly, power):
+        out = []
+        for c in poly:
+            out.append(c * power)
+            power *= scale
+        return out
+
+    return scaled(p2, 1.0), scaled(p1, scale), scaled(p0, scale * scale)
 
 
 def taylor_series(ode: RationalCoeffODE, center: complex, value: complex,
@@ -713,7 +662,7 @@ def taylor_series(ode: RationalCoeffODE, center: complex, value: complex,
     p2, p1, p0 = _series_triple(ode, center)
     if not all(math.isfinite(abs(c)) for c in p2 + p1 + p0):
         raise OutOfDomainError(f"the equation's polynomial coefficients overflow at {center}")
-    if _vanish_order(ode._products[0], center, p2) != 0:
+    if ode._multiplicities(center) != (0, 0):
         raise ValueError(f"{center} is a singular point; taylor_series needs an ordinary one")
     radius = min(_series_radius(ode, center), max_radius)
     seeds = [complex(value), complex(derivative)]
@@ -721,18 +670,8 @@ def taylor_series(ode: RationalCoeffODE, center: complex, value: complex,
     if tol is not None:
         if not math.isfinite(radius):
             raise ValueError("a tail-truncated series needs a finite radius; pass max_radius")
-        # w(center + scale t) solves P2 w_tt + scale P1 w_t + scale^2 P0 w = 0;
-        # the powers are built by products, which overflow to inf, not raise
         scale = radius
-
-        def scaled(poly, power):
-            out = []
-            for c in poly:
-                out.append(c * power)
-                power *= scale
-            return out
-
-        p2, p1, p0 = scaled(p2, 1.0), scaled(p1, scale), scaled(p0, scale * scale)
+        p2, p1, p0 = _scaled_triple(p2, p1, p0, scale)
         seeds[1] *= scale
     coeffs = _recurrence(p2, p1, p0, 0, 0j, order, seeds, tol)
     if tol is None and not all(math.isfinite(abs(c)) for c in coeffs):

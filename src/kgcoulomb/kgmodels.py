@@ -29,7 +29,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import ParameterPoleError
+from .errors import OutOfDomainError, ParameterPoleError
 from .fuchsian import RationalCoeffODE, _polyadd, _polymul, _polyscale, gauge
 from .physcore import CoulombSystem, DeformationParams
 from .specialfn import HeunParams
@@ -108,6 +108,11 @@ def _first_order_phi_coeffs(g, eta, theta, imag=1j):
 # ---------------------------------------------------------------------------
 
 
+def _with_mirror(*points) -> tuple:
+    """Each singular point (r, m1, m0) together with (-r, m1, m0)."""
+    return tuple(p for r, m1, m0 in points for p in ((r, m1, m0), (-r, m1, m0)))
+
+
 def _require_bound_state(system: CoulombSystem) -> None:
     if system.eta >= 1.0:
         raise ValueError("no bound state at or above threshold: need 0 < eta < 1")
@@ -121,7 +126,8 @@ def build_ordinary_kg(system: CoulombSystem) -> RationalCoeffODE:
     """
     _require_bound_state(system)
     (p1n, p1d), (p0n, p0d) = _ordinary_kg_coeffs(system.g, system.eta)
-    return RationalCoeffODE(p1n, p1d, p0n, p0d, label="ordinary-kg")
+    points = ((0, 1, 1),) + _with_mirror((1j * system.eps_tilde, 1, 1))
+    return RationalCoeffODE(p1n, p1d, p0n, p0d, points, label="ordinary-kg")
 
 
 def build_deformed_zero_energy(g: float, params: DeformationParams) -> RationalCoeffODE:
@@ -136,7 +142,10 @@ def build_deformed_zero_energy(g: float, params: DeformationParams) -> RationalC
             "theta + theta' must be positive; for the undeformed case use build_ordinary_kg")
     (p1n, p1d), (p0n, p0d) = _deformed_zero_energy_coeffs(
         g, params.theta, params.theta_prime)
-    return RationalCoeffODE(p1n, p1d, p0n, p0d, label="deformed-zero-energy")
+    # u (1 + u^2) (1 + T u^2) and (1 + u^2) (1 + T u^2)^2; at T = 1 the
+    # two pairs coincide and merge
+    points = ((0, 1, 0),) + _with_mirror((1j, 1, 1), (1j / math.sqrt(params.total), 1, 2))
+    return RationalCoeffODE(p1n, p1d, p0n, p0d, points, label="deformed-zero-energy")
 
 
 def build_deformed_first_order(system: CoulombSystem, theta: float) -> RationalCoeffODE:
@@ -153,7 +162,13 @@ def build_deformed_first_order(system: CoulombSystem, theta: float) -> RationalC
     if theta <= 0.0:
         raise ValueError("theta must be positive; for theta = 0 use build_ordinary_kg")
     (p1n, p1d), (p0n, p0d) = _first_order_phi_coeffs(system.g, system.eta, theta)
-    return RationalCoeffODE(p1n, p1d, p0n, p0d, label="deformed-first-order")
+    return RationalCoeffODE(p1n, p1d, p0n, p0d, _first_order_points(system, theta),
+                            label="deformed-first-order")
+
+
+def _first_order_points(system: CoulombSystem, theta: float) -> tuple:
+    """The roots of (u^2 + eps2)(1 + 6 theta u^2), simple in both denominators."""
+    return _with_mirror((1j * system.eps_tilde, 1, 1), (1j / math.sqrt(6.0 * theta), 1, 1))
 
 
 def build_deformed_first_order_psi(system: CoulombSystem, theta: float) -> RationalCoeffODE:
@@ -164,7 +179,9 @@ def build_deformed_first_order_psi(system: CoulombSystem, theta: float) -> Ratio
     if theta <= 0.0:
         raise ValueError("theta must be positive; for theta = 0 use build_ordinary_kg")
     (p1n, p1d), (p0n, p0d) = gauge(_first_order_phi_coeffs(system.g, system.eta, theta), (0, 1), 1)
-    return RationalCoeffODE(p1n, p1d, p0n, p0d, label="deformed-first-order-psi")
+    # the gauge multiplies both denominators by u^2
+    points = _first_order_points(system, theta) + ((0, 2, 2),)
+    return RationalCoeffODE(p1n, p1d, p0n, p0d, points, label="deformed-first-order-psi")
 
 
 # ---------------------------------------------------------------------------
@@ -196,11 +213,16 @@ def to_heun(g: float, params: DeformationParams) -> tuple[HeunParams, VariableMa
     if abs(t - 1.0) < 1e-14:
         raise ParameterPoleError(
             "theta + theta' = 1 puts xi0 at infinity; the Heun form degenerates")
+    xi0 = t / (t - 1.0)
+    if min(abs(xi0), abs(xi0 - 1.0)) < 1e-12:
+        raise ParameterPoleError(
+            f"theta + theta' = {t:g} puts xi0 = {xi0:.6g} within 1e-12 of the singular "
+            "point 0 or 1; the Heun form is confluent there")
     r = params.theta / t
     kq = g * g / 4.0
     nu = cmath.sqrt((r - 1.0) ** 2 - 4.0 * kq / (1.0 - t))
     hp = HeunParams(
-        xi0=t / (t - 1.0),
+        xi0=xi0,
         q=-(1.5 + kq / (1.0 - t)),
         a=(3.0 - r - nu) / 2.0,
         b=(3.0 - r + nu) / 2.0,
@@ -267,6 +289,11 @@ def to_generalized_heun(system: CoulombSystem, theta: float) -> tuple[GenHeunPar
     om = system.omega_tilde
     shift_cd = om * s / (2.0 * dd)
     shift_ef = om * (1.0 - 3.0 * theta * eps2) / (dd * et)
+    x1, x2 = (1.0 + s * et) / 2.0, (1.0 - s * et) / 2.0
+    if abs(x1 + x2 - 1.0) > 1e-12:
+        raise OutOfDomainError(
+            f"sqrt(6 theta) eps_tilde = {s * et:.3g} swamps 1 in x1,2 = (1 +- sqrt(6 theta) "
+            "eps_tilde)/2: the normal form is lost to rounding")
     if s * et < 1e-2:
         warnings.warn(
             f"singular points x1, x2 are only {s * et:.3g} apart; "
@@ -280,8 +307,8 @@ def to_generalized_heun(system: CoulombSystem, theta: float) -> tuple[GenHeunPar
         d=1.0 / 6.0 - shift_cd,
         e=2.0 + shift_ef,
         f=2.0 - shift_ef,
-        x1=(1.0 + s * et) / 2.0,
-        x2=(1.0 - s * et) / 2.0,
+        x1=x1,
+        x2=x2,
     )
     return gp, VariableMap((1.0, -1j * s), (2.0,))
 
@@ -294,4 +321,6 @@ def gen_heun_ode(params: GenHeunParams) -> RationalCoeffODE:
     for coef, pole in ((p.c, 0.0), (p.d, 1.0), (p.e, p.x1), (p.f, p.x2)):
         num = _polyadd(_polymul(num, (-pole, 1)), _polyscale(den, coef))
         den = _polymul(den, (-pole, 1))
-    return RationalCoeffODE(num, den, (p.rho2, p.rho1, p.a * p.b), den, label="generalized-heun")
+    points = tuple((x, 1, 1) for x in (0, 1, p.x1, p.x2))
+    return RationalCoeffODE(num, den, (p.rho2, p.rho1, p.a * p.b), den, points,
+                            label="generalized-heun")

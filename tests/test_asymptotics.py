@@ -22,7 +22,7 @@ from kgcoulomb.specialfn import heun_local, hypergeometric_ode, psi_ordinary, ps
 from kgcoulomb.spectra import energy_closed_form
 
 # psi'' - psi = 0: the solution through (1, 1) at u = 0 is exp(u)
-_EXP_ODE = RationalCoeffODE((0.0,), (1.0,), (-1.0,), (1.0,), label="exp")
+_EXP_ODE = RationalCoeffODE((0.0,), (1.0,), (-1.0,), (1.0,), (), label="exp")
 
 
 class TestIntegrate:

@@ -1,6 +1,8 @@
 """End-to-end command tests through cli.main (no subprocesses)."""
 
+import contextlib
 import filecmp
+import io
 import json
 import math
 import os
@@ -11,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgcoulomb import cli, fuchsian
 
@@ -237,10 +241,10 @@ class TestWavefunction:
                 assert abs(complex(float(row[1]), float(row[2])) - ref) <= 1e-12 * abs(ref)
 
     def test_one_census_per_equation(self, capsys, monkeypatch):
-        # 200 grid points reached through many Taylor hops; the Heun
-        # equation and its pullback are each normalised (two root
-        # solves) and censused (two more) once
-        counts = {"roots": 0, "hops": 0}
+        # 200 grid points reached through many Taylor hops, each reading
+        # the singular points for its radius; the one Heun equation is
+        # censused once
+        counts = {"census": 0, "hops": 0}
 
         def counted(fn, key):
             def wrapper(*args, **kwargs):
@@ -248,7 +252,7 @@ class TestWavefunction:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(fuchsian, "_poly_roots", counted(fuchsian._poly_roots, "roots"))
+        monkeypatch.setattr(fuchsian, "_take_census", counted(fuchsian._take_census, "census"))
         monkeypatch.setattr(fuchsian, "taylor_series", counted(fuchsian.taylor_series, "hops"))
         code, out, _ = _run(capsys, "wavefunction", "--model", "deformed-zero-energy",
                             "--theta", "0.05", "--theta-prime", "0.02", "--g", "0.2",
@@ -256,7 +260,7 @@ class TestWavefunction:
         assert code == 0
         assert len(_csv_rows(out)) == 200
         assert counts["hops"] > 8
-        assert counts["roots"] <= 8
+        assert counts["census"] == 1
 
     def test_gnuplot_format(self, capsys):
         code, out, _ = _run(capsys, "wavefunction", "--Z", "1",
@@ -448,3 +452,147 @@ def test_commands_without_arrays_leave_numpy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
     assert proc.stdout.strip() == "[0, 0, 0, 0, 0, 0] False"
+
+
+def test_hydrogen_far_above_the_old_bracket_edge(capsys):
+    # bound by about 6.6e-10 m c^2: once "no sign change", now solved in b
+    code, out, _ = _run(capsys, "spectrum", "--Z", "1", "--n", "200..202")
+    assert code == 0
+    for row in _csv_rows(out):
+        n = int(row[0])
+        big_n = n + 0.5 + math.sqrt(0.25 - cli.FINE_STRUCTURE_ALPHA ** 2)
+        balmer = cli.FINE_STRUCTURE_ALPHA ** 2 / (2.0 * big_n ** 2)
+        assert float(row[6]) == pytest.approx(balmer, rel=1e-8)
+
+
+# --- argv fuzzing: every run ends in a table or in a kgcoulomb: diagnostic ---
+
+_EDGE_NUMBERS = ["0", "-1", "nan", "inf", "-inf", "1e-300", "1e300", "1e-14", "0.5", "1", "3"]
+_NUMBER = st.one_of(
+    st.sampled_from(_EDGE_NUMBERS),
+    st.floats(1e-6, 2.0).map(repr),
+    st.integers(-2, 140).map(str),
+)
+_WINDOW = st.one_of(
+    st.sampled_from(["1e2:1e4", "0.01:100", "0.2:1", "1e5:1e7", "5:1", "0:1", ":", "1:", "a:b",
+                     "1e2", "", "1:1", "nan:2", "1:inf", "-1:2", "1e-300:1e300", "3:4:5"]),
+    st.tuples(st.floats(1e-3, 1e4), st.floats(1e-2, 1e6)).map(lambda p: f"{p[0]!r}:{p[1]!r}"),
+)
+_VALUES = {
+    "n": st.sampled_from(["0", "0..5", "200..202", "3..1", "-1", "x", "1..", "0..0", "999"]),
+    "model": st.sampled_from(["ordinary", "deformed-zero-energy", "deformed-first-order",
+                              "heun", "generalized-heun", "nope"]),
+    "window": _WINDOW,
+    "format": st.sampled_from(["csv", "json", "gnuplot-dat", "xml"]),
+    "order": st.sampled_from(["-1", "0", "4", "16", "64", "nan"]),
+    "tol": st.sampled_from(["1e-10", "1e-3", "1e-300", "0", "-1", "0.5", "nan", "inf"]),
+}
+# --out would write files; the table must reach stdout to be checked
+_FLAGS = [key for key in cli._OPTIONS if key != "out"]
+
+
+@st.composite
+def _argv(draw):
+    argv = [draw(st.sampled_from(sorted(cli._DISPATCH)))]
+    for key in draw(st.lists(st.sampled_from(_FLAGS), max_size=5, unique=True)):
+        argv += ["--" + key, draw(_VALUES.get(key, _NUMBER))]
+    return argv
+
+
+def _numbers(cells):
+    out = []
+    for cell in cells:
+        try:
+            out.append(float(cell))
+        except (TypeError, ValueError):
+            pass
+    return out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=_argv())
+def test_fuzzed_argv_ends_in_a_table_or_a_diagnostic(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if code != 0:
+        assert code in (1, 2), argv
+        assert out == "", argv
+        assert any(line.startswith("kgcoulomb: ") for line in err.splitlines()), argv
+        return
+    if "--format" in argv and argv[argv.index("--format") + 1] == "json":
+        doc = json.loads(out)
+        rows = [list(row.values()) for row in doc["rows"]]
+        meta = list(doc["meta"].values())
+    else:
+        lines = out.splitlines()
+        rows = [line.replace(",", " ").split() for line in lines if not line.startswith("#")]
+        meta = [line.split(" = ", 1)[1] for line in lines if " = " in line]
+    assert rows, argv
+    for value in _numbers(meta):
+        assert math.isfinite(value), argv
+    for row in rows:
+        # an exponents row flagged oscillatory has no fit: nan (null in json)
+        unfitted = argv[0] == "exponents" and _numbers(row[-1:]) == [1.0]
+        values = _numbers(row[:3] if unfitted else row)
+        assert all(math.isfinite(v) for v in values), (argv, row)
+        assert unfitted or None not in row, (argv, row)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["params", "--model", "generalized-heun", "--g", "0"], 1),
+    (["exponents", "--g", "1e300"], 1),
+    (["params", "--alpha", "1e300"], 1),
+    (["params", "--theta", "1e-14"], 2),
+    (["heun-check", "--theta", "1e15"], 2),
+    (["params", "--model", "generalized-heun", "--theta", "1e100"], 2),
+    (["exponents", "--model", "deformed-first-order", "--theta", "1e-300"], 2),
+    (["exponents", "--model", "deformed-zero-energy", "--theta", "1e155"], 2),
+], ids=lambda x: " ".join(x) if isinstance(x, list) else str(x))
+def test_extreme_inputs_end_in_a_diagnostic(capsys, argv, code):
+    # each raised a traceback, or printed nan or inf, before
+    got, out, err = _run(capsys, *argv)
+    assert got == code
+    assert out == ""
+    assert err.startswith("kgcoulomb: ")
+
+
+def test_exponents_need_no_local_data_at_finite_points(capsys):
+    # +-i eps_tilde and +-i/sqrt(6 theta) lie one rounding apart, where
+    # their local expansions are lost; infinity is classified alone
+    code, out, _ = _run(capsys, "exponents", "--model", "deformed-first-order",
+                        "--theta", "0.22222222222222227")
+    assert code == 0
+    rows = _csv_rows(out)
+    assert float(rows[0][1]) == pytest.approx(-2.0, abs=1e-12)
+    assert float(rows[1][1]) == pytest.approx(-10.0 / 3.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("model, theta, dominant", [
+    ("deformed-zero-energy", "1e110", -5.0),
+    ("deformed-zero-energy", "1e150", -5.0),
+    ("deformed-first-order", "1e160", -10.0 / 3.0),
+    ("deformed-first-order", "1e300", -10.0 / 3.0),
+])
+def test_strong_deformation_stays_in_range(capsys, model, theta, dominant):
+    # the pullback's far points +-i sqrt(T) spread its monic coefficients
+    # up to T^2; the series products must not overflow
+    code, out, _ = _run(capsys, "exponents", "--model", model, "--theta", theta)
+    assert code == 0
+    rows = _csv_rows(out)
+    assert [float(r[1]) for r in rows] == pytest.approx([-2.0, dominant], abs=1e-12)
+    assert [float(r[3]) for r in rows] == pytest.approx([-2.0, dominant], abs=1e-3)
+
+
+@pytest.mark.parametrize("theta, window", [("1e-8", "1e5:1e7"), ("1e-14", "1e8:1e10")])
+def test_weak_deformation_window_fits(capsys, theta, window):
+    # the Frobenius series at infinity lives on a disk of radius
+    # sqrt(theta) in 1/u; at 1e-14 its unscaled coefficients would grow
+    # like 1e7^k and overflow by order 48
+    code, out, _ = _run(capsys, "exponents", "--model", "deformed-zero-energy", "--theta", theta,
+                        "--theta-prime", "0", "--Z", "10", "--window", window)
+    assert code == 0
+    rows = _csv_rows(out)
+    assert [float(r[1]) for r in rows] == pytest.approx([-2.0, -5.0], abs=1e-12)
+    assert [float(r[3]) for r in rows] == pytest.approx([-2.0, -5.0], abs=2e-3)

@@ -1,9 +1,7 @@
-import cmath
 import math
 import random
 import warnings
 
-import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
@@ -40,7 +38,7 @@ from kgcoulomb.kgmodels import (
 from kgcoulomb.physcore import CoulombSystem, DeformationParams
 
 # the cosine equation y'' + y = 0: no singular points in the finite plane
-_COS_ODE = RationalCoeffODE((0,), (1,), (1,), (1,))
+_COS_ODE = RationalCoeffODE((0,), (1,), (1,), (1,), ())
 
 
 def _hyp_abc():
@@ -135,7 +133,7 @@ class TestIndicialExponents:
 
     def test_irregular_point_detected(self):
         # p1 = 1/z^2 is a second-order pole: not regular-singular
-        ode = RationalCoeffODE((1,), (0, 0, 1), (0,), (1,))
+        ode = RationalCoeffODE((1,), (0, 0, 1), (0,), (1,), ((0, 2, 0),))
         pt = singular_points(ode)[0]
         assert pt.kind == "irregular"
         with pytest.raises(IrregularPointError):
@@ -259,7 +257,8 @@ class TestEvaluation:
 class TestQuotientNormalization:
     def test_shared_roots_cancel(self):
         # p1 = (z - 1)/((z - 1) z) should reduce to 1/z
-        ode = RationalCoeffODE((-1.0, 1.0), (0.0, -1.0, 1.0), (0.0,), (1.0,))
+        ode = RationalCoeffODE((-1.0, 1.0), (0.0, -1.0, 1.0), (0.0,), (1.0,),
+                              ((0, 1, 0), (1, 1, 0)))
         pts = singular_points(ode)
         finite = [p for p in pts if p.location is not INFINITY]
         assert len(finite) == 1
@@ -272,47 +271,11 @@ class TestQuotientNormalization:
         assert type(rho[1]) is complex
 
 
-def _numpy_roots(coeffs):
-    """Reference roots: numpy's companion-matrix eigenvalues, followed by
-    the same Newton polish as fuchsian._poly_roots."""
-    c = np.asarray(fuchsian._trim(coeffs), dtype=complex)
-    if len(c) == 1:
-        return []
-    dc = npoly.polyder(c)
-    out = []
-    for r in npoly.polyroots(c):
-        r = complex(r)
-        for _ in range(2):
-            dv = fuchsian._polyval(dc, r)
-            if abs(dv) < 1e-12:
-                break
-            step = fuchsian._polyval(c, r) / dv
-            if abs(step) > 1e-2 * max(1.0, abs(r)):
-                break
-            r = r - step
-        out.append(r)
-    return out
-
-
-def _same_clusters(ours, ref, tol=1e-7):
-    """Equal multiplicities and centroids within tol relative, each of
-    our clusters paired with the nearest reference cluster."""
-    if sorted(m for _, m in ours) != sorted(m for _, m in ref):
-        return False
-    unused = list(ref)
-    for centre, mult in ours:
-        near = min(unused, key=lambda cl: abs(cl[0] - centre))
-        if near[1] != mult or abs(near[0] - centre) > tol * max(1.0, abs(near[0])):
-            return False
-        unused.remove(near)
-    return True
-
-
-def _package_denominators(draws):
-    """(label, p1_den or p0_den) of every equation the package builds,
-    and of their pullbacks, over the CLI's parameter ranges."""
+def _package_equations(draws):
+    """(equation, {location: (pole order in p1, in p0)}) for every
+    equation the package builds, over the CLI's parameter ranges, with
+    the finite singular points worked out here from the parameters."""
     rng = random.Random(7)
-    odes = []
     for _ in range(draws):
         g = rng.uniform(0.005, 1.0)
         eta = rng.uniform(0.05, 0.999)
@@ -324,34 +287,50 @@ def _package_denominators(draws):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             ghp, _ = to_generalized_heun(s, theta)
-        odes += [build_ordinary_kg(s), build_deformed_zero_energy(g, dp),
-                 build_deformed_first_order(s, theta), build_deformed_first_order_psi(s, theta),
-                 heun_ode(hp), hypergeometric_ode(hp.a, hp.b, hp.c), gen_heun_ode(ghp)]
-    for ode in odes:
-        for eq in (ode, ode._pullback):
-            yield eq.label, eq.p1_den
-            yield eq.label, eq.p0_den
+        eps = 1j * math.sqrt((1.0 - eta) * (1.0 + eta))
+        big = 1j / math.sqrt(dp.total)
+        first = {eps: (1, 1), -eps: (1, 1), 1j / math.sqrt(6.0 * theta): (1, 1),
+                 -1j / math.sqrt(6.0 * theta): (1, 1)}
+        # at theta = theta' the Heun point xi = 1 is ordinary (e = 0, ab + q = 0)
+        heun = {0: (1, 1), hp.xi0: (1, 1), **({} if theta_prime == theta else {1: (1, 1)})}
+        yield build_ordinary_kg(s), {0: (1, 1), eps: (1, 1), -eps: (1, 1)}
+        yield build_deformed_zero_energy(g, dp), {0: (1, 0), 1j: (1, 1), -1j: (1, 1),
+                                                  big: (1, 2), -big: (1, 2)}
+        yield build_deformed_first_order(s, theta), first
+        yield build_deformed_first_order_psi(s, theta), {**first, 0: (1, 1)}
+        yield heun_ode(hp), heun
+        yield hypergeometric_ode(hp.a, hp.b, hp.c), {0: (1, 1), 1: (1, 1)}
+        yield gen_heun_ode(ghp), {x: (1, 1) for x in (0, 1, ghp.x1, ghp.x2)}
+
+
+def _finite_census(ode):
+    pts = singular_points(ode)
+    assert pts[-1].location is INFINITY
+    return {p.location: (p.pole_order_p1, p.pole_order_p0) for p in pts[:-1]}
+
+
+def _trim(coeffs):
+    """Complex tuple with top coefficients below 1e-13 of the largest dropped."""
+    c = [complex(x) for x in coeffs]
+    scale = max((abs(x) for x in c), default=0.0)
+    while len(c) > 1 and abs(c[-1]) <= 1e-13 * scale:
+        c.pop()
+    return tuple(c)
 
 
 class TestPolynomialAlgebra:
-    def test_roots_match_numpy_on_package_denominators(self):
-        # Near a double root both methods carry errors of about
-        # sqrt(eps), and rounding of the coefficients splits the root by
-        # up to a few 1e-8: whether the pair falls within the 1e-7
-        # clustering tolerance is then a toss-up for either method. Such
-        # a pair must still agree as one cluster at 1e-5, and the
-        # toss-ups must stay rare.
-        total = tossups = 0
-        for label, den in _package_denominators(150):
-            total += 1
-            ours, ref = fuchsian._poly_roots(den), _numpy_roots(den)
-            assert len(ours) == len(ref) == len(fuchsian._trim(den)) - 1
-            if _same_clusters(fuchsian._cluster(ours), fuchsian._cluster(ref)):
-                continue
-            tossups += 1
-            assert _same_clusters(fuchsian._cluster(ours, 1e-5), fuchsian._cluster(ref, 1e-5)), \
-                (label, den)
-        assert tossups <= 0.005 * total
+    def test_census_is_the_builders_points(self):
+        # every finite singular point comes from the builder's exact data,
+        # none is found numerically: the census lists exactly the points
+        # worked out from the parameters, and the pullback's census their
+        # reciprocals plus t = 0 when infinity is singular
+        for ode, expected in _package_equations(150):
+            assert _finite_census(ode) == expected, ode.label
+            inf = singular_points(ode)[-1]
+            pulled = {1.0 / complex(r): orders for r, orders in expected.items() if r != 0}
+            if inf.pole_order_p1 > 0 or inf.pole_order_p0 > 0:
+                pulled[0j] = (inf.pole_order_p1, inf.pole_order_p0)
+            assert _finite_census(ode._pullback) == pulled, ode.label
 
     @pytest.mark.parametrize("coeffs, expected", [
         ((0j, 0j, 1.0), [(0j, 2)]),                                  # u^2
@@ -360,10 +339,36 @@ class TestPolynomialAlgebra:
         ((-6.0, 11.0, -6.0, 1.0), [(1 + 0j, 1), (2 + 0j, 1), (3 + 0j, 1)]),
     ])
     def test_exact_zero_and_double_roots(self, coeffs, expected):
-        roots = fuchsian._poly_roots(coeffs)
-        assert _same_clusters(fuchsian._cluster(roots), expected)
-        zeros = sum(m for z, m in expected if z == 0)
-        assert roots.count(0j) == zeros  # exact zero roots come out exactly
+        # each factor stated once: equal points merge and their
+        # multiplicities add, so a double root is one point of order two
+        factors = tuple((r, 1, 1) for r, m in expected for _ in range(m))
+        ode = RationalCoeffODE((1.0,), coeffs, (1.0,), coeffs, factors)
+        assert ode.points == tuple((r, m, m) for r, m in expected)
+        assert list(_finite_census(ode).items()) == [(r, (m, m)) for r, m in expected]
+        if any(m > 1 for _, m in expected):
+            # a double root stated once leaves the degree unaccounted for
+            with pytest.raises(OutOfDomainError):
+                RationalCoeffODE((1.0,), coeffs, (1.0,), coeffs,
+                                 tuple((r, 1, 1) for r, _ in expected))
+
+    def test_zero_energy_census_near_confluence(self):
+        # +-i and +-i/sqrt(T) meet at T = 1, where they merge into one
+        # irregular pair (the numerator of p1 takes one factor back);
+        # everywhere else there are exactly five points
+        rng = random.Random(11)
+        pairs = [(rng.uniform(0.01, 0.6), rng.uniform(0.01, 0.6)) for _ in range(1000)]
+        pairs += [(0.4, 0.6), (0.5, 0.5), (0.489, 0.511)]
+        merged = 0
+        for theta, theta_prime in pairs:
+            t = theta + theta_prime
+            census = _finite_census(build_deformed_zero_energy(0.3, DeformationParams(theta, theta_prime)))
+            if t == 1:
+                merged += 1
+                assert census == {0: (1, 0), 1j: (1, 3), -1j: (1, 3)}
+            else:
+                big = 1j / math.sqrt(t)
+                assert census == {0: (1, 0), 1j: (1, 1), -1j: (1, 1), big: (1, 2), -big: (1, 2)}
+        assert merged >= 2
 
     def test_polymul_matches_numpy(self):
         # each coefficient is a sum of at most 9 products, which numpy
@@ -375,12 +380,12 @@ class TestPolynomialAlgebra:
             a = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(rng.randint(1, 9))]
             b = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(rng.randint(1, 9))]
             ours = fuchsian._polymul(a, b)
-            ref = fuchsian._trim(npoly.polymul(a, b))
+            ref = _trim(npoly.polymul(a, b))
             assert len(ours) == len(ref)
             for k, (x, y) in enumerate(zip(ours, ref)):
                 size = sum(abs(a[i]) * abs(b[k - i]) for i in range(len(a)) if 0 <= k - i < len(b))
                 assert abs(x - y) <= 18 * eps * size
-            assert fuchsian._polyadd(a, b) == fuchsian._trim(npoly.polyadd(a, b))
+            assert fuchsian._polyadd(a, b) == _trim(npoly.polyadd(a, b))
 
 
 def _full_sum_recurrence(p2, p1, p0, kappa, rho, order, seeds):
@@ -432,7 +437,10 @@ class TestBandedRecurrence:
                 continue
             rho = -sol.exponent if point is INFINITY else sol.exponent
             ref = _full_sum_recurrence(p2, p1, p0, kappa, rho, 40, [1 + 0j])
-            assert list(sol.coefficients) == ref
+            # taken in x / scale, scale a power of two: undone exactly
+            assert math.frexp(sol.scale)[0] == 0.5
+            assert sol.scale <= min(sol.radius, 1.0) < 2.0 * sol.scale
+            assert [c / sol.scale ** k for k, c in enumerate(sol.coefficients)] == ref
             compared += 1
         assert compared > 0
 

@@ -156,14 +156,17 @@ class TestDeformedZeroEnergy:
 
     @pytest.mark.parametrize("z", [1, 10, 137])
     @pytest.mark.parametrize("theta_prime", ["zero", "equal"])
-    @pytest.mark.parametrize("theta", [1e-3, 1e-4, 3e-5, 2e-5, 1e-6])
+    @pytest.mark.parametrize("theta", [1e-3, 1e-4, 3e-5, 2e-5, 1e-6, 1e-7, 1e-8, 1e-10, 1e-14])
     def test_weak_deformation_exponents(self, theta, theta_prime, z):
         # a root of the pullback's p0 numerator lies within about g^2 of
         # the double pole at t = +-i sqrt(T); it must not be cancelled
         # against it. Below T ~ 1e-4 the pullback's p0 denominator starts
-        # T^2 t^2 next to coefficients near 1, and that T^2 is no zero
+        # T^2 t^2 next to coefficients near 1, and that T^2 is no zero;
+        # the census keeps its five finite points however small T is
         dp = DeformationParams(theta, 0.0 if theta_prime == "zero" else theta)
-        rho = indicial_exponents(build_deformed_zero_energy(z * FINE_STRUCTURE_ALPHA, dp), INFINITY)
+        ode = build_deformed_zero_energy(z * FINE_STRUCTURE_ALPHA, dp)
+        assert len(singular_points(ode)) == 6
+        rho = indicial_exponents(ode, INFINITY)
         assert rho[0] == pytest.approx(-2.0, abs=1e-12)
         assert rho[1] == pytest.approx(-3.0 - 2.0 * theta / dp.total, abs=1e-12)
 

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from kgcoulomb.errors import RootFindingError, SupercriticalCouplingError
 from kgcoulomb.physcore import FINE_STRUCTURE_ALPHA, CoulombSystem
 from kgcoulomb.spectra import (
     SpectrumLine,
+    binding_residual,
     energy_closed_form,
     quantization_residual,
     solve_quantization,
@@ -87,7 +89,29 @@ class TestSolveQuantization:
         line = solve_quantization(0.3, 2)
         assert isinstance(line, SpectrumLine)
         assert abs(line.residual) < 1e-10
-        assert abs(quantization_residual(0.3, line.eta, 2)) == abs(line.residual)
+        assert line.residual == binding_residual(0.3, line.binding, 2)
+        # eta = 1 - b carries one rounding; through it the residual in
+        # eta agrees to that rounding times the slope g/eps^3
+        assert line.binding == pytest.approx(1.0 - line.eta, rel=0, abs=2.0 ** -53)
+        slope = 0.3 / ((1.0 - line.eta) * (1.0 + line.eta)) ** 1.5
+        assert quantization_residual(0.3, line.eta, 2) == pytest.approx(
+            line.residual, abs=4e-16 * slope)
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 50, 100, 162, 163, 200, 202, 500, 999, 1000])
+    def test_hydrogen_binding_against_mpmath(self, n):
+        # b = g^2 / (S (S + N)), eta = N / S, S = sqrt(N^2 + g^2), at 50
+        # digits; below b ~ 1e-9 the rounding of eta near 1 would take
+        # digits from b = 1 - eta, so the solver works in b itself
+        g = FINE_STRUCTURE_ALPHA
+        line = solve_quantization(g, n, z=1)
+        with mpmath.workdps(50):
+            gm = mpmath.mpf(g)
+            big_n = n + mpmath.mpf(1) / 2 + mpmath.sqrt(mpmath.mpf(1) / 4 - gm * gm)
+            big_s = mpmath.sqrt(big_n * big_n + gm * gm)
+            binding = gm * gm / (big_s * (big_s + big_n))
+            eta = big_n / big_s
+            assert abs(line.binding - binding) <= 1e-12 * binding
+            assert abs(line.eta - eta) <= 1e-12 * eta
 
     def test_charge_metadata_passthrough(self):
         assert solve_quantization(0.3, 0).z is None

@@ -136,18 +136,16 @@ def _divide(coeffs, z0) -> tuple[list, complex]:
 
 
 def _shift(coeffs, z0: complex) -> tuple[complex, ...]:
-    """Taylor coefficients of the polynomial around z0 (_divide repeated, inlined)."""
+    """Taylor coefficients of the polynomial around z0: the Horner table,
+    _divide repeated in place (pass i leaves the i-th coefficient at i)."""
     work = [complex(x) for x in coeffs]
-    out = []
-    while work:
+    n = len(work)
+    for i in range(n):
         acc = 0j
-        partial = []
-        for c in reversed(work):
-            acc = acc * z0 + c
-            partial.append(acc)
-        out.append(partial.pop())
-        work = partial[::-1]
-    return tuple(out)
+        for k in range(n - 1, i - 1, -1):
+            acc = acc * z0 + work[k]
+            work[k] = acc
+    return tuple(work)
 
 
 def _vanish_order(coeffs, z0: complex, shifted=None) -> int:
@@ -553,32 +551,35 @@ def _recurrence(p2, p1, p0, kappa: int, rho: complex, order: int,
         return [p[offset + j] if 0 <= offset + j < len(p) else 0j for j in range(band)]
 
     a, b, d = table(p2, kappa), table(p1, kappa - 1), table(p0, kappa - 2)
-    s_at = [rho + k for k in range(order + 1)]
-    s_less_1 = [s - 1.0 for s in s_at]
+    off_diagonal = list(zip(range(1, band), a[1:], b[1:], d[1:]))
     coeffs: list[complex] = list(seeds)
+    # scatter form: each new c_k adds c_k L(k + j, k) to the pending sum of
+    # c_(k+j), so every sum still runs over ascending k
+    pending = [0j] * (order + band)
     largest = max(math.ldexp(abs(c), -k) for k, c in enumerate(coeffs)) if tol else 0.0
     quiet = 0
-    for m in range(len(seeds), order + 1):
-        acc = 0j
-        for k in range(m - band + 1 if m >= band else 0, m):
-            j = m - k
-            s = s_at[k]
-            term = a[j] * s * s_less_1[k] + b[j] * s + d[j]
-            if term != 0j and coeffs[k] != 0j:
-                acc += coeffs[k] * term
-        s = s_at[m]
-        piv = a[0] * s * s_less_1[m] + b[0] * s + d[0]
-        if piv == 0j:
-            raise ResonantExponentsError(
-                f"recurrence pivot vanished at series index {m}")
-        coeffs.append(-acc / piv)
-        if tol is not None:
-            size = math.ldexp(abs(coeffs[m]), -m)
-            if size > largest:
-                largest = size
-            quiet = quiet + 1 if size <= tol * largest else 0
-            if quiet == 2:
-                break
+    for m in range(order + 1):
+        s = rho + m
+        if m >= len(seeds):
+            piv = a[0] * s * (s - 1.0) + b[0] * s + d[0]
+            if piv == 0j:
+                raise ResonantExponentsError(
+                    f"recurrence pivot vanished at series index {m}")
+            coeffs.append(-pending[m] / piv)
+            if tol is not None:
+                size = math.ldexp(abs(coeffs[m]), -m)
+                if size > largest:
+                    largest = size
+                quiet = quiet + 1 if size <= tol * largest else 0
+                if quiet == 2:
+                    break
+        c = coeffs[m]
+        if c != 0j:
+            s1 = s - 1.0
+            for j, aj, bj, dj in off_diagonal:
+                term = aj * s * s1 + bj * s + dj
+                if term != 0j:
+                    pending[m + j] += c * term
     return coeffs
 
 

@@ -375,7 +375,9 @@ def cmd_exponents(cfg: dict) -> _Table:
     The supercritical ordinary case has a complex-conjugate exponent
     pair; |psi| then beats instead of following a power law, so the
     fit columns are reported as nan with the oscillatory flag set.
-    That is a valid physics answer, not an error.
+    That is a valid physics answer, not an error. A window that starts
+    below the largest modulus of a finite singular point gets a warning
+    on stderr: there the fits need not follow the exponents at infinity.
     """
     g = _coupling(cfg)
     eta = cfg["eta"]
@@ -398,6 +400,12 @@ def cmd_exponents(cfg: dict) -> _Table:
         except OscillationError:
             oscillatory = True
             fits = [None, None]
+    scale = max((abs(r) for r, _, _ in ode.points), default=0.0)
+    if window[0] < scale:
+        print(f"kgcoulomb: warning: the window starts at u = {window[0]:.6g}, below the "
+              f"equation's singular scale {scale:.6g} (the largest |u| of a finite singular "
+              "point); the fits there need not follow the exponents at infinity",
+              file=sys.stderr)
 
     rows = []
     for label, exponent, fit in zip(labels, exps, fits):

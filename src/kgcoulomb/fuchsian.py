@@ -11,9 +11,15 @@ builds the equation (a Fuchsian equation is fixed by its singular
 points and their exponents). Nothing here searches for roots. On top
 of it sit the census of singular points, indicial exponents (including
 the point at infinity through the pullback t = 1/z, which sends each
-point r to 1/r), Frobenius and Taylor series with banded recurrences
-read off the polynomial data, and series evaluation with derivatives
-and a defect check.
+point r to 1/r), Frobenius and Taylor series, and series evaluation
+with derivatives and a defect check.
+
+Every series comes from one banded recurrence read off the polynomial
+form P2 w'' + P1 w' + P0 w = 0 of the equation, and its band is the
+degree of that form. The form used is the one of least degree: P2 is
+the least common multiple of the two denominators, of order
+max(m1, m0) at a point with multiplicities m1 in p1's denominator and
+m0 in p0's, since the Riemann scheme gives the factors they share.
 
 It also holds the one analytic-continuation engine of the package: a
 chain of Taylor re-expansions (``reach``), each hop 0.4 of the last
@@ -64,7 +70,11 @@ __all__ = [
     "gauge",
 ]
 
+# hop budget of ``reach``: a fixed part for paths that close in on a
+# singular point, where the radius shrinks, plus twice what a path away
+# from them needs (there each hop multiplies the distance covered by 1.4)
 _MAX_HOPS = 200
+_HOPS_PER_E_FOLD = 2.0 / math.log(1.4)
 _EPS = 2.0 ** -52
 
 
@@ -330,13 +340,26 @@ class RationalCoeffODE:
 
     @cached_property
     def _products(self) -> tuple[tuple[complex, ...], ...]:
-        """Unshifted (P2, P1, P0) of the polynomial form; see _series_triple.
-        Each quotient is scaled by a power of two, exact and common to all
-        three, so the series are unchanged while the products stay in range
-        however far a singular point spreads the monic coefficients."""
-        n1, d1 = _pow2_scaled(self.p1_num, self.p1_den)
-        n0, d0 = _pow2_scaled(self.p0_num, self.p0_den)
-        return _polymul(d1, d0), _polymul(n1, d0), _polymul(n0, d1)
+        """Unshifted (P2, P1, P0) of the least-degree polynomial form; see
+        _series_triple. With g = prod (z - r)^min(m1, m0), the factor the
+        monic denominators share, P2 = d1 (d0/g), P1 = n1 (d0/g) and
+        P0 = n0 (d1/g): P2 has order max(m1, m0) at each point, not
+        m1 + m0. The quotients d0/g and d1/g are multiplied out from the
+        points in ascending modulus, not divided out of d0 and d1: a
+        division loses the low-order coefficients, which carry the local
+        data at a point lying far inside the others. Every product carries
+        the same exact power of two, s0 s1, so the series are unchanged
+        while the products stay in range however far a singular point
+        spreads the monic coefficients."""
+        s1, s0 = _pow2_scale(self.p1_den), _pow2_scale(self.p0_den)
+        q1, q0 = (s1,), (s0,)  # become s1 d1/g and s0 d0/g
+        for r, m1, m0 in sorted(self.points, key=lambda p: abs(p[0])):
+            shared = min(m1, m0)
+            q1 = reduce(_polymul, [(-r, 1.0)] * (m1 - shared), q1)
+            q0 = reduce(_polymul, [(-r, 1.0)] * (m0 - shared), q0)
+        return (_polymul(_polyscale(self.p1_den, s1), q0),
+                _polymul(_polyscale(self.p1_num, s1), q0),
+                _polymul(_polyscale(self.p0_num, s0), q1))
 
     @cached_property
     def _pullback(self) -> "RationalCoeffODE":
@@ -376,10 +399,9 @@ def _normalize_quotient(num, den, roots, mults):
     return _polyscale(num, 1.0 / lead), _polyscale(den, 1.0 / lead), left
 
 
-def _pow2_scaled(num, den):
-    """num and den times 2^-e, 2^e the binade of den's largest coefficient."""
-    s = math.ldexp(1.0, -math.frexp(max(abs(c) for c in den))[1])
-    return _polyscale(num, s), _polyscale(den, s)
+def _pow2_scale(den) -> float:
+    """2^-e, with 2^e the binade of den's largest coefficient."""
+    return math.ldexp(1.0, -math.frexp(max(abs(c) for c in den))[1])
 
 
 def _exact_top(coeffs) -> tuple[complex, ...]:
@@ -516,7 +538,9 @@ class FrobeniusSolution:
 
 def _series_triple(ode: RationalCoeffODE, z0: complex):
     """Polynomial triple (P2, P1, P0), shifted to z0, with
-    P2 w'' + P1 w' + P0 w = 0 equivalent to the stored quotients."""
+    P2 w'' + P1 w' + P0 w = 0 equivalent to the stored quotients: the
+    least-degree form of RationalCoeffODE._products, so P2 vanishes to
+    order max(m1, m0) at a singular point and not at all elsewhere."""
     p2, p1, p0 = ode._products
     if z0 != 0:
         p2, p1, p0 = _shift(p2, z0), _shift(p1, z0), _shift(p0, z0)
@@ -536,6 +560,9 @@ def _recurrence(p2, p1, p0, kappa: int, rho: complex, order: int,
                 seeds: list[complex], tol: float | None = None) -> list[complex]:
     """Run the banded recurrence c_m I(rho+m) = -sum_{k<m} c_k L(m, k).
 
+    (p2, p1, p0) is the least-degree form shifted to the expansion point
+    and kappa the order of p2 there, so the band, and the number of
+    terms each coefficient costs, is about the degree of that form.
     ``seeds`` supplies the leading coefficients (one for a Frobenius
     series, two for a Taylor series at an ordinary point); pivots for
     the seeded indices are never evaluated. With ``tol`` the series
@@ -622,7 +649,7 @@ def frobenius_series(ode: RationalCoeffODE, point: Point, exponent: complex,
             "request the other branch or treat the log solution separately")
 
     p2, p1, p0 = _series_triple(work, z0)
-    kappa = sum(work._multiplicities(z0))
+    kappa = max(work._multiplicities(z0))  # the order of P2 at z0
     radius = _series_radius(ode, point)
     # unscaled, the coefficients grow like radius^-k; a power of two scales exactly
     scale = math.ldexp(0.5, math.frexp(min(radius, 1.0))[1])
@@ -692,11 +719,16 @@ def reach(ode: RationalCoeffODE, chain: list[FrobeniusSolution], target: complex
     (exponent 0). Each appended hop is the Taylor re-expansion 0.4 of the
     last radius further along the straight path toward the target that
     needed it, built by ``taylor_series`` with ``order``, ``tol`` and
-    ``max_radius``. Each local series is trusted to half its own radius
-    (the radius already measures the distance to the nearest singular
-    point). On a real ray every hop heads in the direction exactly +1 or
-    -1, so the hop centres do not depend on which target is asked for.
+    ``max_radius``; the hop budget grows with log(|target - start| / the
+    first radius), so a long path is not cut short. Each local series is
+    trusted to half its own radius (the radius already measures the
+    distance to the nearest singular point). On a real ray every hop
+    heads in the direction exactly +1 or -1, so the hop centres do not
+    depend on which target is asked for.
     """
+    origin = chain[0]
+    spread = abs(target - complex(origin.expansion_point)) / origin.radius
+    budget = _MAX_HOPS + math.ceil(_HOPS_PER_E_FOLD * math.log(max(1.0, spread)))
     k = first
     while True:
         current = chain[k]
@@ -705,9 +737,9 @@ def reach(ode: RationalCoeffODE, chain: list[FrobeniusSolution], target: complex
         if abs(remaining) <= 0.5 * current.radius:
             return k
         k += 1
-        if k == _MAX_HOPS:
+        if k >= budget:
             raise ConvergenceError(
-                f"analytic continuation toward {target} did not arrive in {_MAX_HOPS} "
+                f"analytic continuation toward {target} did not arrive in {budget} "
                 "hops (target too close to a singular point, or too far away?)")
         if k == len(chain):
             nxt = center + remaining / abs(remaining) * (0.4 * current.radius)

@@ -590,9 +590,48 @@ def test_weak_deformation_window_fits(capsys, theta, window):
     # the Frobenius series at infinity lives on a disk of radius
     # sqrt(theta) in 1/u; at 1e-14 its unscaled coefficients would grow
     # like 1e7^k and overflow by order 48
-    code, out, _ = _run(capsys, "exponents", "--model", "deformed-zero-energy", "--theta", theta,
-                        "--theta-prime", "0", "--Z", "10", "--window", window)
+    code, out, err = _run(capsys, "exponents", "--model", "deformed-zero-energy", "--theta", theta,
+                          "--theta-prime", "0", "--Z", "10", "--window", window)
     assert code == 0
+    assert err == ""  # the window starts ten times above the deformation scale
     rows = _csv_rows(out)
     assert [float(r[1]) for r in rows] == pytest.approx([-2.0, -5.0], abs=1e-12)
     assert [float(r[3]) for r in rows] == pytest.approx([-2.0, -5.0], abs=2e-3)
+
+
+@pytest.mark.parametrize("theta, window", [("1e-80", "1e2:1e4"), ("1e-14", "1e5:1e7")])
+def test_window_below_the_singular_scale_warns(capsys, theta, window):
+    # the deformation scale 1/sqrt(theta) lies above the window, whose fits
+    # then follow the undeformed regime; at theta 1e-80 the series at
+    # infinity also has a pivot near theta^3 that the least-degree form
+    # keeps in range
+    code, out, err = _run(capsys, "exponents", "--model", "deformed-zero-energy", "--theta", theta,
+                          "--theta-prime", "0", "--Z", "10", "--window", window)
+    assert code == 0
+    assert "pivot vanished" not in err
+    assert err.count("kgcoulomb: warning:") == 1
+    assert "singular scale" in err
+    assert [float(r[1]) for r in _csv_rows(out)] == pytest.approx([-2.0, -5.0], abs=1e-12)
+
+
+@pytest.mark.parametrize("model, window, expected", [
+    ("deformed-zero-energy", "10:1e28", [-2.0, -5.0]),
+    ("ordinary", "10:1e30", None),
+])
+def test_far_windows_answer(capsys, model, window, expected):
+    # 10:1e28 overflowed with the product form's wider band, and 10:1e30
+    # needs more than 200 hops from u = 1
+    extra = ("--theta", "0.1") if model != "ordinary" else ("--Z", "10")
+    code, out, err = _run(capsys, "exponents", "--model", model, *extra, "--window", window)
+    assert code == 0, err
+    rows = _csv_rows(out)
+    analytic = [float(r[1]) for r in rows]
+    assert [float(r[3]) for r in rows] == pytest.approx(expected or analytic, rel=1e-4)
+
+
+def test_window_too_far_out_is_a_clean_error(capsys):
+    code, out, err = _run(capsys, "exponents", "--model", "deformed-zero-energy",
+                          "--theta", "0.1", "--window", "10:1e60")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("kgcoulomb: ")

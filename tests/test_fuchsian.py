@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 import warnings
@@ -416,6 +417,31 @@ def _model_odes():
             build_deformed_zero_energy(0.3, DeformationParams(0.05, 0.02)),
             build_deformed_first_order(s, 0.04),
             build_deformed_first_order_psi(s, 0.04)]
+
+
+def _size(coeffs, z):
+    """sum |c_k| |z|^k, the scale of a polynomial's rounding at z."""
+    return sum(abs(c) * abs(z) ** k for k, c in enumerate(coeffs))
+
+
+class TestLeastDegreeForm:
+    def test_products_are_the_least_degree_form(self):
+        # P2 = d1 d0 / g with g the factor the denominators share: order
+        # max(m1, m0) at each point, and P2 p1 = P1, P2 p0 = P0 (checked
+        # as P2 n = P d, which needs no division near a singular point)
+        rng = random.Random(5)
+        val = fuchsian._polyval
+        for ode, _ in _package_equations(100):
+            for work in (ode, ode._pullback):
+                p2, p1, p0 = work._products
+                assert len(p2) - 1 == sum(max(m1, m0) for _, m1, m0 in work.points), work.label
+                for _ in range(4):
+                    z = cmath.rect(math.exp(rng.uniform(-3.0, 3.0)), rng.uniform(0.0, 2 * math.pi))
+                    for prod, num, den in ((p1, work.p1_num, work.p1_den),
+                                           (p0, work.p0_num, work.p0_den)):
+                        err = abs(val(p2, z) * val(num, z) - val(prod, z) * val(den, z))
+                        size = _size(p2, z) * _size(num, z) + _size(prod, z) * _size(den, z)
+                        assert err <= 16 * 2.0 ** -52 * size, (work.label, z)
 
 
 class TestBandedRecurrence:

@@ -602,9 +602,9 @@ def test_weak_deformation_window_fits(capsys, theta, window):
 @pytest.mark.parametrize("theta, window", [("1e-80", "1e2:1e4"), ("1e-14", "1e5:1e7")])
 def test_window_below_the_singular_scale_warns(capsys, theta, window):
     # the deformation scale 1/sqrt(theta) lies above the window, whose fits
-    # then follow the undeformed regime; at theta 1e-80 the series at
-    # infinity also has a pivot near theta^3 that the least-degree form
-    # keeps in range
+    # then follow the undeformed regime; at theta 1e-80 the product form
+    # d1 d0 put the pivot of the series at infinity near theta^3, out of
+    # range once scaled, where the least-degree form has it near theta^2
     code, out, err = _run(capsys, "exponents", "--model", "deformed-zero-energy", "--theta", theta,
                           "--theta-prime", "0", "--Z", "10", "--window", window)
     assert code == 0

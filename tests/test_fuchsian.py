@@ -443,6 +443,17 @@ class TestLeastDegreeForm:
                         size = _size(p2, z) * _size(num, z) + _size(prod, z) * _size(den, z)
                         assert err <= 16 * 2.0 ** -52 * size, (work.label, z)
 
+    @pytest.mark.parametrize("theta", [1e-8, 1e-16, 1e-20])
+    def test_series_at_infinity_under_weak_deformation(self, theta):
+        # the data at t = 0 of the pullback sit in the lowest coefficients
+        # of its products, theta^2 below the largest; the shared factors
+        # are multiplied out from the points, so they keep their precision
+        ode = build_deformed_zero_energy(0.073, DeformationParams(theta, 0.0))
+        dominant = indicial_exponents(ode, INFINITY)[1]
+        sol = frobenius_series(ode, INFINITY, dominant, order=48)
+        for far in (4.0, 10.0):
+            assert residual(ode, sol, far / sol.radius) < 1e-15
+
 
 class TestBandedRecurrence:
     """The banded recurrence skips only terms that are exactly zero, so

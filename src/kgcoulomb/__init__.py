@@ -5,10 +5,10 @@ from .asymptotics import (FitResult, RegularizationVerdict, Trajectory, classify
                           dominant_branch, fit_exponent, integrate,
                           subdominant_branch)
 from .errors import (ConvergenceError, IntegrationError, IrregularPointError,
-                     KGCoulombError, OscillationError, OutOfDomainError,
-                     ParameterPoleError, PhysicsDomainError,
+                     KGCoulombError, KGCoulombWarning, OscillationError,
+                     OutOfDomainError, ParameterPoleError, PhysicsDomainError,
                      ResonantExponentsError, RootFindingError,
-                     SupercriticalCouplingError, UsageError)
+                     SupercriticalCouplingError, UsageError, WindowWarning)
 from .fuchsian import (INFINITY, EvalResult, FrobeniusSolution, RationalCoeffODE,
                        SingularPoint, evaluate, evaluate_with_derivatives,
                        frobenius_series, indicial_exponents, residual,

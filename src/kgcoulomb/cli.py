@@ -44,13 +44,14 @@ import warnings
 from .asymptotics import dominant_branch, fit_exponent, subdominant_branch
 from .errors import (
     KGCoulombError,
+    KGCoulombWarning,
     OscillationError,
     OutOfDomainError,
     UsageError,
+    WindowWarning,
 )
 from .fuchsian import INFINITY, indicial_exponents
 from .kgmodels import (
-    ConfluenceWarning,
     build_deformed_first_order_psi,
     build_deformed_zero_energy,
     build_ordinary_kg,
@@ -376,8 +377,8 @@ def cmd_exponents(cfg: dict) -> _Table:
     pair; |psi| then beats instead of following a power law, so the
     fit columns are reported as nan with the oscillatory flag set.
     That is a valid physics answer, not an error. A window that starts
-    below the largest modulus of a finite singular point gets a warning
-    on stderr: there the fits need not follow the exponents at infinity.
+    below the largest modulus of a finite singular point issues a
+    WindowWarning: there the fits need not follow the exponents at infinity.
     """
     g = _coupling(cfg)
     eta = cfg["eta"]
@@ -402,10 +403,10 @@ def cmd_exponents(cfg: dict) -> _Table:
             fits = [None, None]
     scale = max((abs(r) for r, _, _ in ode.points), default=0.0)
     if window[0] < scale:
-        print(f"kgcoulomb: warning: the window starts at u = {window[0]:.6g}, below the "
-              f"equation's singular scale {scale:.6g} (the largest |u| of a finite singular "
-              "point); the fits there need not follow the exponents at infinity",
-              file=sys.stderr)
+        warnings.warn(f"the window starts at u = {window[0]:.6g}, below the equation's "
+                      f"singular scale {scale:.6g} (the largest |u| of a finite singular "
+                      "point); the fits there need not follow the exponents at infinity",
+                      WindowWarning)
 
     rows = []
     for label, exponent, fit in zip(labels, exps, fits):
@@ -568,7 +569,7 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 def main(argv=None) -> int:
     with warnings.catch_warnings():
         # setting a filter re-arms "default" warnings for every run
-        warnings.simplefilter("default", ConfluenceWarning)
+        warnings.simplefilter("default", KGCoulombWarning)
         warnings.showwarning = _show_warning
         try:
             args = _build_parser().parse_args(argv)

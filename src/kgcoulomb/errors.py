@@ -3,6 +3,8 @@
 The split matters for the command line tool: ``UsageError`` maps to exit
 code 1, anything derived from ``PhysicsDomainError`` maps to exit code 2.
 Library callers can catch ``KGCoulombError`` to get everything at once.
+Warnings derive from ``KGCoulombWarning``, which the CLI prints as one
+``kgcoulomb: warning:`` line each.
 """
 
 
@@ -59,3 +61,11 @@ class IntegrationError(KGCoulombError):
 
 class RootFindingError(KGCoulombError):
     """Root refinement failed or a bracket could not be established."""
+
+
+class KGCoulombWarning(UserWarning):
+    """Base class for all warnings issued by this package."""
+
+
+class WindowWarning(KGCoulombWarning):
+    """An exponent-fit window starts below the equation's singular scale."""

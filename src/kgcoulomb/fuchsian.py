@@ -581,8 +581,8 @@ def _recurrence(p2, p1, p0, kappa: int, rho: complex, order: int,
     off_diagonal = list(zip(range(1, band), a[1:], b[1:], d[1:]))
     coeffs: list[complex] = list(seeds)
     # scatter form: each new c_k adds c_k L(k + j, k) to the pending sum of
-    # c_(k+j), so every sum still runs over ascending k
-    pending = [0j] * (order + band)
+    # c_(k+j), for k + j <= order, so every sum still runs over ascending k
+    pending = [0j] * (order + 1)
     largest = max(math.ldexp(abs(c), -k) for k, c in enumerate(coeffs)) if tol else 0.0
     quiet = 0
     for m in range(order + 1):
@@ -603,7 +603,8 @@ def _recurrence(p2, p1, p0, kappa: int, rho: complex, order: int,
         c = coeffs[m]
         if c != 0j:
             s1 = s - 1.0
-            for j, aj, bj, dj in off_diagonal:
+            rows = off_diagonal if m + band <= order + 1 else off_diagonal[:order - m]
+            for j, aj, bj, dj in rows:
                 term = aj * s * s1 + bj * s + dj
                 if term != 0j:
                     pending[m + j] += c * term

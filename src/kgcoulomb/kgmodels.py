@@ -29,7 +29,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import OutOfDomainError, ParameterPoleError
+from .errors import KGCoulombWarning, OutOfDomainError, ParameterPoleError
 from .fuchsian import RationalCoeffODE, _polyadd, _polymul, _polyscale, gauge
 from .physcore import CoulombSystem, DeformationParams
 from .specialfn import HeunParams
@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 
-class ConfluenceWarning(UserWarning):
+class ConfluenceWarning(KGCoulombWarning):
     """Two singular points are about to collide (deformation too weak)."""
 
 

@@ -31,6 +31,37 @@ def _csv_rows(text):
     return rows
 
 
+def _check_against_direct_integration(capsys, theta, theta_prime, g, window):
+    """The last deformed-wavefunction values of a window against a 20-digit
+    Taylor integration of the Heun equation by mpmath, to rounding level."""
+    import mpmath
+    from kgcoulomb.kgmodels import to_heun
+    from kgcoulomb.physcore import DeformationParams
+    from kgcoulomb.specialfn import heun_ode
+
+    code, out, _ = _run(capsys, "wavefunction", "--model", "deformed-zero-energy",
+                        "--theta", str(theta), "--theta-prime", str(theta_prime),
+                        "--g", str(g), "--window", window)
+    assert code == 0
+    rows = _csv_rows(out)
+    hp, vmap = to_heun(g, DeformationParams(theta, theta_prime))
+    start = fuchsian.frobenius_series(heun_ode(hp), 0j, 0j)
+    x0 = 0.25 * start.radius
+    h0, dh0, _ = fuchsian.evaluate_with_derivatives(start, x0)
+
+    def rhs(x, y):
+        p1 = hp.c / x + hp.e / (x - 1) + hp.d / (x - hp.xi0)
+        p0 = (hp.a * hp.b * x + hp.q) / (x * (x - 1) * (x - hp.xi0))
+        return [y[1], -p1 * y[1] - p0 * y[0]]
+
+    with mpmath.workdps(20):
+        heun = mpmath.odefun(rhs, x0, [mpmath.mpc(h0), mpmath.mpc(dh0)])
+        for row in rows[-11::5]:  # the last tenth of the logarithmic grid
+            xi = vmap.forward(float(row[0]))
+            ref = complex((1 - xi) * heun(xi)[0])
+            assert abs(complex(float(row[1]), float(row[2])) - ref) <= 1e-14 * abs(ref)
+
+
 class TestSpectrum:
     def test_solver_agrees_with_closed_form(self, capsys):
         code, out, _ = _run(capsys, "spectrum", "--Z", "10", "--n", "0..3")
@@ -211,34 +242,14 @@ class TestWavefunction:
         assert "Traceback" not in err
 
     def test_march_close_to_xi_one_matches_direct_integration(self, capsys):
-        # hops reach xi = 1 - 1.4e-5; the last values are checked against
-        # a 20-digit Taylor integration of the Heun equation by mpmath
-        import mpmath
-        from kgcoulomb.kgmodels import to_heun
-        from kgcoulomb.physcore import DeformationParams
-        from kgcoulomb.specialfn import heun_ode
+        # hops reach xi = 1 - 1.4e-5; u from about 530 to 1000
+        _check_against_direct_integration(capsys, 0.05, 0.02, 0.2, "0.01:1000")
 
-        code, out, _ = _run(capsys, "wavefunction", "--model", "deformed-zero-energy",
-                            "--theta", "0.05", "--theta-prime", "0.02", "--g", "0.2",
-                            "--window", "0.01:1000")
-        assert code == 0
-        rows = _csv_rows(out)
-        hp, vmap = to_heun(0.2, DeformationParams(0.05, 0.02))
-        start = fuchsian.frobenius_series(heun_ode(hp), 0j, 0j)
-        x0 = 0.25 * start.radius
-        h0, dh0, _ = fuchsian.evaluate_with_derivatives(start, x0)
-
-        def rhs(x, y):
-            p1 = hp.c / x + hp.e / (x - 1) + hp.d / (x - hp.xi0)
-            p0 = (hp.a * hp.b * x + hp.q) / (x * (x - 1) * (x - hp.xi0))
-            return [y[1], -p1 * y[1] - p0 * y[0]]
-
-        with mpmath.workdps(20):
-            heun = mpmath.odefun(rhs, x0, [mpmath.mpc(h0), mpmath.mpc(dh0)])
-            for row in rows[-11::5]:  # u from about 530 to 1000
-                xi = vmap.forward(float(row[0]))
-                ref = complex((1 - xi) * heun(xi)[0])
-                assert abs(complex(float(row[1]), float(row[2])) - ref) <= 1e-12 * abs(ref)
+    def test_far_grid_points_match_direct_integration(self, capsys):
+        # xi reaches 1 - 1.6e-5 at u = 522; the product form of the
+        # recurrences put psi 1.5e-12 off there (4e-13 at u = 311)
+        _check_against_direct_integration(capsys, 0.0413312, 0.182287, 0.853151,
+                                          "0.017337:522.351")
 
     def test_one_census_per_equation(self, capsys, monkeypatch):
         # 200 grid points reached through many Taylor hops, each reading
@@ -605,13 +616,15 @@ def test_window_below_the_singular_scale_warns(capsys, theta, window):
     # then follow the undeformed regime; at theta 1e-80 the product form
     # d1 d0 put the pivot of the series at infinity near theta^3, out of
     # range once scaled, where the least-degree form has it near theta^2
-    code, out, err = _run(capsys, "exponents", "--model", "deformed-zero-energy", "--theta", theta,
-                          "--theta-prime", "0", "--Z", "10", "--window", window)
-    assert code == 0
-    assert "pivot vanished" not in err
-    assert err.count("kgcoulomb: warning:") == 1
-    assert "singular scale" in err
-    assert [float(r[1]) for r in _csv_rows(out)] == pytest.approx([-2.0, -5.0], abs=1e-12)
+    for _ in range(2):  # reported on every run, not once per process
+        code, out, err = _run(capsys, "exponents", "--model", "deformed-zero-energy",
+                              "--theta", theta, "--theta-prime", "0", "--Z", "10",
+                              "--window", window)
+        assert code == 0
+        assert "pivot vanished" not in err
+        assert err.count("kgcoulomb: warning:") == 1
+        assert "singular scale" in err
+        assert [float(r[1]) for r in _csv_rows(out)] == pytest.approx([-2.0, -5.0], abs=1e-12)
 
 
 @pytest.mark.parametrize("model, window, expected", [

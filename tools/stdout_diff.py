@@ -1,11 +1,10 @@
 """Compare the CLI output of two source trees over the benchmark's commands.
 
-    python3 tools/stdout_diff.py OLD_TREE NEW_TREE [--seeds 1-10] [--seconds 15]
-        [--workloads cold-cli,heun-march,exponent-fit]
+    python3 tools/stdout_diff.py OLD_TREE NEW_TREE [--seeds 1-10]
 
 Each tree runs the command lists of ``perfbench/workloads.py`` (this
-repository's copy, read and not changed), ``commands(w, s, seconds)``
-for every workload w and seed s, through ``kgcoulomb.cli.main`` in one
+repository's copy, read and not changed), ``commands(w, s, 15)`` for
+every workload w in its ``WORKLOADS`` and every seed s, through ``kgcoulomb.cli.main`` in one
 fresh interpreter per tree with that tree's ``src`` on the path. The
 report has three parts:
 
@@ -45,15 +44,15 @@ def _seeds(text: str) -> list[int]:
     return list(range(int(lo), int(hi or lo) + 1))
 
 
-def _run_tree(tree: str, workloads: list[str], seeds: list[int], seconds: float) -> None:
+def _run_tree(tree: str, seeds: list[int]) -> None:
     """Child mode: print one JSON object per command."""
     sys.path[:0] = [str(Path(tree).resolve() / "src"), str(PERFBENCH)]
     import workloads as wl
     from kgcoulomb import cli
 
-    for w in workloads:
+    for w in wl.WORKLOADS:
         for s in seeds:
-            for i, cmd in enumerate(wl.commands(w, s, seconds)):
+            for i, cmd in enumerate(wl.commands(w, s, 15)):
                 out, err = io.StringIO(), io.StringIO()
                 try:
                     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -64,9 +63,8 @@ def _run_tree(tree: str, workloads: list[str], seeds: list[int], seconds: float)
                                   "code": code, "stdout": out.getvalue()}))
 
 
-def _collect(tree: str, args) -> dict:
-    proc = subprocess.run([sys.executable, __file__, "--child", tree, "--seeds", args.seeds,
-                           "--seconds", str(args.seconds), "--workloads", args.workloads],
+def _collect(tree: str, seeds: str) -> dict:
+    proc = subprocess.run([sys.executable, __file__, "--child", tree, "--seeds", seeds],
                           capture_output=True, text=True, check=True)
     records = (json.loads(line) for line in proc.stdout.splitlines())
     return {tuple(r["key"]): r for r in records}
@@ -140,17 +138,14 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("trees", nargs="*", help="OLD_TREE NEW_TREE")
     parser.add_argument("--seeds", default="1-10", help="one seed or a range lo-hi")
-    parser.add_argument("--seconds", type=float, default=15.0)
-    parser.add_argument("--workloads", default="cold-cli,heun-march,exponent-fit")
     parser.add_argument("--child", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    workloads = args.workloads.split(",")
     if args.child:
-        _run_tree(args.child, workloads, _seeds(args.seeds), args.seconds)
+        _run_tree(args.child, _seeds(args.seeds))
         return 0
     if len(args.trees) != 2:
         parser.error("give two source trees, OLD_TREE NEW_TREE")
-    old, new = (_collect(tree, args) for tree in args.trees)
+    old, new = (_collect(tree, args.seeds) for tree in args.trees)
     return 0 if compare(old, new) else 1
 
 

@@ -10,10 +10,14 @@ convergence grows like u, so [1, 1e4] takes a few dozen hops.
 
 The dominant (fast-decaying) branch of a two-solution pair cannot be
 reached by forward integration from generic data; any admixture of the
-slow branch takes over. It is therefore seeded from the Frobenius
-series about infinity and integrated backward, the standard trick for
-recessive solutions. Generic forward integration conversely always
-relaxes onto the subdominant branch, which is used deliberately here.
+slow branch takes over. It is therefore taken from the Frobenius series
+about infinity (Ince, *Ordinary Differential Equations*, ch. XVI): read
+off that series directly wherever the window lies inside its trusted
+disk, and otherwise seeded from it at the top of the window and
+integrated backward, the standard trick for recessive solutions.
+Generic forward integration conversely always relaxes onto the
+subdominant branch, which is used deliberately here, so the two
+branches come from independent routes.
 """
 
 from __future__ import annotations
@@ -86,6 +90,8 @@ class RegularizationVerdict:
 # order cap of each local series; at tol = 1e-16 the tail rule stops
 # near order 55 on a disk limited by a singular point
 _MAX_ORDER = 64
+# samples per trajectory
+_N_POINTS = 400
 
 
 def _real_singularities_on(ode: fuchsian.RationalCoeffODE,
@@ -97,23 +103,15 @@ def _real_singularities_on(ode: fuchsian.RationalCoeffODE,
     return out
 
 
-def integrate(ode: fuchsian.RationalCoeffODE, u0: float, psi0: complex,
-              dpsi0: complex, u_end: float, tol: float = 1e-10,
-              n_points: int = 400) -> Trajectory:
-    """Integrate psi'' = -p1 psi' - p0 psi from u0 to u_end.
-
-    The solution is continued along the real axis by Taylor
-    re-expansion (``fuchsian.reach``), each hop 0.4 of the local radius
-    of convergence, capped at the interval length. Each local series is
-    truncated where its terms on the trusted half disk fall below tol
-    times the largest one, so tol bounds the relative error per disk.
-    Every grid point is read off the first disk that holds it. The
-    returned grid is ascending regardless of integration direction.
-    """
+def _sample(ode: fuchsian.RationalCoeffODE, u0: float, u_end: float, n_points: int,
+            solution) -> Trajectory:
+    """The trajectory from u0 to u_end on ``n_points`` grid points,
+    geometric when the interval spans more than a factor 50 and linear
+    otherwise; ``solution(grid)`` returns (w, w', w'', hops) at the grid,
+    which runs from u0. Checks that no singular point lies on the path and
+    that the samples are finite, and measures the relative ODE defect."""
     import numpy as np
 
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if u0 == u_end:
         raise ValueError("empty integration interval")
     lo, hi = min(u0, u_end), max(u0, u_end)
@@ -127,11 +125,7 @@ def integrate(ode: fuchsian.RationalCoeffODE, u0: float, psi0: complex,
         grid = np.geomspace(u0, u_end, n_points)
     else:
         grid = np.linspace(u0, u_end, n_points)
-    cap = hi - lo
-    chain = [fuchsian.taylor_series(ode, u0, psi0, dpsi0, order=_MAX_ORDER, tol=tol,
-                                    max_radius=cap)]
-    fuchsian.reach(ode, chain, complex(grid[-1]), _MAX_ORDER, tol=tol, max_radius=cap)
-    values, derivs, second = fuchsian.evaluate_chain(chain, grid)
+    values, derivs, second, hops = solution(grid)
     if not (np.all(np.isfinite(values)) and np.all(np.isfinite(derivs))):
         raise IntegrationError(
             f"continuation from u = {u0} to {u_end} left the floating-point range")
@@ -142,7 +136,33 @@ def integrate(ode: fuchsian.RationalCoeffODE, u0: float, psi0: complex,
         grid, values, derivs = grid[::-1], values[::-1], derivs[::-1]
     return Trajectory(grid=np.array(grid, dtype=float), values=values,
                       derivatives=derivs, ode_id=ode.label or "ode",
-                      hops=len(chain), max_residual=float(defect.max()))
+                      hops=hops, max_residual=float(defect.max()))
+
+
+def integrate(ode: fuchsian.RationalCoeffODE, u0: float, psi0: complex,
+              dpsi0: complex, u_end: float, tol: float = 1e-10,
+              n_points: int = _N_POINTS) -> Trajectory:
+    """Integrate psi'' = -p1 psi' - p0 psi from u0 to u_end.
+
+    The solution is continued along the real axis by Taylor
+    re-expansion (``fuchsian.reach``), each hop 0.4 of the local radius
+    of convergence, capped at the interval length. Each local series is
+    truncated where its terms on the trusted half disk fall below tol
+    times the largest one, so tol bounds the relative error per disk.
+    Every grid point is read off the first disk that holds it. The
+    returned grid is ascending regardless of integration direction.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+
+    def march(grid):
+        cap = abs(u_end - u0)
+        chain = [fuchsian.taylor_series(ode, u0, psi0, dpsi0, order=_MAX_ORDER, tol=tol,
+                                        max_radius=cap)]
+        fuchsian.reach(ode, chain, complex(grid[-1]), _MAX_ORDER, tol=tol, max_radius=cap)
+        return (*fuchsian.evaluate_chain(chain, grid), len(chain))
+
+    return _sample(ode, u0, u_end, n_points, march)
 
 
 def fit_exponent(traj: Trajectory, window: tuple[float, float]) -> FitResult:
@@ -196,19 +216,53 @@ def dominant_branch(ode: fuchsian.RationalCoeffODE, window: tuple[float, float],
                     order: int = 48, tol: float = 1e-10) -> Trajectory:
     """Trajectory of the fastest-decaying solution over the window.
 
-    Seeded from the Frobenius series about infinity at the upper window
-    edge, or further out where the edge lies outside the series' trusted
-    disk (1/u at most half its radius), and integrated backward; the
-    seed is rescaled to unit magnitude (the equations are linear, so
-    shape is all that matters).
+    This is the Frobenius series about infinity, t^rho sum c_k t^k in
+    t = 1/u. Where the whole window lies inside the series' trusted disk
+    (t at most half its radius) and the truncated series settles to tol
+    at the window's lower edge, every grid point is read off the series
+    directly (one hop). Otherwise the series seeds a backward march from
+    the upper window edge, or from further out where the edge lies
+    outside the trusted disk. Either way the head is taken relative to
+    the top u_top, (t/t_top)^rho, and the solution is normalised to unit
+    max(|psi|, |psi'|) there (the equations are linear, so shape is all
+    that matters), so a far window does not underflow.
     """
     exps = fuchsian.indicial_exponents(ode, fuchsian.INFINITY)
     dominant = exps[1]  # sorted descending by real part: [1] decays fastest
     series = fuchsian.frobenius_series(ode, fuchsian.INFINITY, dominant, order=order)
-    u_hi = max(window[1], 2.0 / series.radius)
-    w, dw, _ = fuchsian.evaluate_with_derivatives(series, u_hi)
-    s = max(abs(w), abs(dw))
-    return integrate(ode, u_hi, w / s, dw / s, window[0], tol=tol)
+    rho = -series.exponent  # the exponent in t
+    lo, u_top = window[0], max(window[1], 2.0 / series.radius)
+
+    def from_infinity(u):
+        # w = (t/t_top)^rho s(t) and its u-derivatives, s(t) = sum c_k t^k
+        t = 1.0 / u
+        s0, s1, s2 = fuchsian._series_sums(series.coefficients, t, series.scale)
+        head = (u_top / u) ** rho
+        return (head * s0, -head * t * (rho * s0 + t * s1),
+                head * t * t * (rho * (rho + 1.0) * s0 + 2.0 * (rho + 1.0) * t * s1
+                                + t * t * s2))
+
+    if lo >= 2.0 / series.radius and _settles(series, 1.0 / lo, tol):
+        def direct(grid):
+            w, dw, d2w = from_infinity(grid)
+            norm = max(abs(w[0]), abs(dw[0]))  # grid[0] is u_top
+            return w / norm, dw / norm, d2w / norm, 1
+
+        return _sample(ode, u_top, lo, _N_POINTS, direct)
+    w, dw, _ = from_infinity(u_top)
+    norm = max(abs(w), abs(dw))
+    return integrate(ode, u_top, w / norm, dw / norm, lo, tol=tol)
+
+
+def _settles(series: fuchsian.FrobeniusSolution, x: float, tol: float) -> bool:
+    """Whether the truncated series settles at |x|: its last two terms
+    there at most tol times the largest, the tail rule of the marching
+    series."""
+    sizes, power = [], 1.0
+    for c in series.coefficients:
+        sizes.append(abs(c) * power)
+        power *= x / series.scale
+    return max(sizes[-2:]) <= tol * max(sizes)
 
 
 def subdominant_branch(ode: fuchsian.RationalCoeffODE, window: tuple[float, float],

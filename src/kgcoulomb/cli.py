@@ -11,7 +11,8 @@ Every subcommand writes a table to stdout (or to --out) in CSV,
 JSON, or gnuplot-ready whitespace format.  Runs are deterministic:
 on one machine the same configuration always produces byte-identical
 output.  Across machines only ``exponents`` can differ, in the last
-digits: its array work (``fuchsian.evaluate_chain``,
+digits: its array work (``fuchsian.evaluate_chain``, the series at
+infinity that ``asymptotics.dominant_branch`` sums over the grid,
 ``asymptotics.integrate`` and ``fit_exponent``) runs on numpy ufuncs,
 which numpy dispatches to AVX-512 kernels with fused multiply-add where
 the CPU has them, and those round differently.  The other subcommands

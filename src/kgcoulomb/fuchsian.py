@@ -72,10 +72,12 @@ __all__ = [
 
 # hop budget of ``reach``: a fixed part for paths that close in on a
 # singular point, where the radius shrinks, plus twice what a path away
-# from them needs (there each hop multiplies the distance covered by 1.4)
+# from them needs (there each hop multiplies the distance covered by 1.4),
+# counted from the narrower end so that inward paths get as much
 _MAX_HOPS = 200
 _HOPS_PER_E_FOLD = 2.0 / math.log(1.4)
 _EPS = 2.0 ** -52
+_TINY = 2.0 ** -1022  # the smallest normal double
 
 
 class _InfinityType:
@@ -651,10 +653,16 @@ def frobenius_series(ode: RationalCoeffODE, point: Point, exponent: complex,
 
     p2, p1, p0 = _series_triple(work, z0)
     kappa = max(work._multiplicities(z0))  # the order of P2 at z0
+    if not abs(p2[kappa]) >= _TINY:
+        raise OutOfDomainError(
+            f"the series recurrence at {point} lost its leading coefficient to underflow")
     radius = _series_radius(ode, point)
     # unscaled, the coefficients grow like radius^-k; a power of two scales exactly
     scale = math.ldexp(0.5, math.frexp(min(radius, 1.0))[1])
-    p2, p1, p0 = _scaled_triple(p2, p1, p0, scale)
+    try:
+        p2, p1, p0 = _pow2_scaled_triple(p2, p1, p0, kappa, scale)
+    except OverflowError as exc:
+        raise OutOfDomainError(f"the series recurrence at {point} overflows") from exc
     coeffs = _recurrence(p2, p1, p0, kappa, rho, order, [1 + 0j])
     return FrobeniusSolution(point, matched, tuple(coeffs), radius, scale)
 
@@ -672,6 +680,24 @@ def _scaled_triple(p2, p1, p0, scale: float):
         return out
 
     return scaled(p2, 1.0), scaled(p1, scale), scaled(p0, scale * scale)
+
+
+def _pow2_scaled_triple(p2, p1, p0, kappa: int, scale: float):
+    """_scaled_triple for a power-of-two scale, divided by the power of two
+    that brings the pivot's coefficient P2[kappa] scale^kappa to [1/2, 1).
+    Each coefficient takes its whole power of two in one exact step, so
+    only what is negligible next to the pivot can underflow, however small
+    the scale; the powers scale^k alone underflow once k log2(scale) passes
+    -1074. Raises OverflowError when a coefficient leaves the range."""
+    e = math.frexp(scale)[1] - 1  # scale = 2^e
+    top = math.frexp(abs(p2[kappa]))[1] + kappa * e
+
+    def scaled(poly, offset):
+        return [complex(math.ldexp(c.real, (k + offset) * e - top),
+                        math.ldexp(c.imag, (k + offset) * e - top))
+                for k, c in enumerate(poly)]
+
+    return scaled(p2, 0), scaled(p1, 1), scaled(p0, 2)
 
 
 def taylor_series(ode: RationalCoeffODE, center: complex, value: complex,
@@ -721,15 +747,13 @@ def reach(ode: RationalCoeffODE, chain: list[FrobeniusSolution], target: complex
     last radius further along the straight path toward the target that
     needed it, built by ``taylor_series`` with ``order``, ``tol`` and
     ``max_radius``; the hop budget grows with log(|target - start| / the
-    first radius), so a long path is not cut short. Each local series is
-    trusted to half its own radius (the radius already measures the
-    distance to the nearest singular point). On a real ray every hop
-    heads in the direction exactly +1 or -1, so the hop centres do not
-    depend on which target is asked for.
+    smaller of the first radius and the target's distance from the
+    nearest singular point), so a long path is not cut short, outward
+    or inward. Each local series is trusted to half its own radius (the
+    radius already measures the distance to the nearest singular
+    point). On a real ray every hop heads in the direction exactly +1 or
+    -1, so the hop centres do not depend on which target is asked for.
     """
-    origin = chain[0]
-    spread = abs(target - complex(origin.expansion_point)) / origin.radius
-    budget = _MAX_HOPS + math.ceil(_HOPS_PER_E_FOLD * math.log(max(1.0, spread)))
     k = first
     while True:
         current = chain[k]
@@ -738,7 +762,7 @@ def reach(ode: RationalCoeffODE, chain: list[FrobeniusSolution], target: complex
         if abs(remaining) <= 0.5 * current.radius:
             return k
         k += 1
-        if k >= budget:
+        if k >= _MAX_HOPS and k >= (budget := _hop_budget(ode, chain[0], target)):
             raise ConvergenceError(
                 f"analytic continuation toward {target} did not arrive in {budget} "
                 "hops (target too close to a singular point, or too far away?)")
@@ -750,6 +774,16 @@ def reach(ode: RationalCoeffODE, chain: list[FrobeniusSolution], target: complex
             except ValueError as exc:
                 raise OutOfDomainError(
                     f"continuation toward {target} stalls at {nxt}: {exc}") from exc
+
+
+def _hop_budget(ode: RationalCoeffODE, origin: FrobeniusSolution, target: complex) -> int:
+    """_MAX_HOPS plus _HOPS_PER_E_FOLD per e-fold of |target - start| over
+    the smaller of the first radius and the target's distance from the
+    nearest singular point (the first radius when the target is one)."""
+    near = min((abs(target - r) for r, _, _ in ode.points), default=math.inf)
+    spread = abs(target - complex(origin.expansion_point)) / (min(origin.radius, near)
+                                                              or origin.radius)
+    return _MAX_HOPS + math.ceil(_HOPS_PER_E_FOLD * math.log(max(1.0, spread)))
 
 
 # ---------------------------------------------------------------------------

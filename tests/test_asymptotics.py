@@ -1,6 +1,7 @@
 """Integration, tail-exponent fitting, and the regularization verdicts."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -15,8 +16,10 @@ from kgcoulomb.asymptotics import (
     subdominant_branch,
 )
 from kgcoulomb.errors import OscillationError, OutOfDomainError
-from kgcoulomb.fuchsian import RationalCoeffODE, evaluate_with_derivatives, frobenius_series
-from kgcoulomb.kgmodels import build_deformed_zero_energy, build_ordinary_kg, to_heun
+from kgcoulomb.fuchsian import (INFINITY, RationalCoeffODE, evaluate_with_derivatives,
+                                frobenius_series, indicial_exponents)
+from kgcoulomb.kgmodels import (build_deformed_first_order_psi, build_deformed_zero_energy,
+                                build_ordinary_kg, to_heun)
 from kgcoulomb.physcore import CoulombSystem, DeformationParams
 from kgcoulomb.specialfn import heun_local, hypergeometric_ode, psi_ordinary, psi_ordinary_with_derivative
 from kgcoulomb.spectra import energy_closed_form
@@ -219,6 +222,71 @@ class TestBranches:
         ode = build_ordinary_kg(CoulombSystem(z=1, alpha=0.3, eta=0.5))
         with pytest.raises(ValueError):
             subdominant_branch(ode, self._WINDOW, u_seed=200.0)
+
+
+def _series_at_infinity(ode):
+    return frobenius_series(ode, INFINITY, indicial_exponents(ode, INFINITY)[1], order=48)
+
+
+def _marched(ode, window):
+    """The dominant branch by the marching route: integrate seeded at the
+    window's top from the series at infinity, normalised as the direct
+    route normalises."""
+    series = _series_at_infinity(ode)
+    w, dw, _ = evaluate_with_derivatives(series, window[1])
+    norm = max(abs(w), abs(dw))
+    return integrate(ode, window[1], w / norm, dw / norm, window[0])
+
+
+def _random_equation(rng):
+    model = rng.choice(["ordinary", "deformed-zero-energy", "deformed-first-order"])
+    eta = rng.uniform(0.05, 0.95)
+    if model == "ordinary":
+        return build_ordinary_kg(CoulombSystem(z=rng.randint(1, 68), eta=eta))
+    theta = 10.0 ** rng.uniform(-4.0, 0.0)
+    if model == "deformed-zero-energy":
+        dp = DeformationParams(theta, rng.choice([0.0, theta * rng.uniform(0.0, 1.0)]))
+        return build_deformed_zero_energy(rng.uniform(0.01, 1.0), dp)
+    return build_deformed_first_order_psi(CoulombSystem(z=rng.randint(1, 137), eta=eta), theta)
+
+
+class TestDominantBranchFromInfinity:
+    """Windows inside the trusted disk of the series at infinity are read
+    off that series directly; the others still march back from it."""
+
+    def test_direct_route_equals_marched_route(self):
+        rng = random.Random(2718)
+        for _ in range(24):
+            ode = _random_equation(rng)
+            edge = 2.0 / _series_at_infinity(ode).radius
+            lo = max(edge, 1.0) * 10.0 ** rng.uniform(0.0, 2.0)
+            window = (lo, lo * 10.0 ** rng.uniform(0.5, 4.0))
+            direct = dominant_branch(ode, window)
+            marched = _marched(ode, window)
+            assert direct.hops == 1 < marched.hops
+            assert direct.max_residual <= 1e-12
+            assert np.array_equal(direct.grid, marched.grid)
+            for got, ref in ((direct.values, marched.values),
+                             (direct.derivatives, marched.derivatives)):
+                assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-9, (ode.label, window)
+
+    @pytest.mark.parametrize("theta, window", [(1e-80, (1e2, 1e4)), (1e-14, (1e5, 1e7))])
+    def test_window_below_the_trusted_disk_marches(self, theta, window):
+        ode = build_deformed_zero_energy(0.073, DeformationParams(theta, 0.0))
+        assert window[0] < 2.0 / _series_at_infinity(ode).radius
+        traj = dominant_branch(ode, window)
+        assert traj.hops > 1
+        assert traj.max_residual <= 1e-9
+
+    def test_series_that_does_not_settle_marches(self):
+        # at order 4 the series at the lower edge is no better than 2^-5
+        ode = build_ordinary_kg(CoulombSystem(z=1, alpha=0.3, eta=0.5))
+        window = (2.0 / _series_at_infinity(ode).radius, 1e3)
+        coarse = dominant_branch(ode, window, order=4)
+        assert coarse.hops > 1
+        fine = dominant_branch(ode, window)
+        assert fine.hops == 1
+        assert np.max(np.abs(coarse.values - fine.values) / np.abs(fine.values)) <= 1e-6
 
 
 class TestClassify:

@@ -169,7 +169,7 @@ class TestExponents:
         assert "seed point" in err
 
     def test_unreachable_window_exits_cleanly(self, capsys):
-        code, out, err = _run(capsys, "exponents", "--window", "2:1e100")
+        code, out, err = _run(capsys, "exponents", "--window", "2:1e150")
         assert code == 2
         assert out == ""
         assert err.startswith("kgcoulomb: ")
@@ -640,6 +640,33 @@ def test_far_windows_answer(capsys, model, window, expected):
     rows = _csv_rows(out)
     analytic = [float(r[1]) for r in rows]
     assert [float(r[3]) for r in rows] == pytest.approx(expected or analytic, rel=1e-4)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--window", "2:1e100"),
+    ("--Z", "10", "--window", "10:1e47"),
+    ("--model", "deformed-first-order", "--theta", "0.1", "--window", "1e40:1e61"),
+], ids=" ".join)
+def test_windows_inside_the_disk_at_infinity_answer(capsys, argv):
+    # the dominant branch is read off its series at infinity on the whole
+    # window; marched back from the top, these ran out of hops or range
+    code, out, err = _run(capsys, "exponents", *argv)
+    assert code == 0, err
+    rows = _csv_rows(out)
+    assert [float(r[3]) for r in rows] == pytest.approx([float(r[1]) for r in rows], abs=1e-3)
+
+
+def test_tiny_first_order_deformation_marches_inward(capsys):
+    # the series at infinity is trusted only beyond u = 8e59, so the
+    # dominant branch marches from there to u = 100: about 260 hops inward
+    code, out, err = _run(capsys, "exponents", "--model", "deformed-first-order",
+                          "--theta", "1e-120", "--Z", "10")
+    assert code == 0, err
+    assert err.count("kgcoulomb: warning:") == 1
+    assert "singular scale" in err
+    rows = _csv_rows(out)
+    assert [float(r[1]) for r in rows] == pytest.approx([-2.0, -10.0 / 3.0], abs=1e-12)
+    assert all(math.isfinite(float(r[3])) for r in rows)
 
 
 def test_window_too_far_out_is_a_clean_error(capsys):

@@ -454,6 +454,23 @@ class TestLeastDegreeForm:
         for far in (4.0, 10.0):
             assert residual(ode, sol, far / sol.radius) < 1e-15
 
+    @pytest.mark.parametrize("theta", [1e-60, 1e-120, 1e-150])
+    def test_series_at_infinity_in_the_deformation_scale(self, theta):
+        # in tau = t / sqrt(theta) the series tends to one limit as theta
+        # -> 0, corrections O(theta). The pivot's coefficient, near
+        # theta^3 once scaled, and the powers scale^k, which pass 2^-1074
+        # from scale^6 at theta 1e-120, must not underflow (they raised a
+        # false resonance, or silently dropped the top terms of P2)
+        def in_tau(theta):
+            ode = build_deformed_zero_energy(0.073, DeformationParams(theta, 0.0))
+            sol = frobenius_series(ode, INFINITY, indicial_exponents(ode, INFINITY)[1],
+                                   order=24)
+            ratio = sol.radius / sol.scale  # radius = sqrt(theta)
+            return [c * ratio ** k for k, c in enumerate(sol.coefficients)]
+
+        for got, ref in zip(in_tau(theta), in_tau(1e-20)):
+            assert abs(got - ref) <= 1e-13 * max(abs(ref), 1.0)
+
 
 class TestBandedRecurrence:
     """The banded recurrence skips only terms that are exactly zero, so
@@ -532,6 +549,15 @@ class TestContinuationChain:
             assert d2w[i] == pytest.approx(-math.cos(x), abs=1e-12)
         with pytest.raises(OutOfDomainError):
             evaluate_chain(chain, [11.0])
+
+    def test_inward_path_gets_the_hops_it_needs(self):
+        # from u = 1e47 down to 10 each hop covers 0.4 of the distance to
+        # the origin, about 220 hops; the budget counts the path against
+        # the target's distance to the nearest singular point
+        ode = build_ordinary_kg(CoulombSystem(z=10, eta=0.5))
+        chain = [taylor_series(ode, 1e47, 1.0, -3e-47, order=64, tol=1e-10, max_radius=1e47)]
+        last = reach(ode, chain, 10.0 + 0j, 64, tol=1e-10, max_radius=1e47)
+        assert 200 < last == len(chain) - 1 < 300
 
     def test_hop_budget_ends_in_convergence_error(self):
         chain = [taylor_series(_COS_ODE, 0.0, 1.0, 0.0, order=16, tol=1e-8, max_radius=1.0)]

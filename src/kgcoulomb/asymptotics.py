@@ -218,9 +218,9 @@ def dominant_branch(ode: fuchsian.RationalCoeffODE, window: tuple[float, float],
 
     This is the Frobenius series about infinity, t^rho sum c_k t^k in
     t = 1/u. Where the whole window lies inside the series' trusted disk
-    (t at most half its radius) and the truncated series settles to tol
-    at the window's lower edge, every grid point is read off the series
-    directly (one hop). Otherwise the series seeds a backward march from
+    (t at most half its radius) and the series' tail estimate at the
+    window's lower edge (``fuchsian.evaluate``) is below tol times its
+    value, every grid point is read off the series directly (one hop). Otherwise the series seeds a backward march from
     the upper window edge, or from further out where the edge lies
     outside the trusted disk. Either way the head is taken relative to
     the top u_top, (t/t_top)^rho, and the solution is normalised to unit
@@ -242,7 +242,9 @@ def dominant_branch(ode: fuchsian.RationalCoeffODE, window: tuple[float, float],
                 head * t * t * (rho * (rho + 1.0) * s0 + 2.0 * (rho + 1.0) * t * s1
                                 + t * t * s2))
 
-    if lo >= 2.0 / series.radius and _settles(series, 1.0 / lo, tol):
+    # strict, so a lower edge where t^rho underflows to zero marches
+    edge = fuchsian.evaluate(series, lo) if lo >= 2.0 / series.radius else None
+    if edge is not None and edge.error < tol * abs(edge.value):
         def direct(grid):
             w, dw, d2w = from_infinity(grid)
             norm = max(abs(w[0]), abs(dw[0]))  # grid[0] is u_top
@@ -252,17 +254,6 @@ def dominant_branch(ode: fuchsian.RationalCoeffODE, window: tuple[float, float],
     w, dw, _ = from_infinity(u_top)
     norm = max(abs(w), abs(dw))
     return integrate(ode, u_top, w / norm, dw / norm, lo, tol=tol)
-
-
-def _settles(series: fuchsian.FrobeniusSolution, x: float, tol: float) -> bool:
-    """Whether the truncated series settles at |x|: its last two terms
-    there at most tol times the largest, the tail rule of the marching
-    series."""
-    sizes, power = [], 1.0
-    for c in series.coefficients:
-        sizes.append(abs(c) * power)
-        power *= x / series.scale
-    return max(sizes[-2:]) <= tol * max(sizes)
 
 
 def subdominant_branch(ode: fuchsian.RationalCoeffODE, window: tuple[float, float],

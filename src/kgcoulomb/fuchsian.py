@@ -70,10 +70,12 @@ __all__ = [
     "gauge",
 ]
 
-# hop budget of ``reach``: a fixed part for paths that close in on a
-# singular point, where the radius shrinks, plus twice what a path away
-# from them needs (there each hop multiplies the distance covered by 1.4),
-# counted from the narrower end so that inward paths get as much
+# hop budget of ``reach``: a fixed part, plus twice what a path away from
+# the singular points needs (there each hop multiplies the distance covered
+# by 1.4) per e-fold of |target - start| over the smaller of the first
+# radius and the target's distance to the nearest singular point, so
+# inward paths, and paths that close in on a singular point, where the
+# radius shrinks, are covered as well as outward ones
 _MAX_HOPS = 200
 _HOPS_PER_E_FOLD = 2.0 / math.log(1.4)
 _EPS = 2.0 ** -52

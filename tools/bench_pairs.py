@@ -1,11 +1,10 @@
 """Run the benchmark on two source trees in alternating pairs.
 
     python3 tools/bench_pairs.py PARENT_TREE CHANGE_TREE \\
-        --workloads exponent-fit cold-cli heun-march --seeds 41-50 \\
-        [--seconds 15] [--claim exponent-fit:wall_s]
+        --workloads exponent-fit cold-cli heun-march --seeds 41-50
 
 For every workload and seed, each tree runs its own ``perfbench/run.py
---workload W --seed S --seconds N`` from its root, one run after the
+--workload W --seed S --seconds 15`` from its root, one run after the
 other; which side goes first alternates from pair to pair, so a drift in
 the machine's speed does not favour one side. Nothing under
 ``perfbench/`` is changed. The direction and bound of every end-to-end
@@ -16,9 +15,10 @@ per workload the seeds, the side that went first, ``failed`` and
 ``correct`` pair by pair, and per end-to-end metric both sides' runs with
 their median and quartiles (inclusive method), the pairs the change wins
 and loses, the relative worsening of the median and whether it is within
-the metric's bound. ``--claim W:M`` adds whether the change improves M on
-W: better in at least nine of ten pairs, and the medians further apart
-than the parent's interquartile range. Progress goes to standard error.
+the metric's bound, and whether a gain in the metric can be claimed: the
+change better in at least nine of ten pairs, and the medians further
+apart than the parent's interquartile range. Progress goes to standard
+error.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+SECONDS = 15
 
 
 def _seeds(text: str) -> list[int]:
@@ -40,9 +41,9 @@ def _seeds(text: str) -> list[int]:
     return list(range(int(lo), int(hi or lo) + 1))
 
 
-def _run(tree: str, workload: str, seed: int, seconds: float) -> dict:
+def _run(tree: str, workload: str, seed: int) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds)]
+            "--seed", str(seed), "--seconds", str(SECONDS)]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -53,7 +54,8 @@ def _run(tree: str, workload: str, seed: int, seconds: float) -> dict:
 
 
 def _spread(runs: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive")
+    q1, median, q3 = (statistics.quantiles(runs, n=4, method="inclusive") if len(runs) > 1
+                      else runs * 3)
     return {"median": median, "q1": q1, "q3": q3, "runs": runs}
 
 
@@ -63,14 +65,18 @@ def _compare(parent: list[float], change: list[float], metric: dict) -> dict:
     losses = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     old, new = statistics.median(parent), statistics.median(change)
     worsening = sign * (new - old) / abs(old) if old else 0.0
-    return {"unit": metric["unit"], "parent": _spread(parent), "change": _spread(change),
+    before = _spread(parent)
+    iqr = before["q3"] - before["q1"]
+    return {"unit": metric["unit"], "parent": before, "change": _spread(change),
             "change_wins": wins, "change_losses": losses,
             "relative_worsening_of_median": worsening,
-            "bound": metric["bound"], "within_bound": worsening <= metric["bound"]}
+            "bound": metric["bound"], "within_bound": worsening <= metric["bound"],
+            "parent_iqr": iqr,
+            "gain_claimable": (worsening < 0 and 10 * wins >= 9 * len(parent)
+                               and abs(new - old) > iqr)}
 
 
-def _workload(trees: list[str], workload: str, seeds: list[int], seconds: float,
-              metrics: list[dict]) -> dict:
+def _workload(trees: list[str], workload: str, seeds: list[int], metrics: list[dict]) -> dict:
     results = {side: [] for side in SIDES}
     first = []
     for i, seed in enumerate(seeds):
@@ -78,7 +84,7 @@ def _workload(trees: list[str], workload: str, seeds: list[int], seconds: float,
         first.append(order[0])
         for side in order:
             print(f"bench_pairs: {workload} seed {seed} {side}", file=sys.stderr)
-            results[side].append(_run(trees[SIDES.index(side)], workload, seed, seconds))
+            results[side].append(_run(trees[SIDES.index(side)], workload, seed))
     return {
         "pairs": len(seeds),
         "seeds": seeds,
@@ -91,35 +97,11 @@ def _workload(trees: list[str], workload: str, seeds: list[int], seconds: float,
     }
 
 
-def _claim(report: dict, spec: str, seeds: list[int]) -> dict:
-    workload, _, name = spec.partition(":")
-    entry = report[workload]["metrics"][name]
-    parent, change = entry["parent"], entry["change"]
-    difference = abs(parent["median"] - change["median"])
-    improved = entry["relative_worsening_of_median"] < 0
-    return {
-        "metric": name,
-        "workload": workload,
-        "pairs": len(seeds),
-        "seeds": seeds,
-        "change_wins": entry["change_wins"],
-        "parent_median": parent["median"],
-        "change_median": change["median"],
-        "relative_change_of_median": (change["median"] - parent["median"]) / parent["median"],
-        "median_difference": difference,
-        "parent_iqr": parent["q3"] - parent["q1"],
-        "met": (improved and 10 * entry["change_wins"] >= 9 * len(seeds)
-                and difference > parent["q3"] - parent["q1"]),
-    }
-
-
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("trees", nargs=2, metavar="TREE", help="PARENT_TREE CHANGE_TREE")
     parser.add_argument("--workloads", nargs="+", required=True)
     parser.add_argument("--seeds", default="41-50", help="one seed or a range lo-hi")
-    parser.add_argument("--seconds", type=float, default=15.0)
-    parser.add_argument("--claim", metavar="WORKLOAD:METRIC")
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -127,21 +109,16 @@ def main(argv: list[str]) -> int:
     for name in args.workloads:
         if name not in known:
             parser.error(f"unknown workload {name!r}; choose from {sorted(known)}")
-    if args.claim and args.claim.partition(":")[0] not in args.workloads:
-        parser.error("--claim names a workload that --workloads does not run")
     seeds = _seeds(args.seeds)
-    report = {w: _workload(args.trees, w, seeds, args.seconds, bench["end_to_end"])
-              for w in args.workloads}
     out = {
-        "harness": (f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g}, "
+        "harness": (f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS}, "
                     "run in each tree's own checkout, alternating which side runs first "
                     "in each pair (tools/bench_pairs.py)"),
         "machine": {"platform": platform.platform(), "python": platform.python_version()},
         "units": "times are reference seconds (perfbench/speed.py)",
+        "workloads": {w: _workload(args.trees, w, seeds, bench["end_to_end"])
+                      for w in args.workloads},
     }
-    if args.claim:
-        out["claim"] = _claim(report, args.claim, seeds)
-    out["workloads"] = report
     print(json.dumps(out, indent=1))
     return 0
 

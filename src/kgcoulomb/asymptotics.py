@@ -54,7 +54,7 @@ class Trajectory:
     the one at the start point included; ``max_residual`` is the largest
     relative ODE defect |psi'' + p1 psi' + p0 psi| / (|psi''| + |p1 psi'|
     + |p0 psi|) over the samples, psi'' taken from the local series (nan
-    when not measured).
+    when not measured, or where every term underflows).
     """
 
     grid: np.ndarray
@@ -129,9 +129,7 @@ def _sample(ode: fuchsian.RationalCoeffODE, u0: float, u_end: float, n_points: i
     if not (np.all(np.isfinite(values)) and np.all(np.isfinite(derivs))):
         raise IntegrationError(
             f"continuation from u = {u0} to {u_end} left the floating-point range")
-    terms = (second, ode.p1(grid) * derivs, ode.p0(grid) * values)
-    size = sum(np.abs(t) for t in terms)
-    defect = np.abs(sum(terms)) / np.where(size > 0.0, size, 1.0)
+    defect = fuchsian._defect(ode, grid, values, derivs, second)
     if u_end < u0:
         grid, values, derivs = grid[::-1], values[::-1], derivs[::-1]
     return Trajectory(grid=np.array(grid, dtype=float), values=values,

@@ -21,6 +21,10 @@ the least common multiple of the two denominators, of order
 max(m1, m0) at a point with multiplicities m1 in p1's denominator and
 m0 in p0's, since the Riemann scheme gives the factors they share.
 
+Every series is taken in its scaled variable x / scale (a Frobenius
+series in a power of two, a Taylor hop in its radius), so that its
+coefficients stay in range however small or large its disk.
+
 It also holds the one analytic-continuation engine of the package: a
 chain of Taylor re-expansions (``reach``), each hop 0.4 of the last
 radius of convergence along a straight path, with dense output from
@@ -80,6 +84,7 @@ _MAX_HOPS = 200
 _HOPS_PER_E_FOLD = 2.0 / math.log(1.4)
 _EPS = 2.0 ** -52
 _TINY = 2.0 ** -1022  # the smallest normal double
+_TAIL_TOL = 1e-16  # a Taylor hop's tail is cut at double precision by default
 
 
 class _InfinityType:
@@ -312,11 +317,11 @@ class RationalCoeffODE:
         object.__setattr__(self, "points", tuple(
             (r, a, b) for r, a, b in zip(roots, k1, k0) if a or b))
 
-    def p1(self, z: complex) -> complex:
-        return _polyval(self.p1_num, z) / _polyval(self.p1_den, z)
+    def p1(self, z):
+        return _quotient(self.p1_num, self.p1_den, z)
 
-    def p0(self, z: complex) -> complex:
-        return _polyval(self.p0_num, z) / _polyval(self.p0_den, z)
+    def p0(self, z):
+        return _quotient(self.p0_num, self.p0_den, z)
 
     def _multiplicities(self, z0: complex) -> tuple[int, int]:
         """(m1, m0) of z0 in the denominators; (0, 0) off the known roots."""
@@ -401,6 +406,21 @@ def _normalize_quotient(num, den, roots, mults):
         left.append(mult - k)
     lead = den[-1]
     return _polyscale(num, 1.0 / lead), _polyscale(den, 1.0 / lead), left
+
+
+def _quotient(num, den, z):
+    """num(z) / den(z) at a point or an array of points; beyond |z| = 1 summed
+    in t = 1/z on the reversed coefficients, so it stays in range where
+    num(z) and den(z) would not."""
+    import numpy as np
+
+    z = np.asarray(z, dtype=complex)
+    far = np.abs(z) > 1.0
+    t = 1.0 / z[far]
+    out = np.empty_like(z)
+    out[~far] = _polyval(num, z[~far]) / _polyval(den, z[~far])
+    out[far] = t ** (len(den) - len(num)) * _polyval(num[::-1], t) / _polyval(den[::-1], t)
+    return out if out.ndim else complex(out)
 
 
 def _pow2_scale(den) -> float:
@@ -661,59 +681,49 @@ def frobenius_series(ode: RationalCoeffODE, point: Point, exponent: complex,
     radius = _series_radius(ode, point)
     # unscaled, the coefficients grow like radius^-k; a power of two scales exactly
     scale = math.ldexp(0.5, math.frexp(min(radius, 1.0))[1])
-    try:
-        p2, p1, p0 = _pow2_scaled_triple(p2, p1, p0, kappa, scale)
-    except OverflowError as exc:
-        raise OutOfDomainError(f"the series recurrence at {point} overflows") from exc
+    p2, p1, p0 = _pow2_scaled_triple(p2, p1, p0, kappa, scale)
     coeffs = _recurrence(p2, p1, p0, kappa, rho, order, [1 + 0j])
     return FrobeniusSolution(point, matched, tuple(coeffs), radius, scale)
 
 
-def _scaled_triple(p2, p1, p0, scale: float):
-    """The triple for w(z0 + scale y): P2 w_yy + scale P1 w_y + scale^2 P0 w
-    = 0 with each polynomial in y; the powers are built by products, which
-    overflow to inf, not raise."""
-
-    def scaled(poly, power):
-        out = []
-        for c in poly:
-            out.append(c * power)
-            power *= scale
-        return out
-
-    return scaled(p2, 1.0), scaled(p1, scale), scaled(p0, scale * scale)
-
-
 def _pow2_scaled_triple(p2, p1, p0, kappa: int, scale: float):
-    """_scaled_triple for a power-of-two scale, divided by the power of two
-    that brings the pivot's coefficient P2[kappa] scale^kappa to [1/2, 1).
-    Each coefficient takes its whole power of two in one exact step, so
+    """The triple for w(z0 + scale y), P2 w_yy + scale P1 w_y + scale^2 P0 w
+    = 0 with each polynomial in y, divided by the power of two that brings
+    the pivot's coefficient P2[kappa] scale^kappa to [1/2, 1). With scale =
+    mu 2^e, 1 <= mu < 2, each coefficient takes mu^k by products (rounded
+    as scale^k by products is) and its power of two in one exact step, so
     only what is negligible next to the pivot can underflow, however small
-    the scale; the powers scale^k alone underflow once k log2(scale) passes
-    -1074. Raises OverflowError when a coefficient leaves the range."""
-    e = math.frexp(scale)[1] - 1  # scale = 2^e
-    top = math.frexp(abs(p2[kappa]))[1] + kappa * e
+    or large the scale. Raises OutOfDomainError when a coefficient leaves
+    the range."""
+    mu, e = math.frexp(scale)
+    mu, e = 2.0 * mu, e - 1
+    powers = [1.0]
+    for _ in range(max(len(p2) - 1, len(p1), len(p0) + 1)):
+        powers.append(powers[-1] * mu)
+    top = math.frexp(abs(p2[kappa]) * powers[kappa])[1] + kappa * e
 
     def scaled(poly, offset):
-        return [complex(math.ldexp(c.real, (k + offset) * e - top),
-                        math.ldexp(c.imag, (k + offset) * e - top))
-                for k, c in enumerate(poly)]
+        return [complex(math.ldexp(c.real * powers[k], k * e - top),
+                        math.ldexp(c.imag * powers[k], k * e - top))
+                for k, c in enumerate(poly, offset)]
 
-    return scaled(p2, 0), scaled(p1, 1), scaled(p0, 2)
+    try:
+        return scaled(p2, 0), scaled(p1, 1), scaled(p0, 2)
+    except OverflowError as exc:
+        raise OutOfDomainError(f"a series recurrence scaled by {scale:.3g} overflows") from exc
 
 
 def taylor_series(ode: RationalCoeffODE, center: complex, value: complex,
-                  derivative: complex, order: int = 64, tol: float | None = None,
+                  derivative: complex, order: int = 64, tol: float = _TAIL_TOL,
                   max_radius: float = math.inf) -> FrobeniusSolution:
     """Power series at an ordinary point with given w(center), w'(center).
 
-    The radius is capped at ``max_radius``. With ``tol`` the series is
-    built for marching: its coefficients are those of the scaled
-    variable (z - center) / radius, so they neither overflow nor
-    underflow however large the disk, and the order is chosen from the
-    tail: the series stops once two successive terms on the trusted half
-    disk fall below tol times the largest (at most ``order``). That
-    needs a finite radius.
+    The radius is capped at ``max_radius`` and must be finite. The
+    coefficients are those of the scaled variable (z - center) / radius,
+    so they neither overflow nor underflow however large or small the
+    disk, and the order is chosen from the tail: the series stops once
+    two successive terms on the trusted half disk fall below tol times
+    the largest, at ``order`` at the latest.
     """
     center = complex(center)
     p2, p1, p0 = _series_triple(ode, center)
@@ -722,24 +732,16 @@ def taylor_series(ode: RationalCoeffODE, center: complex, value: complex,
     if ode._multiplicities(center) != (0, 0):
         raise ValueError(f"{center} is a singular point; taylor_series needs an ordinary one")
     radius = min(_series_radius(ode, center), max_radius)
-    seeds = [complex(value), complex(derivative)]
-    scale = 1.0
-    if tol is not None:
-        if not math.isfinite(radius):
-            raise ValueError("a tail-truncated series needs a finite radius; pass max_radius")
-        scale = radius
-        p2, p1, p0 = _scaled_triple(p2, p1, p0, scale)
-        seeds[1] *= scale
+    if not math.isfinite(radius):
+        raise ValueError("a Taylor series needs a finite radius; pass max_radius")
+    p2, p1, p0 = _pow2_scaled_triple(p2, p1, p0, 0, radius)
+    seeds = [complex(value), complex(derivative) * radius]
     coeffs = _recurrence(p2, p1, p0, 0, 0j, order, seeds, tol)
-    if tol is None and not all(math.isfinite(abs(c)) for c in coeffs):
-        # unscaled coefficients grow like radius^-m, too fast near a singular point
-        raise ValueError(f"the series at {center} (radius {radius:.3g}) overflows "
-                         f"before order {len(coeffs) - 1}")
-    return FrobeniusSolution(center, 0j, tuple(coeffs), radius, scale)
+    return FrobeniusSolution(center, 0j, tuple(coeffs), radius, radius)
 
 
 def reach(ode: RationalCoeffODE, chain: list[FrobeniusSolution], target: complex,
-          order: int, first: int = 0, tol: float | None = None,
+          order: int, first: int = 0, tol: float = _TAIL_TOL,
           max_radius: float = math.inf) -> int:
     """Index of the first series in ``chain``, from ``first`` on, whose
     trusted disk holds ``target``; hops are appended past the end as needed.
@@ -747,7 +749,8 @@ def reach(ode: RationalCoeffODE, chain: list[FrobeniusSolution], target: complex
     ``chain`` starts with a series at the start point, analytic there
     (exponent 0). Each appended hop is the Taylor re-expansion 0.4 of the
     last radius further along the straight path toward the target that
-    needed it, built by ``taylor_series`` with ``order``, ``tol`` and
+    needed it, built by ``taylor_series`` in its scaled variable, its tail
+    cut at ``tol``, ``order`` terms at most, its radius capped at
     ``max_radius``; the hop budget grows with log(|target - start| / the
     smaller of the first radius and the target's distance from the
     nearest singular point), so a long path is not cut short, outward
@@ -903,11 +906,16 @@ def evaluate_chain(chain: list[FrobeniusSolution], points) -> tuple[np.ndarray, 
 
 
 def residual(ode: RationalCoeffODE, sol: FrobeniusSolution, z: complex) -> float:
-    """Relative defect |w'' + p1 w' + p0 w| / (|w''| + |p1 w'| + |p0 w|)."""
-    w, dw, d2w = evaluate_with_derivatives(sol, z)
+    """Relative defect of the local solution at z (see ``_defect``)."""
+    return float(_defect(ode, z, *evaluate_with_derivatives(sol, z)))
+
+
+def _defect(ode: RationalCoeffODE, z, w, dw, d2w):
+    """Relative defect |w'' + p1 w' + p0 w| / (|w''| + |p1 w'| + |p0 w|)
+    at a point or an array of points, nan where every term is zero."""
+    import numpy as np
+
     terms = (d2w, ode.p1(z) * dw, ode.p0(z) * w)
-    num = abs(sum(terms))
-    den = sum(abs(t) for t in terms)
-    if den == 0.0:
-        return 0.0
-    return num / den
+    size = sum(np.abs(x) for x in terms)
+    with np.errstate(invalid="ignore"):  # 0 / 0 where every term is zero
+        return np.abs(sum(terms)) / size

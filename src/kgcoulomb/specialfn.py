@@ -13,7 +13,8 @@ The Heun side stores the parameter block of
 and evaluates the local solution analytic at xi = 0 (normalized to
 H(0) = 1) by Frobenius expansion, continued by stepped Taylor
 re-expansion (``fuchsian.reach``) when the target lies past the first
-disk of convergence.
+disk of convergence; the hops are scaled, so the march comes as close
+to xi = 1 (u -> infinity) as the grid asks.
 A whole grid is evaluated in one sweep: the series at 0 is built once,
 and the points on the real ray xi > 0 share one chain of Taylor hops,
 which gives the same values as marching to each point alone.
@@ -194,16 +195,6 @@ def heun_ode(params: HeunParams) -> fuchsian.RationalCoeffODE:
                                      ((0, 1, 1), (1, 1, 1), (p.xi0, 1, 1)), label="heun")
 
 
-def _value_at(sol: fuchsian.FrobeniusSolution, target: complex) -> tuple[complex, complex]:
-    if target == complex(sol.expansion_point):
-        # only reachable for exponent-0 series, whose leading
-        # coefficients are the value and derivative at the center
-        c = sol.coefficients
-        return c[0], (c[1] if len(c) > 1 else 0j)
-    w, dw, _ = fuchsian.evaluate_with_derivatives(sol, target)
-    return w, dw
-
-
 def _check_target(sings: list[complex], target: complex) -> None:
     if min((abs(target - s) for s in sings), default=math.inf) < 1e-9:
         raise OutOfDomainError(f"target {target} sits on a singular point")
@@ -220,7 +211,8 @@ def _march_to(ode: fuchsian.RationalCoeffODE, start: fuchsian.FrobeniusSolution,
     along the straight segment from the start expansion point."""
     _check_target(_finite_singular_points(ode), target)
     chain = [start]
-    return _value_at(chain[fuchsian.reach(ode, chain, target, order)], target)
+    sol = chain[fuchsian.reach(ode, chain, target, order)]
+    return fuchsian.evaluate_with_derivatives(sol, target)[:2]
 
 
 def heun_local(params: HeunParams, xi: complex | Sequence[complex],
@@ -231,8 +223,9 @@ def heun_local(params: HeunParams, xi: complex | Sequence[complex],
     points (the result is a list of values in input order). Points
     inside half the first radius of convergence are single Frobenius
     sums. The others are reached by stepped Taylor re-expansion along a
-    straight path from 0 (``fuchsian.reach``, at the given order),
-    stopping short of any singular point.
+    straight path from 0 (``fuchsian.reach``: each hop a series in its
+    scaled variable, of at most the given order, truncated where its tail
+    falls below double precision), stopping short of any singular point.
 
     One sweep serves a whole grid: points on the real ray xi > 0 are
     visited in ascending order along one chain of hops, each evaluated
@@ -263,7 +256,7 @@ def heun_local(params: HeunParams, xi: complex | Sequence[complex],
         for i in ray:
             _check_target(sings, targets[i])
             k = fuchsian.reach(ode, chain, targets[i], order, k)
-            values[i] = _value_at(chain[k], targets[i])[0]
+            values[i] = fuchsian.evaluate(chain[k], targets[i]).value
         for i in off_ray:
             values[i] = _march_to(ode, series, targets[i], order)[0]
     except KGCoulombError as exc:

@@ -229,17 +229,10 @@ class TestWavefunction:
         assert err.startswith("kgcoulomb: level n = 0 ")
         assert "--eta" not in err and "Traceback" not in err
 
-    def test_march_toward_xi_one_exits_cleanly(self, capsys):
+    def test_march_toward_xi_one_matches_direct_integration(self, capsys):
         # past u ~ 1500 the hops come within ~1e-5 of the singular point
-        # xi = 1, where the order-64 series overflows
-        code, out, err = _run(capsys, "wavefunction", "--model", "deformed-zero-energy",
-                              "--theta", "0.05", "--theta-prime", "0.02", "--g", "0.2",
-                              "--window", "0.01:1e4")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("kgcoulomb: wavefunction grid point u = ")
-        assert "overflows" in err
-        assert "Traceback" not in err
+        # xi = 1, where series unscaled in the hop radius overflowed
+        _check_against_direct_integration(capsys, 0.05, 0.02, 0.2, "0.01:1e4")
 
     def test_march_close_to_xi_one_matches_direct_integration(self, capsys):
         # hops reach xi = 1 - 1.4e-5; u from about 530 to 1000
@@ -596,18 +589,21 @@ def test_strong_deformation_stays_in_range(capsys, model, theta, dominant):
     assert [float(r[3]) for r in rows] == pytest.approx([-2.0, dominant], abs=1e-3)
 
 
-@pytest.mark.parametrize("theta, window", [("1e-8", "1e5:1e7"), ("1e-14", "1e8:1e10")])
+@pytest.mark.parametrize("theta, window", [("1e-8", "1e5:1e7"), ("1e-14", "1e8:1e10"),
+                                           ("1e-120", "1e62:1e64")])
 def test_weak_deformation_window_fits(capsys, theta, window):
     # the Frobenius series at infinity lives on a disk of radius
     # sqrt(theta) in 1/u; at 1e-14 its unscaled coefficients would grow
-    # like 1e7^k and overflow by order 48
+    # like 1e7^k and overflow by order 48. At 1e-120 the subdominant branch
+    # marches from u = 1 to 1e64, where the hop radius to the power 7 of
+    # the shifted P2 leaves the range unless taken as an exact power of two
     code, out, err = _run(capsys, "exponents", "--model", "deformed-zero-energy", "--theta", theta,
                           "--theta-prime", "0", "--Z", "10", "--window", window)
     assert code == 0
     assert err == ""  # the window starts ten times above the deformation scale
     rows = _csv_rows(out)
     assert [float(r[1]) for r in rows] == pytest.approx([-2.0, -5.0], abs=1e-12)
-    assert [float(r[3]) for r in rows] == pytest.approx([-2.0, -5.0], abs=2e-3)
+    assert [float(r[3]) for r in rows] == pytest.approx([-2.0, -5.0], abs=1e-3)
 
 
 @pytest.mark.parametrize("theta, window", [("1e-80", "1e2:1e4"), ("1e-14", "1e5:1e7")])
@@ -657,16 +653,20 @@ def test_windows_inside_the_disk_at_infinity_answer(capsys, argv):
 
 
 def test_tiny_first_order_deformation_marches_inward(capsys):
-    # the series at infinity is trusted only beyond u = 8e59, so the
-    # dominant branch marches from there to u = 100: about 260 hops inward
-    code, out, err = _run(capsys, "exponents", "--model", "deformed-first-order",
-                          "--theta", "1e-120", "--Z", "10")
-    assert code == 0, err
-    assert err.count("kgcoulomb: warning:") == 1
-    assert "singular scale" in err
-    rows = _csv_rows(out)
-    assert [float(r[1]) for r in rows] == pytest.approx([-2.0, -10.0 / 3.0], abs=1e-12)
-    assert all(math.isfinite(float(r[3])) for r in rows)
+    # the series at infinity is trusted only beyond u = 8e59 (8e64 at
+    # 1e-130), so the dominant branch marches from there to u = 100: about
+    # 260 hops inward, in hop radii whose powers leave the range unless
+    # taken as exact powers of two
+    for theta in ("1e-120", "1e-130"):
+        code, out, err = _run(capsys, "exponents", "--model", "deformed-first-order",
+                              "--theta", theta, "--Z", "10")
+        assert code == 0, err
+        assert err.count("kgcoulomb: warning:") == 1
+        assert err.startswith("kgcoulomb: warning:") and "singular scale" in err
+        assert err.count("\n") == 1
+        rows = _csv_rows(out)
+        assert [float(r[1]) for r in rows] == pytest.approx([-2.0, -10.0 / 3.0], abs=1e-12)
+        assert all(math.isfinite(float(r[3])) for r in rows)
 
 
 def test_window_too_far_out_is_a_clean_error(capsys):

@@ -206,13 +206,13 @@ class TestFrobeniusSeries:
 
 class TestEvaluation:
     def test_taylor_cosine(self):
-        sol = taylor_series(_COS_ODE, 0.0, 1.0, 0.0, order=40)
+        sol = taylor_series(_COS_ODE, 0.0, 1.0, 0.0, order=40, max_radius=1.0)
         got = evaluate(sol, 0.5).value
         assert got.real == pytest.approx(math.cos(0.5), rel=1e-14)
         assert abs(got.imag) < 1e-15
 
     def test_derivatives_chain(self):
-        sol = taylor_series(_COS_ODE, 0.0, 1.0, 0.0, order=40)
+        sol = taylor_series(_COS_ODE, 0.0, 1.0, 0.0, order=40, max_radius=1.0)
         w, dw, d2w = evaluate_with_derivatives(sol, 0.7)
         assert dw.real == pytest.approx(-math.sin(0.7), rel=1e-13)
         assert d2w.real == pytest.approx(-math.cos(0.7), rel=1e-13)
@@ -253,6 +253,32 @@ class TestEvaluation:
         sol = frobenius_series(ode, INFINITY, rho, order=40)
         for u in (50.0, 200.0, 1e3):
             assert residual(ode, sol, u) < 1e-12
+
+    def test_coefficients_stay_in_range_far_out(self):
+        # at theta 1e-120 the denominators carry T^-2 = 1e240 and reach
+        # degree 6; numerator and denominator each leave the range long
+        # before their quotient does
+        import mpmath
+
+        ode = build_deformed_zero_energy(0.073, DeformationParams(1e-120, 0.0))
+        points = [0.3, 2.0, 1e40, 1e70, 1e150, 1e300]
+        for coeff, num, den in ((ode.p1, ode.p1_num, ode.p1_den),
+                                (ode.p0, ode.p0_num, ode.p0_den)):
+            swept = coeff(points)
+            for u, got in zip(points, swept):
+                with mpmath.workdps(30):
+                    ref = complex(mpmath.polyval([mpmath.mpc(c) for c in num[::-1]], u)
+                                  / mpmath.polyval([mpmath.mpc(c) for c in den[::-1]], u))
+                assert coeff(u) == got
+                assert abs(got - ref) <= 1e-14 * abs(ref), u
+
+    def test_residual_is_nan_where_every_term_underflows(self):
+        # at u = 4/radius = 4e60 the dominant branch's w is near 1e-303,
+        # and w', w'', p1 w' and p0 w all underflow: nothing is measured,
+        # which is not a perfect defect of 0
+        ode = build_deformed_zero_energy(0.073, DeformationParams(1e-120, 0.0))
+        sol = frobenius_series(ode, INFINITY, indicial_exponents(ode, INFINITY)[1], order=48)
+        assert math.isnan(residual(ode, sol, 4.0 / sol.radius))
 
 
 class TestQuotientNormalization:
@@ -411,6 +437,20 @@ def _full_sum_recurrence(p2, p1, p0, kappa, rho, order, seeds):
     return coeffs
 
 
+def _product_scaled(p2, p1, p0, scale):
+    """The triple for w(z0 + scale y) with the powers of scale built by
+    products, the way the series scaled by their radius once were."""
+
+    def scaled(poly, power):
+        out = []
+        for c in poly:
+            out.append(c * power)
+            power *= scale
+        return out
+
+    return scaled(p2, 1.0), scaled(p1, scale), scaled(p0, scale * scale)
+
+
 def _model_odes():
     s = CoulombSystem(z=10, eta=0.6)
     return [build_ordinary_kg(s),
@@ -500,12 +540,36 @@ class TestBandedRecurrence:
 
     @pytest.mark.parametrize("model", range(4))
     def test_taylor_matches_full_sum(self, model):
+        # taken in (z - center) / radius: the radius's powers by products
+        # round as its mantissa's do, and the powers of two are exact, so
+        # the oracle on the triple scaled by products agrees bit for bit
         ode = _model_odes()[model]
         center = 0.37 + 0.11j
         sol = taylor_series(ode, center, 0.8 - 0.2j, 1.3 + 0.4j, order=40)
-        p2, p1, p0 = fuchsian._series_triple(ode, center)
-        ref = _full_sum_recurrence(p2, p1, p0, 0, 0j, 40, [0.8 - 0.2j, 1.3 + 0.4j])
+        p2, p1, p0 = _product_scaled(*fuchsian._series_triple(ode, center), sol.scale)
+        ref = _full_sum_recurrence(p2, p1, p0, 0, 0j, len(sol.coefficients) - 1,
+                                   [0.8 - 0.2j, (1.3 + 0.4j) * sol.scale])
         assert list(sol.coefficients) == ref
+
+    def test_scaled_triple_takes_its_powers_of_two_exactly(self):
+        # w'' + (a/z) w' + (b/z) w = 0 at z0 = scale, with radius |z0|: the
+        # scaled P0 carries scale^2, which products of the scale take out of
+        # range at 2^600 and to zero at 2^-600; relative to the pivot every
+        # scaled coefficient is of order 1 or scale^-1
+        import mpmath
+
+        ode = RationalCoeffODE((0.75,), (0, 1), (-0.4,), (0, 1), ((0, 1, 1),))
+        for scale in (2.0 ** 600, 1.5 * 2.0 ** 600, 2.0 ** -600, 1.3 * 2.0 ** -600):
+            triple = fuchsian._series_triple(ode, scale)
+            got = fuchsian._pow2_scaled_triple(*triple, 0, scale)
+            pivot = got[0][0]
+            assert 0.5 <= abs(pivot) < 1.0
+            for poly, scaled, offset in zip(triple, got, (0, 1, 2)):
+                for k, (c, g) in enumerate(zip(poly, scaled), offset):
+                    # pivot / triple[0][0] is the exact power of two divided out
+                    ref = complex(mpmath.mpc(c) * mpmath.mpf(scale) ** k
+                                  * mpmath.mpc(pivot) / mpmath.mpc(triple[0][0]))
+                    assert abs(g - ref) <= 4 * k * 2.0 ** -52 * abs(ref), (scale, k)
 
 
 class TestContinuationChain:
@@ -515,12 +579,14 @@ class TestContinuationChain:
         fine = taylor_series(ode, 3.0, 1.0, -0.5, order=64, tol=1e-12)
         assert len(coarse.coefficients) < len(fine.coefficients) < 65
         # the tail-truncated series is the plain one in x / radius
-        plain = taylor_series(ode, 3.0, 1.0, -0.5, order=len(fine.coefficients) - 1)
-        assert fine.scale == fine.radius == plain.radius
-        for k, (c, ref) in enumerate(zip(fine.coefficients, plain.coefficients)):
+        p2, p1, p0 = fuchsian._series_triple(ode, 3.0)
+        plain = _full_sum_recurrence(p2, p1, p0, 0, 0j, len(fine.coefficients) - 1, [1.0, -0.5])
+        assert fine.scale == fine.radius
+        for k, (c, ref) in enumerate(zip(fine.coefficients, plain)):
             assert c == pytest.approx(ref * fine.radius**k, rel=1e-9)
         z = 3.0 + 0.45 * fine.radius
-        for a, b in zip(evaluate_with_derivatives(fine, z), evaluate_with_derivatives(plain, z)):
+        unscaled = fuchsian.FrobeniusSolution(3.0, 0j, tuple(plain), fine.radius)
+        for a, b in zip(evaluate_with_derivatives(fine, z), evaluate_with_derivatives(unscaled, z)):
             assert a == pytest.approx(b, rel=1e-11)
 
     def test_scaled_coefficients_stay_finite_far_out(self):

@@ -6,18 +6,21 @@ Each tree runs the command lists of ``perfbench/workloads.py`` (this
 repository's copy, read and not changed), ``commands(w, s, 15)`` for
 every workload w in its ``WORKLOADS`` and every seed s, through ``kgcoulomb.cli.main`` in one
 fresh interpreter per tree with that tree's ``src`` on the path. The
-report has three parts:
+report has four parts:
 
 - every command whose exit code changed;
 - the number of commands whose stdout changed, per kind of command;
+- the number of commands whose stderr changed, per kind of command, with
+  one example each, so that a diagnostic or warning that appears or goes
+  away shows up;
 - the largest change in each numeric column (and numeric ``# key = value``
   meta line) of the commands that kept their exit code, relative to the
   old value, or absolute for the columns that hold errors or
   differences (``_ABSOLUTE``), with the command where it occurred.
 
 Nothing is timed, so the comparison does not depend on the machine's
-load. Exit status is 0 when every command printed the same bytes with
-the same exit code, 1 otherwise.
+load. Exit status is 0 when every command printed the same bytes on
+stdout and stderr with the same exit code, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -60,7 +63,8 @@ def _run_tree(tree: str, seeds: list[int]) -> None:
                 except (Exception, SystemExit) as exc:  # an escape is its own outcome
                     code = f"raised {type(exc).__name__}"
                 print(json.dumps({"key": [w, s, i], "kind": cmd.kind, "argv": cmd.argv,
-                                  "code": code, "stdout": out.getvalue()}))
+                                  "code": code, "stdout": out.getvalue(),
+                                  "stderr": err.getvalue()}))
 
 
 def _collect(tree: str, seeds: str) -> dict:
@@ -103,8 +107,12 @@ def _change(name: str, old: float, new: float) -> float:
 
 def compare(old: dict, new: dict) -> bool:
     codes, changed, largest = [], Counter(), {}
+    stderr_changed, stderr_example = Counter(), {}
     for key, a in old.items():
         b = new[key]
+        if a["stderr"] != b["stderr"]:
+            stderr_changed[a["kind"]] += 1
+            stderr_example.setdefault(a["kind"], (a["argv"], a["stderr"], b["stderr"]))
         if a["code"] != b["code"]:
             codes.append((a["argv"], a["code"], b["code"]))
             continue
@@ -126,12 +134,16 @@ def compare(old: dict, new: dict) -> bool:
     print("changed stdout per kind:" + ("" if changed else " none"))
     for kind, count in sorted(changed.items()):
         print(f"  {kind}: {count}")
+    print("changed stderr per kind:" + ("" if stderr_changed else " none"))
+    for kind, count in sorted(stderr_changed.items()):
+        argv, x, y = stderr_example[kind]
+        print(f"  {kind}: {count}  (e.g. {' '.join(argv)}: {x.strip()!r} -> {y.strip()!r})")
     if largest:
         print("largest change per column (absolute for "
               + ", ".join(sorted(_ABSOLUTE)) + "; relative otherwise):")
         for field, (size, argv) in sorted(largest.items()):
             print(f"  {field}: {size:.3g}  ({' '.join(argv)})")
-    return not codes and not changed
+    return not codes and not changed and not stderr_changed
 
 
 def main(argv: list[str]) -> int:

@@ -24,7 +24,6 @@ form back to u.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -62,8 +61,12 @@ class VariableMap:
 
     def forward(self, u):
         """x(u) by Horner's rule in u's own type: a real u gives a float."""
-        num, den = (functools.reduce(lambda acc, c: acc * u + c, reversed(p))
-                    for p in (self.num, self.den))
+        num = self.num[-1]
+        for c in self.num[-2::-1]:
+            num = num * u + c
+        den = self.den[-1]
+        for c in self.den[-2::-1]:
+            den = den * u + c
         return num / den
 
 

@@ -212,7 +212,7 @@ def _march_to(ode: fuchsian.RationalCoeffODE, start: fuchsian.FrobeniusSolution,
     _check_target(_finite_singular_points(ode), target)
     chain = [start]
     sol = chain[fuchsian.reach(ode, chain, target, order)]
-    return fuchsian.evaluate_with_derivatives(sol, target)[:2]
+    return fuchsian._with_derivatives(sol, target, 1)
 
 
 def heun_local(params: HeunParams, xi: complex | Sequence[complex],
@@ -229,7 +229,8 @@ def heun_local(params: HeunParams, xi: complex | Sequence[complex],
 
     One sweep serves a whole grid: points on the real ray xi > 0 are
     visited in ascending order along one chain of hops, each evaluated
-    from the first hop whose trusted disk holds it. On that ray every
+    from the first hop whose trusted disk holds it, by its value's sum
+    alone (``fuchsian.evaluate``). On that ray every
     hop heads in the direction exactly 1, so the hop centres do not
     depend on the target and the shared chain is the one each point
     would march alone; values are identical to one call per point. Any

@@ -572,6 +572,63 @@ class TestBandedRecurrence:
                     assert abs(g - ref) <= 4 * k * 2.0 ** -52 * abs(ref), (scale, k)
 
 
+def _bits(z):
+    """A complex number's two parts as exact hex strings: equal bits, signed zeros included."""
+    return z.real.hex(), z.imag.hex()
+
+
+def _reduced_sum_cases():
+    """(series, points): a scaled Taylor hop of a complex equation, a
+    Frobenius series at a finite point with exponent 1 - c, and one at
+    infinity, each at real and complex points inside its trusted disk."""
+    ode = _model_odes()[0]
+    hop = taylor_series(ode, 0.37 + 0.11j, 0.8 - 0.2j, 1.3 + 0.4j, order=40)
+    assert hop.scale == hop.radius != 1.0
+    a, b, c = _hyp_abc()
+    finite = frobenius_series(hypergeometric_ode(a, b, c), 0.0, 1.0 - c, order=40)
+    assert finite.exponent != 0
+    at_infinity = frobenius_series(ode, INFINITY, indicial_exponents(ode, INFINITY)[1], order=40)
+    near_hop = [hop.expansion_point + 0.45 * hop.radius * cmath.exp(1j * phi)
+                for phi in (0.0, 1.1, 2.9, -2.0)]
+    return [(hop, near_hop),
+            (finite, [0.3, -0.42, 0.2 + 0.25j, -0.1 - 0.3j]),
+            (at_infinity, [50.0, 1e3, 200.0 + 30j, -80.0 - 400j])]
+
+
+class TestReducedSums:
+    """``evaluate`` sums only the value and ``reach`` only w and w': each
+    reduced sum is the same bits as the full one."""
+
+    def test_value_alone_is_the_value_with_derivatives(self):
+        for sol, points in _reduced_sum_cases():
+            for z in points:
+                full = evaluate_with_derivatives(sol, z)
+                assert _bits(evaluate(sol, z).value) == _bits(full[0]), (sol.expansion_point, z)
+                w, dw = fuchsian._with_derivatives(sol, z, 1)
+                assert (_bits(w), _bits(dw)) == (_bits(full[0]), _bits(full[1]))
+
+    @pytest.mark.parametrize("start", ["taylor", "frobenius"])
+    def test_reach_is_the_chain_built_by_hand(self, start):
+        if start == "taylor":
+            ode, target = _model_odes()[0], 40.0 + 0j
+            first = taylor_series(ode, 1.0, 0.8 - 0.2j, 1.3 + 0.4j)
+        else:
+            ode, target = hypergeometric_ode(*_hyp_abc()), 0.9 + 0.3j
+            first = frobenius_series(ode, 0.0, 0.0)
+        chain = [first]
+        reach(ode, chain, target, 64)
+        assert len(chain) > 3
+        by_hand = [first]
+        while len(by_hand) < len(chain):
+            prev = by_hand[-1]
+            center = complex(prev.expansion_point)
+            nxt = center + (target - center) / abs(target - center) * (0.4 * prev.radius)
+            by_hand.append(taylor_series(ode, nxt, *evaluate_with_derivatives(prev, nxt)[:2], 64))
+        for got, ref in zip(chain, by_hand):
+            assert _bits(complex(got.expansion_point)) == _bits(complex(ref.expansion_point))
+            assert list(map(_bits, got.coefficients)) == list(map(_bits, ref.coefficients))
+
+
 class TestContinuationChain:
     def test_tail_rule_picks_order_from_tol(self):
         ode = build_ordinary_kg(CoulombSystem(z=1, alpha=0.3, eta=0.5))

@@ -814,11 +814,11 @@ def _local_coordinate(sol: FrobeniusSolution, z: complex) -> tuple[complex, comp
 
 
 def _series_sums(coeffs, x, scale: float = 1.0, derivatives: int = 2):
-    """The sums a caller reads, and no others: sum c_k (x/scale)^k, then
-    its first and, with ``derivatives`` = 2, its second derivative with
-    respect to x, a tuple of 1 + ``derivatives`` sums (0, 1 or 2). Each
-    sum runs the same Horner recurrence whichever others come with it, so
-    a value is the same bits alone or with its derivatives.
+    """The sums a caller reads, and no others: the tuple of sum c_k
+    (x/scale)^k and its first ``derivatives`` (0, 1 or 2) derivatives with
+    respect to x. Each sum runs the same Horner recurrence whichever
+    others come with it, so a value is the same bits alone or with its
+    derivatives.
 
     ``x`` may be an array, with ``coeffs`` then a sequence of arrays of
     the same shape (one per power).

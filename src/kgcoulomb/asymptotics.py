@@ -218,17 +218,12 @@ def dominant_branch(ode: fuchsian.RationalCoeffODE, window: tuple[float, float],
     t = 1/u. Where the whole window lies inside the series' trusted disk
     (t at most half its radius) and the series' tail estimate at the
     window's lower edge (``fuchsian.evaluate``) is below tol times its
-    value, every grid point is read off the series directly (one hop),
-    summing only the leading terms that matter at that edge, the largest
-    t: past them every term of the value and of its two derivatives is
-    below 2^-53 of the largest, there and at every smaller t
-    (``fuchsian._significant_terms``). Otherwise the series seeds a
-    backward march from the upper window edge, or from further out where
-    the edge lies outside the trusted disk. Either way the head is taken
-    relative to the top u_top, (t/t_top)^rho, and the solution is
-    normalised to unit max(|psi|, |psi'|) there (the equations are
-    linear, so shape is all that matters), so a far window does not
-    underflow.
+    value, every grid point is read off the series directly (one hop). Otherwise the series seeds a backward march from
+    the upper window edge, or from further out where the edge lies
+    outside the trusted disk. Either way the head is taken relative to
+    the top u_top, (t/t_top)^rho, and the solution is normalised to unit
+    max(|psi|, |psi'|) there (the equations are linear, so shape is all
+    that matters), so a far window does not underflow.
     """
     exps = fuchsian.indicial_exponents(ode, fuchsian.INFINITY)
     dominant = exps[1]  # sorted descending by real part: [1] decays fastest
@@ -236,10 +231,10 @@ def dominant_branch(ode: fuchsian.RationalCoeffODE, window: tuple[float, float],
     rho = -series.exponent  # the exponent in t
     lo, u_top = window[0], max(window[1], 2.0 / series.radius)
 
-    def from_infinity(u, coeffs=series.coefficients):
+    def from_infinity(u):
         # w = (t/t_top)^rho s(t) and its u-derivatives, s(t) = sum c_k t^k
         t = 1.0 / u
-        s0, s1, s2 = fuchsian._series_sums(coeffs, t, series.scale)
+        s0, s1, s2 = fuchsian._series_sums(series.coefficients, t, series.scale)
         head = (u_top / u) ** rho
         return (head * s0, -head * t * (rho * s0 + t * s1),
                 head * t * t * (rho * (rho + 1.0) * s0 + 2.0 * (rho + 1.0) * t * s1
@@ -248,12 +243,8 @@ def dominant_branch(ode: fuchsian.RationalCoeffODE, window: tuple[float, float],
     # strict, so a lower edge where t^rho underflows to zero marches
     edge = fuchsian.evaluate(series, lo) if lo >= 2.0 / series.radius else None
     if edge is not None and edge.error < tol * abs(edge.value):
-        # the terms that matter at the lower edge, the largest t, serve all of the grid
-        prefix = series.coefficients[:fuchsian._significant_terms(
-            series.coefficients, 1.0 / lo, series.scale)]
-
         def direct(grid):
-            w, dw, d2w = from_infinity(grid, prefix)
+            w, dw, d2w = from_infinity(grid)
             norm = max(abs(w[0]), abs(dw[0]))  # grid[0] is u_top
             return w / norm, dw / norm, d2w / norm, 1
 

@@ -749,9 +749,7 @@ def reach(ode: RationalCoeffODE, chain: list[FrobeniusSolution], target: complex
     ``chain`` starts with a series at the start point, analytic there
     (exponent 0). Each appended hop is the Taylor re-expansion 0.4 of the
     last radius further along the straight path toward the target that
-    needed it, seeded with the last series' w and w' there (summed without
-    w'', the same bits as ``evaluate_with_derivatives`` gives them), and
-    built by ``taylor_series`` in its scaled variable, its tail
+    needed it, built by ``taylor_series`` in its scaled variable, its tail
     cut at ``tol``, ``order`` terms at most, its radius capped at
     ``max_radius``; the hop budget grows with log(|target - start| / the
     smaller of the first radius and the target's distance from the
@@ -775,7 +773,7 @@ def reach(ode: RationalCoeffODE, chain: list[FrobeniusSolution], target: complex
                 "hops (target too close to a singular point, or too far away?)")
         if k == len(chain):
             nxt = center + remaining / abs(remaining) * (0.4 * current.radius)
-            w, dw = _with_derivatives(current, nxt, 1)
+            w, dw, _ = evaluate_with_derivatives(current, nxt)
             try:
                 chain.append(taylor_series(ode, nxt, w, dw, order, tol, max_radius))
             except ValueError as exc:
@@ -813,12 +811,9 @@ def _local_coordinate(sol: FrobeniusSolution, z: complex) -> tuple[complex, comp
     return complex(z) - complex(sol.expansion_point), sol.exponent
 
 
-def _series_sums(coeffs, x, scale: float = 1.0, derivatives: int = 2):
-    """The sums a caller reads, and no others: the tuple of sum c_k
-    (x/scale)^k and its first ``derivatives`` (0, 1 or 2) derivatives with
-    respect to x. Each sum runs the same Horner recurrence whichever
-    others come with it, so a value is the same bits alone or with its
-    derivatives.
+def _series_sums(coeffs, x, scale: float = 1.0, derivatives: bool = True):
+    """sum c_k (x/scale)^k and its first two derivatives with respect to x;
+    with ``derivatives`` false, the value's sum alone, the same bits.
 
     ``x`` may be an array, with ``coeffs`` then a sequence of arrays of
     the same shape (one per power).
@@ -826,39 +821,15 @@ def _series_sums(coeffs, x, scale: float = 1.0, derivatives: int = 2):
     if scale != 1.0:
         x = x / scale
     s0 = s1 = s2 = 0j
-    if derivatives == 0:
+    if not derivatives:
         for c in reversed(coeffs):
             s0 = s0 * x + c
-        return (s0,)
-    if derivatives == 1:
-        for c in reversed(coeffs):
-            s1 = s1 * x + s0
-            s0 = s0 * x + c
-        return (s0, s1) if scale == 1.0 else (s0, s1 / scale)
+        return s0
     for c in reversed(coeffs):
         s2 = s2 * x + 2.0 * s1
         s1 = s1 * x + s0
         s0 = s0 * x + c
     return (s0, s1, s2) if scale == 1.0 else (s0, s1 / scale, s2 / (scale * scale))
-
-
-def _significant_terms(coeffs, x: float, scale: float) -> int:
-    """Length of the prefix of ``coeffs`` that holds, in each of the three
-    sums of ``_series_sums`` at |x|, every term above 2^-53 of that sum's
-    largest term. Past the prefix each term is below 2^-53 of a term of
-    lower index, and that stays so nearer the centre, so the prefix
-    serves every point of the disk |x| holds."""
-    log_r = math.log2(abs(x) / scale)
-    logs = [math.log2(abs(c)) + k * log_r if c else -math.inf for k, c in enumerate(coeffs)]
-    length = 1
-    for d in range(3):
-        # the d-th derivative's k-th term is k (k-1) ... (k-d+1) c_k r^(k-d);
-        # r^-d is common to the whole sum and left out
-        weighted = [(math.log2(math.perm(k, d)) + v if k >= d else -math.inf)
-                    for k, v in enumerate(logs)]
-        floor = max(weighted) - 53.0
-        length = max(length, 1 + max((k for k, v in enumerate(weighted) if v > floor), default=0))
-    return length
 
 
 def _tail_estimate(sol: FrobeniusSolution, x: complex) -> float:
@@ -892,34 +863,27 @@ def evaluate(sol: FrobeniusSolution, z: complex) -> EvalResult:
         if rho.real > 0:
             return EvalResult(0j, 0.0)
         raise OutOfDomainError("series diverges at its own expansion point")
-    s0 = _series_sums(sol.coefficients, x, sol.scale, 0)[0]
+    s0 = _series_sums(sol.coefficients, x, sol.scale, derivatives=False)
     head = x ** rho
     return EvalResult(head * s0, abs(head) * _tail_estimate(sol, x))
 
 
 def evaluate_with_derivatives(sol: FrobeniusSolution, z: complex) -> tuple[complex, complex, complex]:
     """(w, w', w'') at z, derivatives taken with respect to z."""
-    return _with_derivatives(sol, z, 2)
-
-
-def _with_derivatives(sol: FrobeniusSolution, z: complex, derivatives: int) -> tuple:
-    """(w, w') with ``derivatives`` = 1, (w, w', w'') with 2, derivatives
-    taken with respect to z; only the sums those need are taken, and each
-    is the same bits in both cases."""
     x, rho = _local_coordinate(sol, z)
     _check_domain(sol, x)
     if x == 0:
         raise OutOfDomainError("derivative evaluation needs a point away from the expansion center")
-    sums = _series_sums(sol.coefficients, x, sol.scale, derivatives)
-    s0, s1 = sums[0], sums[1]
-    at_infinity = sol.expansion_point is INFINITY  # then x = t = 1/z
+    s0, s1, s2 = _series_sums(sol.coefficients, x, sol.scale)
     w = x ** rho * s0
     dw_dx = x ** (rho - 1) * (rho * s0 + x * s1)
-    dw = -x * x * dw_dx if at_infinity else dw_dx
-    if derivatives == 1:
-        return w, dw
-    d2w_dx2 = x ** (rho - 2) * (rho * (rho - 1.0) * s0 + 2.0 * rho * x * s1 + x * x * sums[2])
-    return w, dw, (x ** 4 * d2w_dx2 + 2.0 * x ** 3 * dw_dx if at_infinity else d2w_dx2)
+    d2w_dx2 = x ** (rho - 2) * (rho * (rho - 1.0) * s0 + 2.0 * rho * x * s1 + x * x * s2)
+    if sol.expansion_point is INFINITY:
+        t = x
+        dw_dz = -t * t * dw_dx
+        d2w_dz2 = t ** 4 * d2w_dx2 + 2.0 * t ** 3 * dw_dx
+        return w, dw_dz, d2w_dz2
+    return w, dw_dx, d2w_dx2
 
 
 def evaluate_chain(chain: list[FrobeniusSolution], points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -61,13 +61,15 @@ class VariableMap:
 
     def forward(self, u):
         """x(u) by Horner's rule in u's own type: a real u gives a float."""
-        num = self.num[-1]
-        for c in self.num[-2::-1]:
-            num = num * u + c
-        den = self.den[-1]
-        for c in self.den[-2::-1]:
-            den = den * u + c
-        return num / den
+        return _horner(self.num, u) / _horner(self.den, u)
+
+
+def _horner(p: tuple, u):
+    """p(u) for ascending coefficients p, in u's own type."""
+    acc = p[-1]
+    for c in p[-2::-1]:
+        acc = acc * u + c
+    return acc
 
 
 # ---------------------------------------------------------------------------

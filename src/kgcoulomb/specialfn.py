@@ -212,7 +212,7 @@ def _march_to(ode: fuchsian.RationalCoeffODE, start: fuchsian.FrobeniusSolution,
     _check_target(_finite_singular_points(ode), target)
     chain = [start]
     sol = chain[fuchsian.reach(ode, chain, target, order)]
-    return fuchsian._with_derivatives(sol, target, 1)
+    return fuchsian.evaluate_with_derivatives(sol, target)[:2]
 
 
 def heun_local(params: HeunParams, xi: complex | Sequence[complex],

@@ -6,7 +6,6 @@ import random
 import numpy as np
 import pytest
 
-from kgcoulomb import fuchsian
 from kgcoulomb.asymptotics import (
     RegularizationVerdict,
     Trajectory,
@@ -255,18 +254,13 @@ class TestDominantBranchFromInfinity:
     """Windows inside the trusted disk of the series at infinity are read
     off that series directly; the others still march back from it."""
 
-    @staticmethod
-    def _draws():
-        """24 random equations, each with a window inside the trusted disk."""
+    def test_direct_route_equals_marched_route(self):
         rng = random.Random(2718)
         for _ in range(24):
             ode = _random_equation(rng)
             edge = 2.0 / _series_at_infinity(ode).radius
             lo = max(edge, 1.0) * 10.0 ** rng.uniform(0.0, 2.0)
-            yield ode, (lo, lo * 10.0 ** rng.uniform(0.5, 4.0))
-
-    def test_direct_route_equals_marched_route(self):
-        for ode, window in self._draws():
+            window = (lo, lo * 10.0 ** rng.uniform(0.5, 4.0))
             direct = dominant_branch(ode, window)
             marched = _marched(ode, window)
             assert direct.hops == 1 < marched.hops
@@ -275,27 +269,6 @@ class TestDominantBranchFromInfinity:
             for got, ref in ((direct.values, marched.values),
                              (direct.derivatives, marched.derivatives)):
                 assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-9, (ode.label, window)
-
-    def test_prefix_sums_are_the_full_sums(self):
-        # the direct route sums only the terms that matter at the window's
-        # lower edge; at every grid point each of its three sums is the
-        # full 49-term sum to within 4 ulp of that sum's largest term
-        lengths = []
-        for ode, window in self._draws():
-            series = _series_at_infinity(ode)
-            coeffs, scale = series.coefficients, series.scale
-            assert len(coeffs) == 49
-            n = fuchsian._significant_terms(coeffs, 1.0 / window[0], scale)
-            lengths.append(n)
-            t = 1.0 / dominant_branch(ode, window).grid
-            r = t / scale
-            full = fuchsian._series_sums(coeffs, t, scale)
-            prefix = fuchsian._series_sums(coeffs[:n], t, scale)
-            for d, (got, ref) in enumerate(zip(prefix, full)):
-                largest = np.max([math.perm(k, d) * abs(c) * r ** (k - d)
-                                  for k, c in enumerate(coeffs) if k >= d], axis=0) / scale ** d
-                assert np.all(np.abs(got - ref) <= 4 * np.spacing(largest)), (ode.label, window, d)
-        assert sorted(lengths)[len(lengths) // 2] < 49 // 2
 
     @pytest.mark.parametrize("theta, window", [(1e-80, (1e2, 1e4)), (1e-14, (1e5, 1e7))])
     def test_window_below_the_trusted_disk_marches(self, theta, window):

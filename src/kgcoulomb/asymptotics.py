@@ -218,8 +218,9 @@ def dominant_branch(ode: fuchsian.RationalCoeffODE, window: tuple[float, float],
     t = 1/u. Where the whole window lies inside the series' trusted disk
     (t at most half its radius) and the series' tail estimate at the
     window's lower edge (``fuchsian.evaluate``) is below tol times its
-    value, every grid point is read off the series directly (one hop). Otherwise the series seeds a backward march from
-    the upper window edge, or from further out where the edge lies
+    value, every grid point is read off the series directly (one hop),
+    all of its terms summed. Otherwise the series seeds a backward march
+    from the upper window edge, or from further out where the edge lies
     outside the trusted disk. Either way the head is taken relative to
     the top u_top, (t/t_top)^rho, and the solution is normalised to unit
     max(|psi|, |psi'|) there (the equations are linear, so shape is all

@@ -4,9 +4,11 @@ equations, log-log power-law fits, and the regularization verdict.
 Integration is analytic continuation by Taylor re-expansion, the engine
 in ``fuchsian``: the model equations have polynomial coefficients, so
 each local series comes from one banded recurrence, truncated where its
-tail drops below the tolerance, and every grid point is read off the
-first local disk that holds it. Along the real u-axis the radius of
-convergence grows like u, so [1, 1e4] takes a few dozen hops.
+tail drops below the tolerance, and every grid point the fit reads
+(those in its window) is read off the first local disk that holds it,
+by its value alone. Along the real u-axis the radius of convergence
+grows like u, so [1, 1e4] takes a few dozen hops. Everything is plain
+Python floats and lists; the fit sums with ``math.fsum``.
 
 The dominant (fast-decaying) branch of a two-solution pair cannot be
 reached by forward integration from generic data; any admixture of the
@@ -22,17 +24,17 @@ branches come from independent routes.
 
 from __future__ import annotations
 
+import cmath
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from operator import lt, mul, sub
+from typing import NamedTuple
 
 from . import fuchsian
 from .errors import IntegrationError, OscillationError, OutOfDomainError
 from .kgmodels import build_deformed_zero_energy, build_ordinary_kg
 from .physcore import CoulombSystem, DeformationParams
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "Trajectory",
@@ -48,29 +50,35 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Trajectory:
-    """psi and psi' sampled on a strictly increasing momentum grid.
+    """psi sampled on a strictly increasing momentum grid.
 
-    ``hops`` counts the local Taylor series the samples were read from,
-    the one at the start point included; ``max_residual`` is the largest
-    relative ODE defect |psi'' + p1 psi' + p0 psi| / (|psi''| + |p1 psi'|
-    + |p0 psi|) over the samples, psi'' taken from the local series (nan
-    when not measured, or where every term underflows).
+    ``span`` is the interval the samples cover, ascending: the part of
+    the interval the solution was continued over that lies in the window
+    asked for (the grid's ends when not given), so ``fit_exponent``
+    refuses a window it holds no samples for; the grid holds the points
+    of the sampling grid that lie in it. ``hops`` counts the local series
+    the samples were read from, the one at the start point included;
+    ``max_residual`` is the largest relative ODE defect
+    |psi'' + p1 psi' + p0 psi| / (|psi''| + |p1 psi'| + |p0 psi|) at one
+    point per local series (where the next one takes over, and the end),
+    psi'' taken from the local series (nan when not measured, or where
+    every term underflows).
     """
 
-    grid: np.ndarray
-    values: np.ndarray
-    derivatives: np.ndarray
+    grid: list[float]
+    values: list[complex]
     ode_id: str
+    span: tuple[float, float] | None = None
     hops: int = 0
     max_residual: float = math.nan
 
     def __post_init__(self) -> None:
-        import numpy as np
-
-        if not np.all(np.diff(self.grid) > 0):
+        if not all(map(lt, self.grid, self.grid[1:])):
             raise ValueError("trajectory grid must be strictly increasing")
-        if not (np.all(np.isfinite(self.values)) and np.all(np.isfinite(self.derivatives))):
+        if not all(map(cmath.isfinite, self.values)):
             raise ValueError("trajectory contains non-finite samples")
+        if self.span is None:
+            object.__setattr__(self, "span", (self.grid[0], self.grid[-1]))
 
 
 class FitResult(NamedTuple):
@@ -90,8 +98,24 @@ class RegularizationVerdict:
 # order cap of each local series; at tol = 1e-16 the tail rule stops
 # near order 55 on a disk limited by a singular point
 _MAX_ORDER = 64
-# samples per trajectory
+# points of the sampling grid
 _N_POINTS = 400
+_LN2 = math.log(2.0)
+
+
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """n evenly spaced points, i * step + lo, with hi set exactly (the
+    formula of numpy.linspace)."""
+    step = (hi - lo) / (n - 1)
+    return [i * step + lo for i in range(n - 1)] + [hi]
+
+
+def _geomspace(lo: float, hi: float, n: int) -> list[float]:
+    """n log-spaced points, 10 ** (i * step + log10(lo)), with both ends
+    set exactly (the formula of numpy.geomspace)."""
+    grid = [10.0 ** x for x in _linspace(math.log10(lo), math.log10(hi), n)]
+    grid[0], grid[-1] = lo, hi
+    return grid
 
 
 def _real_singularities_on(ode: fuchsian.RationalCoeffODE,
@@ -103,15 +127,13 @@ def _real_singularities_on(ode: fuchsian.RationalCoeffODE,
     return out
 
 
-def _sample(ode: fuchsian.RationalCoeffODE, u0: float, u_end: float, n_points: int,
-            solution) -> Trajectory:
-    """The trajectory from u0 to u_end on ``n_points`` grid points,
+def _grid(ode: fuchsian.RationalCoeffODE, u0: float, u_end: float, n_points: int,
+          window: tuple[float, float] | None) -> tuple[list[float], tuple[float, float]]:
+    """(points, span): the points of the n_points grid from u0 to u_end,
     geometric when the interval spans more than a factor 50 and linear
-    otherwise; ``solution(grid)`` returns (w, w', w'', hops) at the grid,
-    which runs from u0. Checks that no singular point lies on the path and
-    that the samples are finite, and measures the relative ODE defect."""
-    import numpy as np
-
+    otherwise, that lie in the window (all of them without one), in order
+    from u0, and the part of the interval in the window, ascending. Checks
+    that the interval is not empty and that no singular point lies on it."""
     if u0 == u_end:
         raise ValueError("empty integration interval")
     lo, hi = min(u0, u_end), max(u0, u_end)
@@ -120,47 +142,66 @@ def _sample(ode: fuchsian.RationalCoeffODE, u0: float, u_end: float, n_points: i
         raise OutOfDomainError(
             f"integration interval [{lo}, {hi}] crosses singular point(s) "
             + ", ".join(f"{z.real:.6g}" for z in blockers))
+    grid = (_geomspace if lo > 0 and hi / lo > 50.0 else _linspace)(u0, u_end, n_points)
+    if window is None:
+        return grid, (lo, hi)
+    a, b = max(lo, window[0]), min(hi, window[1])
+    return [u for u in grid if a <= u <= b], (a, b)
 
-    if lo > 0 and hi / lo > 50.0:
-        grid = np.geomspace(u0, u_end, n_points)
-    else:
-        grid = np.linspace(u0, u_end, n_points)
-    values, derivs, second, hops = solution(grid)
-    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(derivs))):
-        raise IntegrationError(
-            f"continuation from u = {u0} to {u_end} left the floating-point range")
-    defect = fuchsian._defect(ode, grid, values, derivs, second)
+
+def _trajectory(ode: fuchsian.RationalCoeffODE, u0: float, u_end: float, points: list[float],
+                span: tuple[float, float], values: list[complex], hops: int,
+                defects: list[float], seeds: list[complex]) -> Trajectory:
+    """The trajectory of the samples, taken in order from u0, ascending;
+    IntegrationError where a sample or a hop seed left the floating-point
+    range."""
+    if not (all(map(cmath.isfinite, values)) and all(map(cmath.isfinite, seeds))):
+        raise _out_of_range(u0, u_end)
     if u_end < u0:
-        grid, values, derivs = grid[::-1], values[::-1], derivs[::-1]
-    return Trajectory(grid=np.array(grid, dtype=float), values=values,
-                      derivatives=derivs, ode_id=ode.label or "ode",
-                      hops=hops, max_residual=float(defect.max()))
+        points, values = points[::-1], values[::-1]
+    measured = [d for d in defects if not math.isnan(d)]
+    return Trajectory(grid=points, values=values, ode_id=ode.label or "ode",
+                      span=span, hops=hops,
+                      max_residual=max(measured, default=math.nan))
+
+
+def _out_of_range(u0: float, u_end: float) -> IntegrationError:
+    return IntegrationError(f"continuation from u = {u0} to {u_end} left the floating-point range")
 
 
 def integrate(ode: fuchsian.RationalCoeffODE, u0: float, psi0: complex,
               dpsi0: complex, u_end: float, tol: float = 1e-10,
-              n_points: int = _N_POINTS) -> Trajectory:
+              n_points: int = _N_POINTS,
+              window: tuple[float, float] | None = None) -> Trajectory:
     """Integrate psi'' = -p1 psi' - p0 psi from u0 to u_end.
 
     The solution is continued along the real axis by Taylor
     re-expansion (``fuchsian.reach``), each hop 0.4 of the local radius
-    of convergence, capped at the interval length. Each local series is
-    truncated where its terms on the trusted half disk fall below tol
-    times the largest one, so tol bounds the relative error per disk.
-    Every grid point is read off the first disk that holds it. The
-    returned grid is ascending regardless of integration direction.
+    of convergence, capped at the interval length, up to u_end. Each
+    local series is truncated where its terms on the trusted half disk
+    fall below tol times the largest one, so tol bounds the relative error
+    per disk. psi is sampled at the points of the n_points grid that lie
+    in the window (all of them without one), each read off the first
+    disk that holds it by its value's sum alone
+    (``fuchsian.evaluate_chain``). The returned grid is ascending
+    regardless of integration direction.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-
-    def march(grid):
-        cap = abs(u_end - u0)
-        chain = [fuchsian.taylor_series(ode, u0, psi0, dpsi0, order=_MAX_ORDER, tol=tol,
-                                        max_radius=cap)]
-        fuchsian.reach(ode, chain, complex(grid[-1]), _MAX_ORDER, tol=tol, max_radius=cap)
-        return (*fuchsian.evaluate_chain(chain, grid), len(chain))
-
-    return _sample(ode, u0, u_end, n_points, march)
+    points, span = _grid(ode, u0, u_end, n_points, window)
+    cap = abs(u_end - u0)
+    chain = [fuchsian.taylor_series(ode, u0, psi0, dpsi0, order=_MAX_ORDER, tol=tol,
+                                    max_radius=cap)]
+    fuchsian.reach(ode, chain, complex(u_end), _MAX_ORDER, tol=tol, max_radius=cap)
+    values = fuchsian.evaluate_chain(chain, points)
+    # the first hop is checked where the next one takes over, the last at the end
+    checks = [(chain[0], chain[1].expansion_point)] if len(chain) > 1 else []
+    checks.append((chain[-1], u_end))
+    defects = [fuchsian._defect(ode, z, *fuchsian.evaluate_with_derivatives(hop, z))
+               for hop, z in checks if z != hop.expansion_point]
+    # the hop seeds, w and w' times the radius, stand for the path outside the window
+    seeds = [c for hop in chain for c in hop.coefficients[:2]]
+    return _trajectory(ode, u0, u_end, points, span, values, len(chain), defects, seeds)
 
 
 def fit_exponent(traj: Trajectory, window: tuple[float, float]) -> FitResult:
@@ -173,41 +214,59 @@ def fit_exponent(traj: Trajectory, window: tuple[float, float]) -> FitResult:
     Coulomb), where |psi| ~ u^re * |beat(im * log u)| and a single real
     slope would be meaningless.
     """
-    import numpy as np
-
     lo, hi = window
-    if not (traj.grid[0] <= lo < hi <= traj.grid[-1]):
+    if not (traj.span[0] <= lo < hi <= traj.span[1]):
         raise ValueError(
-            f"window [{lo}, {hi}] is not inside the trajectory grid "
-            f"[{traj.grid[0]}, {traj.grid[-1]}]")
-    mask = (traj.grid >= lo) & (traj.grid <= hi)
-    if np.count_nonzero(mask) < 8:
+            f"window [{lo}, {hi}] is not inside the trajectory's span "
+            f"[{traj.span[0]}, {traj.span[1]}]")
+    first, end = bisect_left(traj.grid, lo), bisect_right(traj.grid, hi)
+    if end - first < 8:
         raise ValueError("window contains fewer than 8 samples")
-    amps = np.abs(traj.values[mask])
-    if np.any(amps == 0.0):
-        raise OscillationError("|psi| has zeros in the window (interference nodes)")
-    x = np.log(traj.grid[mask])
-    y = np.log(amps)
-    local = np.diff(y) / np.diff(x)
-    flips = int(np.count_nonzero(local[:-1] * local[1:] < 0.0))
-    if flips > 2:
+    # logs to base 2, which math.log2 takes at less than half the cost of
+    # math.log: the slope does not depend on the base, and the residuals'
+    # swing is converted to natural-log units below
+    try:
+        y = list(map(math.log2, map(abs, traj.values[first:end])))
+    except ValueError:  # log2(0)
+        raise OscillationError("|psi| has zeros in the window (interference nodes)") from None
+    x = list(map(math.log2, traj.grid[first:end]))
+    # x ascends, so each local slope has the sign of its rise in y
+    if (flips := _sign_changes(list(map(sub, y[1:], y)))) > 2:
         raise OscillationError(
             f"log-log slope flips sign {flips} times over the window; "
             "the decay exponent is complex, not real")
-    xc = x - x.mean()
-    slope = float(np.dot(xc, y) / np.dot(xc, xc))
-    resid = y - y.mean() - slope * xc
+    x_mean, y_mean = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    xc = [v - x_mean for v in x]
+    sxx = math.fsum(map(mul, xc, xc))
+    slope = math.fsum(map(mul, xc, y)) / sxx
+    resid = [v - y_mean - slope * c for v, c in zip(y, xc)]
     # A complex exponent pair shows up as a beat: the detrended residual
     # swings through zero repeatedly instead of hugging the fit line.
-    crossings = int(np.count_nonzero(resid[:-1] * resid[1:] < 0.0))
-    swing = float(np.max(np.abs(resid)))
-    if crossings >= 3 and swing > 0.02:
+    swing = max(max(resid), -min(resid)) * _LN2
+    if swing > 0.02 and (crossings := _sign_changes(resid)) >= 3:
         raise OscillationError(
             f"detrended log amplitude oscillates (swing {swing:.3g}, "
             f"{crossings} zero crossings); the decay exponent is complex")
     dof = len(x) - 2
-    stderr = float(math.sqrt(np.dot(resid, resid) / dof / np.dot(xc, xc)))
+    stderr = math.sqrt(math.fsum(map(mul, resid, resid)) / dof / sxx)
     return FitResult(exponent=slope, stderr=stderr)
+
+
+def _sign_changes(seq: list[float]) -> int:
+    """Neighbours of opposite sign, a product below zero."""
+    return len([1 for a, b in zip(seq, seq[1:]) if a * b < 0.0])
+
+
+def _significant_terms(series: fuchsian.FrobeniusSolution, t: float) -> int:
+    """Length of the prefix of the series' coefficients that holds every
+    term of its value's sum above 2^-53 of the largest at t. Past it each
+    term is below 2^-53 of a term of lower index, and stays so at every
+    smaller t, so the prefix serves the whole disk |t| holds."""
+    log_r = math.log2(t / series.scale)
+    logs = [math.log2(abs(c)) + k * log_r if c else -math.inf
+            for k, c in enumerate(series.coefficients)]
+    floor = max(logs) - 53.0
+    return 1 + max(k for k, v in enumerate(logs) if v > floor)
 
 
 def dominant_branch(ode: fuchsian.RationalCoeffODE, window: tuple[float, float],
@@ -218,13 +277,15 @@ def dominant_branch(ode: fuchsian.RationalCoeffODE, window: tuple[float, float],
     t = 1/u. Where the whole window lies inside the series' trusted disk
     (t at most half its radius) and the series' tail estimate at the
     window's lower edge (``fuchsian.evaluate``) is below tol times its
-    value, every grid point is read off the series directly (one hop),
-    all of its terms summed. Otherwise the series seeds a backward march
-    from the upper window edge, or from further out where the edge lies
-    outside the trusted disk. Either way the head is taken relative to
-    the top u_top, (t/t_top)^rho, and the solution is normalised to unit
-    max(|psi|, |psi'|) there (the equations are linear, so shape is all
-    that matters), so a far window does not underflow.
+    value, every grid point of the window is read off the series directly
+    (one hop), by its value's sum over the terms that matter at that edge,
+    the largest t (``_significant_terms``). Otherwise the series seeds a
+    backward march from the upper window edge, or from further out where
+    the edge lies outside the trusted disk. Either way the head is taken
+    relative to the top u_top, (t/t_top)^rho, and the solution is
+    normalised to unit max(|psi|, |psi'|) there, from all of the series'
+    terms (the equations are linear, so shape is all that matters), so a
+    far window does not underflow.
     """
     exps = fuchsian.indicial_exponents(ode, fuchsian.INFINITY)
     dominant = exps[1]  # sorted descending by real part: [1] decays fastest
@@ -232,27 +293,32 @@ def dominant_branch(ode: fuchsian.RationalCoeffODE, window: tuple[float, float],
     rho = -series.exponent  # the exponent in t
     lo, u_top = window[0], max(window[1], 2.0 / series.radius)
 
-    def from_infinity(u):
+    def from_infinity(u, top):
         # w = (t/t_top)^rho s(t) and its u-derivatives, s(t) = sum c_k t^k
         t = 1.0 / u
         s0, s1, s2 = fuchsian._series_sums(series.coefficients, t, series.scale)
-        head = (u_top / u) ** rho
+        head = (top / u) ** rho
         return (head * s0, -head * t * (rho * s0 + t * s1),
                 head * t * t * (rho * (rho + 1.0) * s0 + 2.0 * (rho + 1.0) * t * s1
                                 + t * t * s2))
 
+    w, dw, _ = from_infinity(u_top, u_top)
+    norm = max(abs(w), abs(dw))
     # strict, so a lower edge where t^rho underflows to zero marches
     edge = fuchsian.evaluate(series, lo) if lo >= 2.0 / series.radius else None
-    if edge is not None and edge.error < tol * abs(edge.value):
-        def direct(grid):
-            w, dw, d2w = from_infinity(grid)
-            norm = max(abs(w[0]), abs(dw[0]))  # grid[0] is u_top
-            return w / norm, dw / norm, d2w / norm, 1
-
-        return _sample(ode, u_top, lo, _N_POINTS, direct)
-    w, dw, _ = from_infinity(u_top)
-    norm = max(abs(w), abs(dw))
-    return integrate(ode, u_top, w / norm, dw / norm, lo, tol=tol)
+    if not (edge is not None and edge.error < tol * abs(edge.value)):
+        return integrate(ode, u_top, w / norm, dw / norm, lo, tol=tol, window=window)
+    points, span = _grid(ode, u_top, lo, _N_POINTS, window)
+    prefix = series.coefficients[:_significant_terms(series, 1.0 / lo)]
+    try:
+        values = [(u_top / u) ** rho
+                  * fuchsian._series_sums(prefix, 1.0 / u, series.scale, derivatives=False)
+                  / norm for u in points]
+    except OverflowError:  # the head (t/t_top)^rho
+        raise _out_of_range(u_top, lo) from None
+    # the defect is blind to a constant factor, so each point is its own top
+    defects = [fuchsian._defect(ode, u, *from_infinity(u, u)) for u in (u_top, lo)]
+    return _trajectory(ode, u_top, lo, points, span, values, 1, defects, [])
 
 
 def subdominant_branch(ode: fuchsian.RationalCoeffODE, window: tuple[float, float],
@@ -265,7 +331,7 @@ def subdominant_branch(ode: fuchsian.RationalCoeffODE, window: tuple[float, floa
     """
     if u_seed >= window[0]:
         raise ValueError("seed point must sit below the fit window")
-    return integrate(ode, u_seed, 1.0 + 0j, 0j, window[1], tol=tol)
+    return integrate(ode, u_seed, 1.0 + 0j, 0j, window[1], tol=tol, window=window)
 
 
 def classify(g: float, deformation: DeformationParams | None = None,

@@ -9,15 +9,10 @@ Usage:
 
 Every subcommand writes a table to stdout (or to --out) in CSV,
 JSON, or gnuplot-ready whitespace format.  Runs are deterministic:
-on one machine the same configuration always produces byte-identical
-output.  Across machines only ``exponents`` can differ, in the last
-digits: its array work (``fuchsian.evaluate_chain``, the series at
-infinity that ``asymptotics.dominant_branch`` sums over the grid,
-``asymptotics.integrate`` and ``fit_exponent``) runs on numpy ufuncs,
-which numpy dispatches to AVX-512 kernels with fused multiply-add where
-the CPU has them, and those round differently.  The other subcommands
-never import numpy; they compute with Python floats and the C math
-library alone.
+the same configuration always produces byte-identical output.  Every
+subcommand computes with Python floats and the C math library alone
+(the package has no runtime dependency), so no CPU-specific array
+kernel changes the last digits from one host to another.
 Numbers are printed with 17 significant digits, locale-independent.
 
 Configuration precedence: command-line flags > --config file >
@@ -37,12 +32,13 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
 import warnings
 
-from .asymptotics import dominant_branch, fit_exponent, subdominant_branch
+from .asymptotics import _geomspace, _linspace, dominant_branch, fit_exponent, subdominant_branch
 from .errors import (
     KGCoulombError,
     KGCoulombWarning,
@@ -276,8 +272,8 @@ class _Table:
     def check_finite(self) -> None:
         """Refuse a table holding inf or nan, which no input should print;
         None, an absent fit printed as nan, passes."""
-        cells = list(self.meta.items())
-        cells += [(name, cell) for row in self.rows for name, cell in zip(self.columns, row)]
+        cells = itertools.chain(self.meta.items(),
+                                (pair for row in self.rows for pair in zip(self.columns, row)))
         for name, cell in cells:
             if isinstance(cell, (int, float, complex)) and not math.isfinite(abs(cell)):
                 raise OutOfDomainError(
@@ -294,21 +290,6 @@ def _fmt(value) -> str:
     if isinstance(value, int):
         return str(int(value))
     return format(float(value), ".17g")
-
-
-def _linspace(lo: float, hi: float, n: int) -> list[float]:
-    """n evenly spaced points, i * step + lo, with hi set exactly (the
-    formula of numpy.linspace)."""
-    step = (hi - lo) / (n - 1)
-    return [i * step + lo for i in range(n - 1)] + [hi]
-
-
-def _geomspace(lo: float, hi: float, n: int) -> list[float]:
-    """n log-spaced points, 10 ** (i * step + log10(lo)), with both ends
-    set exactly (the formula of numpy.geomspace)."""
-    grid = [10.0 ** x for x in _linspace(math.log10(lo), math.log10(hi), n)]
-    grid[0], grid[-1] = lo, hi
-    return grid
 
 
 def _render(table: _Table, fmt: str) -> str:

@@ -28,10 +28,11 @@ coefficients stay in range however small or large its disk.
 It also holds the one analytic-continuation engine of the package: a
 chain of Taylor re-expansions (``reach``), each hop 0.4 of the last
 radius of convergence along a straight path, with dense output from
-every local disk (``evaluate_chain``). These equations are D-finite, so
-every re-expansion is one banded recurrence; since the radius grows with
-the distance from the finite singular points, the hop count grows only
-logarithmically along a ray to infinity.
+every local disk (``evaluate_chain``, or ``reach`` and ``evaluate`` point
+by point where the march and the reading interleave). These equations
+are D-finite, so every re-expansion is one banded recurrence; since the
+radius grows with the distance from the finite singular points, the hop
+count grows only logarithmically along a ray to infinity.
 
 Two transforms act on raw coefficient quotients: ``substitute`` changes
 the variable, z = a(t)/b(t) (the pullback is z = 1/t), and ``gauge``
@@ -47,13 +48,10 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import TYPE_CHECKING, Union
+from typing import Union
 
 from .errors import (ConvergenceError, IrregularPointError, OutOfDomainError,
                      ResonantExponentsError)
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "INFINITY",
@@ -408,19 +406,14 @@ def _normalize_quotient(num, den, roots, mults):
     return _polyscale(num, 1.0 / lead), _polyscale(den, 1.0 / lead), left
 
 
-def _quotient(num, den, z):
-    """num(z) / den(z) at a point or an array of points; beyond |z| = 1 summed
-    in t = 1/z on the reversed coefficients, so it stays in range where
-    num(z) and den(z) would not."""
-    import numpy as np
-
-    z = np.asarray(z, dtype=complex)
-    far = np.abs(z) > 1.0
-    t = 1.0 / z[far]
-    out = np.empty_like(z)
-    out[~far] = _polyval(num, z[~far]) / _polyval(den, z[~far])
-    out[far] = t ** (len(den) - len(num)) * _polyval(num[::-1], t) / _polyval(den[::-1], t)
-    return out if out.ndim else complex(out)
+def _quotient(num, den, z: complex) -> complex:
+    """num(z) / den(z); beyond |z| = 1 summed in t = 1/z on the reversed
+    coefficients, so it stays in range where num(z) and den(z) would not."""
+    z = complex(z)
+    if abs(z) > 1.0:
+        t = 1.0 / z
+        return t ** (len(den) - len(num)) * _polyval(num[::-1], t) / _polyval(den[::-1], t)
+    return _polyval(num, z) / _polyval(den, z)
 
 
 def _pow2_scale(den) -> float:
@@ -796,10 +789,25 @@ def _hop_budget(ode: RationalCoeffODE, origin: FrobeniusSolution, target: comple
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class EvalResult:
-    value: complex
-    error: float
+    """A local solution's value at a point. ``error``, a crude estimate of
+    the truncated tail, is computed when read, so a caller that reads the
+    value alone (the Heun sweep) does not pay for it."""
+
+    __slots__ = ("value", "_sol", "_x", "_rho")
+
+    def __init__(self, value: complex, sol: FrobeniusSolution, x: complex,
+                 rho: complex) -> None:
+        self.value, self._sol, self._x, self._rho = value, sol, x, rho
+
+    @property
+    def error(self) -> float:
+        if self._x == 0:
+            return 0.0
+        return abs(self._x ** self._rho) * _tail_estimate(self._sol, self._x)
+
+    def __repr__(self) -> str:
+        return f"EvalResult(value={self.value!r}, error={self.error!r})"
 
 
 def _local_coordinate(sol: FrobeniusSolution, z: complex) -> tuple[complex, complex]:
@@ -813,11 +821,7 @@ def _local_coordinate(sol: FrobeniusSolution, z: complex) -> tuple[complex, comp
 
 def _series_sums(coeffs, x, scale: float = 1.0, derivatives: bool = True):
     """sum c_k (x/scale)^k and its first two derivatives with respect to x;
-    with ``derivatives`` false, the value's sum alone, the same bits.
-
-    ``x`` may be an array, with ``coeffs`` then a sequence of arrays of
-    the same shape (one per power).
-    """
+    with ``derivatives`` false, the value's sum alone, the same bits."""
     if scale != 1.0:
         x = x / scale
     s0 = s1 = s2 = 0j
@@ -851,21 +855,24 @@ def _check_domain(sol: FrobeniusSolution, x: complex) -> None:
             f"disk of radius {sol.radius:.6g}")
 
 
+def _local_value(sol: FrobeniusSolution, x: complex, rho: complex) -> complex:
+    """x^rho times the value's sum alone at the local coordinate x != 0: the
+    value ``evaluate_with_derivatives`` gives, bit for bit."""
+    return x ** rho * _series_sums(sol.coefficients, x, sol.scale, derivatives=False)
+
+
 def evaluate(sol: FrobeniusSolution, z: complex) -> EvalResult:
-    """Value of the local solution at z, with a crude tail error estimate.
-    Only the value's sum is taken; ``evaluate_with_derivatives`` gives
-    the same value bit for bit."""
+    """Value of the local solution at z, from its value's sum alone, with
+    a crude tail error estimate computed when read."""
     x, rho = _local_coordinate(sol, z)
     _check_domain(sol, x)
     if x == 0:
         if rho == 0:
-            return EvalResult(sol.coefficients[0], 0.0)
+            return EvalResult(sol.coefficients[0], sol, x, rho)
         if rho.real > 0:
-            return EvalResult(0j, 0.0)
+            return EvalResult(0j, sol, x, rho)
         raise OutOfDomainError("series diverges at its own expansion point")
-    s0 = _series_sums(sol.coefficients, x, sol.scale, derivatives=False)
-    head = x ** rho
-    return EvalResult(head * s0, abs(head) * _tail_estimate(sol, x))
+    return EvalResult(_local_value(sol, x, rho), sol, x, rho)
 
 
 def evaluate_with_derivatives(sol: FrobeniusSolution, z: complex) -> tuple[complex, complex, complex]:
@@ -886,42 +893,39 @@ def evaluate_with_derivatives(sol: FrobeniusSolution, z: complex) -> tuple[compl
     return w, dw_dx, d2w_dx2
 
 
-def evaluate_chain(chain: list[FrobeniusSolution], points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense output of a chain built by ``reach``: arrays (w, w', w'') at
-    the points, each taken from the first series whose trusted disk (half
-    its radius) holds it, all in one vectorised Horner pass.
-    """
-    import numpy as np
-
-    points = np.asarray(points, dtype=complex)
-    centres = np.array([complex(s.expansion_point) for s in chain])
-    radii = np.array([s.radius for s in chain])
-    held = np.abs(points[:, None] - centres[None, :]) <= 0.5 * radii[None, :]
-    if not np.all(held.any(axis=1)):
-        raise OutOfDomainError("a point lies outside every disk of the continuation chain")
-    hop = held.argmax(axis=1)
-    width = max(len(s.coefficients) for s in chain)
-    table = np.zeros((len(chain), width), dtype=complex)
-    for i, s in enumerate(chain):
-        if s.exponent != 0:
-            raise ValueError("evaluate_chain needs series analytic at their centres")
-        table[i, :len(s.coefficients)] = s.coefficients
-    scales = np.array([s.scale for s in chain])[hop]
-    s0, s1, s2 = _series_sums(table[hop].T, (points - centres[hop]) / scales)
-    return s0, s1 / scales, s2 / (scales * scales)
+def evaluate_chain(chain: list[FrobeniusSolution], points) -> list[complex]:
+    """Dense output of a chain built by ``reach``: the values at points
+    given in order along its path, each read off the first series whose
+    trusted disk (half its radius) holds it by its value's sum alone. A
+    point's series is searched for from the last point's on, which finds
+    the first one holding it, since a disk's radius grows by at most the
+    distance its centre moved. Raises OutOfDomainError for a point past
+    the chain's last disk."""
+    out, k = [], 0
+    sol = chain[0]
+    for z in points:
+        x = complex(z) - complex(sol.expansion_point)
+        while abs(x) > 0.5 * sol.radius:
+            k += 1
+            if k == len(chain):
+                raise OutOfDomainError("a point lies outside every disk of the continuation chain")
+            sol = chain[k]
+            x = complex(z) - complex(sol.expansion_point)
+        out.append(_local_value(sol, x, sol.exponent))
+    return out
 
 
 def residual(ode: RationalCoeffODE, sol: FrobeniusSolution, z: complex) -> float:
     """Relative defect of the local solution at z (see ``_defect``)."""
-    return float(_defect(ode, z, *evaluate_with_derivatives(sol, z)))
+    return _defect(ode, z, *evaluate_with_derivatives(sol, z))
 
 
-def _defect(ode: RationalCoeffODE, z, w, dw, d2w):
+def _defect(ode: RationalCoeffODE, z: complex, w: complex, dw: complex, d2w: complex) -> float:
     """Relative defect |w'' + p1 w' + p0 w| / (|w''| + |p1 w'| + |p0 w|)
-    at a point or an array of points, nan where every term is zero."""
-    import numpy as np
-
-    terms = (d2w, ode.p1(z) * dw, ode.p0(z) * w)
-    size = sum(np.abs(x) for x in terms)
-    with np.errstate(invalid="ignore"):  # 0 / 0 where every term is zero
-        return np.abs(sum(terms)) / size
+    at z; nan where every term is zero or a term leaves the range."""
+    try:
+        terms = (d2w, ode.p1(z) * dw, ode.p0(z) * w)
+        size = sum(abs(x) for x in terms)
+        return abs(sum(terms)) / size if size else math.nan
+    except (OverflowError, ZeroDivisionError):  # a coefficient or term out of range at z
+        return math.nan

@@ -9,6 +9,7 @@ import pytest
 from kgcoulomb.asymptotics import (
     RegularizationVerdict,
     Trajectory,
+    _significant_terms,
     classify,
     dominant_branch,
     fit_exponent,
@@ -16,8 +17,8 @@ from kgcoulomb.asymptotics import (
     subdominant_branch,
 )
 from kgcoulomb.errors import OscillationError, OutOfDomainError
-from kgcoulomb.fuchsian import (INFINITY, RationalCoeffODE, evaluate_with_derivatives,
-                                frobenius_series, indicial_exponents)
+from kgcoulomb.fuchsian import (INFINITY, RationalCoeffODE, _series_sums,
+                                evaluate_with_derivatives, frobenius_series, indicial_exponents)
 from kgcoulomb.kgmodels import (build_deformed_first_order_psi, build_deformed_zero_energy,
                                 build_ordinary_kg, to_heun)
 from kgcoulomb.physcore import CoulombSystem, DeformationParams
@@ -31,8 +32,28 @@ _EXP_ODE = RationalCoeffODE((0.0,), (1.0,), (-1.0,), (1.0,), (), label="exp")
 class TestIntegrate:
     def test_exponential_solution(self):
         traj = integrate(_EXP_ODE, 0.0, 1.0 + 0j, 1.0 + 0j, 1.0, tol=1e-12)
+        assert len(traj.grid) == 400 and traj.span == (0.0, 1.0)
         assert traj.values[-1] == pytest.approx(math.e, rel=1e-10)
-        assert traj.derivatives[-1] == pytest.approx(math.e, rel=1e-10)
+        for u, v in zip(traj.grid, traj.values):
+            assert v == pytest.approx(math.exp(u), rel=1e-10)
+
+    @pytest.mark.parametrize("model, u0, u_end, window", [
+        ("exp", 0.0, 1.0, (0.3, 0.7)), ("exp", 1.0, 0.0, (0.3, 0.7)),
+        ("ordinary", 1.0, 1e4, (1e2, 1e3)), ("ordinary", 1e4, 10.0, (1e2, 1e3))])
+    def test_window_samples_its_grid_points_alone(self, model, u0, u_end, window):
+        # the same march, read at the grid points inside the window only
+        ode = _EXP_ODE if model == "exp" else build_ordinary_kg(
+            CoulombSystem(z=1, alpha=0.3, eta=0.5))
+        full = integrate(ode, u0, 1.0 + 0j, 1.0 + 0j, u_end)
+        part = integrate(ode, u0, 1.0 + 0j, 1.0 + 0j, u_end, window=window)
+        inside = [(u, v) for u, v in zip(full.grid, full.values) if window[0] <= u <= window[1]]
+        assert 50 < len(inside) == len(part.grid)
+        assert list(zip(part.grid, part.values)) == inside
+        assert (part.hops, part.max_residual) == (full.hops, full.max_residual)
+        # the span is the window's part of the interval, the samples' reach
+        assert full.span == (min(u0, u_end), max(u0, u_end)) and part.span == window
+        with pytest.raises(ValueError, match="not inside the trajectory's span"):
+            fit_exponent(part, full.span)
 
     def test_tolerance_controls_error(self):
         coarse = integrate(_EXP_ODE, 0.0, 1.0 + 0j, 1.0 + 0j, 1.0, tol=1e-5)
@@ -88,8 +109,8 @@ class TestTaylorContinuation:
         start, end = (5.0, 1e4) if direction == "forward" else (1e4, 5.0)
         psi0, dpsi0 = psi_ordinary_with_derivative(s, start)
         traj = integrate(build_ordinary_kg(s), start, psi0, dpsi0, end, tol=tol)
-        ref = np.array([psi_ordinary(s, float(u)) for u in traj.grid])
-        worst = float(np.max(np.abs(traj.values - ref) / np.abs(ref)))
+        ref = np.array([psi_ordinary(s, u) for u in traj.grid])
+        worst = float(np.max(np.abs(np.array(traj.values) - ref) / np.abs(ref)))
         assert worst <= self._BOUNDS[tol, direction]
 
     @pytest.mark.parametrize("g,theta,theta_prime", [(0.2, 0.05, 0.02), (0.7, 0.1, 0.03)])
@@ -104,9 +125,9 @@ class TestTaylorContinuation:
         w, dw, _ = evaluate_with_derivatives(series, u_seed)
         traj = integrate(ode, u_seed, w, dw, 100.0)
         hp, vmap = to_heun(g, dp)
-        xis = [vmap.forward(float(u)) for u in traj.grid]
+        xis = [vmap.forward(u) for u in traj.grid]
         psi = np.array([(1.0 - xi) * h for xi, h in zip(xis, heun_local(hp, xis))])
-        direct = traj.values * (psi[0] / traj.values[0])
+        direct = np.array(traj.values) * (psi[0] / traj.values[0])
         assert len(psi) == 400
         assert np.max(np.abs(direct - psi) / np.abs(psi)) <= 1e-9
 
@@ -137,23 +158,22 @@ class TestTaylorContinuation:
 class TestTrajectoryValidation:
     def test_grid_must_increase(self):
         with pytest.raises(ValueError):
-            Trajectory(grid=np.array([1.0, 1.0, 2.0]),
-                       values=np.ones(3, dtype=complex),
-                       derivatives=np.zeros(3, dtype=complex), ode_id="x")
+            Trajectory(grid=[1.0, 1.0, 2.0], values=[1 + 0j] * 3, ode_id="x")
 
     def test_samples_must_be_finite(self):
         with pytest.raises(ValueError):
-            Trajectory(grid=np.array([1.0, 2.0, 3.0]),
-                       values=np.array([1.0, np.inf, 1.0], dtype=complex),
-                       derivatives=np.zeros(3, dtype=complex), ode_id="x")
+            Trajectory(grid=[1.0, 2.0, 3.0], values=[1 + 0j, complex(math.inf), 1 + 0j],
+                       ode_id="x")
+
+
+def _trajectory(u, vals, ode_id="synthetic"):
+    return Trajectory(grid=[float(x) for x in u], values=[complex(v) for v in vals],
+                      ode_id=ode_id)
 
 
 def _power_law_trajectory(exponent, lo=10.0, hi=1e4, n=200):
     u = np.geomspace(lo, hi, n)
-    vals = u**exponent
-    derivs = exponent * u ** (exponent - 1)
-    return Trajectory(grid=u, values=vals.astype(complex),
-                      derivatives=derivs.astype(complex), ode_id="synthetic")
+    return _trajectory(u, u**exponent)
 
 
 class TestFitExponent:
@@ -165,21 +185,50 @@ class TestFitExponent:
     def test_beat_raises(self):
         # |psi| = u^-5/2 (1 + cos/2) never vanishes but is no power law
         u = np.geomspace(10, 1e5, 300)
-        vals = u**-2.5 * (1 + 0.5 * np.cos(1.5 * np.log(u)))
-        traj = Trajectory(grid=u, values=vals.astype(complex),
-                          derivatives=np.zeros_like(vals, dtype=complex),
-                          ode_id="beat")
+        traj = _trajectory(u, u**-2.5 * (1 + 0.5 * np.cos(1.5 * np.log(u))), "beat")
         with pytest.raises(OscillationError):
             fit_exponent(traj, (10.0, 1e5))
 
+    @pytest.mark.parametrize("amplitude", [0.015, 0.05])
+    def test_swing_is_measured_in_natural_log_units(self, amplitude):
+        # log|psi| = -2 log u + amplitude sin(2 log u): a real slope, and a
+        # detrended residual that swings by about the amplitude through
+        # seven zero crossings; only a swing above 0.02 in natural-log units
+        # is a beat, and the message reports numpy's largest residual
+        u = np.geomspace(10, 1e6, 400)
+        psi = u**-2.0 * np.exp(amplitude * np.sin(2.0 * np.log(u)))
+        traj = _trajectory(u, psi)
+        x, y = np.log(u), np.log(psi)
+        swing = np.max(np.abs(y - np.polyval(np.polyfit(x, y, 1), x)))
+        if swing < 0.02:
+            assert fit_exponent(traj, (10.0, 1e6)).exponent == pytest.approx(-2.0, abs=1e-3)
+        else:
+            with pytest.raises(OscillationError, match=f"swing {swing:.3g},"):
+                fit_exponent(traj, (10.0, 1e6))
+
     def test_interference_nodes_raise(self):
         u = np.geomspace(10, 1e4, 200)
-        vals = u**-2.5 * np.cos(np.log(u))
-        traj = Trajectory(grid=u, values=vals.astype(complex),
-                          derivatives=np.zeros_like(vals, dtype=complex),
-                          ode_id="nodes")
+        traj = _trajectory(u, u**-2.5 * np.cos(np.log(u)), "nodes")
         with pytest.raises(OscillationError):
             fit_exponent(traj, (10.0, 1e4))
+
+    def test_matches_polyfit_reference(self):
+        # slope and standard error of a straight line through log|psi|
+        # against log u, by numpy's least squares; a 1/u correction keeps
+        # the residuals from vanishing
+        rng = random.Random(11)
+        for _ in range(20):
+            lo = 10.0 ** rng.uniform(0.0, 3.0)
+            hi = lo * 10.0 ** rng.uniform(1.0, 4.0)
+            exponent, bend = rng.uniform(-6.0, -1.0), rng.uniform(-2.0, 2.0)
+            u = np.geomspace(lo, hi, rng.randint(50, 400))
+            traj = _trajectory(u, u**exponent * (1.0 + bend / u) * np.exp(0.3j))
+            fit = fit_exponent(traj, (lo, hi))
+            x, y = np.log(u), np.log(np.abs(u**exponent * (1.0 + bend / u)))
+            (slope, intercept), ssr = np.polyfit(x, y, 1, full=True)[:2]
+            stderr = math.sqrt(ssr[0] / (len(x) - 2) / np.sum((x - x.mean()) ** 2))
+            assert fit.exponent == pytest.approx(slope, rel=1e-12, abs=1e-12)
+            assert fit.stderr == pytest.approx(stderr, rel=1e-6, abs=1e-15)
 
     def test_window_outside_grid_rejected(self):
         traj = _power_law_trajectory(-3.0)
@@ -254,29 +303,56 @@ class TestDominantBranchFromInfinity:
     """Windows inside the trusted disk of the series at infinity are read
     off that series directly; the others still march back from it."""
 
-    def test_direct_route_equals_marched_route(self):
+    @staticmethod
+    def _draws():
         rng = random.Random(2718)
         for _ in range(24):
             ode = _random_equation(rng)
             edge = 2.0 / _series_at_infinity(ode).radius
             lo = max(edge, 1.0) * 10.0 ** rng.uniform(0.0, 2.0)
-            window = (lo, lo * 10.0 ** rng.uniform(0.5, 4.0))
+            yield ode, (lo, lo * 10.0 ** rng.uniform(0.5, 4.0))
+
+    def test_direct_route_equals_marched_route(self):
+        for ode, window in self._draws():
             direct = dominant_branch(ode, window)
             marched = _marched(ode, window)
             assert direct.hops == 1 < marched.hops
             assert direct.max_residual <= 1e-12
-            assert np.array_equal(direct.grid, marched.grid)
-            for got, ref in ((direct.values, marched.values),
-                             (direct.derivatives, marched.derivatives)):
-                assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-9, (ode.label, window)
+            assert direct.grid == marched.grid
+            got, ref = np.array(direct.values), np.array(marched.values)
+            assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-9, (ode.label, window)
+
+    def test_prefix_sum_is_the_full_sum(self):
+        # the direct route sums only the terms that matter at the window's
+        # lower edge; at every grid point that is the full 49-term value
+        # sum to within 4 ulp of its largest term
+        lengths = []
+        for ode, window in self._draws():
+            series = _series_at_infinity(ode)
+            coeffs, scale = series.coefficients, series.scale
+            n = _significant_terms(series, 1.0 / window[0])
+            lengths.append(n)
+            for u in dominant_branch(ode, window).grid:
+                r = 1.0 / (u * scale)
+                full = _series_sums(coeffs, 1.0 / u, scale, derivatives=False)
+                prefix = _series_sums(coeffs[:n], 1.0 / u, scale, derivatives=False)
+                largest = max(abs(c) * r**k for k, c in enumerate(coeffs))
+                assert abs(prefix - full) <= 4 * math.ulp(largest), (ode.label, window, u)
+        assert len(series.coefficients) == 49
+        assert sorted(lengths)[len(lengths) // 2] < 49 // 2
 
     @pytest.mark.parametrize("theta, window", [(1e-80, (1e2, 1e4)), (1e-14, (1e5, 1e7))])
     def test_window_below_the_trusted_disk_marches(self, theta, window):
         ode = build_deformed_zero_energy(0.073, DeformationParams(theta, 0.0))
-        assert window[0] < 2.0 / _series_at_infinity(ode).radius
+        u_top = 2.0 / _series_at_infinity(ode).radius
+        assert window[0] < window[1] < u_top
         traj = dominant_branch(ode, window)
         assert traj.hops > 1
         assert traj.max_residual <= 1e-9
+        # the march starts at u_top, but the samples cover the window alone
+        assert traj.span == window and traj.grid[-1] <= window[1]
+        with pytest.raises(ValueError, match="not inside the trajectory's span"):
+            fit_exponent(traj, (window[0], u_top))
 
     def test_series_that_does_not_settle_marches(self):
         # at order 4 the series at the lower edge is no better than 2^-5
@@ -286,7 +362,8 @@ class TestDominantBranchFromInfinity:
         assert coarse.hops > 1
         fine = dominant_branch(ode, window)
         assert fine.hops == 1
-        assert np.max(np.abs(coarse.values - fine.values) / np.abs(fine.values)) <= 1e-6
+        got, ref = np.array(coarse.values), np.array(fine.values)
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-6
 
 
 class TestClassify:

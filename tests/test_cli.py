@@ -440,7 +440,7 @@ def test_parser_built_once_keeps_no_state(capsys):
 
 
 def test_commands_without_arrays_leave_numpy_unloaded():
-    # numpy loads only inside the exponents integration and fit
+    # no subcommand imports numpy, the exponents integration and fit included
     src = str(Path(cli.__file__).resolve().parents[1])
     code = ("import contextlib, io, sys\n"
             "from kgcoulomb import cli\n"
@@ -449,13 +449,17 @@ def test_commands_without_arrays_leave_numpy_unloaded():
             "        ['wavefunction'],\n"
             "        ['wavefunction', '--model', 'deformed-zero-energy', '--theta', '0.05',\n"
             "         '--theta-prime', '0.02', '--g', '0.2'],\n"
-            "        ['heun-check']]\n"
+            "        ['heun-check'],\n"
+            "        ['exponents', '--Z', '10'], ['exponents', '--Z', '100'],\n"
+            "        ['exponents', '--model', 'deformed-zero-energy', '--theta', '0.05',\n"
+            "         '--theta-prime', '0.02', '--Z', '57'],\n"
+            "        ['exponents', '--model', 'deformed-first-order', '--theta', '0.05']]\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    codes = [cli.main(argv) for argv in runs]\n"
             "print(codes, 'numpy' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert proc.stdout.strip() == "[0, 0, 0, 0, 0, 0] False"
+    assert proc.stdout.strip() == f"{[0] * 10} False"
 
 
 def test_hydrogen_far_above_the_old_bracket_edge(capsys):

@@ -264,13 +264,11 @@ class TestEvaluation:
         points = [0.3, 2.0, 1e40, 1e70, 1e150, 1e300]
         for coeff, num, den in ((ode.p1, ode.p1_num, ode.p1_den),
                                 (ode.p0, ode.p0_num, ode.p0_den)):
-            swept = coeff(points)
-            for u, got in zip(points, swept):
+            for u in points:
                 with mpmath.workdps(30):
                     ref = complex(mpmath.polyval([mpmath.mpc(c) for c in num[::-1]], u)
                                   / mpmath.polyval([mpmath.mpc(c) for c in den[::-1]], u))
-                assert coeff(u) == got
-                assert abs(got - ref) <= 1e-14 * abs(ref), u
+                assert abs(coeff(u) - ref) <= 1e-14 * abs(ref), u
 
     def test_residual_is_nan_where_every_term_underflows(self):
         # at u = 4/radius = 4e60 the dominant branch's w is near 1e-303,
@@ -596,14 +594,35 @@ def _reduced_sum_cases():
 
 
 class TestReducedSums:
-    """``evaluate`` sums only the value, the same bits as the full sums
-    give it; ``reach`` seeds each hop from the last one's w and w'."""
+    """``evaluate`` and ``evaluate_chain`` sum only the value, the same bits
+    as the full sums give it; ``reach`` seeds each hop from the last one's
+    w and w'."""
 
     def test_value_alone_is_the_value_with_derivatives(self):
         for sol, points in _reduced_sum_cases():
+            full = [_bits(evaluate_with_derivatives(sol, z)[0]) for z in points]
+            assert [_bits(evaluate(sol, z).value) for z in points] == full, sol.expansion_point
+            if sol.expansion_point is not INFINITY and sol.exponent == 0:
+                assert list(map(_bits, evaluate_chain([sol], points))) == full
+
+    def test_tail_estimate_is_computed_when_read(self, monkeypatch):
+        sol, points = _reduced_sum_cases()[0]
+        reads = []
+        with monkeypatch.context() as patch:
+            patch.setattr(fuchsian, "_tail_estimate", lambda sol, x: reads.append(x) or 0.0)
+            res = evaluate(sol, points[0])
+            assert reads == []
+            assert res.error == 0.0 and len(reads) == 1
+        # the estimate |x^rho| |c_n| (|x| / scale)^n ratio / (1 - ratio), ratio = |x| / radius
+        for sol, points in _reduced_sum_cases():
             for z in points:
-                full = evaluate_with_derivatives(sol, z)
-                assert _bits(evaluate(sol, z).value) == _bits(full[0]), (sol.expansion_point, z)
+                res = evaluate(sol, z)
+                x, rho = fuchsian._local_coordinate(sol, z)
+                n = len(sol.coefficients) - 1
+                ratio = abs(x) / sol.radius
+                tail = abs(sol.coefficients[n]) * (abs(x) / sol.scale) ** n * ratio / (1 - ratio)
+                assert res.error == pytest.approx(abs(x ** rho) * tail, rel=1e-12, abs=0)
+                assert repr(res) == f"EvalResult(value={res.value!r}, error={res.error!r})"
 
     @pytest.mark.parametrize("start", ["taylor", "frobenius"])
     def test_reach_is_the_chain_built_by_hand(self, start):
@@ -659,17 +678,24 @@ class TestContinuationChain:
         assert sol.radius == 2.0
 
     def test_dense_output_matches_pointwise_evaluation(self):
+        # points in order along the path, each read off the first series
+        # whose trusted disk holds it, by its value alone
         chain = [taylor_series(_COS_ODE, 0.0, 1.0, 0.0, order=64, tol=1e-14, max_radius=1.0)]
         last = reach(_COS_ODE, chain, 10.0 + 0j, 64, tol=1e-14, max_radius=1.0)
         assert last == len(chain) - 1 == 24  # hops of 0.4 up to 9.6
-        points = [0.0, 0.2, 3.3, 7.77, 10.0]
-        w, dw, d2w = evaluate_chain(chain, points)
-        for i, x in enumerate(points):
-            assert w[i] == pytest.approx(math.cos(x), abs=1e-13)
-            assert dw[i] == pytest.approx(-math.sin(x), abs=1e-13)
-            assert d2w[i] == pytest.approx(-math.cos(x), abs=1e-12)
+        points = [0.0, 0.2, 0.21, 3.3, 7.77, 10.0]
+        for x, w in zip(points, evaluate_chain(chain, points)):
+            assert w == pytest.approx(math.cos(x), abs=1e-13)
         with pytest.raises(OutOfDomainError):
             evaluate_chain(chain, [11.0])
+        # a second hop seeded with twice the solution shows which disk was
+        # read: 0.2 and 0.5 lie in both, 0.8 in the second alone
+        doubled = [chain[0], taylor_series(_COS_ODE, 0.4, 2.0 * math.cos(0.4),
+                                           -2.0 * math.sin(0.4), order=64, tol=1e-14,
+                                           max_radius=1.0)]
+        got = evaluate_chain(doubled, [0.2, 0.5, 0.8])
+        assert got == pytest.approx([math.cos(0.2), math.cos(0.5), 2.0 * math.cos(0.8)],
+                                    abs=1e-13)
 
     def test_inward_path_gets_the_hops_it_needs(self):
         # from u = 1e47 down to 10 each hop covers 0.4 of the distance to

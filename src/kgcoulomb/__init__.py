@@ -14,11 +14,11 @@ from .fuchsian import (INFINITY, EvalResult, FrobeniusSolution, RationalCoeffODE
                        frobenius_series, indicial_exponents, residual,
                        singular_points, taylor_series)
 from .kgmodels import (ConfluenceWarning, GenHeunParams, VariableMap,
-                       build_deformed_first_order, build_deformed_first_order_psi,
+                       build_deformed_first_order_psi,
                        build_deformed_zero_energy, build_ordinary_kg,
                        gen_heun_ode, to_generalized_heun, to_heun)
 from .physcore import (FINE_STRUCTURE_ALPHA, CoulombSystem, DeformationParams,
-                       critical_Z, minimal_length, mu_of_coupling)
+                       minimal_length, mu_of_coupling)
 from .specialfn import (HeunParams, heun_local, heun_ode, hyp2f1,
                         hyp2f1_with_derivatives, hypergeometric_ode, psi_ordinary,
                         psi_ordinary_with_derivative)

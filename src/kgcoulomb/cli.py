@@ -373,16 +373,14 @@ def cmd_exponents(cfg: dict) -> _Table:
     fits = [None, None]
     if not oscillatory:
         try:
-            sub = subdominant_branch(ode, window, tol=cfg["tol"])
-        except ValueError as exc:  # window starts at or below the seed point
-            raise UsageError(f"--window {cfg['window']}: {exc}")
-        try:
-            fits[0] = fit_exponent(sub, window)
+            fits[0] = fit_exponent(subdominant_branch(ode, window, tol=cfg["tol"]), window)
             fits[1] = fit_exponent(
                 dominant_branch(ode, window, order=cfg["order"], tol=cfg["tol"]), window)
         except OscillationError:
             oscillatory = True
             fits = [None, None]
+        except ValueError as exc:  # window at or below the seed point, or too few samples
+            raise UsageError(f"--window {cfg['window']}: {exc}")
     scale = max((abs(r) for r, _, _ in ode.points), default=0.0)
     if window[0] < scale:
         warnings.warn(f"the window starts at u = {window[0]:.6g}, below the equation's "
@@ -420,18 +418,8 @@ def cmd_wavefunction(cfg: dict) -> _Table:
             if not eta < 1.0:
                 raise OutOfDomainError(f"level n = {n} at g = {g:g} is bound by less than "
                                        "the rounding of eta = 1; no wavefunction to sample")
-        system = _system(cfg, eta)
+        sample = functools.partial(psi_ordinary, _system(cfg, eta))
         meta = {"model": model, "g": g, "eta": eta}
-
-        def sample(us: list[float]) -> list[complex]:
-            out = []
-            for i, u in enumerate(us):
-                try:
-                    out.append(psi_ordinary(system, u))
-                except KGCoulombError as exc:
-                    exc.index = i
-                    raise
-            return out
 
     elif model == "deformed-zero-energy":
         dp = _deformation(cfg)
@@ -498,11 +486,13 @@ def cmd_params(cfg: dict) -> _Table:
 def cmd_heun_check(cfg: dict) -> _Table:
     """Equal-deformation cross-check of the two evaluation routes.
 
-    When the two deformation parameters coincide the middle regular
-    point of the reduced equation becomes ordinary and the local
+    When the two deformation parameters coincide the singular point
+    xi = 1 of the reduced equation becomes ordinary and the local
     solution collapses to a Gauss hypergeometric function of xi/xi0.
-    The two code paths share no series code, so agreement here
-    validates both.
+    Both sides run on the one continuation engine, each on its own
+    equation, so agreement here checks the reduction: the Heun
+    parameter block and its variable map. The engine itself is checked
+    against mpmath in the tests.
     """
     g = _coupling(cfg)
     theta = cfg["theta"]
@@ -514,16 +504,11 @@ def cmd_heun_check(cfg: dict) -> _Table:
     dp = _deformation({**cfg, "theta-prime": theta})
     hp, _ = to_heun(g, dp)
     grid = _linspace(0.0, 0.4, _HEUN_CHECK_POINTS)
-    rows = []
-    worst = 0.0
-    for xi, h in zip(grid, heun_local(hp, grid, order=cfg["order"])):
-        f = hyp2f1(hp.a, hp.b, hp.c, xi / hp.xi0)
-        diff = abs(h - f)
-        worst = max(worst, diff)
-        rows.append([xi, h.real, f.real, diff])
-    meta = {"g": g, "theta": theta, "a": hp.a.real if isinstance(hp.a, complex) else hp.a,
-            "b": hp.b.real if isinstance(hp.b, complex) else hp.b,
-            "c": hp.c, "xi0": hp.xi0, "max_abs_diff": worst}
+    heun = heun_local(hp, grid, order=cfg["order"])
+    hyper = hyp2f1(hp.a, hp.b, hp.c, [xi / hp.xi0 for xi in grid])
+    rows = [[xi, h.real, f.real, abs(h - f)] for xi, h, f in zip(grid, heun, hyper)]
+    meta = {"g": g, "theta": theta, "a": hp.a.real, "b": hp.b.real, "c": hp.c, "xi0": hp.xi0,
+            "max_abs_diff": max(row[3] for row in rows)}
     return _Table("heun-check", meta, ["xi", "heun", "hypergeometric", "abs_diff"], rows)
 
 

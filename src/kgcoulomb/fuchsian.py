@@ -879,9 +879,11 @@ def evaluate_with_derivatives(sol: FrobeniusSolution, z: complex) -> tuple[compl
     """(w, w', w'') at z, derivatives taken with respect to z."""
     x, rho = _local_coordinate(sol, z)
     _check_domain(sol, x)
-    if x == 0:
+    if x == 0 and rho != 0:
         raise OutOfDomainError("derivative evaluation needs a point away from the expansion center")
     s0, s1, s2 = _series_sums(sol.coefficients, x, sol.scale)
+    if x == 0:  # an analytic series at its own centre
+        return s0, s1, s2
     w = x ** rho * s0
     dw_dx = x ** (rho - 1) * (rho * s0 + x * s1)
     d2w_dx2 = x ** (rho - 2) * (rho * (rho - 1.0) * s0 + 2.0 * rho * x * s1 + x * x * s2)

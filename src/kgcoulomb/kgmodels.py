@@ -39,7 +39,6 @@ __all__ = [
     "ConfluenceWarning",
     "build_ordinary_kg",
     "build_deformed_zero_energy",
-    "build_deformed_first_order",
     "build_deformed_first_order_psi",
     "to_heun",
     "to_generalized_heun",
@@ -99,7 +98,16 @@ def _deformed_zero_energy_coeffs(g, theta, theta_prime):
 
 
 def _first_order_phi_coeffs(g, eta, theta, imag=1j):
-    """p1, p0 of the first-order deformed equation for phi = u psi."""
+    """p1, p0 of the first-order deformed equation (theta' = 2 theta) for
+    phi = u psi:
+
+        (u^2+eps2)(1+6 theta u^2) phi''
+          + {2 theta u (u^2+eps2) + 4u (1+6 theta u^2) + 2 i om (1+3 theta u^2)} phi'
+          + {-2 theta (u^2+eps2) - 2 (1+6 theta u^2) + 4 (1+7 theta u^2)
+             - 4 i om theta u + g^2} phi = 0.
+
+    Its exponents at infinity are those of psi plus 1.
+    """
     eps2 = (1 - eta) * (1 + eta)
     om = g * eta
     den = (eps2, 0, 1 + 6 * theta * eps2, 0, 6 * theta)  # (u^2+eps2)(1+6 theta u^2)
@@ -151,24 +159,6 @@ def build_deformed_zero_energy(g: float, params: DeformationParams) -> RationalC
     # two pairs coincide and merge
     points = ((0, 1, 0),) + _with_mirror((1j, 1, 1), (1j / math.sqrt(params.total), 1, 2))
     return RationalCoeffODE(p1n, p1d, p0n, p0d, points, label="deformed-zero-energy")
-
-
-def build_deformed_first_order(system: CoulombSystem, theta: float) -> RationalCoeffODE:
-    """First order in theta, theta' = 2 theta, for phi(u) = u psi(u):
-
-        (u^2+eps2)(1+6 theta u^2) phi''
-          + {2 theta u (u^2+eps2) + 4u (1+6 theta u^2) + 2 i om (1+3 theta u^2)} phi'
-          + {-2 theta (u^2+eps2) - 2 (1+6 theta u^2) + 4 (1+7 theta u^2)
-             - 4 i om theta u + g^2} phi = 0.
-
-    Exponents at infinity are phi exponents; subtract 1 for psi.
-    """
-    _require_bound_state(system)
-    if theta <= 0.0:
-        raise ValueError("theta must be positive; for theta = 0 use build_ordinary_kg")
-    (p1n, p1d), (p0n, p0d) = _first_order_phi_coeffs(system.g, system.eta, theta)
-    return RationalCoeffODE(p1n, p1d, p0n, p0d, _first_order_points(system, theta),
-                            label="deformed-first-order")
 
 
 def _first_order_points(system: CoulombSystem, theta: float) -> tuple:

@@ -65,18 +65,6 @@ def mu_of_coupling(g: float) -> complex:
     return cmath.sqrt(0.25 - g * g)
 
 
-def critical_Z(alpha: float) -> int:
-    """Largest integer charge with Z*alpha strictly below 1/2."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    z = math.floor(0.5 / alpha)
-    while z > 0 and z * alpha >= 0.5:
-        z -= 1
-    while (z + 1) * alpha < 0.5:
-        z += 1
-    return max(z, 0)
-
-
 @dataclass(frozen=True)
 class CoulombSystem:
     """A point charge Z seen by a spin-0 particle, at a trial energy eta.

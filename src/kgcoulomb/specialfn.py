@@ -1,9 +1,11 @@
-"""Gauss hypergeometric and Heun machinery.
+"""Gauss hypergeometric and Heun machinery on the package's one
+analytic-continuation engine, ``fuchsian.reach``.
 
-``hyp2f1`` is a direct series implementation with a Pfaff-transformed
-fallback, which together cover |z| < 1 and Re z < 1/2. Terminating
-series are detected first and summed exactly, domain checks skipped,
-since polynomial cases stay valid everywhere.
+``hyp2f1`` sums its power series directly for terminating parameters
+(exactly, at any z, since a polynomial is valid everywhere) and for
+|z| <= 1/2. Every other point is read off a chain of Taylor hops of the
+hypergeometric equation from its exponent-0 Frobenius series at 0, the
+2F1 series itself: the principal branch, on the plane cut along [1, inf).
 
 The Heun side stores the parameter block of
 
@@ -11,18 +13,17 @@ The Heun side stores the parameter block of
         + (a b xi + q) / (xi (xi - 1) (xi - xi0)) H = 0
 
 and evaluates the local solution analytic at xi = 0 (normalized to
-H(0) = 1) by Frobenius expansion, continued by stepped Taylor
-re-expansion (``fuchsian.reach``) when the target lies past the first
-disk of convergence; the hops are scaled, so the march comes as close
-to xi = 1 (u -> infinity) as the grid asks.
-A whole grid is evaluated in one sweep: the series at 0 is built once,
-and the points on the real ray xi > 0 share one chain of Taylor hops,
-which gives the same values as marching to each point alone.
+H(0) = 1) by Frobenius expansion, continued by the same hops past the
+first disk of convergence; the hops are scaled, so the march comes as
+close to xi = 1 (u -> infinity) as the grid asks.
+
+``hyp2f1``, ``heun_local`` and ``psi_ordinary`` take a point or a
+sequence of points; one sweep (``_sweep``) serves a sequence, its points
+sharing one chain of hops.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import numbers
 from collections.abc import Sequence
@@ -44,6 +45,8 @@ __all__ = [
 ]
 
 _MAX_TERMS = 10_000
+_TOL = 1e-15  # the direct series stops after two terms below this, relative
+_ORDER = 64  # the largest order of a Taylor hop of the hypergeometric equation
 
 
 def _near_nonpositive_int(x: complex, tol: float = 1e-9) -> int | None:
@@ -63,81 +66,97 @@ def _near_nonpositive_int(x: complex, tol: float = 1e-9) -> int | None:
 
 
 def _series_2f1(a: complex, b: complex, c: complex, z: complex,
-                n_cap: int | None, tol: float) -> complex:
-    """Plain power series; n_cap forces termination for polynomial cases."""
-    term = 1.0 + 0j
-    total = term
-    small_streak = 0
-    limit = n_cap if n_cap is not None else _MAX_TERMS
-    for n in range(limit):
+                n_cap: int | None = None) -> tuple[complex, list[complex]]:
+    """(sum, terms) of the plain power series at z: n_cap terms past the
+    first (a polynomial), or until two successive terms fall below _TOL
+    times the partial sum. Raises ConvergenceError when an infinite
+    series cancels: terms above 1e6 times both its sum and 1 leave it
+    fewer than 10 correct digits (large parameters, such as b = 1/2 - w
+    + mu near threshold)."""
+    term = total = 1.0 + 0j
+    terms = [term]
+    largest, small_streak = 1.0, 0
+    for n in range(n_cap if n_cap is not None else _MAX_TERMS):
         term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
         total += term
+        terms.append(term)
         if n_cap is None:
-            if abs(term) <= tol * max(abs(total), 1e-300):
-                small_streak += 1
-                if small_streak >= 2:
-                    return total
-            else:
-                small_streak = 0
-    if n_cap is not None:
-        return total
-    raise ConvergenceError(
-        f"hypergeometric series did not settle in {_MAX_TERMS} terms at z = {z}")
+            largest = max(largest, abs(term))
+            small_streak = small_streak + 1 if abs(term) <= _TOL * max(abs(total), 1e-300) else 0
+            if small_streak == 2 and largest > 1e6 * max(abs(total), 1.0):
+                raise ConvergenceError(f"the hypergeometric series at z = {z} cancels: terms "
+                                       f"reach {largest:.3g} against a sum of {abs(total):.3g}")
+            if small_streak == 2:
+                return total, terms
+    if n_cap is None:
+        raise ConvergenceError(
+            f"hypergeometric series did not settle in {_MAX_TERMS} terms at z = {z}")
+    return total, terms
 
 
-def hyp2f1(a: complex, b: complex, c: complex, z: complex,
-           tol: float = 1e-15) -> complex:
-    """Gauss 2F1(a, b; c; z).
-
-    Terminating series (a or b a nonpositive integer) are summed exactly
-    for any z. Otherwise the direct series covers |z| < 1 and the Pfaff
-    transformation covers |z/(z-1)| < 1; whichever argument is smaller
-    is used. Raises ParameterPoleError when c is a nonpositive integer
-    and OutOfDomainError outside both regions.
-    """
-    a, b, c, z = complex(a), complex(b), complex(c), complex(z)
+def _parameters(a: complex, b: complex, c: complex):
+    """(a, b, c) as complex numbers and the number of terms past the first
+    of a terminating series, else None; ParameterPoleError for c = 0, -1, ..."""
+    a, b, c = complex(a), complex(b), complex(c)
     if _near_nonpositive_int(c) is not None:
         raise ParameterPoleError(f"2F1 pole: c = {c} is a nonpositive integer")
-
     stops = [-n for x in (a, b) if (n := _near_nonpositive_int(x)) is not None]
-    if stops:
-        return _series_2f1(a, b, c, z, min(stops) + 1, tol)
+    return a, b, c, (min(stops) + 1 if stops else None)
 
-    if z == 1:
-        raise OutOfDomainError("2F1 evaluation at z = 1 is not supported")
-    w = z / (z - 1.0)
-    if abs(z) < 1.0 and abs(z) <= abs(w):
-        return _series_2f1(a, b, c, z, None, tol)
-    if abs(w) < 1.0:
-        return (1.0 - z) ** (-a) * _series_2f1(a, c - b, c, w, None, tol)
-    raise OutOfDomainError(
-        f"z = {z} lies outside |z| < 1 and |z/(z-1)| < 1; no continuation path")
+
+def _chain_start(a: complex, b: complex, c: complex):
+    """The hypergeometric equation and its exponent-0 Frobenius series at
+    0, the 2F1 series in the variable 2z, as many terms as its sum at
+    z = 1/2 takes to settle."""
+    terms = _series_2f1(a, b, c, 0.5)[1]
+    return hypergeometric_ode(a, b, c), fuchsian.FrobeniusSolution(0j, 0j, tuple(terms), 1.0, 0.5)
+
+
+def hyp2f1(a: complex, b: complex, c: complex,
+           z: complex | Sequence[complex]) -> complex | list[complex]:
+    """Gauss 2F1(a, b; c; z), principal branch.
+
+    ``z`` is a point (the result is a complex) or a 1-D sequence of
+    points (the result is a list of values in input order). The direct
+    series serves terminating parameters at any z and every z with
+    |z| <= 1/2; the other points are visited in the order given along one
+    continuation chain (``_sweep``). Raises ParameterPoleError when c is
+    a nonpositive integer and OutOfDomainError for a point on the cut
+    [1, inf), whose position is the error's ``index``.
+    """
+    scalar = isinstance(z, numbers.Number)
+    points = [complex(z)] if scalar else [complex(x) for x in z]
+    a, b, c, cap = _parameters(a, b, c)
+    values = [0j] * len(points)
+    far = []
+    for i, x in enumerate(points):
+        if cap is None and abs(x) > 0.5:
+            far.append(i)
+            continue
+        try:
+            values[i] = _series_2f1(a, b, c, x, cap)[0]
+        except KGCoulombError as exc:
+            exc.index = i
+            raise
+    if far:
+        for i, disk in _sweep(*_chain_start(a, b, c), points, far, _ORDER):
+            values[i] = fuchsian.evaluate(disk, points[i]).value
+    return values[0] if scalar else values
 
 
 def hyp2f1_with_derivatives(a: complex, b: complex, c: complex,
                             z: complex) -> tuple[complex, complex, complex]:
-    """(F, dF/dz, d2F/dz2).
-
-    Terminating series are differentiated term by term (the parameter
-    shift would leave the polynomial family and lose the everywhere
-    convergence); otherwise the contiguous shift is used.
-    """
-    a, b, c, z = complex(a), complex(b), complex(c), complex(z)
-    stops = [-n for x in (a, b) if (n := _near_nonpositive_int(x)) is not None]
-    if stops:
-        coeff = 1.0 + 0j
-        f0 = f1 = f2 = 0j
-        for k in range(min(stops) + 1):
-            zp = z ** (k - 2) if k >= 2 else 0j
-            f2 += k * (k - 1) * coeff * zp
-            f1 += k * coeff * (z ** (k - 1) if k >= 1 else 0j)
-            f0 += coeff * z ** k
-            coeff *= (a + k) * (b + k) / ((c + k) * (k + 1.0))
-        return f0, f1, f2
-    f0 = hyp2f1(a, b, c, z)
-    f1 = a * b / c * hyp2f1(a + 1, b + 1, c + 1, z)
-    f2 = a * (a + 1) * b * (b + 1) / (c * (c + 1)) * hyp2f1(a + 2, b + 2, c + 2, z)
-    return f0, f1, f2
+    """(F, dF/dz, d2F/dz2) at one point, read off the polynomial of a
+    terminating series (valid for any z), or else off the disk of
+    ``hyp2f1``'s continuation chain that holds z."""
+    a, b, c, cap = _parameters(a, b, c)
+    z = complex(z)
+    if cap is not None:
+        coeffs = tuple(_series_2f1(a, b, c, 1.0, cap)[1])
+        return fuchsian.evaluate_with_derivatives(
+            fuchsian.FrobeniusSolution(0j, 0j, coeffs, math.inf), z)
+    [(_, disk)] = _sweep(*_chain_start(a, b, c), [z], [0], _ORDER)
+    return fuchsian.evaluate_with_derivatives(disk, z)
 
 
 def hypergeometric_ode(a: complex, b: complex, c: complex) -> fuchsian.RationalCoeffODE:
@@ -196,23 +215,58 @@ def heun_ode(params: HeunParams) -> fuchsian.RationalCoeffODE:
 
 
 def _check_target(sings: list[complex], target: complex) -> None:
-    if min((abs(target - s) for s in sings), default=math.inf) < 1e-9:
-        raise OutOfDomainError(f"target {target} sits on a singular point")
+    """Refuse a target on a singular point s, or on the real axis past a
+    real s as seen from 0, where the branch cut from s runs."""
+    for s in sings:
+        if abs(target - s) < 1e-9:
+            raise OutOfDomainError(f"target {target} sits on a singular point")
+        if target.imag == 0 == s.imag and s.real * target.real > 0 and abs(s) < abs(target):
+            raise OutOfDomainError(f"target {target} lies on the branch cut from {s}")
 
 
-def _finite_singular_points(ode: fuchsian.RationalCoeffODE) -> list[complex]:
-    return [s.location for s in fuchsian.singular_points(ode)
-            if s.location is not fuchsian.INFINITY]
+def _sweep(ode: fuchsian.RationalCoeffODE, series: fuchsian.FrobeniusSolution,
+           targets: list[complex], visit: list[int], order: int):
+    """(i, disk) for each index i of ``visit`` in turn: the first disk,
+    from the current one on, of one chain of Taylor hops from ``series``
+    (the solution's series at 0, analytic there) whose trusted disk holds
+    targets[i] (``fuchsian.reach``, hops of at most ``order`` terms).
 
-
-def _march_to(ode: fuchsian.RationalCoeffODE, start: fuchsian.FrobeniusSolution,
-              target: complex, order: int) -> tuple[complex, complex]:
-    """(value, derivative) at target, marching by Taylor re-expansion
-    along the straight segment from the start expansion point."""
-    _check_target(_finite_singular_points(ode), target)
-    chain = [start]
-    sol = chain[fuchsian.reach(ode, chain, target, order)]
-    return fuchsian.evaluate_with_derivatives(sol, target)[:2]
+    Each point is reached from the disk that held the last. A new chain
+    starts from 0 when the next point z lies in the other open half-plane
+    from the current centre c, or lies outside that disk and no farther
+    out than c along c's direction (Re(z conj c) < |c|^2). A path toward
+    z off the real axis that would pass a singular point s at less than
+    half the distance of either end goes round it through s + i |z - s|
+    on z's side, since an error made near s can grow by orders of
+    magnitude on the way out. So every path stays in one closed
+    half-plane, moving away from 0 and clear of the singular points, and
+    a solution cut along the real axis keeps its principal branch. On a
+    real ray every hop heads exactly +1 or -1, so points visited outward
+    along it get the values each would get alone. A point's error
+    carries i as its ``index``.
+    """
+    # every finite singular point but 0, where the series is analytic
+    sings = [s.location for s in fuchsian.singular_points(ode)
+             if s.location is not fuchsian.INFINITY and s.location != 0]
+    chain, k = [series], 0
+    for i in visit:
+        z, disk = targets[i], chain[k]
+        c = complex(disk.expansion_point)
+        if c.imag * z.imag < 0 or (abs(z - c) > 0.5 * disk.radius
+                                   and (z * c.conjugate()).real < abs(c) ** 2):
+            chain, k, c = [series], 0, 0j
+        try:
+            _check_target(sings, z)
+            for s in sings if z.imag and z != c else ():
+                t = min(1.0, max(0.0, ((s - c) * (z - c).conjugate()).real / abs(z - c) ** 2))
+                if abs(c + t * (z - c) - s) < 0.5 * min(abs(z - s), abs(c - s)):
+                    detour = s + math.copysign(abs(z - s), z.imag) * 1j
+                    k = fuchsian.reach(ode, chain, detour, order, k)
+            k = fuchsian.reach(ode, chain, z, order, k)
+        except KGCoulombError as exc:
+            exc.index = i
+            raise
+        yield i, chain[k]
 
 
 def heun_local(params: HeunParams, xi: complex | Sequence[complex],
@@ -220,49 +274,24 @@ def heun_local(params: HeunParams, xi: complex | Sequence[complex],
     """The local Heun solution analytic at xi = 0 with H(0) = 1.
 
     ``xi`` is a point (the result is a complex) or a 1-D sequence of
-    points (the result is a list of values in input order). Points
-    inside half the first radius of convergence are single Frobenius
-    sums. The others are reached by stepped Taylor re-expansion along a
-    straight path from 0 (``fuchsian.reach``: each hop a series in its
-    scaled variable, of at most the given order, truncated where its tail
-    falls below double precision), stopping short of any singular point.
-
-    One sweep serves a whole grid: points on the real ray xi > 0 are
-    visited in ascending order along one chain of hops, each evaluated
-    from the first hop whose trusted disk holds it, by its value's sum
-    alone (``fuchsian.evaluate``). On that ray every
-    hop heads in the direction exactly 1, so the hop centres do not
-    depend on the target and the shared chain is the one each point
-    would march alone; values are identical to one call per point. Any
-    other point marches its own chain from 0.
-
-    When a point cannot be reached, the raised error's ``index`` is its
-    position in the input.
+    points (the result is a list of values in input order). Points within
+    half the first radius of convergence are single Frobenius sums; the
+    others are reached by Taylor hops (``_sweep``: each hop a series in
+    its scaled variable, of at most the given order, cut where its tail
+    falls below double precision). Each value is its sum alone
+    (``fuchsian.evaluate``). The points of the real ray xi >= 0 go first,
+    in ascending order, so they share one chain and get the values of
+    one call per point.
     """
     scalar = isinstance(xi, numbers.Number)
     targets = [complex(xi)] if scalar else [complex(x) for x in xi]
     ode = heun_ode(params)
     series = fuchsian.frobenius_series(ode, 0j, 0j, order=order)
+    visit = sorted(range(len(targets)), key=lambda i: (0, targets[i].real)
+                   if targets[i].imag == 0 and targets[i].real >= 0 else (1, i))
     values = [0j] * len(targets)
-    ray, off_ray = [], []
-    for i, x in enumerate(targets):
-        if abs(x) <= 0.5 * series.radius:
-            values[i] = fuchsian.evaluate(series, x).value
-        else:
-            (ray if x.imag == 0 and x.real > 0 else off_ray).append(i)
-    ray.sort(key=lambda i: targets[i].real)
-    sings = _finite_singular_points(ode)
-    chain, k = [series], 0
-    try:
-        for i in ray:
-            _check_target(sings, targets[i])
-            k = fuchsian.reach(ode, chain, targets[i], order, k)
-            values[i] = fuchsian.evaluate(chain[k], targets[i]).value
-        for i in off_ray:
-            values[i] = _march_to(ode, series, targets[i], order)[0]
-    except KGCoulombError as exc:
-        exc.index = i
-        raise
+    for i, disk in _sweep(ode, series, targets, visit, order):
+        values[i] = fuchsian.evaluate(disk, targets[i]).value
     return values[0] if scalar else values
 
 
@@ -271,32 +300,36 @@ def heun_local(params: HeunParams, xi: complex | Sequence[complex],
 # ---------------------------------------------------------------------------
 
 
-def _psi_ordinary_pieces(system: CoulombSystem, u: float):
+def _psi_ordinary_pieces(system: CoulombSystem):
+    """(mu, eps_tilde, a, b, c) of the closed form."""
     mu = system.mu
-    et = system.eps_tilde
-    base = 1.0 + 1j * u / et
-    zarg = 2.0 / base
-    a = 1.5 + mu
-    b = 0.5 - system.w + mu
-    c = 2.0 * mu + 1.0
-    return mu, et, base, zarg, a, b, c
+    return mu, system.eps_tilde, 1.5 + mu, 0.5 - system.w + mu, 2.0 * mu + 1.0
 
 
-def psi_ordinary(system: CoulombSystem, u: float) -> complex:
+def psi_ordinary(system: CoulombSystem,
+                 u: float | Sequence[float]) -> complex | list[complex]:
     """Momentum-space bound-state solution of the undeformed problem,
 
         psi(u) = u^-1 (1 + i u / eps_tilde)^(-3/2 - mu)
                  * 2F1(3/2 + mu, 1/2 - w + mu; 2 mu + 1; 2/(1 + i u/eps_tilde)),
 
-    with overall normalization fixed to 1. At a quantized energy the
-    hypergeometric factor terminates and the formula is valid for all
-    u > 0; off quantization it needs u > sqrt(3) * eps_tilde, where the
-    argument enters a convergence region.
+    with overall normalization fixed to 1, for every u > 0: at a quantized
+    energy the hypergeometric factor terminates, off quantization
+    ``hyp2f1`` continues it. ``u`` is a point or a sequence, as for
+    ``heun_local``, and a point's error carries its position as ``index``.
     """
-    if u <= 0:
-        raise OutOfDomainError("psi_ordinary needs u > 0")
-    mu, _, base, zarg, a, b, c = _psi_ordinary_pieces(system, u)
-    return (1.0 / u) * base ** (-1.5 - mu) * hyp2f1(a, b, c, zarg)
+    scalar = isinstance(u, numbers.Number)
+    us = [u] if scalar else list(u)
+    mu, et, a, b, c = _psi_ordinary_pieces(system)
+    for i, x in enumerate(us):
+        if x <= 0:
+            exc = OutOfDomainError("psi_ordinary needs u > 0")
+            exc.index = i
+            raise exc
+    bases = [1.0 + 1j * x / et for x in us]
+    f = hyp2f1(a, b, c, [2.0 / base for base in bases])
+    psi = [(1.0 / x) * base ** (-1.5 - mu) * fx for x, base, fx in zip(us, bases, f)]
+    return psi[0] if scalar else psi
 
 
 def psi_ordinary_with_derivative(system: CoulombSystem, u: float) -> tuple[complex, complex]:
@@ -304,8 +337,9 @@ def psi_ordinary_with_derivative(system: CoulombSystem, u: float) -> tuple[compl
     the prefactor and the hypergeometric argument."""
     if u <= 0:
         raise OutOfDomainError("psi_ordinary needs u > 0")
-    mu, et, base, zarg, a, b, c = _psi_ordinary_pieces(system, u)
-    f0, f1, _ = hyp2f1_with_derivatives(a, b, c, zarg)
+    mu, et, a, b, c = _psi_ordinary_pieces(system)
+    base = 1.0 + 1j * u / et
+    f0, f1, _ = hyp2f1_with_derivatives(a, b, c, 2.0 / base)
     power = base ** (-1.5 - mu)
     psi = (1.0 / u) * power * f0
     dbase = 1j / et

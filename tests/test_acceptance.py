@@ -11,9 +11,9 @@ import numpy as np
 import sympy as sp
 
 import symbolic_oracle as so
-from kgcoulomb import specialfn
 from kgcoulomb.asymptotics import dominant_branch, fit_exponent, integrate, subdominant_branch
-from kgcoulomb.fuchsian import INFINITY, frobenius_series, indicial_exponents, residual, singular_points, taylor_series
+from kgcoulomb.fuchsian import (INFINITY, evaluate_with_derivatives, frobenius_series, indicial_exponents,
+                                reach, residual, singular_points, taylor_series)
 from kgcoulomb.kgmodels import (
     build_deformed_first_order_psi,
     build_deformed_zero_energy,
@@ -112,7 +112,8 @@ def test_criterion_5_series_residuals():
             assert residual(hode, local, xi) <= 1e-8
         else:
             center = xi - 0.02
-            w, dw = specialfn._march_to(hode, local, center, order=64)
+            chain = [local]
+            w, dw, _ = evaluate_with_derivatives(chain[reach(hode, chain, center, 64)], center)
             hop = taylor_series(hode, center, w, dw, order=64)
             assert residual(hode, hop, xi) <= 1e-8
         z = xi / hp.xi0

@@ -168,6 +168,15 @@ class TestExponents:
         assert err.startswith("kgcoulomb: usage error: ")
         assert "seed point" in err
 
+    def test_window_with_too_few_samples_is_usage_error(self, capsys):
+        # fewer than 8 grid points lie in 9000..10000; this ended in a traceback
+        code, out, err = _run(capsys, "exponents", "--model", "ordinary", "--Z", "10",
+                              "--window", "9000:10000")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("kgcoulomb: usage error: --window 9000:10000: ")
+        assert "fewer than 8 samples" in err
+
     def test_unreachable_window_exits_cleanly(self, capsys):
         code, out, err = _run(capsys, "exponents", "--window", "2:1e150")
         assert code == 2
@@ -220,6 +229,34 @@ class TestWavefunction:
         # zero-energy profile is real and decays
         assert all(float(r[2]) == 0.0 for r in rows)
         assert float(rows[-1][3]) < float(rows[0][3])
+
+    def test_off_quantization_answers_down_to_small_u(self, capsys):
+        # the hypergeometric argument 2/(1 + i u/eps) nears 2 at small u,
+        # where the series and its Pfaff transform both fail to converge
+        import mpmath
+
+        code, out, err = _run(capsys, "wavefunction", "--model", "ordinary", "--eta", "0.7",
+                              "--g", "0.3", "--window", "0.01:1")
+        assert code == 0, err
+        rows = _csv_rows(out)
+        assert len(rows) == 200
+        with mpmath.workdps(30):
+            g, eta = mpmath.mpf(0.3), mpmath.mpf(0.7)
+            mu, eps = mpmath.sqrt(0.25 - g * g), mpmath.sqrt(1 - eta * eta)
+            for row in rows[::40]:
+                u = float(row[0])
+                base = 1 + 1j * mpmath.mpf(u) / eps
+                ref = complex(base ** (-1.5 - mu) / u * mpmath.hyp2f1(
+                    1.5 + mu, 0.5 - g * eta / eps + mu, 2 * mu + 1, 2 / base))
+                assert abs(complex(float(row[1]), float(row[2])) - ref) <= 1e-12 * abs(ref)
+
+    def test_off_quantization_near_threshold_is_refused(self, capsys):
+        # b = 1/2 - w + mu = -211: the hypergeometric series cancels
+        code, out, err = _run(capsys, "wavefunction", "--model", "ordinary", "--eta", "0.999999",
+                              "--g", "0.3", "--window", "0.001:1000")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("kgcoulomb: wavefunction grid point u = ") and "cancels" in err
 
     def test_computed_energy_at_threshold_is_domain_error(self, capsys):
         # at g = 1e-9 the closed-form eta rounds to 1; no flag is at fault
@@ -330,6 +367,15 @@ class TestHeunCheck:
         assert len(doc["rows"]) == 50
         for row in doc["rows"]:
             assert row["abs_diff"] <= 1e-10
+
+    def test_weak_deformation_agrees(self, capsys):
+        # xi / xi0 reaches -2000, where the direct series of the Pfaff
+        # transform did not settle in 10000 terms
+        code, out, err = _run(capsys, "heun-check", "--theta", "1e-4", "--g", "0.2",
+                              "--format", "json")
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["meta"]["max_abs_diff"] <= 1e-10
 
     def test_mismatched_strengths_rejected(self, capsys):
         code, _, err = _run(capsys, "heun-check", "--g", "0.2",

@@ -28,7 +28,8 @@ from kgcoulomb.fuchsian import (
 )
 from kgcoulomb.specialfn import heun_ode, hyp2f1, hypergeometric_ode
 from kgcoulomb.kgmodels import (
-    build_deformed_first_order,
+    _first_order_phi_coeffs,
+    _first_order_points,
     build_deformed_first_order_psi,
     build_deformed_zero_energy,
     build_ordinary_kg,
@@ -44,6 +45,12 @@ _COS_ODE = RationalCoeffODE((0,), (1,), (1,), (1,), ())
 
 def _hyp_abc():
     return 0.7, 1.3, 1.9
+
+
+def _first_order_phi(s, theta):
+    """The first-order equation for phi = u psi, built from its table."""
+    (p1n, p1d), (p0n, p0d) = _first_order_phi_coeffs(s.g, s.eta, theta)
+    return RationalCoeffODE(p1n, p1d, p0n, p0d, _first_order_points(s, theta))
 
 
 class TestSingularPointCensus:
@@ -321,7 +328,7 @@ def _package_equations(draws):
         yield build_ordinary_kg(s), {0: (1, 1), eps: (1, 1), -eps: (1, 1)}
         yield build_deformed_zero_energy(g, dp), {0: (1, 0), 1j: (1, 1), -1j: (1, 1),
                                                   big: (1, 2), -big: (1, 2)}
-        yield build_deformed_first_order(s, theta), first
+        yield _first_order_phi(s, theta), first
         yield build_deformed_first_order_psi(s, theta), {**first, 0: (1, 1)}
         yield heun_ode(hp), heun
         yield hypergeometric_ode(hp.a, hp.b, hp.c), {0: (1, 1), 1: (1, 1)}
@@ -453,7 +460,7 @@ def _model_odes():
     s = CoulombSystem(z=10, eta=0.6)
     return [build_ordinary_kg(s),
             build_deformed_zero_energy(0.3, DeformationParams(0.05, 0.02)),
-            build_deformed_first_order(s, 0.04),
+            _first_order_phi(s, 0.04),
             build_deformed_first_order_psi(s, 0.04)]
 
 

@@ -18,6 +18,7 @@ import symbolic_oracle as so
 from kgcoulomb.errors import ParameterPoleError
 from kgcoulomb.fuchsian import (
     INFINITY,
+    RationalCoeffODE,
     evaluate,
     frobenius_series,
     gauge,
@@ -28,7 +29,6 @@ from kgcoulomb.fuchsian import (
 from kgcoulomb.kgmodels import (
     ConfluenceWarning,
     GenHeunParams,
-    build_deformed_first_order,
     build_deformed_first_order_psi,
     build_deformed_zero_energy,
     build_ordinary_kg,
@@ -39,10 +39,17 @@ from kgcoulomb.kgmodels import (
 from kgcoulomb.kgmodels import (
     _deformed_zero_energy_coeffs,
     _first_order_phi_coeffs,
+    _first_order_points,
     _ordinary_kg_coeffs,
 )
 from kgcoulomb.physcore import FINE_STRUCTURE_ALPHA, CoulombSystem, DeformationParams
 from kgcoulomb.specialfn import heun_local, heun_ode
+
+
+def _first_order_phi(s, theta):
+    """The first-order equation for phi = u psi, built from its table."""
+    (p1n, p1d), (p0n, p0d) = _first_order_phi_coeffs(s.g, s.eta, theta)
+    return RationalCoeffODE(p1n, p1d, p0n, p0d, _first_order_points(s, theta))
 
 
 class TestOperatorDerivation:
@@ -182,7 +189,7 @@ class TestFirstOrderModel:
     def test_phi_form_shifts_by_one(self):
         # phi = u psi, so every infinity exponent moves up by 1
         s = CoulombSystem(z=30, eta=0.8)
-        phi = indicial_exponents(build_deformed_first_order(s, 0.04), INFINITY)
+        phi = indicial_exponents(_first_order_phi(s, 0.04), INFINITY)
         psi = indicial_exponents(build_deformed_first_order_psi(s, 0.04), INFINITY)
         assert phi[0] - 1 == pytest.approx(psi[0], abs=1e-12)
         assert phi[1] - 1 == pytest.approx(psi[1], abs=1e-12)
@@ -198,7 +205,7 @@ class TestFirstOrderModel:
     def test_nonpositive_theta_rejected(self):
         s = CoulombSystem(z=30, eta=0.8)
         with pytest.raises(ValueError):
-            build_deformed_first_order(s, 0.0)
+            build_deformed_first_order_psi(s, 0.0)
         with pytest.raises(ValueError):
             build_deformed_first_order_psi(s, -0.01)
 

@@ -7,7 +7,6 @@ from kgcoulomb.physcore import (
     FINE_STRUCTURE_ALPHA,
     CoulombSystem,
     DeformationParams,
-    critical_Z,
     minimal_length,
     mu_of_coupling,
 )
@@ -46,23 +45,10 @@ class TestMuOfCoupling:
 
 class TestCriticalZ:
     def test_default_alpha(self):
-        assert critical_Z(FINE_STRUCTURE_ALPHA) == 68
-
-    def test_weak_coupling(self):
-        assert critical_Z(0.01) == 49
-
-    def test_boundary_is_excluded(self):
-        # Z alpha = 1/2 exactly is already supercritical
-        assert critical_Z(0.005) == 99
-
-    def test_no_subcritical_charge(self):
-        assert critical_Z(0.6) == 0
-
-    @given(st.floats(min_value=1e-4, max_value=0.49))
-    def test_bracketing(self, alpha):
-        z = critical_Z(alpha)
-        assert z * alpha < 0.5
-        assert (z + 1) * alpha >= 0.5
+        # Z = 68 is the heaviest charge whose mu = sqrt(1/4 - (Z alpha)^2)
+        # is real; from Z = 69 on it is imaginary (the paper's Z > 68)
+        assert not CoulombSystem(z=68).supercritical and CoulombSystem(z=68).mu.imag == 0.0
+        assert CoulombSystem(z=69).supercritical and CoulombSystem(z=69).mu.real == 0.0
 
 
 class TestDeformationParams:

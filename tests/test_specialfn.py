@@ -6,6 +6,7 @@ against the generic Frobenius engine.
 """
 
 import math
+import random
 
 import mpmath as mp
 import pytest
@@ -13,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgcoulomb import fuchsian
-from kgcoulomb.errors import OutOfDomainError, ParameterPoleError, ResonantExponentsError
+from kgcoulomb.errors import (ConvergenceError, OutOfDomainError, ParameterPoleError,
+                              ResonantExponentsError)
 from kgcoulomb.kgmodels import to_heun
 from kgcoulomb.physcore import CoulombSystem, DeformationParams
 from kgcoulomb.spectra import energy_closed_form
@@ -61,6 +63,54 @@ class TestHyp2f1:
         ref = _ref_2f1(a, b, c, z)
         assert abs(hyp2f1(a, b, c, z) - ref) <= 1e-12 * abs(ref)
 
+    @pytest.mark.parametrize("z", [1.9996 - 0.028j, 0.99837])
+    def test_near_the_unit_circle(self, z):
+        # both lie outside |z| < 1 and |z/(z-1)| < 1, or nearly on its edge
+        ref = _ref_2f1(*_ABC, z)
+        assert abs(hyp2f1(*_ABC, z) - ref) <= 1e-12 * abs(ref)
+
+    def test_random_points_off_the_cut(self):
+        rng = random.Random(12)
+        for _ in range(300):
+            a, b = (complex(rng.uniform(-3, 3), rng.uniform(-1, 1)) for _ in range(2))
+            c = complex(rng.uniform(0.2, 4), rng.uniform(-1, 1))
+            z = complex(rng.uniform(-6, 6), rng.uniform(-6, 6))
+            if abs(z) > 6:
+                z *= 6 / abs(z)
+            ref = _ref_2f1(a, b, c, z)
+            assert abs(hyp2f1(a, b, c, z) - ref) <= 1e-12 * abs(ref), (a, b, c, z)
+
+    def test_path_that_would_graze_z_equal_1_goes_round_it(self):
+        # the straight path to z passes 1 at 3e-5; on it the local solution
+        # (1 - z)^(c - a - b), c - a - b = 3.5, swamps an error made near 1
+        # by (2 / 3e-5)^3.5, about 1e17
+        a, b, c, z = 0.5, -1.5, 2.5, 3.0 + 1e-4j
+        ref = _ref_2f1(a, b, c, z)
+        assert abs(hyp2f1(a, b, c, z) - ref) <= 1e-12 * abs(ref)
+
+    def test_sequence_matches_scalars_and_mpmath(self):
+        # the sweep starts again from 0 where the next point lies across
+        # the real axis or back toward 0, and continues outward otherwise
+        points = [2 - 0.1j, 2 + 0.1j, -5, 0.99837, 3 + 0.01j, -0.8, 0.6, 0.3, 0.7 + 0.5j]
+        got = hyp2f1(*_ABC, points)
+        for z, value in zip(points, got):
+            assert value == pytest.approx(hyp2f1(*_ABC, z), rel=1e-13)
+            ref = _ref_2f1(*_ABC, z)
+            assert abs(value - ref) <= 1e-12 * abs(ref), z
+
+    @pytest.mark.parametrize("z", [0.3 - 0.1j, 0.85 - 0.3j])
+    def test_cancelling_series_is_refused(self, z):
+        # b = -211, as psi_ordinary has at g = 0.3, eta = 0.999999: the terms
+        # reach 1e24 (z = 0.3 - 0.1i) and 1e36 (the chain's start, z = 1/2),
+        # 1e16 times the sums, so no digit of a sum would be right
+        with pytest.raises(ConvergenceError, match="cancels"):
+            hyp2f1(1.9, -211.1, 1.8, z)
+
+    def test_point_on_the_cut_in_a_sequence_carries_its_index(self):
+        with pytest.raises(OutOfDomainError) as info:
+            hyp2f1(*_ABC, [0.3, -2.0, 2.0, 0.5j])
+        assert info.value.index == 2
+
     def test_terminating_everywhere(self):
         # polynomial case stays valid far outside both series regions
         ref = _ref_2f1(0.7, -3, 1.9, 2.5)
@@ -80,7 +130,7 @@ class TestHyp2f1:
             hyp2f1(*_ABC, 1.0)
 
     def test_uncovered_region_rejected(self):
-        # z = 1.2: |z| > 1 and |z/(z-1)| = 6
+        # z = 1.2 lies on the branch cut [1, inf)
         with pytest.raises(OutOfDomainError):
             hyp2f1(*_ABC, 1.2)
 
@@ -117,6 +167,17 @@ class TestHyp2f1Derivatives:
         r0 = _ref_2f1(-4, b, c, z)
         r1 = complex(mp.diff(lambda t: mp.hyp2f1(-4, b, c, t), z))
         r2 = complex(mp.diff(lambda t: mp.hyp2f1(-4, b, c, t), z, 2))
+        assert abs(f0 - r0) <= 1e-12 * abs(r0)
+        assert abs(f1 - r1) <= 1e-12 * abs(r1)
+        assert abs(f2 - r2) <= 1e-12 * abs(r2)
+
+    @pytest.mark.parametrize("z", [0.0, -2.5 + 0.7j, 0.9 + 0.4j, 1.9996 - 0.028j])
+    def test_continued_path(self, z):
+        a, b, c = _ABC
+        f0, f1, f2 = hyp2f1_with_derivatives(a, b, c, z)
+        r0 = _ref_2f1(a, b, c, z)
+        r1 = complex(mp.diff(lambda t: mp.hyp2f1(a, b, c, t), z))
+        r2 = complex(mp.diff(lambda t: mp.hyp2f1(a, b, c, t), z, 2))
         assert abs(f0 - r0) <= 1e-12 * abs(r0)
         assert abs(f1 - r1) <= 1e-12 * abs(r1)
         assert abs(f2 - r2) <= 1e-12 * abs(r2)
@@ -276,14 +337,50 @@ class TestPsiOrdinary:
         assert abs(v) > 0.0
         assert math.isfinite(abs(v))
 
-    def test_off_quantization_small_u_rejected(self):
-        with pytest.raises(OutOfDomainError):
-            psi_ordinary(CoulombSystem(z=1, eta=0.5), 0.01)
+    def test_off_quantization_small_u_matches_mpmath(self):
+        # the argument 2/(1 + i u/eps) lies near 2, where neither the
+        # series nor its Pfaff transform converges
+        s = CoulombSystem(z=1, eta=0.5)
+        for u in (0.001, 0.01, 0.3, 1.2):
+            ref = self._reference(s, u)
+            assert abs(psi_ordinary(s, u) - ref) <= 1e-12 * abs(ref)
 
     def test_off_quantization_large_u_allowed(self):
         s = CoulombSystem(z=1, eta=0.5)
-        # sqrt(3) eps ~ 1.5; above it the Pfaff branch converges
+        # sqrt(3) eps ~ 1.5; above it the argument lies in |z| < 1
         assert math.isfinite(abs(psi_ordinary(s, 5.0)))
+
+    def test_grid_matches_pointwise(self):
+        s = CoulombSystem(z=30, eta=0.6)
+        grid = [0.01 * 1.1 ** k for k in range(80)]
+        got = psi_ordinary(s, grid)
+        for u, value in zip(grid, got):
+            assert value == pytest.approx(psi_ordinary(s, u), rel=1e-13)
+        assert abs(got[0] - self._reference(s, grid[0])) <= 1e-12 * abs(got[0])
+
+    def test_grid_shares_its_hops(self, monkeypatch):
+        # 200 points one by one take 1474 Taylor hops; as one grid, 20: the
+        # argument runs inward along |z - 1| = 1 as u grows, and the sweep
+        # starts again from 0 each time a point falls behind its disk
+        hops = []
+        taylor_series = fuchsian.taylor_series
+        monkeypatch.setattr(fuchsian, "taylor_series",
+                            lambda *args, **kw: hops.append(1) or taylor_series(*args, **kw))
+        grid = [0.01 * 100 ** (k / 199) for k in range(200)]
+        psi_ordinary(CoulombSystem(z=1, alpha=0.3, eta=0.7), grid)
+        assert len(hops) <= 40
+
+    def test_nonpositive_u_in_a_grid_carries_its_index(self):
+        with pytest.raises(OutOfDomainError) as info:
+            psi_ordinary(self._quantized(), [0.5, 2.0, 0.0])
+        assert info.value.index == 2
+
+    @staticmethod
+    def _reference(s, u):
+        mu, eps = mp.sqrt(mp.mpf(1) / 4 - s.g ** 2), mp.sqrt(1 - mp.mpf(s.eta) ** 2)
+        base = 1 + 1j * mp.mpf(u) / eps
+        return complex(base ** (-1.5 - mu) / u * mp.hyp2f1(
+            1.5 + mu, 0.5 - s.g * s.eta / eps + mu, 2 * mu + 1, 2 / base))
 
     def test_nonpositive_u_rejected(self):
         s = self._quantized()

@@ -67,7 +67,6 @@ class Trajectory:
 
     grid: list[float]
     values: list[complex]
-    ode_id: str
     span: tuple[float, float] | None = None
     hops: int = 0
     max_residual: float = math.nan
@@ -127,9 +126,9 @@ def _real_singularities_on(ode: fuchsian.RationalCoeffODE,
     return out
 
 
-def _grid(ode: fuchsian.RationalCoeffODE, u0: float, u_end: float, n_points: int,
+def _grid(ode: fuchsian.RationalCoeffODE, u0: float, u_end: float,
           window: tuple[float, float] | None) -> tuple[list[float], tuple[float, float]]:
-    """(points, span): the points of the n_points grid from u0 to u_end,
+    """(points, span): the points of the _N_POINTS grid from u0 to u_end,
     geometric when the interval spans more than a factor 50 and linear
     otherwise, that lie in the window (all of them without one), in order
     from u0, and the part of the interval in the window, ascending. Checks
@@ -142,16 +141,16 @@ def _grid(ode: fuchsian.RationalCoeffODE, u0: float, u_end: float, n_points: int
         raise OutOfDomainError(
             f"integration interval [{lo}, {hi}] crosses singular point(s) "
             + ", ".join(f"{z.real:.6g}" for z in blockers))
-    grid = (_geomspace if lo > 0 and hi / lo > 50.0 else _linspace)(u0, u_end, n_points)
+    grid = (_geomspace if lo > 0 and hi / lo > 50.0 else _linspace)(u0, u_end, _N_POINTS)
     if window is None:
         return grid, (lo, hi)
     a, b = max(lo, window[0]), min(hi, window[1])
     return [u for u in grid if a <= u <= b], (a, b)
 
 
-def _trajectory(ode: fuchsian.RationalCoeffODE, u0: float, u_end: float, points: list[float],
-                span: tuple[float, float], values: list[complex], hops: int,
-                defects: list[float], seeds: list[complex]) -> Trajectory:
+def _trajectory(u0: float, u_end: float, points: list[float], span: tuple[float, float],
+                values: list[complex], hops: int, defects: list[float],
+                seeds: list[complex]) -> Trajectory:
     """The trajectory of the samples, taken in order from u0, ascending;
     IntegrationError where a sample or a hop seed left the floating-point
     range."""
@@ -160,8 +159,7 @@ def _trajectory(ode: fuchsian.RationalCoeffODE, u0: float, u_end: float, points:
     if u_end < u0:
         points, values = points[::-1], values[::-1]
     measured = [d for d in defects if not math.isnan(d)]
-    return Trajectory(grid=points, values=values, ode_id=ode.label or "ode",
-                      span=span, hops=hops,
+    return Trajectory(grid=points, values=values, span=span, hops=hops,
                       max_residual=max(measured, default=math.nan))
 
 
@@ -171,7 +169,6 @@ def _out_of_range(u0: float, u_end: float) -> IntegrationError:
 
 def integrate(ode: fuchsian.RationalCoeffODE, u0: float, psi0: complex,
               dpsi0: complex, u_end: float, tol: float = 1e-10,
-              n_points: int = _N_POINTS,
               window: tuple[float, float] | None = None) -> Trajectory:
     """Integrate psi'' = -p1 psi' - p0 psi from u0 to u_end.
 
@@ -180,7 +177,7 @@ def integrate(ode: fuchsian.RationalCoeffODE, u0: float, psi0: complex,
     of convergence, capped at the interval length, up to u_end. Each
     local series is truncated where its terms on the trusted half disk
     fall below tol times the largest one, so tol bounds the relative error
-    per disk. psi is sampled at the points of the n_points grid that lie
+    per disk. psi is sampled at the points of the _N_POINTS grid that lie
     in the window (all of them without one), each read off the first
     disk that holds it by its value's sum alone
     (``fuchsian.evaluate_chain``). The returned grid is ascending
@@ -188,7 +185,7 @@ def integrate(ode: fuchsian.RationalCoeffODE, u0: float, psi0: complex,
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    points, span = _grid(ode, u0, u_end, n_points, window)
+    points, span = _grid(ode, u0, u_end, window)
     cap = abs(u_end - u0)
     chain = [fuchsian.taylor_series(ode, u0, psi0, dpsi0, order=_MAX_ORDER, tol=tol,
                                     max_radius=cap)]
@@ -201,7 +198,7 @@ def integrate(ode: fuchsian.RationalCoeffODE, u0: float, psi0: complex,
                for hop, z in checks if z != hop.expansion_point]
     # the hop seeds, w and w' times the radius, stand for the path outside the window
     seeds = [c for hop in chain for c in hop.coefficients[:2]]
-    return _trajectory(ode, u0, u_end, points, span, values, len(chain), defects, seeds)
+    return _trajectory(u0, u_end, points, span, values, len(chain), defects, seeds)
 
 
 def fit_exponent(traj: Trajectory, window: tuple[float, float]) -> FitResult:
@@ -308,7 +305,7 @@ def dominant_branch(ode: fuchsian.RationalCoeffODE, window: tuple[float, float],
     edge = fuchsian.evaluate(series, lo) if lo >= 2.0 / series.radius else None
     if not (edge is not None and edge.error < tol * abs(edge.value)):
         return integrate(ode, u_top, w / norm, dw / norm, lo, tol=tol, window=window)
-    points, span = _grid(ode, u_top, lo, _N_POINTS, window)
+    points, span = _grid(ode, u_top, lo, window)
     prefix = series.coefficients[:_significant_terms(series, 1.0 / lo)]
     try:
         values = [(u_top / u) ** rho
@@ -318,20 +315,20 @@ def dominant_branch(ode: fuchsian.RationalCoeffODE, window: tuple[float, float],
         raise _out_of_range(u_top, lo) from None
     # the defect is blind to a constant factor, so each point is its own top
     defects = [fuchsian._defect(ode, u, *from_infinity(u, u)) for u in (u_top, lo)]
-    return _trajectory(ode, u_top, lo, points, span, values, 1, defects, [])
+    return _trajectory(u_top, lo, points, span, values, 1, defects, [])
 
 
 def subdominant_branch(ode: fuchsian.RationalCoeffODE, window: tuple[float, float],
-                       u_seed: float = 1.0, tol: float = 1e-10) -> Trajectory:
+                       tol: float = 1e-10) -> Trajectory:
     """Trajectory dominated by the slowest-decaying solution.
 
-    Forward integration from a generic seed well below the window; the
-    slow branch takes over long before the window starts, no series
-    seeding required.
+    Forward integration from the generic seed psi = 1, psi' = 0 at u = 1,
+    which must sit below the window; the slow branch takes over long
+    before the window starts, no series seeding required.
     """
-    if u_seed >= window[0]:
+    if window[0] <= 1.0:
         raise ValueError("seed point must sit below the fit window")
-    return integrate(ode, u_seed, 1.0 + 0j, 0j, window[1], tol=tol, window=window)
+    return integrate(ode, 1.0, 1.0 + 0j, 0j, window[1], tol=tol, window=window)
 
 
 def classify(g: float, deformation: DeformationParams | None = None,

@@ -114,7 +114,6 @@ _OPTIONS = {
     "g": (float, "total coupling; overrides Z * alpha when given"),
     "model": (str, "model selector (see subcommand help)"),
     "tol": (float, "integrator tolerance"),
-    "order": (int, "series truncation order"),
     "window": (str, "grid or fit window 'lo:hi'"),
     "format": (str, f"output format: {', '.join(_FORMATS)} (default csv)"),
     "out": (str, "output file (default stdout)"),
@@ -188,13 +187,12 @@ def _build_parser() -> _Parser:
 _DEFAULTS = {
     "spectrum": {"Z": 1, "alpha": FINE_STRUCTURE_ALPHA, "n": "0..5", "format": "csv"},
     "exponents": {"Z": 1, "alpha": FINE_STRUCTURE_ALPHA, "eta": 0.5, "model": "ordinary",
-                  "tol": 1e-10, "order": 48, "window": "1e2:1e4", "format": "csv"},
+                  "tol": 1e-10, "window": "1e2:1e4", "format": "csv"},
     "wavefunction": {"Z": 1, "alpha": FINE_STRUCTURE_ALPHA, "model": "ordinary",
-                     "order": 64, "window": "0.01:100", "format": "csv"},
+                     "window": "0.01:100", "format": "csv"},
     "params": {"Z": 1, "alpha": FINE_STRUCTURE_ALPHA, "eta": 0.5, "model": "heun",
                "theta": 0.05, "theta-prime": 0.0, "format": "csv"},
-    "heun-check": {"Z": 1, "alpha": FINE_STRUCTURE_ALPHA, "theta": 0.05,
-                   "order": 64, "format": "csv"},
+    "heun-check": {"Z": 1, "alpha": FINE_STRUCTURE_ALPHA, "theta": 0.05, "format": "csv"},
 }
 
 
@@ -224,8 +222,6 @@ def _merge(args: argparse.Namespace) -> dict:
     if cfg.get("tol") is not None and not 0.0 < cfg["tol"] <= _MAX_TOL:
         raise UsageError(f"--tol must be positive and at most {_MAX_TOL:g}, "
                          f"got {cfg['tol']:g}")
-    if cfg.get("order") is not None and cfg["order"] < 4:
-        raise UsageError("--order must be at least 4")
     if cfg.get("Z") is not None and cfg["Z"] < 1:
         raise UsageError("--Z must be a positive integer")
     return cfg
@@ -324,7 +320,7 @@ def cmd_spectrum(cfg: dict) -> _Table:
     rows = []
     for n in range(n_lo, n_hi + 1):
         eta_closed = energy_closed_form(g, n)
-        line = solve_quantization(g, n, z=cfg["Z"])
+        line = solve_quantization(g, n)
         agreement = abs(line.eta - eta_closed) / eta_closed
         rows.append([n, cfg["Z"], eta_closed, line.eta, agreement,
                      line.residual, line.binding])
@@ -374,8 +370,7 @@ def cmd_exponents(cfg: dict) -> _Table:
     if not oscillatory:
         try:
             fits[0] = fit_exponent(subdominant_branch(ode, window, tol=cfg["tol"]), window)
-            fits[1] = fit_exponent(
-                dominant_branch(ode, window, order=cfg["order"], tol=cfg["tol"]), window)
+            fits[1] = fit_exponent(dominant_branch(ode, window, tol=cfg["tol"]), window)
         except OscillationError:
             oscillatory = True
             fits = [None, None]
@@ -403,7 +398,8 @@ def cmd_exponents(cfg: dict) -> _Table:
 
 
 def cmd_wavefunction(cfg: dict) -> _Table:
-    """Sample psi on a logarithmic momentum grid."""
+    """Sample psi on a logarithmic momentum grid: the ordinary model at one
+    level --n (default 0) or at a trial energy --eta, not both."""
     model = cfg["model"]
     lo, hi = _parse_window(cfg["window"])
     grid = _geomspace(lo, hi, _WAVEFUNCTION_POINTS)
@@ -411,9 +407,13 @@ def cmd_wavefunction(cfg: dict) -> _Table:
 
     if model == "ordinary":
         if cfg.get("eta") is not None:
+            if cfg.get("n") is not None:
+                raise UsageError("--n and --eta each fix the energy; give one of them")
             eta = cfg["eta"]
         else:
-            n = _parse_n_range(cfg["n"])[0] if cfg.get("n") is not None else 0
+            n, n_hi = _parse_n_range(cfg["n"]) if cfg.get("n") is not None else (0, 0)
+            if n_hi != n:
+                raise UsageError(f"wavefunction samples one level, got --n {cfg['n']}")
             eta = energy_closed_form(g, n)
             if not eta < 1.0:
                 raise OutOfDomainError(f"level n = {n} at g = {g:g} is bound by less than "
@@ -429,7 +429,7 @@ def cmd_wavefunction(cfg: dict) -> _Table:
 
         def sample(us: list[float]) -> list[complex]:
             xis = [vmap.forward(u) for u in us]
-            heun = heun_local(hp, xis, order=cfg["order"])
+            heun = heun_local(hp, xis)
             return [(1.0 - xi) * h for xi, h in zip(xis, heun)]
 
     else:
@@ -504,7 +504,7 @@ def cmd_heun_check(cfg: dict) -> _Table:
     dp = _deformation({**cfg, "theta-prime": theta})
     hp, _ = to_heun(g, dp)
     grid = _linspace(0.0, 0.4, _HEUN_CHECK_POINTS)
-    heun = heun_local(hp, grid, order=cfg["order"])
+    heun = heun_local(hp, grid)
     hyper = hyp2f1(hp.a, hp.b, hp.c, [xi / hp.xi0 for xi in grid])
     rows = [[xi, h.real, f.real, abs(h - f)] for xi, h, f in zip(grid, heun, hyper)]
     meta = {"g": g, "theta": theta, "a": hp.a.real, "b": hp.b.real, "c": hp.c, "xi0": hp.xi0,

@@ -67,7 +67,6 @@ __all__ = [
     "evaluate",
     "evaluate_with_derivatives",
     "evaluate_chain",
-    "residual",
     "substitute",
     "gauge",
 ]
@@ -915,11 +914,6 @@ def evaluate_chain(chain: list[FrobeniusSolution], points) -> list[complex]:
             x = complex(z) - complex(sol.expansion_point)
         out.append(_local_value(sol, x, sol.exponent))
     return out
-
-
-def residual(ode: RationalCoeffODE, sol: FrobeniusSolution, z: complex) -> float:
-    """Relative defect of the local solution at z (see ``_defect``)."""
-    return _defect(ode, z, *evaluate_with_derivatives(sol, z))
 
 
 def _defect(ode: RationalCoeffODE, z: complex, w: complex, dw: complex, d2w: complex) -> float:

@@ -45,16 +45,11 @@ class DeformationParams:
         return self.total / 2.0
 
 
-def minimal_length(params: DeformationParams, dims: int = 3) -> float:
-    """Smallest resolvable length implied by the deformed commutator,
-    in units of hbar/(mc).
-
-    For ``dims`` spatial dimensions the uncertainty relation bottoms out
-    at sqrt(dims*theta + theta').
-    """
-    if dims < 1:
-        raise ValueError("dims must be a positive integer")
-    return math.sqrt(dims * params.theta + params.theta_prime)
+def minimal_length(params: DeformationParams) -> float:
+    """Smallest resolvable length implied by the deformed commutator in
+    three spatial dimensions, sqrt(3 theta + theta'), in units of
+    hbar/(mc)."""
+    return math.sqrt(3 * params.theta + params.theta_prime)
 
 
 def mu_of_coupling(g: float) -> complex:
@@ -117,7 +112,3 @@ class CoulombSystem:
         if self.eta >= 1.0:
             raise ValueError("w undefined at threshold eta = 1")
         return self.omega_tilde / self.eps_tilde
-
-    @property
-    def supercritical(self) -> bool:
-        return self.g > 0.5

@@ -19,7 +19,8 @@ close to xi = 1 (u -> infinity) as the grid asks.
 
 ``hyp2f1``, ``heun_local`` and ``psi_ordinary`` take a point or a
 sequence of points; one sweep (``_sweep``) serves a sequence, its points
-sharing one chain of hops.
+sharing one chain of hops in one visit order: the real ray [0, inf)
+first, ascending, then the other points by ascending modulus.
 """
 
 from __future__ import annotations
@@ -35,13 +36,11 @@ from .physcore import CoulombSystem
 
 __all__ = [
     "hyp2f1",
-    "hyp2f1_with_derivatives",
     "hypergeometric_ode",
     "HeunParams",
     "heun_ode",
     "heun_local",
     "psi_ordinary",
-    "psi_ordinary_with_derivative",
 ]
 
 _MAX_TERMS = 10_000
@@ -49,18 +48,18 @@ _TOL = 1e-15  # the direct series stops after two terms below this, relative
 _ORDER = 64  # the largest order of a Taylor hop of the hypergeometric equation
 
 
-def _near_nonpositive_int(x: complex, tol: float = 1e-9) -> int | None:
-    """Round x to a nonpositive integer when it is within tol of one.
+def _near_nonpositive_int(x: complex) -> int | None:
+    """Round x to a nonpositive integer when it is within 1e-9 of one.
 
     The tolerance is generous on purpose: quantized energies computed in
     floating point put the terminating parameter within ~1e-11 of the
     exact integer, and missing the termination throws evaluation into a
     divergent-argument branch.
     """
-    if abs(x.imag) > tol:
+    if abs(x.imag) > 1e-9:
         return None
     r = round(x.real)
-    if r > 0 or abs(x.real - r) > tol:
+    if r > 0 or abs(x.real - r) > 1e-9:
         return None
     return int(r)
 
@@ -69,10 +68,11 @@ def _series_2f1(a: complex, b: complex, c: complex, z: complex,
                 n_cap: int | None = None) -> tuple[complex, list[complex]]:
     """(sum, terms) of the plain power series at z: n_cap terms past the
     first (a polynomial), or until two successive terms fall below _TOL
-    times the partial sum. Raises ConvergenceError when an infinite
-    series cancels: terms above 1e6 times both its sum and 1 leave it
-    fewer than 10 correct digits (large parameters, such as b = 1/2 - w
-    + mu near threshold)."""
+    times the partial sum. Raises ConvergenceError when the sum cancels,
+    polynomial or infinite series alike: terms above 1e6 times both its
+    sum and 1 leave it fewer than 10 correct digits (large parameters,
+    such as b = 1/2 - w + mu near threshold, or a high level n summed at
+    z near 2)."""
     term = total = 1.0 + 0j
     terms = [term]
     largest, small_streak = 1.0, 0
@@ -80,17 +80,18 @@ def _series_2f1(a: complex, b: complex, c: complex, z: complex,
         term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
         total += term
         terms.append(term)
+        largest = max(largest, abs(term))
         if n_cap is None:
-            largest = max(largest, abs(term))
             small_streak = small_streak + 1 if abs(term) <= _TOL * max(abs(total), 1e-300) else 0
-            if small_streak == 2 and largest > 1e6 * max(abs(total), 1.0):
-                raise ConvergenceError(f"the hypergeometric series at z = {z} cancels: terms "
-                                       f"reach {largest:.3g} against a sum of {abs(total):.3g}")
             if small_streak == 2:
-                return total, terms
-    if n_cap is None:
-        raise ConvergenceError(
-            f"hypergeometric series did not settle in {_MAX_TERMS} terms at z = {z}")
+                break
+    else:
+        if n_cap is None:
+            raise ConvergenceError(
+                f"hypergeometric series did not settle in {_MAX_TERMS} terms at z = {z}")
+    if largest > 1e6 * max(abs(total), 1.0):
+        raise ConvergenceError(f"the hypergeometric series at z = {z} cancels: terms "
+                               f"reach {largest:.3g} against a sum of {abs(total):.3g}")
     return total, terms
 
 
@@ -119,10 +120,11 @@ def hyp2f1(a: complex, b: complex, c: complex,
     ``z`` is a point (the result is a complex) or a 1-D sequence of
     points (the result is a list of values in input order). The direct
     series serves terminating parameters at any z and every z with
-    |z| <= 1/2; the other points are visited in the order given along one
-    continuation chain (``_sweep``). Raises ParameterPoleError when c is
-    a nonpositive integer and OutOfDomainError for a point on the cut
-    [1, inf), whose position is the error's ``index``.
+    |z| <= 1/2; the other points share one continuation chain
+    (``_sweep``). Raises ParameterPoleError when c is a nonpositive
+    integer, OutOfDomainError for a point on the cut [1, inf) and
+    ConvergenceError where a direct sum cancels, the error's ``index``
+    being the point's position.
     """
     scalar = isinstance(z, numbers.Number)
     points = [complex(z)] if scalar else [complex(x) for x in z]
@@ -142,21 +144,6 @@ def hyp2f1(a: complex, b: complex, c: complex,
         for i, disk in _sweep(*_chain_start(a, b, c), points, far, _ORDER):
             values[i] = fuchsian.evaluate(disk, points[i]).value
     return values[0] if scalar else values
-
-
-def hyp2f1_with_derivatives(a: complex, b: complex, c: complex,
-                            z: complex) -> tuple[complex, complex, complex]:
-    """(F, dF/dz, d2F/dz2) at one point, read off the polynomial of a
-    terminating series (valid for any z), or else off the disk of
-    ``hyp2f1``'s continuation chain that holds z."""
-    a, b, c, cap = _parameters(a, b, c)
-    z = complex(z)
-    if cap is not None:
-        coeffs = tuple(_series_2f1(a, b, c, 1.0, cap)[1])
-        return fuchsian.evaluate_with_derivatives(
-            fuchsian.FrobeniusSolution(0j, 0j, coeffs, math.inf), z)
-    [(_, disk)] = _sweep(*_chain_start(a, b, c), [z], [0], _ORDER)
-    return fuchsian.evaluate_with_derivatives(disk, z)
 
 
 def hypergeometric_ode(a: complex, b: complex, c: complex) -> fuchsian.RationalCoeffODE:
@@ -225,26 +212,30 @@ def _check_target(sings: list[complex], target: complex) -> None:
 
 
 def _sweep(ode: fuchsian.RationalCoeffODE, series: fuchsian.FrobeniusSolution,
-           targets: list[complex], visit: list[int], order: int):
-    """(i, disk) for each index i of ``visit`` in turn: the first disk,
-    from the current one on, of one chain of Taylor hops from ``series``
-    (the solution's series at 0, analytic there) whose trusted disk holds
+           targets: list[complex], visit: Sequence[int], order: int):
+    """(i, disk) for each index i of ``visit``: the first disk, from the
+    current one on, of one chain of Taylor hops from ``series`` (the
+    solution's series at 0, analytic there) whose trusted disk holds
     targets[i] (``fuchsian.reach``, hops of at most ``order`` terms).
 
-    Each point is reached from the disk that held the last. A new chain
-    starts from 0 when the next point z lies in the other open half-plane
-    from the current centre c, or lies outside that disk and no farther
-    out than c along c's direction (Re(z conj c) < |c|^2). A path toward
-    z off the real axis that would pass a singular point s at less than
-    half the distance of either end goes round it through s + i |z - s|
-    on z's side, since an error made near s can grow by orders of
-    magnitude on the way out. So every path stays in one closed
-    half-plane, moving away from 0 and clear of the singular points, and
-    a solution cut along the real axis keeps its principal branch. On a
-    real ray every hop heads exactly +1 or -1, so points visited outward
-    along it get the values each would get alone. A point's error
-    carries i as its ``index``.
+    The points are visited in one order: those on the real ray [0, inf)
+    first, ascending, then the others by ascending modulus, ties in the
+    order given. Each point is reached from the disk that held the last.
+    A new chain starts from 0 when the next point z lies in the other
+    open half-plane from the current centre c, or lies outside that disk
+    and no farther out than c along c's direction (Re(z conj c) < |c|^2).
+    A path toward z off the real axis that would pass a singular point s
+    at less than half the distance of either end goes round it through
+    s + i |z - s| on z's side, since an error made near s can grow by
+    orders of magnitude on the way out. So every path stays in one
+    closed half-plane, moving away from 0 and clear of the singular
+    points, and a solution cut along the real axis keeps its principal
+    branch. On a real ray every hop heads exactly +1 or -1, so points
+    visited outward along it get the values each would get alone. A
+    point's error carries i as its ``index``.
     """
+    visit = sorted(visit, key=lambda i: (0, targets[i].real)
+                   if targets[i].imag == 0 and targets[i].real >= 0 else (1, abs(targets[i])))
     # every finite singular point but 0, where the series is analytic
     sings = [s.location for s in fuchsian.singular_points(ode)
              if s.location is not fuchsian.INFINITY and s.location != 0]
@@ -279,18 +270,16 @@ def heun_local(params: HeunParams, xi: complex | Sequence[complex],
     others are reached by Taylor hops (``_sweep``: each hop a series in
     its scaled variable, of at most the given order, cut where its tail
     falls below double precision). Each value is its sum alone
-    (``fuchsian.evaluate``). The points of the real ray xi >= 0 go first,
-    in ascending order, so they share one chain and get the values of
-    one call per point.
+    (``fuchsian.evaluate``). The sweep visits the points of the real ray
+    xi >= 0 first, in ascending order, so they share one chain and get
+    the values of one call per point.
     """
     scalar = isinstance(xi, numbers.Number)
     targets = [complex(xi)] if scalar else [complex(x) for x in xi]
     ode = heun_ode(params)
     series = fuchsian.frobenius_series(ode, 0j, 0j, order=order)
-    visit = sorted(range(len(targets)), key=lambda i: (0, targets[i].real)
-                   if targets[i].imag == 0 and targets[i].real >= 0 else (1, i))
     values = [0j] * len(targets)
-    for i, disk in _sweep(ode, series, targets, visit, order):
+    for i, disk in _sweep(ode, series, targets, range(len(targets)), order):
         values[i] = fuchsian.evaluate(disk, targets[i]).value
     return values[0] if scalar else values
 
@@ -298,12 +287,6 @@ def heun_local(params: HeunParams, xi: complex | Sequence[complex],
 # ---------------------------------------------------------------------------
 # the closed-form bound-state wavefunction of the undeformed problem
 # ---------------------------------------------------------------------------
-
-
-def _psi_ordinary_pieces(system: CoulombSystem):
-    """(mu, eps_tilde, a, b, c) of the closed form."""
-    mu = system.mu
-    return mu, system.eps_tilde, 1.5 + mu, 0.5 - system.w + mu, 2.0 * mu + 1.0
 
 
 def psi_ordinary(system: CoulombSystem,
@@ -315,36 +298,20 @@ def psi_ordinary(system: CoulombSystem,
 
     with overall normalization fixed to 1, for every u > 0: at a quantized
     energy the hypergeometric factor terminates, off quantization
-    ``hyp2f1`` continues it. ``u`` is a point or a sequence, as for
-    ``heun_local``, and a point's error carries its position as ``index``.
+    ``hyp2f1`` continues it, visiting the argument's points outward
+    (u descending). ``u`` is a point or a sequence, as for ``heun_local``,
+    and a point's error carries its position as ``index``: ConvergenceError
+    where the terminating polynomial cancels (a high level n at small u).
     """
     scalar = isinstance(u, numbers.Number)
     us = [u] if scalar else list(u)
-    mu, et, a, b, c = _psi_ordinary_pieces(system)
+    mu, et = system.mu, system.eps_tilde
     for i, x in enumerate(us):
         if x <= 0:
             exc = OutOfDomainError("psi_ordinary needs u > 0")
             exc.index = i
             raise exc
     bases = [1.0 + 1j * x / et for x in us]
-    f = hyp2f1(a, b, c, [2.0 / base for base in bases])
+    f = hyp2f1(1.5 + mu, 0.5 - system.w + mu, 2.0 * mu + 1.0, [2.0 / base for base in bases])
     psi = [(1.0 / x) * base ** (-1.5 - mu) * fx for x, base, fx in zip(us, bases, f)]
     return psi[0] if scalar else psi
-
-
-def psi_ordinary_with_derivative(system: CoulombSystem, u: float) -> tuple[complex, complex]:
-    """(psi, dpsi/du), the derivative taken analytically through both
-    the prefactor and the hypergeometric argument."""
-    if u <= 0:
-        raise OutOfDomainError("psi_ordinary needs u > 0")
-    mu, et, a, b, c = _psi_ordinary_pieces(system)
-    base = 1.0 + 1j * u / et
-    f0, f1, _ = hyp2f1_with_derivatives(a, b, c, 2.0 / base)
-    power = base ** (-1.5 - mu)
-    psi = (1.0 / u) * power * f0
-    dbase = 1j / et
-    dzarg = -2.0 / (base * base) * dbase
-    dpsi = (-1.0 / (u * u)) * power * f0 \
-        + (1.0 / u) * (-1.5 - mu) * power / base * dbase * f0 \
-        + (1.0 / u) * power * f1 * dzarg
-    return psi, dpsi

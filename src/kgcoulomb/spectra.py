@@ -21,7 +21,6 @@ from .errors import RootFindingError, SupercriticalCouplingError
 
 __all__ = [
     "SpectrumLine",
-    "quantization_residual",
     "binding_residual",
     "energy_closed_form",
     "solve_quantization",
@@ -31,7 +30,6 @@ __all__ = [
 @dataclass(frozen=True)
 class SpectrumLine:
     n: int
-    z: int | None
     eta: float
     residual: float
     binding: float  # 1 - eta, solved for directly
@@ -47,15 +45,9 @@ def _real_mu(g: float) -> float:
     return math.sqrt(0.25 - g * g)
 
 
-def quantization_residual(g: float, eta: float, n: int) -> float:
-    """1/2 - g eta/sqrt(1-eta^2) + mu(g) + n: ``binding_residual`` at 1 - eta."""
-    if not 0.0 < eta < 1.0:
-        raise ValueError("eta must lie strictly inside (0, 1)")
-    return binding_residual(g, 1.0 - eta, n)
-
-
 def binding_residual(g: float, binding: float, n: int) -> float:
-    """1/2 + mu(g) + n - g (1 - b)/sqrt(b (2 - b)), b = 1 - eta the binding;
+    """The quantization residual 1/2 - g eta/sqrt(1 - eta^2) + mu(g) + n
+    written in the binding b = 1 - eta, 1/2 + mu(g) + n - g (1 - b)/sqrt(b (2 - b));
     zero exactly at a bound state, however weakly bound."""
     mu = _real_mu(g)
     if not 0.0 < binding <= 1.0:
@@ -74,7 +66,7 @@ def energy_closed_form(g: float, n: int) -> float:
     return big_n / math.sqrt(big_n * big_n + g * g)
 
 
-def solve_quantization(g: float, n: int, z: int | None = None) -> SpectrumLine:
+def solve_quantization(g: float, n: int) -> SpectrumLine:
     """Root of the quantization residual, found independently of the
     closed form, in the binding b = 1 - eta: bisection in log b over
     (0, 1) to a tight bracket, then Newton.
@@ -107,4 +99,4 @@ def solve_quantization(g: float, n: int, z: int | None = None) -> SpectrumLine:
             raise RootFindingError("Newton polish left the physical interval")
         if abs(step) < 1e-16 * b:
             break
-    return SpectrumLine(n=n, z=z, eta=1.0 - b, binding=b, residual=binding_residual(g, b, n))
+    return SpectrumLine(n=n, eta=1.0 - b, binding=b, residual=binding_residual(g, b, n))

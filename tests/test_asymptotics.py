@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+import closed_form
 from kgcoulomb.asymptotics import (
     RegularizationVerdict,
     Trajectory,
@@ -22,7 +23,7 @@ from kgcoulomb.fuchsian import (INFINITY, RationalCoeffODE, _series_sums,
 from kgcoulomb.kgmodels import (build_deformed_first_order_psi, build_deformed_zero_energy,
                                 build_ordinary_kg, to_heun)
 from kgcoulomb.physcore import CoulombSystem, DeformationParams
-from kgcoulomb.specialfn import heun_local, hypergeometric_ode, psi_ordinary, psi_ordinary_with_derivative
+from kgcoulomb.specialfn import heun_local, hypergeometric_ode, psi_ordinary
 from kgcoulomb.spectra import energy_closed_form
 
 # psi'' - psi = 0: the solution through (1, 1) at u = 0 is exp(u)
@@ -71,7 +72,7 @@ class TestIntegrate:
         # ride it to u = 50; the closed form must be reproduced pointwise
         g = CoulombSystem(z=1).g
         s = CoulombSystem(z=1, eta=energy_closed_form(g, 0))
-        psi0, dpsi0 = psi_ordinary_with_derivative(s, 5.0)
+        psi0, dpsi0 = closed_form.psi_and_derivative(s, 5.0)
         traj = integrate(build_ordinary_kg(s), 5.0, psi0, dpsi0, 50.0, tol=1e-12)
         for idx in (len(traj.grid) // 2, -1):
             u = float(traj.grid[idx])
@@ -107,7 +108,7 @@ class TestTaylorContinuation:
     def test_closed_form_at_every_point(self, z, n, tol, direction):
         s = CoulombSystem(z=z, eta=energy_closed_form(CoulombSystem(z=z).g, n))
         start, end = (5.0, 1e4) if direction == "forward" else (1e4, 5.0)
-        psi0, dpsi0 = psi_ordinary_with_derivative(s, start)
+        psi0, dpsi0 = closed_form.psi_and_derivative(s, start)
         traj = integrate(build_ordinary_kg(s), start, psi0, dpsi0, end, tol=tol)
         ref = np.array([psi_ordinary(s, u) for u in traj.grid])
         worst = float(np.max(np.abs(np.array(traj.values) - ref) / np.abs(ref)))
@@ -158,17 +159,15 @@ class TestTaylorContinuation:
 class TestTrajectoryValidation:
     def test_grid_must_increase(self):
         with pytest.raises(ValueError):
-            Trajectory(grid=[1.0, 1.0, 2.0], values=[1 + 0j] * 3, ode_id="x")
+            Trajectory(grid=[1.0, 1.0, 2.0], values=[1 + 0j] * 3)
 
     def test_samples_must_be_finite(self):
         with pytest.raises(ValueError):
-            Trajectory(grid=[1.0, 2.0, 3.0], values=[1 + 0j, complex(math.inf), 1 + 0j],
-                       ode_id="x")
+            Trajectory(grid=[1.0, 2.0, 3.0], values=[1 + 0j, complex(math.inf), 1 + 0j])
 
 
-def _trajectory(u, vals, ode_id="synthetic"):
-    return Trajectory(grid=[float(x) for x in u], values=[complex(v) for v in vals],
-                      ode_id=ode_id)
+def _trajectory(u, vals):
+    return Trajectory(grid=[float(x) for x in u], values=[complex(v) for v in vals])
 
 
 def _power_law_trajectory(exponent, lo=10.0, hi=1e4, n=200):
@@ -185,7 +184,7 @@ class TestFitExponent:
     def test_beat_raises(self):
         # |psi| = u^-5/2 (1 + cos/2) never vanishes but is no power law
         u = np.geomspace(10, 1e5, 300)
-        traj = _trajectory(u, u**-2.5 * (1 + 0.5 * np.cos(1.5 * np.log(u))), "beat")
+        traj = _trajectory(u, u**-2.5 * (1 + 0.5 * np.cos(1.5 * np.log(u))))
         with pytest.raises(OscillationError):
             fit_exponent(traj, (10.0, 1e5))
 
@@ -208,7 +207,7 @@ class TestFitExponent:
 
     def test_interference_nodes_raise(self):
         u = np.geomspace(10, 1e4, 200)
-        traj = _trajectory(u, u**-2.5 * np.cos(np.log(u)), "nodes")
+        traj = _trajectory(u, u**-2.5 * np.cos(np.log(u)))
         with pytest.raises(OscillationError):
             fit_exponent(traj, (10.0, 1e4))
 
@@ -268,9 +267,10 @@ class TestBranches:
             fit_exponent(traj, (10.0, 1e5))
 
     def test_seed_inside_window_rejected(self):
+        # the seed sits at u = 1
         ode = build_ordinary_kg(CoulombSystem(z=1, alpha=0.3, eta=0.5))
         with pytest.raises(ValueError):
-            subdominant_branch(ode, self._WINDOW, u_seed=200.0)
+            subdominant_branch(ode, (1.0, 1e4))
 
 
 def _series_at_infinity(ode):

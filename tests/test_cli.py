@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import closed_form
 from kgcoulomb import cli, fuchsian
 
 
@@ -258,6 +259,29 @@ class TestWavefunction:
         assert out == ""
         assert err.startswith("kgcoulomb: wavefunction grid point u = ") and "cancels" in err
 
+    def test_high_level_at_small_u_is_refused(self, capsys):
+        # the degree-30 polynomial at z = 2/(1 + i u/eps), near 2, cancels:
+        # its terms reach 6e12 against a sum of about 1
+        code, out, err = _run(capsys, "wavefunction", "--Z", "1", "--n", "30",
+                              "--window", "0.0001:1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("kgcoulomb: wavefunction grid point u = ") and "cancels" in err
+
+    def test_most_cancelling_quantized_draw_keeps_ten_digits(self, capsys):
+        # Z 35, n 5 cancels most among Z 1-68, n <= 5, u from 0.01 to 1000:
+        # its terms reach 69 times the sum, far below the refusal at 1e6
+        from kgcoulomb.physcore import CoulombSystem
+
+        code, out, err = _run(capsys, "wavefunction", "--Z", "35", "--n", "5",
+                              "--window", "0.01:1000")
+        assert code == 0, err
+        eta = float(next(line for line in out.splitlines() if line.startswith("# eta = "))[8:])
+        system = CoulombSystem(z=35, eta=eta)
+        for row in _csv_rows(out)[::66]:
+            ref = closed_form.psi(system, float(row[0]))
+            assert abs(complex(float(row[1]), float(row[2])) - ref) <= 1e-10 * abs(ref)
+
     def test_computed_energy_at_threshold_is_domain_error(self, capsys):
         # at g = 1e-9 the closed-form eta rounds to 1; no flag is at fault
         code, out, err = _run(capsys, "wavefunction", "--g", "1e-9")
@@ -428,6 +452,14 @@ class TestConfigPrecedence:
         vals = {row[0]: float(row[1]) for row in _csv_rows(out)}
         assert vals["e"] == 0.0
 
+    def test_order_key_is_unknown(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("order = 16\n")
+        code, out, err = _run(capsys, "wavefunction", "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("kgcoulomb: usage error: ") and "'order'" in err
+
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = _run(capsys, "spectrum", "--config",
                             str(tmp_path / "absent.cfg"))
@@ -445,6 +477,9 @@ class TestConfigPrecedence:
     ["exponents", "--g", "inf"],
     ["exponents", "--window", "2:inf"],
     ["spectrum", "--format", "xml"],
+    ["wavefunction", "--model", "ordinary", "--n", "2..5"],
+    ["wavefunction", "--n", "2", "--eta", "0.5"],
+    ["wavefunction", "--model", "deformed-zero-energy", "--theta", "0.05", "--order", "4"],
 ], ids=lambda argv: " ".join(argv))
 def test_out_of_range_flag_is_usage_error(capsys, argv):
     # these raised a traceback, or printed numbers for an infinite coupling
@@ -541,8 +576,9 @@ _VALUES = {
     "order": st.sampled_from(["-1", "0", "4", "16", "64", "nan"]),
     "tol": st.sampled_from(["1e-10", "1e-3", "1e-300", "0", "-1", "0.5", "nan", "inf"]),
 }
-# --out would write files; the table must reach stdout to be checked
-_FLAGS = [key for key in cli._OPTIONS if key != "out"]
+# --out would write files; the table must reach stdout to be checked.
+# --order is a removed flag, drawn so that its usage error stays covered.
+_FLAGS = [key for key in cli._OPTIONS if key != "out"] + ["order"]
 
 
 @st.composite

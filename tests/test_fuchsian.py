@@ -22,7 +22,6 @@ from kgcoulomb.fuchsian import (
     frobenius_series,
     indicial_exponents,
     reach,
-    residual,
     singular_points,
     taylor_series,
 )
@@ -38,6 +37,12 @@ from kgcoulomb.kgmodels import (
     to_heun,
 )
 from kgcoulomb.physcore import CoulombSystem, DeformationParams
+
+
+def residual(ode, sol, z):
+    """Relative ODE defect of a local solution at z, as the library measures it."""
+    return fuchsian._defect(ode, z, *evaluate_with_derivatives(sol, z))
+
 
 # the cosine equation y'' + y = 0: no singular points in the finite plane
 _COS_ODE = RationalCoeffODE((0,), (1,), (1,), (1,), ())

@@ -47,8 +47,8 @@ class TestCriticalZ:
     def test_default_alpha(self):
         # Z = 68 is the heaviest charge whose mu = sqrt(1/4 - (Z alpha)^2)
         # is real; from Z = 69 on it is imaginary (the paper's Z > 68)
-        assert not CoulombSystem(z=68).supercritical and CoulombSystem(z=68).mu.imag == 0.0
-        assert CoulombSystem(z=69).supercritical and CoulombSystem(z=69).mu.real == 0.0
+        assert CoulombSystem(z=68).g < 0.5 and CoulombSystem(z=68).mu.imag == 0.0
+        assert CoulombSystem(z=69).g > 0.5 and CoulombSystem(z=69).mu.real == 0.0
 
 
 class TestDeformationParams:
@@ -78,10 +78,6 @@ class TestMinimalLength:
         assert minimal_length(DeformationParams(1.0, 2.0)) == pytest.approx(
             math.sqrt(5.0), rel=1e-15)
 
-    def test_dimension_argument(self):
-        dp = DeformationParams(0.25, 0.0)
-        assert minimal_length(dp, dims=4) == pytest.approx(1.0)
-
     @given(st.floats(min_value=0.0, max_value=10.0),
            st.floats(min_value=0.0, max_value=10.0))
     def test_monotone_in_theta(self, a, b):
@@ -99,11 +95,6 @@ class TestCoulombSystem:
         assert s.mu.real == pytest.approx(0.4)
         assert s.omega_tilde == pytest.approx(0.18)
         assert s.w == pytest.approx(0.18 / 0.8)
-        assert not s.supercritical
-
-    def test_supercritical_flag(self):
-        assert CoulombSystem(z=100, eta=0.5).supercritical
-        assert not CoulombSystem(z=68, eta=0.5).supercritical
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,9 @@
 """Hypergeometric and Heun evaluation against independent references.
 
-mpmath supplies the 2F1 reference values; the Heun side is checked by
-degeneration to 2F1 and by playing the explicit three-term recurrence
-against the generic Frobenius engine.
+mpmath supplies the 2F1 reference values and the closed-form
+wavefunction (``closed_form``); the Heun side is checked by degeneration
+to 2F1 and by playing the explicit three-term recurrence against the
+generic Frobenius engine.
 """
 
 import math
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import closed_form
 from kgcoulomb import fuchsian
 from kgcoulomb.errors import (ConvergenceError, OutOfDomainError, ParameterPoleError,
                               ResonantExponentsError)
@@ -24,10 +26,8 @@ from kgcoulomb.specialfn import (
     heun_local,
     heun_ode,
     hyp2f1,
-    hyp2f1_with_derivatives,
     hypergeometric_ode,
     psi_ordinary,
-    psi_ordinary_with_derivative,
 )
 
 mp.mp.dps = 30
@@ -147,11 +147,20 @@ class TestHyp2f1:
         assert hyp2f1(a, b, c, z) == pytest.approx(hyp2f1(b, a, c, z), rel=1e-13)
 
 
+def _derivatives_on_chain(a, b, c, z):
+    """(F, F', F'') read off the first disk that holds z of a chain of
+    Taylor hops of the hypergeometric equation from its series at 0, the
+    route acceptance criterion 5 takes."""
+    ode = hypergeometric_ode(a, b, c)
+    chain = [fuchsian.frobenius_series(ode, 0j, 0j, order=64)]
+    return fuchsian.evaluate_with_derivatives(chain[fuchsian.reach(ode, chain, z, 64)], z)
+
+
 class TestHyp2f1Derivatives:
     def test_contiguous_path(self):
         a, b, c = _ABC
         z = 0.31
-        f0, f1, f2 = hyp2f1_with_derivatives(a, b, c, z)
+        f0, f1, f2 = _derivatives_on_chain(a, b, c, z)
         r0 = _ref_2f1(a, b, c, z)
         r1 = complex(mp.diff(lambda t: mp.hyp2f1(a, b, c, t), z))
         r2 = complex(mp.diff(lambda t: mp.hyp2f1(a, b, c, t), z, 2))
@@ -159,22 +168,10 @@ class TestHyp2f1Derivatives:
         assert abs(f1 - r1) <= 1e-12 * abs(r1)
         assert abs(f2 - r2) <= 1e-12 * abs(r2)
 
-    def test_terminating_path(self):
-        # term-by-term derivative of the polynomial, valid at |z| > 1
-        b, c = 1.3, 1.9
-        z = 2.2
-        f0, f1, f2 = hyp2f1_with_derivatives(-4, b, c, z)
-        r0 = _ref_2f1(-4, b, c, z)
-        r1 = complex(mp.diff(lambda t: mp.hyp2f1(-4, b, c, t), z))
-        r2 = complex(mp.diff(lambda t: mp.hyp2f1(-4, b, c, t), z, 2))
-        assert abs(f0 - r0) <= 1e-12 * abs(r0)
-        assert abs(f1 - r1) <= 1e-12 * abs(r1)
-        assert abs(f2 - r2) <= 1e-12 * abs(r2)
-
     @pytest.mark.parametrize("z", [0.0, -2.5 + 0.7j, 0.9 + 0.4j, 1.9996 - 0.028j])
     def test_continued_path(self, z):
         a, b, c = _ABC
-        f0, f1, f2 = hyp2f1_with_derivatives(a, b, c, z)
+        f0, f1, f2 = _derivatives_on_chain(a, b, c, complex(z))
         r0 = _ref_2f1(a, b, c, z)
         r1 = complex(mp.diff(lambda t: mp.hyp2f1(a, b, c, t), z))
         r2 = complex(mp.diff(lambda t: mp.hyp2f1(a, b, c, t), z, 2))
@@ -186,7 +183,7 @@ class TestHyp2f1Derivatives:
         a, b, c = _ABC
         ode = hypergeometric_ode(a, b, c)
         for z in (0.15, -0.4, 0.6):
-            f0, f1, f2 = hyp2f1_with_derivatives(a, b, c, z)
+            f0, f1, f2 = _derivatives_on_chain(a, b, c, z)
             resid = f2 + ode.p1(z) * f1 + ode.p0(z) * f0
             assert abs(resid) <= 1e-12 * max(abs(f2), abs(f0))
 
@@ -342,7 +339,7 @@ class TestPsiOrdinary:
         # series nor its Pfaff transform converges
         s = CoulombSystem(z=1, eta=0.5)
         for u in (0.001, 0.01, 0.3, 1.2):
-            ref = self._reference(s, u)
+            ref = closed_form.psi(s, u)
             assert abs(psi_ordinary(s, u) - ref) <= 1e-12 * abs(ref)
 
     def test_off_quantization_large_u_allowed(self):
@@ -356,31 +353,32 @@ class TestPsiOrdinary:
         got = psi_ordinary(s, grid)
         for u, value in zip(grid, got):
             assert value == pytest.approx(psi_ordinary(s, u), rel=1e-13)
-        assert abs(got[0] - self._reference(s, grid[0])) <= 1e-12 * abs(got[0])
+        assert abs(got[0] - closed_form.psi(s, grid[0])) <= 1e-12 * abs(got[0])
 
     def test_grid_shares_its_hops(self, monkeypatch):
-        # 200 points one by one take 1474 Taylor hops; as one grid, 20: the
+        # 200 points one by one take 1474 Taylor hops; as one grid, 8: the
         # argument runs inward along |z - 1| = 1 as u grows, and the sweep
-        # starts again from 0 each time a point falls behind its disk
+        # visits it outward, by ascending modulus, on one chain
         hops = []
         taylor_series = fuchsian.taylor_series
         monkeypatch.setattr(fuchsian, "taylor_series",
                             lambda *args, **kw: hops.append(1) or taylor_series(*args, **kw))
         grid = [0.01 * 100 ** (k / 199) for k in range(200)]
         psi_ordinary(CoulombSystem(z=1, alpha=0.3, eta=0.7), grid)
-        assert len(hops) <= 40
+        assert len(hops) <= 8
 
     def test_nonpositive_u_in_a_grid_carries_its_index(self):
         with pytest.raises(OutOfDomainError) as info:
             psi_ordinary(self._quantized(), [0.5, 2.0, 0.0])
         assert info.value.index == 2
 
-    @staticmethod
-    def _reference(s, u):
-        mu, eps = mp.sqrt(mp.mpf(1) / 4 - s.g ** 2), mp.sqrt(1 - mp.mpf(s.eta) ** 2)
-        base = 1 + 1j * mp.mpf(u) / eps
-        return complex(base ** (-1.5 - mu) / u * mp.hyp2f1(
-            1.5 + mu, 0.5 - s.g * s.eta / eps + mu, 2 * mu + 1, 2 / base))
+    def test_cancelling_polynomial_is_refused_with_its_index(self):
+        # n = 60 at u = 1e-4: the terms of the degree-60 polynomial at
+        # z = 2/(1 + i u/eps), near 2, reach 1e27 against a sum of 1e12
+        s = self._quantized(z=30, n=60)
+        with pytest.raises(ConvergenceError, match="cancels") as info:
+            psi_ordinary(s, [1.0, 1e-4, 10.0])
+        assert info.value.index == 1
 
     def test_nonpositive_u_rejected(self):
         s = self._quantized()
@@ -390,9 +388,10 @@ class TestPsiOrdinary:
             psi_ordinary(s, -2.0)
 
     def test_derivative_matches_finite_differences(self):
+        # the closed form's derivative (mpmath) against the slope of psi_ordinary
         s = self._quantized(z=10, n=1)
         for u in (0.5, 2.0, 20.0):
-            psi, dpsi = psi_ordinary_with_derivative(s, u)
+            psi, dpsi = closed_form.psi_and_derivative(s, u)
             assert psi == pytest.approx(psi_ordinary(s, u), rel=1e-14)
             h = 1e-6 * u
             fd = (psi_ordinary(s, u + h) - psi_ordinary(s, u - h)) / (2 * h)

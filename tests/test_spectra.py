@@ -13,15 +13,16 @@ from kgcoulomb.spectra import (
     SpectrumLine,
     binding_residual,
     energy_closed_form,
-    quantization_residual,
     solve_quantization,
 )
 
 
 class TestQuantizationResidual:
+    """``binding_residual``, the quantization residual in b = 1 - eta."""
+
     def test_frozen_value(self):
-        # 1/2 - 0.4*0.5/sqrt(0.75) + sqrt(1/4 - 0.16) + 0
-        assert quantization_residual(0.4, 0.5, 0) == pytest.approx(
+        # 1/2 - 0.4*0.5/sqrt(0.75) + sqrt(1/4 - 0.16) + 0, at b = 1 - 0.5
+        assert binding_residual(0.4, 0.5, 0) == pytest.approx(
             0.5690598923241497, rel=1e-15)
 
     def test_zero_at_closed_form_energy(self):
@@ -31,24 +32,20 @@ class TestQuantizationResidual:
             for n in (0, 3):
                 eta = energy_closed_form(g, n)
                 slope = g / ((1.0 - eta) * (1.0 + eta)) ** 1.5
-                assert abs(quantization_residual(g, eta, n)) < 20e-16 * slope + 1e-13
+                assert abs(binding_residual(g, 1.0 - eta, n)) < 20e-16 * slope + 1e-13
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(0.01, 0.49), st.integers(0, 6))
     def test_strictly_decreasing_in_eta(self, g, n):
         etas = [0.1, 0.3, 0.5, 0.7, 0.9]
-        vals = [quantization_residual(g, e, n) for e in etas]
+        vals = [binding_residual(g, 1.0 - e, n) for e in etas]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):
-            quantization_residual(0.3, 0.0, 0)
+            binding_residual(0.3, 0.5, -1)
         with pytest.raises(ValueError):
-            quantization_residual(0.3, 1.0, 0)
-        with pytest.raises(ValueError):
-            quantization_residual(0.3, 0.5, -1)
-        with pytest.raises(ValueError):
-            quantization_residual(-0.1, 0.5, 0)
+            binding_residual(-0.1, 0.5, 0)
 
 
 class TestEnergyClosedForm:
@@ -81,7 +78,7 @@ class TestSolveQuantization:
         for z in (1, 10, 50):
             g = CoulombSystem(z=z).g
             for n in range(6):
-                line = solve_quantization(g, n, z=z)
+                line = solve_quantization(g, n)
                 ref = energy_closed_form(g, n)
                 assert abs(line.eta - ref) <= 1e-12 * ref
 
@@ -94,7 +91,7 @@ class TestSolveQuantization:
         # eta agrees to that rounding times the slope g/eps^3
         assert line.binding == pytest.approx(1.0 - line.eta, rel=0, abs=2.0 ** -53)
         slope = 0.3 / ((1.0 - line.eta) * (1.0 + line.eta)) ** 1.5
-        assert quantization_residual(0.3, line.eta, 2) == pytest.approx(
+        assert binding_residual(0.3, 1.0 - line.eta, 2) == pytest.approx(
             line.residual, abs=4e-16 * slope)
 
     @pytest.mark.parametrize("n", [0, 1, 5, 50, 100, 162, 163, 200, 202, 500, 999, 1000])
@@ -103,7 +100,7 @@ class TestSolveQuantization:
         # digits; below b ~ 1e-9 the rounding of eta near 1 would take
         # digits from b = 1 - eta, so the solver works in b itself
         g = FINE_STRUCTURE_ALPHA
-        line = solve_quantization(g, n, z=1)
+        line = solve_quantization(g, n)
         with mpmath.workdps(50):
             gm = mpmath.mpf(g)
             big_n = n + mpmath.mpf(1) / 2 + mpmath.sqrt(mpmath.mpf(1) / 4 - gm * gm)
@@ -112,10 +109,6 @@ class TestSolveQuantization:
             eta = big_n / big_s
             assert abs(line.binding - binding) <= 1e-12 * binding
             assert abs(line.eta - eta) <= 1e-12 * eta
-
-    def test_charge_metadata_passthrough(self):
-        assert solve_quantization(0.3, 0).z is None
-        assert solve_quantization(0.3, 0, z=41).z == 41
 
     def test_supercritical_raises(self):
         with pytest.raises(SupercriticalCouplingError):

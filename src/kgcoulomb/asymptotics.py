@@ -352,7 +352,7 @@ def classify(g: float, deformation: DeformationParams | None = None,
             z_dependent=False,
             conclusion="regularized",
         )
-    ode = build_ordinary_kg(CoulombSystem(z=1, alpha=g, eta=eta))
+    ode = build_ordinary_kg(CoulombSystem(g, eta))
     exps = fuchsian.indicial_exponents(ode, fuchsian.INFINITY)
     if g > 0.5:
         return RegularizationVerdict(

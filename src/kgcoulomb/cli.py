@@ -15,9 +15,13 @@ subcommand computes with Python floats and the C math library alone
 kernel changes the last digits from one host to another.
 Numbers are printed with 17 significant digits, locale-independent.
 
-Configuration precedence: command-line flags > --config file >
-built-in defaults.  The config file is a flat ``key = value`` text
-file using the long flag names (without the leading dashes).
+Each subcommand takes only the options it reads (``kgcoulomb <cmd>
+--help`` lists them) plus --format, --out and --config; any other
+option is a usage error.  The coupling is either --g or the product
+of --Z and --alpha, never both.  Configuration precedence:
+command-line flags > --config file > built-in defaults.  The config
+file is a flat ``key = value`` text file whose keys are the
+subcommand's own long flag names (without the leading dashes).
 
 Exit codes: 0 on success, 1 on a usage or configuration error (a
 non-finite or out-of-range number among them, e.g. ``--eta`` outside
@@ -101,9 +105,7 @@ def _parse_window(text: str) -> tuple[float, float]:
 
 _FORMATS = ("csv", "json", "gnuplot-dat")
 
-# (type, help) per option, for the flags and the config file alike;
-# config-file keys are the long flag names, so '--theta-prime' appears
-# as 'theta-prime'.
+# (type, help) per option, for the flags and the config file alike.
 _OPTIONS = {
     "Z": (int, "nuclear charge (default 1)"),
     "alpha": (float, f"coupling per unit charge (default {FINE_STRUCTURE_ALPHA:.12g})"),
@@ -111,16 +113,42 @@ _OPTIONS = {
     "n": (str, "level index or inclusive range, e.g. '0' or '0..5'"),
     "theta": (float, "dimensionless deformation parameter"),
     "theta-prime": (float, "second deformation parameter"),
-    "g": (float, "total coupling; overrides Z * alpha when given"),
-    "model": (str, "model selector (see subcommand help)"),
+    "g": (float, "total coupling Z * alpha, given directly; excludes --Z and --alpha"),
+    "model": (str, "model selector"),
     "tol": (float, "integrator tolerance"),
     "window": (str, "grid or fit window 'lo:hi'"),
     "format": (str, f"output format: {', '.join(_FORMATS)} (default csv)"),
     "out": (str, "output file (default stdout)"),
 }
 
+_COUPLING = {"Z": 1, "alpha": FINE_STRUCTURE_ALPHA, "g": None}
+_DEFORMATION = {"theta": None, "theta-prime": None}
 
-def _read_config(path: str) -> dict:
+# Per subcommand: its help line and the options it reads, each with its
+# default (None: no default). Every subcommand also takes --format, --out and
+# --config; any other option is a usage error.
+_COMMANDS = {
+    "spectrum": ("bound-state energies: closed form vs quantization root",
+                 {**_COUPLING, "n": "0..5"}),
+    "exponents": ("decay exponents at large momentum: analytic vs fitted",
+                  {**_COUPLING, "eta": 0.5, "model": "ordinary", **_DEFORMATION,
+                   "tol": 1e-10, "window": "1e2:1e4"}),
+    "wavefunction": ("sample psi(u) on a logarithmic grid",
+                     {**_COUPLING, "eta": None, "n": None, "model": "ordinary",
+                      **_DEFORMATION, "window": "0.01:100"}),
+    "params": ("derived parameter block of the reduced equation",
+               {**_COUPLING, "eta": 0.5, "model": "heun", "theta": 0.05, "theta-prime": 0.0}),
+    "heun-check": ("equal-deformation consistency: local Heun vs hypergeometric",
+                   {**_COUPLING, **_DEFORMATION, "theta": 0.05}),
+}
+
+
+def _options(command: str) -> dict:
+    """The options a subcommand takes, with their defaults."""
+    return {**_COMMANDS[command][1], "format": "csv", "out": None}
+
+
+def _read_config(path: str, command: str) -> dict:
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = fh.readlines()
@@ -136,8 +164,8 @@ def _read_config(path: str) -> dict:
         key, _, val = line.partition("=")
         key = key.strip().replace("_", "-")
         val = val.strip()
-        if key not in _OPTIONS:
-            raise UsageError(f"{path}:{lineno}: unknown configuration key {key!r}")
+        if key not in _options(command):
+            raise UsageError(f"{path}:{lineno}: {command} takes no configuration key {key!r}")
         try:
             values[key] = _OPTIONS[key][0](val)
         except ValueError:
@@ -161,39 +189,18 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     """The argument parser, built once per process (parse_args leaves no
     state on it)."""
-    common = argparse.ArgumentParser(add_help=False)
-    com = common.add_argument_group("common options")
-    for key, (kind, text) in _OPTIONS.items():
-        com.add_argument("--" + key, type=kind, default=None, help=text)
-    com.add_argument("--config", type=str, default=None, help="flat key=value configuration file")
-
     parser = _Parser(prog="kgcoulomb",
                      description="Momentum-space Coulomb problem: spectra, exponents, "
                                  "wavefunctions, and special-function parameter blocks.")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    sub.add_parser("spectrum", parents=[common],
-                   help="bound-state energies: closed form vs quantization root")
-    sub.add_parser("exponents", parents=[common],
-                   help="decay exponents at large momentum: analytic vs fitted")
-    sub.add_parser("wavefunction", parents=[common],
-                   help="sample psi(u) on a logarithmic grid")
-    sub.add_parser("params", parents=[common],
-                   help="derived parameter block of the reduced equation")
-    sub.add_parser("heun-check", parents=[common],
-                   help="equal-deformation consistency: local Heun vs hypergeometric")
+    for command, (text, _) in _COMMANDS.items():
+        cmd = sub.add_parser(command, help=text)
+        for key in _options(command):
+            cmd.add_argument("--" + key, type=_OPTIONS[key][0], default=None,
+                             help=_OPTIONS[key][1])
+        cmd.add_argument("--config", type=str, default=None,
+                         help="flat key=value configuration file")
     return parser
-
-
-_DEFAULTS = {
-    "spectrum": {"Z": 1, "alpha": FINE_STRUCTURE_ALPHA, "n": "0..5", "format": "csv"},
-    "exponents": {"Z": 1, "alpha": FINE_STRUCTURE_ALPHA, "eta": 0.5, "model": "ordinary",
-                  "tol": 1e-10, "window": "1e2:1e4", "format": "csv"},
-    "wavefunction": {"Z": 1, "alpha": FINE_STRUCTURE_ALPHA, "model": "ordinary",
-                     "window": "0.01:100", "format": "csv"},
-    "params": {"Z": 1, "alpha": FINE_STRUCTURE_ALPHA, "eta": 0.5, "model": "heun",
-               "theta": 0.05, "theta-prime": 0.0, "format": "csv"},
-    "heun-check": {"Z": 1, "alpha": FINE_STRUCTURE_ALPHA, "theta": 0.05, "format": "csv"},
-}
 
 
 def _merge(args: argparse.Namespace) -> dict:
@@ -201,15 +208,18 @@ def _merge(args: argparse.Namespace) -> dict:
     if args.command is None:
         raise UsageError("a subcommand is required (spectrum, exponents, "
                          "wavefunction, params, heun-check)")
-    cfg = dict(_DEFAULTS[args.command])
-    cfg["command"] = args.command
-    if args.config is not None:
-        cfg.update(_read_config(args.config))
-    for key, (kind, _) in _OPTIONS.items():
+    options = _options(args.command)
+    given = _read_config(args.config, args.command) if args.config is not None else {}
+    for key in options:
         flag = getattr(args, key.replace("-", "_"))
         if flag is not None:
-            cfg[key] = flag
-        if kind is float and cfg.get(key) is not None and not math.isfinite(cfg[key]):
+            given[key] = flag
+    if "g" in given and ("Z" in given or "alpha" in given):
+        raise UsageError("--g is the coupling Z * alpha; give either --g or --Z/--alpha")
+    cfg = {key: val for key, val in options.items() if val is not None}
+    cfg.update(given)
+    for key, (kind, _) in _OPTIONS.items():
+        if kind is float and key in cfg and not math.isfinite(cfg[key]):
             raise UsageError(f"--{key} must be a finite number, got {cfg[key]!r}")
     if not cfg["alpha"] > 0.0:
         raise UsageError("--alpha must be positive")
@@ -217,12 +227,12 @@ def _merge(args: argparse.Namespace) -> dict:
         raise UsageError("--g must be positive")
     if cfg.get("eta") is not None and not 0.0 < cfg["eta"] < 1.0:
         raise UsageError(f"--eta must lie strictly between 0 and 1, got {cfg['eta']!r}")
-    if cfg.get("format") not in _FORMATS:
-        raise UsageError(f"unknown format {cfg.get('format')!r}")
+    if cfg["format"] not in _FORMATS:
+        raise UsageError(f"unknown format {cfg['format']!r}")
     if cfg.get("tol") is not None and not 0.0 < cfg["tol"] <= _MAX_TOL:
         raise UsageError(f"--tol must be positive and at most {_MAX_TOL:g}, "
                          f"got {cfg['tol']:g}")
-    if cfg.get("Z") is not None and cfg["Z"] < 1:
+    if cfg["Z"] < 1:
         raise UsageError("--Z must be a positive integer")
     return cfg
 
@@ -232,14 +242,6 @@ def _coupling(cfg: dict) -> float:
     if not math.isfinite(g * g):
         raise UsageError(f"coupling g = {g:g} is out of range: g^2 overflows")
     return g
-
-
-def _system(cfg: dict, eta: float) -> CoulombSystem:
-    # An explicit --g overrides the (Z, alpha) product; the library
-    # only ever sees the product, so fold it into alpha with Z = 1.
-    if cfg.get("g") is not None:
-        return CoulombSystem(z=1, alpha=cfg["g"], eta=eta)
-    return CoulombSystem(z=cfg["Z"], alpha=cfg["alpha"], eta=eta)
 
 
 def _deformation(cfg: dict) -> DeformationParams:
@@ -335,7 +337,7 @@ _EXPONENT_MODELS = ("ordinary", "deformed-zero-energy", "deformed-first-order")
 def _exponent_ode(cfg: dict, g: float, eta: float):
     model = cfg["model"]
     if model == "ordinary":
-        return build_ordinary_kg(_system(cfg, eta)), {}
+        return build_ordinary_kg(CoulombSystem(g, eta)), {}
     if model == "deformed-zero-energy":
         dp = _deformation(cfg)
         return build_deformed_zero_energy(g, dp), {"theta": dp.theta,
@@ -344,7 +346,7 @@ def _exponent_ode(cfg: dict, g: float, eta: float):
         theta = cfg.get("theta")
         if theta is None or not theta > 0.0:
             raise UsageError("--theta > 0 is required for deformed-first-order")
-        return build_deformed_first_order_psi(_system(cfg, eta), theta), {"theta": theta}
+        return build_deformed_first_order_psi(CoulombSystem(g, eta), theta), {"theta": theta}
     raise UsageError(f"unknown exponents model {model!r}; choose from {_EXPONENT_MODELS}")
 
 
@@ -399,7 +401,8 @@ def cmd_exponents(cfg: dict) -> _Table:
 
 def cmd_wavefunction(cfg: dict) -> _Table:
     """Sample psi on a logarithmic momentum grid: the ordinary model at one
-    level --n (default 0) or at a trial energy --eta, not both."""
+    level --n (default 0) or at a trial energy --eta, not both; the
+    deformed zero-energy model takes neither."""
     model = cfg["model"]
     lo, hi = _parse_window(cfg["window"])
     grid = _geomspace(lo, hi, _WAVEFUNCTION_POINTS)
@@ -418,10 +421,12 @@ def cmd_wavefunction(cfg: dict) -> _Table:
             if not eta < 1.0:
                 raise OutOfDomainError(f"level n = {n} at g = {g:g} is bound by less than "
                                        "the rounding of eta = 1; no wavefunction to sample")
-        sample = functools.partial(psi_ordinary, _system(cfg, eta))
+        sample = functools.partial(psi_ordinary, CoulombSystem(g, eta))
         meta = {"model": model, "g": g, "eta": eta}
 
     elif model == "deformed-zero-energy":
+        if cfg.get("n") is not None or cfg.get("eta") is not None:
+            raise UsageError("the zero-energy model sets no level or energy; drop --n and --eta")
         dp = _deformation(cfg)
         hp, vmap = to_heun(g, dp)
         meta = {"model": model, "g": g, "theta": dp.theta,
@@ -450,9 +455,9 @@ def cmd_wavefunction(cfg: dict) -> _Table:
 def cmd_params(cfg: dict) -> _Table:
     """Dump the derived parameter block of the reduced equation."""
     model = cfg["model"]
+    g = _coupling(cfg)
     rows = []
     if model == "heun":
-        g = _coupling(cfg)
         dp = _deformation(cfg)
         hp, _ = to_heun(g, dp)
         nu = hp.b - hp.a
@@ -467,16 +472,15 @@ def cmd_params(cfg: dict) -> _Table:
                 "theta_prime": dp.theta_prime,
                 "minimal_length_3d": minimal_length(dp)}
     elif model == "generalized-heun":
-        theta = cfg.get("theta")
-        if theta is None or not theta > 0.0:
+        theta = cfg["theta"]
+        if not theta > 0.0:
             raise UsageError("--theta > 0 is required for generalized-heun")
-        system = _system(cfg, cfg["eta"])
-        ghp, _ = to_generalized_heun(system, theta)
+        ghp, _ = to_generalized_heun(CoulombSystem(g, cfg["eta"]), theta)
         for name in ("a", "b", "rho1", "rho2", "c", "d", "e", "f", "x1", "x2"):
             value = complex(getattr(ghp, name))
             rows.append([name, value.real, value.imag])
         rows.append(["fuchsian_residual", ghp.fuchsian_residual, 0.0])
-        meta = {"model": model, "g": system.g, "eta": system.eta, "theta": theta}
+        meta = {"model": model, "g": g, "eta": cfg["eta"], "theta": theta}
     else:
         raise UsageError(f"unknown params model {model!r}; "
                          "choose 'heun' or 'generalized-heun'")
@@ -541,7 +545,7 @@ def main(argv=None) -> int:
         try:
             args = _build_parser().parse_args(argv)
             cfg = _merge(args)
-            table = _DISPATCH[cfg["command"]](cfg)
+            table = _DISPATCH[args.command](cfg)
             table.check_finite()
             _emit(_render(table, cfg["format"]), cfg.get("out"))
             return 0

@@ -62,29 +62,22 @@ def mu_of_coupling(g: float) -> complex:
 
 @dataclass(frozen=True)
 class CoulombSystem:
-    """A point charge Z seen by a spin-0 particle, at a trial energy eta.
+    """A spin-0 particle in the Coulomb field of coupling g = Z*alpha, at
+    a trial energy eta.
 
     ``eta`` is E/(mc^2); bound states live in (0, 1), and eta = 1 is the
     threshold. The derived attributes are the combinations the momentum
     space equations are written in.
     """
 
-    z: int
-    alpha: float = FINE_STRUCTURE_ALPHA
+    g: float
     eta: float = 0.5
 
     def __post_init__(self) -> None:
-        if int(self.z) != self.z or self.z < 1:
-            raise ValueError("z must be a positive integer")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not self.g > 0.0:
+            raise ValueError("coupling g must be positive")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must lie in (0, 1]")
-
-    @property
-    def g(self) -> float:
-        """Coulomb coupling Z*alpha."""
-        return self.z * self.alpha
 
     @property
     def k(self) -> float:

@@ -23,7 +23,8 @@ from kgcoulomb.kgmodels import (
     to_heun,
     gen_heun_ode,
 )
-from kgcoulomb.physcore import CoulombSystem, DeformationParams, mu_of_coupling
+from kgcoulomb.physcore import (FINE_STRUCTURE_ALPHA, CoulombSystem, DeformationParams,
+                                mu_of_coupling)
 from kgcoulomb.specialfn import heun_local, heun_ode, hyp2f1, hypergeometric_ode, psi_ordinary
 from kgcoulomb.spectra import energy_closed_form, solve_quantization
 
@@ -37,12 +38,12 @@ def _residual(ode, sol, z):
 
 def test_criterion_1_spectrum_oracle_equivalence():
     for z in (1, 10, 50):
-        g = CoulombSystem(z=z).g
+        g = z * FINE_STRUCTURE_ALPHA
         for n in range(6):
             closed = energy_closed_form(g, n)
             solved = solve_quantization(g, n).eta
             assert abs(solved - closed) <= 1e-12 * closed, (z, n)
-    g = CoulombSystem(z=1).g
+    g = FINE_STRUCTURE_ALPHA
     for n in range(6):
         binding = 1.0 - energy_closed_form(g, n)
         balmer = g * g / (2.0 * (n + 1) ** 2)
@@ -53,13 +54,14 @@ def test_criterion_2_ordinary_infinity_exponents():
     rng = random.Random(90125)
     for _ in range(20):
         g = rng.uniform(0.01, 0.499)
-        ode = build_ordinary_kg(CoulombSystem(z=1, alpha=g, eta=0.5))
+        ode = build_ordinary_kg(CoulombSystem(g=g, eta=0.5))
         rho = indicial_exponents(ode, INFINITY)
         mu = mu_of_coupling(g)
         assert abs(rho[0] - (-2.5 + mu)) <= 1e-12, g
         assert abs(rho[1] - (-2.5 - mu)) <= 1e-12, g
     # Z = 100 crosses g = 1/2: conjugate pair, real part exactly -5/2
-    rho = indicial_exponents(build_ordinary_kg(CoulombSystem(z=100)), INFINITY)
+    ode = build_ordinary_kg(CoulombSystem(g=100 * FINE_STRUCTURE_ALPHA))
+    rho = indicial_exponents(ode, INFINITY)
     assert rho[0].real == -2.5 and rho[1].real == -2.5
     assert rho[0].imag != 0.0
     assert rho[0].imag == -rho[1].imag
@@ -135,7 +137,8 @@ def test_criterion_6_generalized_heun_block():
     accepted = 0
     census_checked = 0
     while accepted < 100:
-        s = CoulombSystem(z=rng.randint(1, 137), eta=rng.uniform(0.05, 0.98))
+        s = CoulombSystem(g=rng.randint(1, 137) * FINE_STRUCTURE_ALPHA,
+                          eta=rng.uniform(0.05, 0.98))
         theta = rng.uniform(0.002, 0.2)
         if abs(1.0 - 6.0 * theta * (1.0 - s.eta**2)) < 1e-3:
             continue
@@ -157,7 +160,7 @@ def test_criterion_6_generalized_heun_block():
 
 def test_criterion_7_first_order_truncation_discrepancy():
     theta = 0.04
-    trunc = build_deformed_first_order_psi(CoulombSystem(z=1, alpha=0.3, eta=0.9), theta)
+    trunc = build_deformed_first_order_psi(CoulombSystem(g=0.3, eta=0.9), theta)
     fit_t = fit_exponent(dominant_branch(trunc, _WINDOW), _WINDOW)
     assert abs(fit_t.exponent - (-10.0 / 3.0)) <= 0.01 * (10.0 / 3.0)
     exact = build_deformed_zero_energy(0.3, DeformationParams(theta, 2 * theta))
@@ -166,8 +169,8 @@ def test_criterion_7_first_order_truncation_discrepancy():
 
 
 def test_criterion_8_closed_form_cross_integration():
-    g = CoulombSystem(z=1).g
-    s = CoulombSystem(z=1, eta=energy_closed_form(g, 0))
+    g = FINE_STRUCTURE_ALPHA
+    s = CoulombSystem(g=g, eta=energy_closed_form(g, 0))
     psi0, dpsi0 = closed_form.psi_and_derivative(s, 5.0)
     traj = integrate(build_ordinary_kg(s), 5.0, psi0, dpsi0, 50.0, tol=1e-12)
     ref = psi_ordinary(s, 50.0)

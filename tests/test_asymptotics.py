@@ -22,7 +22,7 @@ from kgcoulomb.fuchsian import (INFINITY, RationalCoeffODE, _series_sums,
                                 evaluate_with_derivatives, frobenius_series, indicial_exponents)
 from kgcoulomb.kgmodels import (build_deformed_first_order_psi, build_deformed_zero_energy,
                                 build_ordinary_kg, to_heun)
-from kgcoulomb.physcore import CoulombSystem, DeformationParams
+from kgcoulomb.physcore import FINE_STRUCTURE_ALPHA, CoulombSystem, DeformationParams
 from kgcoulomb.specialfn import heun_local, hypergeometric_ode, psi_ordinary
 from kgcoulomb.spectra import energy_closed_form
 
@@ -44,7 +44,7 @@ class TestIntegrate:
     def test_window_samples_its_grid_points_alone(self, model, u0, u_end, window):
         # the same march, read at the grid points inside the window only
         ode = _EXP_ODE if model == "exp" else build_ordinary_kg(
-            CoulombSystem(z=1, alpha=0.3, eta=0.5))
+            CoulombSystem(g=0.3, eta=0.5))
         full = integrate(ode, u0, 1.0 + 0j, 1.0 + 0j, u_end)
         part = integrate(ode, u0, 1.0 + 0j, 1.0 + 0j, u_end, window=window)
         inside = [(u, v) for u, v in zip(full.grid, full.values) if window[0] <= u <= window[1]]
@@ -70,8 +70,8 @@ class TestIntegrate:
     def test_closed_form_seeded_continuation(self):
         # seed the ordinary equation with the exact solution at u = 5 and
         # ride it to u = 50; the closed form must be reproduced pointwise
-        g = CoulombSystem(z=1).g
-        s = CoulombSystem(z=1, eta=energy_closed_form(g, 0))
+        g = FINE_STRUCTURE_ALPHA
+        s = CoulombSystem(g=g, eta=energy_closed_form(g, 0))
         psi0, dpsi0 = closed_form.psi_and_derivative(s, 5.0)
         traj = integrate(build_ordinary_kg(s), 5.0, psi0, dpsi0, 50.0, tol=1e-12)
         for idx in (len(traj.grid) // 2, -1):
@@ -106,7 +106,8 @@ class TestTaylorContinuation:
     @pytest.mark.parametrize("tol", [1e-10, 1e-12])
     @pytest.mark.parametrize("z,n", [(1, 0), (40, 2), (68, 1)])
     def test_closed_form_at_every_point(self, z, n, tol, direction):
-        s = CoulombSystem(z=z, eta=energy_closed_form(CoulombSystem(z=z).g, n))
+        g = z * FINE_STRUCTURE_ALPHA
+        s = CoulombSystem(g=g, eta=energy_closed_form(g, n))
         start, end = (5.0, 1e4) if direction == "forward" else (1e4, 5.0)
         psi0, dpsi0 = closed_form.psi_and_derivative(s, start)
         traj = integrate(build_ordinary_kg(s), start, psi0, dpsi0, end, tol=tol)
@@ -133,7 +134,7 @@ class TestTaylorContinuation:
         assert np.max(np.abs(direct - psi) / np.abs(psi)) <= 1e-9
 
     def test_hops_grow_logarithmically(self):
-        s = CoulombSystem(z=1, alpha=0.3, eta=0.5)
+        s = CoulombSystem(g=0.3, eta=0.5)
         ode = build_ordinary_kg(s)
         near = integrate(ode, 1.0, 1.0 + 0j, 0j, 1e4)
         far = integrate(ode, 1.0, 1.0 + 0j, 0j, 1e12)
@@ -144,7 +145,7 @@ class TestTaylorContinuation:
         assert fit_exponent(far, (1e6, 1e12)).exponent == pytest.approx(-2.1, rel=1e-3)
 
     def test_residual_follows_tol(self):
-        ode = build_ordinary_kg(CoulombSystem(z=1, alpha=0.3, eta=0.5))
+        ode = build_ordinary_kg(CoulombSystem(g=0.3, eta=0.5))
         coarse = integrate(ode, 1.0, 1.0 + 0j, 0j, 1e4, tol=1e-6)
         fine = integrate(ode, 1.0, 1.0 + 0j, 0j, 1e4, tol=1e-12)
         assert 0.0 < fine.max_residual < coarse.max_residual
@@ -253,7 +254,7 @@ class TestBranches:
         assert sub.exponent == pytest.approx(-2.0, rel=0.01)
 
     def test_ordinary_subcritical_pair(self):
-        s = CoulombSystem(z=1, alpha=0.3, eta=0.5)
+        s = CoulombSystem(g=0.3, eta=0.5)
         ode = build_ordinary_kg(s)
         dom = fit_exponent(dominant_branch(ode, self._WINDOW), self._WINDOW)
         sub = fit_exponent(subdominant_branch(ode, self._WINDOW), self._WINDOW)
@@ -261,14 +262,14 @@ class TestBranches:
         assert sub.exponent == pytest.approx(-2.1, rel=0.01)
 
     def test_supercritical_tail_is_not_a_power_law(self):
-        ode = build_ordinary_kg(CoulombSystem(z=100, eta=0.5))
+        ode = build_ordinary_kg(CoulombSystem(g=100 * FINE_STRUCTURE_ALPHA, eta=0.5))
         traj = subdominant_branch(ode, (10.0, 1e5))
         with pytest.raises(OscillationError):
             fit_exponent(traj, (10.0, 1e5))
 
     def test_seed_inside_window_rejected(self):
         # the seed sits at u = 1
-        ode = build_ordinary_kg(CoulombSystem(z=1, alpha=0.3, eta=0.5))
+        ode = build_ordinary_kg(CoulombSystem(g=0.3, eta=0.5))
         with pytest.raises(ValueError):
             subdominant_branch(ode, (1.0, 1e4))
 
@@ -291,12 +292,14 @@ def _random_equation(rng):
     model = rng.choice(["ordinary", "deformed-zero-energy", "deformed-first-order"])
     eta = rng.uniform(0.05, 0.95)
     if model == "ordinary":
-        return build_ordinary_kg(CoulombSystem(z=rng.randint(1, 68), eta=eta))
+        return build_ordinary_kg(CoulombSystem(g=rng.randint(1, 68) * FINE_STRUCTURE_ALPHA,
+                                               eta=eta))
     theta = 10.0 ** rng.uniform(-4.0, 0.0)
     if model == "deformed-zero-energy":
         dp = DeformationParams(theta, rng.choice([0.0, theta * rng.uniform(0.0, 1.0)]))
         return build_deformed_zero_energy(rng.uniform(0.01, 1.0), dp)
-    return build_deformed_first_order_psi(CoulombSystem(z=rng.randint(1, 137), eta=eta), theta)
+    system = CoulombSystem(g=rng.randint(1, 137) * FINE_STRUCTURE_ALPHA, eta=eta)
+    return build_deformed_first_order_psi(system, theta)
 
 
 class TestDominantBranchFromInfinity:
@@ -356,7 +359,7 @@ class TestDominantBranchFromInfinity:
 
     def test_series_that_does_not_settle_marches(self):
         # at order 4 the series at the lower edge is no better than 2^-5
-        ode = build_ordinary_kg(CoulombSystem(z=1, alpha=0.3, eta=0.5))
+        ode = build_ordinary_kg(CoulombSystem(g=0.3, eta=0.5))
         window = (2.0 / _series_at_infinity(ode).radius, 1e3)
         coarse = dominant_branch(ode, window, order=4)
         assert coarse.hops > 1

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -277,7 +278,7 @@ class TestWavefunction:
                               "--window", "0.01:1000")
         assert code == 0, err
         eta = float(next(line for line in out.splitlines() if line.startswith("# eta = "))[8:])
-        system = CoulombSystem(z=35, eta=eta)
+        system = CoulombSystem(g=35 * cli.FINE_STRUCTURE_ALPHA, eta=eta)
         for row in _csv_rows(out)[::66]:
             ref = closed_form.psi(system, float(row[0]))
             assert abs(complex(float(row[1]), float(row[2])) - ref) <= 1e-10 * abs(ref)
@@ -460,6 +461,21 @@ class TestConfigPrecedence:
         assert out == ""
         assert err.startswith("kgcoulomb: usage error: ") and "'order'" in err
 
+    @pytest.mark.parametrize("text, flags", [
+        ("tol = 1e-5\n", ()),            # a key of exponents, not of spectrum
+        ("g = 0.3\n", ("--Z", "50")),
+        ("Z = 50\n", ("--g", "0.3")),
+        ("g = 0.3\nalpha = 0.01\n", ()),
+    ])
+    def test_key_the_command_would_ignore_is_usage_error(self, capsys, tmp_path, text, flags):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        code, out, err = _run(capsys, "spectrum", "--config", str(cfg), *flags)
+        assert code == 1
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("kgcoulomb: usage error: ")
+
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = _run(capsys, "spectrum", "--config",
                             str(tmp_path / "absent.cfg"))
@@ -480,15 +496,77 @@ class TestConfigPrecedence:
     ["wavefunction", "--model", "ordinary", "--n", "2..5"],
     ["wavefunction", "--n", "2", "--eta", "0.5"],
     ["wavefunction", "--model", "deformed-zero-energy", "--theta", "0.05", "--order", "4"],
+    ["spectrum", "--Z", "0"],
+    # options the command does not read, and a coupling given twice
+    ["spectrum", "--window", "1:2", "--eta", "0.3", "--model", "nope"],
+    ["heun-check", "--window", "1:2", "--n", "7", "--tol", "1e-5"],
+    ["wavefunction", "--model", "deformed-zero-energy", "--theta", "0.05", "--n", "2..5",
+     "--eta", "0.3"],
+    ["spectrum", "--g", "0.3", "--Z", "50"],
+    ["exponents", "--alpha", "0.01", "--g", "0.3"],
 ], ids=lambda argv: " ".join(argv))
 def test_out_of_range_flag_is_usage_error(capsys, argv):
-    # these raised a traceback, or printed numbers for an infinite coupling
+    # these raised a traceback, printed numbers for an infinite coupling,
+    # or printed a table that ignored some of the flags
     code, out, err = _run(capsys, *argv)
     assert code == 1
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("kgcoulomb: usage error: ")
+
+
+def _help(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_spectrum_help_omits_window(capsys):
+    assert "--window" not in _help(capsys, "spectrum")
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_help_lists_the_table_entry(capsys, command):
+    listed = set(re.findall(r"--([\w-]+)", _help(capsys, command)))
+    assert listed == set(cli._COMMANDS[command][1]) | {"format", "out", "config", "help"}
+
+
+class _ReadLog(dict):
+    """A configuration that records every key looked up in it."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+_MODELS = {"spectrum": [None], "exponents": list(cli._EXPONENT_MODELS),
+           "wavefunction": ["ordinary", "deformed-zero-energy"],
+           "params": ["heun", "generalized-heun"], "heun-check": [None]}
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_table_entry_is_what_the_command_reads(command):
+    # run under every model at the table's defaults; the keys read,
+    # found or not, must be the entry's keys, no more and no fewer
+    read = set()
+    for model in _MODELS[command]:
+        argv = [command] + (["--model", model] if model else [])
+        if model and model.startswith("deformed"):
+            argv += ["--theta", "0.05"]
+        cfg = _ReadLog(cli._merge(cli._build_parser().parse_args(argv)))
+        assert cli._DISPATCH[command](cfg).rows
+        read |= cfg.read
+    assert read == set(cli._COMMANDS[command][1])
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -576,15 +654,21 @@ _VALUES = {
     "order": st.sampled_from(["-1", "0", "4", "16", "64", "nan"]),
     "tol": st.sampled_from(["1e-10", "1e-3", "1e-300", "0", "-1", "0.5", "nan", "inf"]),
 }
-# --out would write files; the table must reach stdout to be checked.
-# --order is a removed flag, drawn so that its usage error stays covered.
-_FLAGS = [key for key in cli._OPTIONS if key != "out"] + ["order"]
 
 
 @st.composite
 def _argv(draw):
-    argv = [draw(st.sampled_from(sorted(cli._DISPATCH)))]
-    for key in draw(st.lists(st.sampled_from(_FLAGS), max_size=5, unique=True)):
+    command = draw(st.sampled_from(sorted(cli._DISPATCH)))
+    # --out would write files; the table must reach stdout to be checked.
+    taken = [key for key in cli._options(command) if key != "out"]
+    keys = draw(st.lists(st.sampled_from(taken), max_size=5, unique=True))
+    if draw(st.integers(0, 9)) == 9:
+        # now and then an option the command does not take, or the removed
+        # --order, so that their usage error stays covered
+        keys.append(draw(st.sampled_from(
+            [key for key in cli._OPTIONS if key not in taken and key != "out"] + ["order"])))
+    argv = [command]
+    for key in keys:
         argv += ["--" + key, draw(_VALUES.get(key, _NUMBER))]
     return argv
 

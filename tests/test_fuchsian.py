@@ -36,7 +36,7 @@ from kgcoulomb.kgmodels import (
     to_generalized_heun,
     to_heun,
 )
-from kgcoulomb.physcore import CoulombSystem, DeformationParams
+from kgcoulomb.physcore import FINE_STRUCTURE_ALPHA, CoulombSystem, DeformationParams
 
 
 def residual(ode, sol, z):
@@ -68,7 +68,7 @@ class TestSingularPointCensus:
         assert all(p.kind == "regular" for p in pts)
 
     def test_ordinary_model_census(self):
-        s = CoulombSystem(z=10, eta=0.6)
+        s = CoulombSystem(g=10 * FINE_STRUCTURE_ALPHA, eta=0.6)
         pts = singular_points(build_ordinary_kg(s))
         locs = [p.location for p in pts if p.location is not INFINITY]
         # u = 0 and the conjugate pair u = +-i eps
@@ -131,14 +131,14 @@ class TestIndicialExponents:
         return total
 
     def test_fuchs_relation_four_points(self):
-        s = CoulombSystem(z=10, eta=0.6)
+        s = CoulombSystem(g=10 * FINE_STRUCTURE_ALPHA, eta=0.6)
         pts = singular_points(build_ordinary_kg(s))
         total = self._fuchs_sum(pts)
         assert total.real == pytest.approx(len(pts) - 2, abs=1e-10)
         assert total.imag == pytest.approx(0.0, abs=1e-10)
 
     def test_fuchs_relation_five_points(self):
-        params, _ = to_generalized_heun(CoulombSystem(z=30, eta=0.8), 0.02)
+        params, _ = to_generalized_heun(CoulombSystem(g=30 * FINE_STRUCTURE_ALPHA, eta=0.8), 0.02)
         pts = singular_points(gen_heun_ode(params))
         assert len(pts) == 5
         total = self._fuchs_sum(pts)
@@ -176,7 +176,7 @@ class TestFrobeniusSeries:
             assert abs(series - direct) <= 1e-12 * abs(direct)
 
     def test_truncation_order_independence(self):
-        ode = build_ordinary_kg(CoulombSystem(z=50, eta=0.7))
+        ode = build_ordinary_kg(CoulombSystem(g=50 * FINE_STRUCTURE_ALPHA, eta=0.7))
         lo = frobenius_series(ode, INFINITY, indicial_exponents(ode, INFINITY)[1], order=30)
         hi = frobenius_series(ode, INFINITY, indicial_exponents(ode, INFINITY)[1], order=60)
         z = 80.0
@@ -260,7 +260,7 @@ class TestEvaluation:
             assert residual(ode, sol, z) < 1e-10
 
     def test_residual_at_infinity_branch(self):
-        ode = build_ordinary_kg(CoulombSystem(z=10, eta=0.6))
+        ode = build_ordinary_kg(CoulombSystem(g=10 * FINE_STRUCTURE_ALPHA, eta=0.6))
         rho = indicial_exponents(ode, INFINITY)[1]
         sol = frobenius_series(ode, INFINITY, rho, order=40)
         for u in (50.0, 200.0, 1e3):
@@ -302,7 +302,7 @@ class TestQuotientNormalization:
         assert finite[0].location == pytest.approx(0.0)
 
     def test_exponents_are_python_complex(self):
-        ode = build_ordinary_kg(CoulombSystem(z=100, eta=0.5))
+        ode = build_ordinary_kg(CoulombSystem(g=100 * FINE_STRUCTURE_ALPHA, eta=0.5))
         rho = indicial_exponents(ode, INFINITY)
         assert type(rho[0]) is complex
         assert type(rho[1]) is complex
@@ -318,7 +318,7 @@ def _package_equations(draws):
         eta = rng.uniform(0.05, 0.999)
         theta = math.exp(rng.uniform(math.log(1e-4), math.log(1.0)))
         theta_prime = rng.choice([0.0, theta, math.exp(rng.uniform(math.log(1e-4), 0.0))])
-        s = CoulombSystem(z=1, alpha=g, eta=eta)
+        s = CoulombSystem(g=g, eta=eta)
         dp = DeformationParams(theta, theta_prime)
         hp, _ = to_heun(g, dp)
         with warnings.catch_warnings():
@@ -462,7 +462,7 @@ def _product_scaled(p2, p1, p0, scale):
 
 
 def _model_odes():
-    s = CoulombSystem(z=10, eta=0.6)
+    s = CoulombSystem(g=10 * FINE_STRUCTURE_ALPHA, eta=0.6)
     return [build_ordinary_kg(s),
             build_deformed_zero_energy(0.3, DeformationParams(0.05, 0.02)),
             _first_order_phi(s, 0.04),
@@ -660,7 +660,7 @@ class TestReducedSums:
 
 class TestContinuationChain:
     def test_tail_rule_picks_order_from_tol(self):
-        ode = build_ordinary_kg(CoulombSystem(z=1, alpha=0.3, eta=0.5))
+        ode = build_ordinary_kg(CoulombSystem(g=0.3, eta=0.5))
         coarse = taylor_series(ode, 3.0, 1.0, -0.5, order=64, tol=1e-5)
         fine = taylor_series(ode, 3.0, 1.0, -0.5, order=64, tol=1e-12)
         assert len(coarse.coefficients) < len(fine.coefficients) < 65
@@ -677,7 +677,7 @@ class TestContinuationChain:
 
     def test_scaled_coefficients_stay_finite_far_out(self):
         # unscaled, c_k ~ u^-k underflows by k = 30 at u = 1e12
-        ode = build_ordinary_kg(CoulombSystem(z=1, alpha=0.3, eta=0.5))
+        ode = build_ordinary_kg(CoulombSystem(g=0.3, eta=0.5))
         sol = taylor_series(ode, 1e12, 1e-24, -2e-36, order=64, tol=1e-10)
         assert sol.radius > 1e11
         assert all(math.isfinite(abs(c)) for c in sol.coefficients)
@@ -713,7 +713,7 @@ class TestContinuationChain:
         # from u = 1e47 down to 10 each hop covers 0.4 of the distance to
         # the origin, about 220 hops; the budget counts the path against
         # the target's distance to the nearest singular point
-        ode = build_ordinary_kg(CoulombSystem(z=10, eta=0.5))
+        ode = build_ordinary_kg(CoulombSystem(g=10 * FINE_STRUCTURE_ALPHA, eta=0.5))
         chain = [taylor_series(ode, 1e47, 1.0, -3e-47, order=64, tol=1e-10, max_radius=1e47)]
         last = reach(ode, chain, 10.0 + 0j, 64, tol=1e-10, max_radius=1e47)
         assert 200 < last == len(chain) - 1 < 300

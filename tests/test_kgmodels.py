@@ -100,26 +100,27 @@ class TestOperatorDerivation:
 
 class TestOrdinaryModel:
     def test_origin_exponents(self):
-        ode = build_ordinary_kg(CoulombSystem(z=50, eta=0.6))
+        ode = build_ordinary_kg(CoulombSystem(g=50 * FINE_STRUCTURE_ALPHA, eta=0.6))
         assert indicial_exponents(ode, 0.0) == (0j, -1 + 0j)
 
     def test_infinity_exponents_subcritical(self):
         # -5/2 +- mu; g = 0.3 makes mu = 2/5 exactly
-        s = CoulombSystem(z=1, alpha=0.3, eta=0.5)
+        s = CoulombSystem(g=0.3, eta=0.5)
         rho = indicial_exponents(build_ordinary_kg(s), INFINITY)
         assert rho[0] == pytest.approx(-2.1, abs=1e-13)
         assert rho[1] == pytest.approx(-2.9, abs=1e-13)
 
     def test_infinity_exponents_supercritical(self):
         # above g = 1/2 the pair is complex with real part exactly -5/2
-        s = CoulombSystem(z=1, alpha=0.6, eta=0.5)
+        s = CoulombSystem(g=0.6, eta=0.5)
         rho = indicial_exponents(build_ordinary_kg(s), INFINITY)
         im = math.sqrt(0.6**2 - 0.25)
         assert rho[0].real == -2.5 and rho[1].real == -2.5
         assert sorted(x.imag for x in rho) == pytest.approx([-im, im], rel=1e-12)
 
     def test_conjugate_pair_census(self):
-        pts = singular_points(build_ordinary_kg(CoulombSystem(z=10, eta=0.6)))
+        ode = build_ordinary_kg(CoulombSystem(g=10 * FINE_STRUCTURE_ALPHA, eta=0.6))
+        pts = singular_points(ode)
         finite = [p.location for p in pts if p.location is not INFINITY]
         assert any(abs(loc - 0.8j) < 1e-12 for loc in finite)
         assert any(abs(loc + 0.8j) < 1e-12 for loc in finite)
@@ -127,7 +128,7 @@ class TestOrdinaryModel:
 
     def test_threshold_rejected(self):
         with pytest.raises(ValueError):
-            build_ordinary_kg(CoulombSystem(z=1, eta=1.0))
+            build_ordinary_kg(CoulombSystem(g=FINE_STRUCTURE_ALPHA, eta=1.0))
 
 
 class TestDeformedZeroEnergy:
@@ -181,21 +182,22 @@ class TestDeformedZeroEnergy:
 class TestFirstOrderModel:
     def test_psi_infinity_exponents(self):
         # the truncated operators shift the subdominant exponent to -10/3
-        ode = build_deformed_first_order_psi(CoulombSystem(z=30, eta=0.8), 0.04)
+        s = CoulombSystem(g=30 * FINE_STRUCTURE_ALPHA, eta=0.8)
+        ode = build_deformed_first_order_psi(s, 0.04)
         rho = indicial_exponents(ode, INFINITY)
         assert rho[0] == pytest.approx(-2.0, abs=1e-12)
         assert rho[1] == pytest.approx(-10.0 / 3.0, abs=1e-12)
 
     def test_phi_form_shifts_by_one(self):
         # phi = u psi, so every infinity exponent moves up by 1
-        s = CoulombSystem(z=30, eta=0.8)
+        s = CoulombSystem(g=30 * FINE_STRUCTURE_ALPHA, eta=0.8)
         phi = indicial_exponents(_first_order_phi(s, 0.04), INFINITY)
         psi = indicial_exponents(build_deformed_first_order_psi(s, 0.04), INFINITY)
         assert phi[0] - 1 == pytest.approx(psi[0], abs=1e-12)
         assert phi[1] - 1 == pytest.approx(psi[1], abs=1e-12)
 
     def test_weak_deformation_approaches_ordinary(self):
-        s = CoulombSystem(z=30, eta=0.8)
+        s = CoulombSystem(g=30 * FINE_STRUCTURE_ALPHA, eta=0.8)
         near = build_deformed_first_order_psi(s, 1e-12)
         flat = build_ordinary_kg(s)
         for u in (0.3, 1.0, 4.0):
@@ -203,7 +205,7 @@ class TestFirstOrderModel:
             assert near.p0(u) == pytest.approx(flat.p0(u), rel=1e-9)
 
     def test_nonpositive_theta_rejected(self):
-        s = CoulombSystem(z=30, eta=0.8)
+        s = CoulombSystem(g=30 * FINE_STRUCTURE_ALPHA, eta=0.8)
         with pytest.raises(ValueError):
             build_deformed_first_order_psi(s, 0.0)
         with pytest.raises(ValueError):
@@ -261,7 +263,7 @@ class TestToHeun:
 
 
 class TestToGeneralizedHeun:
-    _SYSTEM = CoulombSystem(z=30, eta=0.8)
+    _SYSTEM = CoulombSystem(g=30 * FINE_STRUCTURE_ALPHA, eta=0.8)
 
     def test_fixed_infinity_exponents(self):
         gp, _ = to_generalized_heun(self._SYSTEM, 0.04)
@@ -278,7 +280,7 @@ class TestToGeneralizedHeun:
 
     def test_pair_sums(self):
         # c + d = 1/3 and e + f = 4 whatever the inputs
-        gp, _ = to_generalized_heun(CoulombSystem(z=80, eta=0.35), 0.09)
+        gp, _ = to_generalized_heun(CoulombSystem(g=80 * FINE_STRUCTURE_ALPHA, eta=0.35), 0.09)
         assert gp.c + gp.d == pytest.approx(1.0 / 3.0, rel=1e-13)
         assert gp.e + gp.f == pytest.approx(4.0, rel=1e-13)
         assert gp.x1 + gp.x2 == pytest.approx(1.0, rel=1e-15)
@@ -295,7 +297,8 @@ class TestToGeneralizedHeun:
     def test_random_draws_stay_fuchsian(self):
         rng = random.Random(20240817)
         for _ in range(20):
-            s = CoulombSystem(z=rng.randint(1, 130), eta=rng.uniform(0.05, 0.98))
+            s = CoulombSystem(g=rng.randint(1, 130) * FINE_STRUCTURE_ALPHA,
+                              eta=rng.uniform(0.05, 0.98))
             theta = rng.uniform(0.005, 0.15)
             if abs(1.0 - 6.0 * theta * (1 - s.eta**2)) < 1e-3:
                 continue
@@ -310,7 +313,7 @@ class TestToGeneralizedHeun:
 
     def test_exponent_parameter_pole(self):
         # 6 theta (1 - eta^2) = 1 blows up c, d, e, f
-        s = CoulombSystem(z=30, eta=0.6)
+        s = CoulombSystem(g=30 * FINE_STRUCTURE_ALPHA, eta=0.6)
         with pytest.raises(ParameterPoleError):
             to_generalized_heun(s, 1.0 / (6.0 * 0.64))
 
@@ -360,7 +363,8 @@ class TestReductions:
     def test_generalized_heun_reproduces_first_order_phi(self):
         rng = random.Random(5)
         for _ in range(24):
-            s = CoulombSystem(z=rng.randint(1, 137), eta=rng.uniform(0.05, 0.98))
+            s = CoulombSystem(g=rng.randint(1, 137) * FINE_STRUCTURE_ALPHA,
+                              eta=rng.uniform(0.05, 0.98))
             theta = math.exp(rng.uniform(math.log(1e-3), math.log(0.3)))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", ConfluenceWarning)

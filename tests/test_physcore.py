@@ -47,8 +47,9 @@ class TestCriticalZ:
     def test_default_alpha(self):
         # Z = 68 is the heaviest charge whose mu = sqrt(1/4 - (Z alpha)^2)
         # is real; from Z = 69 on it is imaginary (the paper's Z > 68)
-        assert CoulombSystem(z=68).g < 0.5 and CoulombSystem(z=68).mu.imag == 0.0
-        assert CoulombSystem(z=69).g > 0.5 and CoulombSystem(z=69).mu.real == 0.0
+        below, above = (CoulombSystem(g=z * FINE_STRUCTURE_ALPHA) for z in (68, 69))
+        assert below.g < 0.5 and below.mu.imag == 0.0
+        assert above.g > 0.5 and above.mu.real == 0.0
 
 
 class TestDeformationParams:
@@ -88,7 +89,7 @@ class TestMinimalLength:
 
 class TestCoulombSystem:
     def test_derived_quantities(self):
-        s = CoulombSystem(z=10, alpha=0.03, eta=0.6)
+        s = CoulombSystem(g=10 * 0.03, eta=0.6)
         assert s.g == pytest.approx(0.3)
         assert s.k == pytest.approx(0.09)
         assert s.eps_tilde == pytest.approx(0.8, rel=1e-15)
@@ -98,21 +99,21 @@ class TestCoulombSystem:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            CoulombSystem(z=0)
+            CoulombSystem(g=0.0)
         with pytest.raises(ValueError):
-            CoulombSystem(z=1, alpha=-0.1)
+            CoulombSystem(g=-0.1)
         with pytest.raises(ValueError):
-            CoulombSystem(z=1, eta=0.0)
+            CoulombSystem(g=FINE_STRUCTURE_ALPHA, eta=0.0)
         with pytest.raises(ValueError):
-            CoulombSystem(z=1, eta=1.2)
+            CoulombSystem(g=FINE_STRUCTURE_ALPHA, eta=1.2)
 
     def test_threshold_w_undefined(self):
-        s = CoulombSystem(z=1, eta=1.0)
+        s = CoulombSystem(g=FINE_STRUCTURE_ALPHA, eta=1.0)
         with pytest.raises(ValueError):
             s.w
 
     @given(st.integers(min_value=1, max_value=137),
            st.floats(min_value=0.05, max_value=0.95))
     def test_eps_eta_circle(self, z, eta):
-        s = CoulombSystem(z=z, eta=eta)
+        s = CoulombSystem(g=z * FINE_STRUCTURE_ALPHA, eta=eta)
         assert s.eps_tilde ** 2 + eta ** 2 == pytest.approx(1.0, abs=1e-12)

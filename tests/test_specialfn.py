@@ -19,7 +19,7 @@ from kgcoulomb import fuchsian
 from kgcoulomb.errors import (ConvergenceError, OutOfDomainError, ParameterPoleError,
                               ResonantExponentsError)
 from kgcoulomb.kgmodels import to_heun
-from kgcoulomb.physcore import CoulombSystem, DeformationParams
+from kgcoulomb.physcore import FINE_STRUCTURE_ALPHA, CoulombSystem, DeformationParams
 from kgcoulomb.spectra import energy_closed_form
 from kgcoulomb.specialfn import (
     HeunParams,
@@ -316,8 +316,8 @@ class TestHeunLocal:
 class TestPsiOrdinary:
     @staticmethod
     def _quantized(z=1, n=0):
-        g = CoulombSystem(z=z).g
-        return CoulombSystem(z=z, eta=energy_closed_form(g, n))
+        g = z * FINE_STRUCTURE_ALPHA
+        return CoulombSystem(g=g, eta=energy_closed_form(g, n))
 
     def test_tail_exponent(self):
         # psi ~ u^(-5/2 - mu) for large u
@@ -337,18 +337,18 @@ class TestPsiOrdinary:
     def test_off_quantization_small_u_matches_mpmath(self):
         # the argument 2/(1 + i u/eps) lies near 2, where neither the
         # series nor its Pfaff transform converges
-        s = CoulombSystem(z=1, eta=0.5)
+        s = CoulombSystem(g=FINE_STRUCTURE_ALPHA, eta=0.5)
         for u in (0.001, 0.01, 0.3, 1.2):
             ref = closed_form.psi(s, u)
             assert abs(psi_ordinary(s, u) - ref) <= 1e-12 * abs(ref)
 
     def test_off_quantization_large_u_allowed(self):
-        s = CoulombSystem(z=1, eta=0.5)
+        s = CoulombSystem(g=FINE_STRUCTURE_ALPHA, eta=0.5)
         # sqrt(3) eps ~ 1.5; above it the argument lies in |z| < 1
         assert math.isfinite(abs(psi_ordinary(s, 5.0)))
 
     def test_grid_matches_pointwise(self):
-        s = CoulombSystem(z=30, eta=0.6)
+        s = CoulombSystem(g=30 * FINE_STRUCTURE_ALPHA, eta=0.6)
         grid = [0.01 * 1.1 ** k for k in range(80)]
         got = psi_ordinary(s, grid)
         for u, value in zip(grid, got):
@@ -364,7 +364,7 @@ class TestPsiOrdinary:
         monkeypatch.setattr(fuchsian, "taylor_series",
                             lambda *args, **kw: hops.append(1) or taylor_series(*args, **kw))
         grid = [0.01 * 100 ** (k / 199) for k in range(200)]
-        psi_ordinary(CoulombSystem(z=1, alpha=0.3, eta=0.7), grid)
+        psi_ordinary(CoulombSystem(g=0.3, eta=0.7), grid)
         assert len(hops) <= 8
 
     def test_nonpositive_u_in_a_grid_carries_its_index(self):

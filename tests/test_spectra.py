@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgcoulomb.errors import RootFindingError, SupercriticalCouplingError
-from kgcoulomb.physcore import FINE_STRUCTURE_ALPHA, CoulombSystem
+from kgcoulomb.physcore import FINE_STRUCTURE_ALPHA
 from kgcoulomb.spectra import (
     SpectrumLine,
     binding_residual,
@@ -76,7 +76,7 @@ class TestEnergyClosedForm:
 class TestSolveQuantization:
     def test_matches_closed_form(self):
         for z in (1, 10, 50):
-            g = CoulombSystem(z=z).g
+            g = z * FINE_STRUCTURE_ALPHA
             for n in range(6):
                 line = solve_quantization(g, n)
                 ref = energy_closed_form(g, n)

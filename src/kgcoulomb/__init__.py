@@ -9,7 +9,7 @@ from .errors import (ConvergenceError, IntegrationError, IrregularPointError,
                      OutOfDomainError, ParameterPoleError, PhysicsDomainError,
                      ResonantExponentsError, RootFindingError,
                      SupercriticalCouplingError, UsageError, WindowWarning)
-from .fuchsian import (INFINITY, EvalResult, FrobeniusSolution, RationalCoeffODE,
+from .fuchsian import (INFINITY, FrobeniusSolution, RationalCoeffODE,
                        SingularPoint, evaluate, evaluate_with_derivatives,
                        frobenius_series, indicial_exponents, singular_points,
                        taylor_series)

@@ -99,6 +99,8 @@ class RegularizationVerdict:
 _MAX_ORDER = 64
 # points of the sampling grid
 _N_POINTS = 400
+# terms of the series at infinity that gives the dominant branch
+_ORDER_AT_INFINITY = 48
 _LN2 = math.log(2.0)
 
 
@@ -267,27 +269,29 @@ def _significant_terms(series: fuchsian.FrobeniusSolution, t: float) -> int:
 
 
 def dominant_branch(ode: fuchsian.RationalCoeffODE, window: tuple[float, float],
-                    order: int = 48, tol: float = 1e-10) -> Trajectory:
+                    tol: float = 1e-10) -> Trajectory:
     """Trajectory of the fastest-decaying solution over the window.
 
     This is the Frobenius series about infinity, t^rho sum c_k t^k in
     t = 1/u. Where the whole window lies inside the series' trusted disk
-    (t at most half its radius) and the series' tail estimate at the
-    window's lower edge (``fuchsian.evaluate``) is below tol times its
-    value, every grid point of the window is read off the series directly
-    (one hop), by its value's sum over the terms that matter at that edge,
-    the largest t (``_significant_terms``). Otherwise the series seeds a
-    backward march from the upper window edge, or from further out where
-    the edge lies outside the trusted disk. Either way the head is taken
-    relative to the top u_top, (t/t_top)^rho, and the solution is
-    normalised to unit max(|psi|, |psi'|) there, from all of the series'
-    terms (the equations are linear, so shape is all that matters), so a
-    far window does not underflow.
+    (t at most half its radius) and, at the window's lower edge t_lo,
+    |t_lo^rho| times the series' tail estimate is below tol times its
+    value (``fuchsian.evaluate`` at t_lo), every grid point of the window
+    is read off the series directly (one hop), by its value's sum over
+    the terms that matter at that edge, the largest t
+    (``_significant_terms``). Otherwise the series seeds a backward march
+    from the upper window edge, or from further out where the edge lies
+    outside the trusted disk. Either way the head is taken relative to
+    the top u_top, (t/t_top)^rho, and the solution is normalised to unit
+    max(|psi|, |psi'|) there, from all of the series' terms (the
+    equations are linear, so shape is all that matters), so a far window
+    does not underflow.
     """
     exps = fuchsian.indicial_exponents(ode, fuchsian.INFINITY)
     dominant = exps[1]  # sorted descending by real part: [1] decays fastest
-    series = fuchsian.frobenius_series(ode, fuchsian.INFINITY, dominant, order=order)
-    rho = -series.exponent  # the exponent in t
+    series = fuchsian.frobenius_series(ode, fuchsian.INFINITY, dominant,
+                                       order=_ORDER_AT_INFINITY)
+    rho = series.exponent  # the exponent in t
     lo, u_top = window[0], max(window[1], 2.0 / series.radius)
 
     def from_infinity(u, top):
@@ -301,12 +305,14 @@ def dominant_branch(ode: fuchsian.RationalCoeffODE, window: tuple[float, float],
 
     w, dw, _ = from_infinity(u_top, u_top)
     norm = max(abs(w), abs(dw))
+    t_lo = 1.0 / lo
     # strict, so a lower edge where t^rho underflows to zero marches
-    edge = fuchsian.evaluate(series, lo) if lo >= 2.0 / series.radius else None
-    if not (edge is not None and edge.error < tol * abs(edge.value)):
+    if not (lo >= 2.0 / series.radius
+            and abs(t_lo ** rho) * fuchsian._tail_estimate(series, t_lo)
+            < tol * abs(fuchsian.evaluate(series, t_lo))):
         return integrate(ode, u_top, w / norm, dw / norm, lo, tol=tol, window=window)
     points, span = _grid(ode, u_top, lo, window)
-    prefix = series.coefficients[:_significant_terms(series, 1.0 / lo)]
+    prefix = series.coefficients[:_significant_terms(series, t_lo)]
     try:
         values = [(u_top / u) ** rho
                   * fuchsian._series_sums(prefix, 1.0 / u, series.scale, derivatives=False)

@@ -217,11 +217,13 @@ def _merge(args: argparse.Namespace) -> dict:
     if "g" in given and ("Z" in given or "alpha" in given):
         raise UsageError("--g is the coupling Z * alpha; give either --g or --Z/--alpha")
     cfg = {key: val for key, val in options.items() if val is not None}
+    if "g" in given:  # the coupling is g alone: no default Z or alpha enters
+        del cfg["Z"], cfg["alpha"]
     cfg.update(given)
     for key, (kind, _) in _OPTIONS.items():
         if kind is float and key in cfg and not math.isfinite(cfg[key]):
             raise UsageError(f"--{key} must be a finite number, got {cfg[key]!r}")
-    if not cfg["alpha"] > 0.0:
+    if "alpha" in cfg and not cfg["alpha"] > 0.0:
         raise UsageError("--alpha must be positive")
     if cfg.get("g") is not None and not cfg["g"] > 0.0:
         raise UsageError("--g must be positive")
@@ -232,7 +234,7 @@ def _merge(args: argparse.Namespace) -> dict:
     if cfg.get("tol") is not None and not 0.0 < cfg["tol"] <= _MAX_TOL:
         raise UsageError(f"--tol must be positive and at most {_MAX_TOL:g}, "
                          f"got {cfg['tol']:g}")
-    if cfg["Z"] < 1:
+    if "Z" in cfg and cfg["Z"] < 1:
         raise UsageError("--Z must be a positive integer")
     return cfg
 
@@ -324,9 +326,9 @@ def cmd_spectrum(cfg: dict) -> _Table:
         eta_closed = energy_closed_form(g, n)
         line = solve_quantization(g, n)
         agreement = abs(line.eta - eta_closed) / eta_closed
-        rows.append([n, cfg["Z"], eta_closed, line.eta, agreement,
+        rows.append([n, cfg.get("Z"), eta_closed, line.eta, agreement,
                      line.residual, line.binding])
-    meta = {"Z": cfg["Z"], "alpha": cfg["alpha"], "g": g}
+    meta = {**{key: cfg[key] for key in ("Z", "alpha") if key in cfg}, "g": g}
     columns = ["n", "Z", "eta_closed", "eta_solver", "agreement", "residual", "binding"]
     return _Table("spectrum", meta, columns, rows)
 

@@ -39,7 +39,8 @@ the variable, z = a(t)/b(t) (the pullback is z = 1/t), and ``gauge``
 peels off a prefactor, w = f^k v.
 
 Exponents at infinity follow the convention w ~ z^sigma, so decaying
-solutions carry negative sigma; the pullback exponent in t is -sigma.
+solutions carry negative sigma; the series at infinity is the pullback's
+series in t = 1/z, with the exponent -sigma in t, evaluated at t.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ __all__ = [
     "RationalCoeffODE",
     "SingularPoint",
     "FrobeniusSolution",
-    "EvalResult",
     "singular_points",
     "indicial_exponents",
     "frobenius_series",
@@ -108,10 +108,11 @@ Point = Union[complex, _InfinityType]
 # ---------------------------------------------------------------------------
 
 
-def _polyval(coeffs, z: complex) -> complex:
-    acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * z + c
+def _horner(p: tuple, u):
+    """p(u) for ascending coefficients p, in u's own type."""
+    acc = p[-1]
+    for c in p[-2::-1]:
+        acc = acc * u + c
     return acc
 
 
@@ -411,8 +412,8 @@ def _quotient(num, den, z: complex) -> complex:
     z = complex(z)
     if abs(z) > 1.0:
         t = 1.0 / z
-        return t ** (len(den) - len(num)) * _polyval(num[::-1], t) / _polyval(den[::-1], t)
-    return _polyval(num, z) / _polyval(den, z)
+        return t ** (len(den) - len(num)) * _horner(num[::-1], t) / _horner(den[::-1], t)
+    return _horner(num, z) / _horner(den, z)
 
 
 def _pow2_scale(den) -> float:
@@ -534,18 +535,18 @@ def indicial_exponents(ode: RationalCoeffODE, point: Point) -> tuple[complex, co
 
 @dataclass(frozen=True)
 class FrobeniusSolution:
-    """A local solution sum_k c_k x^(rho+k) with x the local variable.
+    """A local solution sum_k c_k x^(rho+k) in x = z - z0, rho the
+    indicial exponent at the expansion point z0.
 
-    For a finite expansion point x = z - z0 and rho is the indicial
-    exponent there. For infinity x = 1/z and ``exponent`` stores sigma
-    (the z^sigma convention), so the series is z^sigma * sum c_k z^-k.
-    ``radius`` is the distance to the nearest other singular point in
-    the local variable (or less, when capped); evaluation refuses points
-    at or beyond it. With ``scale`` other than 1 the coefficients are
-    those of the scaled variable, sum c_k (x/scale)^k.
+    A series at infinity is the pullback's series about t = 0: z0 = 0,
+    x = t = 1/z and rho = -sigma, sigma the exponent in the z^sigma
+    convention, so it is evaluated at t, not at z. ``radius`` is the
+    distance to the nearest other singular point (or less, when capped);
+    evaluation refuses points at or beyond it. With ``scale`` other than
+    1 the coefficients are those of the scaled variable, sum c_k (x/scale)^k.
     """
 
-    expansion_point: Point
+    expansion_point: complex
     exponent: complex
     coefficients: tuple[complex, ...]
     radius: float
@@ -563,12 +564,8 @@ def _series_triple(ode: RationalCoeffODE, z0: complex):
     return p2, p1, p0
 
 
-def _series_radius(ode: RationalCoeffODE, point: Point) -> float:
-    """Distance from the expansion point to the nearest other finite
-    singular point, in the local variable (1/z at infinity)."""
-    if point is INFINITY:
-        return min((1.0 / abs(r) for r, _, _ in ode.points if r != 0), default=math.inf)
-    z0 = complex(point)
+def _series_radius(ode: RationalCoeffODE, z0: complex) -> float:
+    """Distance from z0 to the nearest other finite singular point."""
     return min((abs(r - z0) for r, _, _ in ode.points if r != z0), default=math.inf)
 
 
@@ -637,6 +634,7 @@ def frobenius_series(ode: RationalCoeffODE, point: Point, exponent: complex,
     integer above the requested one (vanishing pivot); the series for
     the larger root of a resonant pair is still available. Below radius
     1 the coefficients are in x / scale, scale the power of two <= radius.
+    At infinity it is the pullback's series in t = 1/z, exponent -sigma.
     """
     pair = indicial_exponents(ode, point)
     matched = None
@@ -649,15 +647,10 @@ def frobenius_series(ode: RationalCoeffODE, point: Point, exponent: complex,
             f"exponent {exponent} does not match either indicial root {pair}")
     other = pair[0] if matched is pair[1] else pair[1]
 
-    if point is INFINITY:
-        rho = -matched
-        rho_other = -other
-        work = ode._pullback
-        z0 = 0j
+    if point is INFINITY:  # the pullback's series in t = 1/z, exponents -sigma
+        work, z0, rho, rho_other = ode._pullback, 0j, -matched, -other
     else:
-        rho, rho_other = matched, other
-        work = ode
-        z0 = complex(point)
+        work, z0, rho, rho_other = ode, complex(point), matched, other
 
     gap = rho_other - rho
     if abs(gap.imag) < 1e-9 and abs(gap.real - round(gap.real)) < 1e-9 and round(gap.real) >= 0:
@@ -670,12 +663,12 @@ def frobenius_series(ode: RationalCoeffODE, point: Point, exponent: complex,
     if not abs(p2[kappa]) >= _TINY:
         raise OutOfDomainError(
             f"the series recurrence at {point} lost its leading coefficient to underflow")
-    radius = _series_radius(ode, point)
+    radius = _series_radius(work, z0)
     # unscaled, the coefficients grow like radius^-k; a power of two scales exactly
     scale = math.ldexp(0.5, math.frexp(min(radius, 1.0))[1])
     p2, p1, p0 = _pow2_scaled_triple(p2, p1, p0, kappa, scale)
     coeffs = _recurrence(p2, p1, p0, kappa, rho, order, [1 + 0j])
-    return FrobeniusSolution(point, matched, tuple(coeffs), radius, scale)
+    return FrobeniusSolution(z0, rho, tuple(coeffs), radius, scale)
 
 
 def _pow2_scaled_triple(p2, p1, p0, kappa: int, scale: float):
@@ -754,7 +747,7 @@ def reach(ode: RationalCoeffODE, chain: list[FrobeniusSolution], target: complex
     k = first
     while True:
         current = chain[k]
-        center = complex(current.expansion_point)
+        center = current.expansion_point
         remaining = target - center
         if abs(remaining) <= 0.5 * current.radius:
             return k
@@ -778,8 +771,7 @@ def _hop_budget(ode: RationalCoeffODE, origin: FrobeniusSolution, target: comple
     the smaller of the first radius and the target's distance from the
     nearest singular point (the first radius when the target is one)."""
     near = min((abs(target - r) for r, _, _ in ode.points), default=math.inf)
-    spread = abs(target - complex(origin.expansion_point)) / (min(origin.radius, near)
-                                                              or origin.radius)
+    spread = abs(target - origin.expansion_point) / (min(origin.radius, near) or origin.radius)
     return _MAX_HOPS + math.ceil(_HOPS_PER_E_FOLD * math.log(max(1.0, spread)))
 
 
@@ -788,34 +780,14 @@ def _hop_budget(ode: RationalCoeffODE, origin: FrobeniusSolution, target: comple
 # ---------------------------------------------------------------------------
 
 
-class EvalResult:
-    """A local solution's value at a point. ``error``, a crude estimate of
-    the truncated tail, is computed when read, so a caller that reads the
-    value alone (the Heun sweep) does not pay for it."""
-
-    __slots__ = ("value", "_sol", "_x", "_rho")
-
-    def __init__(self, value: complex, sol: FrobeniusSolution, x: complex,
-                 rho: complex) -> None:
-        self.value, self._sol, self._x, self._rho = value, sol, x, rho
-
-    @property
-    def error(self) -> float:
-        if self._x == 0:
-            return 0.0
-        return abs(self._x ** self._rho) * _tail_estimate(self._sol, self._x)
-
-    def __repr__(self) -> str:
-        return f"EvalResult(value={self.value!r}, error={self.error!r})"
-
-
-def _local_coordinate(sol: FrobeniusSolution, z: complex) -> tuple[complex, complex]:
-    """(x, rho) with the series reading x^rho * sum c_k x^k."""
-    if sol.expansion_point is INFINITY:
-        if z == 0:
-            raise OutOfDomainError("cannot evaluate a series about infinity at z = 0")
-        return 1.0 / complex(z), -sol.exponent
-    return complex(z) - complex(sol.expansion_point), sol.exponent
+def _local_coordinate(sol: FrobeniusSolution, z: complex) -> complex:
+    """x = z - z0, refused at or beyond the series' radius."""
+    x = complex(z) - sol.expansion_point
+    if abs(x) >= sol.radius:
+        raise OutOfDomainError(
+            f"evaluation point has |z - z0| = {abs(x):.6g} outside the series "
+            f"disk of radius {sol.radius:.6g}")
+    return x
 
 
 def _series_sums(coeffs, x, scale: float = 1.0, derivatives: bool = True):
@@ -836,6 +808,7 @@ def _series_sums(coeffs, x, scale: float = 1.0, derivatives: bool = True):
 
 
 def _tail_estimate(sol: FrobeniusSolution, x: complex) -> float:
+    """The truncated tail at x, crudely: last term * ratio / (1 - ratio)."""
     n = len(sol.coefficients) - 1
     last = abs(sol.coefficients[n]) * (abs(x) / sol.scale) ** n
     if math.isfinite(sol.radius) and sol.radius > 0:
@@ -846,38 +819,27 @@ def _tail_estimate(sol: FrobeniusSolution, x: complex) -> float:
     return last * ratio / (1.0 - ratio)
 
 
-def _check_domain(sol: FrobeniusSolution, x: complex) -> None:
-    if abs(x) >= sol.radius:
-        where = "1/z" if sol.expansion_point is INFINITY else "z - z0"
-        raise OutOfDomainError(
-            f"evaluation point has |{where}| = {abs(x):.6g} outside the series "
-            f"disk of radius {sol.radius:.6g}")
-
-
 def _local_value(sol: FrobeniusSolution, x: complex, rho: complex) -> complex:
     """x^rho times the value's sum alone at the local coordinate x != 0: the
     value ``evaluate_with_derivatives`` gives, bit for bit."""
     return x ** rho * _series_sums(sol.coefficients, x, sol.scale, derivatives=False)
 
 
-def evaluate(sol: FrobeniusSolution, z: complex) -> EvalResult:
-    """Value of the local solution at z, from its value's sum alone, with
-    a crude tail error estimate computed when read."""
-    x, rho = _local_coordinate(sol, z)
-    _check_domain(sol, x)
+def evaluate(sol: FrobeniusSolution, z: complex) -> complex:
+    """Value of the local solution at z, from its value's sum alone."""
+    x, rho = _local_coordinate(sol, z), sol.exponent
     if x == 0:
         if rho == 0:
-            return EvalResult(sol.coefficients[0], sol, x, rho)
+            return sol.coefficients[0]
         if rho.real > 0:
-            return EvalResult(0j, sol, x, rho)
+            return 0j
         raise OutOfDomainError("series diverges at its own expansion point")
-    return EvalResult(_local_value(sol, x, rho), sol, x, rho)
+    return _local_value(sol, x, rho)
 
 
 def evaluate_with_derivatives(sol: FrobeniusSolution, z: complex) -> tuple[complex, complex, complex]:
     """(w, w', w'') at z, derivatives taken with respect to z."""
-    x, rho = _local_coordinate(sol, z)
-    _check_domain(sol, x)
+    x, rho = _local_coordinate(sol, z), sol.exponent
     if x == 0 and rho != 0:
         raise OutOfDomainError("derivative evaluation needs a point away from the expansion center")
     s0, s1, s2 = _series_sums(sol.coefficients, x, sol.scale)
@@ -886,11 +848,6 @@ def evaluate_with_derivatives(sol: FrobeniusSolution, z: complex) -> tuple[compl
     w = x ** rho * s0
     dw_dx = x ** (rho - 1) * (rho * s0 + x * s1)
     d2w_dx2 = x ** (rho - 2) * (rho * (rho - 1.0) * s0 + 2.0 * rho * x * s1 + x * x * s2)
-    if sol.expansion_point is INFINITY:
-        t = x
-        dw_dz = -t * t * dw_dx
-        d2w_dz2 = t ** 4 * d2w_dx2 + 2.0 * t ** 3 * dw_dx
-        return w, dw_dz, d2w_dz2
     return w, dw_dx, d2w_dx2
 
 
@@ -905,13 +862,13 @@ def evaluate_chain(chain: list[FrobeniusSolution], points) -> list[complex]:
     out, k = [], 0
     sol = chain[0]
     for z in points:
-        x = complex(z) - complex(sol.expansion_point)
+        x = complex(z) - sol.expansion_point
         while abs(x) > 0.5 * sol.radius:
             k += 1
             if k == len(chain):
                 raise OutOfDomainError("a point lies outside every disk of the continuation chain")
             sol = chain[k]
-            x = complex(z) - complex(sol.expansion_point)
+            x = complex(z) - sol.expansion_point
         out.append(_local_value(sol, x, sol.exponent))
     return out
 

@@ -29,7 +29,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import KGCoulombWarning, OutOfDomainError, ParameterPoleError
-from .fuchsian import RationalCoeffODE, _polyadd, _polymul, _polyscale, gauge
+from .fuchsian import RationalCoeffODE, _horner, _polyadd, _polymul, _polyscale, gauge
 from .physcore import CoulombSystem, DeformationParams
 from .specialfn import HeunParams
 
@@ -61,14 +61,6 @@ class VariableMap:
     def forward(self, u):
         """x(u) by Horner's rule in u's own type: a real u gives a float."""
         return _horner(self.num, u) / _horner(self.den, u)
-
-
-def _horner(p: tuple, u):
-    """p(u) for ascending coefficients p, in u's own type."""
-    acc = p[-1]
-    for c in p[-2::-1]:
-        acc = acc * u + c
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -142,7 +142,7 @@ def hyp2f1(a: complex, b: complex, c: complex,
             raise
     if far:
         for i, disk in _sweep(*_chain_start(a, b, c), points, far, _ORDER):
-            values[i] = fuchsian.evaluate(disk, points[i]).value
+            values[i] = fuchsian.evaluate(disk, points[i])
     return values[0] if scalar else values
 
 
@@ -280,7 +280,7 @@ def heun_local(params: HeunParams, xi: complex | Sequence[complex],
     series = fuchsian.frobenius_series(ode, 0j, 0j, order=order)
     values = [0j] * len(targets)
     for i, disk in _sweep(ode, series, targets, range(len(targets)), order):
-        values[i] = fuchsian.evaluate(disk, targets[i]).value
+        values[i] = fuchsian.evaluate(disk, targets[i])
     return values[0] if scalar else values
 
 

@@ -12,6 +12,7 @@ import sympy as sp
 
 import closed_form
 import symbolic_oracle as so
+from kgcoulomb import asymptotics
 from kgcoulomb.asymptotics import dominant_branch, fit_exponent, integrate, subdominant_branch
 from kgcoulomb.fuchsian import (INFINITY, _defect, evaluate_with_derivatives, frobenius_series,
                                 indicial_exponents, reach, singular_points, taylor_series)
@@ -34,6 +35,14 @@ _WINDOW = (1e2, 1e4)
 def _residual(ode, sol, z):
     """Relative ODE defect of a local solution at z, as the library measures it."""
     return _defect(ode, z, *evaluate_with_derivatives(sol, z))
+
+
+def _residual_at_infinity(ode, sol, u):
+    """The defect of the u equation at u of a series at infinity, a series
+    in t = 1/u: its t-derivatives taken to u by the chain rule."""
+    t = 1.0 / complex(u)
+    w, dw, d2w = evaluate_with_derivatives(sol, t)
+    return _defect(ode, u, w, -t * t * dw, t ** 4 * d2w + 2.0 * t ** 3 * dw)
 
 
 def test_criterion_1_spectrum_oracle_equivalence():
@@ -103,9 +112,9 @@ def test_criterion_5_series_residuals():
     dp = DeformationParams(0.05, 0.05)
     ode = build_deformed_zero_energy(0.5, dp)
     rho = indicial_exponents(ode, INFINITY)
-    seed = frobenius_series(ode, INFINITY, rho[1], order=48)
+    seed = frobenius_series(ode, INFINITY, rho[1], order=asymptotics._ORDER_AT_INFINITY)
     for u in (1e2, 1e3, 1e4):
-        assert _residual(ode, seed, u) <= 1e-8
+        assert _residual_at_infinity(ode, seed, u) <= 1e-8
 
     # both evaluation routes of criterion 4, at its 50 points; xi = 0 is
     # the expansion point itself (and a singular point of the normalized

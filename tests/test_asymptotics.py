@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import closed_form
+from kgcoulomb import asymptotics
 from kgcoulomb.asymptotics import (
     RegularizationVerdict,
     Trajectory,
@@ -275,7 +276,8 @@ class TestBranches:
 
 
 def _series_at_infinity(ode):
-    return frobenius_series(ode, INFINITY, indicial_exponents(ode, INFINITY)[1], order=48)
+    return frobenius_series(ode, INFINITY, indicial_exponents(ode, INFINITY)[1],
+                            order=asymptotics._ORDER_AT_INFINITY)
 
 
 def _marched(ode, window):
@@ -283,7 +285,9 @@ def _marched(ode, window):
     window's top from the series at infinity, normalised as the direct
     route normalises."""
     series = _series_at_infinity(ode)
-    w, dw, _ = evaluate_with_derivatives(series, window[1])
+    t = 1.0 / window[1]  # the series is one in t = 1/u: dw/du = -t^2 dw/dt
+    w, dw_dt, _ = evaluate_with_derivatives(series, t)
+    dw = -t * t * dw_dt
     norm = max(abs(w), abs(dw))
     return integrate(ode, window[1], w / norm, dw / norm, window[0])
 
@@ -357,11 +361,13 @@ class TestDominantBranchFromInfinity:
         with pytest.raises(ValueError, match="not inside the trajectory's span"):
             fit_exponent(traj, (window[0], u_top))
 
-    def test_series_that_does_not_settle_marches(self):
+    def test_series_that_does_not_settle_marches(self, monkeypatch):
         # at order 4 the series at the lower edge is no better than 2^-5
         ode = build_ordinary_kg(CoulombSystem(g=0.3, eta=0.5))
         window = (2.0 / _series_at_infinity(ode).radius, 1e3)
-        coarse = dominant_branch(ode, window, order=4)
+        with monkeypatch.context() as patch:
+            patch.setattr(asymptotics, "_ORDER_AT_INFINITY", 4)
+            coarse = dominant_branch(ode, window)
         assert coarse.hops > 1
         fine = dominant_branch(ode, window)
         assert fine.hops == 1

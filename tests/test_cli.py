@@ -2,6 +2,7 @@
 
 import contextlib
 import filecmp
+import importlib.util
 import io
 import json
 import math
@@ -105,6 +106,23 @@ class TestSpectrum:
         code, _, err = _run(capsys, "spectrum", "--frobnicate", "7")
         assert code == 1
         assert err != ""
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_coupling_given_as_g_prints_g_alone(self, capsys, tmp_path, source):
+        # neither the default Z nor the default alpha entered the energies
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("g = 0.3\n")
+        coupling = ["--g", "0.3"] if source == "flag" else ["--config", str(cfg)]
+        code, out, _ = _run(capsys, "spectrum", "--n", "0", *coupling)
+        assert code == 0
+        assert out.splitlines()[:3] == ["# kgcoulomb spectrum", "# g = 0.29999999999999999",
+                                        "# conventions: u = p / (m c) dimensionless, "
+                                        "eta = E / (m c^2)"]
+        assert _csv_rows(out)[0][1] == "nan"
+        code, out, _ = _run(capsys, "spectrum", "--n", "0", "--format", "json", *coupling)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["meta"] == {"g": 0.3} and doc["rows"][0]["Z"] is None
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -569,6 +587,33 @@ def test_table_entry_is_what_the_command_reads(command):
     assert read == set(cli._COMMANDS[command][1])
 
 
+def _benchmark_checks():
+    """perfbench/checks.py, the benchmark's correctness checks, loaded by path."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("benchmark_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("kind, argv", [
+    ("wavefunction-deformed", ["wavefunction", "--model", "deformed-zero-energy", "--theta",
+                               "0.05", "--theta-prime", "0.02", "--g", "0.3",
+                               "--window", "0.05:200"]),
+    ("exponents", ["exponents", "--model", "deformed-zero-energy", "--Z", "10", "--theta",
+                   "0.05", "--theta-prime", "0.05"]),
+])
+def test_benchmark_check_passes_on_cli_output(capsys, kind, argv):
+    # the benchmark's checks of these two kinds call the library and read
+    # the output's layout themselves; a change to a name, a signature or
+    # the layout they use fails here, not as failed benchmark commands
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0
+    checks = _benchmark_checks()
+    found = checks.check(kind, argv, out)
+    assert found and checks.passes(kind, found)
+
+
 def test_cli_import_leaves_scipy_unloaded():
     src = str(Path(cli.__file__).resolve().parents[1])
     code = "import sys, kgcoulomb.cli; print('scipy' in sys.modules)"
@@ -707,6 +752,9 @@ def test_fuzzed_argv_ends_in_a_table_or_a_diagnostic(argv):
     for value in _numbers(meta):
         assert math.isfinite(value), argv
     for row in rows:
+        if argv[0] == "spectrum" and "--g" in argv:  # no charge: the Z cell is nan (null)
+            assert row[1] in ("nan", None), argv
+            row = row[:1] + row[2:]
         # an exponents row flagged oscillatory has no fit: nan (null in json)
         unfitted = argv[0] == "exponents" and _numbers(row[-1:]) == [1.0]
         values = _numbers(row[:3] if unfitted else row)

@@ -247,7 +247,7 @@ class TestToHeun:
         ser = frobenius_series(build_deformed_zero_energy(g, dp), 0j, 0j, order=60)
         for u in (0.1, 0.2, 0.35):
             xi = vmap.forward(u)
-            lhs = evaluate(ser, u).value
+            lhs = evaluate(ser, u)
             rhs = (1 - xi) * heun_local(hp, xi)
             assert lhs == pytest.approx(rhs, rel=1e-13)
 

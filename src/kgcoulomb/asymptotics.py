@@ -27,9 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from operator import lt, mul, sub
-from typing import NamedTuple
 
 from . import fuchsian
 from .errors import IntegrationError, OscillationError, OutOfDomainError
@@ -48,7 +46,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Trajectory:
     """psi sampled on a strictly increasing momentum grid.
 
@@ -65,33 +62,36 @@ class Trajectory:
     every term underflows).
     """
 
-    grid: list[float]
-    values: list[complex]
-    span: tuple[float, float] | None = None
-    hops: int = 0
-    max_residual: float = math.nan
+    __slots__ = ("grid", "values", "span", "hops", "max_residual")
 
-    def __post_init__(self) -> None:
-        if not all(map(lt, self.grid, self.grid[1:])):
+    def __init__(self, grid: list[float], values: list[complex],
+                 span: tuple[float, float] | None = None, hops: int = 0,
+                 max_residual: float = math.nan) -> None:
+        if not all(map(lt, grid, grid[1:])):
             raise ValueError("trajectory grid must be strictly increasing")
-        if not all(map(cmath.isfinite, self.values)):
+        if not all(map(cmath.isfinite, values)):
             raise ValueError("trajectory contains non-finite samples")
-        if self.span is None:
-            object.__setattr__(self, "span", (self.grid[0], self.grid[-1]))
+        self.grid, self.values, self.hops, self.max_residual = grid, values, hops, max_residual
+        self.span = (grid[0], grid[-1]) if span is None else span
 
 
-class FitResult(NamedTuple):
-    exponent: float
-    stderr: float
+class FitResult:
+    __slots__ = ("exponent", "stderr")
+
+    def __init__(self, exponent: float, stderr: float) -> None:
+        self.exponent, self.stderr = exponent, stderr
 
 
-@dataclass(frozen=True)
 class RegularizationVerdict:
-    regime: str  # ordinary-subcritical | ordinary-supercritical | deformed
-    dominant_exponent: complex
-    subdominant_exponent: complex
-    z_dependent: bool
-    conclusion: str  # unique-selection | phase-ambiguous | regularized
+    __slots__ = ("regime", "dominant_exponent", "subdominant_exponent", "z_dependent",
+                 "conclusion")
+
+    def __init__(self, regime: str, dominant_exponent: complex, subdominant_exponent: complex,
+                 z_dependent: bool, conclusion: str) -> None:
+        self.regime = regime  # ordinary-subcritical | ordinary-supercritical | deformed
+        self.dominant_exponent, self.subdominant_exponent = dominant_exponent, subdominant_exponent
+        self.z_dependent = z_dependent
+        self.conclusion = conclusion  # unique-selection | phase-ambiguous | regularized
 
 
 # order cap of each local series; at tol = 1e-16 the tail rule stops

@@ -17,7 +17,9 @@ Numbers are printed with 17 significant digits, locale-independent.
 
 Each subcommand takes only the options it reads (``kgcoulomb <cmd>
 --help`` lists them) plus --format, --out and --config; any other
-option is a usage error.  The coupling is either --g or the product
+option is a usage error, and so is one that the chosen --model does
+not read (``exponents --model deformed-first-order`` still ignores
+--theta-prime).  The coupling is either --g or the product
 of --Z and --alpha, never both.  Configuration precedence:
 command-line flags > --config file > built-in defaults.  The config
 file is a flat ``key = value`` text file whose keys are the
@@ -37,7 +39,6 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import json
 import math
 import sys
 import warnings
@@ -143,6 +144,16 @@ _COMMANDS = {
 }
 
 
+# The options of a subcommand's entry that one of its models does not
+# read; giving one is a usage error.
+_UNREAD = {
+    ("exponents", "ordinary"): ("theta", "theta-prime"),
+    ("wavefunction", "ordinary"): ("theta", "theta-prime"),
+    ("params", "heun"): ("eta",),
+    ("params", "generalized-heun"): ("theta-prime",),
+}
+
+
 def _options(command: str) -> dict:
     """The options a subcommand takes, with their defaults."""
     return {**_COMMANDS[command][1], "format": "csv", "out": None}
@@ -220,6 +231,9 @@ def _merge(args: argparse.Namespace) -> dict:
     if "g" in given:  # the coupling is g alone: no default Z or alpha enters
         del cfg["Z"], cfg["alpha"]
     cfg.update(given)
+    for key in _UNREAD.get((args.command, cfg.get("model")), ()):
+        if key in given:
+            raise UsageError(f"{args.command} --model {cfg['model']} takes no --{key}")
     for key, (kind, _) in _OPTIONS.items():
         if kind is float and key in cfg and not math.isfinite(cfg[key]):
             raise UsageError(f"--{key} must be a finite number, got {cfg[key]!r}")
@@ -294,6 +308,8 @@ def _fmt(value) -> str:
 
 def _render(table: _Table, fmt: str) -> str:
     if fmt == "json":
+        import json  # loaded only for the one format that needs it
+
         doc = {
             "command": table.command,
             "meta": table.meta,

@@ -47,9 +47,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Union
 
 from .errors import (ConvergenceError, IrregularPointError, OutOfDomainError,
                      ResonantExponentsError)
@@ -99,8 +97,6 @@ class _InfinityType:
 
 
 INFINITY = _InfinityType()
-
-Point = Union[complex, _InfinityType]
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +267,6 @@ def gauge(pair, f, k: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class RationalCoeffODE:
     """w'' + (p1_num/p1_den) w' + (p0_num/p0_den) w = 0 with its finite
     singular points.
@@ -290,12 +285,12 @@ class RationalCoeffODE:
     Singular points are never searched for numerically.
     """
 
-    p1_num: tuple[complex, ...]
-    p1_den: tuple[complex, ...]
-    p0_num: tuple[complex, ...]
-    p0_den: tuple[complex, ...]
-    points: tuple[tuple[complex, int, int], ...]
-    label: str = ""
+    def __init__(self, p1_num: tuple[complex, ...], p1_den: tuple[complex, ...],
+                 p0_num: tuple[complex, ...], p0_den: tuple[complex, ...],
+                 points: tuple[tuple[complex, int, int], ...], label: str = "") -> None:
+        self.p1_num, self.p1_den, self.p0_num, self.p0_den = p1_num, p1_den, p0_num, p0_den
+        self.points, self.label = points, label
+        self.__post_init__()  # the normalization, a method of its own so it can be timed
 
     def __post_init__(self) -> None:
         merged: dict[complex, list[int]] = {}
@@ -308,12 +303,8 @@ class RationalCoeffODE:
                                          [merged[r][0] for r in roots])
         n0, d0, k0 = _normalize_quotient(self.p0_num, self.p0_den, roots,
                                          [merged[r][1] for r in roots])
-        object.__setattr__(self, "p1_num", n1)
-        object.__setattr__(self, "p1_den", d1)
-        object.__setattr__(self, "p0_num", n0)
-        object.__setattr__(self, "p0_den", d0)
-        object.__setattr__(self, "points", tuple(
-            (r, a, b) for r, a, b in zip(roots, k1, k0) if a or b))
+        self.p1_num, self.p1_den, self.p0_num, self.p0_den = n1, d1, n0, d0
+        self.points = tuple((r, a, b) for r, a, b in zip(roots, k1, k0) if a or b)
 
     def p1(self, z):
         return _quotient(self.p1_num, self.p1_den, z)
@@ -328,8 +319,8 @@ class RationalCoeffODE:
                 return m1, m0
         return 0, 0
 
-    # The census and the pullback depend only on the frozen polynomial
-    # data, so each is computed once per equation.
+    # The census and the pullback depend only on the polynomial data,
+    # which nothing changes after construction: each is computed once.
 
     @cached_property
     def _census(self) -> tuple["SingularPoint", ...]:
@@ -434,13 +425,15 @@ def _exact_top(coeffs) -> tuple[complex, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SingularPoint:
-    location: Point
-    kind: str  # "regular" or "irregular"
-    pole_order_p1: int
-    pole_order_p0: int
-    exponents: tuple[complex, complex] | None  # None when irregular
+    __slots__ = ("location", "kind", "pole_order_p1", "pole_order_p0", "exponents")
+
+    def __init__(self, location: complex | _InfinityType, kind: str, pole_order_p1: int,
+                 pole_order_p0: int, exponents: tuple[complex, complex] | None) -> None:
+        self.location = location
+        self.kind = kind  # "regular" or "irregular"
+        self.pole_order_p1, self.pole_order_p0 = pole_order_p1, pole_order_p0
+        self.exponents = exponents  # None when irregular
 
 
 def _quotient_local(num, den, z0: complex, kd: int, weight: int) -> tuple[int, complex]:
@@ -507,7 +500,8 @@ def _take_census(ode: RationalCoeffODE) -> tuple[SingularPoint, ...]:
     return tuple(out)
 
 
-def indicial_exponents(ode: RationalCoeffODE, point: Point) -> tuple[complex, complex]:
+def indicial_exponents(ode: RationalCoeffODE,
+                       point: complex | _InfinityType) -> tuple[complex, complex]:
     """The two indicial roots at a regular singular (or ordinary) point.
 
     At infinity the pair is returned in the w ~ z^sigma convention.
@@ -533,7 +527,6 @@ def indicial_exponents(ode: RationalCoeffODE, point: Point) -> tuple[complex, co
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class FrobeniusSolution:
     """A local solution sum_k c_k x^(rho+k) in x = z - z0, rho the
     indicial exponent at the expansion point z0.
@@ -546,11 +539,12 @@ class FrobeniusSolution:
     1 the coefficients are those of the scaled variable, sum c_k (x/scale)^k.
     """
 
-    expansion_point: complex
-    exponent: complex
-    coefficients: tuple[complex, ...]
-    radius: float
-    scale: float = 1.0
+    __slots__ = ("expansion_point", "exponent", "coefficients", "radius", "scale")
+
+    def __init__(self, expansion_point: complex, exponent: complex,
+                 coefficients: tuple[complex, ...], radius: float, scale: float = 1.0) -> None:
+        self.expansion_point, self.exponent = expansion_point, exponent
+        self.coefficients, self.radius, self.scale = coefficients, radius, scale
 
 
 def _series_triple(ode: RationalCoeffODE, z0: complex):
@@ -624,7 +618,7 @@ def _recurrence(p2, p1, p0, kappa: int, rho: complex, order: int,
     return coeffs
 
 
-def frobenius_series(ode: RationalCoeffODE, point: Point, exponent: complex,
+def frobenius_series(ode: RationalCoeffODE, point: complex | _InfinityType, exponent: complex,
                      order: int = 64) -> FrobeniusSolution:
     """Frobenius series at a regular singular point for the given exponent.
 

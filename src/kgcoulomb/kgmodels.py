@@ -26,7 +26,6 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
 
 from .errors import KGCoulombWarning, OutOfDomainError, ParameterPoleError
 from .fuchsian import RationalCoeffODE, _horner, _polyadd, _polymul, _polyscale, gauge
@@ -50,13 +49,14 @@ class ConfluenceWarning(KGCoulombWarning):
     """Two singular points are about to collide (deformation too weak)."""
 
 
-@dataclass(frozen=True)
 class VariableMap:
     """A change of independent variable x = num(u) / den(u), held as the
     polynomial pair (ascending powers) that ``fuchsian.substitute`` takes."""
 
-    num: tuple
-    den: tuple
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: tuple, den: tuple) -> None:
+        self.num, self.den = num, den
 
     def forward(self, u):
         """x(u) by Horner's rule in u's own type: a real u gives a float."""
@@ -220,7 +220,6 @@ def to_heun(g: float, params: DeformationParams) -> tuple[HeunParams, VariableMa
     return hp, VariableMap((0, 0, t), (1, 0, t))
 
 
-@dataclass(frozen=True)
 class GenHeunParams:
     """Parameter block of the four-finite-point (generalized Heun)
     normal form of the first-order deformed equation,
@@ -229,24 +228,17 @@ class GenHeunParams:
             + (a b x^2 + rho1 x + rho2) / (x (x-1) (x-x1) (x-x2)) f = 0.
     """
 
-    a: complex
-    b: complex
-    rho1: complex
-    rho2: complex
-    c: complex
-    d: complex
-    e: complex
-    f: complex
-    x1: complex
-    x2: complex
+    __slots__ = ("a", "b", "rho1", "rho2", "c", "d", "e", "f", "x1", "x2")
 
-    def __post_init__(self) -> None:
-        scale = max(1.0, abs(self.a), abs(self.b), abs(self.c), abs(self.d),
-                    abs(self.e), abs(self.f))
+    def __init__(self, a: complex, b: complex, rho1: complex, rho2: complex, c: complex,
+                 d: complex, e: complex, f: complex, x1: complex, x2: complex) -> None:
+        self.a, self.b, self.rho1, self.rho2, self.x1, self.x2 = a, b, rho1, rho2, x1, x2
+        self.c, self.d, self.e, self.f = c, d, e, f
+        scale = max(1.0, abs(a), abs(b), abs(c), abs(d), abs(e), abs(f))
         if abs(self.fuchsian_residual) > 1e-14 * scale:
             raise ValueError(
                 f"parameters violate the Fuchsian constraint by {self.fuchsian_residual}")
-        if abs(self.x1 + self.x2 - 1.0) > 1e-12:
+        if abs(x1 + x2 - 1.0) > 1e-12:
             raise ValueError("singular points must satisfy x1 + x2 = 1")
 
     @property

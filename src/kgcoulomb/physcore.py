@@ -11,21 +11,24 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 FINE_STRUCTURE_ALPHA = 1.0 / 137.035999
 
 
-@dataclass(frozen=True)
 class DeformationParams:
-    """Minimal-length deformation strengths in dimensionless form."""
+    """Minimal-length deformation strengths in dimensionless form; fixed
+    once constructed."""
 
-    theta: float
-    theta_prime: float
+    __slots__ = ("theta", "theta_prime")
 
-    def __post_init__(self) -> None:
-        if self.theta < 0 or self.theta_prime < 0:
+    def __init__(self, theta: float, theta_prime: float) -> None:
+        if theta < 0 or theta_prime < 0:
             raise ValueError("deformation strengths must be nonnegative")
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "theta_prime", theta_prime)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"DeformationParams is immutable; cannot set {name!r}")
 
     @property
     def total(self) -> float:
@@ -60,7 +63,6 @@ def mu_of_coupling(g: float) -> complex:
     return cmath.sqrt(0.25 - g * g)
 
 
-@dataclass(frozen=True)
 class CoulombSystem:
     """A spin-0 particle in the Coulomb field of coupling g = Z*alpha, at
     a trial energy eta.
@@ -70,14 +72,14 @@ class CoulombSystem:
     space equations are written in.
     """
 
-    g: float
-    eta: float = 0.5
+    __slots__ = ("g", "eta")
 
-    def __post_init__(self) -> None:
-        if not self.g > 0.0:
+    def __init__(self, g: float, eta: float = 0.5) -> None:
+        if not g > 0.0:
             raise ValueError("coupling g must be positive")
-        if not 0.0 < self.eta <= 1.0:
+        if not 0.0 < eta <= 1.0:
             raise ValueError("eta must lie in (0, 1]")
+        self.g, self.eta = g, eta
 
     @property
     def k(self) -> float:

@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 import numbers
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from . import fuchsian
 from .errors import ConvergenceError, KGCoulombError, OutOfDomainError, ParameterPoleError
@@ -159,7 +158,6 @@ def hypergeometric_ode(a: complex, b: complex, c: complex) -> fuchsian.RationalC
     )
 
 
-@dataclass(frozen=True)
 class HeunParams:
     """Parameter block (xi0, q, a, b, c, d, e) of the general Heun equation
     with singular points {0, xi0, 1, infinity}.
@@ -168,21 +166,18 @@ class HeunParams:
     construction, as is xi0 staying away from the other finite points.
     """
 
-    xi0: complex
-    q: complex
-    a: complex
-    b: complex
-    c: complex
-    d: complex
-    e: complex
+    __slots__ = ("xi0", "q", "a", "b", "c", "d", "e")
 
-    def __post_init__(self) -> None:
-        scale = max(1.0, abs(self.a), abs(self.b), abs(self.c), abs(self.d), abs(self.e))
-        gap = self.a + self.b + 1.0 - (self.c + self.d + self.e)
+    def __init__(self, xi0: complex, q: complex, a: complex, b: complex, c: complex,
+                 d: complex, e: complex) -> None:
+        self.xi0, self.q = xi0, q
+        self.a, self.b, self.c, self.d, self.e = a, b, c, d, e
+        scale = max(1.0, abs(a), abs(b), abs(c), abs(d), abs(e))
+        gap = a + b + 1.0 - (c + d + e)
         if abs(gap) > 1e-12 * scale:
             raise ValueError(
                 f"parameters violate the Fuchsian constraint: a+b+1-(c+d+e) = {gap}")
-        if abs(self.xi0) < 1e-12 or abs(self.xi0 - 1.0) < 1e-12:
+        if abs(xi0) < 1e-12 or abs(xi0 - 1.0) < 1e-12:
             raise ValueError("xi0 must be distinct from the singular points 0 and 1")
 
     @property

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from .errors import RootFindingError, SupercriticalCouplingError
 
@@ -27,12 +26,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class SpectrumLine:
-    n: int
-    eta: float
-    residual: float
-    binding: float  # 1 - eta, solved for directly
+    __slots__ = ("n", "eta", "residual", "binding")
+
+    def __init__(self, n: int, eta: float, residual: float, binding: float) -> None:
+        self.n, self.eta, self.residual = n, eta, residual
+        self.binding = binding  # 1 - eta, solved for directly
 
 
 def _real_mu(g: float) -> float:

@@ -308,6 +308,17 @@ class TestQuotientNormalization:
         assert len(finite) == 1
         assert finite[0].location == pytest.approx(0.0)
 
+    def test_constructor_calls_the_class_post_init(self, monkeypatch):
+        # perfbench times the normalization by patching __post_init__ on the class
+        seen = []
+        normalize = RationalCoeffODE.__post_init__
+        monkeypatch.setattr(RationalCoeffODE, "__post_init__",
+                            lambda ode: seen.append(ode) or normalize(ode))
+        ode = RationalCoeffODE((-1.0, 1.0), (0.0, -1.0, 1.0), (0.0,), (1.0,),
+                               ((0, 1, 0), (1, 1, 0)))
+        assert len(seen) == 1 and seen[0] is ode
+        assert ode.p1_den == (0j, 1 + 0j) and ode.points == ((0j, 1, 0),)
+
     def test_exponents_are_python_complex(self):
         ode = build_ordinary_kg(CoulombSystem(g=100 * FINE_STRUCTURE_ALPHA, eta=0.5))
         rho = indicial_exponents(ode, INFINITY)

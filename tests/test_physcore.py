@@ -67,8 +67,11 @@ class TestDeformationParams:
 
     def test_frozen(self):
         dp = DeformationParams(0.01, 0.02)
-        with pytest.raises(Exception):
+        with pytest.raises(AttributeError):
             dp.theta = 0.5
+        with pytest.raises(AttributeError):
+            dp.extra = 0.5
+        assert (dp.theta, dp.theta_prime) == (0.01, 0.02)
 
 
 class TestMinimalLength:

@@ -18,8 +18,8 @@ Numbers are printed with 17 significant digits, locale-independent.
 Each subcommand takes only the options it reads (``kgcoulomb <cmd>
 --help`` lists them) plus --format, --out and --config; any other
 option is a usage error, and so is one that the chosen --model does
-not read (``exponents --model deformed-first-order`` still ignores
---theta-prime).  The coupling is either --g or the product
+not read (``exponents --model deformed-zero-energy`` takes no --eta;
+``exponents --model deformed-first-order`` still ignores --theta-prime).  The coupling is either --g or the product
 of --Z and --alpha, never both.  Configuration precedence:
 command-line flags > --config file > built-in defaults.  The config
 file is a flat ``key = value`` text file whose keys are the
@@ -148,6 +148,7 @@ _COMMANDS = {
 # read; giving one is a usage error.
 _UNREAD = {
     ("exponents", "ordinary"): ("theta", "theta-prime"),
+    ("exponents", "deformed-zero-energy"): ("eta",),
     ("wavefunction", "ordinary"): ("theta", "theta-prime"),
     ("params", "heun"): ("eta",),
     ("params", "generalized-heun"): ("theta-prime",),
@@ -352,7 +353,7 @@ def cmd_spectrum(cfg: dict) -> _Table:
 _EXPONENT_MODELS = ("ordinary", "deformed-zero-energy", "deformed-first-order")
 
 
-def _exponent_ode(cfg: dict, g: float, eta: float):
+def _exponent_ode(cfg: dict, g: float, eta: float | None):
     model = cfg["model"]
     if model == "ordinary":
         return build_ordinary_kg(CoulombSystem(g, eta)), {}
@@ -379,8 +380,8 @@ def cmd_exponents(cfg: dict) -> _Table:
     WindowWarning: there the fits need not follow the exponents at infinity.
     """
     g = _coupling(cfg)
-    eta = cfg["eta"]
-    ode, extra_meta = _exponent_ode(cfg, g, eta)
+    energy = {} if cfg["model"] == "deformed-zero-energy" else {"eta": cfg["eta"]}
+    ode, extra_meta = _exponent_ode(cfg, g, energy.get("eta"))
     window = _parse_window(cfg["window"])
     exps = indicial_exponents(ode, INFINITY)
     labels = ("subdominant", "dominant")
@@ -411,7 +412,7 @@ def cmd_exponents(cfg: dict) -> _Table:
             deviation = abs(fit.exponent - exponent.real) / abs(exponent.real)
             rows.append([label, exponent.real, exponent.imag,
                          fit.exponent, deviation, 0])
-    meta = {"model": cfg["model"], "g": g, "eta": eta,
+    meta = {"model": cfg["model"], "g": g, **energy,
             "window_lo": window[0], "window_hi": window[1], **extra_meta}
     columns = ["branch", "re_analytic", "im_analytic", "fitted", "deviation", "oscillatory"]
     return _Table("exponents", meta, columns, rows)

@@ -8,11 +8,12 @@ with both coefficients stored as polynomial quotients, together with
 the finite part of its Riemann scheme: the singular points and their
 multiplicities in each denominator, exact data supplied by whoever
 builds the equation (a Fuchsian equation is fixed by its singular
-points and their exponents). Nothing here searches for roots. On top
-of it sit the census of singular points, indicial exponents (including
-the point at infinity through the pullback t = 1/z, which sends each
-point r to 1/r), Frobenius and Taylor series, and series evaluation
-with derivatives and a defect check.
+points and their exponents). Nothing here searches for roots. A
+point's local record, its pole orders (the scheme's multiplicities)
+and indicial exponents, is made once per equation and read by the
+census, ``indicial_exponents`` and the Frobenius series; infinity is
+the pullback t = 1/z at t = 0, r going to 1/r. On top sit Frobenius and
+Taylor series, and series evaluation with derivatives and a defect check.
 
 Every series comes from one banded recurrence read off the polynomial
 form P2 w'' + P1 w' + P0 w = 0 of the equation, and its band is the
@@ -83,14 +84,7 @@ _TAIL_TOL = 1e-16  # a Taylor hop's tail is cut at double precision by default
 
 
 class _InfinityType:
-    """Singleton marker for the point at infinity."""
-
-    _instance = None
-
-    def __new__(cls) -> "_InfinityType":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """Type of the marker INFINITY, the point at infinity."""
 
     def __repr__(self) -> str:
         return "INFINITY"
@@ -161,12 +155,11 @@ def _shift(coeffs, z0: complex) -> tuple[complex, ...]:
     return tuple(work)
 
 
-def _vanish_order(coeffs, z0: complex, shifted=None) -> int:
-    """Order of the zero at z0: the j-th Taylor coefficient there (``shifted``,
-    if at hand) is zero while below 4 n eps sum_k C(k, j) |c_k| |z0|^(k-j),
-    twice Horner's rounding bound; at 0 only exact zeros are."""
-    if shifted is None:
-        shifted = _shift(coeffs, z0)
+def _vanish_order(coeffs, z0: complex) -> int:
+    """Order of the zero at z0: the j-th Taylor coefficient there is zero
+    while below 4 n eps sum_k C(k, j) |c_k| |z0|^(k-j), twice Horner's
+    rounding bound; at 0 only exact zeros are."""
+    shifted = _shift(coeffs, z0)
     tol = 4.0 * (len(coeffs) - 1) * _EPS
     sizes = [abs(x) for x in coeffs]
     for j, c in enumerate(shifted):
@@ -282,7 +275,8 @@ class RationalCoeffODE:
     counted by ``_vanish_order``), and the denominator made monic; the
     stored ``points`` are sorted by (real, imaginary) and keep the
     multiplicities left after cancelling, so they are the pole orders.
-    Singular points are never searched for numerically.
+    Singular points are never searched for numerically. A point's local
+    record (``_local``) is made on its first request and kept.
     """
 
     def __init__(self, p1_num: tuple[complex, ...], p1_den: tuple[complex, ...],
@@ -290,6 +284,7 @@ class RationalCoeffODE:
                  points: tuple[tuple[complex, int, int], ...], label: str = "") -> None:
         self.p1_num, self.p1_den, self.p0_num, self.p0_den = p1_num, p1_den, p0_num, p0_den
         self.points, self.label = points, label
+        self._records: dict[complex, SingularPoint] = {}  # local records, see _local
         self.__post_init__()  # the normalization, a method of its own so it can be timed
 
     def __post_init__(self) -> None:
@@ -319,22 +314,23 @@ class RationalCoeffODE:
                 return m1, m0
         return 0, 0
 
-    # The census and the pullback depend only on the polynomial data,
+    # The local data and the pullback depend only on the polynomial data,
     # which nothing changes after construction: each is computed once.
 
-    @cached_property
-    def _census(self) -> tuple["SingularPoint", ...]:
-        """The finite singular points with their local data."""
-        return _take_census(self)
+    def _local(self, z0: complex) -> "SingularPoint":
+        """The local record at the finite point z0, made on the first request."""
+        record = self._records.get(z0)
+        if record is None:
+            record = self._records[z0] = _local_record(self, z0)
+        return record
 
     @cached_property
     def _infinity(self) -> "SingularPoint":
-        """The point at infinity, classified through the pullback."""
-        o1, o0, exps = _local_exponents(self._pullback, 0j)
-        if exps is not None:
-            exps = _sorted_pair(-exps[0], -exps[1])
-        kind = "regular" if exps is not None else "irregular"
-        return SingularPoint(INFINITY, kind, o1, o0, exps)
+        """The point at infinity: the pullback's record at t = 0, its
+        exponents negated into the z^sigma convention."""
+        rec = self._pullback._local(0j)
+        exps = rec.exponents and _sorted_pair(-rec.exponents[0], -rec.exponents[1])
+        return SingularPoint(INFINITY, rec.kind, rec.pole_order_p1, rec.pole_order_p0, exps)
 
     @cached_property
     def _products(self) -> tuple[tuple[complex, ...], ...]:
@@ -436,68 +432,50 @@ class SingularPoint:
         self.exponents = exponents  # None when irregular
 
 
-def _quotient_local(num, den, z0: complex, kd: int, weight: int) -> tuple[int, complex]:
-    """Pole order of num/den at z0, a root of den of multiplicity kd (0
-    off the known roots), and the limit of (z-z0)^weight * num/den."""
-    kn = _vanish_order(num, z0)
-    order = kd - kn
-    if kn + weight > kd:
-        lim = 0j
-    elif kn + weight == kd:
-        ns = _shift(num, z0)
-        ds = _shift(den, z0)
-        if ds[kd] == 0:
-            raise OutOfDomainError(f"the expansion at {z0} is lost to rounding or overflow")
-        lim = ns[kn] / ds[kd]
-    else:
-        lim = complex(math.inf, 0.0)
-    return order, lim
-
-
 def _sorted_pair(a: complex, b: complex) -> tuple[complex, complex]:
     """Descending by real part, ties broken by descending imaginary part."""
     pair = sorted([a, b], key=lambda s: (-s.real, -s.imag))
     return (pair[0], pair[1])
 
 
-def _local_exponents(ode: RationalCoeffODE, z0: complex):
-    """(pole orders, exponent pair or None) at a finite point."""
+def _leading_ratio(num, den, z0: complex, order: int) -> complex:
+    """The limit of (z - z0)^order num/den at z0, a pole of that order:
+    num(z0) over den's order-th Taylor coefficient there."""
+    lead = _shift(den, z0)[order]
+    if lead == 0:
+        raise OutOfDomainError(f"the expansion at {z0} is lost to rounding or overflow")
+    return _shift(num, z0)[0] / lead
+
+
+def _local_record(ode: RationalCoeffODE, z0: complex) -> SingularPoint:
+    """The local data at a finite point. The pole orders are the scheme's
+    multiplicities (0 off it); at a regular singular or ordinary point the
+    exponents are the roots of s (s - 1) + q1 s + q0 = 0, q1 and q0 the
+    limits of (z - z0) p1 and (z - z0)^2 p0, zero below a full pole."""
     m1, m0 = ode._multiplicities(z0)
-    o1, q1 = _quotient_local(ode.p1_num, ode.p1_den, z0, m1, 1)
-    o0, q0 = _quotient_local(ode.p0_num, ode.p0_den, z0, m0, 2)
-    if o1 > 1 or o0 > 2:
-        return o1, o0, None
-    q1, q0 = complex(q1), complex(q0)
+    q1 = _leading_ratio(ode.p1_num, ode.p1_den, z0, 1) if m1 == 1 else 0j
+    q0 = _leading_ratio(ode.p0_num, ode.p0_den, z0, 2) if m0 == 2 else 0j
+    if m1 > 1 or m0 > 2:
+        return SingularPoint(z0, "irregular", m1, m0, None)
     try:
         disc = cmath.sqrt((q1 - 1.0) ** 2 - 4.0 * q0)
     except OverflowError as exc:
         raise OutOfDomainError(f"the exponents at {z0} overflow") from exc
     s1 = (-(q1 - 1.0) + disc) / 2.0
     s2 = (-(q1 - 1.0) - disc) / 2.0
-    return o1, o0, _sorted_pair(s1, s2)
+    return SingularPoint(z0, "regular", m1, m0, _sorted_pair(s1, s2))
 
 
 def singular_points(ode: RationalCoeffODE) -> list[SingularPoint]:
     """All finite singular points plus the point at infinity.
 
-    Finite points are the equation's known roots surviving normalization;
-    infinity is always reported, classified through the pullback. Points
-    are ordered by (real, imaginary), infinity last. Exponents at
-    infinity use the z^sigma convention. The census is taken once per
-    equation; each call returns a fresh list.
+    Finite points are the builder's points surviving normalization, their
+    multiplicities the pole orders; infinity is always reported, through
+    the pullback. Points are ordered by (real, imaginary), infinity last.
+    Exponents at infinity use the z^sigma convention. The records are
+    the equation's shared ones; each call returns a fresh list.
     """
-    return list(ode._census) + [ode._infinity]
-
-
-def _take_census(ode: RationalCoeffODE) -> tuple[SingularPoint, ...]:
-    out = []
-    for z0, _, _ in ode.points:
-        o1, o0, exps = _local_exponents(ode, z0)
-        if o1 <= 0 and o0 <= 0:
-            continue  # removable; nothing singular survived normalization
-        kind = "regular" if exps is not None else "irregular"
-        out.append(SingularPoint(z0, kind, o1, o0, exps))
-    return tuple(out)
+    return [ode._local(r) for r, _, _ in ode.points] + [ode._infinity]
 
 
 def indicial_exponents(ode: RationalCoeffODE,
@@ -507,19 +485,13 @@ def indicial_exponents(ode: RationalCoeffODE,
     At infinity the pair is returned in the w ~ z^sigma convention.
     Raises IrregularPointError when the point fails the pole-order test.
     """
-    if point is INFINITY:
-        inf = ode._infinity
-        if inf.exponents is None:
-            raise IrregularPointError(
-                f"infinity is irregular: pullback pole orders "
-                f"({inf.pole_order_p1}, {inf.pole_order_p0})")
-        return inf.exponents
-    z0 = complex(point)
-    o1, o0, exps = _local_exponents(ode, z0)
-    if exps is None:
+    rec = ode._infinity if point is INFINITY else ode._local(complex(point))
+    if rec.exponents is None:
+        where = ("infinity is irregular: pullback" if point is INFINITY
+                 else f"point {complex(point)} is irregular:")
         raise IrregularPointError(
-            f"point {z0} is irregular: pole orders ({o1}, {o0})")
-    return exps
+            f"{where} pole orders ({rec.pole_order_p1}, {rec.pole_order_p0})")
+    return rec.exponents
 
 
 # ---------------------------------------------------------------------------
@@ -628,36 +600,31 @@ def frobenius_series(ode: RationalCoeffODE, point: complex | _InfinityType, expo
     integer above the requested one (vanishing pivot); the series for
     the larger root of a resonant pair is still available. Below radius
     1 the coefficients are in x / scale, scale the power of two <= radius.
-    At infinity it is the pullback's series in t = 1/z, exponent -sigma.
+    At infinity it is the pullback's series at t = 0 for the exponent
+    -sigma, t = 1/z, and its errors speak of the pullback.
     """
-    pair = indicial_exponents(ode, point)
-    matched = None
-    for cand in pair:
-        if abs(cand - exponent) <= 1e-6 * (1.0 + abs(cand)):
-            matched = cand
-            break
-    if matched is None:
+    if point is INFINITY:
+        ode, point, exponent = ode._pullback, 0j, -exponent
+    z0 = complex(point)
+    pair = indicial_exponents(ode, z0)
+    rho = next((cand for cand in pair if abs(cand - exponent) <= 1e-6 * (1.0 + abs(cand))),
+               None)
+    if rho is None:
         raise ValueError(
             f"exponent {exponent} does not match either indicial root {pair}")
-    other = pair[0] if matched is pair[1] else pair[1]
 
-    if point is INFINITY:  # the pullback's series in t = 1/z, exponents -sigma
-        work, z0, rho, rho_other = ode._pullback, 0j, -matched, -other
-    else:
-        work, z0, rho, rho_other = ode, complex(point), matched, other
-
-    gap = rho_other - rho
+    gap = (pair[0] if rho is pair[1] else pair[1]) - rho
     if abs(gap.imag) < 1e-9 and abs(gap.real - round(gap.real)) < 1e-9 and round(gap.real) >= 0:
         raise ResonantExponentsError(
             f"exponents {pair} differ by the nonnegative integer {round(gap.real)}; "
             "request the other branch or treat the log solution separately")
 
-    p2, p1, p0 = _series_triple(work, z0)
-    kappa = max(work._multiplicities(z0))  # the order of P2 at z0
+    p2, p1, p0 = _series_triple(ode, z0)
+    kappa = max(ode._multiplicities(z0))  # the order of P2 at z0
     if not abs(p2[kappa]) >= _TINY:
         raise OutOfDomainError(
-            f"the series recurrence at {point} lost its leading coefficient to underflow")
-    radius = _series_radius(work, z0)
+            f"the series recurrence at {z0} lost its leading coefficient to underflow")
+    radius = _series_radius(ode, z0)
     # unscaled, the coefficients grow like radius^-k; a power of two scales exactly
     scale = math.ldexp(0.5, math.frexp(min(radius, 1.0))[1])
     p2, p1, p0 = _pow2_scaled_triple(p2, p1, p0, kappa, scale)

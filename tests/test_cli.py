@@ -324,25 +324,31 @@ class TestWavefunction:
 
     def test_one_census_per_equation(self, capsys, monkeypatch):
         # 200 grid points reached through many Taylor hops, each reading
-        # the singular points for its radius; the one Heun equation is
-        # censused once
-        counts = {"census": 0, "hops": 0}
+        # the equation's points for its radius; the local record of each of
+        # the Heun equation's three finite points is made once, and the
+        # series at xi = 0 reads the one the census made
+        made, hops = [], []
+        make_record, taylor = fuchsian._local_record, fuchsian.taylor_series
 
-        def counted(fn, key):
-            def wrapper(*args, **kwargs):
-                counts[key] += 1
-                return fn(*args, **kwargs)
-            return wrapper
+        def counted_record(ode, z0):
+            made.append((ode, z0))
+            return make_record(ode, z0)
 
-        monkeypatch.setattr(fuchsian, "_take_census", counted(fuchsian._take_census, "census"))
-        monkeypatch.setattr(fuchsian, "taylor_series", counted(fuchsian.taylor_series, "hops"))
+        def counted_taylor(ode, center, *args, **kwargs):
+            hops.append(center)
+            return taylor(ode, center, *args, **kwargs)
+
+        monkeypatch.setattr(fuchsian, "_local_record", counted_record)
+        monkeypatch.setattr(fuchsian, "taylor_series", counted_taylor)
         code, out, _ = _run(capsys, "wavefunction", "--model", "deformed-zero-energy",
                             "--theta", "0.05", "--theta-prime", "0.02", "--g", "0.2",
                             "--window", "0.01:100")
         assert code == 0
         assert len(_csv_rows(out)) == 200
-        assert counts["hops"] > 8
-        assert counts["census"] == 1
+        assert len(hops) > 8
+        heun = [(ode, z0) for ode, z0 in made if ode.label == "heun"]
+        assert len(heun) == 3 and len({ode for ode, _ in heun}) == 1
+        assert {z0 for _, z0 in heun} == {r for r, _, _ in heun[0][0].points}
 
     def test_gnuplot_format(self, capsys):
         code, out, _ = _run(capsys, "wavefunction", "--Z", "1",

@@ -550,7 +550,7 @@ class TestBandedRecurrence:
         ode = _model_odes()[model]
         work = ode._pullback if point is INFINITY else ode
         p2, p1, p0 = fuchsian._series_triple(work, 0j)
-        kappa = fuchsian._vanish_order(p2, 0j)
+        kappa = fuchsian._exact_zeros(p2)  # the order of P2 at 0
         compared = 0
         for exponent in indicial_exponents(ode, point):
             try:

@@ -1,0 +1,57 @@
+"""tools/stdout_diff.py pairs the tables of two trees by key, not by position."""
+
+import importlib.util
+from pathlib import Path
+
+
+def _stdout_diff():
+    """tools/stdout_diff.py, loaded by path."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "stdout_diff.py"
+    spec = importlib.util.spec_from_file_location("stdout_diff", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_TABLE = """\
+# kgcoulomb exponents
+# model = deformed-zero-energy
+# g = 0.29999999999999999
+{eta}# window_lo = 100
+# window_hi = 10000
+# conventions: u = p / (m c) dimensionless, eta = E / (m c^2)
+# columns: branch,re_analytic,im_analytic,fitted,deviation,oscillatory
+subdominant,-2,0,{fit},0.0001,0
+dominant,-5,0,-5.0001,2e-05,0
+"""
+
+
+def _records(**fields):
+    argv = ["exponents", "--model", "deformed-zero-energy", "--theta", "0.05"]
+    return {("exponent-fit", 1, 0): {"kind": "exponents", "argv": argv, "code": 0,
+                                     "stdout": _TABLE.format(**fields), "stderr": ""}}
+
+
+def test_removed_meta_line_moves_no_value(capsys):
+    # dropping one meta line shifts every later line by one; paired by
+    # key, the line is reported missing and no number has changed
+    tool = _stdout_diff()
+    old = _records(eta="# eta = 0.5\n", fit="-2.0002")
+    new = _records(eta="", fit="-2.0002")
+    assert tool.compare(old, new) is False
+    report = capsys.readouterr().out
+    assert "  exponents: 1\n" in report  # stdout changed
+    assert "  exponents:eta (old only): 1\n" in report
+    assert "largest change" not in report
+
+
+def test_changed_cell_is_paired_by_row_and_column(capsys):
+    tool = _stdout_diff()
+    old = _records(eta="", fit="-2.0002")
+    new = _records(eta="# eta = 0.5\n", fit="-2.0004")
+    tool.compare(old, new)
+    report = capsys.readouterr().out
+    assert "  exponents:eta (new only): 1\n" in report
+    changes = report.split("relative otherwise):\n")[1].splitlines()
+    assert [line.split(":")[1] for line in changes] == ["fitted"]
+    assert changes[0].startswith("  exponents:fitted: 0.0001  (exponents --model")

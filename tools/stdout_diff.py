@@ -6,17 +6,22 @@ Each tree runs the command lists of ``perfbench/workloads.py`` (this
 repository's copy, read and not changed), ``commands(w, s, 15)`` for
 every workload w in its ``WORKLOADS`` and every seed s, through ``kgcoulomb.cli.main`` in one
 fresh interpreter per tree with that tree's ``src`` on the path. The
-report has four parts:
+report has five parts:
 
 - every command whose exit code changed;
 - the number of commands whose stdout changed, per kind of command;
 - the number of commands whose stderr changed, per kind of command, with
   one example each, so that a diagnostic or warning that appears or goes
   away shows up;
+- the meta keys and table columns present on one side only, with the
+  number of commands each is missing from on the other side;
 - the largest change in each numeric column (and numeric ``# key = value``
   meta line) of the commands that kept their exit code, relative to the
   old value, or absolute for the columns that hold errors or
   differences (``_ABSOLUTE``), with the command where it occurred.
+
+Meta lines are paired by key and table cells by (row, column), so a line
+that appears or goes away changes no other value.
 
 Nothing is timed, so the comparison does not depend on the machine's
 load. Exit status is 0 when every command printed the same bytes on
@@ -81,20 +86,24 @@ def _number(text: str) -> float | None:
         return None
 
 
-def _cells(stdout: str):
-    """(name, value text) of every column cell and meta line of a table."""
-    columns = []
+def _cells(stdout: str) -> dict:
+    """{key: (name, value text)} of every meta line and column cell of a
+    table: a meta line keyed by its key, a cell by (row, column). The name
+    is the key or the column, or the row's label for a row of _ABSOLUTE."""
+    cells, columns, row = {}, [], 0
     for line in stdout.splitlines():
         if line.startswith("# columns: "):
             columns = line[len("# columns: "):].split(",")
         elif line.startswith("# ") and " = " in line:
             key, _, value = line[2:].partition(" = ")
-            yield key, value
+            cells[key] = key, value
         elif line and not line.startswith("#"):
-            cells = line.split(",")
-            label = cells[0] if _number(cells[0]) is None else None
-            for name, value in zip(columns, cells):
-                yield (label if label in _ABSOLUTE else name), value
+            values = line.split(",")
+            label = values[0] if _number(values[0]) is None else None
+            for name, value in zip(columns, values):
+                cells[row, name] = (label if label in _ABSOLUTE else name), value
+            row += 1
+    return cells
 
 
 def _change(name: str, old: float, new: float) -> float:
@@ -106,7 +115,7 @@ def _change(name: str, old: float, new: float) -> float:
 
 
 def compare(old: dict, new: dict) -> bool:
-    codes, changed, largest = [], Counter(), {}
+    codes, changed, largest, one_sided = [], Counter(), {}, Counter()
     stderr_changed, stderr_example = Counter(), {}
     for key, a in old.items():
         b = new[key]
@@ -119,7 +128,12 @@ def compare(old: dict, new: dict) -> bool:
         if a["stdout"] == b["stdout"]:
             continue
         changed[a["kind"]] += 1
-        for (name, x), (_, y) in zip(_cells(a["stdout"]), _cells(b["stdout"])):
+        cells_a, cells_b = _cells(a["stdout"]), _cells(b["stdout"])
+        for side, cells, other in (("old", cells_a, cells_b), ("new", cells_b, cells_a)):
+            names = {cells[cell][0] for cell in cells if cell not in other}
+            one_sided.update(f"{a['kind']}:{name} ({side} only)" for name in names)
+        for cell in cells_a.keys() & cells_b.keys():
+            (name, x), (_, y) = cells_a[cell], cells_b[cell]
             x, y = _number(x), _number(y)
             if x is None or y is None:
                 continue
@@ -138,6 +152,9 @@ def compare(old: dict, new: dict) -> bool:
     for kind, count in sorted(stderr_changed.items()):
         argv, x, y = stderr_example[kind]
         print(f"  {kind}: {count}  (e.g. {' '.join(argv)}: {x.strip()!r} -> {y.strip()!r})")
+    print("keys on one side only, commands per key:" + ("" if one_sided else " none"))
+    for field, count in sorted(one_sided.items()):
+        print(f"  {field}: {count}")
     if largest:
         print("largest change per column (absolute for "
               + ", ".join(sorted(_ABSOLUTE)) + "; relative otherwise):")

@@ -17,10 +17,9 @@ Numbers are printed with 17 significant digits, locale-independent.
 
 Each subcommand takes only the options it reads (``kgcoulomb <cmd>
 --help`` lists them) plus --format, --out and --config; any other
-option is a usage error, and so is one that the chosen --model does
-not read (``exponents --model deformed-zero-energy`` takes no --eta;
-``exponents --model deformed-first-order`` still ignores --theta-prime).  The coupling is either --g or the product
-of --Z and --alpha, never both.  Configuration precedence:
+option is a usage error.  Each --model refuses the options that its
+entry of ``_COMMANDS`` does not list.  The coupling is either --g or the
+product of --Z and --alpha, never both.  Configuration precedence:
 command-line flags > --config file > built-in defaults.  The config
 file is a flat ``key = value`` text file whose keys are the
 subcommand's own long flag names (without the leading dashes).
@@ -106,16 +105,17 @@ def _parse_window(text: str) -> tuple[float, float]:
 
 _FORMATS = ("csv", "json", "gnuplot-dat")
 
-# (type, help) per option, for the flags and the config file alike.
+# (type, help) per option, for the flags and the config file alike, in the
+# order --help lists them.
 _OPTIONS = {
     "Z": (int, "nuclear charge (default 1)"),
     "alpha": (float, f"coupling per unit charge (default {FINE_STRUCTURE_ALPHA:.12g})"),
+    "g": (float, "total coupling Z * alpha, given directly; excludes --Z and --alpha"),
     "eta": (float, "energy in rest-mass units, 0 < eta < 1"),
     "n": (str, "level index or inclusive range, e.g. '0' or '0..5'"),
+    "model": (str, "model selector"),
     "theta": (float, "dimensionless deformation parameter"),
     "theta-prime": (float, "second deformation parameter"),
-    "g": (float, "total coupling Z * alpha, given directly; excludes --Z and --alpha"),
-    "model": (str, "model selector"),
     "tol": (float, "integrator tolerance"),
     "window": (str, "grid or fit window 'lo:hi'"),
     "format": (str, f"output format: {', '.join(_FORMATS)} (default csv)"),
@@ -123,41 +123,45 @@ _OPTIONS = {
 }
 
 _COUPLING = {"Z": 1, "alpha": FINE_STRUCTURE_ALPHA, "g": None}
-_DEFORMATION = {"theta": None, "theta-prime": None}
+_EXPONENT_FIT = {"tol": 1e-10, "window": "1e2:1e4"}
 
-# Per subcommand: its help line and the options it reads, each with its
-# default (None: no default). Every subcommand also takes --format, --out and
-# --config; any other option is a usage error.
+# Per subcommand: its help line, and per model the options that model reads,
+# each with its default (None: no default). The first model is the default;
+# the model None stands for a subcommand without --model. Every subcommand
+# also takes --format, --out and --config; any other option, or one that the
+# chosen model does not read, is a usage error.
 _COMMANDS = {
     "spectrum": ("bound-state energies: closed form vs quantization root",
-                 {**_COUPLING, "n": "0..5"}),
-    "exponents": ("decay exponents at large momentum: analytic vs fitted",
-                  {**_COUPLING, "eta": 0.5, "model": "ordinary", **_DEFORMATION,
-                   "tol": 1e-10, "window": "1e2:1e4"}),
-    "wavefunction": ("sample psi(u) on a logarithmic grid",
-                     {**_COUPLING, "eta": None, "n": None, "model": "ordinary",
-                      **_DEFORMATION, "window": "0.01:100"}),
-    "params": ("derived parameter block of the reduced equation",
-               {**_COUPLING, "eta": 0.5, "model": "heun", "theta": 0.05, "theta-prime": 0.0}),
+                 {None: {**_COUPLING, "n": "0..5"}}),
+    "exponents": ("decay exponents at large momentum: analytic vs fitted", {
+        "ordinary": {**_COUPLING, "eta": 0.5, **_EXPONENT_FIT},
+        "deformed-zero-energy": {**_COUPLING, "theta": None, "theta-prime": 0.0,
+                                 **_EXPONENT_FIT},
+        # theta' = 2 theta in this model: theta-prime is taken and not read
+        "deformed-first-order": {**_COUPLING, "eta": 0.5, "theta": None, "theta-prime": None,
+                                 **_EXPONENT_FIT},
+    }),
+    "wavefunction": ("sample psi(u) on a logarithmic grid", {
+        "ordinary": {**_COUPLING, "eta": None, "n": None, "window": "0.01:100"},
+        "deformed-zero-energy": {**_COUPLING, "theta": None, "theta-prime": 0.0,
+                                 "window": "0.01:100"},
+    }),
+    "params": ("derived parameter block of the reduced equation", {
+        "heun": {**_COUPLING, "theta": 0.05, "theta-prime": 0.0},
+        "generalized-heun": {**_COUPLING, "eta": 0.5, "theta": 0.05},
+    }),
     "heun-check": ("equal-deformation consistency: local Heun vs hypergeometric",
-                   {**_COUPLING, **_DEFORMATION, "theta": 0.05}),
+                   {None: {**_COUPLING, "theta": 0.05, "theta-prime": None}}),
 }
 
 
-# The options of a subcommand's entry that one of its models does not
-# read; giving one is a usage error.
-_UNREAD = {
-    ("exponents", "ordinary"): ("theta", "theta-prime"),
-    ("exponents", "deformed-zero-energy"): ("eta",),
-    ("wavefunction", "ordinary"): ("theta", "theta-prime"),
-    ("params", "heun"): ("eta",),
-    ("params", "generalized-heun"): ("theta-prime",),
-}
-
-
-def _options(command: str) -> dict:
-    """The options a subcommand takes, with their defaults."""
-    return {**_COMMANDS[command][1], "format": "csv", "out": None}
+def _options(command: str) -> list:
+    """The options a subcommand takes under any of its models."""
+    models = _COMMANDS[command][1]
+    taken = {key for entry in models.values() for key in entry} | {"format", "out"}
+    if None not in models:
+        taken.add("model")
+    return [key for key in _OPTIONS if key in taken]
 
 
 def _read_config(path: str, command: str) -> dict:
@@ -205,11 +209,14 @@ def _build_parser() -> _Parser:
                      description="Momentum-space Coulomb problem: spectra, exponents, "
                                  "wavefunctions, and special-function parameter blocks.")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    for command, (text, _) in _COMMANDS.items():
+    for command, (text, models) in _COMMANDS.items():
         cmd = sub.add_parser(command, help=text)
         for key in _options(command):
-            cmd.add_argument("--" + key, type=_OPTIONS[key][0], default=None,
-                             help=_OPTIONS[key][1])
+            kind, doc = _OPTIONS[key]
+            if key == "model":
+                first, *rest = models
+                doc = f"{doc}: {first} (default), {', '.join(rest)}"
+            cmd.add_argument("--" + key, type=kind, default=None, help=doc)
         cmd.add_argument("--config", type=str, default=None,
                          help="flat key=value configuration file")
     return parser
@@ -218,23 +225,27 @@ def _build_parser() -> _Parser:
 def _merge(args: argparse.Namespace) -> dict:
     """Apply precedence: flags > config file > per-command defaults."""
     if args.command is None:
-        raise UsageError("a subcommand is required (spectrum, exponents, "
-                         "wavefunction, params, heun-check)")
-    options = _options(args.command)
+        raise UsageError(f"a subcommand is required ({', '.join(_COMMANDS)})")
+    models = _COMMANDS[args.command][1]
     given = _read_config(args.config, args.command) if args.config is not None else {}
-    for key in options:
+    for key in _options(args.command):
         flag = getattr(args, key.replace("-", "_"))
         if flag is not None:
             given[key] = flag
     if "g" in given and ("Z" in given or "alpha" in given):
         raise UsageError("--g is the coupling Z * alpha; give either --g or --Z/--alpha")
+    model = given.get("model", next(iter(models)))
+    if model not in models:
+        raise UsageError(f"unknown {args.command} model {model!r}; "
+                         f"choose from {', '.join(models)}")
+    options = {**models[model], "model": model, "format": "csv", "out": None}
+    for key in given:
+        if key not in options:
+            raise UsageError(f"{args.command} --model {model} takes no --{key}")
     cfg = {key: val for key, val in options.items() if val is not None}
     if "g" in given:  # the coupling is g alone: no default Z or alpha enters
         del cfg["Z"], cfg["alpha"]
     cfg.update(given)
-    for key in _UNREAD.get((args.command, cfg.get("model")), ()):
-        if key in given:
-            raise UsageError(f"{args.command} --model {cfg['model']} takes no --{key}")
     for key, (kind, _) in _OPTIONS.items():
         if kind is float and key in cfg and not math.isfinite(cfg[key]):
             raise UsageError(f"--{key} must be a finite number, got {cfg[key]!r}")
@@ -263,7 +274,7 @@ def _coupling(cfg: dict) -> float:
 
 def _deformation(cfg: dict) -> DeformationParams:
     theta = cfg.get("theta")
-    theta_prime = cfg.get("theta-prime", 0.0)
+    theta_prime = cfg["theta-prime"]
     if theta is None or not theta + theta_prime > 0.0:
         raise UsageError("deformed models need --theta, with theta + theta' positive")
     try:
@@ -350,9 +361,6 @@ def cmd_spectrum(cfg: dict) -> _Table:
     return _Table("spectrum", meta, columns, rows)
 
 
-_EXPONENT_MODELS = ("ordinary", "deformed-zero-energy", "deformed-first-order")
-
-
 def _exponent_ode(cfg: dict, g: float, eta: float | None):
     model = cfg["model"]
     if model == "ordinary":
@@ -361,12 +369,10 @@ def _exponent_ode(cfg: dict, g: float, eta: float | None):
         dp = _deformation(cfg)
         return build_deformed_zero_energy(g, dp), {"theta": dp.theta,
                                                    "theta_prime": dp.theta_prime}
-    if model == "deformed-first-order":
-        theta = cfg.get("theta")
-        if theta is None or not theta > 0.0:
-            raise UsageError("--theta > 0 is required for deformed-first-order")
-        return build_deformed_first_order_psi(CoulombSystem(g, eta), theta), {"theta": theta}
-    raise UsageError(f"unknown exponents model {model!r}; choose from {_EXPONENT_MODELS}")
+    theta = cfg.get("theta")  # deformed-first-order
+    if theta is None or not theta > 0.0:
+        raise UsageError("--theta > 0 is required for deformed-first-order")
+    return build_deformed_first_order_psi(CoulombSystem(g, eta), theta), {"theta": theta}
 
 
 def cmd_exponents(cfg: dict) -> _Table:
@@ -380,13 +386,13 @@ def cmd_exponents(cfg: dict) -> _Table:
     WindowWarning: there the fits need not follow the exponents at infinity.
     """
     g = _coupling(cfg)
-    energy = {} if cfg["model"] == "deformed-zero-energy" else {"eta": cfg["eta"]}
+    energy = {"eta": cfg["eta"]} if "eta" in cfg else {}
     ode, extra_meta = _exponent_ode(cfg, g, energy.get("eta"))
     window = _parse_window(cfg["window"])
     exps = indicial_exponents(ode, INFINITY)
     labels = ("subdominant", "dominant")
 
-    oscillatory = cfg["model"] == "ordinary" and g > 0.5
+    oscillatory = exps[0].imag != 0.0
     fits = [None, None]
     if not oscillatory:
         try:
@@ -420,8 +426,7 @@ def cmd_exponents(cfg: dict) -> _Table:
 
 def cmd_wavefunction(cfg: dict) -> _Table:
     """Sample psi on a logarithmic momentum grid: the ordinary model at one
-    level --n (default 0) or at a trial energy --eta, not both; the
-    deformed zero-energy model takes neither."""
+    level --n (default 0) or at a trial energy --eta, not both."""
     model = cfg["model"]
     lo, hi = _parse_window(cfg["window"])
     grid = _geomspace(lo, hi, _WAVEFUNCTION_POINTS)
@@ -443,9 +448,7 @@ def cmd_wavefunction(cfg: dict) -> _Table:
         sample = functools.partial(psi_ordinary, CoulombSystem(g, eta))
         meta = {"model": model, "g": g, "eta": eta}
 
-    elif model == "deformed-zero-energy":
-        if cfg.get("n") is not None or cfg.get("eta") is not None:
-            raise UsageError("the zero-energy model sets no level or energy; drop --n and --eta")
+    else:  # deformed-zero-energy
         dp = _deformation(cfg)
         hp, vmap = to_heun(g, dp)
         meta = {"model": model, "g": g, "theta": dp.theta,
@@ -455,10 +458,6 @@ def cmd_wavefunction(cfg: dict) -> _Table:
             xis = [vmap.forward(u) for u in us]
             heun = heun_local(hp, xis)
             return [(1.0 - xi) * h for xi, h in zip(xis, heun)]
-
-    else:
-        raise UsageError(f"unknown wavefunction model {model!r}; "
-                         "choose 'ordinary' or 'deformed-zero-energy'")
 
     try:
         psis = sample(grid)
@@ -490,7 +489,7 @@ def cmd_params(cfg: dict) -> _Table:
         meta = {"model": model, "g": g, "theta": dp.theta,
                 "theta_prime": dp.theta_prime,
                 "minimal_length_3d": minimal_length(dp)}
-    elif model == "generalized-heun":
+    else:  # generalized-heun
         theta = cfg["theta"]
         if not theta > 0.0:
             raise UsageError("--theta > 0 is required for generalized-heun")
@@ -500,9 +499,6 @@ def cmd_params(cfg: dict) -> _Table:
             rows.append([name, value.real, value.imag])
         rows.append(["fuchsian_residual", ghp.fuchsian_residual, 0.0])
         meta = {"model": model, "g": g, "eta": cfg["eta"], "theta": theta}
-    else:
-        raise UsageError(f"unknown params model {model!r}; "
-                         "choose 'heun' or 'generalized-heun'")
     return _Table("params", meta, ["name", "re", "im"], rows)
 
 

@@ -43,7 +43,7 @@ class OscillationError(PhysicsDomainError):
 
 
 class ResonantExponentsError(KGCoulombError):
-    """Frobenius exponents differ by a nonnegative integer; the requested
+    """Frobenius exponents differ by a positive integer; the requested
     series would hit a vanishing pivot in the recurrence."""
 
 

@@ -329,7 +329,8 @@ class RationalCoeffODE:
         """The point at infinity: the pullback's record at t = 0, its
         exponents negated into the z^sigma convention."""
         rec = self._pullback._local(0j)
-        exps = rec.exponents and _sorted_pair(-rec.exponents[0], -rec.exponents[1])
+        # 0j - s, not -s: a zero imaginary part stays +0.0
+        exps = rec.exponents and _sorted_pair(0j - rec.exponents[0], 0j - rec.exponents[1])
         return SingularPoint(INFINITY, rec.kind, rec.pole_order_p1, rec.pole_order_p0, exps)
 
     @cached_property
@@ -596,10 +597,11 @@ def frobenius_series(ode: RationalCoeffODE, point: complex | _InfinityType, expo
 
     The exponent is matched against the indicial pair and replaced by
     the exact root, so a few digits are enough to select a branch.
-    Raises ResonantExponentsError when the other root sits a nonnegative
+    Raises ResonantExponentsError when the other root sits a positive
     integer above the requested one (vanishing pivot); the series for
-    the larger root of a resonant pair is still available. Below radius
-    1 the coefficients are in x / scale, scale the power of two <= radius.
+    the larger root of a resonant pair, and for a double root, is still
+    available. Below radius 1 the coefficients are in x / scale, scale
+    the power of two <= radius.
     At infinity it is the pullback's series at t = 0 for the exponent
     -sigma, t = 1/z, and its errors speak of the pullback.
     """
@@ -614,9 +616,9 @@ def frobenius_series(ode: RationalCoeffODE, point: complex | _InfinityType, expo
             f"exponent {exponent} does not match either indicial root {pair}")
 
     gap = (pair[0] if rho is pair[1] else pair[1]) - rho
-    if abs(gap.imag) < 1e-9 and abs(gap.real - round(gap.real)) < 1e-9 and round(gap.real) >= 0:
+    if abs(gap.imag) < 1e-9 and abs(gap.real - round(gap.real)) < 1e-9 and round(gap.real) > 0:
         raise ResonantExponentsError(
-            f"exponents {pair} differ by the nonnegative integer {round(gap.real)}; "
+            f"exponents {pair} differ by the positive integer {round(gap.real)}; "
             "request the other branch or treat the log solution separately")
 
     p2, p1, p0 = _series_triple(ode, z0)

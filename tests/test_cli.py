@@ -160,6 +160,19 @@ class TestExponents:
             assert row[3] == "nan"
             assert row[5] == "1"
 
+    @pytest.mark.parametrize("model", list(cli._COMMANDS["exponents"][1]))
+    def test_no_cell_reads_negative_zero(self, capsys, model):
+        # negating the pullback's exponents gave a real pair im_analytic = -0
+        argv = ["exponents", "--model", model] + ([] if model == "ordinary" else
+                                                  ["--theta", "0.05"])
+        code, out, _ = _run(capsys, *argv)
+        assert code == 0
+        assert "-0" not in [cell for row in _csv_rows(out) for cell in row]
+        code, out, _ = _run(capsys, *argv, "--format", "json")
+        assert code == 0
+        cells = [v for row in json.loads(out)["rows"] for v in row.values()]
+        assert [v for v in cells if v == 0 and math.copysign(1.0, v) < 0] == []
+
     def test_first_order_subdominant(self, capsys):
         code, out, _ = _run(capsys, "exponents", "--model", "deformed-first-order",
                             "--g", "0.3", "--eta", "0.8", "--theta", "0.04")
@@ -218,10 +231,10 @@ class TestExponents:
             assert abs(float(row[3]) - float(row[1])) <= 0.01 * abs(float(row[1]))
 
     def test_bad_window_rejected(self, capsys):
-        code, _, err = _run(capsys, "exponents", "--model", "deformed",
+        code, _, err = _run(capsys, "exponents", "--model", "deformed-zero-energy",
                             "--g", "0.3", "--theta", "0.05", "--window", "5:2")
         assert code == 1
-        assert err != ""
+        assert "invalid window '5:2'" in err
 
 
 class TestWavefunction:
@@ -550,9 +563,17 @@ def test_spectrum_help_omits_window(capsys):
 
 
 @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
-def test_help_lists_the_table_entry(capsys, command):
-    listed = set(re.findall(r"--([\w-]+)", _help(capsys, command)))
-    assert listed == set(cli._COMMANDS[command][1]) | {"format", "out", "config", "help"}
+def test_help_lists_the_table_entry(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "1000")  # one line per option
+    text = _help(capsys, command)
+    models = cli._COMMANDS[command][1]
+    taken = set().union(*models.values())
+    if None not in models:
+        first, *rest = models
+        assert f"model selector: {first} (default), {', '.join(rest)}\n" in text
+        taken.add("model")
+    listed = set(re.findall(r"--([\w-]+)", text))
+    assert listed == taken | {"format", "out", "config", "help"}
 
 
 class _ReadLog(dict):
@@ -571,37 +592,88 @@ class _ReadLog(dict):
         return super().get(key, default)
 
 
-_MODELS = {"spectrum": [None], "exponents": list(cli._EXPONENT_MODELS),
-           "wavefunction": ["ordinary", "deformed-zero-energy"],
-           "params": ["heun", "generalized-heun"], "heun-check": [None]}
-
-
 # a valid value of each option that some model does not read
-_UNREAD_VALUES = {"theta": "0.05", "theta-prime": "0.05", "eta": "0.3"}
+_UNREAD_VALUES = {"theta": "0.05", "theta-prime": "0.05", "eta": "0.3", "n": "1"}
 
 
 @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
-def test_table_entry_is_what_the_command_reads(capsys, command):
-    # run under every model at the table's defaults; the keys read,
-    # found or not, must be the entry's keys, no more and no fewer, and
-    # each key a model does not read is refused when given to that model
-    read = set()
-    for model in _MODELS[command]:
+def test_table_entry_is_what_the_command_reads(capsys, tmp_path, command):
+    # each model, run at its entry's defaults, reads its entry's keys, found
+    # or not, no more and no fewer; each key of a sibling entry that its own
+    # lacks is refused, from a flag and from a config key alike
+    models = cli._COMMANDS[command][1]
+    for model, entry in models.items():
         argv = [command] + (["--model", model] if model else [])
-        if model and model.startswith("deformed"):
+        if "theta" in entry and entry["theta"] is None:  # required, no default
             argv += ["--theta", "0.05"]
         cfg = _ReadLog(cli._merge(cli._build_parser().parse_args(argv)))
         assert cli._DISPATCH[command](cfg).rows
-        read |= cfg.read
-        unread = set(cli._COMMANDS[command][1]) - cfg.read
-        if model == "deformed-first-order":  # still ignores --theta-prime
-            assert unread == {"theta-prime"}
+        listed = set(entry) | ({"model"} if model else set())
+        if model == "deformed-first-order":  # theta' = 2 theta: --theta-prime is taken, not read
+            listed.remove("theta-prime")
+        assert cfg.read == listed, model
+        config = tmp_path / "run.cfg"
+        for key in sorted(set().union(*models.values()) - set(entry)):
+            config.write_text(f"{key} = {_UNREAD_VALUES[key]}\n")
+            for extra in (["--" + key, _UNREAD_VALUES[key]], ["--config", str(config)]):
+                code, out, err = _run(capsys, *argv, *extra)
+                assert (code, out) == (1, ""), (argv, extra)
+                assert err == f"kgcoulomb: usage error: {command} --model {model} takes no --{key}\n"
+
+
+@pytest.mark.parametrize("command", [c for c, (_, models) in sorted(cli._COMMANDS.items())
+                                     if None not in models])
+def test_unknown_model_is_one_message(capsys, tmp_path, command):
+    config = tmp_path / "run.cfg"
+    config.write_text("model = nope\n")
+    choices = ", ".join(cli._COMMANDS[command][1])
+    for extra in (["--model", "nope"], ["--config", str(config)]):
+        code, out, err = _run(capsys, command, *extra)
+        assert (code, out) == (1, "")
+        assert err == (f"kgcoulomb: usage error: unknown {command} model 'nope'; "
+                       f"choose from {choices}\n")
+
+
+def _readme_cli_table():
+    """The README's command-line table: (subcommand, model) -> {option: default text}."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) != 3 or not cells[0].startswith("`"):
             continue
-        for key in sorted(unread):
-            code, out, err = _run(capsys, *argv, "--" + key, _UNREAD_VALUES[key])
-            assert (code, out) == (1, ""), (argv, key)
-            assert err == f"kgcoulomb: usage error: {command} --model {model} takes no --{key}\n"
-    assert read == set(cli._COMMANDS[command][1])
+        model = re.match(r"`([\w-]+)`", cells[1])
+        key = (cells[0].strip("`"), model and model.group(1))
+        assert key not in rows, key
+        rows[key] = (cells[1], dict(re.findall(r"`--([\w-]+)`(?: \(([^)]*)\))?", cells[2])))
+    return rows
+
+
+def _readme_value(text):
+    """A README default: `text` for a string, else a number or a fraction a/b."""
+    if text.startswith("`"):
+        return text.strip("`")
+    num, _, den = text.partition("/")
+    return float(num) / float(den or 1)
+
+
+def test_readme_table_is_the_command_table():
+    rows = _readme_cli_table()
+    expected = [(command, model) for command, (_, models) in cli._COMMANDS.items()
+                for model in models]
+    assert list(rows) == expected
+    for command, (_, models) in cli._COMMANDS.items():
+        for i, (model, entry) in enumerate(models.items()):
+            model_cell, listed = rows[command, model]
+            assert ("(default)" in model_cell) == (i == 0 and model is not None)
+            assert list(listed) == list(entry), (command, model)
+            for key, default in entry.items():
+                text = listed[key]
+                if default is None:
+                    assert text == "", (command, model, key)
+                else:
+                    assert _readme_value(text) == default, (command, model, key)
 
 
 def _benchmark_checks():

@@ -213,10 +213,16 @@ class TestFrobeniusSeries:
             frobenius_series(ode, 0.0, -1.0, order=10)
         frobenius_series(ode, 0.0, 0.0, order=10)  # larger root is fine
 
-    def test_equal_exponents_raise(self):
-        ode = hypergeometric_ode(0.3, 0.8, 1.0)
-        with pytest.raises(ResonantExponentsError):
-            frobenius_series(ode, 0.0, 0.0, order=10)
+    def test_double_root_is_bessel_j0(self):
+        # w'' + w'/z + w = 0 has the double exponent 0 at the origin; every
+        # pivot is m^2, and the series is J0
+        import mpmath
+
+        ode = RationalCoeffODE((1.0,), (0.0, 1.0), (1.0,), (1.0,), ((0, 1, 0),))
+        sol = frobenius_series(ode, 0.0, 0.0)
+        for z in (0.1, 1.0, 3.0, 2j, 1.5 - 1.5j):
+            ref = complex(mpmath.besselj(0, z))
+            assert abs(evaluate(sol, z) - ref) <= 1e-14 * abs(ref)
 
     def test_radius_is_distance_to_next_singularity(self):
         a, b, c = _hyp_abc()

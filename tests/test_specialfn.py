@@ -272,6 +272,16 @@ class TestHeunLocal:
         for xi in (0.05, 0.12, 0.3):
             assert heun_local(hp, xi) == pytest.approx(hyp2f1(a, b, c, xi), rel=1e-12)
 
+    def test_double_root_at_origin(self):
+        # c = 1 gives the double exponent 0 at xi = 0; e = 0, q = -a b and
+        # d = a + b leave 2F1(a, b; 1; xi / xi0)
+        a, b, xi0 = 0.7, 1.3, -2.0
+        hp = HeunParams(xi0=xi0, q=-a * b, a=a, b=b, c=1.0, d=a + b, e=0.0)
+        xs = [0.05, 0.3, 0.6, 0.9, 0.99]
+        for xi, got in zip(xs, heun_local(hp, xs)):
+            ref = _ref_2f1(a, b, 1.0, xi / xi0)
+            assert abs(got - ref) <= 1e-13 * abs(ref)
+
     def test_continuation_past_first_disk(self):
         # |xi0| = 0.35 caps the first disk at radius 0.35; xi = 0.3 needs
         # at least one re-expansion step and must agree with the direct

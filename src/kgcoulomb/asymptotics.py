@@ -1,5 +1,5 @@
 """Numerical large-momentum behavior: direct integration of the model
-equations, log-log power-law fits, and the regularization verdict.
+equations and log-log power-law fits.
 
 Integration is analytic continuation by Taylor re-expansion, the engine
 in ``fuchsian``: the model equations have polynomial coefficients, so
@@ -31,18 +31,14 @@ from operator import lt, mul, sub
 
 from . import fuchsian
 from .errors import IntegrationError, OscillationError, OutOfDomainError
-from .kgmodels import build_deformed_zero_energy, build_ordinary_kg
-from .physcore import CoulombSystem, DeformationParams
 
 __all__ = [
     "Trajectory",
     "FitResult",
-    "RegularizationVerdict",
     "integrate",
     "fit_exponent",
     "dominant_branch",
     "subdominant_branch",
-    "classify",
 ]
 
 
@@ -80,18 +76,6 @@ class FitResult:
 
     def __init__(self, exponent: float, stderr: float) -> None:
         self.exponent, self.stderr = exponent, stderr
-
-
-class RegularizationVerdict:
-    __slots__ = ("regime", "dominant_exponent", "subdominant_exponent", "z_dependent",
-                 "conclusion")
-
-    def __init__(self, regime: str, dominant_exponent: complex, subdominant_exponent: complex,
-                 z_dependent: bool, conclusion: str) -> None:
-        self.regime = regime  # ordinary-subcritical | ordinary-supercritical | deformed
-        self.dominant_exponent, self.subdominant_exponent = dominant_exponent, subdominant_exponent
-        self.z_dependent = z_dependent
-        self.conclusion = conclusion  # unique-selection | phase-ambiguous | regularized
 
 
 # order cap of each local series; at tol = 1e-16 the tail rule stops
@@ -335,43 +319,3 @@ def subdominant_branch(ode: fuchsian.RationalCoeffODE, window: tuple[float, floa
     if window[0] <= 1.0:
         raise ValueError("seed point must sit below the fit window")
     return integrate(ode, 1.0, 1.0 + 0j, 0j, window[1], tol=tol, window=window)
-
-
-def classify(g: float, deformation: DeformationParams | None = None,
-             eta: float = 0.5) -> RegularizationVerdict:
-    """Large-momentum verdict for the given coupling.
-
-    Undeformed subcritical: two real decay rates, the faster one is
-    selected uniquely. Undeformed supercritical (g > 1/2): the rates
-    form a complex-conjugate pair, every combination decays equally fast
-    and oscillates, leaving an arbitrary relative phase. Deformed: the
-    rates are real and independent of g for any coupling, so the same
-    selection works at every Z.
-    """
-    if deformation is not None and deformation.total > 0.0:
-        ode = build_deformed_zero_energy(g, deformation)
-        exps = fuchsian.indicial_exponents(ode, fuchsian.INFINITY)
-        return RegularizationVerdict(
-            regime="deformed",
-            dominant_exponent=exps[1],
-            subdominant_exponent=exps[0],
-            z_dependent=False,
-            conclusion="regularized",
-        )
-    ode = build_ordinary_kg(CoulombSystem(g, eta))
-    exps = fuchsian.indicial_exponents(ode, fuchsian.INFINITY)
-    if g > 0.5:
-        return RegularizationVerdict(
-            regime="ordinary-supercritical",
-            dominant_exponent=exps[0],
-            subdominant_exponent=exps[1],
-            z_dependent=True,
-            conclusion="phase-ambiguous",
-        )
-    return RegularizationVerdict(
-        regime="ordinary-subcritical",
-        dominant_exponent=exps[1],
-        subdominant_exponent=exps[0],
-        z_dependent=True,
-        conclusion="unique-selection",
-    )

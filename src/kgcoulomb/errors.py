@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The split matters for the command line tool: ``UsageError`` maps to exit
-code 1, anything derived from ``PhysicsDomainError`` maps to exit code 2.
+code 1 and every other ``KGCoulombError`` to exit code 2, a numerical method
+that failed as well as input outside the physical domain (``PhysicsDomainError``).
 Library callers can catch ``KGCoulombError`` to get everything at once.
 Warnings derive from ``KGCoulombWarning``, which the CLI prints as one
 ``kgcoulomb: warning:`` line each.
@@ -23,7 +24,7 @@ class UsageError(KGCoulombError):
 
 
 class PhysicsDomainError(KGCoulombError):
-    """Valid-looking input that lands outside the physical domain (CLI exit code 2)."""
+    """Valid-looking input that lands outside the physical domain."""
 
 
 class SupercriticalCouplingError(PhysicsDomainError):

@@ -79,6 +79,9 @@ def solve_quantization(g: float, n: int) -> SpectrumLine:
     lo, hi = sys.float_info.min, 1.0
     f_lo, f_hi = binding_residual(g, lo, n), binding_residual(g, hi, n)
     if not (f_lo < 0.0 < f_hi):
+        if g > 0.0:  # then f_hi > 0, and the root lies below lo
+            raise RootFindingError(f"level n = {n} at g = {g:.6g} is bound by less than the "
+                                   f"smallest normal double, {lo:.3g} m c^2")
         raise RootFindingError(
             f"no sign change in the binding on ({lo:.3g}, {hi}): residuals "
             f"({f_lo:.3g}, {f_hi:.3g}); this signals a parameter bug, not a missing state")

@@ -1,7 +1,9 @@
-"""Integration, tail-exponent fitting, and the regularization verdicts."""
+"""Integration and tail-exponent fitting."""
 
+import ast
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +11,8 @@ import pytest
 import closed_form
 from kgcoulomb import asymptotics
 from kgcoulomb.asymptotics import (
-    RegularizationVerdict,
     Trajectory,
     _significant_terms,
-    classify,
     dominant_branch,
     fit_exponent,
     integrate,
@@ -375,29 +375,15 @@ class TestDominantBranchFromInfinity:
         assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-6
 
 
-class TestClassify:
-    def test_subcritical_verdict(self):
-        v = classify(0.3)
-        assert isinstance(v, RegularizationVerdict)
-        assert v.regime == "ordinary-subcritical"
-        assert v.conclusion == "unique-selection"
-        assert v.z_dependent is True
-        assert v.dominant_exponent.real == pytest.approx(-2.9, abs=1e-12)
-
-    def test_supercritical_verdict(self):
-        v = classify(0.6)
-        assert v.regime == "ordinary-supercritical"
-        assert v.conclusion == "phase-ambiguous"
-        assert v.dominant_exponent.imag != 0.0
-        assert v.dominant_exponent.real == pytest.approx(-2.5, abs=1e-12)
-
-    def test_deformed_verdict(self):
-        v = classify(0.6, DeformationParams(0.05, 0.0))
-        assert v.regime == "deformed"
-        assert v.conclusion == "regularized"
-        assert v.z_dependent is False
-        assert v.dominant_exponent.imag == 0.0
-        # same exponents whatever the coupling
-        w = classify(1.0, DeformationParams(0.05, 0.0))
-        assert (v.dominant_exponent, v.subdominant_exponent) == \
-            (w.dominant_exponent, w.subdominant_exponent)
+def test_imports_no_model_layer():
+    # integration and fitting read only fuchsian equations and raise only
+    # package errors: no model builder, no physical parameters
+    imported = set()
+    for node in ast.walk(ast.parse(Path(asymptotics.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            dots = "." * node.level
+            imported.update([dots + node.module] if node.module
+                            else (dots + alias.name for alias in node.names))
+    assert {m for m in imported if m.startswith((".", "kgcoulomb"))} == {".fuchsian", ".errors"}

@@ -79,6 +79,17 @@ class TestSpectrum:
         assert err.startswith("kgcoulomb:")
         assert "exceeds 1/2" in err
 
+    def test_level_bound_below_the_smallest_double(self, capsys):
+        # the binding, about g^2/2, lies below sys.float_info.min: the
+        # level exists, the solver's bracket cannot hold it
+        code, out, err = _run(capsys, "spectrum", "--g", "2e-154", "--n", "0")
+        assert (code, out) == (2, "")
+        assert err == ("kgcoulomb: level n = 0 at g = 2e-154 is bound by less than the "
+                       "smallest normal double, 2.23e-308 m c^2\n")
+        code, out, _ = _run(capsys, "spectrum", "--g", "2.2e-154", "--n", "0")
+        assert code == 0
+        assert float(_csv_rows(out)[0][6]) == pytest.approx(2.2e-154 ** 2 / 2, rel=1e-12)
+
     def test_json_csv_parity(self, capsys):
         code, csv_out, _ = _run(capsys, "spectrum", "--Z", "5", "--n", "0..2")
         assert code == 0
@@ -634,10 +645,11 @@ def test_unknown_model_is_one_message(capsys, tmp_path, command):
                        f"choose from {choices}\n")
 
 
-def _readme_cli_table():
-    """The README's command-line table: (subcommand, model) -> {option: default text}."""
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+def _readme_cli_table(name):
+    """The command-line table of README.md or PAPER.md: (subcommand, model)
+    -> {option: default text}."""
+    doc = (Path(__file__).resolve().parent.parent / name).read_text()
+    section = doc.split("## Command line", 1)[1].split("\n## ", 1)[0]
     rows = {}
     for line in section.splitlines():
         cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
@@ -658,8 +670,9 @@ def _readme_value(text):
     return float(num) / float(den or 1)
 
 
-def test_readme_table_is_the_command_table():
-    rows = _readme_cli_table()
+@pytest.mark.parametrize("name", ["README.md", "PAPER.md"])
+def test_readme_table_is_the_command_table(name):
+    rows = _readme_cli_table(name)
     expected = [(command, model) for command, (_, models) in cli._COMMANDS.items()
                 for model in models]
     assert list(rows) == expected

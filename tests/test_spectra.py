@@ -117,7 +117,7 @@ class TestSolveQuantization:
     def test_zero_coupling_has_no_root(self):
         # residual is then constant and positive: flagged as a bug, not
         # treated as eta -> 1
-        with pytest.raises(RootFindingError):
+        with pytest.raises(RootFindingError, match="parameter bug"):
             solve_quantization(0.0, 0)
 
     @settings(max_examples=30, deadline=None)

@@ -6,9 +6,9 @@ in ``fuchsian``: the model equations have polynomial coefficients, so
 each local series comes from one banded recurrence, truncated where its
 tail drops below the tolerance, and every grid point the fit reads
 (those in its window) is read off the first local disk that holds it,
-by its value alone. Along the real u-axis the radius of convergence
-grows like u, so [1, 1e4] takes a few dozen hops. Everything is plain
-Python floats and lists; the fit sums with ``math.fsum``.
+by its value alone, as the march reaches it. Along the real u-axis the
+radius of convergence grows like u, so [1, 1e4] takes a few dozen hops.
+Everything is plain Python floats and lists; the fit sums with ``math.fsum``.
 
 The dominant (fast-decaying) branch of a two-solution pair cannot be
 reached by forward integration from generic data; any admixture of the
@@ -164,10 +164,10 @@ def integrate(ode: fuchsian.RationalCoeffODE, u0: float, psi0: complex,
     local series is truncated where its terms on the trusted half disk
     fall below tol times the largest one, so tol bounds the relative error
     per disk. psi is sampled at the points of the _N_POINTS grid that lie
-    in the window (all of them without one), each read off the first
-    disk that holds it by its value's sum alone
-    (``fuchsian.evaluate_chain``). The returned grid is ascending
-    regardless of integration direction.
+    in the window (all of them without one), each reached in turn from u0
+    and read off the first disk that holds it by its value's sum alone
+    (``fuchsian.evaluate``); every hop heads exactly toward u_end. The
+    returned grid is ascending regardless of integration direction.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -175,8 +175,11 @@ def integrate(ode: fuchsian.RationalCoeffODE, u0: float, psi0: complex,
     cap = abs(u_end - u0)
     chain = [fuchsian.taylor_series(ode, u0, psi0, dpsi0, order=_MAX_ORDER, tol=tol,
                                     max_radius=cap)]
-    fuchsian.reach(ode, chain, complex(u_end), _MAX_ORDER, tol=tol, max_radius=cap)
-    values = fuchsian.evaluate_chain(chain, points)
+    values, k = [], 0
+    for u in points:
+        k = fuchsian.reach(ode, chain, complex(u), _MAX_ORDER, k, tol=tol, max_radius=cap)
+        values.append(fuchsian.evaluate(chain[k], u))
+    fuchsian.reach(ode, chain, complex(u_end), _MAX_ORDER, k, tol=tol, max_radius=cap)
     # the first hop is checked where the next one takes over, the last at the end
     checks = [(chain[0], chain[1].expansion_point)] if len(chain) > 1 else []
     checks.append((chain[-1], u_end))

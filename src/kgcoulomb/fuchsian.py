@@ -28,12 +28,12 @@ coefficients stay in range however small or large its disk.
 
 It also holds the one analytic-continuation engine of the package: a
 chain of Taylor re-expansions (``reach``), each hop 0.4 of the last
-radius of convergence along a straight path, with dense output from
-every local disk (``evaluate_chain``, or ``reach`` and ``evaluate`` point
-by point where the march and the reading interleave). These equations
-are D-finite, so every re-expansion is one banded recurrence; since the
-radius grows with the distance from the finite singular points, the hop
-count grows only logarithmically along a ray to infinity.
+radius of convergence along a straight path, read point by point as the
+march reaches each one (``reach`` to the point, then ``evaluate`` on the
+disk it returns). These equations are D-finite, so every re-expansion is
+one banded recurrence; since the radius grows with the distance from the
+finite singular points, the hop count grows only logarithmically along a
+ray to infinity.
 
 Two transforms act on raw coefficient quotients: ``substitute`` changes
 the variable, z = a(t)/b(t) (the pullback is z = 1/t), and ``gauge``
@@ -65,7 +65,6 @@ __all__ = [
     "reach",
     "evaluate",
     "evaluate_with_derivatives",
-    "evaluate_chain",
     "substitute",
     "gauge",
 ]
@@ -452,14 +451,17 @@ def _local_record(ode: RationalCoeffODE, z0: complex) -> SingularPoint:
     """The local data at a finite point. The pole orders are the scheme's
     multiplicities (0 off it); at a regular singular or ordinary point the
     exponents are the roots of s (s - 1) + q1 s + q0 = 0, q1 and q0 the
-    limits of (z - z0) p1 and (z - z0)^2 p0, zero below a full pole."""
+    limits of (z - z0) p1 and (z - z0)^2 p0, zero below a full pole; a
+    discriminant at the rounding level of its terms gives a double root."""
     m1, m0 = ode._multiplicities(z0)
     q1 = _leading_ratio(ode.p1_num, ode.p1_den, z0, 1) if m1 == 1 else 0j
     q0 = _leading_ratio(ode.p0_num, ode.p0_den, z0, 2) if m0 == 2 else 0j
     if m1 > 1 or m0 > 2:
         return SingularPoint(z0, "irregular", m1, m0, None)
     try:
-        disc = cmath.sqrt((q1 - 1.0) ** 2 - 4.0 * q0)
+        square, product = (q1 - 1.0) ** 2, 4.0 * q0
+        d = square - product
+        disc = cmath.sqrt(0j if abs(d) <= 16.0 * _EPS * (abs(square) + abs(product)) else d)
     except OverflowError as exc:
         raise OutOfDomainError(f"the exponents at {z0} overflow") from exc
     s1 = (-(q1 - 1.0) + disc) / 2.0
@@ -782,14 +784,9 @@ def _tail_estimate(sol: FrobeniusSolution, x: complex) -> float:
     return last * ratio / (1.0 - ratio)
 
 
-def _local_value(sol: FrobeniusSolution, x: complex, rho: complex) -> complex:
-    """x^rho times the value's sum alone at the local coordinate x != 0: the
-    value ``evaluate_with_derivatives`` gives, bit for bit."""
-    return x ** rho * _series_sums(sol.coefficients, x, sol.scale, derivatives=False)
-
-
 def evaluate(sol: FrobeniusSolution, z: complex) -> complex:
-    """Value of the local solution at z, from its value's sum alone."""
+    """Value of the local solution at z, from its value's sum alone (away
+    from z0, the bits ``evaluate_with_derivatives`` gives)."""
     x, rho = _local_coordinate(sol, z), sol.exponent
     if x == 0:
         if rho == 0:
@@ -797,7 +794,7 @@ def evaluate(sol: FrobeniusSolution, z: complex) -> complex:
         if rho.real > 0:
             return 0j
         raise OutOfDomainError("series diverges at its own expansion point")
-    return _local_value(sol, x, rho)
+    return x ** rho * _series_sums(sol.coefficients, x, sol.scale, derivatives=False)
 
 
 def evaluate_with_derivatives(sol: FrobeniusSolution, z: complex) -> tuple[complex, complex, complex]:
@@ -812,28 +809,6 @@ def evaluate_with_derivatives(sol: FrobeniusSolution, z: complex) -> tuple[compl
     dw_dx = x ** (rho - 1) * (rho * s0 + x * s1)
     d2w_dx2 = x ** (rho - 2) * (rho * (rho - 1.0) * s0 + 2.0 * rho * x * s1 + x * x * s2)
     return w, dw_dx, d2w_dx2
-
-
-def evaluate_chain(chain: list[FrobeniusSolution], points) -> list[complex]:
-    """Dense output of a chain built by ``reach``: the values at points
-    given in order along its path, each read off the first series whose
-    trusted disk (half its radius) holds it by its value's sum alone. A
-    point's series is searched for from the last point's on, which finds
-    the first one holding it, since a disk's radius grows by at most the
-    distance its centre moved. Raises OutOfDomainError for a point past
-    the chain's last disk."""
-    out, k = [], 0
-    sol = chain[0]
-    for z in points:
-        x = complex(z) - sol.expansion_point
-        while abs(x) > 0.5 * sol.radius:
-            k += 1
-            if k == len(chain):
-                raise OutOfDomainError("a point lies outside every disk of the continuation chain")
-            sol = chain[k]
-            x = complex(z) - sol.expansion_point
-        out.append(_local_value(sol, x, sol.exponent))
-    return out
 
 
 def _defect(ode: RationalCoeffODE, z: complex, w: complex, dw: complex, d2w: complex) -> float:

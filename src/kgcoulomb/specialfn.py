@@ -96,11 +96,14 @@ def _series_2f1(a: complex, b: complex, c: complex, z: complex,
 
 def _parameters(a: complex, b: complex, c: complex):
     """(a, b, c) as complex numbers and the number of terms past the first
-    of a terminating series, else None; ParameterPoleError for c = 0, -1, ..."""
+    of a terminating series, else None; ParameterPoleError for c = 0, -1, ...,
+    ConvergenceError for a polynomial longer than _MAX_TERMS terms."""
     a, b, c = complex(a), complex(b), complex(c)
     if _near_nonpositive_int(c) is not None:
         raise ParameterPoleError(f"2F1 pole: c = {c} is a nonpositive integer")
     stops = [-n for x in (a, b) if (n := _near_nonpositive_int(x)) is not None]
+    if stops and min(stops) >= _MAX_TERMS:  # every double above 2^52 is an integer
+        raise ConvergenceError(f"2F1 is a polynomial of degree {min(stops):.6g}, too long to sum")
     return a, b, c, (min(stops) + 1 if stops else None)
 
 
@@ -128,7 +131,7 @@ def hyp2f1(a: complex, b: complex, c: complex,
     scalar = isinstance(z, numbers.Number)
     points = [complex(z)] if scalar else [complex(x) for x in z]
     a, b, c, cap = _parameters(a, b, c)
-    values = [0j] * len(points)
+    values = {}  # by position
     far = []
     for i, x in enumerate(points):
         if cap is None and abs(x) > 0.5:
@@ -140,9 +143,8 @@ def hyp2f1(a: complex, b: complex, c: complex,
             exc.index = i
             raise
     if far:
-        for i, disk in _sweep(*_chain_start(a, b, c), points, far, _ORDER):
-            values[i] = fuchsian.evaluate(disk, points[i])
-    return values[0] if scalar else values
+        values.update(_sweep(*_chain_start(a, b, c), points, far, _ORDER))
+    return values[0] if scalar else [values[i] for i in range(len(points))]
 
 
 def hypergeometric_ode(a: complex, b: complex, c: complex) -> fuchsian.RationalCoeffODE:
@@ -208,10 +210,10 @@ def _check_target(sings: list[complex], target: complex) -> None:
 
 def _sweep(ode: fuchsian.RationalCoeffODE, series: fuchsian.FrobeniusSolution,
            targets: list[complex], visit: Sequence[int], order: int):
-    """(i, disk) for each index i of ``visit``: the first disk, from the
-    current one on, of one chain of Taylor hops from ``series`` (the
-    solution's series at 0, analytic there) whose trusted disk holds
-    targets[i] (``fuchsian.reach``, hops of at most ``order`` terms).
+    """(i, value) for each index i of ``visit``: the solution at targets[i]
+    (``fuchsian.evaluate``), read off the first disk, from the current one
+    on, of one chain of Taylor hops from ``series`` (the series at 0,
+    analytic there) that holds it (``fuchsian.reach``, ``order`` terms).
 
     The points are visited in one order: those on the real ray [0, inf)
     first, ascending, then the others by ascending modulus, ties in the
@@ -249,10 +251,10 @@ def _sweep(ode: fuchsian.RationalCoeffODE, series: fuchsian.FrobeniusSolution,
                     detour = s + math.copysign(abs(z - s), z.imag) * 1j
                     k = fuchsian.reach(ode, chain, detour, order, k)
             k = fuchsian.reach(ode, chain, z, order, k)
+            yield i, fuchsian.evaluate(chain[k], z)
         except KGCoulombError as exc:
             exc.index = i
             raise
-        yield i, chain[k]
 
 
 def heun_local(params: HeunParams, xi: complex | Sequence[complex],
@@ -273,10 +275,8 @@ def heun_local(params: HeunParams, xi: complex | Sequence[complex],
     targets = [complex(xi)] if scalar else [complex(x) for x in xi]
     ode = heun_ode(params)
     series = fuchsian.frobenius_series(ode, 0j, 0j, order=order)
-    values = [0j] * len(targets)
-    for i, disk in _sweep(ode, series, targets, range(len(targets)), order):
-        values[i] = fuchsian.evaluate(disk, targets[i])
-    return values[0] if scalar else values
+    values = dict(_sweep(ode, series, targets, range(len(targets)), order))
+    return values[0] if scalar else [values[i] for i in range(len(targets))]
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +294,9 @@ def psi_ordinary(system: CoulombSystem,
     with overall normalization fixed to 1, for every u > 0: at a quantized
     energy the hypergeometric factor terminates, off quantization
     ``hyp2f1`` continues it, visiting the argument's points outward
-    (u descending). ``u`` is a point or a sequence, as for ``heun_local``,
-    and a point's error carries its position as ``index``: ConvergenceError
-    where the terminating polynomial cancels (a high level n at small u).
+    (u descending). ``u`` is a point or a sequence, as for ``heun_local``;
+    a point's error carries its position as ``index``: a terminating sum
+    that cancels (a high level n at small u), a prefactor out of range.
     """
     scalar = isinstance(u, numbers.Number)
     us = [u] if scalar else list(u)
@@ -308,5 +308,12 @@ def psi_ordinary(system: CoulombSystem,
             raise exc
     bases = [1.0 + 1j * x / et for x in us]
     f = hyp2f1(1.5 + mu, 0.5 - system.w + mu, 2.0 * mu + 1.0, [2.0 / base for base in bases])
-    psi = [(1.0 / x) * base ** (-1.5 - mu) * fx for x, base, fx in zip(us, bases, f)]
+    psi = []
+    for i, (x, base, fx) in enumerate(zip(us, bases, f)):
+        try:
+            psi.append((1.0 / x) * base ** (-1.5 - mu) * fx)
+        except (OverflowError, ZeroDivisionError):  # a complex power of a huge base
+            exc = OutOfDomainError("the prefactor (1 + i u/eps)^(-3/2 - mu) leaves the range")
+            exc.index = i
+            raise exc from None
     return psi[0] if scalar else psi

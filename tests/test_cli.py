@@ -918,6 +918,72 @@ def test_extreme_inputs_end_in_a_diagnostic(capsys, argv, code):
     assert err.startswith("kgcoulomb: ")
 
 
+# Extreme values per option, drawn only into the options that the drawn
+# model reads, so that every draw that parses reaches the computation.
+_EXTREME = {
+    "Z": ["1", "2", "68", "137", "1000"],
+    "alpha": ["1e-300", "1e-8", "0.0072973525693", "1", "1e150"],
+    "g": ["1e-300", "1e-152", "1e-8", "0.49999999", "0.5", "0.5000000001", "0.51", "1",
+          "1e3", "1e150"],
+    "eta": ["1e-300", "1e-8", "0.3", "0.5", "0.9", "0.999999999999"],
+    "n": ["0", "0..3", "47", "200"],
+    "theta": ["1e-300", "1e-150", "1e-8", "0.05", "0.5", "1", "1e150", "1e300"],
+    "theta-prime": ["0", "1e-300", "1e-8", "0.05", "1e150"],
+    "tol": ["1e-300", "1e-16", "1e-10", "1e-3"],
+    "window": ["1e-300:1e-299", "1e-3:1e-2", "0.01:100", "1.5:100", "1e2:1e4",
+               "1e100:1e200", "1e300:1e308", "1:1e308"],
+}
+
+
+def _extreme_argv(rng):
+    command = rng.choice(sorted(cli._COMMANDS))
+    models = cli._COMMANDS[command][1]
+    model = rng.choice(sorted(models, key=str))
+    keys = rng.sample(list(models[model]), rng.randint(1, len(models[model])))
+    if "g" in keys:  # --g excludes --Z and --alpha
+        keys = [key for key in keys if key not in ("Z", "alpha")]
+    argv = [command] + (["--model", model] if model else [])
+    for key in keys:
+        argv += ["--" + key, rng.choice(_EXTREME[key])]
+    return argv
+
+
+def test_extreme_values_end_in_a_table_or_a_diagnostic():
+    # each draw returns 0, 1 or 2 through cli.main and raises nothing; the
+    # first two raised ZeroDivisionError and OverflowError from the complex
+    # power of a supercritical prefactor, the third summed a 2F1 polynomial
+    # of degree 5e149 until memory ran out
+    fixed = [["wavefunction", "--g", "0.51", "--eta", "0.9", "--window", "1e300:1e308"],
+             ["wavefunction", "--g", "1e3", "--eta", "0.9", "--window", "1e100:1e200"],
+             ["heun-check", "--g", "1e150", "--theta", "1"]]
+    rng = random.Random(1311)
+    for argv in fixed + [_extreme_argv(rng) for _ in range(800)]:
+        _check_table_or_diagnostic(argv)
+
+
+@pytest.mark.parametrize("g, window", [("0.51", "1e300:1e308"), ("1e3", "1e100:1e200")])
+def test_supercritical_wavefunction_far_out_is_a_domain_error(capsys, g, window):
+    # the prefactor (1 + i u / eps)^(-3/2 - mu) with complex mu ended in a
+    # traceback; a subcritical run prints 0 there
+    code, out, err = _run(capsys, "wavefunction", "--g", g, "--eta", "0.9", "--window", window)
+    assert code == 2
+    assert out == ""
+    assert re.fullmatch(r"kgcoulomb: wavefunction grid point u = \S+ cannot be evaluated: .*\n",
+                        err)
+
+
+@pytest.mark.parametrize("eta", ["0.3", "0.5", "0.9"])
+def test_critical_coupling_is_an_exact_double_root(capsys, eta):
+    # at g = 1/2 the indicial discriminant at infinity is zero; rounded, it
+    # was +-3.6e-15 against terms of 25, and the pair split by sqrt(eps),
+    # into two reals or a complex pair flagged oscillatory, with eta
+    code, out, _ = _run(capsys, "exponents", "--g", "0.5", "--eta", eta)
+    assert code == 0
+    rows = _csv_rows(out)
+    assert [(r[1], r[2], r[5]) for r in rows] == [("-2.5", "0", "0")] * 2
+    assert all(math.isfinite(float(r[3])) for r in rows)
+
+
 def test_exponents_need_no_local_data_at_finite_points(capsys):
     # +-i eps_tilde and +-i/sqrt(6 theta) lie one rounding apart, where
     # their local expansions are lost; infinity is classified alone

@@ -17,7 +17,6 @@ from kgcoulomb.fuchsian import (
     INFINITY,
     RationalCoeffODE,
     evaluate,
-    evaluate_chain,
     evaluate_with_derivatives,
     frobenius_series,
     indicial_exponents,
@@ -164,6 +163,17 @@ class TestIndicialExponents:
         # an ordinary point still has the local solutions 1 and (z - z0)
         rho = indicial_exponents(hypergeometric_ode(*_hyp_abc()), 0.5)
         assert rho == (1.0 + 0.0j, 0.0 + 0.0j)
+
+    @pytest.mark.parametrize("eta", [0.1, 0.3, 0.5, 0.7, 0.9])
+    def test_double_root_within_rounding_is_exact(self, eta):
+        # at g = 1/2 the discriminant at infinity, (q1 - 1)^2 - 4 q0, is zero
+        # and rounds to a few ulps of its terms; at g = 0.49999999 it is 4e-8,
+        # and the pair splits by its square root
+        ode = build_ordinary_kg(CoulombSystem(g=0.5, eta=eta))
+        assert indicial_exponents(ode, INFINITY) == (-2.5 + 0j, -2.5 + 0j)
+        near = build_ordinary_kg(CoulombSystem(g=0.49999999, eta=eta))
+        hi, lo = indicial_exponents(near, INFINITY)
+        assert hi.imag == lo.imag == 0 and hi.real - lo.real == pytest.approx(2e-4, rel=1e-3)
 
 
 class TestFrobeniusSeries:
@@ -630,16 +640,19 @@ def _reduced_sum_cases():
 
 
 class TestReducedSums:
-    """``evaluate`` and ``evaluate_chain`` sum only the value, the same bits
-    as the full sums give it; ``reach`` seeds each hop from the last one's
-    w and w'."""
+    """``evaluate`` sums only the value, the same bits as the full sums
+    give it; ``reach`` seeds each hop from the last one's w and w'."""
 
     def test_value_alone_is_the_value_with_derivatives(self):
+        ode = _model_odes()[0]
         for sol, points in _reduced_sum_cases():
             full = [_bits(evaluate_with_derivatives(sol, z)[0]) for z in points]
             assert [_bits(evaluate(sol, z)) for z in points] == full, sol.expansion_point
-            if sol.exponent == 0:
-                assert list(map(_bits, evaluate_chain([sol], points))) == full
+            if sol.exponent == 0:  # a hop of ode: read through reach, no hop added
+                chain = [sol]
+                assert [_bits(evaluate(chain[reach(ode, chain, z, 40)], z))
+                        for z in points] == full
+                assert chain == [sol]
 
     def test_tail_estimate_formula(self):
         # the estimate |c_n| (|x| / scale)^n ratio / (1 - ratio), ratio = |x| / radius
@@ -705,24 +718,62 @@ class TestContinuationChain:
         assert sol.radius == 2.0
 
     def test_dense_output_matches_pointwise_evaluation(self):
-        # points in order along the path, each read off the first series
-        # whose trusted disk holds it, by its value alone
+        # points in order along the path, each reached from the disk that
+        # held the last and read off the first series whose trusted disk
+        # holds it, by its value alone
+        def walk(chain, points):
+            out, k = [], 0
+            for x in points:
+                k = reach(_COS_ODE, chain, complex(x), 64, k, tol=1e-14, max_radius=1.0)
+                out.append(evaluate(chain[k], x))
+            return out
+
         chain = [taylor_series(_COS_ODE, 0.0, 1.0, 0.0, order=64, tol=1e-14, max_radius=1.0)]
         last = reach(_COS_ODE, chain, 10.0 + 0j, 64, tol=1e-14, max_radius=1.0)
         assert last == len(chain) - 1 == 24  # hops of 0.4 up to 9.6
         points = [0.0, 0.2, 0.21, 3.3, 7.77, 10.0]
-        for x, w in zip(points, evaluate_chain(chain, points)):
+        for x, w in zip(points, walk(chain, points)):
             assert w == pytest.approx(math.cos(x), abs=1e-13)
+        assert len(chain) == 25  # every point lay in a disk already built
         with pytest.raises(OutOfDomainError):
-            evaluate_chain(chain, [11.0])
+            evaluate(chain[last], 11.0)
         # a second hop seeded with twice the solution shows which disk was
         # read: 0.2 and 0.5 lie in both, 0.8 in the second alone
         doubled = [chain[0], taylor_series(_COS_ODE, 0.4, 2.0 * math.cos(0.4),
                                            -2.0 * math.sin(0.4), order=64, tol=1e-14,
                                            max_radius=1.0)]
-        got = evaluate_chain(doubled, [0.2, 0.5, 0.8])
+        got = walk(doubled, [0.2, 0.5, 0.8])
+        assert len(doubled) == 2
         assert got == pytest.approx([math.cos(0.2), math.cos(0.5), 2.0 * math.cos(0.8)],
                                     abs=1e-13)
+
+    @pytest.mark.parametrize("u0, u_end, cap", [(1.0, 1e4, math.inf), (1e4, 2.0, math.inf),
+                                                (0.5, 60.0, 2.0), (60.0, 0.5, 2.0)])
+    def test_walking_a_real_ray_builds_the_chain_of_one_reach(self, u0, u_end, cap):
+        # on a real ray every hop heads exactly toward the end, so reaching
+        # the points one by one, then the end, builds the hops one reach to
+        # the end builds, bit for bit, and each point is read off the first
+        # disk of that chain that holds it
+        ode = build_ordinary_kg(CoulombSystem(g=0.3, eta=0.5))
+        step = (u_end / u0) ** (1.0 / 60)
+        points = [u0 * step ** i for i in range(60)] + [u_end]
+
+        def start():
+            return [taylor_series(ode, u0, 1.0, -0.5, order=64, tol=1e-12, max_radius=cap)]
+
+        whole = start()
+        reach(ode, whole, complex(u_end), 64, tol=1e-12, max_radius=cap)
+        walked, k = start(), 0
+        for u in points:
+            k = reach(ode, walked, complex(u), 64, k, tol=1e-12, max_radius=cap)
+            assert k == next(j for j, sol in enumerate(whole)
+                             if abs(u - sol.expansion_point) <= 0.5 * sol.radius)
+        reach(ode, walked, complex(u_end), 64, k, tol=1e-12, max_radius=cap)
+        assert len(walked) == len(whole) > 10
+        for got, ref in zip(walked, whole):
+            assert _bits(got.expansion_point) == _bits(ref.expansion_point)
+            assert got.radius == ref.radius
+            assert list(map(_bits, got.coefficients)) == list(map(_bits, ref.coefficients))
 
     def test_inward_path_gets_the_hops_it_needs(self):
         # from u = 1e47 down to 10 each hop covers 0.4 of the distance to

@@ -125,6 +125,13 @@ class TestHyp2f1:
         explicit = 1 + a * b / c * z + a * (a + 1) * b * (b + 1) / (c * (c + 1)) / 2 * z**2
         assert hyp2f1(a, b, c, z).real == pytest.approx(explicit, rel=1e-15)
 
+    def test_polynomial_too_long_to_sum_is_refused(self):
+        # every double above 2^52 is an integer: a = -5e149 (heun-check at
+        # g = 1e150) made a polynomial of degree 5e149, summed term by term
+        with pytest.raises(ConvergenceError, match="too long"):
+            hyp2f1(-5e149, 5e149, 1.5, 0.3)
+        assert hyp2f1(-9999, 0.5, 1.5, 0.0) == 1.0  # the longest still summed
+
     def test_unity_argument_rejected(self):
         with pytest.raises(OutOfDomainError):
             hyp2f1(*_ABC, 1.0)
@@ -389,6 +396,15 @@ class TestPsiOrdinary:
         with pytest.raises(ConvergenceError, match="cancels") as info:
             psi_ordinary(s, [1.0, 1e-4, 10.0])
         assert info.value.index == 1
+
+    def test_supercritical_prefactor_out_of_range_carries_its_index(self):
+        # with complex mu the power (1 + i u/eps)^(-3/2 - mu) of an infinite
+        # base raised ZeroDivisionError; the subcritical one is 0 there
+        s = CoulombSystem(g=0.51, eta=0.9)
+        with pytest.raises(OutOfDomainError, match="prefactor") as info:
+            psi_ordinary(s, [1.0, 1e300, 1e308])
+        assert info.value.index == 2
+        assert psi_ordinary(CoulombSystem(g=0.4, eta=0.9), 1e308) == 0
 
     def test_nonpositive_u_rejected(self):
         s = self._quantized()

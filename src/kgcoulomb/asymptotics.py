@@ -4,10 +4,11 @@ equations and log-log power-law fits.
 Integration is analytic continuation by Taylor re-expansion, the engine
 in ``fuchsian``: the model equations have polynomial coefficients, so
 each local series comes from one banded recurrence, truncated where its
-tail drops below the tolerance, and every grid point the fit reads
-(those in its window) is read off the first local disk that holds it,
-by its value alone, as the march reaches it. Along the real u-axis the
-radius of convergence grows like u, so [1, 1e4] takes a few dozen hops.
+tail drops below the tolerance. The window is chosen once, when a
+trajectory is sampled: each grid point in it is read off the first local
+disk that holds it, by its value alone, as the march reaches it, and a
+fit reads every sample. Along the real u-axis the radius of convergence
+grows like u, so [1, 1e4] takes a few dozen hops.
 Everything is plain Python floats and lists; the fit sums with ``math.fsum``.
 
 The dominant (fast-decaying) branch of a two-solution pair cannot be
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from bisect import bisect_left, bisect_right
 from operator import lt, mul, sub
 
 from . import fuchsian
@@ -43,13 +43,9 @@ __all__ = [
 
 
 class Trajectory:
-    """psi sampled on a strictly increasing momentum grid.
-
-    ``span`` is the interval the samples cover, ascending: the part of
-    the interval the solution was continued over that lies in the window
-    asked for (the grid's ends when not given), so ``fit_exponent``
-    refuses a window it holds no samples for; the grid holds the points
-    of the sampling grid that lie in it. ``hops`` counts the local series
+    """psi sampled on a strictly increasing momentum grid, the points of
+    the sampling grid in the window asked for (all of them without one);
+    ``fit_exponent`` reads every sample. ``hops`` counts the local series
     the samples were read from, the one at the start point included;
     ``max_residual`` is the largest relative ODE defect
     |psi'' + p1 psi' + p0 psi| / (|psi''| + |p1 psi'| + |p0 psi|) at one
@@ -58,17 +54,15 @@ class Trajectory:
     every term underflows).
     """
 
-    __slots__ = ("grid", "values", "span", "hops", "max_residual")
+    __slots__ = ("grid", "values", "hops", "max_residual")
 
-    def __init__(self, grid: list[float], values: list[complex],
-                 span: tuple[float, float] | None = None, hops: int = 0,
+    def __init__(self, grid: list[float], values: list[complex], hops: int = 0,
                  max_residual: float = math.nan) -> None:
         if not all(map(lt, grid, grid[1:])):
             raise ValueError("trajectory grid must be strictly increasing")
         if not all(map(cmath.isfinite, values)):
             raise ValueError("trajectory contains non-finite samples")
         self.grid, self.values, self.hops, self.max_residual = grid, values, hops, max_residual
-        self.span = (grid[0], grid[-1]) if span is None else span
 
 
 class FitResult:
@@ -113,30 +107,28 @@ def _real_singularities_on(ode: fuchsian.RationalCoeffODE,
 
 
 def _grid(ode: fuchsian.RationalCoeffODE, u0: float, u_end: float,
-          window: tuple[float, float] | None) -> tuple[list[float], tuple[float, float]]:
-    """(points, span): the points of the _N_POINTS grid from u0 to u_end,
-    geometric when the interval spans more than a factor 50 and linear
-    otherwise, that lie in the window (all of them without one), in order
-    from u0, and the part of the interval in the window, ascending. Checks
-    that the interval is not empty and that no singular point lies on it."""
+          window: tuple[float, float] | None) -> list[float]:
+    """The points of the _N_POINTS grid from u0 to u_end, geometric when
+    the interval spans more than a factor 50 and linear otherwise, that
+    lie in the window (all of them without one), in order from u0. Checks
+    that the interval is not empty, that the window is ascending and
+    inside it, and that no singular point lies on it."""
     if u0 == u_end:
         raise ValueError("empty integration interval")
     lo, hi = min(u0, u_end), max(u0, u_end)
+    if window is not None and not lo <= window[0] < window[1] <= hi:
+        raise ValueError(f"window {list(window)} is not an ascending part of [{lo}, {hi}]")
     blockers = _real_singularities_on(ode, lo, hi)
     if blockers:
         raise OutOfDomainError(
             f"integration interval [{lo}, {hi}] crosses singular point(s) "
             + ", ".join(f"{z.real:.6g}" for z in blockers))
     grid = (_geomspace if lo > 0 and hi / lo > 50.0 else _linspace)(u0, u_end, _N_POINTS)
-    if window is None:
-        return grid, (lo, hi)
-    a, b = max(lo, window[0]), min(hi, window[1])
-    return [u for u in grid if a <= u <= b], (a, b)
+    return grid if window is None else [u for u in grid if window[0] <= u <= window[1]]
 
 
-def _trajectory(u0: float, u_end: float, points: list[float], span: tuple[float, float],
-                values: list[complex], hops: int, defects: list[float],
-                seeds: list[complex]) -> Trajectory:
+def _trajectory(u0: float, u_end: float, points: list[float], values: list[complex],
+                hops: int, defects: list[float], seeds: list[complex]) -> Trajectory:
     """The trajectory of the samples, taken in order from u0, ascending;
     IntegrationError where a sample or a hop seed left the floating-point
     range."""
@@ -145,7 +137,7 @@ def _trajectory(u0: float, u_end: float, points: list[float], span: tuple[float,
     if u_end < u0:
         points, values = points[::-1], values[::-1]
     measured = [d for d in defects if not math.isnan(d)]
-    return Trajectory(grid=points, values=values, span=span, hops=hops,
+    return Trajectory(grid=points, values=values, hops=hops,
                       max_residual=max(measured, default=math.nan))
 
 
@@ -163,15 +155,15 @@ def integrate(ode: fuchsian.RationalCoeffODE, u0: float, psi0: complex,
     of convergence, capped at the interval length, up to u_end. Each
     local series is truncated where its terms on the trusted half disk
     fall below tol times the largest one, so tol bounds the relative error
-    per disk. psi is sampled at the points of the _N_POINTS grid that lie
-    in the window (all of them without one), each reached in turn from u0
-    and read off the first disk that holds it by its value's sum alone
-    (``fuchsian.evaluate``); every hop heads exactly toward u_end. The
-    returned grid is ascending regardless of integration direction.
+    per disk. psi is sampled at each point of the _N_POINTS grid in the
+    window (all of them without one; it must be an ascending part of the
+    interval), reached in turn from u0 and read off the first disk that
+    holds it by its value's sum alone (``fuchsian.evaluate``); every hop
+    heads exactly toward u_end. The grid is ascending in either direction.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    points, span = _grid(ode, u0, u_end, window)
+    points = _grid(ode, u0, u_end, window)
     cap = abs(u_end - u0)
     chain = [fuchsian.taylor_series(ode, u0, psi0, dpsi0, order=_MAX_ORDER, tol=tol,
                                     max_radius=cap)]
@@ -187,11 +179,12 @@ def integrate(ode: fuchsian.RationalCoeffODE, u0: float, psi0: complex,
                for hop, z in checks if z != hop.expansion_point]
     # the hop seeds, w and w' times the radius, stand for the path outside the window
     seeds = [c for hop in chain for c in hop.coefficients[:2]]
-    return _trajectory(u0, u_end, points, span, values, len(chain), defects, seeds)
+    return _trajectory(u0, u_end, points, values, len(chain), defects, seeds)
 
 
-def fit_exponent(traj: Trajectory, window: tuple[float, float]) -> FitResult:
-    """Least-squares slope of log|psi| against log u over the window.
+def fit_exponent(traj: Trajectory) -> FitResult:
+    """Least-squares slope of log|psi| against log u over every sample of
+    the trajectory; the window was chosen when it was sampled.
 
     Raises OscillationError when the amplitude is not a clean power law:
     either the local log-log slope changes sign more than twice, or the
@@ -200,22 +193,16 @@ def fit_exponent(traj: Trajectory, window: tuple[float, float]) -> FitResult:
     Coulomb), where |psi| ~ u^re * |beat(im * log u)| and a single real
     slope would be meaningless.
     """
-    lo, hi = window
-    if not (traj.span[0] <= lo < hi <= traj.span[1]):
-        raise ValueError(
-            f"window [{lo}, {hi}] is not inside the trajectory's span "
-            f"[{traj.span[0]}, {traj.span[1]}]")
-    first, end = bisect_left(traj.grid, lo), bisect_right(traj.grid, hi)
-    if end - first < 8:
+    if len(traj.grid) < 8:
         raise ValueError("window contains fewer than 8 samples")
     # logs to base 2, which math.log2 takes at less than half the cost of
     # math.log: the slope does not depend on the base, and the residuals'
     # swing is converted to natural-log units below
     try:
-        y = list(map(math.log2, map(abs, traj.values[first:end])))
+        y = list(map(math.log2, map(abs, traj.values)))
     except ValueError:  # log2(0)
         raise OscillationError("|psi| has zeros in the window (interference nodes)") from None
-    x = list(map(math.log2, traj.grid[first:end]))
+    x = list(map(math.log2, traj.grid))
     # x ascends, so each local slope has the sign of its rise in y
     if (flips := _sign_changes(list(map(sub, y[1:], y)))) > 2:
         raise OscillationError(
@@ -298,7 +285,7 @@ def dominant_branch(ode: fuchsian.RationalCoeffODE, window: tuple[float, float],
             and abs(t_lo ** rho) * fuchsian._tail_estimate(series, t_lo)
             < tol * abs(fuchsian.evaluate(series, t_lo))):
         return integrate(ode, u_top, w / norm, dw / norm, lo, tol=tol, window=window)
-    points, span = _grid(ode, u_top, lo, window)
+    points = _grid(ode, u_top, lo, window)
     prefix = series.coefficients[:_significant_terms(series, t_lo)]
     try:
         values = [(u_top / u) ** rho
@@ -308,7 +295,7 @@ def dominant_branch(ode: fuchsian.RationalCoeffODE, window: tuple[float, float],
         raise _out_of_range(u_top, lo) from None
     # the defect is blind to a constant factor, so each point is its own top
     defects = [fuchsian._defect(ode, u, *from_infinity(u, u)) for u in (u_top, lo)]
-    return _trajectory(u_top, lo, points, span, values, 1, defects, [])
+    return _trajectory(u_top, lo, points, values, 1, defects, [])
 
 
 def subdominant_branch(ode: fuchsian.RationalCoeffODE, window: tuple[float, float],

@@ -168,7 +168,7 @@ def _read_config(path: str, command: str) -> dict:
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path!r}: {exc}")
     values = {}
     for lineno, raw in enumerate(lines, start=1):
@@ -396,8 +396,8 @@ def cmd_exponents(cfg: dict) -> _Table:
     fits = [None, None]
     if not oscillatory:
         try:
-            fits[0] = fit_exponent(subdominant_branch(ode, window, tol=cfg["tol"]), window)
-            fits[1] = fit_exponent(dominant_branch(ode, window, tol=cfg["tol"]), window)
+            fits[0] = fit_exponent(subdominant_branch(ode, window, tol=cfg["tol"]))
+            fits[1] = fit_exponent(dominant_branch(ode, window, tol=cfg["tol"]))
         except OscillationError:
             oscillatory = True
             fits = [None, None]
@@ -543,9 +543,12 @@ _DISPATCH = {
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="ascii", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write --out file {out!r}: {exc}")
 
 
 def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:

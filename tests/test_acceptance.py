@@ -87,8 +87,8 @@ def test_criterion_3_deformed_zero_energy_exponents_and_fits():
         pairs.add(rho)
     assert len(pairs) == 1  # bit-identical across charges
     ode = build_deformed_zero_energy(0.5, dp)
-    dom = fit_exponent(dominant_branch(ode, _WINDOW), _WINDOW)
-    sub = fit_exponent(subdominant_branch(ode, _WINDOW), _WINDOW)
+    dom = fit_exponent(dominant_branch(ode, _WINDOW))
+    sub = fit_exponent(subdominant_branch(ode, _WINDOW))
     assert abs(dom.exponent - expected[1]) <= 0.01 * abs(expected[1])
     assert abs(sub.exponent - expected[0]) <= 0.01 * abs(expected[0])
 
@@ -170,10 +170,10 @@ def test_criterion_6_generalized_heun_block():
 def test_criterion_7_first_order_truncation_discrepancy():
     theta = 0.04
     trunc = build_deformed_first_order_psi(CoulombSystem(g=0.3, eta=0.9), theta)
-    fit_t = fit_exponent(dominant_branch(trunc, _WINDOW), _WINDOW)
+    fit_t = fit_exponent(dominant_branch(trunc, _WINDOW))
     assert abs(fit_t.exponent - (-10.0 / 3.0)) <= 0.01 * (10.0 / 3.0)
     exact = build_deformed_zero_energy(0.3, DeformationParams(theta, 2 * theta))
-    fit_e = fit_exponent(dominant_branch(exact, _WINDOW), _WINDOW)
+    fit_e = fit_exponent(dominant_branch(exact, _WINDOW))
     assert abs(fit_e.exponent - (-11.0 / 3.0)) <= 0.01 * (11.0 / 3.0)
 
 

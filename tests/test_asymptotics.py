@@ -34,7 +34,7 @@ _EXP_ODE = RationalCoeffODE((0.0,), (1.0,), (-1.0,), (1.0,), (), label="exp")
 class TestIntegrate:
     def test_exponential_solution(self):
         traj = integrate(_EXP_ODE, 0.0, 1.0 + 0j, 1.0 + 0j, 1.0, tol=1e-12)
-        assert len(traj.grid) == 400 and traj.span == (0.0, 1.0)
+        assert len(traj.grid) == 400 and (traj.grid[0], traj.grid[-1]) == (0.0, 1.0)
         assert traj.values[-1] == pytest.approx(math.e, rel=1e-10)
         for u, v in zip(traj.grid, traj.values):
             assert v == pytest.approx(math.exp(u), rel=1e-10)
@@ -52,10 +52,18 @@ class TestIntegrate:
         assert 50 < len(inside) == len(part.grid)
         assert list(zip(part.grid, part.values)) == inside
         assert (part.hops, part.max_residual) == (full.hops, full.max_residual)
-        # the span is the window's part of the interval, the samples' reach
-        assert full.span == (min(u0, u_end), max(u0, u_end)) and part.span == window
-        with pytest.raises(ValueError, match="not inside the trajectory's span"):
-            fit_exponent(part, full.span)
+        # the samples lie in the window, and a window past the interval is refused
+        assert window[0] <= part.grid[0] and part.grid[-1] <= window[1]
+        with pytest.raises(ValueError, match="not an ascending part"):
+            integrate(ode, u0, 1.0 + 0j, 1.0 + 0j, u_end, window=(window[0], 2 * max(u0, u_end)))
+
+    def test_window_outside_interval_rejected(self):
+        # below the interval, reversed, empty or past its end, in either
+        # direction: the window must be an ascending part of the interval
+        for u0, u_end in ((0.0, 1.0), (1.0, 0.0)):
+            for window in ((-0.5, 1.0), (-0.5, -0.1), (0.7, 0.3), (0.5, 0.5), (0.5, 1.5)):
+                with pytest.raises(ValueError, match="not an ascending part"):
+                    integrate(_EXP_ODE, u0, 1.0 + 0j, 1.0 + 0j, u_end, window=window)
 
     def test_tolerance_controls_error(self):
         coarse = integrate(_EXP_ODE, 0.0, 1.0 + 0j, 1.0 + 0j, 1.0, tol=1e-5)
@@ -138,12 +146,12 @@ class TestTaylorContinuation:
         s = CoulombSystem(g=0.3, eta=0.5)
         ode = build_ordinary_kg(s)
         near = integrate(ode, 1.0, 1.0 + 0j, 0j, 1e4)
-        far = integrate(ode, 1.0, 1.0 + 0j, 0j, 1e12)
+        far = integrate(ode, 1.0, 1.0 + 0j, 0j, 1e12, window=(1e6, 1e12))
         assert 10 < near.hops < 40
         assert far.hops < 3 * near.hops
         # the slow branch decays by 24 decades and stays a clean power law
         assert abs(far.values[-1]) < 1e-20
-        assert fit_exponent(far, (1e6, 1e12)).exponent == pytest.approx(-2.1, rel=1e-3)
+        assert fit_exponent(far).exponent == pytest.approx(-2.1, rel=1e-3)
 
     def test_residual_follows_tol(self):
         ode = build_ordinary_kg(CoulombSystem(g=0.3, eta=0.5))
@@ -179,7 +187,7 @@ def _power_law_trajectory(exponent, lo=10.0, hi=1e4, n=200):
 
 class TestFitExponent:
     def test_recovers_synthetic_power_law(self):
-        fit = fit_exponent(_power_law_trajectory(-4.0), (10.0, 1e4))
+        fit = fit_exponent(_power_law_trajectory(-4.0))
         assert fit.exponent == pytest.approx(-4.0, abs=1e-12)
         assert fit.stderr < 1e-12
 
@@ -188,7 +196,7 @@ class TestFitExponent:
         u = np.geomspace(10, 1e5, 300)
         traj = _trajectory(u, u**-2.5 * (1 + 0.5 * np.cos(1.5 * np.log(u))))
         with pytest.raises(OscillationError):
-            fit_exponent(traj, (10.0, 1e5))
+            fit_exponent(traj)
 
     @pytest.mark.parametrize("amplitude", [0.015, 0.05])
     def test_swing_is_measured_in_natural_log_units(self, amplitude):
@@ -202,16 +210,16 @@ class TestFitExponent:
         x, y = np.log(u), np.log(psi)
         swing = np.max(np.abs(y - np.polyval(np.polyfit(x, y, 1), x)))
         if swing < 0.02:
-            assert fit_exponent(traj, (10.0, 1e6)).exponent == pytest.approx(-2.0, abs=1e-3)
+            assert fit_exponent(traj).exponent == pytest.approx(-2.0, abs=1e-3)
         else:
             with pytest.raises(OscillationError, match=f"swing {swing:.3g},"):
-                fit_exponent(traj, (10.0, 1e6))
+                fit_exponent(traj)
 
     def test_interference_nodes_raise(self):
         u = np.geomspace(10, 1e4, 200)
         traj = _trajectory(u, u**-2.5 * np.cos(np.log(u)))
         with pytest.raises(OscillationError):
-            fit_exponent(traj, (10.0, 1e4))
+            fit_exponent(traj)
 
     def test_matches_polyfit_reference(self):
         # slope and standard error of a straight line through log|psi|
@@ -224,24 +232,17 @@ class TestFitExponent:
             exponent, bend = rng.uniform(-6.0, -1.0), rng.uniform(-2.0, 2.0)
             u = np.geomspace(lo, hi, rng.randint(50, 400))
             traj = _trajectory(u, u**exponent * (1.0 + bend / u) * np.exp(0.3j))
-            fit = fit_exponent(traj, (lo, hi))
+            fit = fit_exponent(traj)
             x, y = np.log(u), np.log(np.abs(u**exponent * (1.0 + bend / u)))
             (slope, intercept), ssr = np.polyfit(x, y, 1, full=True)[:2]
             stderr = math.sqrt(ssr[0] / (len(x) - 2) / np.sum((x - x.mean()) ** 2))
             assert fit.exponent == pytest.approx(slope, rel=1e-12, abs=1e-12)
             assert fit.stderr == pytest.approx(stderr, rel=1e-6, abs=1e-15)
 
-    def test_window_outside_grid_rejected(self):
-        traj = _power_law_trajectory(-3.0)
-        with pytest.raises(ValueError):
-            fit_exponent(traj, (1.0, 1e4))
-        with pytest.raises(ValueError):
-            fit_exponent(traj, (100.0, 50.0))
-
     def test_window_with_too_few_samples_rejected(self):
-        traj = _power_law_trajectory(-3.0, n=200)
-        with pytest.raises(ValueError):
-            fit_exponent(traj, (10.0, 10.5))
+        with pytest.raises(ValueError, match="fewer than 8 samples"):
+            fit_exponent(_power_law_trajectory(-3.0, n=7))
+        assert fit_exponent(_power_law_trajectory(-3.0, n=8)).exponent == pytest.approx(-3.0)
 
 
 class TestBranches:
@@ -249,16 +250,16 @@ class TestBranches:
 
     def test_deformed_pair(self):
         ode = build_deformed_zero_energy(0.3, DeformationParams(0.05, 0.0))
-        dom = fit_exponent(dominant_branch(ode, self._WINDOW), self._WINDOW)
-        sub = fit_exponent(subdominant_branch(ode, self._WINDOW), self._WINDOW)
+        dom = fit_exponent(dominant_branch(ode, self._WINDOW))
+        sub = fit_exponent(subdominant_branch(ode, self._WINDOW))
         assert dom.exponent == pytest.approx(-5.0, rel=0.01)
         assert sub.exponent == pytest.approx(-2.0, rel=0.01)
 
     def test_ordinary_subcritical_pair(self):
         s = CoulombSystem(g=0.3, eta=0.5)
         ode = build_ordinary_kg(s)
-        dom = fit_exponent(dominant_branch(ode, self._WINDOW), self._WINDOW)
-        sub = fit_exponent(subdominant_branch(ode, self._WINDOW), self._WINDOW)
+        dom = fit_exponent(dominant_branch(ode, self._WINDOW))
+        sub = fit_exponent(subdominant_branch(ode, self._WINDOW))
         assert dom.exponent == pytest.approx(-2.9, rel=0.01)
         assert sub.exponent == pytest.approx(-2.1, rel=0.01)
 
@@ -266,7 +267,7 @@ class TestBranches:
         ode = build_ordinary_kg(CoulombSystem(g=100 * FINE_STRUCTURE_ALPHA, eta=0.5))
         traj = subdominant_branch(ode, (10.0, 1e5))
         with pytest.raises(OscillationError):
-            fit_exponent(traj, (10.0, 1e5))
+            fit_exponent(traj)
 
     def test_seed_inside_window_rejected(self):
         # the seed sits at u = 1
@@ -356,10 +357,10 @@ class TestDominantBranchFromInfinity:
         traj = dominant_branch(ode, window)
         assert traj.hops > 1
         assert traj.max_residual <= 1e-9
-        # the march starts at u_top, but the samples cover the window alone
-        assert traj.span == window and traj.grid[-1] <= window[1]
-        with pytest.raises(ValueError, match="not inside the trajectory's span"):
-            fit_exponent(traj, (window[0], u_top))
+        # the march starts at u_top, but the samples lie in the window alone
+        assert window[0] <= traj.grid[0] and traj.grid[-1] <= window[1]
+        with pytest.raises(ValueError, match="not an ascending part"):
+            dominant_branch(ode, window[::-1])
 
     def test_series_that_does_not_settle_marches(self, monkeypatch):
         # at order 4 the series at the lower edge is no better than 2^-5

@@ -529,6 +529,23 @@ class TestConfigPrecedence:
         assert err != ""
 
 
+def test_unwritable_out_and_undecodable_config_are_usage_errors(capsys, tmp_path):
+    # each ended in a FileNotFoundError, IsADirectoryError or
+    # UnicodeDecodeError traceback before
+    config = tmp_path / "accent.cfg"
+    config.write_bytes("g = 0.3 # é\n".encode("utf-8"))
+    missing = tmp_path / "no" / "such" / "psi.csv"
+    for argv, path in ((["wavefunction", "--out", str(missing)], missing),
+                       (["wavefunction", "--out", str(tmp_path)], tmp_path),
+                       (["exponents", "--config", str(config)], config)):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("kgcoulomb: usage error: "), argv
+        assert repr(str(path)) in lines[0]
+    assert not missing.parent.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--alpha", "-1"],
     ["wavefunction", "--alpha", "0"],

@@ -1,6 +1,11 @@
-"""tools/stdout_diff.py pairs the tables of two trees by key, not by position."""
+"""tools/stdout_diff.py pairs the tables of two trees by key, not by position,
+and its child run leaves no compiled bytecode in the tree it reads."""
 
 import importlib.util
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 
@@ -55,3 +60,17 @@ def test_changed_cell_is_paired_by_row_and_column(capsys):
     changes = report.split("relative otherwise):\n")[1].splitlines()
     assert [line.split(":")[1] for line in changes] == ["fitted"]
     assert changes[0].startswith("  exponents:fitted: 0.0001  (exponents --model")
+
+
+def test_child_run_writes_no_bytecode(tmp_path):
+    # a tree compared once must still be a tree without compiled bytecode
+    repo = Path(__file__).resolve().parent.parent
+    tree = tmp_path / "tree"
+    shutil.copytree(repo / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    # the empty seed range imports the tree and runs no command
+    proc = subprocess.run([sys.executable, str(repo / "tools" / "stdout_diff.py"),
+                           "--child", str(tree), "--seeds", "1-0"],
+                          capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout == ""
+    assert list(tree.rglob("__pycache__")) == []

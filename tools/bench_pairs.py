@@ -19,12 +19,18 @@ the metric's bound, and whether a gain in the metric can be claimed: the
 change better in at least nine of ten pairs, and the medians further
 apart than the parent's interquartile range. Progress goes to standard
 error.
+
+A tree with a ``__pycache__`` anywhere under ``src/`` is refused before
+anything runs: compiled bytecode skips the compile step that a fresh
+checkout pays for, so that side would time a different program. The runs
+themselves write no bytecode (``PYTHONDONTWRITEBYTECODE``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -44,7 +50,8 @@ def _seeds(text: str) -> list[int]:
 def _run(tree: str, workload: str, seed: int) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(SECONDS)]
-    proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     lines = proc.stdout.strip().splitlines()
     try:
         return json.loads(lines[-1])
@@ -109,6 +116,11 @@ def main(argv: list[str]) -> int:
     for name in args.workloads:
         if name not in known:
             parser.error(f"unknown workload {name!r}; choose from {sorted(known)}")
+    for tree in args.trees:
+        caches = sorted(Path(tree, "src").rglob("__pycache__"))
+        if caches:
+            parser.error(f"{caches[0]} holds compiled bytecode; remove it so that "
+                         "both trees are timed from source")
     seeds = _seeds(args.seeds)
     out = {
         "harness": (f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS}, "

@@ -53,7 +53,9 @@ def _seeds(text: str) -> list[int]:
 
 
 def _run_tree(tree: str, seeds: list[int]) -> None:
-    """Child mode: print one JSON object per command."""
+    """Child mode: print one JSON object per command. No bytecode is
+    written, so a comparison leaves no ``__pycache__`` in either tree."""
+    sys.dont_write_bytecode = True
     sys.path[:0] = [str(Path(tree).resolve() / "src"), str(PERFBENCH)]
     import workloads as wl
     from kgcoulomb import cli

@@ -1,26 +1,33 @@
 """Numerical large-momentum behavior: direct integration of the model
-equations and log-log power-law fits.
+equations, the exponents at infinity measured from a transfer matrix,
+and log-log power-law fits.
 
 Integration is analytic continuation by Taylor re-expansion, the engine
 in ``fuchsian``: the model equations have polynomial coefficients, so
 each local series comes from one banded recurrence, truncated where its
-tail drops below the tolerance. The window is chosen once, when a
-trajectory is sampled: each grid point in it is read off the first local
-disk that holds it, by its value alone, as the march reaches it, and a
-fit reads every sample. Along the real u-axis the radius of convergence
-grows like u, so [1, 1e4] takes a few dozen hops.
+tail drops below the tolerance. Along the real u-axis the radius of
+convergence grows like u, so [1, 1e4] takes a few dozen hops. A march
+carries one column, a solution sampled on a grid, or two: a basis at
+every hop, read as transfer matrices (``Transfer``).
 Everything is plain Python floats and lists; the fit sums with ``math.fsum``.
 
-The dominant (fast-decaying) branch of a two-solution pair cannot be
-reached by forward integration from generic data; any admixture of the
-slow branch takes over. It is therefore taken from the Frobenius series
-about infinity (Ince, *Ordinary Differential Equations*, ch. XVI): read
-off that series directly wherever the window lies inside its trusted
-disk, and otherwise seeded from it at the top of the window and
-integrated backward, the standard trick for recessive solutions.
-Generic forward integration conversely always relaxes onto the
-subdominant branch, which is used deliberately here, so the two
-branches come from independent routes.
+The exponents are measured over the top of a window from the transfer
+matrix of one basis march (``transfer_exponents``): its eigenvalues give
+both exponents, complex pairs included, from the equation alone. This is
+the route of the command line's ``exponents``.
+
+The trajectories and their fits remain for the acceptance criteria. The
+window is chosen once, when a trajectory is sampled: each grid point in
+it is read off the first local disk that holds it, by its value alone,
+and a fit reads every sample. The dominant (fast-decaying) branch of a
+two-solution pair cannot be reached by forward integration from generic
+data; any admixture of the slow branch takes over. It is therefore taken
+from the Frobenius series about infinity (Ince, *Ordinary Differential
+Equations*, ch. XVI): read off that series directly wherever the window
+lies inside its trusted disk, and otherwise seeded from it at the top of
+the window and integrated backward, the standard trick for recessive
+solutions. Generic forward integration conversely always relaxes onto
+the subdominant branch, so the two branches come from independent routes.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ import math
 from operator import lt, mul, sub
 
 from . import fuchsian
-from .errors import IntegrationError, OscillationError, OutOfDomainError
+from .errors import ConvergenceError, IntegrationError, OscillationError, OutOfDomainError
 
 __all__ = [
     "Trajectory",
@@ -39,6 +46,9 @@ __all__ = [
     "fit_exponent",
     "dominant_branch",
     "subdominant_branch",
+    "Transfer",
+    "transfer_exponents",
+    "paired",
 ]
 
 
@@ -80,6 +90,19 @@ _N_POINTS = 400
 # terms of the series at infinity that gives the dominant branch
 _ORDER_AT_INFINITY = 48
 _LN2 = math.log(2.0)
+# A series of a basis march cut by the order cap counts as settled when
+# its last term on the half disk is below the larger of tol and _SETTLED
+# times its largest, and its largest below 1/_SETTLED times its value's
+# order 1: the sums then lose at most half the digits of a double.
+_SETTLED = 2.0 ** -26
+# Largest ratio hi/lo of a measuring piece. It keeps the march at about 14
+# hops wherever the window lies. A wider piece aligns the transfer matrix's
+# columns by the ratio to the power of the gap between the real parts; its
+# small eigenvalue survives that only because the determinant is taken hop
+# by hop.
+_RATIO_CAP = 10.0
+# Smallest ratio of a measuring piece; the phase anchor is read over it.
+_RATIO_FLOOR = 1.01
 
 
 def _linspace(lo: float, hi: float, n: int) -> list[float]:
@@ -106,13 +129,10 @@ def _real_singularities_on(ode: fuchsian.RationalCoeffODE,
     return out
 
 
-def _grid(ode: fuchsian.RationalCoeffODE, u0: float, u_end: float,
-          window: tuple[float, float] | None) -> list[float]:
-    """The points of the _N_POINTS grid from u0 to u_end, geometric when
-    the interval spans more than a factor 50 and linear otherwise, that
-    lie in the window (all of them without one), in order from u0. Checks
-    that the interval is not empty, that the window is ascending and
-    inside it, and that no singular point lies on it."""
+def _check_path(ode: fuchsian.RationalCoeffODE, u0: float, u_end: float,
+                window: tuple[float, float] | None) -> None:
+    """Checks that the interval is not empty, that the window is ascending
+    and inside it, and that no singular point lies on it."""
     if u0 == u_end:
         raise ValueError("empty integration interval")
     lo, hi = min(u0, u_end), max(u0, u_end)
@@ -123,6 +143,16 @@ def _grid(ode: fuchsian.RationalCoeffODE, u0: float, u_end: float,
         raise OutOfDomainError(
             f"integration interval [{lo}, {hi}] crosses singular point(s) "
             + ", ".join(f"{z.real:.6g}" for z in blockers))
+
+
+def _grid(ode: fuchsian.RationalCoeffODE, u0: float, u_end: float,
+          window: tuple[float, float] | None) -> list[float]:
+    """The points of the _N_POINTS grid from u0 to u_end, geometric when
+    the interval spans more than a factor 50 and linear otherwise, that
+    lie in the window (all of them without one), in order from u0, on a
+    path that ``_check_path`` accepts."""
+    _check_path(ode, u0, u_end, window)
+    lo, hi = min(u0, u_end), max(u0, u_end)
     grid = (_geomspace if lo > 0 and hi / lo > 50.0 else _linspace)(u0, u_end, _N_POINTS)
     return grid if window is None else [u for u in grid if window[0] <= u <= window[1]]
 
@@ -145,9 +175,103 @@ def _out_of_range(u0: float, u_end: float) -> IntegrationError:
     return IntegrationError(f"continuation from u = {u0} to {u_end} left the floating-point range")
 
 
-def integrate(ode: fuchsian.RationalCoeffODE, u0: float, psi0: complex,
-              dpsi0: complex, u_end: float, tol: float = 1e-10,
-              window: tuple[float, float] | None = None) -> Trajectory:
+def _matmul(a: tuple, b: tuple) -> tuple:
+    """The product of two 2x2 matrices, each (m11, m12, m21, m22)."""
+    return (a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
+            a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3])
+
+
+class Transfer:
+    """The basis march of ``integrate``, read as transfer matrices in the
+    basis (w, u w'). Each hop holds the two series of
+    ``fuchsian.taylor_basis`` at its centre z, so its columns are the
+    solutions with (w, u w') = (1, 0) and (0, 1) at z, and its transfer
+    to the next centre is a 2x2 matrix that no other hop's growth
+    enters. ``matrix(u, v)`` multiplies the pieces from u to v, each over
+    at most one hop, and returns the product with its determinant, taken
+    as the product of the pieces' determinants: a piece's columns stay
+    apart, so the determinant carries no cancellation however far the
+    product's columns align. ``hops`` counts the hops; ``max_residual``
+    is the largest relative ODE defect of either column where the first
+    hop hands over and at the end, as in ``Trajectory``.
+    """
+
+    __slots__ = ("_chain", "_steps", "hops", "max_residual")
+
+    def __init__(self, ode: fuchsian.RationalCoeffODE, chain: list, u_end: float) -> None:
+        self._chain = chain
+        # each hop's transfer to the next centre, with its determinant
+        self._steps = [self._local(k, chain[k + 1][0].expansion_point)
+                       for k in range(len(chain) - 1)]
+        checks = [(chain[0], chain[1][0].expansion_point)] if len(chain) > 1 else []
+        checks.append((chain[-1], complex(u_end)))
+        defects = [fuchsian._defect(ode, z, *fuchsian.evaluate_with_derivatives(sol, z))
+                   for pair, z in checks for sol in pair if z != sol.expansion_point]
+        self.hops = len(chain)
+        self.max_residual = max((d for d in defects if not math.isnan(d)), default=math.nan)
+
+    def _local(self, k: int, z: complex) -> tuple[tuple, complex]:
+        """Hop k's transfer from its centre to z, with its determinant."""
+        first, second = self._chain[k]
+        c = first.radius / first.expansion_point  # (w, u w') = (0, 1) is c times the second
+        w1, dw1, _ = fuchsian.evaluate_with_derivatives(first, z)
+        w2, dw2, _ = fuchsian.evaluate_with_derivatives(second, z)
+        m = (w1, c * w2, z * dw1, c * z * dw2)
+        return m, m[0] * m[3] - m[1] * m[2]
+
+    def _hop(self, u: complex) -> int:
+        """The first hop whose trusted half disk holds u."""
+        for k, (series, _) in enumerate(self._chain):
+            if abs(u - series.expansion_point) <= 0.5 * series.radius:
+                return k
+        raise ValueError(f"u = {u} is not on the march")
+
+    def matrix(self, u: float, v: float) -> tuple[tuple, complex]:
+        """The transfer matrix from u to v, both on the march and v no
+        nearer its start than u, as (m11, m12, m21, m22), with its
+        determinant."""
+        u, v = complex(u), complex(v)
+        i, j = self._hop(u), self._hop(v)
+        (a, b, c, d), det_start = self._local(i, u)
+        # the inverse of hop i's transfer to u, back to hop i's centre
+        out, det = (d / det_start, -b / det_start, -c / det_start, a / det_start), 1.0 / det_start
+        for step, det_step in self._steps[i:j]:
+            out, det = _matmul(step, out), det * det_step
+        end, det_end = self._local(j, v)
+        out, det = _matmul(end, out), det * det_end
+        if not (all(map(cmath.isfinite, out)) and cmath.isfinite(det)):
+            raise _out_of_range(u.real, v.real)
+        return out, det
+
+
+def _basis_march(ode: fuchsian.RationalCoeffODE, u0: float, u_end: float,
+                 tol: float) -> Transfer:
+    """The hops of ``fuchsian.taylor_basis`` from u0 toward u_end, each 0.4
+    of the last radius further (the rule of ``fuchsian.reach``), capped at
+    the interval length, until one's trusted half disk holds u_end."""
+    cap = abs(u_end - u0)
+    chain = [fuchsian.taylor_basis(ode, u0, _MAX_ORDER, tol, cap)]
+    budget = fuchsian._hop_budget(ode, chain[0][0], complex(u_end))
+    direction = 1.0 if u_end > u0 else -1.0
+    while abs(u_end - (last := chain[-1][0]).expansion_point) > 0.5 * last.radius:
+        if len(chain) >= budget:
+            raise ConvergenceError(
+                f"analytic continuation toward {u_end} did not arrive in {budget} hops")
+        nxt = last.expansion_point + direction * 0.4 * last.radius
+        chain.append(fuchsian.taylor_basis(ode, nxt, _MAX_ORDER, tol, cap))
+    for series in (s for pair in chain for s in pair if len(s.coefficients) > _MAX_ORDER):
+        # cut by the order cap, not by its tail (see _SETTLED)
+        sizes = [math.ldexp(abs(c), -k) for k, c in enumerate(series.coefficients)]
+        if sizes[-1] > max(tol, _SETTLED) * max(sizes) or max(sizes) * _SETTLED > 1.0:
+            raise ConvergenceError(
+                f"the Taylor series at u = {series.expansion_point.real:.6g} do not settle "
+                f"in {_MAX_ORDER} terms: the solutions turn too fast for the hop")
+    return Transfer(ode, chain, u_end)
+
+
+def integrate(ode: fuchsian.RationalCoeffODE, u0: float, psi0: complex | None,
+              dpsi0: complex | None, u_end: float, tol: float = 1e-10,
+              window: tuple[float, float] | None = None) -> Trajectory | Transfer:
     """Integrate psi'' = -p1 psi' - p0 psi from u0 to u_end.
 
     The solution is continued along the real axis by Taylor
@@ -160,9 +284,18 @@ def integrate(ode: fuchsian.RationalCoeffODE, u0: float, psi0: complex,
     interval), reached in turn from u0 and read off the first disk that
     holds it by its value's sum alone (``fuchsian.evaluate``); every hop
     heads exactly toward u_end. The grid is ascending in either direction.
+
+    Without a seed (psi0 and dpsi0 None) the march carries two columns, a
+    basis at every hop, on the same hops and tail rule, and returns its
+    ``Transfer``; u0 must then be nonzero, and there is no window.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if psi0 is None or dpsi0 is None:
+        if window is not None or u0 == 0:
+            raise ValueError("a basis march starts away from u = 0 and takes no window")
+        _check_path(ode, u0, u_end, None)
+        return _basis_march(ode, u0, u_end, tol)
     points = _grid(ode, u0, u_end, window)
     cap = abs(u_end - u0)
     chain = [fuchsian.taylor_series(ode, u0, psi0, dpsi0, order=_MAX_ORDER, tol=tol,
@@ -309,3 +442,75 @@ def subdominant_branch(ode: fuchsian.RationalCoeffODE, window: tuple[float, floa
     if window[0] <= 1.0:
         raise ValueError("seed point must sit below the fit window")
     return integrate(ode, 1.0, 1.0 + 0j, 0j, window[1], tol=tol, window=window)
+
+
+def _piece_exponents(march: Transfer, u: float, v: float) -> list[complex]:
+    """Both exponents of the transfer matrix from u to v, log(eigenvalue) /
+    log(v/u), the smaller eigenvalue taken as the determinant over the
+    larger."""
+    (a, b, c, d), det = march.matrix(u, v)
+    trace, root = a + d, cmath.sqrt((a - d) ** 2 + 4.0 * b * c)
+    big = max((trace + root) / 2.0, (trace - root) / 2.0, key=abs)
+    try:
+        return [cmath.log(mu) / math.log(v / u) for mu in (big, det / big)]
+    except (ValueError, ZeroDivisionError):  # log(0), or a zero eigenvalue
+        raise OutOfDomainError(
+            f"the transfer matrix from u = {u:.6g} to {v:.6g} is singular") from None
+
+
+def paired(reference, pair) -> tuple:
+    """pair, in whichever of its two orders lies nearer reference in total."""
+    a, b = pair
+    kept = abs(a - reference[0]) + abs(b - reference[1])
+    return (a, b) if kept <= abs(b - reference[0]) + abs(a - reference[1]) else (b, a)
+
+
+def transfer_exponents(ode: fuchsian.RationalCoeffODE, window: tuple[float, float],
+                       tol: float = 1e-10) -> tuple[complex, complex]:
+    """Both exponents at infinity, measured over the top of the window.
+
+    In the basis (w, u w') the equation is u Y' = A(u) Y with A(u) tending
+    to a constant whose eigenvalues are the exponents, so the transfer
+    matrix over [u, r u] is r^A (1 + O(1/u)) and each of its eigenvalues
+    gives an exponent, log(eigenvalue) / log r, complex pairs included
+    (Coddington & Levinson, *Theory of ODEs*, ch. 4). With the ratio
+    r = min(sqrt(hi/lo), _RATIO_CAP), one basis march (``integrate``)
+    runs from hi/r^2 to hi; the pieces [hi/r^2, hi/r] and [hi/r, hi] each
+    give the pair, and one Richardson step, (r x_b - x_a) / (r - 1),
+    removes the O(1/u) term from the pair's sum and from the square of its
+    difference. Both stay analytic in 1/u where the exponents meet (the
+    Jordan block of a double root), where each exponent alone moves like
+    u^(-1/2) and the step would leave that term. The principal log wraps
+    once the imaginary part turns an eigenvalue by pi, so r is first cut to the
+    largest of r, r^(1/2), r^(1/4), ... at which the turn over
+    [hi/_RATIO_FLOOR, hi], scaled to r, stays below pi/2, and then
+    further until it does on both pieces; reading the march at new
+    points costs no new hop. Raises ValueError for a window narrower than
+    a factor _RATIO_FLOOR^2, OutOfDomainError when no ratio down to
+    _RATIO_FLOOR reads the turn below pi/2, and ConvergenceError when the
+    march's series do not settle (a pair that turns too fast for a hop):
+    no wrapped number is returned.
+    """
+    lo, hi = window
+    ratio = min(math.sqrt(hi / lo), _RATIO_CAP)
+    if not ratio >= _RATIO_FLOOR:
+        raise ValueError(f"the window spans less than a factor {_RATIO_FLOOR ** 2:.6g}, "
+                         "too narrow to measure the exponents over")
+    march = integrate(ode, hi / ratio ** 2, None, None, hi, tol=tol)
+    turn = max(abs(rho.imag) for rho in _piece_exponents(march, hi / _RATIO_FLOOR, hi))
+    while ratio >= _RATIO_FLOOR:
+        if turn * math.log(ratio) < 0.5 * math.pi:
+            mid = hi / ratio
+            pieces = (_piece_exponents(march, mid / ratio, mid),
+                      _piece_exponents(march, mid, hi))
+            turns = max(abs(rho.imag) for pair in pieces for rho in pair) * math.log(ratio)
+            if turns < 0.5 * math.pi:
+                (sum_a, square_a), (sum_b, square_b) = ((a + b, (a - b) ** 2) for a, b in pieces)
+                total = (ratio * sum_b - sum_a) / (ratio - 1.0)
+                root = cmath.sqrt((ratio * square_b - square_a) / (ratio - 1.0))
+                return (total + root) / 2.0, (total - root) / 2.0
+        ratio = math.sqrt(ratio)
+    raise OutOfDomainError(
+        "the exponents' imaginary part turns the transfer matrix's eigenvalues by pi/2 "
+        f"or more over every piece down to a ratio {_RATIO_FLOOR:g}; its phase cannot be "
+        "read unwrapped")

@@ -62,6 +62,7 @@ __all__ = [
     "indicial_exponents",
     "frobenius_series",
     "taylor_series",
+    "taylor_basis",
     "reach",
     "evaluate",
     "evaluate_with_derivatives",
@@ -341,19 +342,27 @@ class RationalCoeffODE:
         m1 + m0. The quotients d0/g and d1/g are multiplied out from the
         points in ascending modulus, not divided out of d0 and d1: a
         division loses the low-order coefficients, which carry the local
-        data at a point lying far inside the others. Every product carries
-        the same exact power of two, s0 s1, so the series are unchanged
-        while the products stay in range however far a singular point
-        spreads the monic coefficients."""
-        s1, s0 = _pow2_scale(self.p1_den), _pow2_scale(self.p0_den)
-        q1, q0 = (s1,), (s0,)  # become s1 d1/g and s0 d0/g
+        data at a point lying far inside the others. Each factor, (d1, n1)
+        together, d0/g, n0 and d1/g, is brought to its own binade by an
+        exact power of two before the products are taken, and the two
+        products are then brought to the smaller of their scales, so all
+        three carry one power of two: the series are unchanged, and however
+        far a singular point spreads the monic coefficients, the top
+        coefficients, which carry the equation at large z, stay in range."""
+        q1, q0 = (1.0,), (1.0,)  # become d1/g and d0/g
         for r, m1, m0 in sorted(self.points, key=lambda p: abs(p[0])):
             shared = min(m1, m0)
             q1 = reduce(_polymul, [(-r, 1.0)] * (m1 - shared), q1)
             q0 = reduce(_polymul, [(-r, 1.0)] * (m0 - shared), q0)
-        return (_polymul(_polyscale(self.p1_den, s1), q0),
-                _polymul(_polyscale(self.p1_num, s1), q0),
-                _polymul(_polyscale(self.p0_num, s0), q1))
+        e1, e0, f1, f0 = (_binade(c) for c in (self.p1_den + self.p1_num, q0,
+                                                 self.p0_num, q1))
+        top = max(e1 + e0, f1 + f0)
+        a, b = _ldexp_poly(self.p1_den, -e1), _ldexp_poly(self.p1_num, -e1)
+        q0 = _ldexp_poly(q0, -e0)
+        p0 = _polymul(_ldexp_poly(self.p0_num, -f1), _ldexp_poly(q1, -f0))
+        return (_ldexp_poly(_polymul(a, q0), e1 + e0 - top),
+                _ldexp_poly(_polymul(b, q0), e1 + e0 - top),
+                _ldexp_poly(p0, f1 + f0 - top))
 
     @cached_property
     def _pullback(self) -> "RationalCoeffODE":
@@ -403,9 +412,18 @@ def _quotient(num, den, z: complex) -> complex:
     return _horner(num, z) / _horner(den, z)
 
 
-def _pow2_scale(den) -> float:
-    """2^-e, with 2^e the binade of den's largest coefficient."""
-    return math.ldexp(1.0, -math.frexp(max(abs(c) for c in den))[1])
+def _binade(coeffs) -> int:
+    """e with 2^e the binade of the largest coefficient: 2^(e-1) <= max |c| < 2^e
+    (0 when every coefficient is zero)."""
+    return math.frexp(max(abs(c) for c in coeffs))[1]
+
+
+def _ldexp_poly(coeffs, e: int) -> tuple[complex, ...]:
+    """The coefficients times 2^e, exactly unless a result leaves the normal range."""
+    if e == 0:
+        return tuple(complex(c) for c in coeffs)
+    return tuple(complex(math.ldexp(c.real, e), math.ldexp(c.imag, e))
+                 for c in map(complex, coeffs))
 
 
 def _exact_top(coeffs) -> tuple[complex, ...]:
@@ -539,7 +557,8 @@ def _series_radius(ode: RationalCoeffODE, z0: complex) -> float:
 
 
 def _recurrence(p2, p1, p0, kappa: int, rho: complex, order: int,
-                seeds: list[complex], tol: float | None = None) -> list[complex]:
+                seeds: list[complex], tol: float | None = None,
+                second: list[complex] | None = None):
     """Run the banded recurrence c_m I(rho+m) = -sum_{k<m} c_k L(m, k).
 
     (p2, p1, p0) is the least-degree form shifted to the expansion point
@@ -550,6 +569,11 @@ def _recurrence(p2, p1, p0, kappa: int, rho: complex, order: int,
     the seeded indices are never evaluated. With ``tol`` the series
     stops before ``order`` once two successive terms on the half disk
     |x| <= 1/2, |c_m| / 2^m, fall below tol times the largest term.
+    With ``second``, as many leading coefficients again, the same pass
+    runs a second column: each L(m, k) is computed once for both, the
+    series stops once both tails have, and the pair of coefficient lists
+    is returned; each column has the bits it has alone, up to where that
+    one would stop.
     """
     # L(m, k) reads P2, P1, P0 at offsets j = m - k above kappa,
     # kappa - 1, kappa - 2, so it vanishes once j reaches the band width;
@@ -565,8 +589,12 @@ def _recurrence(p2, p1, p0, kappa: int, rho: complex, order: int,
     # scatter form: each new c_k adds c_k L(k + j, k) to the pending sum of
     # c_(k+j), for k + j <= order, so every sum still runs over ascending k
     pending = [0j] * (order + 1)
-    largest = max(math.ldexp(abs(c), -k) for k, c in enumerate(coeffs)) if tol else 0.0
-    quiet = 0
+    two = second is not None
+    other, waiting = (list(second), [0j] * (order + 1)) if two else ([], [])
+    if tol is not None:
+        largest = max(math.ldexp(abs(c), -k) for k, c in enumerate(coeffs))
+        largest2 = max((math.ldexp(abs(c), -k) for k, c in enumerate(other)), default=0.0)
+    quiet, quiet2 = 0, 0 if two else 2  # a missing column never holds the stop
     for m in range(order + 1):
         s = rho + m
         if m >= len(seeds):
@@ -575,22 +603,40 @@ def _recurrence(p2, p1, p0, kappa: int, rho: complex, order: int,
                 raise ResonantExponentsError(
                     f"recurrence pivot vanished at series index {m}")
             coeffs.append(-pending[m] / piv)
+            if two:
+                other.append(-waiting[m] / piv)
             if tol is not None:
                 size = math.ldexp(abs(coeffs[m]), -m)
                 if size > largest:
                     largest = size
                 quiet = quiet + 1 if size <= tol * largest else 0
-                if quiet == 2:
+                if two:
+                    size = math.ldexp(abs(other[m]), -m)
+                    if size > largest2:
+                        largest2 = size
+                    quiet2 = quiet2 + 1 if size <= tol * largest2 else 0
+                if quiet >= 2 and quiet2 >= 2:
                     break
         c = coeffs[m]
-        if c != 0j:
+        if not two or other[m] == 0j:
+            if c != 0j:
+                s1 = s - 1.0
+                rows = off_diagonal if m + band <= order + 1 else off_diagonal[:order - m]
+                for j, aj, bj, dj in rows:
+                    term = aj * s * s1 + bj * s + dj
+                    if term != 0j:
+                        pending[m + j] += c * term
+        else:  # the second column, with the first where its coefficient is not zero
             s1 = s - 1.0
             rows = off_diagonal if m + band <= order + 1 else off_diagonal[:order - m]
+            c2, both = other[m], c != 0j
             for j, aj, bj, dj in rows:
                 term = aj * s * s1 + bj * s + dj
                 if term != 0j:
-                    pending[m + j] += c * term
-    return coeffs
+                    if both:
+                        pending[m + j] += c * term
+                    waiting[m + j] += c2 * term
+    return (coeffs, other) if two else coeffs
 
 
 def frobenius_series(ode: RationalCoeffODE, point: complex | _InfinityType, exponent: complex,
@@ -663,6 +709,21 @@ def _pow2_scaled_triple(p2, p1, p0, kappa: int, scale: float):
         raise OutOfDomainError(f"a series recurrence scaled by {scale:.3g} overflows") from exc
 
 
+def _taylor_triple(ode: RationalCoeffODE, center: complex, max_radius: float):
+    """(triple, radius) of a Taylor hop at an ordinary point: the triple
+    shifted to center and scaled to the disk's radius, capped at
+    ``max_radius``, which must leave it finite."""
+    p2, p1, p0 = _series_triple(ode, center)
+    if not all(math.isfinite(abs(c)) for c in p2 + p1 + p0):
+        raise OutOfDomainError(f"the equation's polynomial coefficients overflow at {center}")
+    if ode._multiplicities(center) != (0, 0):
+        raise ValueError(f"{center} is a singular point; taylor_series needs an ordinary one")
+    radius = min(_series_radius(ode, center), max_radius)
+    if not math.isfinite(radius):
+        raise ValueError("a Taylor series needs a finite radius; pass max_radius")
+    return _pow2_scaled_triple(p2, p1, p0, 0, radius), radius
+
+
 def taylor_series(ode: RationalCoeffODE, center: complex, value: complex,
                   derivative: complex, order: int = 64, tol: float = _TAIL_TOL,
                   max_radius: float = math.inf) -> FrobeniusSolution:
@@ -676,18 +737,26 @@ def taylor_series(ode: RationalCoeffODE, center: complex, value: complex,
     the largest, at ``order`` at the latest.
     """
     center = complex(center)
-    p2, p1, p0 = _series_triple(ode, center)
-    if not all(math.isfinite(abs(c)) for c in p2 + p1 + p0):
-        raise OutOfDomainError(f"the equation's polynomial coefficients overflow at {center}")
-    if ode._multiplicities(center) != (0, 0):
-        raise ValueError(f"{center} is a singular point; taylor_series needs an ordinary one")
-    radius = min(_series_radius(ode, center), max_radius)
-    if not math.isfinite(radius):
-        raise ValueError("a Taylor series needs a finite radius; pass max_radius")
-    p2, p1, p0 = _pow2_scaled_triple(p2, p1, p0, 0, radius)
+    (p2, p1, p0), radius = _taylor_triple(ode, center, max_radius)
     seeds = [complex(value), complex(derivative) * radius]
     coeffs = _recurrence(p2, p1, p0, 0, 0j, order, seeds, tol)
     return FrobeniusSolution(center, 0j, tuple(coeffs), radius, radius)
+
+
+def taylor_basis(ode: RationalCoeffODE, center: complex, order: int = 64,
+                 tol: float = _TAIL_TOL, max_radius: float = math.inf
+                 ) -> tuple[FrobeniusSolution, FrobeniusSolution]:
+    """The two power series at an ordinary point with (w, radius w') equal
+    to (1, 0) and to (0, 1) at the centre, as ``taylor_series`` builds
+    them, both on one shifted, scaled triple and in one pass of the
+    recurrence, cut where both tails are. The first has the bits of
+    ``taylor_series(ode, center, 1, 0, ...)`` as far as that one goes.
+    """
+    center = complex(center)
+    (p2, p1, p0), radius = _taylor_triple(ode, center, max_radius)
+    pair = _recurrence(p2, p1, p0, 0, 0j, order, [1 + 0j, 0j], tol, second=[0j, 1 + 0j])
+    return tuple(FrobeniusSolution(center, 0j, tuple(coeffs), radius, radius)
+                 for coeffs in pair)
 
 
 def reach(ode: RationalCoeffODE, chain: list[FrobeniusSolution], target: complex,

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import closed_form
-from kgcoulomb import asymptotics
+from kgcoulomb import asymptotics, fuchsian
 from kgcoulomb.asymptotics import (
     Trajectory,
     _significant_terms,
@@ -18,7 +18,7 @@ from kgcoulomb.asymptotics import (
     integrate,
     subdominant_branch,
 )
-from kgcoulomb.errors import OscillationError, OutOfDomainError
+from kgcoulomb.errors import ConvergenceError, OscillationError, OutOfDomainError
 from kgcoulomb.fuchsian import (INFINITY, RationalCoeffODE, _series_sums,
                                 evaluate_with_derivatives, frobenius_series, indicial_exponents)
 from kgcoulomb.kgmodels import (build_deformed_first_order_psi, build_deformed_zero_energy,
@@ -374,6 +374,120 @@ class TestDominantBranchFromInfinity:
         assert fine.hops == 1
         got, ref = np.array(coarse.values), np.array(fine.values)
         assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-6
+
+
+def _abel(ode, z0, z1):
+    """det of the transfer from z0 to z1 in the basis (w, u w') by Abel's
+    identity: (z1/z0) W(z1)/W(z0), W = prod (z - r)^(-a_r) with a_r the
+    residue of p1 at its simple pole r (p1 has no polynomial part, since
+    infinity is a regular singular point)."""
+    assert len(ode.p1_num) < len(ode.p1_den)
+    out = z1 / z0
+    for r, m1, _ in ode.points:
+        assert m1 <= 1
+        if m1:
+            a_r = (fuchsian._horner(ode.p1_num, r)
+                   / fuchsian._horner(fuchsian._polyder(ode.p1_den), r))
+            out *= ((z1 - r) / (z0 - r)) ** (-a_r)
+    return out
+
+
+def _hop_dets(march):
+    """(z0, z1, det) of every hop's transfer to the next centre."""
+    centres = [pair[0].expansion_point for pair in march._chain]
+    return [(z0, z1, det) for z0, z1, (_, det) in zip(centres, centres[1:], march._steps)]
+
+
+class TestTransfer:
+    def test_closed_form_transfer(self):
+        # w'' = w: w(v) = w(u) cosh(v - u) + w'(u) sinh(v - u), so in the
+        # basis (w, u w') the transfer is [[ch, sh/u], [v sh, v ch/u]]
+        march = integrate(_EXP_ODE, 1.0, None, None, 9.0, tol=1e-12)
+        assert march.hops > 1
+        for u, v in ((1.0, 9.0), (1.5, 4.0), (2.0, 2.3), (3.0, 3.0)):
+            (a, b, c, d), det = march.matrix(u, v)
+            ch, sh = math.cosh(v - u), math.sinh(v - u)
+            assert [a, b, c, d] == pytest.approx([ch, sh / u, v * sh, v * ch / u], rel=1e-11)
+            assert det == pytest.approx(v / u, rel=1e-11)
+
+    def test_pieces_multiply(self):
+        ode = build_ordinary_kg(CoulombSystem(0.6, 0.5))
+        march = integrate(ode, 100.0, None, None, 1e4, tol=1e-10)
+        (a, b, c, d), det = march.matrix(100.0, 1e4)
+        first, det1 = march.matrix(100.0, 1e3)
+        second, det2 = march.matrix(1e3, 1e4)
+        whole = asymptotics._matmul(second, first)
+        assert [a, b, c, d] == pytest.approx(list(whole), rel=1e-9)
+        assert det == pytest.approx(det1 * det2, rel=1e-12)
+
+    def test_basis_march_takes_no_window(self):
+        with pytest.raises(ValueError):
+            integrate(_EXP_ODE, 1.0, None, None, 9.0, window=(2.0, 3.0))
+
+    @pytest.mark.parametrize("abc", [(0.3, 0.7, 1.5), (1.2 + 0.5j, -0.4, 0.35)])
+    @pytest.mark.parametrize("path", [(0.05, 0.9), (1.5, 60.0), (-0.1, -40.0)])
+    def test_abel_per_hop_on_the_hypergeometric_equation(self, abc, path):
+        # W = z^(-c) (1 - z)^(c - a - b - 1) in closed form
+        a, b, c = abc
+        tol = 1e-10
+        march = integrate(hypergeometric_ode(a, b, c), *path[:1], None, None, path[1], tol=tol)
+        assert march.hops > 3
+        for z0, z1, det in _hop_dets(march):
+            wronskian = (z1 / z0) ** (-c) * ((1 - z1) / (1 - z0)) ** (c - a - b - 1)
+            assert abs(det / ((z1 / z0) * wronskian) - 1) <= 100 * tol
+
+    def test_abel_per_hop_on_the_exponent_fit_chains(self):
+        # every chain the exponent-fit draws of seeds 1-3 build; Abel's
+        # identity fixes each hop's determinant, independently of the march
+        import importlib.util
+        import sys
+
+        from kgcoulomb import cli
+
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = workloads
+        spec.loader.exec_module(workloads)
+        worst, chains = 0.0, 0
+        for seed in (1, 2, 3):
+            for cmd in workloads.commands("exponent-fit", seed, 15):
+                cfg = cli._merge(cli._build_parser().parse_args(list(cmd.argv)))
+                ode, _ = cli._exponent_ode(cfg, cli._coupling(cfg), cfg.get("eta"))
+                lo, hi = cli._parse_window(cfg["window"])
+                ratio = min(math.sqrt(hi / lo), asymptotics._RATIO_CAP)
+                march = integrate(ode, hi / ratio ** 2, None, None, hi, tol=cfg["tol"])
+                for z0, z1, det in _hop_dets(march):
+                    worst = max(worst, abs(det / _abel(ode, z0, z1) - 1) / cfg["tol"])
+                chains += 1
+        assert chains == 432
+        assert worst <= 100
+
+
+class TestTransferExponents:
+    @pytest.mark.parametrize("g", [0.3, 0.49, 0.6, 2.0, 5.0])
+    def test_ordinary_pair(self, g):
+        ode = build_ordinary_kg(CoulombSystem(g, 0.5))
+        exact = indicial_exponents(ode, INFINITY)
+        got = asymptotics.paired(exact, asymptotics.transfer_exponents(ode, (1e2, 1e4)))
+        assert [abs(x - e) / abs(e) for x, e in zip(got, exact)] == pytest.approx([0, 0],
+                                                                                  abs=1e-4)
+
+    def test_window_too_narrow_is_refused(self):
+        ode = build_ordinary_kg(CoulombSystem(0.3, 0.5))
+        with pytest.raises(ValueError, match="too narrow"):
+            asymptotics.transfer_exponents(ode, (100.0, 101.0))
+
+    def test_unresolved_series_are_refused(self):
+        # the pair turns by g ln(1.4) per hop; at g 1000 the hop's series
+        # cancel by far more than double precision holds
+        ode = build_ordinary_kg(CoulombSystem(1000.0, 0.5))
+        with pytest.raises(ConvergenceError, match="do not settle"):
+            asymptotics.transfer_exponents(ode, (1e2, 1e4))
+
+    def test_paired_picks_the_nearer_order(self):
+        assert asymptotics.paired((1.0, 2.0), (2.1, 0.9)) == (0.9, 2.1)
+        assert asymptotics.paired((1.0, 2.0), (0.9, 2.1)) == (0.9, 2.1)
 
 
 def test_imports_no_model_layer():

@@ -556,6 +556,19 @@ class TestLeastDegreeForm:
             assert abs(got - ref) <= 1e-13 * max(abs(ref), 1.0)
 
 
+    def test_products_keep_the_equation_at_large_u(self):
+        # at theta 1e-120 the far pair +-i/sqrt(theta) spreads the monic
+        # coefficients over 1e240; one shared factor s0 s1 put P2's, P1's
+        # and P0's top coefficients below the range, so every hop past
+        # u ~ theta^(-1/2) solved an equation with exponents (-2, -4)
+        ode = build_deformed_zero_energy(10 * FINE_STRUCTURE_ALPHA,
+                                         DeformationParams(1e-120, 0.0))
+        p2, p1, p0 = ode._products
+        val, u = fuchsian._horner, 1e63
+        assert u * val(p1, u) / val(p2, u) == pytest.approx(u * ode.p1(u), rel=1e-12)
+        assert u * u * val(p0, u) / val(p2, u) == pytest.approx(u * u * ode.p0(u), rel=1e-12)
+
+
 class TestBandedRecurrence:
     """The banded recurrence skips only terms that are exactly zero, so
     it must reproduce the full sum bit for bit."""
@@ -684,6 +697,25 @@ class TestReducedSums:
         for got, ref in zip(chain, by_hand):
             assert _bits(complex(got.expansion_point)) == _bits(complex(ref.expansion_point))
             assert list(map(_bits, got.coefficients)) == list(map(_bits, ref.coefficients))
+
+
+class TestTaylorBasis:
+    @pytest.mark.parametrize("index", range(4))
+    @pytest.mark.parametrize("tol", [1e-10, 1e-16])
+    def test_first_column_has_the_bits_of_one_column(self, index, tol):
+        # the shared pass runs until both tails have settled; up to where the
+        # first column stops alone, it is the same sums in the same order
+        ode = _model_odes()[index]
+        for center in (3.0, 40.0, 2.5e3):
+            first, second = fuchsian.taylor_basis(ode, center, 64, tol, 1e4)
+            alone = fuchsian.taylor_series(ode, center, 1.0, 0.0, 64, tol, 1e4)
+            n = len(alone.coefficients)
+            assert len(first.coefficients) >= n
+            assert [_bits(c) for c in first.coefficients[:n]] == [
+                _bits(c) for c in alone.coefficients]
+            assert (first.radius, first.scale) == (alone.radius, alone.scale)
+            assert second.coefficients[:2] == (0j, 1 + 0j)
+            assert len(second.coefficients) == len(first.coefficients)
 
 
 class TestContinuationChain:

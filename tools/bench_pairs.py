@@ -12,7 +12,9 @@ metric come from this repository's ``BENCHMARK.json``.
 
 Standard output is one JSON object, the skeleton of a ``BENCH_<n>.json``:
 per workload the seeds, the side that went first, ``failed`` and
-``correct`` pair by pair, and per end-to-end metric both sides' runs with
+``correct`` pair by pair, ``failed`` per region pair by pair (read from
+each run's ``.bench_out/<workload>-seed<seed>-trace0.json``), and per
+end-to-end metric both sides' runs with
 their median and quartiles (inclusive method), the pairs the change wins
 and loses, the relative worsening of the median and whether it is within
 the metric's bound, and whether a gain in the metric can be claimed: the
@@ -60,6 +62,14 @@ def _run(tree: str, workload: str, seed: int) -> dict:
                          f"{proc.returncode} without a JSON line:\n{proc.stderr}")
 
 
+def _regions(tree: str, workload: str, seed: int) -> dict:
+    """``failed`` per region of the run just made in tree, as its
+    ``.bench_out/<workload>-seed<seed>-trace0.json`` records it (region
+    ``none`` holds the commands outside the known-failing regions)."""
+    path = Path(tree, ".bench_out", f"{workload}-seed{seed}-trace0.json")
+    return {name: slot["failed"] for name, slot in json.loads(path.read_text())["regions"].items()}
+
+
 def _spread(runs: list[float]) -> dict:
     q1, median, q3 = (statistics.quantiles(runs, n=4, method="inclusive") if len(runs) > 1
                       else runs * 3)
@@ -85,18 +95,24 @@ def _compare(parent: list[float], change: list[float], metric: dict) -> dict:
 
 def _workload(trees: list[str], workload: str, seeds: list[int], metrics: list[dict]) -> dict:
     results = {side: [] for side in SIDES}
+    regions = {side: [] for side in SIDES}
     first = []
     for i, seed in enumerate(seeds):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         first.append(order[0])
         for side in order:
             print(f"bench_pairs: {workload} seed {seed} {side}", file=sys.stderr)
-            results[side].append(_run(trees[SIDES.index(side)], workload, seed))
+            tree = trees[SIDES.index(side)]
+            results[side].append(_run(tree, workload, seed))
+            regions[side].append(_regions(tree, workload, seed))
     return {
         "pairs": len(seeds),
         "seeds": seeds,
         "first_side": first,
         "failed": {side: [r["failed"] for r in results[side]] for side in SIDES},
+        "failed_by_region": {side: {name: [run.get(name, 0) for run in regions[side]]
+                                    for name in sorted(set().union(*regions[side]))}
+                             for side in SIDES},
         "correct": {side: all(r["correct"] for r in results[side]) for side in SIDES},
         "metrics": {m["name"]: _compare(*([r["metrics"][m["name"]]["value"] for r in results[side]]
                                           for side in SIDES), m)

@@ -473,6 +473,22 @@ class TestTransferExponents:
         assert [abs(x - e) / abs(e) for x, e in zip(got, exact)] == pytest.approx([0, 0],
                                                                                   abs=1e-4)
 
+    @pytest.mark.parametrize("ode", [
+        build_ordinary_kg(CoulombSystem(0.3, 0.5)),
+        build_deformed_zero_energy(0.3, DeformationParams(0.05, 0.02)),
+    ], ids=["ordinary", "deformed"])
+    def test_default_window_marches_four_hops(self, monkeypatch, ode):
+        # pieces of ratio 2 march [2.5e3, 1e4]; ratio 10 marched [1e2, 1e4] in 14
+        marches = []
+
+        def recorded(*args, **kwargs):
+            marches.append(integrate(*args, **kwargs))
+            return marches[-1]
+
+        monkeypatch.setattr(asymptotics, "integrate", recorded)
+        asymptotics.transfer_exponents(ode, (1e2, 1e4))
+        assert [march.hops <= 4 for march in marches] == [True]
+
     def test_window_too_narrow_is_refused(self):
         ode = build_ordinary_kg(CoulombSystem(0.3, 0.5))
         with pytest.raises(ValueError, match="too narrow"):

@@ -259,6 +259,15 @@ class TestExponents:
             assert row[5] == "0"
             assert abs(float(row[3]) - float(row[1])) <= 0.01 * abs(float(row[1]))
 
+    def test_coarsest_tol_measures_the_worst_draw_within_one_percent(self, capsys):
+        # the worst draw of exponent-fit seeds 1-10 at --tol 1e-3 over pieces
+        # of ratio 10, where its dominant row missed by 1.06%
+        code, out, err = _run(capsys, "exponents", "--model", "deformed-zero-energy",
+                              "--Z", "78", "--theta", "0.171644", "--theta-prime", "0.0164598",
+                              "--window", "40.4637:1328.4", "--tol", "1e-3")
+        assert code == 0, err
+        assert max(float(row[4]) for row in _csv_rows(out)) <= 0.01
+
     def test_bad_window_rejected(self, capsys):
         code, _, err = _run(capsys, "exponents", "--model", "deformed-zero-energy",
                             "--g", "0.3", "--theta", "0.05", "--window", "5:2")
@@ -762,9 +771,11 @@ def _benchmark_workloads():
 
 
 def test_exponent_fit_seed_1_passes_every_check():
-    # the 144 exponent-fit commands of seed 1, near-critical draws included
+    # the 144 exponent-fit commands of seed 1, near-critical draws included;
+    # over pieces of ratio 2 every row measures within 2e-5 (ratio 10 missed
+    # by up to 9.6e-5)
     checks, workloads = _benchmark_checks(), _benchmark_workloads()
-    failed = []
+    failed, worst = [], 0.0
     for cmd in workloads.commands("exponent-fit", 1, 15):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -772,7 +783,10 @@ def test_exponent_fit_seed_1_passes_every_check():
         if code != 0 or not checks.passes(cmd.kind, checks.check(cmd.kind, cmd.argv,
                                                                   out.getvalue())):
             failed.append((cmd.region, " ".join(cmd.argv)))
+            continue
+        worst = max([worst] + [float(row[4]) for row in _csv_rows(out.getvalue())])
     assert failed == []
+    assert worst <= 2e-5
 
 
 def _fresh_python(*args):

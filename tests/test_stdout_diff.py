@@ -26,15 +26,16 @@ _TABLE = """\
 # window_hi = 10000
 # conventions: u = p / (m c) dimensionless, eta = E / (m c^2)
 # columns: branch,re_analytic,im_analytic,fitted,deviation,oscillatory
-subdominant,-2,0,{fit},0.0001,0
-dominant,-5,0,-5.0001,2e-05,0
+subdominant,-2,0,{fit},{sub},0
+dominant,-5,0,-5.0001,{dom},0
 """
 
 
-def _records(**fields):
+def _records(index=0, sub="0.0001", dom="2e-05", **fields):
     argv = ["exponents", "--model", "deformed-zero-energy", "--theta", "0.05"]
-    return {("exponent-fit", 1, 0): {"kind": "exponents", "argv": argv, "code": 0,
-                                     "stdout": _TABLE.format(**fields), "stderr": ""}}
+    stdout = _TABLE.format(sub=sub, dom=dom, **fields)
+    return {("exponent-fit", 1, index): {"kind": "exponents", "argv": argv, "code": 0,
+                                         "stdout": stdout, "stderr": ""}}
 
 
 def test_removed_meta_line_moves_no_value(capsys):
@@ -60,6 +61,20 @@ def test_changed_cell_is_paired_by_row_and_column(capsys):
     changes = report.split("relative otherwise):\n")[1].splitlines()
     assert [line.split(":")[1] for line in changes] == ["fitted"]
     assert changes[0].startswith("  exponents:fitted: 0.0001  (exponents --model")
+
+
+def test_error_columns_report_both_maxima_and_the_cells_that_grew(capsys):
+    # one deviation falls and one grows; the unchanged command holds the
+    # largest on both sides and counts among the cells
+    tool = _stdout_diff()
+    same = _records(1, eta="", fit="-2.0002", sub="0.01")
+    old = {**_records(eta="", fit="-2.0002"), **same}
+    new = {**_records(eta="", fit="-2.0002", sub="5e-05", dom="3e-05"), **same}
+    assert tool.compare(old, new) is False
+    report = capsys.readouterr().out
+    assert "  exponents: 1\n" in report  # stdout changed in one command
+    errors = report.split("cells that grew:\n")[1].splitlines()
+    assert errors == ["  exponents:deviation: 0.01 -> 0.01, 1 of 4 grew"]
 
 
 def test_child_run_writes_no_bytecode(tmp_path):

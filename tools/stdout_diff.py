@@ -6,7 +6,7 @@ Each tree runs the command lists of ``perfbench/workloads.py`` (this
 repository's copy, read and not changed), ``commands(w, s, 15)`` for
 every workload w in its ``WORKLOADS`` and every seed s, through ``kgcoulomb.cli.main`` in one
 fresh interpreter per tree with that tree's ``src`` on the path. The
-report has five parts:
+report has six parts:
 
 - every command whose exit code changed;
 - the number of commands whose stdout changed, per kind of command;
@@ -18,7 +18,11 @@ report has five parts:
 - the largest change in each numeric column (and numeric ``# key = value``
   meta line) of the commands that kept their exit code, relative to the
   old value, or absolute for the columns that hold errors or
-  differences (``_ABSOLUTE``), with the command where it occurred.
+  differences (``_ABSOLUTE``), with the command where it occurred;
+- for each of those error columns that changed, its largest cell on
+  each side and the number of cells that grew, over every command of
+  its kind that kept its exit code, so that an error that only fell
+  reads as 0 grown.
 
 Meta lines are paired by key and table cells by (row, column), so a line
 that appears or goes away changes no other value.
@@ -118,6 +122,7 @@ def _change(name: str, old: float, new: float) -> float:
 
 def compare(old: dict, new: dict) -> bool:
     codes, changed, largest, one_sided = [], Counter(), {}, Counter()
+    errors = {}  # error column: [old largest, new largest, cells that grew, cells]
     stderr_changed, stderr_example = Counter(), {}
     for key, a in old.items():
         b = new[key]
@@ -127,9 +132,8 @@ def compare(old: dict, new: dict) -> bool:
         if a["code"] != b["code"]:
             codes.append((a["argv"], a["code"], b["code"]))
             continue
-        if a["stdout"] == b["stdout"]:
-            continue
-        changed[a["kind"]] += 1
+        if a["stdout"] != b["stdout"]:
+            changed[a["kind"]] += 1
         cells_a, cells_b = _cells(a["stdout"]), _cells(b["stdout"])
         for side, cells, other in (("old", cells_a, cells_b), ("new", cells_b, cells_a)):
             names = {cells[cell][0] for cell in cells if cell not in other}
@@ -140,6 +144,9 @@ def compare(old: dict, new: dict) -> bool:
             if x is None or y is None:
                 continue
             field = f"{a['kind']}:{name}"
+            if name in _ABSOLUTE:
+                top = errors.setdefault(field, [-math.inf, -math.inf, 0, 0])
+                top[:] = max(top[0], x), max(top[1], y), top[2] + (y > x), top[3] + 1
             size = _change(name, x, y)
             if size > largest.get(field, (0.0,))[0]:
                 largest[field] = (size, a["argv"])
@@ -162,6 +169,12 @@ def compare(old: dict, new: dict) -> bool:
               + ", ".join(sorted(_ABSOLUTE)) + "; relative otherwise):")
         for field, (size, argv) in sorted(largest.items()):
             print(f"  {field}: {size:.3g}  ({' '.join(argv)})")
+    grown = sorted(field for field in errors if field in largest)
+    if grown:
+        print("error columns that changed, largest cell old -> new, cells that grew:")
+        for field in grown:
+            x, y, grew, cells = errors[field]
+            print(f"  {field}: {x:.3g} -> {y:.3g}, {grew} of {cells} grew")
     return not codes and not changed and not stderr_changed
 
 

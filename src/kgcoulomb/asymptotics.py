@@ -196,31 +196,37 @@ class Transfer:
     apart, so the determinant carries no cancellation however far the
     product's columns align. ``hops`` counts the hops; ``max_residual``
     is the largest relative ODE defect of either column where the first
-    hop hands over and at the end, as in ``Trajectory``.
+    hop hands over and at the end, as in ``Trajectory``. Each (hop, point)
+    is read once, and w'' only at those two points.
     """
 
-    __slots__ = ("_chain", "_steps", "hops", "max_residual")
+    __slots__ = ("_chain", "_reads", "hops", "max_residual")
 
     def __init__(self, ode: fuchsian.RationalCoeffODE, chain: list, u_end: float) -> None:
-        self._chain = chain
-        # each hop's transfer to the next centre, with its determinant
-        self._steps = [self._local(k, chain[k + 1][0].expansion_point)
-                       for k in range(len(chain) - 1)]
-        checks = [(chain[0], chain[1][0].expansion_point)] if len(chain) > 1 else []
-        checks.append((chain[-1], complex(u_end)))
-        defects = [fuchsian._defect(ode, z, *fuchsian.evaluate_with_derivatives(sol, z))
-                   for pair, z in checks for sol in pair if z != sol.expansion_point]
+        self._chain, self._reads = chain, {}
+        checks = [(0, chain[1][0].expansion_point)] if len(chain) > 1 else []
+        checks.append((len(chain) - 1, complex(u_end)))
+        defects = []
+        for k, z in checks:
+            columns = [fuchsian.evaluate_with_derivatives(sol, z) for sol in chain[k]]
+            self._local(k, z, columns)
+            if z != chain[k][0].expansion_point:
+                defects += [fuchsian._defect(ode, z, *column) for column in columns]
         self.hops = len(chain)
         self.max_residual = max((d for d in defects if not math.isnan(d)), default=math.nan)
 
-    def _local(self, k: int, z: complex) -> tuple[tuple, complex]:
-        """Hop k's transfer from its centre to z, with its determinant."""
-        first, second = self._chain[k]
-        c = first.radius / first.expansion_point  # (w, u w') = (0, 1) is c times the second
-        w1, dw1, _ = fuchsian.evaluate_with_derivatives(first, z)
-        w2, dw2, _ = fuchsian.evaluate_with_derivatives(second, z)
-        m = (w1, c * w2, z * dw1, c * z * dw2)
-        return m, m[0] * m[3] - m[1] * m[2]
+    def _local(self, k: int, z: complex, columns: list | None = None) -> tuple[tuple, complex]:
+        """Hop k's transfer from its centre to z, with its determinant, from
+        both columns' (w, w', ...) at z, read here unless given; kept, so
+        each (hop, point) is read once."""
+        if (k, z) not in self._reads:
+            first, second = self._chain[k]
+            (w1, dw1, *_), (w2, dw2, *_) = columns or [
+                fuchsian.evaluate_with_derivatives(sol, z, 1) for sol in (first, second)]
+            c = first.radius / first.expansion_point  # (w, u w') = (0, 1) is c times the second
+            m = (w1, c * w2, z * dw1, c * z * dw2)
+            self._reads[k, z] = m, m[0] * m[3] - m[1] * m[2]
+        return self._reads[k, z]
 
     def _hop(self, u: complex) -> int:
         """The first hop whose trusted half disk holds u."""
@@ -238,7 +244,8 @@ class Transfer:
         (a, b, c, d), det_start = self._local(i, u)
         # the inverse of hop i's transfer to u, back to hop i's centre
         out, det = (d / det_start, -b / det_start, -c / det_start, a / det_start), 1.0 / det_start
-        for step, det_step in self._steps[i:j]:
+        for k in range(i, j):  # hop k's transfer to the next centre
+            step, det_step = self._local(k, self._chain[k + 1][0].expansion_point)
             out, det = _matmul(step, out), det * det_step
         end, det_end = self._local(j, v)
         out, det = _matmul(end, out), det * det_end
@@ -425,7 +432,7 @@ def dominant_branch(ode: fuchsian.RationalCoeffODE, window: tuple[float, float],
     prefix = series.coefficients[:_significant_terms(series, t_lo)]
     try:
         values = [(u_top / u) ** rho
-                  * fuchsian._series_sums(prefix, 1.0 / u, series.scale, derivatives=False)
+                  * fuchsian._series_sums(prefix, 1.0 / u, series.scale, derivatives=0)
                   / norm for u in points]
     except OverflowError:  # the head (t/t_top)^rho
         raise _out_of_range(u_top, lo) from None
@@ -488,8 +495,10 @@ def transfer_exponents(ode: fuchsian.RationalCoeffODE, window: tuple[float, floa
     once the imaginary part turns an eigenvalue by pi, so r is first cut to the
     largest of r, r^(1/2), r^(1/4), ... at which the turn over
     [hi/_RATIO_FLOOR, hi], scaled to r, stays below pi/2, and then
-    further until it does on both pieces; reading the march at new
-    points costs no new hop. Raises ValueError for a window narrower than
+    further until it does on both pieces. A cut r is marched again over
+    [hi/r^2, hi], with hops no longer than that interval, so the pieces
+    are read near hop centres and not at the edge of a disk whose series
+    the order cap truncates. Raises ValueError for a window narrower than
     a factor _RATIO_FLOOR^2, OutOfDomainError when no ratio down to
     _RATIO_FLOOR reads the turn below pi/2, and ConvergenceError when the
     march's series do not settle (a pair that turns too fast for a hop):
@@ -500,10 +509,12 @@ def transfer_exponents(ode: fuchsian.RationalCoeffODE, window: tuple[float, floa
     if not ratio >= _RATIO_FLOOR:
         raise ValueError(f"the window spans less than a factor {_RATIO_FLOOR ** 2:.6g}, "
                          "too narrow to measure the exponents over")
-    march = integrate(ode, hi / ratio ** 2, None, None, hi, tol=tol)
+    march, marched = integrate(ode, hi / ratio ** 2, None, None, hi, tol=tol), ratio
     turn = max(abs(rho.imag) for rho in _piece_exponents(march, hi / _RATIO_FLOOR, hi))
     while ratio >= _RATIO_FLOOR:
         if turn * math.log(ratio) < 0.5 * math.pi:
+            if ratio != marched:  # a cut ratio: the reads then fall near the hop centres
+                march, marched = integrate(ode, hi / ratio ** 2, None, None, hi, tol=tol), ratio
             mid = hi / ratio
             pieces = (_piece_exponents(march, mid / ratio, mid),
                       _piece_exponents(march, mid, hi))

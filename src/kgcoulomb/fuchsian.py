@@ -11,9 +11,11 @@ builds the equation (a Fuchsian equation is fixed by its singular
 points and their exponents). Nothing here searches for roots. A
 point's local record, its pole orders (the scheme's multiplicities)
 and indicial exponents, is made once per equation and read by the
-census, ``indicial_exponents`` and the Frobenius series; infinity is
-the pullback t = 1/z at t = 0, r going to 1/r. On top sit Frobenius and
-Taylor series, and series evaluation with derivatives and a defect check.
+census, ``indicial_exponents`` and the Frobenius series; the record at
+infinity is read off the top coefficients of the polynomial form below,
+and the pullback t = 1/z, r going to 1/r, serves only the series at
+infinity. On top sit Frobenius and Taylor series, and series evaluation
+with derivatives and a defect check.
 
 Every series comes from one banded recurrence read off the polynomial
 form P2 w'' + P1 w' + P0 w = 0 of the equation, and its band is the
@@ -326,12 +328,27 @@ class RationalCoeffODE:
 
     @cached_property
     def _infinity(self) -> "SingularPoint":
-        """The point at infinity: the pullback's record at t = 0, its
-        exponents negated into the z^sigma convention."""
-        rec = self._pullback._local(0j)
+        """The point at infinity, read off the top coefficients of the
+        least-degree form P2 w'' + P1 w' + P0 w = 0 (Ince, ch. XVI): with
+        n = deg P2 and A, B, C the coefficients of z^n in P2, z^(n-1) in P1
+        and z^(n-2) in P0, the pullback t = 1/z has p1 = (2 - B/A)/t + ...
+        and p0 = (C/A)/t^2 + ..., each pole one order higher per degree
+        that P1 or P0 has above that (B = 2A exactly cancels p1's). The
+        pullback's record at t = 0 has these pole orders and, to rounding,
+        these exponents, negated here into the z^sigma convention."""
+        p2, p1, p0 = self._products
+        n = len(p2) - 1
+        a, b = p2[n], (p1[n - 1] if 0 < n <= len(p1) else 0j)
+        c = p0[n - 2] if 1 < n <= len(p0) + 1 else 0j
+        if a == 0:
+            raise OutOfDomainError("the expansion at infinity is lost to rounding or overflow")
+        m1 = len(p1) - n + 1 if any(p1) and len(p1) > n else int(2.0 * a != b)
+        m0 = max(0, len(p0) - n + 3) if any(p0) else 0
+        if m1 > 1 or m0 > 2:
+            return SingularPoint(INFINITY, "irregular", m1, m0, None)
+        s1, s2 = _indicial_roots(INFINITY, 2.0 - b / a if m1 else 0j, c / a if m0 == 2 else 0j)
         # 0j - s, not -s: a zero imaginary part stays +0.0
-        exps = rec.exponents and _sorted_pair(0j - rec.exponents[0], 0j - rec.exponents[1])
-        return SingularPoint(INFINITY, rec.kind, rec.pole_order_p1, rec.pole_order_p0, exps)
+        return SingularPoint(INFINITY, "regular", m1, m0, _sorted_pair(0j - s1, 0j - s2))
 
     @cached_property
     def _products(self) -> tuple[tuple[complex, ...], ...]:
@@ -366,7 +383,8 @@ class RationalCoeffODE:
 
     @cached_property
     def _pullback(self) -> "RationalCoeffODE":
-        """The equation satisfied by W(t) = w(1/t) near t = 0. A root r != 0
+        """The equation satisfied by W(t) = w(1/t) near t = 0, which only a
+        Frobenius series at infinity needs. A root r != 0
         goes to 1/r with its multiplicities; the order of t = 0 in each
         denominator is its count of exactly zero low-order coefficients."""
         (n1, d1), (n0, d0) = substitute(
@@ -476,15 +494,19 @@ def _local_record(ode: RationalCoeffODE, z0: complex) -> SingularPoint:
     q0 = _leading_ratio(ode.p0_num, ode.p0_den, z0, 2) if m0 == 2 else 0j
     if m1 > 1 or m0 > 2:
         return SingularPoint(z0, "irregular", m1, m0, None)
+    return SingularPoint(z0, "regular", m1, m0, _sorted_pair(*_indicial_roots(z0, q1, q0)))
+
+
+def _indicial_roots(where, q1: complex, q0: complex) -> tuple[complex, complex]:
+    """The roots of s (s - 1) + q1 s + q0 = 0; a discriminant at the
+    rounding level of its terms gives a double root."""
     try:
         square, product = (q1 - 1.0) ** 2, 4.0 * q0
         d = square - product
         disc = cmath.sqrt(0j if abs(d) <= 16.0 * _EPS * (abs(square) + abs(product)) else d)
     except OverflowError as exc:
-        raise OutOfDomainError(f"the exponents at {z0} overflow") from exc
-    s1 = (-(q1 - 1.0) + disc) / 2.0
-    s2 = (-(q1 - 1.0) - disc) / 2.0
-    return SingularPoint(z0, "regular", m1, m0, _sorted_pair(s1, s2))
+        raise OutOfDomainError(f"the exponents at {where} overflow") from exc
+    return (-(q1 - 1.0) + disc) / 2.0, (-(q1 - 1.0) - disc) / 2.0
 
 
 def singular_points(ode: RationalCoeffODE) -> list[SingularPoint]:
@@ -824,9 +846,10 @@ def _local_coordinate(sol: FrobeniusSolution, z: complex) -> complex:
     return x
 
 
-def _series_sums(coeffs, x, scale: float = 1.0, derivatives: bool = True):
-    """sum c_k (x/scale)^k and its first two derivatives with respect to x;
-    with ``derivatives`` false, the value's sum alone, the same bits."""
+def _series_sums(coeffs, x, scale: float = 1.0, derivatives: int = 2):
+    """sum c_k (x/scale)^k and its first ``derivatives`` derivatives with
+    respect to x, 1 or 2 of them, as a tuple; with 0, the value's sum
+    alone. Every count gives the value and its derivatives the same bits."""
     if scale != 1.0:
         x = x / scale
     s0 = s1 = s2 = 0j
@@ -838,7 +861,8 @@ def _series_sums(coeffs, x, scale: float = 1.0, derivatives: bool = True):
         s2 = s2 * x + 2.0 * s1
         s1 = s1 * x + s0
         s0 = s0 * x + c
-    return (s0, s1, s2) if scale == 1.0 else (s0, s1 / scale, s2 / (scale * scale))
+    sums = (s0, s1, s2) if scale == 1.0 else (s0, s1 / scale, s2 / (scale * scale))
+    return sums[:derivatives + 1]
 
 
 def _tail_estimate(sol: FrobeniusSolution, x: complex) -> float:
@@ -863,20 +887,25 @@ def evaluate(sol: FrobeniusSolution, z: complex) -> complex:
         if rho.real > 0:
             return 0j
         raise OutOfDomainError("series diverges at its own expansion point")
-    return x ** rho * _series_sums(sol.coefficients, x, sol.scale, derivatives=False)
+    return x ** rho * _series_sums(sol.coefficients, x, sol.scale, derivatives=0)
 
 
-def evaluate_with_derivatives(sol: FrobeniusSolution, z: complex) -> tuple[complex, complex, complex]:
-    """(w, w', w'') at z, derivatives taken with respect to z."""
+def evaluate_with_derivatives(sol: FrobeniusSolution, z: complex,
+                              derivatives: int = 2) -> tuple[complex, ...]:
+    """(w, w', w'') at z, derivatives taken with respect to z; (w, w') with
+    ``derivatives`` 1, the same bits."""
     x, rho = _local_coordinate(sol, z), sol.exponent
     if x == 0 and rho != 0:
         raise OutOfDomainError("derivative evaluation needs a point away from the expansion center")
-    s0, s1, s2 = _series_sums(sol.coefficients, x, sol.scale)
+    sums = _series_sums(sol.coefficients, x, sol.scale, derivatives)
     if x == 0:  # an analytic series at its own centre
-        return s0, s1, s2
+        return sums
+    s0, s1 = sums[0], sums[1]
     w = x ** rho * s0
     dw_dx = x ** (rho - 1) * (rho * s0 + x * s1)
-    d2w_dx2 = x ** (rho - 2) * (rho * (rho - 1.0) * s0 + 2.0 * rho * x * s1 + x * x * s2)
+    if derivatives == 1:
+        return w, dw_dx
+    d2w_dx2 = x ** (rho - 2) * (rho * (rho - 1.0) * s0 + 2.0 * rho * x * s1 + x * x * sums[2])
     return w, dw_dx, d2w_dx2
 
 

@@ -3,6 +3,7 @@
 import ast
 import math
 import random
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -342,8 +343,8 @@ class TestDominantBranchFromInfinity:
             lengths.append(n)
             for u in dominant_branch(ode, window).grid:
                 r = 1.0 / (u * scale)
-                full = _series_sums(coeffs, 1.0 / u, scale, derivatives=False)
-                prefix = _series_sums(coeffs[:n], 1.0 / u, scale, derivatives=False)
+                full = _series_sums(coeffs, 1.0 / u, scale, derivatives=0)
+                prefix = _series_sums(coeffs[:n], 1.0 / u, scale, derivatives=0)
                 largest = max(abs(c) * r**k for k, c in enumerate(coeffs))
                 assert abs(prefix - full) <= 4 * math.ulp(largest), (ode.label, window, u)
         assert len(series.coefficients) == 49
@@ -395,7 +396,8 @@ def _abel(ode, z0, z1):
 def _hop_dets(march):
     """(z0, z1, det) of every hop's transfer to the next centre."""
     centres = [pair[0].expansion_point for pair in march._chain]
-    return [(z0, z1, det) for z0, z1, (_, det) in zip(centres, centres[1:], march._steps)]
+    return [(z0, z1, march._local(k, z1)[1])
+            for k, (z0, z1) in enumerate(zip(centres, centres[1:]))]
 
 
 class TestTransfer:
@@ -488,6 +490,39 @@ class TestTransferExponents:
         monkeypatch.setattr(asymptotics, "integrate", recorded)
         asymptotics.transfer_exponents(ode, (1e2, 1e4))
         assert [march.hops <= 4 for march in marches] == [True]
+
+    @pytest.mark.parametrize("ode", [
+        build_ordinary_kg(CoulombSystem(0.3, 0.5)),
+        build_deformed_zero_energy(0.3, DeformationParams(0.05, 0.02)),
+    ], ids=["ordinary", "deformed"])
+    def test_each_transfer_point_is_read_once(self, monkeypatch, ode):
+        # the 3 hand-overs and the piece ends hi/4, hi/2, hi/1.01 and hi,
+        # both columns each: 14 reads, w'' only at the first hand-over and
+        # at hi, where the defects are checked
+        counts, marches, sums = Counter(), [], fuchsian._series_sums
+
+        def counted(coeffs, x, scale=1.0, derivatives=2):
+            counts[derivatives] += 1
+            return sums(coeffs, x, scale, derivatives)
+
+        def recorded(*args, **kwargs):
+            marches.append(integrate(*args, **kwargs))
+            return marches[-1]
+
+        monkeypatch.setattr(fuchsian, "_series_sums", counted)
+        monkeypatch.setattr(asymptotics, "integrate", recorded)
+        asymptotics.transfer_exponents(ode, (1e2, 1e4))
+        assert counts == {1: 10, 2: 4}
+        (march,) = marches
+        assert len(march._reads) == 7
+        # each kept matrix is bit for bit one made from fresh reads
+        for (k, z), kept in march._reads.items():
+            first, second = march._chain[k]
+            (w1, dw1, _), (w2, dw2, _) = (evaluate_with_derivatives(sol, z)
+                                          for sol in (first, second))
+            c = first.radius / first.expansion_point
+            m = (w1, c * w2, z * dw1, c * z * dw2)
+            assert kept == (m, m[0] * m[3] - m[1] * m[2])
 
     def test_window_too_narrow_is_refused(self):
         ode = build_ordinary_kg(CoulombSystem(0.3, 0.5))

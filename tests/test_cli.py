@@ -1107,6 +1107,15 @@ def test_fast_turning_pair_is_measured_or_refused(capsys, g):
         assert abs(float(row[6]) - float(row[2])) <= 0.01 * abs(float(row[2]))
 
 
+def test_fast_turning_pair_read_near_hop_centres(capsys):
+    # the phase anchor cuts the ratio to 1.044; read off the march over
+    # [hi/4, hi], the pieces fell near the edge of a 64-term disk and
+    # missed by 1.9e-3
+    code, out, err = _run(capsys, "exponents", "--g", "30")
+    assert code == 0, err
+    assert max(float(row[4]) for row in _csv_rows(out)) <= 1e-6
+
+
 def test_exponents_need_no_local_data_at_finite_points(capsys):
     # +-i eps_tilde and +-i/sqrt(6 theta) lie one rounding apart, where
     # their local expansions are lost; infinity is classified alone

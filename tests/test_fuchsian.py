@@ -35,7 +35,8 @@ from kgcoulomb.kgmodels import (
     to_generalized_heun,
     to_heun,
 )
-from kgcoulomb.physcore import FINE_STRUCTURE_ALPHA, CoulombSystem, DeformationParams
+from kgcoulomb.physcore import (FINE_STRUCTURE_ALPHA, CoulombSystem, DeformationParams,
+                                mu_of_coupling)
 
 
 def residual(ode, sol, z):
@@ -457,6 +458,64 @@ class TestPolynomialAlgebra:
                 size = sum(abs(a[i]) * abs(b[k - i]) for i in range(len(a)) if 0 <= k - i < len(b))
                 assert abs(x - y) <= 18 * eps * size
             assert fuchsian._polyadd(a, b) == _trim(npoly.polyadd(a, b))
+
+
+def _pulled_record(ode):
+    """The pullback's record at t = 0, its exponents in the z^sigma convention."""
+    rec = ode._pullback._local(0j)
+    exps = rec.exponents and fuchsian._sorted_pair(0j - rec.exponents[0], 0j - rec.exponents[1])
+    return rec.kind, rec.pole_order_p1, rec.pole_order_p0, exps
+
+
+class TestRecordAtInfinity:
+    """The record at infinity is read off the top coefficients of the
+    least-degree form; the pullback, built here only to check it, must
+    give the same kind and pole orders and, to rounding, the same pair."""
+
+    def test_every_builders_equation_matches_its_pullback(self):
+        for ode, _ in _package_equations(40):
+            rec = ode._infinity
+            kind, m1, m0, exps = _pulled_record(ode)
+            assert (rec.kind, rec.pole_order_p1, rec.pole_order_p0) == (kind, m1, m0), ode.label
+            for got, ref in zip(rec.exponents, exps):
+                assert abs(got - ref) <= 8 * math.ulp(abs(ref)), ode.label
+
+    @pytest.mark.parametrize("g", [0.01, 0.3, 0.49, 0.5, 0.6, 1.0])
+    def test_exponents_match_the_closed_forms(self, g):
+        def close(ode, closed):
+            got = indicial_exponents(ode, INFINITY)
+            assert all(abs(x - y) <= 4e-15 * abs(y) for x, y in zip(got, closed)), ode.label
+
+        for eta in (0.1, 0.5, 0.9):
+            s = CoulombSystem(g=g, eta=eta)
+            mu = mu_of_coupling(g)
+            close(build_ordinary_kg(s), fuchsian._sorted_pair(-2.5 + mu, -2.5 - mu))
+            for theta in (1e-4, 0.01, 0.3):
+                close(build_deformed_first_order_psi(s, theta), (-2.0, -10.0 / 3.0))
+        for theta in (1e-4, 0.01, 0.3):
+            for theta_prime in (0.0, theta, 0.05):
+                close(build_deformed_zero_energy(g, DeformationParams(theta, theta_prime)),
+                      (-2.0, -3.0 - 2.0 * theta / (theta + theta_prime)))
+
+    @pytest.mark.parametrize("ode, orders", [
+        (_COS_ODE, (1, 4)),                                           # w'' + w = 0
+        (RationalCoeffODE((0.0, -2.0), (1.0,), (6.0,), (1.0,), ()), (3, 4)),  # Hermite
+    ], ids=["cosine", "hermite"])
+    def test_irregular_infinity_raises(self, ode, orders):
+        rec = ode._infinity
+        assert (rec.kind, rec.pole_order_p1, rec.pole_order_p0) == ("irregular", *orders)
+        assert _pulled_record(ode) == ("irregular", *orders, None)
+        with pytest.raises(IrregularPointError):
+            indicial_exponents(ode, INFINITY)
+
+    def test_exact_cancellation_leaves_p1_regular(self):
+        # z^2 w'' + 2 z w' - 2 w = 0: B = 2A, so the pullback's p1 is zero
+        # and only p0 has a pole at t = 0; sigma^2 + sigma - 2 = 0
+        ode = RationalCoeffODE((2.0,), (0.0, 1.0), (-2.0,), (0.0, 0.0, 1.0), ((0j, 1, 2),))
+        rec = ode._infinity
+        assert (rec.kind, rec.pole_order_p1, rec.pole_order_p0) == ("regular", 0, 2)
+        assert _pulled_record(ode) == ("regular", 0, 2, rec.exponents)
+        assert rec.exponents == (1 + 0j, -2 + 0j)
 
 
 def _full_sum_recurrence(p2, p1, p0, kappa, rho, order, seeds):

@@ -2,6 +2,7 @@
 and its child run leaves no compiled bytecode in the tree it reads."""
 
 import importlib.util
+import math
 import os
 import shutil
 import subprocess
@@ -75,6 +76,22 @@ def test_error_columns_report_both_maxima_and_the_cells_that_grew(capsys):
     assert "  exponents: 1\n" in report  # stdout changed in one command
     errors = report.split("cells that grew:\n")[1].splitlines()
     assert errors == ["  exponents:deviation: 0.01 -> 0.01, 1 of 4 grew"]
+
+
+def test_moves_are_reported_in_ulps(capsys):
+    # -2.0002 moves by two of its ulps, and a deviation, compared
+    # absolutely, by three ulps of 1; an unchanged column reports no move
+    tool = _stdout_diff()
+    fit = -2.0002
+    moved = math.nextafter(math.nextafter(fit, 0.0), 0.0)
+    old = _records(eta="", fit=repr(fit))
+    new = _records(eta="", fit=repr(moved), dom=repr(2e-05 + 3 * 2.0 ** -52))
+    assert tool.compare(old, new) is False
+    report = capsys.readouterr().out
+    lines = report.split("of the larger value otherwise):\n")[1].splitlines()[:3]
+    assert [line.split("  (")[0] for line in lines[:2]] == [
+        "  exponents:deviation: 3 ulps", "  exponents:fitted: 2 ulps"]
+    assert lines[2].startswith("largest change per column")
 
 
 def test_child_run_writes_no_bytecode(tmp_path):

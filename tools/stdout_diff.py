@@ -6,7 +6,7 @@ Each tree runs the command lists of ``perfbench/workloads.py`` (this
 repository's copy, read and not changed), ``commands(w, s, 15)`` for
 every workload w in its ``WORKLOADS`` and every seed s, through ``kgcoulomb.cli.main`` in one
 fresh interpreter per tree with that tree's ``src`` on the path. The
-report has six parts:
+report has seven parts:
 
 - every command whose exit code changed;
 - the number of commands whose stdout changed, per kind of command;
@@ -15,6 +15,11 @@ report has six parts:
   away shows up;
 - the meta keys and table columns present on one side only, with the
   number of commands each is missing from on the other side;
+- the largest move of each numeric column (and numeric ``# key = value``
+  meta line) that changed, in units in the last place: of the larger of
+  the two values, or of 1 for the columns compared absolutely, which
+  hold relative errors and differences; with the command where it
+  occurred, so that a change at rounding level reads as a few ulps;
 - the largest change in each numeric column (and numeric ``# key = value``
   meta line) of the commands that kept their exit code, relative to the
   old value, or absolute for the columns that hold errors or
@@ -120,8 +125,14 @@ def _change(name: str, old: float, new: float) -> float:
     return abs(new - old) / abs(old) if old != 0.0 else math.inf
 
 
+def _ulps(name: str, old: float, new: float) -> float:
+    """|new - old| in units in the last place of the larger of the two, or
+    of 1 for a column of _ABSOLUTE."""
+    return abs(new - old) / math.ulp(1.0 if name in _ABSOLUTE else max(abs(old), abs(new)))
+
+
 def compare(old: dict, new: dict) -> bool:
-    codes, changed, largest, one_sided = [], Counter(), {}, Counter()
+    codes, changed, largest, one_sided, moved = [], Counter(), {}, Counter(), {}
     errors = {}  # error column: [old largest, new largest, cells that grew, cells]
     stderr_changed, stderr_example = Counter(), {}
     for key, a in old.items():
@@ -150,6 +161,8 @@ def compare(old: dict, new: dict) -> bool:
             size = _change(name, x, y)
             if size > largest.get(field, (0.0,))[0]:
                 largest[field] = (size, a["argv"])
+            if size and (ulps := _ulps(name, x, y)) > moved.get(field, (0.0,))[0]:
+                moved[field] = (ulps, a["argv"])
     print(f"{len(old)} commands compared")
     print(f"exit code changes: {len(codes)}")
     for argv, x, y in codes:
@@ -164,6 +177,11 @@ def compare(old: dict, new: dict) -> bool:
     print("keys on one side only, commands per key:" + ("" if one_sided else " none"))
     for field, count in sorted(one_sided.items()):
         print(f"  {field}: {count}")
+    if moved:
+        print("largest move per changed column, in ulps (of 1 for "
+              + ", ".join(sorted(_ABSOLUTE)) + "; of the larger value otherwise):")
+        for field, (ulps, argv) in sorted(moved.items()):
+            print(f"  {field}: {ulps:.4g} ulps  ({' '.join(argv)})")
     if largest:
         print("largest change per column (absolute for "
               + ", ".join(sorted(_ABSOLUTE)) + "; relative otherwise):")

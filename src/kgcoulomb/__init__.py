@@ -1,8 +1,7 @@
 """Momentum-space bound states of the relativistic Coulomb problem,
 with and without a minimal-length deformation."""
 
-from .asymptotics import (FitResult, Trajectory, dominant_branch, fit_exponent,
-                          integrate, subdominant_branch)
+from .asymptotics import integrate
 from .errors import (ConvergenceError, IntegrationError, IrregularPointError,
                      KGCoulombError, KGCoulombWarning, OscillationError,
                      OutOfDomainError, ParameterPoleError, PhysicsDomainError,

@@ -1,33 +1,19 @@
-"""Numerical large-momentum behavior: direct integration of the model
-equations, the exponents at infinity measured from a transfer matrix,
-and log-log power-law fits.
+"""Numerical large-momentum behavior: the exponents at infinity measured
+from the transfer matrix of one basis march.
 
-Integration is analytic continuation by Taylor re-expansion, the engine
-in ``fuchsian``: the model equations have polynomial coefficients, so
-each local series comes from one banded recurrence, truncated where its
-tail drops below the tolerance. Along the real u-axis the radius of
-convergence grows like u, so [1, 1e4] takes a few dozen hops. A march
-carries one column, a solution sampled on a grid, or two: a basis at
-every hop, read as transfer matrices (``Transfer``).
-Everything is plain Python floats and lists; the fit sums with ``math.fsum``.
+The march (``integrate``) is analytic continuation by Taylor
+re-expansion, the engine in ``fuchsian``: the model equations have
+polynomial coefficients, so each local series comes from one banded
+recurrence, truncated where its tail drops below the tolerance. Along
+the real u-axis the radius of convergence grows like u, so [1, 1e4]
+takes a few dozen hops. Each hop carries a basis of two solutions, read
+as transfer matrices (``Transfer``). Everything is plain Python floats
+and complex numbers.
 
 The exponents are measured over the top of a window from the transfer
 matrix of one basis march (``transfer_exponents``): its eigenvalues give
 both exponents, complex pairs included, from the equation alone. This is
 the route of the command line's ``exponents``.
-
-The trajectories and their fits remain for the acceptance criteria. The
-window is chosen once, when a trajectory is sampled: each grid point in
-it is read off the first local disk that holds it, by its value alone,
-and a fit reads every sample. The dominant (fast-decaying) branch of a
-two-solution pair cannot be reached by forward integration from generic
-data; any admixture of the slow branch takes over. It is therefore taken
-from the Frobenius series about infinity (Ince, *Ordinary Differential
-Equations*, ch. XVI): read off that series directly wherever the window
-lies inside its trusted disk, and otherwise seeded from it at the top of
-the window and integrated backward, the standard trick for recessive
-solutions. Generic forward integration conversely always relaxes onto
-the subdominant branch, so the two branches come from independent routes.
 """
 
 from __future__ import annotations
@@ -40,56 +26,18 @@ from . import fuchsian
 from .errors import ConvergenceError, IntegrationError, OscillationError, OutOfDomainError
 
 __all__ = [
-    "Trajectory",
-    "FitResult",
     "integrate",
-    "fit_exponent",
-    "dominant_branch",
-    "subdominant_branch",
     "Transfer",
     "transfer_exponents",
     "paired",
+    "Trajectory",
+    "FitResult",
+    "fit_exponent",
 ]
-
-
-class Trajectory:
-    """psi sampled on a strictly increasing momentum grid, the points of
-    the sampling grid in the window asked for (all of them without one);
-    ``fit_exponent`` reads every sample. ``hops`` counts the local series
-    the samples were read from, the one at the start point included;
-    ``max_residual`` is the largest relative ODE defect
-    |psi'' + p1 psi' + p0 psi| / (|psi''| + |p1 psi'| + |p0 psi|) at one
-    point per local series (where the next one takes over, and the end),
-    psi'' taken from the local series (nan when not measured, or where
-    every term underflows).
-    """
-
-    __slots__ = ("grid", "values", "hops", "max_residual")
-
-    def __init__(self, grid: list[float], values: list[complex], hops: int = 0,
-                 max_residual: float = math.nan) -> None:
-        if not all(map(lt, grid, grid[1:])):
-            raise ValueError("trajectory grid must be strictly increasing")
-        if not all(map(cmath.isfinite, values)):
-            raise ValueError("trajectory contains non-finite samples")
-        self.grid, self.values, self.hops, self.max_residual = grid, values, hops, max_residual
-
-
-class FitResult:
-    __slots__ = ("exponent", "stderr")
-
-    def __init__(self, exponent: float, stderr: float) -> None:
-        self.exponent, self.stderr = exponent, stderr
-
 
 # order cap of each local series; at tol = 1e-16 the tail rule stops
 # near order 55 on a disk limited by a singular point
 _MAX_ORDER = 64
-# points of the sampling grid
-_N_POINTS = 400
-# terms of the series at infinity that gives the dominant branch
-_ORDER_AT_INFINITY = 48
-_LN2 = math.log(2.0)
 # A series of a basis march cut by the order cap counts as settled when
 # its last term on the half disk is below the larger of tol and _SETTLED
 # times its largest, and its largest below 1/_SETTLED times its value's
@@ -106,76 +54,6 @@ _SETTLED = 2.0 ** -26
 _RATIO_CAP = 2.0
 # Smallest ratio of a measuring piece; the phase anchor is read over it.
 _RATIO_FLOOR = 1.01
-
-
-def _linspace(lo: float, hi: float, n: int) -> list[float]:
-    """n evenly spaced points, i * step + lo, with hi set exactly (the
-    formula of numpy.linspace)."""
-    step = (hi - lo) / (n - 1)
-    return [i * step + lo for i in range(n - 1)] + [hi]
-
-
-def _geomspace(lo: float, hi: float, n: int) -> list[float]:
-    """n log-spaced points, 10 ** (i * step + log10(lo)), with both ends
-    set exactly (the formula of numpy.geomspace)."""
-    grid = [10.0 ** x for x in _linspace(math.log10(lo), math.log10(hi), n)]
-    grid[0], grid[-1] = lo, hi
-    return grid
-
-
-def _real_singularities_on(ode: fuchsian.RationalCoeffODE,
-                           lo: float, hi: float) -> list[complex]:
-    out = []
-    for z, _, _ in ode.points:
-        if abs(z.imag) < 1e-9 * max(1.0, abs(z.real)) and lo - 1e-12 <= z.real <= hi + 1e-12:
-            out.append(z)
-    return out
-
-
-def _check_path(ode: fuchsian.RationalCoeffODE, u0: float, u_end: float,
-                window: tuple[float, float] | None) -> None:
-    """Checks that the interval is not empty, that the window is ascending
-    and inside it, and that no singular point lies on it."""
-    if u0 == u_end:
-        raise ValueError("empty integration interval")
-    lo, hi = min(u0, u_end), max(u0, u_end)
-    if window is not None and not lo <= window[0] < window[1] <= hi:
-        raise ValueError(f"window {list(window)} is not an ascending part of [{lo}, {hi}]")
-    blockers = _real_singularities_on(ode, lo, hi)
-    if blockers:
-        raise OutOfDomainError(
-            f"integration interval [{lo}, {hi}] crosses singular point(s) "
-            + ", ".join(f"{z.real:.6g}" for z in blockers))
-
-
-def _grid(ode: fuchsian.RationalCoeffODE, u0: float, u_end: float,
-          window: tuple[float, float] | None) -> list[float]:
-    """The points of the _N_POINTS grid from u0 to u_end, geometric when
-    the interval spans more than a factor 50 and linear otherwise, that
-    lie in the window (all of them without one), in order from u0, on a
-    path that ``_check_path`` accepts."""
-    _check_path(ode, u0, u_end, window)
-    lo, hi = min(u0, u_end), max(u0, u_end)
-    grid = (_geomspace if lo > 0 and hi / lo > 50.0 else _linspace)(u0, u_end, _N_POINTS)
-    return grid if window is None else [u for u in grid if window[0] <= u <= window[1]]
-
-
-def _trajectory(u0: float, u_end: float, points: list[float], values: list[complex],
-                hops: int, defects: list[float], seeds: list[complex]) -> Trajectory:
-    """The trajectory of the samples, taken in order from u0, ascending;
-    IntegrationError where a sample or a hop seed left the floating-point
-    range."""
-    if not (all(map(cmath.isfinite, values)) and all(map(cmath.isfinite, seeds))):
-        raise _out_of_range(u0, u_end)
-    if u_end < u0:
-        points, values = points[::-1], values[::-1]
-    measured = [d for d in defects if not math.isnan(d)]
-    return Trajectory(grid=points, values=values, hops=hops,
-                      max_residual=max(measured, default=math.nan))
-
-
-def _out_of_range(u0: float, u_end: float) -> IntegrationError:
-    return IntegrationError(f"continuation from u = {u0} to {u_end} left the floating-point range")
 
 
 def _matmul(a: tuple, b: tuple) -> tuple:
@@ -195,9 +73,12 @@ class Transfer:
     as the product of the pieces' determinants: a piece's columns stay
     apart, so the determinant carries no cancellation however far the
     product's columns align. ``hops`` counts the hops; ``max_residual``
-    is the largest relative ODE defect of either column where the first
-    hop hands over and at the end, as in ``Trajectory``. Each (hop, point)
-    is read once, and w'' only at those two points.
+    is the largest relative ODE defect
+    |w'' + p1 w' + p0 w| / (|w''| + |p1 w'| + |p0 w|) of either column
+    where the first hop hands over and at the end, w'' taken from the
+    local series (nan where not measured, or where every term
+    underflows). Each (hop, point) is read once, and w'' only at those
+    two points.
     """
 
     __slots__ = ("_chain", "_reads", "hops", "max_residual")
@@ -250,15 +131,40 @@ class Transfer:
         end, det_end = self._local(j, v)
         out, det = _matmul(end, out), det * det_end
         if not (all(map(cmath.isfinite, out)) and cmath.isfinite(det)):
-            raise _out_of_range(u.real, v.real)
+            raise IntegrationError(
+                f"continuation from u = {u.real} to {v.real} left the floating-point range")
         return out, det
 
 
-def _basis_march(ode: fuchsian.RationalCoeffODE, u0: float, u_end: float,
-                 tol: float) -> Transfer:
-    """The hops of ``fuchsian.taylor_basis`` from u0 toward u_end, each 0.4
-    of the last radius further (the rule of ``fuchsian.reach``), capped at
-    the interval length, until one's trusted half disk holds u_end."""
+
+
+def integrate(ode: fuchsian.RationalCoeffODE, u0: float, u_end: float,
+              tol: float = 1e-10) -> Transfer:
+    """March a basis of psi'' + p1 psi' + p0 psi = 0 from u0 to u_end.
+
+    The hops of ``fuchsian.taylor_basis`` run from u0 toward u_end, each
+    0.4 of the last radius of convergence further (the rule of
+    ``fuchsian.reach``), capped at the interval length, until one's
+    trusted half disk holds u_end. Each local series is truncated where
+    its terms on the trusted half disk fall below tol times the largest
+    one, so tol bounds the relative error per disk. The march is returned
+    as its ``Transfer``. u0 must be nonzero, since the basis (w, u w')
+    degenerates at u = 0, the interval must not be empty, and no singular
+    point may lie on it.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if u0 == 0:
+        raise ValueError("a basis march starts away from u = 0")
+    if u0 == u_end:
+        raise ValueError("empty integration interval")
+    lo, hi = min(u0, u_end), max(u0, u_end)
+    blockers = [z for z, _, _ in ode.points if abs(z.imag) < 1e-9 * max(1.0, abs(z.real))
+                and lo - 1e-12 <= z.real <= hi + 1e-12]
+    if blockers:
+        raise OutOfDomainError(
+            f"integration interval [{lo}, {hi}] crosses singular point(s) "
+            + ", ".join(f"{z.real:.6g}" for z in blockers))
     cap = abs(u_end - u0)
     chain = [fuchsian.taylor_basis(ode, u0, _MAX_ORDER, tol, cap)]
     budget = fuchsian._hop_budget(ode, chain[0][0], complex(u_end))
@@ -277,181 +183,6 @@ def _basis_march(ode: fuchsian.RationalCoeffODE, u0: float, u_end: float,
                 f"the Taylor series at u = {series.expansion_point.real:.6g} do not settle "
                 f"in {_MAX_ORDER} terms: the solutions turn too fast for the hop")
     return Transfer(ode, chain, u_end)
-
-
-def integrate(ode: fuchsian.RationalCoeffODE, u0: float, psi0: complex | None,
-              dpsi0: complex | None, u_end: float, tol: float = 1e-10,
-              window: tuple[float, float] | None = None) -> Trajectory | Transfer:
-    """Integrate psi'' = -p1 psi' - p0 psi from u0 to u_end.
-
-    The solution is continued along the real axis by Taylor
-    re-expansion (``fuchsian.reach``), each hop 0.4 of the local radius
-    of convergence, capped at the interval length, up to u_end. Each
-    local series is truncated where its terms on the trusted half disk
-    fall below tol times the largest one, so tol bounds the relative error
-    per disk. psi is sampled at each point of the _N_POINTS grid in the
-    window (all of them without one; it must be an ascending part of the
-    interval), reached in turn from u0 and read off the first disk that
-    holds it by its value's sum alone (``fuchsian.evaluate``); every hop
-    heads exactly toward u_end. The grid is ascending in either direction.
-
-    Without a seed (psi0 and dpsi0 None) the march carries two columns, a
-    basis at every hop, on the same hops and tail rule, and returns its
-    ``Transfer``; u0 must then be nonzero, and there is no window.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if psi0 is None or dpsi0 is None:
-        if window is not None or u0 == 0:
-            raise ValueError("a basis march starts away from u = 0 and takes no window")
-        _check_path(ode, u0, u_end, None)
-        return _basis_march(ode, u0, u_end, tol)
-    points = _grid(ode, u0, u_end, window)
-    cap = abs(u_end - u0)
-    chain = [fuchsian.taylor_series(ode, u0, psi0, dpsi0, order=_MAX_ORDER, tol=tol,
-                                    max_radius=cap)]
-    values, k = [], 0
-    for u in points:
-        k = fuchsian.reach(ode, chain, complex(u), _MAX_ORDER, k, tol=tol, max_radius=cap)
-        values.append(fuchsian.evaluate(chain[k], u))
-    fuchsian.reach(ode, chain, complex(u_end), _MAX_ORDER, k, tol=tol, max_radius=cap)
-    # the first hop is checked where the next one takes over, the last at the end
-    checks = [(chain[0], chain[1].expansion_point)] if len(chain) > 1 else []
-    checks.append((chain[-1], u_end))
-    defects = [fuchsian._defect(ode, z, *fuchsian.evaluate_with_derivatives(hop, z))
-               for hop, z in checks if z != hop.expansion_point]
-    # the hop seeds, w and w' times the radius, stand for the path outside the window
-    seeds = [c for hop in chain for c in hop.coefficients[:2]]
-    return _trajectory(u0, u_end, points, values, len(chain), defects, seeds)
-
-
-def fit_exponent(traj: Trajectory) -> FitResult:
-    """Least-squares slope of log|psi| against log u over every sample of
-    the trajectory; the window was chosen when it was sampled.
-
-    Raises OscillationError when the amplitude is not a clean power law:
-    either the local log-log slope changes sign more than twice, or the
-    residuals around the fitted line oscillate with visible amplitude.
-    Both are signatures of a complex exponent pair (supercritical
-    Coulomb), where |psi| ~ u^re * |beat(im * log u)| and a single real
-    slope would be meaningless.
-    """
-    if len(traj.grid) < 8:
-        raise ValueError("window contains fewer than 8 samples")
-    # logs to base 2, which math.log2 takes at less than half the cost of
-    # math.log: the slope does not depend on the base, and the residuals'
-    # swing is converted to natural-log units below
-    try:
-        y = list(map(math.log2, map(abs, traj.values)))
-    except ValueError:  # log2(0)
-        raise OscillationError("|psi| has zeros in the window (interference nodes)") from None
-    x = list(map(math.log2, traj.grid))
-    # x ascends, so each local slope has the sign of its rise in y
-    if (flips := _sign_changes(list(map(sub, y[1:], y)))) > 2:
-        raise OscillationError(
-            f"log-log slope flips sign {flips} times over the window; "
-            "the decay exponent is complex, not real")
-    x_mean, y_mean = math.fsum(x) / len(x), math.fsum(y) / len(y)
-    xc = [v - x_mean for v in x]
-    sxx = math.fsum(map(mul, xc, xc))
-    slope = math.fsum(map(mul, xc, y)) / sxx
-    resid = [v - y_mean - slope * c for v, c in zip(y, xc)]
-    # A complex exponent pair shows up as a beat: the detrended residual
-    # swings through zero repeatedly instead of hugging the fit line.
-    swing = max(max(resid), -min(resid)) * _LN2
-    if swing > 0.02 and (crossings := _sign_changes(resid)) >= 3:
-        raise OscillationError(
-            f"detrended log amplitude oscillates (swing {swing:.3g}, "
-            f"{crossings} zero crossings); the decay exponent is complex")
-    dof = len(x) - 2
-    stderr = math.sqrt(math.fsum(map(mul, resid, resid)) / dof / sxx)
-    return FitResult(exponent=slope, stderr=stderr)
-
-
-def _sign_changes(seq: list[float]) -> int:
-    """Neighbours of opposite sign, a product below zero."""
-    return len([1 for a, b in zip(seq, seq[1:]) if a * b < 0.0])
-
-
-def _significant_terms(series: fuchsian.FrobeniusSolution, t: float) -> int:
-    """Length of the prefix of the series' coefficients that holds every
-    term of its value's sum above 2^-53 of the largest at t. Past it each
-    term is below 2^-53 of a term of lower index, and stays so at every
-    smaller t, so the prefix serves the whole disk |t| holds."""
-    log_r = math.log2(t / series.scale)
-    logs = [math.log2(abs(c)) + k * log_r if c else -math.inf
-            for k, c in enumerate(series.coefficients)]
-    floor = max(logs) - 53.0
-    return 1 + max(k for k, v in enumerate(logs) if v > floor)
-
-
-def dominant_branch(ode: fuchsian.RationalCoeffODE, window: tuple[float, float],
-                    tol: float = 1e-10) -> Trajectory:
-    """Trajectory of the fastest-decaying solution over the window.
-
-    This is the Frobenius series about infinity, t^rho sum c_k t^k in
-    t = 1/u. Where the whole window lies inside the series' trusted disk
-    (t at most half its radius) and, at the window's lower edge t_lo,
-    |t_lo^rho| times the series' tail estimate is below tol times its
-    value (``fuchsian.evaluate`` at t_lo), every grid point of the window
-    is read off the series directly (one hop), by its value's sum over
-    the terms that matter at that edge, the largest t
-    (``_significant_terms``). Otherwise the series seeds a backward march
-    from the upper window edge, or from further out where the edge lies
-    outside the trusted disk. Either way the head is taken relative to
-    the top u_top, (t/t_top)^rho, and the solution is normalised to unit
-    max(|psi|, |psi'|) there, from all of the series' terms (the
-    equations are linear, so shape is all that matters), so a far window
-    does not underflow.
-    """
-    exps = fuchsian.indicial_exponents(ode, fuchsian.INFINITY)
-    dominant = exps[1]  # sorted descending by real part: [1] decays fastest
-    series = fuchsian.frobenius_series(ode, fuchsian.INFINITY, dominant,
-                                       order=_ORDER_AT_INFINITY)
-    rho = series.exponent  # the exponent in t
-    lo, u_top = window[0], max(window[1], 2.0 / series.radius)
-
-    def from_infinity(u, top):
-        # w = (t/t_top)^rho s(t) and its u-derivatives, s(t) = sum c_k t^k
-        t = 1.0 / u
-        s0, s1, s2 = fuchsian._series_sums(series.coefficients, t, series.scale)
-        head = (top / u) ** rho
-        return (head * s0, -head * t * (rho * s0 + t * s1),
-                head * t * t * (rho * (rho + 1.0) * s0 + 2.0 * (rho + 1.0) * t * s1
-                                + t * t * s2))
-
-    w, dw, _ = from_infinity(u_top, u_top)
-    norm = max(abs(w), abs(dw))
-    t_lo = 1.0 / lo
-    # strict, so a lower edge where t^rho underflows to zero marches
-    if not (lo >= 2.0 / series.radius
-            and abs(t_lo ** rho) * fuchsian._tail_estimate(series, t_lo)
-            < tol * abs(fuchsian.evaluate(series, t_lo))):
-        return integrate(ode, u_top, w / norm, dw / norm, lo, tol=tol, window=window)
-    points = _grid(ode, u_top, lo, window)
-    prefix = series.coefficients[:_significant_terms(series, t_lo)]
-    try:
-        values = [(u_top / u) ** rho
-                  * fuchsian._series_sums(prefix, 1.0 / u, series.scale, derivatives=0)
-                  / norm for u in points]
-    except OverflowError:  # the head (t/t_top)^rho
-        raise _out_of_range(u_top, lo) from None
-    # the defect is blind to a constant factor, so each point is its own top
-    defects = [fuchsian._defect(ode, u, *from_infinity(u, u)) for u in (u_top, lo)]
-    return _trajectory(u_top, lo, points, values, 1, defects, [])
-
-
-def subdominant_branch(ode: fuchsian.RationalCoeffODE, window: tuple[float, float],
-                       tol: float = 1e-10) -> Trajectory:
-    """Trajectory dominated by the slowest-decaying solution.
-
-    Forward integration from the generic seed psi = 1, psi' = 0 at u = 1,
-    which must sit below the window; the slow branch takes over long
-    before the window starts, no series seeding required.
-    """
-    if window[0] <= 1.0:
-        raise ValueError("seed point must sit below the fit window")
-    return integrate(ode, 1.0, 1.0 + 0j, 0j, window[1], tol=tol, window=window)
 
 
 def _piece_exponents(march: Transfer, u: float, v: float) -> list[complex]:
@@ -509,12 +240,12 @@ def transfer_exponents(ode: fuchsian.RationalCoeffODE, window: tuple[float, floa
     if not ratio >= _RATIO_FLOOR:
         raise ValueError(f"the window spans less than a factor {_RATIO_FLOOR ** 2:.6g}, "
                          "too narrow to measure the exponents over")
-    march, marched = integrate(ode, hi / ratio ** 2, None, None, hi, tol=tol), ratio
+    march, marched = integrate(ode, hi / ratio ** 2, hi, tol=tol), ratio
     turn = max(abs(rho.imag) for rho in _piece_exponents(march, hi / _RATIO_FLOOR, hi))
     while ratio >= _RATIO_FLOOR:
         if turn * math.log(ratio) < 0.5 * math.pi:
             if ratio != marched:  # a cut ratio: the reads then fall near the hop centres
-                march, marched = integrate(ode, hi / ratio ** 2, None, None, hi, tol=tol), ratio
+                march, marched = integrate(ode, hi / ratio ** 2, hi, tol=tol), ratio
             mid = hi / ratio
             pieces = (_piece_exponents(march, mid / ratio, mid),
                       _piece_exponents(march, mid, hi))
@@ -529,3 +260,78 @@ def transfer_exponents(ode: fuchsian.RationalCoeffODE, window: tuple[float, floa
         "the exponents' imaginary part turns the transfer matrix's eigenvalues by pi/2 "
         f"or more over every piece down to a ratio {_RATIO_FLOOR:g}; its phase cannot be "
         "read unwrapped")
+
+
+# The log-log fit of a sampled solution. No command calls it; the
+# benchmark's tracer (perfbench/spans.py) wraps asymptotics.fit_exponent by
+# name and cannot install without it, so it stays until that span retires.
+class Trajectory:
+    """psi sampled on a strictly increasing momentum grid; ``fit_exponent``
+    reads every sample."""
+
+    __slots__ = ("grid", "values")
+
+    def __init__(self, grid: list[float], values: list[complex]) -> None:
+        if not all(map(lt, grid, grid[1:])):
+            raise ValueError("trajectory grid must be strictly increasing")
+        if not all(map(cmath.isfinite, values)):
+            raise ValueError("trajectory contains non-finite samples")
+        self.grid, self.values = grid, values
+
+
+class FitResult:
+    __slots__ = ("exponent", "stderr")
+
+    def __init__(self, exponent: float, stderr: float) -> None:
+        self.exponent, self.stderr = exponent, stderr
+
+
+_LN2 = math.log(2.0)
+
+
+def fit_exponent(traj: Trajectory) -> FitResult:
+    """Least-squares slope of log|psi| against log u over every sample of
+    the trajectory.
+
+    Raises OscillationError when the amplitude is not a clean power law:
+    either the local log-log slope changes sign more than twice, or the
+    residuals around the fitted line oscillate with visible amplitude.
+    Both are signatures of a complex exponent pair (supercritical
+    Coulomb), where |psi| ~ u^re * |beat(im * log u)| and a single real
+    slope would be meaningless.
+    """
+    if len(traj.grid) < 8:
+        raise ValueError("window contains fewer than 8 samples")
+    # logs to base 2, which math.log2 takes at less than half the cost of
+    # math.log: the slope does not depend on the base, and the residuals'
+    # swing is converted to natural-log units below
+    try:
+        y = list(map(math.log2, map(abs, traj.values)))
+    except ValueError:  # log2(0)
+        raise OscillationError("|psi| has zeros in the window (interference nodes)") from None
+    x = list(map(math.log2, traj.grid))
+    # x ascends, so each local slope has the sign of its rise in y
+    if (flips := _sign_changes(list(map(sub, y[1:], y)))) > 2:
+        raise OscillationError(
+            f"log-log slope flips sign {flips} times over the window; "
+            "the decay exponent is complex, not real")
+    x_mean, y_mean = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    xc = [v - x_mean for v in x]
+    sxx = math.fsum(map(mul, xc, xc))
+    slope = math.fsum(map(mul, xc, y)) / sxx
+    resid = [v - y_mean - slope * c for v, c in zip(y, xc)]
+    # A complex exponent pair shows up as a beat: the detrended residual
+    # swings through zero repeatedly instead of hugging the fit line.
+    swing = max(max(resid), -min(resid)) * _LN2
+    if swing > 0.02 and (crossings := _sign_changes(resid)) >= 3:
+        raise OscillationError(
+            f"detrended log amplitude oscillates (swing {swing:.3g}, "
+            f"{crossings} zero crossings); the decay exponent is complex")
+    dof = len(x) - 2
+    stderr = math.sqrt(math.fsum(map(mul, resid, resid)) / dof / sxx)
+    return FitResult(exponent=slope, stderr=stderr)
+
+
+def _sign_changes(seq: list[float]) -> int:
+    """Neighbours of opposite sign, a product below zero."""
+    return len([1 for a, b in zip(seq, seq[1:]) if a * b < 0.0])

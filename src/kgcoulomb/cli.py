@@ -48,7 +48,7 @@ import math
 import sys
 import warnings
 
-from .asymptotics import _geomspace, _linspace, paired, transfer_exponents
+from .asymptotics import paired, transfer_exponents
 from .errors import (
     KGCoulombError,
     KGCoulombWarning,
@@ -111,6 +111,21 @@ def _parse_window(text: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """n evenly spaced points, i * step + lo, with hi set exactly (the
+    formula of numpy.linspace)."""
+    step = (hi - lo) / (n - 1)
+    return [i * step + lo for i in range(n - 1)] + [hi]
+
+
+def _geomspace(lo: float, hi: float, n: int) -> list[float]:
+    """n log-spaced points, 10 ** (i * step + log10(lo)), with both ends
+    set exactly (the formula of numpy.geomspace)."""
+    grid = [10.0 ** x for x in _linspace(math.log10(lo), math.log10(hi), n)]
+    grid[0], grid[-1] = lo, hi
+    return grid
+
+
 _FORMATS = ("csv", "json", "gnuplot-dat")
 
 # (type, help) per option, for the flags and the config file alike, in the
@@ -124,8 +139,8 @@ _OPTIONS = {
     "model": (str, "model selector"),
     "theta": (float, "dimensionless deformation parameter"),
     "theta-prime": (float, "second deformation parameter"),
-    "tol": (float, "integrator tolerance"),
-    "window": (str, "grid or fit window 'lo:hi'"),
+    "tol": (float, "Taylor series tolerance of the exponent march"),
+    "window": (str, "wavefunction grid or exponent window 'lo:hi'"),
     "format": (str, f"output format: {', '.join(_FORMATS)} (default csv)"),
     "out": (str, "output file (default stdout)"),
 }

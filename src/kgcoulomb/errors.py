@@ -57,7 +57,7 @@ class ConvergenceError(KGCoulombError):
 
 
 class IntegrationError(KGCoulombError):
-    """The ODE integrator reported failure."""
+    """An analytic continuation left the floating-point range."""
 
 
 class RootFindingError(KGCoulombError):

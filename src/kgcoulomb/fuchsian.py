@@ -865,18 +865,6 @@ def _series_sums(coeffs, x, scale: float = 1.0, derivatives: int = 2):
     return sums[:derivatives + 1]
 
 
-def _tail_estimate(sol: FrobeniusSolution, x: complex) -> float:
-    """The truncated tail at x, crudely: last term * ratio / (1 - ratio)."""
-    n = len(sol.coefficients) - 1
-    last = abs(sol.coefficients[n]) * (abs(x) / sol.scale) ** n
-    if math.isfinite(sol.radius) and sol.radius > 0:
-        ratio = abs(x) / sol.radius
-    else:
-        ratio = 0.5
-    ratio = min(ratio, 0.999)
-    return last * ratio / (1.0 - ratio)
-
-
 def evaluate(sol: FrobeniusSolution, z: complex) -> complex:
     """Value of the local solution at z, from its value's sum alone (away
     from z0, the bits ``evaluate_with_derivatives`` gives)."""

@@ -161,7 +161,7 @@ def _first_order_points(system: CoulombSystem, theta: float) -> tuple:
 def build_deformed_first_order_psi(system: CoulombSystem, theta: float) -> RationalCoeffODE:
     """The same first-order model written for psi directly, derived from
     the phi form by the gauge phi = u psi; its exponents at infinity are
-    psi exponents, which is what asymptotic fits compare against."""
+    psi exponents, which is what the measured exponents compare against."""
     _require_bound_state(system)
     if theta <= 0.0:
         raise ValueError("theta must be positive; for theta = 0 use build_ordinary_kg")

@@ -12,8 +12,7 @@ import sympy as sp
 
 import closed_form
 import symbolic_oracle as so
-from kgcoulomb import asymptotics
-from kgcoulomb.asymptotics import dominant_branch, fit_exponent, integrate, subdominant_branch
+from kgcoulomb.asymptotics import integrate, paired, transfer_exponents
 from kgcoulomb.fuchsian import (INFINITY, _defect, evaluate_with_derivatives, frobenius_series,
                                 indicial_exponents, reach, singular_points, taylor_series)
 from kgcoulomb.kgmodels import (
@@ -87,10 +86,9 @@ def test_criterion_3_deformed_zero_energy_exponents_and_fits():
         pairs.add(rho)
     assert len(pairs) == 1  # bit-identical across charges
     ode = build_deformed_zero_energy(0.5, dp)
-    dom = fit_exponent(dominant_branch(ode, _WINDOW))
-    sub = fit_exponent(subdominant_branch(ode, _WINDOW))
-    assert abs(dom.exponent - expected[1]) <= 0.01 * abs(expected[1])
-    assert abs(sub.exponent - expected[0]) <= 0.01 * abs(expected[0])
+    sub, dom = paired(expected, transfer_exponents(ode, _WINDOW))
+    assert abs(dom - expected[1]) <= 0.01 * abs(expected[1])
+    assert abs(sub - expected[0]) <= 0.01 * abs(expected[0])
 
 
 def _heun_vs_hypergeometric_points():
@@ -108,11 +106,11 @@ def test_criterion_4_heun_reduction_agreement():
 
 
 def test_criterion_5_series_residuals():
-    # deformed seed series used by the criterion-3 fit
+    # the dominant series at infinity of the criterion-3 equation
     dp = DeformationParams(0.05, 0.05)
     ode = build_deformed_zero_energy(0.5, dp)
     rho = indicial_exponents(ode, INFINITY)
-    seed = frobenius_series(ode, INFINITY, rho[1], order=asymptotics._ORDER_AT_INFINITY)
+    seed = frobenius_series(ode, INFINITY, rho[1], order=48)
     for u in (1e2, 1e3, 1e4):
         assert _residual_at_infinity(ode, seed, u) <= 1e-8
 
@@ -170,20 +168,22 @@ def test_criterion_6_generalized_heun_block():
 def test_criterion_7_first_order_truncation_discrepancy():
     theta = 0.04
     trunc = build_deformed_first_order_psi(CoulombSystem(g=0.3, eta=0.9), theta)
-    fit_t = fit_exponent(dominant_branch(trunc, _WINDOW))
-    assert abs(fit_t.exponent - (-10.0 / 3.0)) <= 0.01 * (10.0 / 3.0)
+    dom_t = min(rho.real for rho in transfer_exponents(trunc, _WINDOW))
+    assert abs(dom_t - (-10.0 / 3.0)) <= 0.01 * (10.0 / 3.0)
     exact = build_deformed_zero_energy(0.3, DeformationParams(theta, 2 * theta))
-    fit_e = fit_exponent(dominant_branch(exact, _WINDOW))
-    assert abs(fit_e.exponent - (-11.0 / 3.0)) <= 0.01 * (11.0 / 3.0)
+    dom_e = min(rho.real for rho in transfer_exponents(exact, _WINDOW))
+    assert abs(dom_e - (-11.0 / 3.0)) <= 0.01 * (11.0 / 3.0)
 
 
 def test_criterion_8_closed_form_cross_integration():
     g = FINE_STRUCTURE_ALPHA
     s = CoulombSystem(g=g, eta=energy_closed_form(g, 0))
     psi0, dpsi0 = closed_form.psi_and_derivative(s, 5.0)
-    traj = integrate(build_ordinary_kg(s), 5.0, psi0, dpsi0, 50.0, tol=1e-12)
+    # psi(50) is the first row of the transfer matrix in the basis
+    # (w, u w') applied to (psi, 5 psi') at u = 5
+    (a, b, _, _), _ = integrate(build_ordinary_kg(s), 5.0, 50.0, tol=1e-12).matrix(5.0, 50.0)
     ref = psi_ordinary(s, 50.0)
-    assert abs(traj.values[-1] - ref) <= 1e-6 * abs(ref)
+    assert abs(a * psi0 + b * 5.0 * dpsi0 - ref) <= 1e-6 * abs(ref)
 
 
 def test_criterion_9_derivation_oracle():

@@ -1,4 +1,4 @@
-"""Integration and tail-exponent fitting."""
+"""The basis march, the exponents measured from it, and the log-log fit."""
 
 import ast
 import math
@@ -11,101 +11,75 @@ import pytest
 
 import closed_form
 from kgcoulomb import asymptotics, fuchsian
-from kgcoulomb.asymptotics import (
-    Trajectory,
-    _significant_terms,
-    dominant_branch,
-    fit_exponent,
-    integrate,
-    subdominant_branch,
-)
+from kgcoulomb.asymptotics import Trajectory, fit_exponent, integrate
 from kgcoulomb.errors import ConvergenceError, OscillationError, OutOfDomainError
-from kgcoulomb.fuchsian import (INFINITY, RationalCoeffODE, _series_sums,
-                                evaluate_with_derivatives, frobenius_series, indicial_exponents)
-from kgcoulomb.kgmodels import (build_deformed_first_order_psi, build_deformed_zero_energy,
-                                build_ordinary_kg, to_heun)
+from kgcoulomb.fuchsian import (INFINITY, RationalCoeffODE, evaluate_with_derivatives,
+                                frobenius_series, indicial_exponents)
+from kgcoulomb.kgmodels import build_deformed_zero_energy, build_ordinary_kg, to_heun
 from kgcoulomb.physcore import FINE_STRUCTURE_ALPHA, CoulombSystem, DeformationParams
 from kgcoulomb.specialfn import heun_local, hypergeometric_ode, psi_ordinary
 from kgcoulomb.spectra import energy_closed_form
 
-# psi'' - psi = 0: the solution through (1, 1) at u = 0 is exp(u)
+# psi'' - psi = 0: the solution through (e, e) at u = 1 is exp(u)
 _EXP_ODE = RationalCoeffODE((0.0,), (1.0,), (-1.0,), (1.0,), (), label="exp")
+
+
+def _psi(march, u0, psi0, dpsi0, grid):
+    """The solution through (psi0, dpsi0) at u0, read at each grid point
+    through the first row of the march's transfer matrix from u0."""
+    values = []
+    for u in grid:
+        (a, b, _, _), _ = march.matrix(u0, u)
+        values.append(a * psi0 + b * u0 * dpsi0)
+    return values
 
 
 class TestIntegrate:
     def test_exponential_solution(self):
-        traj = integrate(_EXP_ODE, 0.0, 1.0 + 0j, 1.0 + 0j, 1.0, tol=1e-12)
-        assert len(traj.grid) == 400 and (traj.grid[0], traj.grid[-1]) == (0.0, 1.0)
-        assert traj.values[-1] == pytest.approx(math.e, rel=1e-10)
-        for u, v in zip(traj.grid, traj.values):
+        # exp(u) through (e, e) at u = 1
+        march = integrate(_EXP_ODE, 1.0, 2.0, tol=1e-12)
+        grid = np.linspace(1.0, 2.0, 400)
+        values = _psi(march, 1.0, math.e, math.e, grid)
+        assert values[-1] == pytest.approx(math.exp(2.0), rel=1e-10)
+        for u, v in zip(grid, values):
             assert v == pytest.approx(math.exp(u), rel=1e-10)
 
-    @pytest.mark.parametrize("model, u0, u_end, window", [
-        ("exp", 0.0, 1.0, (0.3, 0.7)), ("exp", 1.0, 0.0, (0.3, 0.7)),
-        ("ordinary", 1.0, 1e4, (1e2, 1e3)), ("ordinary", 1e4, 10.0, (1e2, 1e3))])
-    def test_window_samples_its_grid_points_alone(self, model, u0, u_end, window):
-        # the same march, read at the grid points inside the window only
-        ode = _EXP_ODE if model == "exp" else build_ordinary_kg(
-            CoulombSystem(g=0.3, eta=0.5))
-        full = integrate(ode, u0, 1.0 + 0j, 1.0 + 0j, u_end)
-        part = integrate(ode, u0, 1.0 + 0j, 1.0 + 0j, u_end, window=window)
-        inside = [(u, v) for u, v in zip(full.grid, full.values) if window[0] <= u <= window[1]]
-        assert 50 < len(inside) == len(part.grid)
-        assert list(zip(part.grid, part.values)) == inside
-        assert (part.hops, part.max_residual) == (full.hops, full.max_residual)
-        # the samples lie in the window, and a window past the interval is refused
-        assert window[0] <= part.grid[0] and part.grid[-1] <= window[1]
-        with pytest.raises(ValueError, match="not an ascending part"):
-            integrate(ode, u0, 1.0 + 0j, 1.0 + 0j, u_end, window=(window[0], 2 * max(u0, u_end)))
-
-    def test_window_outside_interval_rejected(self):
-        # below the interval, reversed, empty or past its end, in either
-        # direction: the window must be an ascending part of the interval
-        for u0, u_end in ((0.0, 1.0), (1.0, 0.0)):
-            for window in ((-0.5, 1.0), (-0.5, -0.1), (0.7, 0.3), (0.5, 0.5), (0.5, 1.5)):
-                with pytest.raises(ValueError, match="not an ascending part"):
-                    integrate(_EXP_ODE, u0, 1.0 + 0j, 1.0 + 0j, u_end, window=window)
-
     def test_tolerance_controls_error(self):
-        coarse = integrate(_EXP_ODE, 0.0, 1.0 + 0j, 1.0 + 0j, 1.0, tol=1e-5)
-        fine = integrate(_EXP_ODE, 0.0, 1.0 + 0j, 1.0 + 0j, 1.0, tol=1e-12)
-        err_coarse = abs(coarse.values[-1] - math.e)
-        err_fine = abs(fine.values[-1] - math.e)
+        coarse = integrate(_EXP_ODE, 1.0, 2.0, tol=1e-5)
+        fine = integrate(_EXP_ODE, 1.0, 2.0, tol=1e-12)
+        err_coarse = abs(_psi(coarse, 1.0, math.e, math.e, [2.0])[0] - math.exp(2.0))
+        err_fine = abs(_psi(fine, 1.0, math.e, math.e, [2.0])[0] - math.exp(2.0))
         assert err_fine < err_coarse
 
-    def test_backward_grid_still_ascending(self):
-        traj = integrate(_EXP_ODE, 1.0, 1.0 + 0j, 1.0 + 0j, 0.0)
-        assert traj.grid[0] < traj.grid[-1]
-
     def test_closed_form_seeded_continuation(self):
-        # seed the ordinary equation with the exact solution at u = 5 and
-        # ride it to u = 50; the closed form must be reproduced pointwise
+        # the exact solution at u = 5, carried to u = 50 by the transfer
+        # matrix; the closed form must be reproduced pointwise
         g = FINE_STRUCTURE_ALPHA
         s = CoulombSystem(g=g, eta=energy_closed_form(g, 0))
         psi0, dpsi0 = closed_form.psi_and_derivative(s, 5.0)
-        traj = integrate(build_ordinary_kg(s), 5.0, psi0, dpsi0, 50.0, tol=1e-12)
-        for idx in (len(traj.grid) // 2, -1):
-            u = float(traj.grid[idx])
+        march = integrate(build_ordinary_kg(s), 5.0, 50.0, tol=1e-12)
+        for u in (27.5, 50.0):
+            (value,) = _psi(march, 5.0, psi0, dpsi0, [u])
             ref = psi_ordinary(s, u)
-            assert abs(traj.values[idx] - ref) <= 1e-6 * abs(ref)
+            assert abs(value - ref) <= 1e-6 * abs(ref)
 
     def test_singular_point_on_path_rejected(self):
         ode = hypergeometric_ode(0.7, 1.3, 1.9)
         with pytest.raises(OutOfDomainError):
-            integrate(ode, 0.5, 1.0 + 0j, 0j, 2.0)
+            integrate(ode, 0.5, 2.0)
 
     def test_empty_interval_rejected(self):
         with pytest.raises(ValueError):
-            integrate(_EXP_ODE, 1.0, 1.0 + 0j, 0j, 1.0)
+            integrate(_EXP_ODE, 1.0, 1.0)
 
     def test_nonpositive_tol_rejected(self):
         with pytest.raises(ValueError):
-            integrate(_EXP_ODE, 0.0, 1.0 + 0j, 0j, 1.0, tol=0.0)
+            integrate(_EXP_ODE, 1.0, 2.0, tol=0.0)
 
 
 class TestTaylorContinuation:
     """integrate against routes that share none of its continuation code,
-    and the hop count and residual its trajectories report."""
+    and the hop count and residual its marches report."""
 
     # largest relative error over the grid, no looser than what an
     # adaptive Runge-Kutta scheme (DOP853, rtol = tol) reaches here
@@ -120,9 +94,11 @@ class TestTaylorContinuation:
         s = CoulombSystem(g=g, eta=energy_closed_form(g, n))
         start, end = (5.0, 1e4) if direction == "forward" else (1e4, 5.0)
         psi0, dpsi0 = closed_form.psi_and_derivative(s, start)
-        traj = integrate(build_ordinary_kg(s), start, psi0, dpsi0, end, tol=tol)
-        ref = np.array([psi_ordinary(s, u) for u in traj.grid])
-        worst = float(np.max(np.abs(np.array(traj.values) - ref) / np.abs(ref)))
+        march = integrate(build_ordinary_kg(s), start, end, tol=tol)
+        grid = np.geomspace(start, end, 400)
+        ref = np.array([psi_ordinary(s, u) for u in grid])
+        values = np.array(_psi(march, start, psi0, dpsi0, grid))
+        worst = float(np.max(np.abs(values - ref) / np.abs(ref)))
         assert worst <= self._BOUNDS[tol, direction]
 
     @pytest.mark.parametrize("g,theta,theta_prime", [(0.2, 0.05, 0.02), (0.7, 0.1, 0.03)])
@@ -135,36 +111,40 @@ class TestTaylorContinuation:
         series = frobenius_series(ode, 0, 0)
         u_seed = 0.25 * series.radius
         w, dw, _ = evaluate_with_derivatives(series, u_seed)
-        traj = integrate(ode, u_seed, w, dw, 100.0)
+        march = integrate(ode, u_seed, 100.0)
+        grid = np.geomspace(u_seed, 100.0, 400)
+        values = np.array(_psi(march, u_seed, w, dw, grid))
         hp, vmap = to_heun(g, dp)
-        xis = [vmap.forward(u) for u in traj.grid]
+        xis = [vmap.forward(u) for u in grid]
         psi = np.array([(1.0 - xi) * h for xi, h in zip(xis, heun_local(hp, xis))])
-        direct = np.array(traj.values) * (psi[0] / traj.values[0])
-        assert len(psi) == 400
+        direct = values * (psi[0] / values[0])
         assert np.max(np.abs(direct - psi) / np.abs(psi)) <= 1e-9
 
     def test_hops_grow_logarithmically(self):
         s = CoulombSystem(g=0.3, eta=0.5)
         ode = build_ordinary_kg(s)
-        near = integrate(ode, 1.0, 1.0 + 0j, 0j, 1e4)
-        far = integrate(ode, 1.0, 1.0 + 0j, 0j, 1e12, window=(1e6, 1e12))
+        near = integrate(ode, 1.0, 1e4)
+        far = integrate(ode, 1.0, 1e12)
         assert 10 < near.hops < 40
         assert far.hops < 3 * near.hops
-        # the slow branch decays by 24 decades and stays a clean power law
-        assert abs(far.values[-1]) < 1e-20
-        assert fit_exponent(far).exponent == pytest.approx(-2.1, rel=1e-3)
+        # the solution through (1, 0) at u = 1 relaxes onto the slow
+        # branch, decays by 24 decades and stays a clean power law
+        grid = [float(u) for u in np.geomspace(1e6, 1e12, 200)]
+        values = _psi(far, 1.0, 1.0, 0.0, grid)
+        assert abs(values[-1]) < 1e-20
+        assert fit_exponent(Trajectory(grid, values)).exponent == pytest.approx(-2.1, rel=1e-3)
 
     def test_residual_follows_tol(self):
         ode = build_ordinary_kg(CoulombSystem(g=0.3, eta=0.5))
-        coarse = integrate(ode, 1.0, 1.0 + 0j, 0j, 1e4, tol=1e-6)
-        fine = integrate(ode, 1.0, 1.0 + 0j, 0j, 1e4, tol=1e-12)
+        coarse = integrate(ode, 1.0, 1e4, tol=1e-6)
+        fine = integrate(ode, 1.0, 1e4, tol=1e-12)
         assert 0.0 < fine.max_residual < coarse.max_residual
         assert fine.max_residual <= 1e-9
 
     def test_exp_residual_and_hops(self):
-        traj = integrate(_EXP_ODE, 0.0, 1.0 + 0j, 1.0 + 0j, 1.0, tol=1e-12)
-        assert traj.hops == 3  # radius capped at the interval: hops to 0.4, 0.8
-        assert traj.max_residual <= 1e-12
+        march = integrate(_EXP_ODE, 1.0, 2.0, tol=1e-12)
+        assert march.hops == 3  # radius capped at the interval: hops to 1.4, 1.8
+        assert march.max_residual <= 1e-12
 
 
 class TestTrajectoryValidation:
@@ -246,137 +226,6 @@ class TestFitExponent:
         assert fit_exponent(_power_law_trajectory(-3.0, n=8)).exponent == pytest.approx(-3.0)
 
 
-class TestBranches:
-    _WINDOW = (1e2, 1e4)
-
-    def test_deformed_pair(self):
-        ode = build_deformed_zero_energy(0.3, DeformationParams(0.05, 0.0))
-        dom = fit_exponent(dominant_branch(ode, self._WINDOW))
-        sub = fit_exponent(subdominant_branch(ode, self._WINDOW))
-        assert dom.exponent == pytest.approx(-5.0, rel=0.01)
-        assert sub.exponent == pytest.approx(-2.0, rel=0.01)
-
-    def test_ordinary_subcritical_pair(self):
-        s = CoulombSystem(g=0.3, eta=0.5)
-        ode = build_ordinary_kg(s)
-        dom = fit_exponent(dominant_branch(ode, self._WINDOW))
-        sub = fit_exponent(subdominant_branch(ode, self._WINDOW))
-        assert dom.exponent == pytest.approx(-2.9, rel=0.01)
-        assert sub.exponent == pytest.approx(-2.1, rel=0.01)
-
-    def test_supercritical_tail_is_not_a_power_law(self):
-        ode = build_ordinary_kg(CoulombSystem(g=100 * FINE_STRUCTURE_ALPHA, eta=0.5))
-        traj = subdominant_branch(ode, (10.0, 1e5))
-        with pytest.raises(OscillationError):
-            fit_exponent(traj)
-
-    def test_seed_inside_window_rejected(self):
-        # the seed sits at u = 1
-        ode = build_ordinary_kg(CoulombSystem(g=0.3, eta=0.5))
-        with pytest.raises(ValueError):
-            subdominant_branch(ode, (1.0, 1e4))
-
-
-def _series_at_infinity(ode):
-    return frobenius_series(ode, INFINITY, indicial_exponents(ode, INFINITY)[1],
-                            order=asymptotics._ORDER_AT_INFINITY)
-
-
-def _marched(ode, window):
-    """The dominant branch by the marching route: integrate seeded at the
-    window's top from the series at infinity, normalised as the direct
-    route normalises."""
-    series = _series_at_infinity(ode)
-    t = 1.0 / window[1]  # the series is one in t = 1/u: dw/du = -t^2 dw/dt
-    w, dw_dt, _ = evaluate_with_derivatives(series, t)
-    dw = -t * t * dw_dt
-    norm = max(abs(w), abs(dw))
-    return integrate(ode, window[1], w / norm, dw / norm, window[0])
-
-
-def _random_equation(rng):
-    model = rng.choice(["ordinary", "deformed-zero-energy", "deformed-first-order"])
-    eta = rng.uniform(0.05, 0.95)
-    if model == "ordinary":
-        return build_ordinary_kg(CoulombSystem(g=rng.randint(1, 68) * FINE_STRUCTURE_ALPHA,
-                                               eta=eta))
-    theta = 10.0 ** rng.uniform(-4.0, 0.0)
-    if model == "deformed-zero-energy":
-        dp = DeformationParams(theta, rng.choice([0.0, theta * rng.uniform(0.0, 1.0)]))
-        return build_deformed_zero_energy(rng.uniform(0.01, 1.0), dp)
-    system = CoulombSystem(g=rng.randint(1, 137) * FINE_STRUCTURE_ALPHA, eta=eta)
-    return build_deformed_first_order_psi(system, theta)
-
-
-class TestDominantBranchFromInfinity:
-    """Windows inside the trusted disk of the series at infinity are read
-    off that series directly; the others still march back from it."""
-
-    @staticmethod
-    def _draws():
-        rng = random.Random(2718)
-        for _ in range(24):
-            ode = _random_equation(rng)
-            edge = 2.0 / _series_at_infinity(ode).radius
-            lo = max(edge, 1.0) * 10.0 ** rng.uniform(0.0, 2.0)
-            yield ode, (lo, lo * 10.0 ** rng.uniform(0.5, 4.0))
-
-    def test_direct_route_equals_marched_route(self):
-        for ode, window in self._draws():
-            direct = dominant_branch(ode, window)
-            marched = _marched(ode, window)
-            assert direct.hops == 1 < marched.hops
-            assert direct.max_residual <= 1e-12
-            assert direct.grid == marched.grid
-            got, ref = np.array(direct.values), np.array(marched.values)
-            assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-9, (ode.label, window)
-
-    def test_prefix_sum_is_the_full_sum(self):
-        # the direct route sums only the terms that matter at the window's
-        # lower edge; at every grid point that is the full 49-term value
-        # sum to within 4 ulp of its largest term
-        lengths = []
-        for ode, window in self._draws():
-            series = _series_at_infinity(ode)
-            coeffs, scale = series.coefficients, series.scale
-            n = _significant_terms(series, 1.0 / window[0])
-            lengths.append(n)
-            for u in dominant_branch(ode, window).grid:
-                r = 1.0 / (u * scale)
-                full = _series_sums(coeffs, 1.0 / u, scale, derivatives=0)
-                prefix = _series_sums(coeffs[:n], 1.0 / u, scale, derivatives=0)
-                largest = max(abs(c) * r**k for k, c in enumerate(coeffs))
-                assert abs(prefix - full) <= 4 * math.ulp(largest), (ode.label, window, u)
-        assert len(series.coefficients) == 49
-        assert sorted(lengths)[len(lengths) // 2] < 49 // 2
-
-    @pytest.mark.parametrize("theta, window", [(1e-80, (1e2, 1e4)), (1e-14, (1e5, 1e7))])
-    def test_window_below_the_trusted_disk_marches(self, theta, window):
-        ode = build_deformed_zero_energy(0.073, DeformationParams(theta, 0.0))
-        u_top = 2.0 / _series_at_infinity(ode).radius
-        assert window[0] < window[1] < u_top
-        traj = dominant_branch(ode, window)
-        assert traj.hops > 1
-        assert traj.max_residual <= 1e-9
-        # the march starts at u_top, but the samples lie in the window alone
-        assert window[0] <= traj.grid[0] and traj.grid[-1] <= window[1]
-        with pytest.raises(ValueError, match="not an ascending part"):
-            dominant_branch(ode, window[::-1])
-
-    def test_series_that_does_not_settle_marches(self, monkeypatch):
-        # at order 4 the series at the lower edge is no better than 2^-5
-        ode = build_ordinary_kg(CoulombSystem(g=0.3, eta=0.5))
-        window = (2.0 / _series_at_infinity(ode).radius, 1e3)
-        with monkeypatch.context() as patch:
-            patch.setattr(asymptotics, "_ORDER_AT_INFINITY", 4)
-            coarse = dominant_branch(ode, window)
-        assert coarse.hops > 1
-        fine = dominant_branch(ode, window)
-        assert fine.hops == 1
-        got, ref = np.array(coarse.values), np.array(fine.values)
-        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-6
-
-
 def _abel(ode, z0, z1):
     """det of the transfer from z0 to z1 in the basis (w, u w') by Abel's
     identity: (z1/z0) W(z1)/W(z0), W = prod (z - r)^(-a_r) with a_r the
@@ -404,17 +253,22 @@ class TestTransfer:
     def test_closed_form_transfer(self):
         # w'' = w: w(v) = w(u) cosh(v - u) + w'(u) sinh(v - u), so in the
         # basis (w, u w') the transfer is [[ch, sh/u], [v sh, v ch/u]]
-        march = integrate(_EXP_ODE, 1.0, None, None, 9.0, tol=1e-12)
-        assert march.hops > 1
-        for u, v in ((1.0, 9.0), (1.5, 4.0), (2.0, 2.3), (3.0, 3.0)):
-            (a, b, c, d), det = march.matrix(u, v)
-            ch, sh = math.cosh(v - u), math.sinh(v - u)
-            assert [a, b, c, d] == pytest.approx([ch, sh / u, v * sh, v * ch / u], rel=1e-11)
-            assert det == pytest.approx(v / u, rel=1e-11)
+        # (v < u backward), on a march in either direction
+        for start, end, pairs in (
+                (1.0, 9.0, ((1.0, 9.0), (1.5, 4.0), (2.0, 2.3), (3.0, 3.0))),
+                (9.0, 1.0, ((9.0, 1.0), (8.0, 2.5), (4.0, 3.7), (3.0, 3.0)))):
+            march = integrate(_EXP_ODE, start, end, tol=1e-12)
+            assert march.hops > 1
+            for u, v in pairs:
+                (a, b, c, d), det = march.matrix(u, v)
+                ch, sh = math.cosh(v - u), math.sinh(v - u)
+                assert [a, b, c, d] == pytest.approx([ch, sh / u, v * sh, v * ch / u],
+                                                     rel=1e-11)
+                assert det == pytest.approx(v / u, rel=1e-11)
 
     def test_pieces_multiply(self):
         ode = build_ordinary_kg(CoulombSystem(0.6, 0.5))
-        march = integrate(ode, 100.0, None, None, 1e4, tol=1e-10)
+        march = integrate(ode, 100.0, 1e4, tol=1e-10)
         (a, b, c, d), det = march.matrix(100.0, 1e4)
         first, det1 = march.matrix(100.0, 1e3)
         second, det2 = march.matrix(1e3, 1e4)
@@ -422,9 +276,10 @@ class TestTransfer:
         assert [a, b, c, d] == pytest.approx(list(whole), rel=1e-9)
         assert det == pytest.approx(det1 * det2, rel=1e-12)
 
-    def test_basis_march_takes_no_window(self):
-        with pytest.raises(ValueError):
-            integrate(_EXP_ODE, 1.0, None, None, 9.0, window=(2.0, 3.0))
+    def test_basis_march_refuses_u0_zero(self):
+        # the basis (w, u w') degenerates at u = 0
+        with pytest.raises(ValueError, match="away from u = 0"):
+            integrate(_EXP_ODE, 0.0, 1.0)
 
     @pytest.mark.parametrize("abc", [(0.3, 0.7, 1.5), (1.2 + 0.5j, -0.4, 0.35)])
     @pytest.mark.parametrize("path", [(0.05, 0.9), (1.5, 60.0), (-0.1, -40.0)])
@@ -432,7 +287,7 @@ class TestTransfer:
         # W = z^(-c) (1 - z)^(c - a - b - 1) in closed form
         a, b, c = abc
         tol = 1e-10
-        march = integrate(hypergeometric_ode(a, b, c), *path[:1], None, None, path[1], tol=tol)
+        march = integrate(hypergeometric_ode(a, b, c), *path, tol=tol)
         assert march.hops > 3
         for z0, z1, det in _hop_dets(march):
             wronskian = (z1 / z0) ** (-c) * ((1 - z1) / (1 - z0)) ** (c - a - b - 1)
@@ -458,7 +313,7 @@ class TestTransfer:
                 ode, _ = cli._exponent_ode(cfg, cli._coupling(cfg), cfg.get("eta"))
                 lo, hi = cli._parse_window(cfg["window"])
                 ratio = min(math.sqrt(hi / lo), asymptotics._RATIO_CAP)
-                march = integrate(ode, hi / ratio ** 2, None, None, hi, tol=cfg["tol"])
+                march = integrate(ode, hi / ratio ** 2, hi, tol=cfg["tol"])
                 for z0, z1, det in _hop_dets(march):
                     worst = max(worst, abs(det / _abel(ode, z0, z1) - 1) / cfg["tol"])
                 chains += 1

@@ -271,12 +271,6 @@ class TestEvaluation:
         with pytest.raises(OutOfDomainError):
             evaluate(neg_branch, 0.0)
 
-    def test_tail_estimate_is_conservative(self):
-        a, b, c = _hyp_abc()
-        sol = frobenius_series(hypergeometric_ode(a, b, c), 0.0, 0.0, order=60)
-        truth = hyp2f1(a, b, c, 0.4)
-        assert abs(evaluate(sol, 0.4) - truth) <= max(fuchsian._tail_estimate(sol, 0.4), 1e-14)
-
     def test_residual_small_inside_disk(self):
         ode = hypergeometric_ode(*_hyp_abc())
         sol = frobenius_series(ode, 0.0, 0.0, order=60)
@@ -725,16 +719,6 @@ class TestReducedSums:
                 assert [_bits(evaluate(chain[reach(ode, chain, z, 40)], z))
                         for z in points] == full
                 assert chain == [sol]
-
-    def test_tail_estimate_formula(self):
-        # the estimate |c_n| (|x| / scale)^n ratio / (1 - ratio), ratio = |x| / radius
-        for sol, points in _reduced_sum_cases():
-            for z in points:
-                x = fuchsian._local_coordinate(sol, z)
-                n = len(sol.coefficients) - 1
-                ratio = abs(x) / sol.radius
-                tail = abs(sol.coefficients[n]) * (abs(x) / sol.scale) ** n * ratio / (1 - ratio)
-                assert fuchsian._tail_estimate(sol, x) == pytest.approx(tail, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("start", ["taylor", "frobenius"])
     def test_reach_is_the_chain_built_by_hand(self, start):

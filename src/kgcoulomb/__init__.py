@@ -2,7 +2,7 @@
 with and without a minimal-length deformation."""
 
 from .asymptotics import integrate
-from .errors import (ConvergenceError, IntegrationError, IrregularPointError,
+from .errors import (ConvergenceError, IrregularPointError,
                      KGCoulombError, KGCoulombWarning, OscillationError,
                      OutOfDomainError, ParameterPoleError, PhysicsDomainError,
                      ResonantExponentsError, RootFindingError,

@@ -23,7 +23,7 @@ import math
 from operator import lt, mul, sub
 
 from . import fuchsian
-from .errors import ConvergenceError, IntegrationError, OscillationError, OutOfDomainError
+from .errors import ConvergenceError, OscillationError, OutOfDomainError
 
 __all__ = [
     "integrate",
@@ -131,7 +131,7 @@ class Transfer:
         end, det_end = self._local(j, v)
         out, det = _matmul(end, out), det * det_end
         if not (all(map(cmath.isfinite, out)) and cmath.isfinite(det)):
-            raise IntegrationError(
+            raise OutOfDomainError(
                 f"continuation from u = {u.real} to {v.real} left the floating-point range")
         return out, det
 

@@ -56,10 +56,6 @@ class ConvergenceError(KGCoulombError):
     """An iterative computation hit its term or iteration cap without settling."""
 
 
-class IntegrationError(KGCoulombError):
-    """An analytic continuation left the floating-point range."""
-
-
 class RootFindingError(KGCoulombError):
     """Root refinement failed or a bracket could not be established."""
 

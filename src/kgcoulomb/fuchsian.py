@@ -9,13 +9,10 @@ the finite part of its Riemann scheme: the singular points and their
 multiplicities in each denominator, exact data supplied by whoever
 builds the equation (a Fuchsian equation is fixed by its singular
 points and their exponents). Nothing here searches for roots. A
-point's local record, its pole orders (the scheme's multiplicities)
-and indicial exponents, is made once per equation and read by the
-census, ``indicial_exponents`` and the Frobenius series; the record at
-infinity is read off the top coefficients of the polynomial form below,
-and the pullback t = 1/z, r going to 1/r, serves only the series at
-infinity. On top sit Frobenius and Taylor series, and series evaluation
-with derivatives and a defect check.
+point's local record, its pole orders and indicial exponents, is made
+once per equation and read by the census, ``indicial_exponents`` and
+the Frobenius series. On top sit Frobenius and Taylor series, and
+series evaluation with derivatives and a defect check.
 
 Every series comes from one banded recurrence read off the polynomial
 form P2 w'' + P1 w' + P0 w = 0 of the equation, and its band is the
@@ -23,27 +20,32 @@ degree of that form. The form used is the one of least degree: P2 is
 the least common multiple of the two denominators, of order
 max(m1, m0) at a point with multiplicities m1 in p1's denominator and
 m0 in p0's, since the Riemann scheme gives the factors they share.
+Every point, infinity included, is read off that one form (Ince,
+ch. XVI), shifted to a finite point or reversed at infinity into the
+equation for W(t) = w(1/t); its indicial polynomial is the pivot of the
+recurrence there.
 
 Every series is taken in its scaled variable x / scale (a Frobenius
 series in a power of two, a Taylor hop in its radius), so that its
 coefficients stay in range however small or large its disk.
 
-It also holds the one analytic-continuation engine of the package: a
-chain of Taylor re-expansions (``reach``), each hop 0.4 of the last
-radius of convergence along a straight path, read point by point as the
-march reaches each one (``reach`` to the point, then ``evaluate`` on the
-disk it returns). These equations are D-finite, so every re-expansion is
-one banded recurrence; since the radius grows with the distance from the
-finite singular points, the hop count grows only logarithmically along a
-ray to infinity.
+It also holds the one analytic-continuation engine of the package:
+Taylor re-expansions, each hop 0.4 of the last radius of convergence
+along a straight path. ``reach`` chains ``taylor_series`` hops, read
+point by point (``reach`` to the point, then ``evaluate`` on the disk
+it returns); ``asymptotics`` strings ``taylor_basis`` hops by the same
+rule. These equations are D-finite, so every re-expansion is one banded
+recurrence; since the radius grows with the distance from the finite
+singular points, the hop count grows only logarithmically along a ray
+to infinity.
 
 Two transforms act on raw coefficient quotients: ``substitute`` changes
-the variable, z = a(t)/b(t) (the pullback is z = 1/t), and ``gauge``
-peels off a prefactor, w = f^k v.
+the variable, z = a(t)/b(t), and ``gauge`` peels off a prefactor,
+w = f^k v.
 
 Exponents at infinity follow the convention w ~ z^sigma, so decaying
-solutions carry negative sigma; the series at infinity is the pullback's
-series in t = 1/z, with the exponent -sigma in t, evaluated at t.
+solutions carry negative sigma; the series at infinity is a series in
+t = 1/z, with the exponent -sigma in t, evaluated at t.
 """
 
 from __future__ import annotations
@@ -283,10 +285,10 @@ class RationalCoeffODE:
 
     def __init__(self, p1_num: tuple[complex, ...], p1_den: tuple[complex, ...],
                  p0_num: tuple[complex, ...], p0_den: tuple[complex, ...],
-                 points: tuple[tuple[complex, int, int], ...], label: str = "") -> None:
+                 points: tuple[tuple[complex, int, int], ...]) -> None:
         self.p1_num, self.p1_den, self.p0_num, self.p0_den = p1_num, p1_den, p0_num, p0_den
-        self.points, self.label = points, label
-        self._records: dict[complex, SingularPoint] = {}  # local records, see _local
+        self.points = points
+        self._records: dict = {}  # local records by point, see _local
         self.__post_init__()  # the normalization, a method of its own so it can be timed
 
     def __post_init__(self) -> None:
@@ -316,44 +318,20 @@ class RationalCoeffODE:
                 return m1, m0
         return 0, 0
 
-    # The local data and the pullback depend only on the polynomial data,
-    # which nothing changes after construction: each is computed once.
+    # The records and the polynomial form depend only on the polynomial
+    # data, which nothing changes after construction: each is made once.
 
-    def _local(self, z0: complex) -> "SingularPoint":
-        """The local record at the finite point z0, made on the first request."""
-        record = self._records.get(z0)
+    def _local(self, point) -> "SingularPoint":
+        """The local record at a finite point or INFINITY, made on the first request."""
+        record = self._records.get(point)
         if record is None:
-            record = self._records[z0] = _local_record(self, z0)
+            record = self._records[point] = _local_record(self, point)
         return record
-
-    @cached_property
-    def _infinity(self) -> "SingularPoint":
-        """The point at infinity, read off the top coefficients of the
-        least-degree form P2 w'' + P1 w' + P0 w = 0 (Ince, ch. XVI): with
-        n = deg P2 and A, B, C the coefficients of z^n in P2, z^(n-1) in P1
-        and z^(n-2) in P0, the pullback t = 1/z has p1 = (2 - B/A)/t + ...
-        and p0 = (C/A)/t^2 + ..., each pole one order higher per degree
-        that P1 or P0 has above that (B = 2A exactly cancels p1's). The
-        pullback's record at t = 0 has these pole orders and, to rounding,
-        these exponents, negated here into the z^sigma convention."""
-        p2, p1, p0 = self._products
-        n = len(p2) - 1
-        a, b = p2[n], (p1[n - 1] if 0 < n <= len(p1) else 0j)
-        c = p0[n - 2] if 1 < n <= len(p0) + 1 else 0j
-        if a == 0:
-            raise OutOfDomainError("the expansion at infinity is lost to rounding or overflow")
-        m1 = len(p1) - n + 1 if any(p1) and len(p1) > n else int(2.0 * a != b)
-        m0 = max(0, len(p0) - n + 3) if any(p0) else 0
-        if m1 > 1 or m0 > 2:
-            return SingularPoint(INFINITY, "irregular", m1, m0, None)
-        s1, s2 = _indicial_roots(INFINITY, 2.0 - b / a if m1 else 0j, c / a if m0 == 2 else 0j)
-        # 0j - s, not -s: a zero imaginary part stays +0.0
-        return SingularPoint(INFINITY, "regular", m1, m0, _sorted_pair(0j - s1, 0j - s2))
 
     @cached_property
     def _products(self) -> tuple[tuple[complex, ...], ...]:
         """Unshifted (P2, P1, P0) of the least-degree polynomial form; see
-        _series_triple. With g = prod (z - r)^min(m1, m0), the factor the
+        _triple_at. With g = prod (z - r)^min(m1, m0), the factor the
         monic denominators share, P2 = d1 (d0/g), P1 = n1 (d0/g) and
         P0 = n0 (d1/g): P2 has order max(m1, m0) at each point, not
         m1 + m0. The quotients d0/g and d1/g are multiplied out from the
@@ -380,19 +358,6 @@ class RationalCoeffODE:
         return (_ldexp_poly(_polymul(a, q0), e1 + e0 - top),
                 _ldexp_poly(_polymul(b, q0), e1 + e0 - top),
                 _ldexp_poly(p0, f1 + f0 - top))
-
-    @cached_property
-    def _pullback(self) -> "RationalCoeffODE":
-        """The equation satisfied by W(t) = w(1/t) near t = 0, which only a
-        Frobenius series at infinity needs. A root r != 0
-        goes to 1/r with its multiplicities; the order of t = 0 in each
-        denominator is its count of exactly zero low-order coefficients."""
-        (n1, d1), (n0, d0) = substitute(
-            ((self.p1_num, self.p1_den), (self.p0_num, self.p0_den)), (1,), (0, 1))
-        points = [(1.0 / r, m1, m0) for r, m1, m0 in self.points if r != 0]
-        points.append((0j, _exact_zeros(d1), _exact_zeros(d0)))
-        return RationalCoeffODE(n1, d1, n0, d0, tuple(points),
-                                label=(self.label + "@infinity") if self.label else "pullback")
 
 
 def _normalize_quotient(num, den, roots, mults):
@@ -474,27 +439,36 @@ def _sorted_pair(a: complex, b: complex) -> tuple[complex, complex]:
     return (pair[0], pair[1])
 
 
-def _leading_ratio(num, den, z0: complex, order: int) -> complex:
-    """The limit of (z - z0)^order num/den at z0, a pole of that order:
-    num(z0) over den's order-th Taylor coefficient there."""
-    lead = _shift(den, z0)[order]
-    if lead == 0:
-        raise OutOfDomainError(f"the expansion at {z0} is lost to rounding or overflow")
-    return _shift(num, z0)[0] / lead
-
-
-def _local_record(ode: RationalCoeffODE, z0: complex) -> SingularPoint:
-    """The local data at a finite point. The pole orders are the scheme's
-    multiplicities (0 off it); at a regular singular or ordinary point the
-    exponents are the roots of s (s - 1) + q1 s + q0 = 0, q1 and q0 the
-    limits of (z - z0) p1 and (z - z0)^2 p0, zero below a full pole; a
-    discriminant at the rounding level of its terms gives a double root."""
-    m1, m0 = ode._multiplicities(z0)
-    q1 = _leading_ratio(ode.p1_num, ode.p1_den, z0, 1) if m1 == 1 else 0j
-    q0 = _leading_ratio(ode.p0_num, ode.p0_den, z0, 2) if m0 == 2 else 0j
+def _local_record(ode: RationalCoeffODE, point) -> SingularPoint:
+    """The local data at a finite point or INFINITY. The pole orders are
+    the scheme's multiplicities (0 off it); at infinity, in t = 1/z and
+    with n = deg P2, p1's is deg P1 - n + 2 once deg P1 >= n, else 1 unless
+    P1[n-1] = 2 P2[n] exactly, and p0's is deg P0 - n + 4, none below 1. At
+    a regular point the exponents are the roots of the pivot on the
+    triple of _triple_at, s (s - 1) + q1 s + q0 with q1 = P1[kappa-1] /
+    P2[kappa] and q0 = P0[kappa-2] / P2[kappa], each zero below a full
+    pole; at infinity they are negated into the z^sigma convention."""
+    if point is INFINITY:
+        p2, p1, p0 = ode._products
+        n = len(p2) - 1
+        if p2[n] == 0:
+            raise OutOfDomainError("the expansion at infinity is lost to rounding or overflow")
+        b = p1[n - 1] if 0 < n <= len(p1) else 0j
+        m1 = len(p1) - n + 1 if any(p1) and len(p1) > n else int(2.0 * p2[n] != b)
+        m0 = max(0, len(p0) - n + 3) if any(p0) else 0
+    else:
+        m1, m0 = ode._multiplicities(point)
     if m1 > 1 or m0 > 2:
-        return SingularPoint(z0, "irregular", m1, m0, None)
-    return SingularPoint(z0, "regular", m1, m0, _sorted_pair(*_indicial_roots(z0, q1, q0)))
+        return SingularPoint(point, "irregular", m1, m0, None)
+    p2, p1, p0, kappa = _triple_at(ode, point)
+    if (m1 == 1 or m0 == 2) and p2[kappa] == 0:
+        raise OutOfDomainError(f"the expansion at {point} is lost to rounding or overflow")
+    q1 = p1[kappa - 1] / p2[kappa] if m1 == 1 else 0j
+    q0 = p0[kappa - 2] / p2[kappa] if m0 == 2 else 0j
+    s1, s2 = _indicial_roots(point, q1, q0)
+    if point is INFINITY:  # 0j - s, not -s: a zero imaginary part stays +0.0
+        s1, s2 = 0j - s1, 0j - s2
+    return SingularPoint(point, "regular", m1, m0, _sorted_pair(s1, s2))
 
 
 def _indicial_roots(where, q1: complex, q0: complex) -> tuple[complex, complex]:
@@ -513,12 +487,12 @@ def singular_points(ode: RationalCoeffODE) -> list[SingularPoint]:
     """All finite singular points plus the point at infinity.
 
     Finite points are the builder's points surviving normalization, their
-    multiplicities the pole orders; infinity is always reported, through
-    the pullback. Points are ordered by (real, imaginary), infinity last.
-    Exponents at infinity use the z^sigma convention. The records are
-    the equation's shared ones; each call returns a fresh list.
+    multiplicities the pole orders; infinity is always reported. Points
+    are ordered by (real, imaginary), infinity last. Exponents at infinity
+    use the z^sigma convention. The records are the equation's shared
+    ones; each call returns a fresh list.
     """
-    return [ode._local(r) for r, _, _ in ode.points] + [ode._infinity]
+    return [ode._local(r) for r, _, _ in ode.points] + [ode._local(INFINITY)]
 
 
 def indicial_exponents(ode: RationalCoeffODE,
@@ -528,9 +502,9 @@ def indicial_exponents(ode: RationalCoeffODE,
     At infinity the pair is returned in the w ~ z^sigma convention.
     Raises IrregularPointError when the point fails the pole-order test.
     """
-    rec = ode._infinity if point is INFINITY else ode._local(complex(point))
+    rec = ode._local(point if point is INFINITY else complex(point))
     if rec.exponents is None:
-        where = ("infinity is irregular: pullback" if point is INFINITY
+        where = ("infinity is irregular: in t = 1/z," if point is INFINITY
                  else f"point {complex(point)} is irregular:")
         raise IrregularPointError(
             f"{where} pole orders ({rec.pole_order_p1}, {rec.pole_order_p0})")
@@ -546,10 +520,10 @@ class FrobeniusSolution:
     """A local solution sum_k c_k x^(rho+k) in x = z - z0, rho the
     indicial exponent at the expansion point z0.
 
-    A series at infinity is the pullback's series about t = 0: z0 = 0,
-    x = t = 1/z and rho = -sigma, sigma the exponent in the z^sigma
-    convention, so it is evaluated at t, not at z. ``radius`` is the
-    distance to the nearest other singular point (or less, when capped);
+    A series at infinity is a series about t = 0: z0 = 0, x = t = 1/z and
+    rho = -sigma, sigma the exponent in the z^sigma convention, so it is
+    evaluated at t, not at z. ``radius`` is the distance to the nearest
+    other singular point, in t at infinity (or less, when capped);
     evaluation refuses points at or beyond it. With ``scale`` other than
     1 the coefficients are those of the scaled variable, sum c_k (x/scale)^k.
     """
@@ -562,20 +536,31 @@ class FrobeniusSolution:
         self.coefficients, self.radius, self.scale = coefficients, radius, scale
 
 
-def _series_triple(ode: RationalCoeffODE, z0: complex):
-    """Polynomial triple (P2, P1, P0), shifted to z0, with
-    P2 w'' + P1 w' + P0 w = 0 equivalent to the stored quotients: the
-    least-degree form of RationalCoeffODE._products, so P2 vanishes to
-    order max(m1, m0) at a singular point and not at all elsewhere."""
+def _triple_at(ode: RationalCoeffODE, point):
+    """(P2, P1, P0, kappa): the form of RationalCoeffODE._products at a
+    finite point or INFINITY, kappa the order of P2 there. At a finite
+    point it is shifted there, kappa = max(m1, m0). At infinity, with A,
+    B, C the coefficients of P2, P1, P0 reversed over n = deg P2 (A(t) =
+    t^n P2(1/t)), W(t) = w(1/t) solves t^2 A W'' + (2 t A - B) W' +
+    (C / t^2) W = 0, kappa = 2: so wherever infinity is regular, where
+    deg P1 < n and deg P0 < n - 1."""
     p2, p1, p0 = ode._products
-    if z0 != 0:
-        p2, p1, p0 = _shift(p2, z0), _shift(p1, z0), _shift(p0, z0)
-    return p2, p1, p0
+    if point is INFINITY:
+        n = len(p2) - 1
+        a, b = p2[::-1], (0j,) * (n + 1 - len(p1)) + p1[::-1]
+        c = ((0j,) * (n + 1 - len(p0)) + p0[::-1])[2:]
+        return (0j, 0j) + a, _polyadd((0j,) + _polyscale(a, 2.0), _polyscale(b, -1.0)), c, 2
+    if point != 0:
+        p2, p1, p0 = _shift(p2, point), _shift(p1, point), _shift(p0, point)
+    return p2, p1, p0, max(ode._multiplicities(point))
 
 
-def _series_radius(ode: RationalCoeffODE, z0: complex) -> float:
-    """Distance from z0 to the nearest other finite singular point."""
-    return min((abs(r - z0) for r, _, _ in ode.points if r != z0), default=math.inf)
+def _series_radius(ode: RationalCoeffODE, point) -> float:
+    """Distance from the point to the nearest other finite singular point,
+    in t = 1/z at infinity."""
+    if point is INFINITY:
+        return min((abs(1.0 / r) for r, _, _ in ode.points if r != 0), default=math.inf)
+    return min((abs(r - point) for r, _, _ in ode.points if r != point), default=math.inf)
 
 
 def _recurrence(p2, p1, p0, kappa: int, rho: complex, order: int,
@@ -672,13 +657,15 @@ def frobenius_series(ode: RationalCoeffODE, point: complex | _InfinityType, expo
     the larger root of a resonant pair, and for a double root, is still
     available. Below radius 1 the coefficients are in x / scale, scale
     the power of two <= radius.
-    At infinity it is the pullback's series at t = 0 for the exponent
-    -sigma, t = 1/z, and its errors speak of the pullback.
+    At infinity it is the series in t = 1/z at t = 0, its exponent
+    0j - sigma for the root sigma of ``indicial_exponents``, and its
+    errors speak of the exponents in t.
     """
-    if point is INFINITY:
-        ode, point, exponent = ode._pullback, 0j, -exponent
-    z0 = complex(point)
-    pair = indicial_exponents(ode, z0)
+    if point is not INFINITY:
+        point = complex(point)
+    pair = indicial_exponents(ode, point)
+    if point is INFINITY:  # the exponents in t = 1/z
+        pair, exponent = (0j - pair[0], 0j - pair[1]), 0j - exponent
     rho = next((cand for cand in pair if abs(cand - exponent) <= 1e-6 * (1.0 + abs(cand))),
                None)
     if rho is None:
@@ -691,16 +678,16 @@ def frobenius_series(ode: RationalCoeffODE, point: complex | _InfinityType, expo
             f"exponents {pair} differ by the positive integer {round(gap.real)}; "
             "request the other branch or treat the log solution separately")
 
-    p2, p1, p0 = _series_triple(ode, z0)
-    kappa = max(ode._multiplicities(z0))  # the order of P2 at z0
+    p2, p1, p0, kappa = _triple_at(ode, point)
     if not abs(p2[kappa]) >= _TINY:
         raise OutOfDomainError(
-            f"the series recurrence at {z0} lost its leading coefficient to underflow")
-    radius = _series_radius(ode, z0)
+            f"the series recurrence at {point} lost its leading coefficient to underflow")
+    radius = _series_radius(ode, point)
     # unscaled, the coefficients grow like radius^-k; a power of two scales exactly
     scale = math.ldexp(0.5, math.frexp(min(radius, 1.0))[1])
     p2, p1, p0 = _pow2_scaled_triple(p2, p1, p0, kappa, scale)
     coeffs = _recurrence(p2, p1, p0, kappa, rho, order, [1 + 0j])
+    z0 = 0j if point is INFINITY else point
     return FrobeniusSolution(z0, rho, tuple(coeffs), radius, scale)
 
 
@@ -735,33 +722,33 @@ def _taylor_triple(ode: RationalCoeffODE, center: complex, max_radius: float):
     """(triple, radius) of a Taylor hop at an ordinary point: the triple
     shifted to center and scaled to the disk's radius, capped at
     ``max_radius``, which must leave it finite."""
-    p2, p1, p0 = _series_triple(ode, center)
+    p2, p1, p0, kappa = _triple_at(ode, center)
     if not all(math.isfinite(abs(c)) for c in p2 + p1 + p0):
         raise OutOfDomainError(f"the equation's polynomial coefficients overflow at {center}")
-    if ode._multiplicities(center) != (0, 0):
+    if kappa:
         raise ValueError(f"{center} is a singular point; taylor_series needs an ordinary one")
     radius = min(_series_radius(ode, center), max_radius)
     if not math.isfinite(radius):
-        raise ValueError("a Taylor series needs a finite radius; pass max_radius")
+        raise ValueError("a Taylor series needs a finite radius: a singular point or a cap")
     return _pow2_scaled_triple(p2, p1, p0, 0, radius), radius
 
 
 def taylor_series(ode: RationalCoeffODE, center: complex, value: complex,
-                  derivative: complex, order: int = 64, tol: float = _TAIL_TOL,
-                  max_radius: float = math.inf) -> FrobeniusSolution:
+                  derivative: complex, order: int = 64) -> FrobeniusSolution:
     """Power series at an ordinary point with given w(center), w'(center).
 
-    The radius is capped at ``max_radius`` and must be finite. The
-    coefficients are those of the scaled variable (z - center) / radius,
-    so they neither overflow nor underflow however large or small the
-    disk, and the order is chosen from the tail: the series stops once
-    two successive terms on the trusted half disk fall below tol times
-    the largest, at ``order`` at the latest.
+    The radius is the distance to the nearest finite singular point, so
+    the equation must have one. The coefficients are those of the scaled
+    variable (z - center) / radius, so they neither overflow nor
+    underflow however large or small the disk, and the order is chosen
+    from the tail: the series stops once two successive terms on the
+    trusted half disk fall below double precision (_TAIL_TOL) times the
+    largest, at ``order`` at the latest.
     """
     center = complex(center)
-    (p2, p1, p0), radius = _taylor_triple(ode, center, max_radius)
+    (p2, p1, p0), radius = _taylor_triple(ode, center, math.inf)
     seeds = [complex(value), complex(derivative) * radius]
-    coeffs = _recurrence(p2, p1, p0, 0, 0j, order, seeds, tol)
+    coeffs = _recurrence(p2, p1, p0, 0, 0j, order, seeds, _TAIL_TOL)
     return FrobeniusSolution(center, 0j, tuple(coeffs), radius, radius)
 
 
@@ -771,8 +758,9 @@ def taylor_basis(ode: RationalCoeffODE, center: complex, order: int = 64,
     """The two power series at an ordinary point with (w, radius w') equal
     to (1, 0) and to (0, 1) at the centre, as ``taylor_series`` builds
     them, both on one shifted, scaled triple and in one pass of the
-    recurrence, cut where both tails are. The first has the bits of
-    ``taylor_series(ode, center, 1, 0, ...)`` as far as that one goes.
+    recurrence, cut where both tails have fallen below tol, the radius
+    capped at ``max_radius``. At the defaults the first has the bits of
+    ``taylor_series(ode, center, 1, 0, order)`` as far as that one goes.
     """
     center = complex(center)
     (p2, p1, p0), radius = _taylor_triple(ode, center, max_radius)
@@ -782,8 +770,7 @@ def taylor_basis(ode: RationalCoeffODE, center: complex, order: int = 64,
 
 
 def reach(ode: RationalCoeffODE, chain: list[FrobeniusSolution], target: complex,
-          order: int, first: int = 0, tol: float = _TAIL_TOL,
-          max_radius: float = math.inf) -> int:
+          order: int, first: int = 0) -> int:
     """Index of the first series in ``chain``, from ``first`` on, whose
     trusted disk holds ``target``; hops are appended past the end as needed.
 
@@ -791,11 +778,10 @@ def reach(ode: RationalCoeffODE, chain: list[FrobeniusSolution], target: complex
     (exponent 0). Each appended hop is the Taylor re-expansion 0.4 of the
     last radius further along the straight path toward the target that
     needed it, built by ``taylor_series`` in its scaled variable, its tail
-    cut at ``tol``, ``order`` terms at most, its radius capped at
-    ``max_radius``; the hop budget grows with log(|target - start| / the
-    smaller of the first radius and the target's distance from the
-    nearest singular point), so a long path is not cut short, outward
-    or inward. Each local series is trusted to half its own radius (the
+    cut at double precision, ``order`` terms at most; the hop budget
+    grows with log(|target - start| / the smaller of the first radius and
+    the target's distance from the nearest singular point), so a long
+    path is not cut short, outward or inward. Each local series is trusted to half its own radius (the
     radius already measures the distance to the nearest singular
     point). On a real ray every hop heads in the direction exactly +1 or
     -1, so the hop centres do not depend on which target is asked for.
@@ -816,7 +802,7 @@ def reach(ode: RationalCoeffODE, chain: list[FrobeniusSolution], target: complex
             nxt = center + remaining / abs(remaining) * (0.4 * current.radius)
             w, dw, _ = evaluate_with_derivatives(current, nxt)
             try:
-                chain.append(taylor_series(ode, nxt, w, dw, order, tol, max_radius))
+                chain.append(taylor_series(ode, nxt, w, dw, order))
             except ValueError as exc:
                 raise OutOfDomainError(
                     f"continuation toward {target} stalls at {nxt}: {exc}") from exc

@@ -132,7 +132,7 @@ def build_ordinary_kg(system: CoulombSystem) -> RationalCoeffODE:
     _require_bound_state(system)
     (p1n, p1d), (p0n, p0d) = _ordinary_kg_coeffs(system.g, system.eta)
     points = ((0, 1, 1),) + _with_mirror((1j * system.eps_tilde, 1, 1))
-    return RationalCoeffODE(p1n, p1d, p0n, p0d, points, label="ordinary-kg")
+    return RationalCoeffODE(p1n, p1d, p0n, p0d, points)
 
 
 def build_deformed_zero_energy(g: float, params: DeformationParams) -> RationalCoeffODE:
@@ -150,7 +150,7 @@ def build_deformed_zero_energy(g: float, params: DeformationParams) -> RationalC
     # u (1 + u^2) (1 + T u^2) and (1 + u^2) (1 + T u^2)^2; at T = 1 the
     # two pairs coincide and merge
     points = ((0, 1, 0),) + _with_mirror((1j, 1, 1), (1j / math.sqrt(params.total), 1, 2))
-    return RationalCoeffODE(p1n, p1d, p0n, p0d, points, label="deformed-zero-energy")
+    return RationalCoeffODE(p1n, p1d, p0n, p0d, points)
 
 
 def _first_order_points(system: CoulombSystem, theta: float) -> tuple:
@@ -168,7 +168,7 @@ def build_deformed_first_order_psi(system: CoulombSystem, theta: float) -> Ratio
     (p1n, p1d), (p0n, p0d) = gauge(_first_order_phi_coeffs(system.g, system.eta, theta), (0, 1), 1)
     # the gauge multiplies both denominators by u^2
     points = _first_order_points(system, theta) + ((0, 2, 2),)
-    return RationalCoeffODE(p1n, p1d, p0n, p0d, points, label="deformed-first-order-psi")
+    return RationalCoeffODE(p1n, p1d, p0n, p0d, points)
 
 
 # ---------------------------------------------------------------------------
@@ -301,5 +301,4 @@ def gen_heun_ode(params: GenHeunParams) -> RationalCoeffODE:
         num = _polyadd(_polymul(num, (-pole, 1)), _polyscale(den, coef))
         den = _polymul(den, (-pole, 1))
     points = tuple((x, 1, 1) for x in (0, 1, p.x1, p.x2))
-    return RationalCoeffODE(num, den, (p.rho2, p.rho1, p.a * p.b), den, points,
-                            label="generalized-heun")
+    return RationalCoeffODE(num, den, (p.rho2, p.rho1, p.a * p.b), den, points)

@@ -156,7 +156,6 @@ def hypergeometric_ode(a: complex, b: complex, c: complex) -> fuchsian.RationalC
         p0_num=(-a * b,),
         p0_den=den,
         points=((0, 1, 1), (1, 1, 1)),
-        label="hypergeometric",
     )
 
 
@@ -195,7 +194,7 @@ def heun_ode(params: HeunParams) -> fuchsian.RationalCoeffODE:
     # numerator of p1: c (xi-1)(xi-xi0) + d xi (xi-1) + e xi (xi-xi0)
     num = (p.c * p.xi0, -p.c * (1.0 + p.xi0) + p.d * (-1.0) + p.e * (-p.xi0), p.c + p.d + p.e)
     return fuchsian.RationalCoeffODE(num, den, (p.q, p.a * p.b), den,
-                                     ((0, 1, 1), (1, 1, 1), (p.xi0, 1, 1)), label="heun")
+                                     ((0, 1, 1), (1, 1, 1), (p.xi0, 1, 1)))
 
 
 def _check_target(sings: list[complex], target: complex) -> None:

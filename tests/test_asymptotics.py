@@ -21,7 +21,7 @@ from kgcoulomb.specialfn import heun_local, hypergeometric_ode, psi_ordinary
 from kgcoulomb.spectra import energy_closed_form
 
 # psi'' - psi = 0: the solution through (e, e) at u = 1 is exp(u)
-_EXP_ODE = RationalCoeffODE((0.0,), (1.0,), (-1.0,), (1.0,), (), label="exp")
+_EXP_ODE = RationalCoeffODE((0.0,), (1.0,), (-1.0,), (1.0,), ())
 
 
 def _psi(march, u0, psi0, dpsi0, grid):

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import closed_form
-from kgcoulomb import cli, fuchsian
+from kgcoulomb import cli, fuchsian, specialfn
 
 
 def _run(capsys, *argv):
@@ -376,14 +376,15 @@ class TestWavefunction:
     def test_one_census_per_equation(self, capsys, monkeypatch):
         # 200 grid points reached through many Taylor hops, each reading
         # the equation's points for its radius; the local record of each of
-        # the Heun equation's three finite points is made once, and the
-        # series at xi = 0 reads the one the census made
-        made, hops = [], []
-        make_record, taylor = fuchsian._local_record, fuchsian.taylor_series
+        # the Heun equation's three finite points and of infinity is made
+        # once, and the series at xi = 0 reads the one the census made
+        made, hops, built = [], [], []
+        make_record, taylor, make_heun = (fuchsian._local_record, fuchsian.taylor_series,
+                                          specialfn.heun_ode)
 
-        def counted_record(ode, z0):
-            made.append((ode, z0))
-            return make_record(ode, z0)
+        def counted_record(ode, point):
+            made.append((ode, point))
+            return make_record(ode, point)
 
         def counted_taylor(ode, center, *args, **kwargs):
             hops.append(center)
@@ -391,15 +392,18 @@ class TestWavefunction:
 
         monkeypatch.setattr(fuchsian, "_local_record", counted_record)
         monkeypatch.setattr(fuchsian, "taylor_series", counted_taylor)
+        monkeypatch.setattr(specialfn, "heun_ode", lambda p: built.append(make_heun(p)) or built[-1])
         code, out, _ = _run(capsys, "wavefunction", "--model", "deformed-zero-energy",
                             "--theta", "0.05", "--theta-prime", "0.02", "--g", "0.2",
                             "--window", "0.01:100")
         assert code == 0
         assert len(_csv_rows(out)) == 200
         assert len(hops) > 8
-        heun = [(ode, z0) for ode, z0 in made if ode.label == "heun"]
-        assert len(heun) == 3 and len({ode for ode, _ in heun}) == 1
-        assert {z0 for _, z0 in heun} == {r for r, _, _ in heun[0][0].points}
+        heun = [(ode, point) for ode, point in made if ode in built]
+        assert len(built) == 1 and len(heun) == 4
+        assert [point for _, point in heun].count(fuchsian.INFINITY) == 1
+        assert {point for _, point in heun} == {r for r, _, _ in built[0].points} | {
+            fuchsian.INFINITY}
 
     def test_gnuplot_format(self, capsys):
         code, out, _ = _run(capsys, "wavefunction", "--Z", "1",

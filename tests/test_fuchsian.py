@@ -22,6 +22,7 @@ from kgcoulomb.fuchsian import (
     indicial_exponents,
     reach,
     singular_points,
+    taylor_basis,
     taylor_series,
 )
 from kgcoulomb.specialfn import heun_ode, hyp2f1, hypergeometric_ode
@@ -54,6 +55,9 @@ def residual_at_infinity(ode, sol, u):
 
 # the cosine equation y'' + y = 0: no singular points in the finite plane
 _COS_ODE = RationalCoeffODE((0,), (1,), (1,), (1,), ())
+# y'' + (2/z) y' + y = 0, solved by cos(z)/z and sin(z)/z: one regular
+# singular point, at 0, so a Taylor hop at z has radius |z|
+_SPHERICAL_ODE = RationalCoeffODE((2.0,), (0.0, 1.0), (1.0,), (1.0,), ((0, 1, 0),))
 
 
 def _hyp_abc():
@@ -243,13 +247,13 @@ class TestFrobeniusSeries:
 
 class TestEvaluation:
     def test_taylor_cosine(self):
-        sol = taylor_series(_COS_ODE, 0.0, 1.0, 0.0, order=40, max_radius=1.0)
+        sol = taylor_basis(_COS_ODE, 0.0, 40, max_radius=1.0)[0]
         got = evaluate(sol, 0.5)
         assert got.real == pytest.approx(math.cos(0.5), rel=1e-14)
         assert abs(got.imag) < 1e-15
 
     def test_derivatives_chain(self):
-        sol = taylor_series(_COS_ODE, 0.0, 1.0, 0.0, order=40, max_radius=1.0)
+        sol = taylor_basis(_COS_ODE, 0.0, 40, max_radius=1.0)[0]
         w, dw, d2w = evaluate_with_derivatives(sol, 0.7)
         assert dw.real == pytest.approx(-math.sin(0.7), rel=1e-13)
         assert d2w.real == pytest.approx(-math.cos(0.7), rel=1e-13)
@@ -375,6 +379,18 @@ def _finite_census(ode):
     return {p.location: (p.pole_order_p1, p.pole_order_p0) for p in pts[:-1]}
 
 
+def _pullback(ode):
+    """The equation for W(t) = w(1/t), built by ``substitute``: the
+    independent reference for the record at infinity. A root r != 0 goes
+    to 1/r with its multiplicities; the order of t = 0 in each
+    denominator is its count of exactly zero low-order coefficients."""
+    (n1, d1), (n0, d0) = fuchsian.substitute(
+        ((ode.p1_num, ode.p1_den), (ode.p0_num, ode.p0_den)), (1,), (0, 1))
+    points = [(1.0 / r, m1, m0) for r, m1, m0 in ode.points if r != 0]
+    points.append((0j, fuchsian._exact_zeros(d1), fuchsian._exact_zeros(d0)))
+    return RationalCoeffODE(n1, d1, n0, d0, tuple(points))
+
+
 def _trim(coeffs):
     """Complex tuple with top coefficients below 1e-13 of the largest dropped."""
     c = [complex(x) for x in coeffs]
@@ -391,12 +407,12 @@ class TestPolynomialAlgebra:
         # worked out from the parameters, and the pullback's census their
         # reciprocals plus t = 0 when infinity is singular
         for ode, expected in _package_equations(150):
-            assert _finite_census(ode) == expected, ode.label
+            assert _finite_census(ode) == expected, ode.points
             inf = singular_points(ode)[-1]
             pulled = {1.0 / complex(r): orders for r, orders in expected.items() if r != 0}
             if inf.pole_order_p1 > 0 or inf.pole_order_p0 > 0:
                 pulled[0j] = (inf.pole_order_p1, inf.pole_order_p0)
-            assert _finite_census(ode._pullback) == pulled, ode.label
+            assert _finite_census(_pullback(ode)) == pulled, ode.points
 
     @pytest.mark.parametrize("coeffs, expected", [
         ((0j, 0j, 1.0), [(0j, 2)]),                                  # u^2
@@ -455,30 +471,38 @@ class TestPolynomialAlgebra:
 
 
 def _pulled_record(ode):
-    """The pullback's record at t = 0, its exponents in the z^sigma convention."""
-    rec = ode._pullback._local(0j)
-    exps = rec.exponents and fuchsian._sorted_pair(0j - rec.exponents[0], 0j - rec.exponents[1])
-    return rec.kind, rec.pole_order_p1, rec.pole_order_p0, exps
+    """The pullback's kind, pole orders and exponents at t = 0, the
+    exponents in the z^sigma convention, from its quotients: q1 and q0
+    the limits of t p1 and t^2 p0, each a numerator's constant term over
+    its denominator's lowest nonzero coefficient."""
+    pulled = _pullback(ode)
+    m1, m0 = pulled._multiplicities(0j)
+    if m1 > 1 or m0 > 2:
+        return "irregular", m1, m0, None
+    q1 = pulled.p1_num[0] / pulled.p1_den[1] if m1 == 1 else 0j
+    q0 = pulled.p0_num[0] / pulled.p0_den[2] if m0 == 2 else 0j
+    s1, s2 = fuchsian._indicial_roots(0j, q1, q0)
+    return "regular", m1, m0, fuchsian._sorted_pair(0j - s1, 0j - s2)
 
 
 class TestRecordAtInfinity:
-    """The record at infinity is read off the top coefficients of the
-    least-degree form; the pullback, built here only to check it, must
-    give the same kind and pole orders and, to rounding, the same pair."""
+    """The record at infinity is read off the least-degree form; the
+    pullback, built here only to check it, must give the same kind and
+    pole orders and, to rounding, the same pair."""
 
     def test_every_builders_equation_matches_its_pullback(self):
         for ode, _ in _package_equations(40):
-            rec = ode._infinity
+            rec = ode._local(INFINITY)
             kind, m1, m0, exps = _pulled_record(ode)
-            assert (rec.kind, rec.pole_order_p1, rec.pole_order_p0) == (kind, m1, m0), ode.label
+            assert (rec.kind, rec.pole_order_p1, rec.pole_order_p0) == (kind, m1, m0), ode.points
             for got, ref in zip(rec.exponents, exps):
-                assert abs(got - ref) <= 8 * math.ulp(abs(ref)), ode.label
+                assert abs(got - ref) <= 8 * math.ulp(abs(ref)), ode.points
 
     @pytest.mark.parametrize("g", [0.01, 0.3, 0.49, 0.5, 0.6, 1.0])
     def test_exponents_match_the_closed_forms(self, g):
         def close(ode, closed):
             got = indicial_exponents(ode, INFINITY)
-            assert all(abs(x - y) <= 4e-15 * abs(y) for x, y in zip(got, closed)), ode.label
+            assert all(abs(x - y) <= 4e-15 * abs(y) for x, y in zip(got, closed)), ode.points
 
         for eta in (0.1, 0.5, 0.9):
             s = CoulombSystem(g=g, eta=eta)
@@ -496,7 +520,7 @@ class TestRecordAtInfinity:
         (RationalCoeffODE((0.0, -2.0), (1.0,), (6.0,), (1.0,), ()), (3, 4)),  # Hermite
     ], ids=["cosine", "hermite"])
     def test_irregular_infinity_raises(self, ode, orders):
-        rec = ode._infinity
+        rec = ode._local(INFINITY)
         assert (rec.kind, rec.pole_order_p1, rec.pole_order_p0) == ("irregular", *orders)
         assert _pulled_record(ode) == ("irregular", *orders, None)
         with pytest.raises(IrregularPointError):
@@ -506,10 +530,58 @@ class TestRecordAtInfinity:
         # z^2 w'' + 2 z w' - 2 w = 0: B = 2A, so the pullback's p1 is zero
         # and only p0 has a pole at t = 0; sigma^2 + sigma - 2 = 0
         ode = RationalCoeffODE((2.0,), (0.0, 1.0), (-2.0,), (0.0, 0.0, 1.0), ((0j, 1, 2),))
-        rec = ode._infinity
+        rec = ode._local(INFINITY)
         assert (rec.kind, rec.pole_order_p1, rec.pole_order_p0) == ("regular", 0, 2)
         assert _pulled_record(ode) == ("regular", 0, 2, rec.exponents)
         assert rec.exponents == (1 + 0j, -2 + 0j)
+
+
+class TestSeriesAtInfinity:
+    """The series at infinity is read off the same polynomial form and the
+    same record as ``indicial_exponents``: no second equation is built."""
+
+    def test_exponent_is_the_records_bit_for_bit(self):
+        # the exponent in t is 0j - sigma of the pair indicial_exponents
+        # gives, for both roots of the three model equations
+        rng = random.Random(13)
+        checked = 0
+        for _ in range(60):
+            s = CoulombSystem(g=rng.uniform(0.005, 1.0), eta=rng.uniform(0.05, 0.999))
+            theta = math.exp(rng.uniform(math.log(1e-4), 0.0))
+            dp = DeformationParams(theta, math.exp(rng.uniform(math.log(1e-4), 0.0)))
+            for ode in (build_ordinary_kg(s), build_deformed_zero_energy(s.g, dp),
+                        build_deformed_first_order_psi(s, theta)):
+                for sigma in indicial_exponents(ode, INFINITY):
+                    try:
+                        sol = frobenius_series(ode, INFINITY, sigma, order=4)
+                    except ResonantExponentsError:
+                        continue
+                    assert _bits(sol.exponent) == _bits(0j - sigma), ode.points
+                    checked += 1
+        assert checked >= 300
+
+    def test_no_equation_is_built(self, monkeypatch):
+        ode = build_deformed_zero_energy(0.3, DeformationParams(0.05, 0.02))
+        made = []
+        normalize = RationalCoeffODE.__post_init__
+        monkeypatch.setattr(RationalCoeffODE, "__post_init__",
+                            lambda work: made.append(work) or normalize(work))
+        for sigma in indicial_exponents(ode, INFINITY):
+            frobenius_series(ode, INFINITY, sigma, order=8)
+        assert made == []
+
+    def test_regular_infinity_below_a_double_pole_of_p0(self):
+        # w'' + (3/z) w' + z^-3 w = 0: in t = 1/z, p0 has a simple pole
+        # (m0 = 1), so the triple's C / t^2 starts at a zero-filled C_2 = 0.
+        # Exponents 0 and -2; the series for -2 is t^2 (1 - t/3 + t^2/24 - ...)
+        ode = RationalCoeffODE((3.0,), (0.0, 1.0), (1.0,), (0.0, 0.0, 0.0, 1.0), ((0, 1, 3),))
+        rec = singular_points(ode)[-1]
+        assert (rec.kind, rec.pole_order_p1, rec.pole_order_p0) == ("regular", 1, 1)
+        assert rec.exponents == (0j, -2 + 0j)
+        assert _pulled_record(ode) == ("regular", 1, 1, rec.exponents)
+        sol = frobenius_series(ode, INFINITY, -2.0, order=4)
+        assert (sol.exponent, sol.radius, sol.scale) == (2, math.inf, 1.0)
+        assert sol.coefficients[:3] == pytest.approx((1.0, -1.0 / 3.0, 1.0 / 24.0), rel=1e-15)
 
 
 def _full_sum_recurrence(p2, p1, p0, kappa, rho, order, seeds):
@@ -569,16 +641,16 @@ class TestLeastDegreeForm:
         rng = random.Random(5)
         val = fuchsian._horner
         for ode, _ in _package_equations(100):
-            for work in (ode, ode._pullback):
+            for work in (ode, _pullback(ode)):
                 p2, p1, p0 = work._products
-                assert len(p2) - 1 == sum(max(m1, m0) for _, m1, m0 in work.points), work.label
+                assert len(p2) - 1 == sum(max(m1, m0) for _, m1, m0 in work.points), work.points
                 for _ in range(4):
                     z = cmath.rect(math.exp(rng.uniform(-3.0, 3.0)), rng.uniform(0.0, 2 * math.pi))
                     for prod, num, den in ((p1, work.p1_num, work.p1_den),
                                            (p0, work.p0_num, work.p0_den)):
                         err = abs(val(p2, z) * val(num, z) - val(prod, z) * val(den, z))
                         size = _size(p2, z) * _size(num, z) + _size(prod, z) * _size(den, z)
-                        assert err <= 16 * 2.0 ** -52 * size, (work.label, z)
+                        assert err <= 16 * 2.0 ** -52 * size, (work.points, z)
 
     @pytest.mark.parametrize("theta", [1e-8, 1e-16, 1e-20])
     def test_series_at_infinity_under_weak_deformation(self, theta):
@@ -630,9 +702,8 @@ class TestBandedRecurrence:
     @pytest.mark.parametrize("model", range(4))
     def test_frobenius_matches_full_sum(self, model, point):
         ode = _model_odes()[model]
-        work = ode._pullback if point is INFINITY else ode
-        p2, p1, p0 = fuchsian._series_triple(work, 0j)
-        kappa = fuchsian._exact_zeros(p2)  # the order of P2 at 0
+        p2, p1, p0, kappa = fuchsian._triple_at(ode, point)
+        assert kappa == fuchsian._exact_zeros(p2)  # the order of P2 there
         compared = 0
         for exponent in indicial_exponents(ode, point):
             try:
@@ -655,7 +726,7 @@ class TestBandedRecurrence:
         ode = _model_odes()[model]
         center = 0.37 + 0.11j
         sol = taylor_series(ode, center, 0.8 - 0.2j, 1.3 + 0.4j, order=40)
-        p2, p1, p0 = _product_scaled(*fuchsian._series_triple(ode, center), sol.scale)
+        p2, p1, p0 = _product_scaled(*fuchsian._triple_at(ode, center)[:3], sol.scale)
         ref = _full_sum_recurrence(p2, p1, p0, 0, 0j, len(sol.coefficients) - 1,
                                    [0.8 - 0.2j, (1.3 + 0.4j) * sol.scale])
         assert list(sol.coefficients) == ref
@@ -669,7 +740,7 @@ class TestBandedRecurrence:
 
         ode = RationalCoeffODE((0.75,), (0, 1), (-0.4,), (0, 1), ((0, 1, 1),))
         for scale in (2.0 ** 600, 1.5 * 2.0 ** 600, 2.0 ** -600, 1.3 * 2.0 ** -600):
-            triple = fuchsian._series_triple(ode, scale)
+            triple = fuchsian._triple_at(ode, scale)[:3]
             got = fuchsian._pow2_scaled_triple(*triple, 0, scale)
             pivot = got[0][0]
             assert 0.5 <= abs(pivot) < 1.0
@@ -747,16 +818,22 @@ class TestTaylorBasis:
     @pytest.mark.parametrize("tol", [1e-10, 1e-16])
     def test_first_column_has_the_bits_of_one_column(self, index, tol):
         # the shared pass runs until both tails have settled; up to where the
-        # first column stops alone, it is the same sums in the same order
+        # first column stops alone, it is the same sums in the same order.
+        # The column alone is the recurrence's one-column pass on the same
+        # triple, which taylor_series runs at the default tol
         ode = _model_odes()[index]
         for center in (3.0, 40.0, 2.5e3):
             first, second = fuchsian.taylor_basis(ode, center, 64, tol, 1e4)
-            alone = fuchsian.taylor_series(ode, center, 1.0, 0.0, 64, tol, 1e4)
-            n = len(alone.coefficients)
+            (p2, p1, p0), radius = fuchsian._taylor_triple(ode, center, 1e4)
+            alone = fuchsian._recurrence(p2, p1, p0, 0, 0j, 64, [1 + 0j, 0j], tol)
+            if tol == fuchsian._TAIL_TOL:
+                hop = taylor_series(ode, center, 1.0, 0.0, 64)
+                assert list(map(_bits, hop.coefficients)) == list(map(_bits, alone))
+                assert (hop.radius, hop.scale) == (radius, radius)
+            n = len(alone)
             assert len(first.coefficients) >= n
-            assert [_bits(c) for c in first.coefficients[:n]] == [
-                _bits(c) for c in alone.coefficients]
-            assert (first.radius, first.scale) == (alone.radius, alone.scale)
+            assert [_bits(c) for c in first.coefficients[:n]] == [_bits(c) for c in alone]
+            assert (first.radius, first.scale) == (radius, radius)
             assert second.coefficients[:2] == (0j, 1 + 0j)
             assert len(second.coefficients) == len(first.coefficients)
 
@@ -764,12 +841,12 @@ class TestTaylorBasis:
 class TestContinuationChain:
     def test_tail_rule_picks_order_from_tol(self):
         ode = build_ordinary_kg(CoulombSystem(g=0.3, eta=0.5))
-        coarse = taylor_series(ode, 3.0, 1.0, -0.5, order=64, tol=1e-5)
-        fine = taylor_series(ode, 3.0, 1.0, -0.5, order=64, tol=1e-12)
+        coarse = taylor_basis(ode, 3.0, 64, 1e-5)[0]
+        fine = taylor_basis(ode, 3.0, 64, 1e-12)[0]
         assert len(coarse.coefficients) < len(fine.coefficients) < 65
         # the tail-truncated series is the plain one in x / radius
-        p2, p1, p0 = fuchsian._series_triple(ode, 3.0)
-        plain = _full_sum_recurrence(p2, p1, p0, 0, 0j, len(fine.coefficients) - 1, [1.0, -0.5])
+        p2, p1, p0, _ = fuchsian._triple_at(ode, 3.0)
+        plain = _full_sum_recurrence(p2, p1, p0, 0, 0j, len(fine.coefficients) - 1, [1.0, 0.0])
         assert fine.scale == fine.radius
         for k, (c, ref) in enumerate(zip(fine.coefficients, plain)):
             assert c == pytest.approx(ref * fine.radius**k, rel=1e-9)
@@ -781,46 +858,54 @@ class TestContinuationChain:
     def test_scaled_coefficients_stay_finite_far_out(self):
         # unscaled, c_k ~ u^-k underflows by k = 30 at u = 1e12
         ode = build_ordinary_kg(CoulombSystem(g=0.3, eta=0.5))
-        sol = taylor_series(ode, 1e12, 1e-24, -2e-36, order=64, tol=1e-10)
+        sol = taylor_series(ode, 1e12, 1e-24, -2e-36, order=64)
         assert sol.radius > 1e11
         assert all(math.isfinite(abs(c)) for c in sol.coefficients)
         assert min(abs(c) for c in sol.coefficients[:2]) > 1e-30
 
     def test_tail_rule_needs_finite_radius(self):
+        # with no finite singular point the radius is the cap's alone
         with pytest.raises(ValueError):
-            taylor_series(_COS_ODE, 0.0, 1.0, 0.0, tol=1e-10)
-        sol = taylor_series(_COS_ODE, 0.0, 1.0, 0.0, tol=1e-10, max_radius=2.0)
+            taylor_series(_COS_ODE, 0.0, 1.0, 0.0)
+        with pytest.raises(ValueError):
+            taylor_basis(_COS_ODE, 0.0, tol=1e-10)
+        sol = taylor_basis(_COS_ODE, 0.0, tol=1e-10, max_radius=2.0)[0]
         assert sol.radius == 2.0
 
     def test_dense_output_matches_pointwise_evaluation(self):
         # points in order along the path, each reached from the disk that
         # held the last and read off the first series whose trusted disk
-        # holds it, by its value alone
+        # holds it, by its value alone; the solution is cos(z)/z, and each
+        # hop's radius is its distance to 0, so the hops grow by 1.4
         def walk(chain, points):
             out, k = [], 0
             for x in points:
-                k = reach(_COS_ODE, chain, complex(x), 64, k, tol=1e-14, max_radius=1.0)
+                k = reach(_SPHERICAL_ODE, chain, complex(x), 64, k)
                 out.append(evaluate(chain[k], x))
             return out
 
-        chain = [taylor_series(_COS_ODE, 0.0, 1.0, 0.0, order=64, tol=1e-14, max_radius=1.0)]
-        last = reach(_COS_ODE, chain, 10.0 + 0j, 64, tol=1e-14, max_radius=1.0)
-        assert last == len(chain) - 1 == 24  # hops of 0.4 up to 9.6
-        points = [0.0, 0.2, 0.21, 3.3, 7.77, 10.0]
+        def exact(x):
+            return math.cos(x) / x
+
+        def seeded(x, factor):
+            slope = -math.sin(x) / x - math.cos(x) / x ** 2
+            return taylor_series(_SPHERICAL_ODE, x, factor * exact(x), factor * slope)
+
+        chain = [seeded(1.0, 1.0)]
+        last = reach(_SPHERICAL_ODE, chain, 10.0 + 0j, 64)
+        assert last == len(chain) - 1 == 6  # centres 1.4^k up to 7.53
+        points = [1.0, 1.2, 1.21, 3.3, 7.77, 10.0]
         for x, w in zip(points, walk(chain, points)):
-            assert w == pytest.approx(math.cos(x), abs=1e-13)
-        assert len(chain) == 25  # every point lay in a disk already built
+            assert w == pytest.approx(exact(x), abs=1e-13)
+        assert len(chain) == 7  # every point lay in a disk already built
         with pytest.raises(OutOfDomainError):
-            evaluate(chain[last], 11.0)
+            evaluate(chain[last], 16.0)
         # a second hop seeded with twice the solution shows which disk was
-        # read: 0.2 and 0.5 lie in both, 0.8 in the second alone
-        doubled = [chain[0], taylor_series(_COS_ODE, 0.4, 2.0 * math.cos(0.4),
-                                           -2.0 * math.sin(0.4), order=64, tol=1e-14,
-                                           max_radius=1.0)]
-        got = walk(doubled, [0.2, 0.5, 0.8])
+        # read: 1.2 and 1.45 lie in both, 1.8 in the second alone
+        doubled = [chain[0], seeded(1.4, 2.0)]
+        got = walk(doubled, [1.2, 1.45, 1.8])
         assert len(doubled) == 2
-        assert got == pytest.approx([math.cos(0.2), math.cos(0.5), 2.0 * math.cos(0.8)],
-                                    abs=1e-13)
+        assert got == pytest.approx([exact(1.2), exact(1.45), 2.0 * exact(1.8)], abs=1e-13)
 
     @pytest.mark.parametrize("u0, u_end, cap", [(1.0, 1e4, math.inf), (1e4, 2.0, math.inf),
                                                 (0.5, 60.0, 2.0), (60.0, 0.5, 2.0)])
@@ -828,23 +913,24 @@ class TestContinuationChain:
         # on a real ray every hop heads exactly toward the end, so reaching
         # the points one by one, then the end, builds the hops one reach to
         # the end builds, bit for bit, and each point is read off the first
-        # disk of that chain that holds it
+        # disk of that chain that holds it; the first series' radius is
+        # capped at cap
         ode = build_ordinary_kg(CoulombSystem(g=0.3, eta=0.5))
         step = (u_end / u0) ** (1.0 / 60)
         points = [u0 * step ** i for i in range(60)] + [u_end]
 
         def start():
-            return [taylor_series(ode, u0, 1.0, -0.5, order=64, tol=1e-12, max_radius=cap)]
+            return [taylor_basis(ode, u0, 64, max_radius=cap)[0]]
 
         whole = start()
-        reach(ode, whole, complex(u_end), 64, tol=1e-12, max_radius=cap)
+        reach(ode, whole, complex(u_end), 64)
         walked, k = start(), 0
         for u in points:
-            k = reach(ode, walked, complex(u), 64, k, tol=1e-12, max_radius=cap)
+            k = reach(ode, walked, complex(u), 64, k)
             assert k == next(j for j, sol in enumerate(whole)
                              if abs(u - sol.expansion_point) <= 0.5 * sol.radius)
-        reach(ode, walked, complex(u_end), 64, k, tol=1e-12, max_radius=cap)
-        assert len(walked) == len(whole) > 10
+        reach(ode, walked, complex(u_end), 64, k)
+        assert len(walked) == len(whole) >= 10
         for got, ref in zip(walked, whole):
             assert _bits(got.expansion_point) == _bits(ref.expansion_point)
             assert got.radius == ref.radius
@@ -855,11 +941,13 @@ class TestContinuationChain:
         # the origin, about 220 hops; the budget counts the path against
         # the target's distance to the nearest singular point
         ode = build_ordinary_kg(CoulombSystem(g=10 * FINE_STRUCTURE_ALPHA, eta=0.5))
-        chain = [taylor_series(ode, 1e47, 1.0, -3e-47, order=64, tol=1e-10, max_radius=1e47)]
-        last = reach(ode, chain, 10.0 + 0j, 64, tol=1e-10, max_radius=1e47)
+        chain = [taylor_series(ode, 1e47, 1.0, -3e-47, order=64)]
+        last = reach(ode, chain, 10.0 + 0j, 64)
         assert 200 < last == len(chain) - 1 < 300
 
     def test_hop_budget_ends_in_convergence_error(self):
-        chain = [taylor_series(_COS_ODE, 0.0, 1.0, 0.0, order=16, tol=1e-8, max_radius=1.0)]
+        # a straight path through the singular point 0: each hop covers 0.4
+        # of the distance left to it, so no number of hops gets past it
+        chain = [taylor_series(_SPHERICAL_ODE, -1.0, 1.0, 0.0, order=16)]
         with pytest.raises(ConvergenceError):
-            reach(_COS_ODE, chain, 1e3 + 0j, 16, tol=1e-8, max_radius=1.0)
+            reach(_SPHERICAL_ODE, chain, 1.0 + 0j, 16)

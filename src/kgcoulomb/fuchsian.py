@@ -542,7 +542,7 @@ def _triple_at(ode: RationalCoeffODE, point):
     point it is shifted there, kappa = max(m1, m0). At infinity, with A,
     B, C the coefficients of P2, P1, P0 reversed over n = deg P2 (A(t) =
     t^n P2(1/t)), W(t) = w(1/t) solves t^2 A W'' + (2 t A - B) W' +
-    (C / t^2) W = 0, kappa = 2: so wherever infinity is regular, where
+    (C / t^2) W = 0 and kappa = 2, wherever infinity is regular, that is
     deg P1 < n and deg P0 < n - 1."""
     p2, p1, p0 = ode._products
     if point is INFINITY:

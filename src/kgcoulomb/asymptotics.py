@@ -1,5 +1,5 @@
 """Numerical large-momentum behavior: the exponents at infinity measured
-from the transfer matrix of one basis march.
+from the transfer matrices of basis marches.
 
 The march (``integrate``) is analytic continuation by Taylor
 re-expansion, the engine in ``fuchsian``: the model equations have
@@ -11,9 +11,10 @@ as transfer matrices (``Transfer``). Everything is plain Python floats
 and complex numbers.
 
 The exponents are measured over the top of a window from the transfer
-matrix of one basis march (``transfer_exponents``): its eigenvalues give
-both exponents, complex pairs included, from the equation alone. This is
-the route of the command line's ``exponents``.
+matrices of two pieces, each marched down from its top in one hop
+(``transfer_exponents``): their eigenvalues give both exponents, complex
+pairs included, from the equation alone. This is the route of the
+command line's ``exponents``.
 """
 
 from __future__ import annotations
@@ -43,14 +44,15 @@ _MAX_ORDER = 64
 # times its largest, and its largest below 1/_SETTLED times its value's
 # order 1: the sums then lose at most half the digits of a double.
 _SETTLED = 2.0 ** -26
-# Largest ratio hi/lo of a measuring piece. The march then covers
-# [hi/4, hi] in about 4 hops wherever the window lies, and the Richardson
-# step's O(1/u^2) remainder sits at hi/4. Over the exponent-fit draws of
-# seeds 1-10, ratio 2 measures no row worse than 10 (14 hops) at the
-# default tol and stays within 0.62% at tol 1e-3, where 1.5 misses by
-# 33%. A wider piece aligns the transfer matrix's columns by the ratio to
-# the power of the gap between the real parts; its small eigenvalue
-# survives that only because the determinant is taken hop by hop.
+# Largest ratio hi/lo of a measuring piece. Marched down from its top u, a
+# piece ends within u/2, half the radius u that the singular point at 0 of
+# every model equation leaves: one hop, read well inside its disk. The
+# Richardson step's O(1/u^2) remainder sits at hi/4. Over the
+# exponent-fit draws of seeds 1-10, ratio 2 measures no row worse than
+# 2.1e-5 at the default tol and 0.15% at tol 1e-3. A wider piece aligns
+# the transfer matrix's columns by the ratio to the power of the gap
+# between the real parts; its small eigenvalue survives that only because
+# the determinant is taken from the hop's columns, which stay apart.
 _RATIO_CAP = 2.0
 # Smallest ratio of a measuring piece; the phase anchor is read over it.
 _RATIO_FLOOR = 1.01
@@ -78,7 +80,8 @@ class Transfer:
     where the first hop hands over and at the end, w'' taken from the
     local series (nan where not measured, or where every term
     underflows). Each (hop, point) is read once, and w'' only at those
-    two points.
+    two points. A march of one hop, as each piece of ``transfer_exponents``
+    is, has no hand-over and is checked at its end alone.
     """
 
     __slots__ = ("_chain", "_reads", "hops", "max_residual")
@@ -144,8 +147,10 @@ def integrate(ode: fuchsian.RationalCoeffODE, u0: float, u_end: float,
 
     The hops of ``fuchsian.taylor_basis`` run from u0 toward u_end, each
     0.4 of the last radius of convergence further (the rule of
-    ``fuchsian.reach``), capped at the interval length, until one's
-    trusted half disk holds u_end. Each local series is truncated where
+    ``fuchsian.reach``), until one's trusted half disk holds u_end. The
+    radius is the distance to the nearest finite singular point; only an
+    equation with none, an entire one, has it capped at the interval
+    length. Each local series is truncated where
     its terms on the trusted half disk fall below tol times the largest
     one, so tol bounds the relative error per disk. The march is returned
     as its ``Transfer``. u0 must be nonzero, since the basis (w, u w')
@@ -165,7 +170,7 @@ def integrate(ode: fuchsian.RationalCoeffODE, u0: float, u_end: float,
         raise OutOfDomainError(
             f"integration interval [{lo}, {hi}] crosses singular point(s) "
             + ", ".join(f"{z.real:.6g}" for z in blockers))
-    cap = abs(u_end - u0)
+    cap = math.inf if ode.points else abs(u_end - u0)
     chain = [fuchsian.taylor_basis(ode, u0, _MAX_ORDER, tol, cap)]
     budget = fuchsian._hop_budget(ode, chain[0][0], complex(u_end))
     direction = 1.0 if u_end > u0 else -1.0
@@ -215,40 +220,42 @@ def transfer_exponents(ode: fuchsian.RationalCoeffODE, window: tuple[float, floa
     matrix over [u, r u] is r^A (1 + O(1/u)) and each of its eigenvalues
     gives an exponent, log(eigenvalue) / log r, complex pairs included
     (Coddington & Levinson, *Theory of ODEs*, ch. 4). With the ratio
-    r = min(sqrt(hi/lo), _RATIO_CAP), one basis march (``integrate``)
-    runs from hi/r^2 to hi, [hi/4, hi] for any window wider than a factor
-    4; the pieces [hi/r^2, hi/r] and [hi/r, hi] each give the pair, and
-    one Richardson step, (r x_b - x_a) / (r - 1), removes the O(1/u) term
-    from the pair's sum and from the square of its difference, leaving
-    an O(1/u^2) remainder at u = hi/r^2. Both stay analytic in 1/u where
-    the exponents meet (the Jordan block of a double root), where each
-    exponent alone moves like u^(-1/2) and the step would leave that term. The principal log wraps
-    once the imaginary part turns an eigenvalue by pi, so r is first cut to the
-    largest of r, r^(1/2), r^(1/4), ... at which the turn over
-    [hi/_RATIO_FLOOR, hi], scaled to r, stays below pi/2, and then
-    further until it does on both pieces. A cut r is marched again over
-    [hi/r^2, hi], with hops no longer than that interval, so the pieces
-    are read near hop centres and not at the edge of a disk whose series
-    the order cap truncates. Raises ValueError for a window narrower than
-    a factor _RATIO_FLOOR^2, OutOfDomainError when no ratio down to
-    _RATIO_FLOOR reads the turn below pi/2, and ConvergenceError when the
-    march's series do not settle (a pair that turns too fast for a hop):
-    no wrapped number is returned.
+    r = min(sqrt(hi/lo), _RATIO_CAP), the pieces [hi/r, hi] and
+    [hi/r^2, hi/r] each give the pair, [hi/4, hi] for any window wider
+    than a factor 4, and one Richardson step, (r x_b - x_a) / (r - 1),
+    removes the O(1/u) term from the pair's sum and from the square of its
+    difference, leaving an O(1/u^2) remainder at u = hi/r^2. Both stay
+    analytic in 1/u where the exponents meet (the Jordan block of a
+    double root), where each exponent alone moves like u^(-1/2) and the
+    step would leave that term. Each piece is its own basis march
+    (``integrate``) down from its top u. In the model equations every
+    finite singular point is 0 or imaginary, so the radius at u is u and
+    a piece of ratio at most 2 is one hop, read well inside its disk. The
+    principal log wraps once the imaginary part turns an
+    eigenvalue by pi, so r is first cut to the largest of r, r^(1/2),
+    r^(1/4), ... at which the turn over [hi/_RATIO_FLOOR, hi], read off
+    the upper piece, scaled to r, stays below pi/2, and then further until
+    it does on both pieces; a cut r marches the upper piece again. Raises
+    ValueError for a window narrower than a factor _RATIO_FLOOR^2,
+    OutOfDomainError when no ratio down to _RATIO_FLOOR reads the turn
+    below pi/2, and ConvergenceError when a piece's series do not settle
+    (a pair that turns too fast for a hop): no wrapped number is returned.
     """
     lo, hi = window
     ratio = min(math.sqrt(hi / lo), _RATIO_CAP)
     if not ratio >= _RATIO_FLOOR:
         raise ValueError(f"the window spans less than a factor {_RATIO_FLOOR ** 2:.6g}, "
                          "too narrow to measure the exponents over")
-    march, marched = integrate(ode, hi / ratio ** 2, hi, tol=tol), ratio
-    turn = max(abs(rho.imag) for rho in _piece_exponents(march, hi / _RATIO_FLOOR, hi))
+    upper, marched = integrate(ode, hi, hi / ratio, tol=tol), ratio
+    turn = max(abs(rho.imag) for rho in _piece_exponents(upper, hi, hi / _RATIO_FLOOR))
     while ratio >= _RATIO_FLOOR:
         if turn * math.log(ratio) < 0.5 * math.pi:
-            if ratio != marched:  # a cut ratio: the reads then fall near the hop centres
-                march, marched = integrate(ode, hi / ratio ** 2, hi, tol=tol), ratio
+            if ratio != marched:
+                upper, marched = integrate(ode, hi, hi / ratio, tol=tol), ratio
             mid = hi / ratio
-            pieces = (_piece_exponents(march, mid / ratio, mid),
-                      _piece_exponents(march, mid, hi))
+            lower = integrate(ode, mid, mid / ratio, tol=tol)
+            pieces = (_piece_exponents(lower, mid, mid / ratio),
+                      _piece_exponents(upper, hi, mid))
             turns = max(abs(rho.imag) for pair in pieces for rho in pair) * math.log(ratio)
             if turns < 0.5 * math.pi:
                 (sum_a, square_a), (sum_b, square_b) = ((a + b, (a - b) ** 2) for a, b in pieces)

@@ -74,7 +74,7 @@ _MAX_LEVELS = 10_000
 _HEUN_CHECK_POINTS = 50
 # Largest relative tolerance that still measures the exponents within 1%:
 # at 1e-3 the worst of the 2880 rows of the exponent-fit draws of seeds 1-10
-# is off by 0.62%. This rests on those draws, not on a bound.
+# is off by 0.15%. This rests on those draws, not on a bound.
 _MAX_TOL = 1e-3
 
 

@@ -650,8 +650,9 @@ def frobenius_series(ode: RationalCoeffODE, point: complex | _InfinityType, expo
                      order: int = 64) -> FrobeniusSolution:
     """Frobenius series at a regular singular point for the given exponent.
 
-    The exponent is matched against the indicial pair and replaced by
-    the exact root, so a few digits are enough to select a branch.
+    The exponent is replaced by the nearer root of the indicial pair,
+    which must lie within 1e-6 relative, so a few digits are enough to
+    select a branch.
     Raises ResonantExponentsError when the other root sits a positive
     integer above the requested one (vanishing pivot); the series for
     the larger root of a resonant pair, and for a double root, is still
@@ -666,9 +667,8 @@ def frobenius_series(ode: RationalCoeffODE, point: complex | _InfinityType, expo
     pair = indicial_exponents(ode, point)
     if point is INFINITY:  # the exponents in t = 1/z
         pair, exponent = (0j - pair[0], 0j - pair[1]), 0j - exponent
-    rho = next((cand for cand in pair if abs(cand - exponent) <= 1e-6 * (1.0 + abs(cand))),
-               None)
-    if rho is None:
+    rho = min(pair, key=lambda cand: abs(cand - exponent))
+    if not abs(rho - exponent) <= 1e-6 * (1.0 + abs(rho)):
         raise ValueError(
             f"exponent {exponent} does not match either indicial root {pair}")
 

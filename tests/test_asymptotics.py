@@ -334,8 +334,9 @@ class TestTransferExponents:
         build_ordinary_kg(CoulombSystem(0.3, 0.5)),
         build_deformed_zero_energy(0.3, DeformationParams(0.05, 0.02)),
     ], ids=["ordinary", "deformed"])
-    def test_default_window_marches_four_hops(self, monkeypatch, ode):
-        # pieces of ratio 2 march [2.5e3, 1e4]; ratio 10 marched [1e2, 1e4] in 14
+    def test_default_window_marches_one_hop_per_piece(self, monkeypatch, ode):
+        # each piece of ratio 2 is marched down from its top in one hop; one
+        # march up over [2.5e3, 1e4] took 4, and ratio 10 over [1e2, 1e4] 14
         marches = []
 
         def recorded(*args, **kwargs):
@@ -344,16 +345,16 @@ class TestTransferExponents:
 
         monkeypatch.setattr(asymptotics, "integrate", recorded)
         asymptotics.transfer_exponents(ode, (1e2, 1e4))
-        assert [march.hops <= 4 for march in marches] == [True]
+        assert [march.hops for march in marches] == [1, 1]
 
     @pytest.mark.parametrize("ode", [
         build_ordinary_kg(CoulombSystem(0.3, 0.5)),
         build_deformed_zero_energy(0.3, DeformationParams(0.05, 0.02)),
     ], ids=["ordinary", "deformed"])
     def test_each_transfer_point_is_read_once(self, monkeypatch, ode):
-        # the 3 hand-overs and the piece ends hi/4, hi/2, hi/1.01 and hi,
-        # both columns each: 14 reads, w'' only at the first hand-over and
-        # at hi, where the defects are checked
+        # the hop centres hi and hi/2 and the piece ends hi/1.01, hi/2 and
+        # hi/4, both columns each: 10 reads, w'' only at each march's end,
+        # where its defect is checked
         counts, marches, sums = Counter(), [], fuchsian._series_sums
 
         def counted(coeffs, x, scale=1.0, derivatives=2):
@@ -367,17 +368,18 @@ class TestTransferExponents:
         monkeypatch.setattr(fuchsian, "_series_sums", counted)
         monkeypatch.setattr(asymptotics, "integrate", recorded)
         asymptotics.transfer_exponents(ode, (1e2, 1e4))
-        assert counts == {1: 10, 2: 4}
-        (march,) = marches
-        assert len(march._reads) == 7
+        assert counts == {1: 6, 2: 4}
+        upper, lower = marches
+        assert (len(upper._reads), len(lower._reads)) == (3, 2)
         # each kept matrix is bit for bit one made from fresh reads
-        for (k, z), kept in march._reads.items():
-            first, second = march._chain[k]
-            (w1, dw1, _), (w2, dw2, _) = (evaluate_with_derivatives(sol, z)
-                                          for sol in (first, second))
-            c = first.radius / first.expansion_point
-            m = (w1, c * w2, z * dw1, c * z * dw2)
-            assert kept == (m, m[0] * m[3] - m[1] * m[2])
+        for march in marches:
+            for (k, z), kept in march._reads.items():
+                first, second = march._chain[k]
+                (w1, dw1, _), (w2, dw2, _) = (evaluate_with_derivatives(sol, z)
+                                              for sol in (first, second))
+                c = first.radius / first.expansion_point
+                m = (w1, c * w2, z * dw1, c * z * dw2)
+                assert kept == (m, m[0] * m[3] - m[1] * m[2])
 
     def test_window_too_narrow_is_refused(self):
         ode = build_ordinary_kg(CoulombSystem(0.3, 0.5))

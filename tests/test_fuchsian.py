@@ -560,6 +560,20 @@ class TestSeriesAtInfinity:
                     checked += 1
         assert checked >= 300
 
+    def test_each_root_of_a_close_pair_gets_its_own_series(self):
+        # at g = 1/2 - 1e-13 the pair splits by 6.3e-7, inside the 1e-6
+        # match of either root; matched to the first root within 1e-6,
+        # the second request returned the first root's series
+        ode = build_ordinary_kg(CoulombSystem(g=0.5 - 1e-13, eta=0.5))
+        pair = (-2.4999996831969673 + 0j, -2.5000003168030327 + 0j)
+        assert indicial_exponents(ode, INFINITY) == pair
+        first, second = (frobenius_series(ode, INFINITY, sigma, order=8) for sigma in pair)
+        assert (first.exponent, second.exponent) == (0j - pair[0], 0j - pair[1])
+        assert first.coefficients[1] != second.coefficients[1]
+        # the exact double root at g = 1/2 is matched as before
+        double = build_ordinary_kg(CoulombSystem(g=0.5, eta=0.5))
+        assert frobenius_series(double, INFINITY, -2.5, order=8).exponent == 2.5 + 0j
+
     def test_no_equation_is_built(self, monkeypatch):
         ode = build_deformed_zero_energy(0.3, DeformationParams(0.05, 0.02))
         made = []

@@ -11,7 +11,7 @@ as transfer matrices (``Transfer``). Everything is plain Python floats
 and complex numbers.
 
 The exponents are measured over the top of a window from the transfer
-matrices of two pieces, each marched down from its top in one hop
+matrices of two pieces, both read off one hop marched down from the top
 (``transfer_exponents``): their eigenvalues give both exponents, complex
 pairs included, from the equation alone. This is the route of the
 command line's ``exponents``.
@@ -44,16 +44,20 @@ _MAX_ORDER = 64
 # times its largest, and its largest below 1/_SETTLED times its value's
 # order 1: the sums then lose at most half the digits of a double.
 _SETTLED = 2.0 ** -26
-# Largest ratio hi/lo of a measuring piece. Marched down from its top u, a
-# piece ends within u/2, half the radius u that the singular point at 0 of
-# every model equation leaves: one hop, read well inside its disk. The
-# Richardson step's O(1/u^2) remainder sits at hi/4. Over the
-# exponent-fit draws of seeds 1-10, ratio 2 measures no row worse than
-# 2.1e-5 at the default tol and 0.15% at tol 1e-3. A wider piece aligns
-# the transfer matrix's columns by the ratio to the power of the gap
-# between the real parts; its small eigenvalue survives that only because
-# the determinant is taken from the hop's columns, which stay apart.
-_RATIO_CAP = 2.0
+# Largest ratio hi/lo of a measuring piece. Both pieces lie on one hop
+# marched down from hi over [hi/sqrt(2), hi]: the singular point at 0 of
+# every model equation leaves it the radius hi, so every read lies within
+# 0.29 of the radius, well inside the trusted half disk, where the cut
+# tail leaves almost no truncation error. The Richardson step leaves
+# -C2 k(r)/hi^2, k(r) = r (r^2 - 1) / (2 ln r): 1.42 here, 4.33 at ratio 2.
+# Over the exponent-fit draws of seeds 1-10 no row is worse than 6.9e-6 at
+# the default tol and 7.1e-6 at tol 1e-3. Cap 2^(3/8) gives 8.3e-6 and
+# 3.0e-4, and sqrt(2), whose pieces reach the half disk's edge, 1.0e-5
+# and 0.26%. A wider piece aligns the transfer matrix's columns by the
+# ratio to the power of the gap between the real parts; its small
+# eigenvalue survives that only because the determinant is taken from the
+# hop's columns, which stay apart.
+_RATIO_CAP = 2.0 ** 0.25
 # Smallest ratio of a measuring piece; the phase anchor is read over it.
 _RATIO_FLOOR = 1.01
 
@@ -80,8 +84,8 @@ class Transfer:
     where the first hop hands over and at the end, w'' taken from the
     local series (nan where not measured, or where every term
     underflows). Each (hop, point) is read once, and w'' only at those
-    two points. A march of one hop, as each piece of ``transfer_exponents``
-    is, has no hand-over and is checked at its end alone.
+    two points. A march of one hop, as that of ``transfer_exponents`` is,
+    has no hand-over and is checked at its end alone.
     """
 
     __slots__ = ("_chain", "_reads", "hops", "max_residual")
@@ -221,21 +225,21 @@ def transfer_exponents(ode: fuchsian.RationalCoeffODE, window: tuple[float, floa
     gives an exponent, log(eigenvalue) / log r, complex pairs included
     (Coddington & Levinson, *Theory of ODEs*, ch. 4). With the ratio
     r = min(sqrt(hi/lo), _RATIO_CAP), the pieces [hi/r, hi] and
-    [hi/r^2, hi/r] each give the pair, [hi/4, hi] for any window wider
-    than a factor 4, and one Richardson step, (r x_b - x_a) / (r - 1),
-    removes the O(1/u) term from the pair's sum and from the square of its
-    difference, leaving an O(1/u^2) remainder at u = hi/r^2. Both stay
-    analytic in 1/u where the exponents meet (the Jordan block of a
-    double root), where each exponent alone moves like u^(-1/2) and the
-    step would leave that term. Each piece is its own basis march
-    (``integrate``) down from its top u. In the model equations every
-    finite singular point is 0 or imaginary, so the radius at u is u and
-    a piece of ratio at most 2 is one hop, read well inside its disk. The
-    principal log wraps once the imaginary part turns an
-    eigenvalue by pi, so r is first cut to the largest of r, r^(1/2),
-    r^(1/4), ... at which the turn over [hi/_RATIO_FLOOR, hi], read off
-    the upper piece, scaled to r, stays below pi/2, and then further until
-    it does on both pieces; a cut r marches the upper piece again. Raises
+    [hi/r^2, hi/r] each give the pair, [hi/sqrt(2), hi] for any window
+    wider than a factor sqrt(2), and one Richardson step,
+    (r x_b - x_a) / (r - 1), removes the O(1/u) term from the pair's sum
+    and from the square of its difference, leaving an O(1/u^2) remainder
+    at u = hi/r^2. Both stay analytic in 1/u where the exponents meet (the
+    Jordan block of a double root), where each exponent alone moves like
+    u^(-1/2) and the step would leave that term. Both pieces are read off
+    one basis march (``integrate``) down from hi to hi/r^2. In the model
+    equations every finite singular point is 0 or imaginary, so the
+    radius at hi is hi and the march is one hop, every read within 0.29
+    of its radius. The principal log wraps once the imaginary part turns
+    an eigenvalue by pi, so r is first cut to the largest of r, r^(1/2),
+    r^(1/4), ... at which the turn over [hi/_RATIO_FLOOR, hi], scaled to
+    r, stays below pi/2, and then further until it does on both pieces; a
+    cut r reads the same march. Raises
     ValueError for a window narrower than a factor _RATIO_FLOOR^2,
     OutOfDomainError when no ratio down to _RATIO_FLOOR reads the turn
     below pi/2, and ConvergenceError when a piece's series do not settle
@@ -246,16 +250,13 @@ def transfer_exponents(ode: fuchsian.RationalCoeffODE, window: tuple[float, floa
     if not ratio >= _RATIO_FLOOR:
         raise ValueError(f"the window spans less than a factor {_RATIO_FLOOR ** 2:.6g}, "
                          "too narrow to measure the exponents over")
-    upper, marched = integrate(ode, hi, hi / ratio, tol=tol), ratio
-    turn = max(abs(rho.imag) for rho in _piece_exponents(upper, hi, hi / _RATIO_FLOOR))
+    march = integrate(ode, hi, hi / ratio ** 2, tol=tol)
+    turn = max(abs(rho.imag) for rho in _piece_exponents(march, hi, hi / _RATIO_FLOOR))
     while ratio >= _RATIO_FLOOR:
         if turn * math.log(ratio) < 0.5 * math.pi:
-            if ratio != marched:
-                upper, marched = integrate(ode, hi, hi / ratio, tol=tol), ratio
             mid = hi / ratio
-            lower = integrate(ode, mid, mid / ratio, tol=tol)
-            pieces = (_piece_exponents(lower, mid, mid / ratio),
-                      _piece_exponents(upper, hi, mid))
+            pieces = (_piece_exponents(march, mid, mid / ratio),
+                      _piece_exponents(march, hi, mid))
             turns = max(abs(rho.imag) for pair in pieces for rho in pair) * math.log(ratio)
             if turns < 0.5 * math.pi:
                 (sum_a, square_a), (sum_b, square_b) = ((a + b, (a - b) ** 2) for a, b in pieces)

@@ -334,9 +334,10 @@ class TestTransferExponents:
         build_ordinary_kg(CoulombSystem(0.3, 0.5)),
         build_deformed_zero_energy(0.3, DeformationParams(0.05, 0.02)),
     ], ids=["ordinary", "deformed"])
-    def test_default_window_marches_one_hop_per_piece(self, monkeypatch, ode):
-        # each piece of ratio 2 is marched down from its top in one hop; one
-        # march up over [2.5e3, 1e4] took 4, and ratio 10 over [1e2, 1e4] 14
+    def test_default_window_marches_one_hop(self, monkeypatch, ode):
+        # both pieces of ratio 2^(1/4) are read off one hop down from hi over
+        # [hi/sqrt(2), hi]; a march per piece of ratio 2 took two, one march
+        # up over [2.5e3, 1e4] 4, and ratio 10 over [1e2, 1e4] 14
         marches = []
 
         def recorded(*args, **kwargs):
@@ -345,16 +346,16 @@ class TestTransferExponents:
 
         monkeypatch.setattr(asymptotics, "integrate", recorded)
         asymptotics.transfer_exponents(ode, (1e2, 1e4))
-        assert [march.hops for march in marches] == [1, 1]
+        assert [march.hops for march in marches] == [1]
 
     @pytest.mark.parametrize("ode", [
         build_ordinary_kg(CoulombSystem(0.3, 0.5)),
         build_deformed_zero_energy(0.3, DeformationParams(0.05, 0.02)),
     ], ids=["ordinary", "deformed"])
     def test_each_transfer_point_is_read_once(self, monkeypatch, ode):
-        # the hop centres hi and hi/2 and the piece ends hi/1.01, hi/2 and
-        # hi/4, both columns each: 10 reads, w'' only at each march's end,
-        # where its defect is checked
+        # the hop centre hi and the piece ends hi/1.01, hi/2^(1/4) and
+        # hi/sqrt(2), both columns each: 8 reads, w'' only at the march's
+        # end, where its defect is checked
         counts, marches, sums = Counter(), [], fuchsian._series_sums
 
         def counted(coeffs, x, scale=1.0, derivatives=2):
@@ -368,18 +369,38 @@ class TestTransferExponents:
         monkeypatch.setattr(fuchsian, "_series_sums", counted)
         monkeypatch.setattr(asymptotics, "integrate", recorded)
         asymptotics.transfer_exponents(ode, (1e2, 1e4))
-        assert counts == {1: 6, 2: 4}
-        upper, lower = marches
-        assert (len(upper._reads), len(lower._reads)) == (3, 2)
+        assert counts == {1: 6, 2: 2}
+        (march,) = marches
+        assert len(march._reads) == 4
         # each kept matrix is bit for bit one made from fresh reads
-        for march in marches:
-            for (k, z), kept in march._reads.items():
-                first, second = march._chain[k]
-                (w1, dw1, _), (w2, dw2, _) = (evaluate_with_derivatives(sol, z)
-                                              for sol in (first, second))
-                c = first.radius / first.expansion_point
-                m = (w1, c * w2, z * dw1, c * z * dw2)
-                assert kept == (m, m[0] * m[3] - m[1] * m[2])
+        for (k, z), kept in march._reads.items():
+            first, second = march._chain[k]
+            (w1, dw1, _), (w2, dw2, _) = (evaluate_with_derivatives(sol, z)
+                                          for sol in (first, second))
+            c = first.radius / first.expansion_point
+            m = (w1, c * w2, z * dw1, c * z * dw2)
+            assert kept == (m, m[0] * m[3] - m[1] * m[2])
+
+    def test_cut_ratio_reads_the_same_march(self, monkeypatch):
+        # the pair turns by 30 ln r per piece: the phase anchor cuts r from
+        # 2^(1/4) twice, to 2^(1/16), and the pieces [hi/r^2, hi/r] and
+        # [hi/r, hi] lie on the one hop already marched
+        ode = build_ordinary_kg(CoulombSystem(30.0, 0.5))
+        marches, pieces, piece_exponents = [], [], asymptotics._piece_exponents
+
+        def recorded(*args, **kwargs):
+            marches.append(integrate(*args, **kwargs))
+            return marches[-1]
+
+        def read(march, u, v):
+            pieces.append(u / v)
+            return piece_exponents(march, u, v)
+
+        monkeypatch.setattr(asymptotics, "integrate", recorded)
+        monkeypatch.setattr(asymptotics, "_piece_exponents", read)
+        asymptotics.transfer_exponents(ode, (1e2, 1e4))
+        assert len(marches) == 1
+        assert pieces[-2:] == pytest.approx([2.0 ** (1 / 16)] * 2, rel=1e-15)
 
     def test_window_too_narrow_is_refused(self):
         ode = build_ordinary_kg(CoulombSystem(0.3, 0.5))

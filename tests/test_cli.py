@@ -262,7 +262,8 @@ class TestExponents:
     def test_coarsest_tol_measures_the_worst_draw_within_one_percent(self, capsys):
         # the worst draw of exponent-fit seeds 1-10 at --tol 1e-3 over pieces
         # of ratio 10, where its dominant row missed by 1.06%; one march up
-        # over pieces of ratio 2 missed by 0.52%, one hop per piece 0.017%
+        # over pieces of ratio 2 missed by 0.52%, one hop per piece 0.017%,
+        # and pieces of ratio 2^(1/4) on one hop 2.3e-6
         code, out, err = _run(capsys, "exponents", "--model", "deformed-zero-energy",
                               "--Z", "78", "--theta", "0.171644", "--theta-prime", "0.0164598",
                               "--window", "40.4637:1328.4", "--tol", "1e-3")
@@ -270,6 +271,22 @@ class TestExponents:
         worst = max(float(row[4]) for row in _csv_rows(out))
         assert worst <= 0.01
         assert worst <= 1e-3
+        assert worst <= 1e-5
+
+    @pytest.mark.parametrize("argv", [
+        # the worst draw of exponent-fit seeds 1-10 at the default tol:
+        # 2.1e-5 over pieces of ratio 2, 6.9e-6 over pieces of ratio 2^(1/4)
+        ["--model", "deformed-zero-energy", "--Z", "10", "--theta", "0.0294479",
+         "--theta-prime", "0.0160015", "--window", "37.9669:1239.58"],
+        # the worst at --tol 1e-3: 0.15% over pieces of ratio 2, each on its
+        # own hop, and 1.8e-6 over pieces of ratio 2^(1/4) on one hop
+        ["--model", "ordinary", "--Z", "68", "--eta", "0.281127",
+         "--window", "63.0213:12879.4", "--tol", "1e-3"],
+    ], ids=["default-tol", "tol-1e-3"])
+    def test_worst_draw_measures_within_1e_5(self, capsys, argv):
+        code, out, err = _run(capsys, "exponents", *argv)
+        assert code == 0, err
+        assert max(float(row[4]) for row in _csv_rows(out)) <= 1e-5
 
     def test_bad_window_rejected(self, capsys):
         code, _, err = _run(capsys, "exponents", "--model", "deformed-zero-energy",

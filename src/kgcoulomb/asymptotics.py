@@ -1,17 +1,17 @@
 """Numerical large-momentum behavior: the exponents at infinity measured
-from the transfer matrices of basis marches.
+from the transfer matrix of one basis hop.
 
-The march (``integrate``) is analytic continuation by Taylor
-re-expansion, the engine in ``fuchsian``: the model equations have
-polynomial coefficients, so each local series comes from one banded
-recurrence, truncated where its tail drops below the tolerance. Along
-the real u-axis the radius of convergence grows like u, so [1, 1e4]
-takes a few dozen hops. Each hop carries a basis of two solutions, read
-as transfer matrices (``Transfer``). Everything is plain Python floats
-and complex numbers.
+The hop (``integrate``) is one Taylor re-expansion of the engine in
+``fuchsian``: the model equations have polynomial coefficients, so its
+two series come from one banded recurrence, truncated where their tails
+drop below the tolerance. Its radius is the distance to the nearest
+finite singular point, which along the real u-axis grows like u; the
+one loop of hops is ``fuchsian.reach``. The hop carries a basis of two
+solutions, read as transfer matrices (``Transfer``). Everything is plain
+Python floats and complex numbers.
 
 The exponents are measured over the top of a window from the transfer
-matrices of two pieces, both read off one hop marched down from the top
+matrices of two pieces, both read off one hop centred at the top
 (``transfer_exponents``): their eigenvalues give both exponents, complex
 pairs included, from the equation alone. This is the route of the
 command line's ``exponents``.
@@ -39,13 +39,13 @@ __all__ = [
 # order cap of each local series; at tol = 1e-16 the tail rule stops
 # near order 55 on a disk limited by a singular point
 _MAX_ORDER = 64
-# A series of a basis march cut by the order cap counts as settled when
+# A series of a basis hop cut by the order cap counts as settled when
 # its last term on the half disk is below the larger of tol and _SETTLED
 # times its largest, and its largest below 1/_SETTLED times its value's
 # order 1: the sums then lose at most half the digits of a double.
 _SETTLED = 2.0 ** -26
 # Largest ratio hi/lo of a measuring piece. Both pieces lie on one hop
-# marched down from hi over [hi/sqrt(2), hi]: the singular point at 0 of
+# centred at hi, over [hi/sqrt(2), hi]: the singular point at 0 of
 # every model equation leaves it the radius hi, so every read lies within
 # 0.29 of the radius, well inside the trusted half disk, where the cut
 # tail leaves almost no truncation error. The Richardson step leaves
@@ -69,73 +69,52 @@ def _matmul(a: tuple, b: tuple) -> tuple:
 
 
 class Transfer:
-    """The basis march of ``integrate``, read as transfer matrices in the
-    basis (w, u w'). Each hop holds the two series of
-    ``fuchsian.taylor_basis`` at its centre z, so its columns are the
-    solutions with (w, u w') = (1, 0) and (0, 1) at z, and its transfer
-    to the next centre is a 2x2 matrix that no other hop's growth
-    enters. ``matrix(u, v)`` multiplies the pieces from u to v, each over
-    at most one hop, and returns the product with its determinant, taken
-    as the product of the pieces' determinants: a piece's columns stay
-    apart, so the determinant carries no cancellation however far the
-    product's columns align. ``hops`` counts the hops; ``max_residual``
-    is the largest relative ODE defect
-    |w'' + p1 w' + p0 w| / (|w''| + |p1 w'| + |p0 w|) of either column
-    where the first hop hands over and at the end, w'' taken from the
-    local series (nan where not measured, or where every term
-    underflows). Each (hop, point) is read once, and w'' only at those
-    two points. A march of one hop, as that of ``transfer_exponents`` is,
-    has no hand-over and is checked at its end alone.
+    """The one hop of ``integrate``, read as transfer matrices in the basis
+    (w, u w'). The hop holds the two series of ``fuchsian.taylor_basis``
+    at its centre z0, so its columns are the solutions with (w, u w') =
+    (1, 0) and (0, 1) at z0. ``matrix(u, v)`` is the hop's transfer from
+    z0 to v times the inverse of its transfer to u, returned with its
+    determinant, the quotient of theirs: the columns stay apart, so the
+    determinant carries no cancellation however far the product's columns
+    align. ``max_residual`` is the larger relative ODE defect
+    |w'' + p1 w' + p0 w| / (|w''| + |p1 w'| + |p0 w|) of the two columns
+    at the end point, w'' taken from the local series (nan where every
+    term underflows). Each point is read once, and w'' only at the end.
     """
 
-    __slots__ = ("_chain", "_reads", "hops", "max_residual")
+    __slots__ = ("_pair", "_reads", "max_residual")
 
-    def __init__(self, ode: fuchsian.RationalCoeffODE, chain: list, u_end: float) -> None:
-        self._chain, self._reads = chain, {}
-        checks = [(0, chain[1][0].expansion_point)] if len(chain) > 1 else []
-        checks.append((len(chain) - 1, complex(u_end)))
-        defects = []
-        for k, z in checks:
-            columns = [fuchsian.evaluate_with_derivatives(sol, z) for sol in chain[k]]
-            self._local(k, z, columns)
-            if z != chain[k][0].expansion_point:
-                defects += [fuchsian._defect(ode, z, *column) for column in columns]
-        self.hops = len(chain)
+    def __init__(self, ode: fuchsian.RationalCoeffODE, pair: tuple, u_end: float) -> None:
+        self._pair, self._reads = pair, {}
+        z = complex(u_end)
+        columns = [fuchsian.evaluate_with_derivatives(sol, z) for sol in pair]
+        self._local(z, columns)
+        defects = [fuchsian._defect(ode, z, *column) for column in columns]
         self.max_residual = max((d for d in defects if not math.isnan(d)), default=math.nan)
 
-    def _local(self, k: int, z: complex, columns: list | None = None) -> tuple[tuple, complex]:
-        """Hop k's transfer from its centre to z, with its determinant, from
-        both columns' (w, w', ...) at z, read here unless given; kept, so
-        each (hop, point) is read once."""
-        if (k, z) not in self._reads:
-            first, second = self._chain[k]
+    def _local(self, z: complex, columns: list | None = None) -> tuple[tuple, complex]:
+        """The hop's transfer from its centre to z, a point of its trusted
+        half disk, with its determinant, from both columns' (w, w', ...)
+        at z, read here unless given; kept, so each point is read once."""
+        if z not in self._reads:
+            first, second = self._pair
+            if abs(z - first.expansion_point) > 0.5 * first.radius:
+                raise ValueError(f"u = {z} is not on the march")
             (w1, dw1, *_), (w2, dw2, *_) = columns or [
                 fuchsian.evaluate_with_derivatives(sol, z, 1) for sol in (first, second)]
             c = first.radius / first.expansion_point  # (w, u w') = (0, 1) is c times the second
             m = (w1, c * w2, z * dw1, c * z * dw2)
-            self._reads[k, z] = m, m[0] * m[3] - m[1] * m[2]
-        return self._reads[k, z]
-
-    def _hop(self, u: complex) -> int:
-        """The first hop whose trusted half disk holds u."""
-        for k, (series, _) in enumerate(self._chain):
-            if abs(u - series.expansion_point) <= 0.5 * series.radius:
-                return k
-        raise ValueError(f"u = {u} is not on the march")
+            self._reads[z] = m, m[0] * m[3] - m[1] * m[2]
+        return self._reads[z]
 
     def matrix(self, u: float, v: float) -> tuple[tuple, complex]:
-        """The transfer matrix from u to v, both on the march and v no
-        nearer its start than u, as (m11, m12, m21, m22), with its
-        determinant."""
+        """The transfer matrix from u to v, both on the hop's trusted half
+        disk, as (m11, m12, m21, m22), with its determinant."""
         u, v = complex(u), complex(v)
-        i, j = self._hop(u), self._hop(v)
-        (a, b, c, d), det_start = self._local(i, u)
-        # the inverse of hop i's transfer to u, back to hop i's centre
+        (a, b, c, d), det_start = self._local(u)
+        # the inverse of the transfer to u, back to the hop's centre
         out, det = (d / det_start, -b / det_start, -c / det_start, a / det_start), 1.0 / det_start
-        for k in range(i, j):  # hop k's transfer to the next centre
-            step, det_step = self._local(k, self._chain[k + 1][0].expansion_point)
-            out, det = _matmul(step, out), det * det_step
-        end, det_end = self._local(j, v)
+        end, det_end = self._local(v)
         out, det = _matmul(end, out), det * det_end
         if not (all(map(cmath.isfinite, out)) and cmath.isfinite(det)):
             raise OutOfDomainError(
@@ -143,23 +122,19 @@ class Transfer:
         return out, det
 
 
-
-
 def integrate(ode: fuchsian.RationalCoeffODE, u0: float, u_end: float,
               tol: float = 1e-10) -> Transfer:
-    """March a basis of psi'' + p1 psi' + p0 psi = 0 from u0 to u_end.
+    """One hop of a basis of psi'' + p1 psi' + p0 psi = 0 from u0 to u_end.
 
-    The hops of ``fuchsian.taylor_basis`` run from u0 toward u_end, each
-    0.4 of the last radius of convergence further (the rule of
-    ``fuchsian.reach``), until one's trusted half disk holds u_end. The
-    radius is the distance to the nearest finite singular point; only an
-    equation with none, an entire one, has it capped at the interval
-    length. Each local series is truncated where
-    its terms on the trusted half disk fall below tol times the largest
-    one, so tol bounds the relative error per disk. The march is returned
-    as its ``Transfer``. u0 must be nonzero, since the basis (w, u w')
-    degenerates at u = 0, the interval must not be empty, and no singular
-    point may lie on it.
+    The hop is ``fuchsian.taylor_basis`` at u0. Its radius is the
+    distance to the nearest finite singular point, so the equation must
+    have one, and u_end must lie in its trusted half disk: then no
+    singular point lies between u0 and u_end. A longer path is
+    ``fuchsian.reach``'s. Each series is truncated where its terms on the
+    half disk fall below tol times the largest one, so tol bounds its
+    relative error. The hop is returned as its ``Transfer``. u0 must be
+    nonzero, since the basis (w, u w') degenerates at u = 0, and the
+    interval must not be empty.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -167,31 +142,23 @@ def integrate(ode: fuchsian.RationalCoeffODE, u0: float, u_end: float,
         raise ValueError("a basis march starts away from u = 0")
     if u0 == u_end:
         raise ValueError("empty integration interval")
-    lo, hi = min(u0, u_end), max(u0, u_end)
-    blockers = [z for z, _, _ in ode.points if abs(z.imag) < 1e-9 * max(1.0, abs(z.real))
-                and lo - 1e-12 <= z.real <= hi + 1e-12]
-    if blockers:
+    pair = fuchsian.taylor_basis(ode, u0, _MAX_ORDER, tol)
+    if abs(u_end - u0) > 0.5 * pair[0].radius:
         raise OutOfDomainError(
-            f"integration interval [{lo}, {hi}] crosses singular point(s) "
-            + ", ".join(f"{z.real:.6g}" for z in blockers))
-    cap = math.inf if ode.points else abs(u_end - u0)
-    chain = [fuchsian.taylor_basis(ode, u0, _MAX_ORDER, tol, cap)]
-    budget = fuchsian._hop_budget(ode, chain[0][0], complex(u_end))
-    direction = 1.0 if u_end > u0 else -1.0
-    while abs(u_end - (last := chain[-1][0]).expansion_point) > 0.5 * last.radius:
-        if len(chain) >= budget:
-            raise ConvergenceError(
-                f"analytic continuation toward {u_end} did not arrive in {budget} hops")
-        nxt = last.expansion_point + direction * 0.4 * last.radius
-        chain.append(fuchsian.taylor_basis(ode, nxt, _MAX_ORDER, tol, cap))
-    for series in (s for pair in chain for s in pair if len(s.coefficients) > _MAX_ORDER):
+            f"u = {u_end} lies outside the trusted half disk of the hop at {u0}, "
+            f"radius {pair[0].radius:.6g} to the nearest singular point")
+    for series in (s for s in pair if len(s.coefficients) > _MAX_ORDER):
         # cut by the order cap, not by its tail (see _SETTLED)
         sizes = [math.ldexp(abs(c), -k) for k, c in enumerate(series.coefficients)]
         if sizes[-1] > max(tol, _SETTLED) * max(sizes) or max(sizes) * _SETTLED > 1.0:
             raise ConvergenceError(
                 f"the Taylor series at u = {series.expansion_point.real:.6g} do not settle "
                 f"in {_MAX_ORDER} terms: the solutions turn too fast for the hop")
-    return Transfer(ode, chain, u_end)
+    try:
+        return Transfer(ode, pair, u_end)
+    except (OverflowError, ZeroDivisionError):  # w'' out of range: a radius below about 1e-154
+        raise OutOfDomainError(
+            f"the hop from u = {u0} to {u_end} leaves the floating-point range") from None
 
 
 def _piece_exponents(march: Transfer, u: float, v: float) -> list[complex]:
@@ -232,18 +199,18 @@ def transfer_exponents(ode: fuchsian.RationalCoeffODE, window: tuple[float, floa
     at u = hi/r^2. Both stay analytic in 1/u where the exponents meet (the
     Jordan block of a double root), where each exponent alone moves like
     u^(-1/2) and the step would leave that term. Both pieces are read off
-    one basis march (``integrate``) down from hi to hi/r^2. In the model
+    one basis hop (``integrate``) from hi to hi/r^2. In the model
     equations every finite singular point is 0 or imaginary, so the
-    radius at hi is hi and the march is one hop, every read within 0.29
-    of its radius. The principal log wraps once the imaginary part turns
-    an eigenvalue by pi, so r is first cut to the largest of r, r^(1/2),
-    r^(1/4), ... at which the turn over [hi/_RATIO_FLOOR, hi], scaled to
-    r, stays below pi/2, and then further until it does on both pieces; a
-    cut r reads the same march. Raises
-    ValueError for a window narrower than a factor _RATIO_FLOOR^2,
-    OutOfDomainError when no ratio down to _RATIO_FLOOR reads the turn
-    below pi/2, and ConvergenceError when a piece's series do not settle
-    (a pair that turns too fast for a hop): no wrapped number is returned.
+    radius at hi is hi and every read lies within 0.29 of it. The
+    principal log wraps once the imaginary part turns an eigenvalue by
+    pi, so r is first cut to the largest of r, r^(1/2), r^(1/4), ... at
+    which the turn over [hi/_RATIO_FLOOR, hi], scaled to r, stays below
+    pi/2, and then further until it does on both pieces; a cut r reads
+    the same hop. Raises ValueError for a window narrower than a factor
+    _RATIO_FLOOR^2, OutOfDomainError when no ratio down to _RATIO_FLOOR
+    reads the turn below pi/2, and ConvergenceError when a piece's series
+    do not settle (a pair that turns too fast for a hop): no wrapped
+    number is returned.
     """
     lo, hi = window
     ratio = min(math.sqrt(hi / lo), _RATIO_CAP)

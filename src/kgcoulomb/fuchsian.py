@@ -31,17 +31,17 @@ coefficients stay in range however small or large its disk.
 
 It also holds the one analytic-continuation engine of the package:
 Taylor re-expansions, each hop 0.4 of the last radius of convergence
-along a straight path. ``reach`` chains ``taylor_series`` hops, read
-point by point (``reach`` to the point, then ``evaluate`` on the disk
-it returns); ``asymptotics`` strings ``taylor_basis`` hops by the same
-rule. These equations are D-finite, so every re-expansion is one banded
-recurrence; since the radius grows with the distance from the finite
-singular points, the hop count grows only logarithmically along a ray
-to infinity.
+along a straight path. ``reach`` is its one loop: it chains
+``taylor_series`` hops, read point by point (``reach`` to the point,
+then ``evaluate`` on the disk it returns). ``taylor_basis`` is a single
+hop that carries a basis of two solutions, the one ``asymptotics``
+reads. These equations are D-finite, so every re-expansion is one
+banded recurrence; since the radius grows with the distance from the
+finite singular points, the hop count grows only logarithmically along
+a ray to infinity.
 
-Two transforms act on raw coefficient quotients: ``substitute`` changes
-the variable, z = a(t)/b(t), and ``gauge`` peels off a prefactor,
-w = f^k v.
+One transform acts on raw coefficient quotients: ``gauge`` peels off a
+prefactor, w = f^k v.
 
 Exponents at infinity follow the convention w ~ z^sigma, so decaying
 solutions carry negative sigma; the series at infinity is a series in
@@ -70,7 +70,6 @@ __all__ = [
     "reach",
     "evaluate",
     "evaluate_with_derivatives",
-    "substitute",
     "gauge",
 ]
 
@@ -189,51 +188,9 @@ def _deflate(coeffs, z0: complex) -> tuple[complex, ...]:
 
 
 # ---------------------------------------------------------------------------
-# coefficient transforms on raw ((p1_num, p1_den), (p0_num, p0_den)) pairs;
+# the coefficient transform on raw ((p1_num, p1_den), (p0_num, p0_den)) pairs;
 # only +, - and * touch the coefficients, so sympy tables pass through too
 # ---------------------------------------------------------------------------
-
-
-def _polypow(p, k: int) -> tuple:
-    return reduce(_polymul, [p] * k, (1,))
-
-
-def _homogenize(p, a, b) -> tuple:
-    """b^n p(a/b) = sum_k p_k a^k b^(n-k), n = len(p) - 1, by Horner's rule."""
-    acc, bk = (p[-1],), (1,)
-    for c in reversed(p[:-1]):
-        bk = _polymul(bk, b)
-        acc = _polyadd(_polymul(acc, a), _polyscale(bk, c))
-    return acc
-
-
-def substitute(pair, a, b):
-    """The equation for W(t) = w(a(t)/b(t)), a and b polynomials in t.
-
-    With z = a/b, E = a b' - a' b (so z' = -E/b^2) and N, D the
-    numerators and denominators homogenized by b (b^deg N(a/b), ...):
-
-        P1 = p1(z) z' - z''/z' = [(2 E b' - E' b) D1 - N1 E^2 b^m1] / (b E D1),
-        P0 = p0(z) z'^2 = N0 E^2 b^m0 / D0,
-
-    m1 = deg D1 - deg N1 - 1, m0 = deg D0 - deg N0 - 4; a negative power
-    of b moves to the denominator. Nothing is cancelled: RationalCoeffODE
-    cancels common factors at the singular points it is given.
-    """
-    (n1, d1), (n0, d0) = pair
-    db = _polyder(b)
-    e = _polyadd(_polymul(a, db), _polyscale(_polymul(_polyder(a), b), -1))
-    e2 = _polymul(e, e)
-    d1h = _homogenize(d1, a, b)
-    bend = _polyadd(_polyscale(_polymul(e, db), 2), _polyscale(_polymul(_polyder(e), b), -1))
-    m1, m0 = len(d1) - len(n1) - 1, len(d0) - len(n0) - 4
-    s1, s0 = max(0, -m1), max(0, -m0)
-    drift = _polymul(_polymul(_homogenize(n1, a, b), e2), _polypow(b, m1 + s1))
-    num1 = _polyadd(_polymul(_polymul(bend, d1h), _polypow(b, s1)), _polyscale(drift, -1))
-    den1 = _polymul(_polymul(_polymul(b, e), d1h), _polypow(b, s1))
-    num0 = _polymul(_polymul(_homogenize(n0, a, b), e2), _polypow(b, m0 + s0))
-    den0 = _polymul(_homogenize(d0, a, b), _polypow(b, s0))
-    return (num1, den1), (num0, den0)
 
 
 def gauge(pair, f, k: int):
@@ -523,9 +480,9 @@ class FrobeniusSolution:
     A series at infinity is a series about t = 0: z0 = 0, x = t = 1/z and
     rho = -sigma, sigma the exponent in the z^sigma convention, so it is
     evaluated at t, not at z. ``radius`` is the distance to the nearest
-    other singular point, in t at infinity (or less, when capped);
-    evaluation refuses points at or beyond it. With ``scale`` other than
-    1 the coefficients are those of the scaled variable, sum c_k (x/scale)^k.
+    other singular point, in t at infinity; evaluation refuses points at
+    or beyond it. With ``scale`` other than 1 the coefficients are those
+    of the scaled variable, sum c_k (x/scale)^k.
     """
 
     __slots__ = ("expansion_point", "exponent", "coefficients", "radius", "scale")
@@ -718,18 +675,18 @@ def _pow2_scaled_triple(p2, p1, p0, kappa: int, scale: float):
         raise OutOfDomainError(f"a series recurrence scaled by {scale:.3g} overflows") from exc
 
 
-def _taylor_triple(ode: RationalCoeffODE, center: complex, max_radius: float):
+def _taylor_triple(ode: RationalCoeffODE, center: complex):
     """(triple, radius) of a Taylor hop at an ordinary point: the triple
-    shifted to center and scaled to the disk's radius, capped at
-    ``max_radius``, which must leave it finite."""
+    shifted to center and scaled to the disk's radius, which the equation's
+    finite singular points must leave finite."""
     p2, p1, p0, kappa = _triple_at(ode, center)
     if not all(math.isfinite(abs(c)) for c in p2 + p1 + p0):
         raise OutOfDomainError(f"the equation's polynomial coefficients overflow at {center}")
     if kappa:
         raise ValueError(f"{center} is a singular point; taylor_series needs an ordinary one")
-    radius = min(_series_radius(ode, center), max_radius)
+    radius = _series_radius(ode, center)
     if not math.isfinite(radius):
-        raise ValueError("a Taylor series needs a finite radius: a singular point or a cap")
+        raise ValueError("a Taylor series needs a finite radius: a finite singular point")
     return _pow2_scaled_triple(p2, p1, p0, 0, radius), radius
 
 
@@ -746,24 +703,24 @@ def taylor_series(ode: RationalCoeffODE, center: complex, value: complex,
     largest, at ``order`` at the latest.
     """
     center = complex(center)
-    (p2, p1, p0), radius = _taylor_triple(ode, center, math.inf)
+    (p2, p1, p0), radius = _taylor_triple(ode, center)
     seeds = [complex(value), complex(derivative) * radius]
     coeffs = _recurrence(p2, p1, p0, 0, 0j, order, seeds, _TAIL_TOL)
     return FrobeniusSolution(center, 0j, tuple(coeffs), radius, radius)
 
 
 def taylor_basis(ode: RationalCoeffODE, center: complex, order: int = 64,
-                 tol: float = _TAIL_TOL, max_radius: float = math.inf
-                 ) -> tuple[FrobeniusSolution, FrobeniusSolution]:
+                 tol: float = _TAIL_TOL) -> tuple[FrobeniusSolution, FrobeniusSolution]:
     """The two power series at an ordinary point with (w, radius w') equal
     to (1, 0) and to (0, 1) at the centre, as ``taylor_series`` builds
     them, both on one shifted, scaled triple and in one pass of the
-    recurrence, cut where both tails have fallen below tol, the radius
-    capped at ``max_radius``. At the defaults the first has the bits of
+    recurrence, cut where both tails have fallen below tol. This is the
+    one hop of ``asymptotics.integrate``; a path of hops is ``reach``'s.
+    At the default tol the first has the bits of
     ``taylor_series(ode, center, 1, 0, order)`` as far as that one goes.
     """
     center = complex(center)
-    (p2, p1, p0), radius = _taylor_triple(ode, center, max_radius)
+    (p2, p1, p0), radius = _taylor_triple(ode, center)
     pair = _recurrence(p2, p1, p0, 0, 0j, order, [1 + 0j, 0j], tol, second=[0j, 1 + 0j])
     return tuple(FrobeniusSolution(center, 0j, tuple(coeffs), radius, radius)
                  for coeffs in pair)

@@ -17,8 +17,8 @@ take the imaginary unit as an argument for the same reason. The public
 builders wrap the tables into RationalCoeffODE values. The first-order
 equation is tabulated for phi = u psi; its psi form is derived from that
 table by ``fuchsian.gauge``. The normal-form maps are VariableMap
-(num, den) pairs, which ``fuchsian.substitute`` takes to push a normal
-form back to u.
+(num, den) pairs, which the tests' ``substitute``
+(tests/change_of_variable.py) takes to push a normal form back to u.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ class ConfluenceWarning(KGCoulombWarning):
 
 class VariableMap:
     """A change of independent variable x = num(u) / den(u), held as the
-    polynomial pair (ascending powers) that ``fuchsian.substitute`` takes."""
+    polynomial pair (ascending powers) that the tests' ``substitute`` takes."""
 
     __slots__ = ("num", "den")
 

@@ -12,9 +12,10 @@ import sympy as sp
 
 import closed_form
 import symbolic_oracle as so
-from kgcoulomb.asymptotics import integrate, paired, transfer_exponents
-from kgcoulomb.fuchsian import (INFINITY, _defect, evaluate_with_derivatives, frobenius_series,
-                                indicial_exponents, reach, singular_points, taylor_series)
+from kgcoulomb.asymptotics import paired, transfer_exponents
+from kgcoulomb.fuchsian import (INFINITY, _defect, evaluate, evaluate_with_derivatives,
+                                frobenius_series, indicial_exponents, reach, singular_points,
+                                taylor_series)
 from kgcoulomb.kgmodels import (
     build_deformed_first_order_psi,
     build_deformed_zero_energy,
@@ -179,11 +180,12 @@ def test_criterion_8_closed_form_cross_integration():
     g = FINE_STRUCTURE_ALPHA
     s = CoulombSystem(g=g, eta=energy_closed_form(g, 0))
     psi0, dpsi0 = closed_form.psi_and_derivative(s, 5.0)
-    # psi(50) is the first row of the transfer matrix in the basis
-    # (w, u w') applied to (psi, 5 psi') at u = 5
-    (a, b, _, _), _ = integrate(build_ordinary_kg(s), 5.0, 50.0, tol=1e-12).matrix(5.0, 50.0)
+    # psi(50) continued from (psi, psi') at u = 5 along the real axis
+    ode = build_ordinary_kg(s)
+    chain = [taylor_series(ode, 5.0, psi0, dpsi0)]
+    k = reach(ode, chain, 50.0 + 0j, 64)
     ref = psi_ordinary(s, 50.0)
-    assert abs(a * psi0 + b * 5.0 * dpsi0 - ref) <= 1e-6 * abs(ref)
+    assert abs(evaluate(chain[k], 50.0) - ref) <= 1e-6 * abs(ref)
 
 
 def test_criterion_9_derivation_oracle():

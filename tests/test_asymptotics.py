@@ -1,4 +1,4 @@
-"""The basis march, the exponents measured from it, and the log-log fit."""
+"""The basis hop, the exponents measured from it, and the log-log fit."""
 
 import ast
 import math
@@ -14,19 +14,25 @@ from kgcoulomb import asymptotics, fuchsian
 from kgcoulomb.asymptotics import Trajectory, fit_exponent, integrate
 from kgcoulomb.errors import ConvergenceError, OscillationError, OutOfDomainError
 from kgcoulomb.fuchsian import (INFINITY, RationalCoeffODE, evaluate_with_derivatives,
-                                frobenius_series, indicial_exponents)
+                                frobenius_series, indicial_exponents, reach, taylor_series)
 from kgcoulomb.kgmodels import build_deformed_zero_energy, build_ordinary_kg, to_heun
 from kgcoulomb.physcore import FINE_STRUCTURE_ALPHA, CoulombSystem, DeformationParams
 from kgcoulomb.specialfn import heun_local, hypergeometric_ode, psi_ordinary
 from kgcoulomb.spectra import energy_closed_form
 
-# psi'' - psi = 0: the solution through (e, e) at u = 1 is exp(u)
-_EXP_ODE = RationalCoeffODE((0.0,), (1.0,), (-1.0,), (1.0,), ())
+# psi'' + (2/u) psi' - psi = 0, solved by exp(u)/u and exp(-u)/u: one
+# regular singular point, at 0, so the hop at u has radius |u|
+_EXP_ODE = RationalCoeffODE((2.0,), (0.0, 1.0), (-1.0,), (1.0,), ((0, 1, 0),))
+
+
+def _exp(u):
+    """(psi, psi') of the solution exp(u)/u."""
+    return math.exp(u) / u, math.exp(u) * (u - 1.0) / u ** 2
 
 
 def _psi(march, u0, psi0, dpsi0, grid):
     """The solution through (psi0, dpsi0) at u0, read at each grid point
-    through the first row of the march's transfer matrix from u0."""
+    through the first row of the hop's transfer matrix from u0."""
     values = []
     for u in grid:
         (a, b, _, _), _ = march.matrix(u0, u)
@@ -34,39 +40,64 @@ def _psi(march, u0, psi0, dpsi0, grid):
     return values
 
 
+def _on_reach_hops(ode, u0, psi0, dpsi0, grid, tol=1e-10):
+    """The solution through (psi0, dpsi0) at u0, carried along the real
+    axis by ``fuchsian.reach`` and read at each grid point, in order,
+    through the one-hop basis that ``integrate`` builds at tol on the hop
+    of the chain that holds it; with the chain."""
+    chain, hops, k, values = [taylor_series(ode, u0, psi0, dpsi0)], {}, 0, []
+    for u in grid:
+        k = reach(ode, chain, complex(u), 64, k)
+        centre, radius = chain[k].expansion_point.real, chain[k].radius
+        if k not in hops:  # the hop to the chain's next centre
+            step = math.copysign(0.4 * radius, grid[-1] - u0)
+            hops[k] = integrate(ode, centre, centre + step, tol)
+        w, dw = evaluate_with_derivatives(chain[k], centre, 1)
+        values += _psi(hops[k], centre, w, dw, [u])
+    return values, chain
+
+
 class TestIntegrate:
     def test_exponential_solution(self):
-        # exp(u) through (e, e) at u = 1
-        march = integrate(_EXP_ODE, 1.0, 2.0, tol=1e-12)
-        grid = np.linspace(1.0, 2.0, 400)
-        values = _psi(march, 1.0, math.e, math.e, grid)
-        assert values[-1] == pytest.approx(math.exp(2.0), rel=1e-10)
+        # exp(u)/u on the hop at 2, read out to 0.4 of its radius
+        march = integrate(_EXP_ODE, 2.0, 2.8, tol=1e-12)
+        grid = np.linspace(2.0, 2.8, 400)
+        values = _psi(march, 2.0, *_exp(2.0), grid)
+        assert values[-1] == pytest.approx(_exp(2.8)[0], rel=1e-13)
         for u, v in zip(grid, values):
-            assert v == pytest.approx(math.exp(u), rel=1e-10)
+            assert v == pytest.approx(_exp(u)[0], rel=1e-13)
+        assert march.max_residual <= 1e-12
 
     def test_tolerance_controls_error(self):
-        coarse = integrate(_EXP_ODE, 1.0, 2.0, tol=1e-5)
-        fine = integrate(_EXP_ODE, 1.0, 2.0, tol=1e-12)
-        err_coarse = abs(_psi(coarse, 1.0, math.e, math.e, [2.0])[0] - math.exp(2.0))
-        err_fine = abs(_psi(fine, 1.0, math.e, math.e, [2.0])[0] - math.exp(2.0))
+        coarse = integrate(_EXP_ODE, 2.0, 2.8, tol=1e-5)
+        fine = integrate(_EXP_ODE, 2.0, 2.8, tol=1e-12)
+        err_coarse = abs(_psi(coarse, 2.0, *_exp(2.0), [2.8])[0] - _exp(2.8)[0])
+        err_fine = abs(_psi(fine, 2.0, *_exp(2.0), [2.8])[0] - _exp(2.8)[0])
         assert err_fine < err_coarse
 
     def test_closed_form_seeded_continuation(self):
-        # the exact solution at u = 5, carried to u = 50 by the transfer
-        # matrix; the closed form must be reproduced pointwise
+        # the exact solution at u = 5, carried to u = 50 by reach's chain;
+        # the closed form must be reproduced pointwise
         g = FINE_STRUCTURE_ALPHA
         s = CoulombSystem(g=g, eta=energy_closed_form(g, 0))
         psi0, dpsi0 = closed_form.psi_and_derivative(s, 5.0)
-        march = integrate(build_ordinary_kg(s), 5.0, 50.0, tol=1e-12)
-        for u in (27.5, 50.0):
-            (value,) = _psi(march, 5.0, psi0, dpsi0, [u])
+        values, _ = _on_reach_hops(build_ordinary_kg(s), 5.0, psi0, dpsi0, [27.5, 50.0], 1e-12)
+        for u, value in zip((27.5, 50.0), values):
             ref = psi_ordinary(s, u)
             assert abs(value - ref) <= 1e-6 * abs(ref)
 
     def test_singular_point_on_path_rejected(self):
-        ode = hypergeometric_ode(0.7, 1.3, 1.9)
+        # a singular point between u0 and u_end lies within the hop's
+        # radius of u0, so u_end lies outside its trusted half disk
         with pytest.raises(OutOfDomainError):
-            integrate(ode, 0.5, 2.0)
+            integrate(hypergeometric_ode(0.7, 1.3, 1.9), 0.5, 2.0)
+        with pytest.raises(OutOfDomainError):  # radius 1 at u = 1
+            integrate(build_ordinary_kg(CoulombSystem(0.3, 0.5)), 1.0, 2.0)
+
+    def test_hop_out_of_floating_point_range_refused(self):
+        # w'' at the end carries x^-2, out of range on a hop of radius 1e-299
+        with pytest.raises(OutOfDomainError, match="floating-point range"):
+            integrate(build_ordinary_kg(CoulombSystem(0.3, 0.5)), 1e-299, 0.8e-299)
 
     def test_empty_interval_rejected(self):
         with pytest.raises(ValueError):
@@ -78,13 +109,14 @@ class TestIntegrate:
 
 
 class TestTaylorContinuation:
-    """integrate against routes that share none of its continuation code,
-    and the hop count and residual its marches report."""
+    """Solutions carried by reach's chain and read through integrate's
+    one-hop basis, against routes that share none of that code, and the
+    hop count and the residual a hop reports."""
 
     # largest relative error over the grid, no looser than what an
     # adaptive Runge-Kutta scheme (DOP853, rtol = tol) reaches here
-    _BOUNDS = {(1e-10, "forward"): 1e-8, (1e-10, "backward"): 2e-9,
-               (1e-12, "forward"): 2e-9, (1e-12, "backward"): 1e-11}
+    _BOUNDS = {(1e-10, "forward"): 1e-10, (1e-10, "backward"): 1e-11,
+               (1e-12, "forward"): 1e-11, (1e-12, "backward"): 1e-13}
 
     @pytest.mark.parametrize("direction", ["forward", "backward"])
     @pytest.mark.parametrize("tol", [1e-10, 1e-12])
@@ -94,11 +126,10 @@ class TestTaylorContinuation:
         s = CoulombSystem(g=g, eta=energy_closed_form(g, n))
         start, end = (5.0, 1e4) if direction == "forward" else (1e4, 5.0)
         psi0, dpsi0 = closed_form.psi_and_derivative(s, start)
-        march = integrate(build_ordinary_kg(s), start, end, tol=tol)
         grid = np.geomspace(start, end, 400)
         ref = np.array([psi_ordinary(s, u) for u in grid])
-        values = np.array(_psi(march, start, psi0, dpsi0, grid))
-        worst = float(np.max(np.abs(values - ref) / np.abs(ref)))
+        values, _ = _on_reach_hops(build_ordinary_kg(s), start, psi0, dpsi0, grid, tol)
+        worst = float(np.max(np.abs(np.array(values) - ref) / np.abs(ref)))
         assert worst <= self._BOUNDS[tol, direction]
 
     @pytest.mark.parametrize("g,theta,theta_prime", [(0.2, 0.05, 0.02), (0.7, 0.1, 0.03)])
@@ -111,40 +142,33 @@ class TestTaylorContinuation:
         series = frobenius_series(ode, 0, 0)
         u_seed = 0.25 * series.radius
         w, dw, _ = evaluate_with_derivatives(series, u_seed)
-        march = integrate(ode, u_seed, 100.0)
         grid = np.geomspace(u_seed, 100.0, 400)
-        values = np.array(_psi(march, u_seed, w, dw, grid))
+        values, _ = _on_reach_hops(ode, u_seed, w, dw, grid)
         hp, vmap = to_heun(g, dp)
         xis = [vmap.forward(u) for u in grid]
         psi = np.array([(1.0 - xi) * h for xi, h in zip(xis, heun_local(hp, xis))])
-        direct = values * (psi[0] / values[0])
+        direct = np.array(values) * (psi[0] / values[0])
         assert np.max(np.abs(direct - psi) / np.abs(psi)) <= 1e-9
 
     def test_hops_grow_logarithmically(self):
-        s = CoulombSystem(g=0.3, eta=0.5)
-        ode = build_ordinary_kg(s)
-        near = integrate(ode, 1.0, 1e4)
-        far = integrate(ode, 1.0, 1e12)
-        assert 10 < near.hops < 40
-        assert far.hops < 3 * near.hops
+        ode = build_ordinary_kg(CoulombSystem(g=0.3, eta=0.5))
+        _, near = _on_reach_hops(ode, 1.0, 1.0, 0.0, [1e4])
         # the solution through (1, 0) at u = 1 relaxes onto the slow
         # branch, decays by 24 decades and stays a clean power law
         grid = [float(u) for u in np.geomspace(1e6, 1e12, 200)]
-        values = _psi(far, 1.0, 1.0, 0.0, grid)
+        values, far = _on_reach_hops(ode, 1.0, 1.0, 0.0, grid)
+        assert 10 < len(near) < 40
+        assert len(far) < 3 * len(near)
         assert abs(values[-1]) < 1e-20
         assert fit_exponent(Trajectory(grid, values)).exponent == pytest.approx(-2.1, rel=1e-3)
 
     def test_residual_follows_tol(self):
+        # one hop from u = 1 to 0.4 of its radius further
         ode = build_ordinary_kg(CoulombSystem(g=0.3, eta=0.5))
-        coarse = integrate(ode, 1.0, 1e4, tol=1e-6)
-        fine = integrate(ode, 1.0, 1e4, tol=1e-12)
+        coarse = integrate(ode, 1.0, 1.4, tol=1e-6)
+        fine = integrate(ode, 1.0, 1.4, tol=1e-12)
         assert 0.0 < fine.max_residual < coarse.max_residual
-        assert fine.max_residual <= 1e-9
-
-    def test_exp_residual_and_hops(self):
-        march = integrate(_EXP_ODE, 1.0, 2.0, tol=1e-12)
-        assert march.hops == 3  # radius capped at the interval: hops to 1.4, 1.8
-        assert march.max_residual <= 1e-12
+        assert fine.max_residual <= 1e-12
 
 
 class TestTrajectoryValidation:
@@ -242,36 +266,44 @@ def _abel(ode, z0, z1):
     return out
 
 
-def _hop_dets(march):
-    """(z0, z1, det) of every hop's transfer to the next centre."""
-    centres = [pair[0].expansion_point for pair in march._chain]
-    return [(z0, z1, march._local(k, z1)[1])
-            for k, (z0, z1) in enumerate(zip(centres, centres[1:]))]
+def _hop_dets(ode, start, end, tol):
+    """(z0, z1, det) of every hop of the real path from start to end: each
+    a one-hop ``integrate`` from the last centre z0 to z1, 0.4 of its
+    radius further (the rule of ``fuchsian.reach``), or to end once its
+    trusted half disk holds end; det is that hop's transfer determinant."""
+    hops, z0 = [], start
+    while not hops or hops[-1][1] != end:
+        radius = fuchsian._series_radius(ode, complex(z0))
+        z1 = end if abs(end - z0) <= 0.5 * radius else z0 + math.copysign(0.4 * radius, end - z0)
+        hops.append((z0, z1, integrate(ode, z0, z1, tol=tol)._local(complex(z1))[1]))
+        z0 = z1
+    return hops
 
 
 class TestTransfer:
     def test_closed_form_transfer(self):
-        # w'' = w: w(v) = w(u) cosh(v - u) + w'(u) sinh(v - u), so in the
-        # basis (w, u w') the transfer is [[ch, sh/u], [v sh, v ch/u]]
-        # (v < u backward), on a march in either direction
+        # u psi = h with h'' = h: h(v) = h(u) ch + h'(u) sh, ch = cosh(v - u),
+        # sh = sinh(v - u), so in the basis (w, u w') = (h/u, h' - h/u) the
+        # transfer is [[(u ch + sh)/v, sh/v], [u sh + ch - (u ch + sh)/v,
+        # ch - sh/v]] with determinant u/v, on a hop in either direction
         for start, end, pairs in (
-                (1.0, 9.0, ((1.0, 9.0), (1.5, 4.0), (2.0, 2.3), (3.0, 3.0))),
-                (9.0, 1.0, ((9.0, 1.0), (8.0, 2.5), (4.0, 3.7), (3.0, 3.0)))):
+                (2.0, 2.8, ((2.0, 2.8), (1.5, 2.9), (2.5, 2.1), (2.4, 2.4))),
+                (3.0, 1.8, ((3.0, 1.8), (4.0, 1.6), (2.0, 2.6), (2.2, 2.2)))):
             march = integrate(_EXP_ODE, start, end, tol=1e-12)
-            assert march.hops > 1
             for u, v in pairs:
                 (a, b, c, d), det = march.matrix(u, v)
                 ch, sh = math.cosh(v - u), math.sinh(v - u)
-                assert [a, b, c, d] == pytest.approx([ch, sh / u, v * sh, v * ch / u],
-                                                     rel=1e-11)
-                assert det == pytest.approx(v / u, rel=1e-11)
+                top = (u * ch + sh) / v
+                assert [a, b, c, d] == pytest.approx([top, sh / v, u * sh + ch - top, ch - sh / v],
+                                                     rel=1e-11, abs=1e-15)
+                assert det == pytest.approx(u / v, rel=1e-11)
 
     def test_pieces_multiply(self):
         ode = build_ordinary_kg(CoulombSystem(0.6, 0.5))
-        march = integrate(ode, 100.0, 1e4, tol=1e-10)
-        (a, b, c, d), det = march.matrix(100.0, 1e4)
-        first, det1 = march.matrix(100.0, 1e3)
-        second, det2 = march.matrix(1e3, 1e4)
+        march = integrate(ode, 1e4, 1.4e4, tol=1e-10)
+        (a, b, c, d), det = march.matrix(6e3, 1.4e4)
+        first, det1 = march.matrix(6e3, 9e3)
+        second, det2 = march.matrix(9e3, 1.4e4)
         whole = asymptotics._matmul(second, first)
         assert [a, b, c, d] == pytest.approx(list(whole), rel=1e-9)
         assert det == pytest.approx(det1 * det2, rel=1e-12)
@@ -287,15 +319,16 @@ class TestTransfer:
         # W = z^(-c) (1 - z)^(c - a - b - 1) in closed form
         a, b, c = abc
         tol = 1e-10
-        march = integrate(hypergeometric_ode(a, b, c), *path, tol=tol)
-        assert march.hops > 3
-        for z0, z1, det in _hop_dets(march):
+        hops = _hop_dets(hypergeometric_ode(a, b, c), *path, tol)
+        assert len(hops) > 3
+        for z0, z1, det in hops:
             wronskian = (z1 / z0) ** (-c) * ((1 - z1) / (1 - z0)) ** (c - a - b - 1)
             assert abs(det / ((z1 / z0) * wronskian) - 1) <= 100 * tol
 
     def test_abel_per_hop_on_the_exponent_fit_chains(self):
-        # every chain the exponent-fit draws of seeds 1-3 build; Abel's
-        # identity fixes each hop's determinant, independently of the march
+        # every path up over [hi/r^2, hi] of the exponent-fit draws of seeds
+        # 1-3, hop by hop; Abel's identity fixes each hop's determinant,
+        # independently of the hop
         import importlib.util
         import sys
 
@@ -313,8 +346,7 @@ class TestTransfer:
                 ode, _ = cli._exponent_ode(cfg, cli._coupling(cfg), cfg.get("eta"))
                 lo, hi = cli._parse_window(cfg["window"])
                 ratio = min(math.sqrt(hi / lo), asymptotics._RATIO_CAP)
-                march = integrate(ode, hi / ratio ** 2, hi, tol=cfg["tol"])
-                for z0, z1, det in _hop_dets(march):
+                for z0, z1, det in _hop_dets(ode, hi / ratio ** 2, hi, cfg["tol"]):
                     worst = max(worst, abs(det / _abel(ode, z0, z1) - 1) / cfg["tol"])
                 chains += 1
         assert chains == 432
@@ -335,9 +367,10 @@ class TestTransferExponents:
         build_deformed_zero_energy(0.3, DeformationParams(0.05, 0.02)),
     ], ids=["ordinary", "deformed"])
     def test_default_window_marches_one_hop(self, monkeypatch, ode):
-        # both pieces of ratio 2^(1/4) are read off one hop down from hi over
-        # [hi/sqrt(2), hi]; a march per piece of ratio 2 took two, one march
-        # up over [2.5e3, 1e4] 4, and ratio 10 over [1e2, 1e4] 14
+        # both pieces of ratio 2^(1/4) are read off one hop centred at hi,
+        # of radius hi, over [hi/sqrt(2), hi]; a march per piece of ratio 2
+        # took two hops, one march up over [2.5e3, 1e4] 4, and ratio 10
+        # over [1e2, 1e4] 14
         marches = []
 
         def recorded(*args, **kwargs):
@@ -346,7 +379,8 @@ class TestTransferExponents:
 
         monkeypatch.setattr(asymptotics, "integrate", recorded)
         asymptotics.transfer_exponents(ode, (1e2, 1e4))
-        assert [march.hops for march in marches] == [1]
+        assert [(march._pair[0].expansion_point, march._pair[0].radius)
+                for march in marches] == [(1e4, 1e4)]
 
     @pytest.mark.parametrize("ode", [
         build_ordinary_kg(CoulombSystem(0.3, 0.5)),
@@ -354,7 +388,7 @@ class TestTransferExponents:
     ], ids=["ordinary", "deformed"])
     def test_each_transfer_point_is_read_once(self, monkeypatch, ode):
         # the hop centre hi and the piece ends hi/1.01, hi/2^(1/4) and
-        # hi/sqrt(2), both columns each: 8 reads, w'' only at the march's
+        # hi/sqrt(2), both columns each: 8 reads, w'' only at the hop's
         # end, where its defect is checked
         counts, marches, sums = Counter(), [], fuchsian._series_sums
 
@@ -373,8 +407,8 @@ class TestTransferExponents:
         (march,) = marches
         assert len(march._reads) == 4
         # each kept matrix is bit for bit one made from fresh reads
-        for (k, z), kept in march._reads.items():
-            first, second = march._chain[k]
+        for z, kept in march._reads.items():
+            first, second = march._pair
             (w1, dw1, _), (w2, dw2, _) = (evaluate_with_derivatives(sol, z)
                                           for sol in (first, second))
             c = first.radius / first.expansion_point

@@ -6,6 +6,7 @@ import warnings
 import pytest
 from numpy.polynomial import polynomial as npoly
 
+from change_of_variable import substitute
 from kgcoulomb import fuchsian
 from kgcoulomb.errors import (
     ConvergenceError,
@@ -246,17 +247,26 @@ class TestFrobeniusSeries:
 
 
 class TestEvaluation:
+    @staticmethod
+    def _spherical_cosine(z):
+        """(w, w', w'') at z of cos(z)/z, combined from the basis at 2,
+        radius 2, whose columns have (w, 2 w') = (1, 0) and (0, 1) there."""
+        first, second = taylor_basis(_SPHERICAL_ODE, 2.0, 40)
+        w0, dw0 = math.cos(2.0) / 2.0, -math.sin(2.0) / 2.0 - math.cos(2.0) / 4.0
+        return [w0 * a + 2.0 * dw0 * b for a, b in zip(evaluate_with_derivatives(first, z),
+                                                     evaluate_with_derivatives(second, z))]
+
     def test_taylor_cosine(self):
-        sol = taylor_basis(_COS_ODE, 0.0, 40, max_radius=1.0)[0]
-        got = evaluate(sol, 0.5)
-        assert got.real == pytest.approx(math.cos(0.5), rel=1e-14)
+        got = self._spherical_cosine(2.5)[0]
+        assert got.real == pytest.approx(math.cos(2.5) / 2.5, rel=1e-14)
         assert abs(got.imag) < 1e-15
 
     def test_derivatives_chain(self):
-        sol = taylor_basis(_COS_ODE, 0.0, 40, max_radius=1.0)[0]
-        w, dw, d2w = evaluate_with_derivatives(sol, 0.7)
-        assert dw.real == pytest.approx(-math.sin(0.7), rel=1e-13)
-        assert d2w.real == pytest.approx(-math.cos(0.7), rel=1e-13)
+        z = 2.7
+        w, dw, d2w = self._spherical_cosine(z)
+        c, s = math.cos(z), math.sin(z)
+        assert dw.real == pytest.approx(-s / z - c / z ** 2, rel=1e-13)
+        assert d2w.real == pytest.approx(-c / z + 2 * s / z ** 2 + 2 * c / z ** 3, rel=1e-13)
 
     def test_taylor_requires_ordinary_center(self):
         with pytest.raises(ValueError):
@@ -384,7 +394,7 @@ def _pullback(ode):
     independent reference for the record at infinity. A root r != 0 goes
     to 1/r with its multiplicities; the order of t = 0 in each
     denominator is its count of exactly zero low-order coefficients."""
-    (n1, d1), (n0, d0) = fuchsian.substitute(
+    (n1, d1), (n0, d0) = substitute(
         ((ode.p1_num, ode.p1_den), (ode.p0_num, ode.p0_den)), (1,), (0, 1))
     points = [(1.0 / r, m1, m0) for r, m1, m0 in ode.points if r != 0]
     points.append((0j, fuchsian._exact_zeros(d1), fuchsian._exact_zeros(d0)))
@@ -837,8 +847,8 @@ class TestTaylorBasis:
         # triple, which taylor_series runs at the default tol
         ode = _model_odes()[index]
         for center in (3.0, 40.0, 2.5e3):
-            first, second = fuchsian.taylor_basis(ode, center, 64, tol, 1e4)
-            (p2, p1, p0), radius = fuchsian._taylor_triple(ode, center, 1e4)
+            first, second = fuchsian.taylor_basis(ode, center, 64, tol)
+            (p2, p1, p0), radius = fuchsian._taylor_triple(ode, center)
             alone = fuchsian._recurrence(p2, p1, p0, 0, 0j, 64, [1 + 0j, 0j], tol)
             if tol == fuchsian._TAIL_TOL:
                 hop = taylor_series(ode, center, 1.0, 0.0, 64)
@@ -878,13 +888,11 @@ class TestContinuationChain:
         assert min(abs(c) for c in sol.coefficients[:2]) > 1e-30
 
     def test_tail_rule_needs_finite_radius(self):
-        # with no finite singular point the radius is the cap's alone
-        with pytest.raises(ValueError):
+        # with no finite singular point the disk has no radius to scale by
+        with pytest.raises(ValueError, match="finite radius"):
             taylor_series(_COS_ODE, 0.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="finite radius"):
             taylor_basis(_COS_ODE, 0.0, tol=1e-10)
-        sol = taylor_basis(_COS_ODE, 0.0, tol=1e-10, max_radius=2.0)[0]
-        assert sol.radius == 2.0
 
     def test_dense_output_matches_pointwise_evaluation(self):
         # points in order along the path, each reached from the disk that
@@ -921,20 +929,18 @@ class TestContinuationChain:
         assert len(doubled) == 2
         assert got == pytest.approx([exact(1.2), exact(1.45), 2.0 * exact(1.8)], abs=1e-13)
 
-    @pytest.mark.parametrize("u0, u_end, cap", [(1.0, 1e4, math.inf), (1e4, 2.0, math.inf),
-                                                (0.5, 60.0, 2.0), (60.0, 0.5, 2.0)])
-    def test_walking_a_real_ray_builds_the_chain_of_one_reach(self, u0, u_end, cap):
+    @pytest.mark.parametrize("u0, u_end", [(1.0, 1e4), (1e4, 2.0), (0.5, 60.0), (60.0, 0.5)])
+    def test_walking_a_real_ray_builds_the_chain_of_one_reach(self, u0, u_end):
         # on a real ray every hop heads exactly toward the end, so reaching
         # the points one by one, then the end, builds the hops one reach to
         # the end builds, bit for bit, and each point is read off the first
-        # disk of that chain that holds it; the first series' radius is
-        # capped at cap
+        # disk of that chain that holds it
         ode = build_ordinary_kg(CoulombSystem(g=0.3, eta=0.5))
         step = (u_end / u0) ** (1.0 / 60)
         points = [u0 * step ** i for i in range(60)] + [u_end]
 
         def start():
-            return [taylor_basis(ode, u0, 64, max_radius=cap)[0]]
+            return [taylor_basis(ode, u0, 64)[0]]
 
         whole = start()
         reach(ode, whole, complex(u_end), 64)

@@ -15,6 +15,7 @@ import pytest
 import sympy as sp
 
 import symbolic_oracle as so
+from change_of_variable import substitute
 from kgcoulomb.errors import ParameterPoleError
 from kgcoulomb.fuchsian import (
     INFINITY,
@@ -24,7 +25,6 @@ from kgcoulomb.fuchsian import (
     gauge,
     indicial_exponents,
     singular_points,
-    substitute,
 )
 from kgcoulomb.kgmodels import (
     ConfluenceWarning,

@@ -170,6 +170,18 @@ class TestTaylorContinuation:
         assert 0.0 < fine.max_residual < coarse.max_residual
         assert fine.max_residual <= 1e-12
 
+    def test_exp_residual_and_hops(self):
+        # exp(u)/u from u = 1 to 2: the hop at u has radius |u|, so reach
+        # hops once, to 1.4, whose half disk holds 2
+        grid = [1.25, 1.5, 1.75, 2.0]
+        values, chain = _on_reach_hops(_EXP_ODE, 1.0, *_exp(1.0), grid, 1e-12)
+        assert [c.expansion_point for c in chain] == [1.0, pytest.approx(1.4, abs=1e-15)]
+        for u, v in zip(grid, values):
+            assert v == pytest.approx(_exp(u)[0], rel=1e-13)
+        for c in chain:
+            x = c.expansion_point.real
+            assert integrate(_EXP_ODE, x, x + 0.4 * c.radius, tol=1e-12).max_residual <= 1e-12
+
 
 class TestTrajectoryValidation:
     def test_grid_must_increase(self):

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import math
 import sys
 import warnings
@@ -147,38 +146,6 @@ _OPTIONS = {
     "out": (str, "output file (default stdout)"),
 }
 
-_COUPLING = {"Z": 1, "alpha": FINE_STRUCTURE_ALPHA, "g": None}
-_EXPONENT_FIT = {"tol": 1e-10, "window": "1e2:1e4"}
-
-# Per subcommand: its help line, and per model the options that model reads,
-# each with its default (None: no default). The first model is the default;
-# the model None stands for a subcommand without --model. Every subcommand
-# also takes --format, --out and --config; any other option, or one that the
-# chosen model does not read, is a usage error.
-_COMMANDS = {
-    "spectrum": ("bound-state energies: closed form vs quantization root",
-                 {None: {**_COUPLING, "n": "0..5"}}),
-    "exponents": ("decay exponents at large momentum: analytic vs fitted", {
-        "ordinary": {**_COUPLING, "eta": 0.5, **_EXPONENT_FIT},
-        "deformed-zero-energy": {**_COUPLING, "theta": None, "theta-prime": 0.0,
-                                 **_EXPONENT_FIT},
-        # theta' = 2 theta in this model: theta-prime is taken and not read
-        "deformed-first-order": {**_COUPLING, "eta": 0.5, "theta": None, "theta-prime": None,
-                                 **_EXPONENT_FIT},
-    }),
-    "wavefunction": ("sample psi(u) on a logarithmic grid", {
-        "ordinary": {**_COUPLING, "eta": None, "n": None, "window": "0.01:100"},
-        "deformed-zero-energy": {**_COUPLING, "theta": None, "theta-prime": 0.0,
-                                 "window": "0.01:100"},
-    }),
-    "params": ("derived parameter block of the reduced equation", {
-        "heun": {**_COUPLING, "theta": 0.05, "theta-prime": 0.0},
-        "generalized-heun": {**_COUPLING, "eta": 0.5, "theta": 0.05},
-    }),
-    "heun-check": ("equal-deformation consistency: local Heun vs hypergeometric",
-                   {None: {**_COUPLING, "theta": 0.05, "theta-prime": None}}),
-}
-
 
 def _options(command: str) -> list:
     """The options a subcommand takes under any of its models."""
@@ -234,7 +201,7 @@ def _build_parser() -> _Parser:
                      description="Momentum-space Coulomb problem: spectra, exponents, "
                                  "wavefunctions, and special-function parameter blocks.")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    for command, (text, models) in _COMMANDS.items():
+    for command, (text, models, _) in _COMMANDS.items():
         cmd = sub.add_parser(command, help=text)
         for key in _options(command):
             kind, doc = _OPTIONS[key]
@@ -308,61 +275,48 @@ def _deformation(cfg: dict) -> DeformationParams:
         raise UsageError(str(exc))
 
 
+def _positive_theta(cfg: dict) -> float:
+    """--theta, refused unless positive, for a model that reads no theta'."""
+    theta = cfg.get("theta")
+    if theta is None or not theta > 0.0:
+        raise UsageError(f"--theta > 0 is required for {cfg['model']}")
+    return theta
+
+
 # ---------------------------------------------------------------------------
-# table assembly and rendering
+# rendering
 # ---------------------------------------------------------------------------
 
 
-class _Table:
-    def __init__(self, command: str, meta: dict, columns: list, rows: list):
-        self.command = command
-        self.meta = meta
-        self.columns = columns
-        self.rows = rows
-
-    def check_finite(self) -> None:
-        """Refuse a table holding inf or nan, which no input should print;
-        None, an absent cell printed as nan (spectrum's Z under --g), passes."""
-        cells = itertools.chain(self.meta.items(),
-                                (pair for row in self.rows for pair in zip(self.columns, row)))
-        for name, cell in cells:
-            if isinstance(cell, (int, float, complex)) and not math.isfinite(abs(cell)):
-                raise OutOfDomainError(
-                    f"{self.command} gives {name} = {cell}: the inputs take the "
-                    "computation out of the floating-point range")
+def _fmt(command: str, name: str, value) -> str:
+    """Locale-independent cell text with full double precision. None, an
+    absent cell (spectrum's Z under --g), prints as nan; inf or nan, which
+    no input should print, is refused."""
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise OutOfDomainError(f"{command} gives {name} = {value}: the inputs take the "
+                                   "computation out of the floating-point range")
+        return format(value, ".17g")
+    return "nan" if value is None else str(value)
 
 
-def _fmt(value) -> str:
-    """Locale-independent cell text with full double precision."""
-    if value is None:
-        return "nan"
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return str(int(value))
-    return format(float(value), ".17g")
-
-
-def _render(table: _Table, fmt: str) -> str:
-    if fmt == "json":
-        import json  # loaded only for the one format that needs it
-
-        doc = {
-            "command": table.command,
-            "meta": table.meta,
-            "columns": table.columns,
-            "rows": [dict(zip(table.columns, row)) for row in table.rows],
-        }
-        return json.dumps(doc, indent=2, allow_nan=False, default=str) + "\n"
+def _render(command: str, meta: dict, columns: list, rows: list, fmt: str) -> str:
+    """The table in fmt. Every cell, meta first, is formatted and checked
+    in one walk; json dumps the raw cells once that walk has passed."""
     sep = "," if fmt == "csv" else " "
-    lines = [f"# kgcoulomb {table.command}"]
-    for key, val in table.meta.items():
-        lines.append(f"# {key} = {_fmt(val)}")
-    lines.append("# conventions: u = p / (m c) dimensionless, eta = E / (m c^2)")
-    lines.append("# columns: " + sep.join(table.columns))
-    for row in table.rows:
-        lines.append(sep.join(_fmt(cell) for cell in row))
-    return "\n".join(lines) + "\n"
+    lines = [f"# kgcoulomb {command}",
+             *[f"# {key} = {_fmt(command, key, val)}" for key, val in meta.items()],
+             "# conventions: u = p / (m c) dimensionless, eta = E / (m c^2)",
+             "# columns: " + sep.join(columns),
+             *[sep.join([_fmt(command, name, cell) for name, cell in zip(columns, row)])
+               for row in rows]]
+    if fmt != "json":
+        return "\n".join(lines) + "\n"
+    import json  # loaded only for the one format that needs it
+
+    doc = {"command": command, "meta": meta, "columns": columns,
+           "rows": [dict(zip(columns, row)) for row in rows]}
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +324,7 @@ def _render(table: _Table, fmt: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_spectrum(cfg: dict) -> _Table:
+def cmd_spectrum(cfg: dict) -> tuple[dict, list, list]:
     """Closed-form energies against quantization-condition roots."""
     g = _coupling(cfg)
     n_lo, n_hi = _parse_n_range(cfg["n"])
@@ -385,8 +339,7 @@ def cmd_spectrum(cfg: dict) -> _Table:
         rows.append([n, cfg.get("Z"), eta_closed, line.eta, agreement,
                      line.residual, line.binding])
     meta = {**{key: cfg[key] for key in ("Z", "alpha") if key in cfg}, "g": g}
-    columns = ["n", "Z", "eta_closed", "eta_solver", "agreement", "residual", "binding"]
-    return _Table("spectrum", meta, columns, rows)
+    return meta, ["n", "Z", "eta_closed", "eta_solver", "agreement", "residual", "binding"], rows
 
 
 def _exponent_ode(cfg: dict, g: float, eta: float | None):
@@ -397,13 +350,11 @@ def _exponent_ode(cfg: dict, g: float, eta: float | None):
         dp = _deformation(cfg)
         return build_deformed_zero_energy(g, dp), {"theta": dp.theta,
                                                    "theta_prime": dp.theta_prime}
-    theta = cfg.get("theta")  # deformed-first-order
-    if theta is None or not theta > 0.0:
-        raise UsageError("--theta > 0 is required for deformed-first-order")
+    theta = _positive_theta(cfg)  # deformed-first-order
     return build_deformed_first_order_psi(CoulombSystem(g, eta), theta), {"theta": theta}
 
 
-def cmd_exponents(cfg: dict) -> _Table:
+def cmd_exponents(cfg: dict) -> tuple[dict, list, list]:
     """Indicial exponents at infinity next to the exponents measured from
     the transfer matrix over the top of the window
     (``asymptotics.transfer_exponents``), each row the analytic exponent
@@ -440,12 +391,11 @@ def cmd_exponents(cfg: dict) -> _Table:
                      rho.imag + 0.0])
     meta = {"model": cfg["model"], "g": g, **energy,
             "window_lo": window[0], "window_hi": window[1], **extra_meta}
-    columns = ["branch", "re_analytic", "im_analytic", "fitted", "deviation", "oscillatory",
-               "im_fitted"]
-    return _Table("exponents", meta, columns, rows)
+    return meta, ["branch", "re_analytic", "im_analytic", "fitted", "deviation", "oscillatory",
+                  "im_fitted"], rows
 
 
-def cmd_wavefunction(cfg: dict) -> _Table:
+def cmd_wavefunction(cfg: dict) -> tuple[dict, list, list]:
     """Sample psi on a logarithmic momentum grid: the ordinary model at one
     level --n (default 0) or at a trial energy --eta, not both."""
     model = cfg["model"]
@@ -487,11 +437,10 @@ def cmd_wavefunction(cfg: dict) -> _Table:
         raise OutOfDomainError(
             f"wavefunction grid point u = {u:.6g} cannot be evaluated: {exc}")
     rows = [[u, psi.real, psi.imag, abs(psi)] for u, psi in zip(grid, psis)]
-    columns = ["u", "re_psi", "im_psi", "abs_psi"]
-    return _Table("wavefunction", meta, columns, rows)
+    return meta, ["u", "re_psi", "im_psi", "abs_psi"], rows
 
 
-def cmd_params(cfg: dict) -> _Table:
+def cmd_params(cfg: dict) -> tuple[dict, list, list]:
     """Dump the derived parameter block of the reduced equation."""
     model = cfg["model"]
     g = _coupling(cfg)
@@ -511,19 +460,17 @@ def cmd_params(cfg: dict) -> _Table:
                 "theta_prime": dp.theta_prime,
                 "minimal_length_3d": minimal_length(dp)}
     else:  # generalized-heun
-        theta = cfg["theta"]
-        if not theta > 0.0:
-            raise UsageError("--theta > 0 is required for generalized-heun")
+        theta = _positive_theta(cfg)
         ghp, _ = to_generalized_heun(CoulombSystem(g, cfg["eta"]), theta)
         for name in ("a", "b", "rho1", "rho2", "c", "d", "e", "f", "x1", "x2"):
             value = complex(getattr(ghp, name))
             rows.append([name, value.real, value.imag])
         rows.append(["fuchsian_residual", ghp.fuchsian_residual, 0.0])
         meta = {"model": model, "g": g, "eta": cfg["eta"], "theta": theta}
-    return _Table("params", meta, ["name", "re", "im"], rows)
+    return meta, ["name", "re", "im"], rows
 
 
-def cmd_heun_check(cfg: dict) -> _Table:
+def cmd_heun_check(cfg: dict) -> tuple[dict, list, list]:
     """Equal-deformation cross-check of the two evaluation routes.
 
     When the two deformation parameters coincide the singular point
@@ -549,15 +496,41 @@ def cmd_heun_check(cfg: dict) -> _Table:
     rows = [[xi, h.real, f.real, abs(h - f)] for xi, h, f in zip(grid, heun, hyper)]
     meta = {"g": g, "theta": theta, "a": hp.a.real, "b": hp.b.real, "c": hp.c, "xi0": hp.xi0,
             "max_abs_diff": max(row[3] for row in rows)}
-    return _Table("heun-check", meta, ["xi", "heun", "hypergeometric", "abs_diff"], rows)
+    return meta, ["xi", "heun", "hypergeometric", "abs_diff"], rows
 
 
-_DISPATCH = {
-    "spectrum": cmd_spectrum,
-    "exponents": cmd_exponents,
-    "wavefunction": cmd_wavefunction,
-    "params": cmd_params,
-    "heun-check": cmd_heun_check,
+_COUPLING = {"Z": 1, "alpha": FINE_STRUCTURE_ALPHA, "g": None}
+_EXPONENT_FIT = {"tol": 1e-10, "window": "1e2:1e4"}
+
+# Per subcommand: its help line, per model the options that model reads,
+# each with its default (None: no default), and its handler, which returns
+# the table as (meta, columns, rows). The first model is the default;
+# the model None stands for a subcommand without --model. Every subcommand
+# also takes --format, --out and --config; any other option, or one that the
+# chosen model does not read, is a usage error.
+_COMMANDS = {
+    "spectrum": ("bound-state energies: closed form vs quantization root",
+                 {None: {**_COUPLING, "n": "0..5"}}, cmd_spectrum),
+    "exponents": ("decay exponents at large momentum: analytic vs measured", {
+        "ordinary": {**_COUPLING, "eta": 0.5, **_EXPONENT_FIT},
+        "deformed-zero-energy": {**_COUPLING, "theta": None, "theta-prime": 0.0,
+                                 **_EXPONENT_FIT},
+        # theta' = 2 theta in this model: theta-prime is taken and not read
+        "deformed-first-order": {**_COUPLING, "eta": 0.5, "theta": None, "theta-prime": None,
+                                 **_EXPONENT_FIT},
+    }, cmd_exponents),
+    "wavefunction": ("sample psi(u) on a logarithmic grid", {
+        "ordinary": {**_COUPLING, "eta": None, "n": None, "window": "0.01:100"},
+        "deformed-zero-energy": {**_COUPLING, "theta": None, "theta-prime": 0.0,
+                                 "window": "0.01:100"},
+    }, cmd_wavefunction),
+    "params": ("derived parameter block of the reduced equation", {
+        "heun": {**_COUPLING, "theta": 0.05, "theta-prime": 0.0},
+        "generalized-heun": {**_COUPLING, "eta": 0.5, "theta": 0.05},
+    }, cmd_params),
+    "heun-check": ("equal-deformation consistency: local Heun vs hypergeometric",
+                   {None: {**_COUPLING, "theta": 0.05, "theta-prime": None}},
+                   cmd_heun_check),
 }
 
 
@@ -584,9 +557,8 @@ def main(argv=None) -> int:
         try:
             args = _build_parser().parse_args(argv)
             cfg = _merge(args)
-            table = _DISPATCH[args.command](cfg)
-            table.check_finite()
-            _emit(_render(table, cfg["format"]), cfg.get("out"))
+            meta, columns, rows = _COMMANDS[args.command][2](cfg)
+            _emit(_render(args.command, meta, columns, rows, cfg["format"]), cfg.get("out"))
             return 0
         except UsageError as exc:
             print(f"kgcoulomb: usage error: {exc}", file=sys.stderr)

@@ -757,7 +757,7 @@ def reach(ode: RationalCoeffODE, chain: list[FrobeniusSolution], target: complex
                 "hops (target too close to a singular point, or too far away?)")
         if k == len(chain):
             nxt = center + remaining / abs(remaining) * (0.4 * current.radius)
-            w, dw, _ = evaluate_with_derivatives(current, nxt)
+            w, dw = evaluate_with_derivatives(current, nxt, 1)
             try:
                 chain.append(taylor_series(ode, nxt, w, dw, order))
             except ValueError as exc:
@@ -792,7 +792,9 @@ def _local_coordinate(sol: FrobeniusSolution, z: complex) -> complex:
 def _series_sums(coeffs, x, scale: float = 1.0, derivatives: int = 2):
     """sum c_k (x/scale)^k and its first ``derivatives`` derivatives with
     respect to x, 1 or 2 of them, as a tuple; with 0, the value's sum
-    alone. Every count gives the value and its derivatives the same bits."""
+    alone. Every count gives the value and its derivatives the same bits,
+    and sums only what it returns: with 1, no w'' sum divides by
+    scale * scale, which underflows to 0 below a scale of about 1e-154."""
     if scale != 1.0:
         x = x / scale
     s0 = s1 = s2 = 0j
@@ -800,12 +802,16 @@ def _series_sums(coeffs, x, scale: float = 1.0, derivatives: int = 2):
         for c in reversed(coeffs):
             s0 = s0 * x + c
         return s0
+    if derivatives == 1:
+        for c in reversed(coeffs):
+            s1 = s1 * x + s0
+            s0 = s0 * x + c
+        return (s0, s1) if scale == 1.0 else (s0, s1 / scale)
     for c in reversed(coeffs):
         s2 = s2 * x + 2.0 * s1
         s1 = s1 * x + s0
         s0 = s0 * x + c
-    sums = (s0, s1, s2) if scale == 1.0 else (s0, s1 / scale, s2 / (scale * scale))
-    return sums[:derivatives + 1]
+    return (s0, s1, s2) if scale == 1.0 else (s0, s1 / scale, s2 / (scale * scale))
 
 
 def evaluate(sol: FrobeniusSolution, z: complex) -> complex:

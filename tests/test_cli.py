@@ -686,7 +686,8 @@ def test_table_entry_is_what_the_command_reads(capsys, tmp_path, command):
         if "theta" in entry and entry["theta"] is None:  # required, no default
             argv += ["--theta", "0.05"]
         cfg = _ReadLog(cli._merge(cli._build_parser().parse_args(argv)))
-        assert cli._DISPATCH[command](cfg).rows
+        _, _, rows = cli._COMMANDS[command][2](cfg)
+        assert rows
         listed = set(entry) | ({"model"} if model else set())
         if model == "deformed-first-order":  # theta' = 2 theta: --theta-prime is taken, not read
             listed.remove("theta-prime")
@@ -700,7 +701,7 @@ def test_table_entry_is_what_the_command_reads(capsys, tmp_path, command):
                 assert err == f"kgcoulomb: usage error: {command} --model {model} takes no --{key}\n"
 
 
-@pytest.mark.parametrize("command", [c for c, (_, models) in sorted(cli._COMMANDS.items())
+@pytest.mark.parametrize("command", [c for c, (_, models, _) in sorted(cli._COMMANDS.items())
                                      if None not in models])
 def test_unknown_model_is_one_message(capsys, tmp_path, command):
     config = tmp_path / "run.cfg"
@@ -711,6 +712,72 @@ def test_unknown_model_is_one_message(capsys, tmp_path, command):
         assert (code, out) == (1, "")
         assert err == (f"kgcoulomb: usage error: unknown {command} model 'nope'; "
                        f"choose from {choices}\n")
+
+
+@pytest.mark.parametrize("target", ["csv", "gnuplot-dat", "json", "out"])
+def test_non_finite_cell_is_refused(capsys, tmp_path, monkeypatch, target):
+    # the diagnostic names the first inf or nan, meta before rows, and
+    # nothing reaches stdout or the --out file; None still prints as nan
+    text, models, _ = cli._COMMANDS["params"]
+    table = {}
+    monkeypatch.setitem(cli._COMMANDS, "params", (text, models, lambda cfg: table["now"]))
+    out_file = tmp_path / "table.txt"
+    extra = ["--out", str(out_file)] if target == "out" else ["--format", target]
+    columns = ["name", "re", "im"]
+    for meta, rows, bad in [({"g": 0.2, "theta": math.inf}, [["a", math.nan, 0.0]], "theta = inf"),
+                            ({"g": 0.2}, [["a", 1.0, None], ["b", -math.inf, math.nan]],
+                             "re = -inf")]:
+        table["now"] = meta, columns, rows
+        assert _run(capsys, "params", *extra) == (
+            2, "", f"kgcoulomb: params gives {bad}: the inputs take the computation out of "
+                   "the floating-point range\n")
+        assert not out_file.exists()
+    table["now"] = {"g": 0.2}, columns, [["a", 1.0, None]]
+    code, out, err = _run(capsys, "params", *extra)
+    assert (code, err) == (0, "")
+    if target == "json":
+        assert json.loads(out)["rows"] == [{"name": "a", "re": 1.0, "im": None}]
+    else:
+        out = out_file.read_text() if target == "out" else out
+        assert out.splitlines()[-1] == ("a 1 nan" if target == "gnuplot-dat" else "a,1,nan")
+
+
+def _same_cell(value, text):
+    """A json cell against its csv text: the number, the string, or null as nan."""
+    if value is None:
+        return text == "nan"
+    return text == value if isinstance(value, str) else float(text) == value
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_three_formats_carry_one_table(capsys, command):
+    # each model at its defaults: gnuplot-dat is the csv text with spaces on
+    # the column and data lines, and json holds the csv cells
+    models = cli._COMMANDS[command][1]
+    runs = [[command] + (["--model", model] if model else [])
+            + (["--theta", "0.05"] if "theta" in entry and entry["theta"] is None else [])
+            for model, entry in models.items()]
+    if command == "spectrum":
+        runs.append([command, "--g", "0.3"])  # no charge: the Z cells are absent
+    for argv in runs:
+        texts = {}
+        for fmt in cli._FORMATS:
+            code, texts[fmt], _ = _run(capsys, *argv, "--format", fmt)
+            assert code == 0, (argv, fmt)
+        lines = texts["csv"].splitlines()
+        spaced = [line.replace(",", " ") if line.startswith("# columns: ")
+                  or not line.startswith("#") else line for line in lines]
+        assert texts["gnuplot-dat"] == "\n".join(spaced) + "\n", argv
+        doc = json.loads(texts["json"])
+        meta = [line[2:].split(" = ", 1) for line in lines[1:1 + len(doc["meta"])]]
+        assert [key for key, _ in meta] == list(doc["meta"]), argv
+        assert all(_same_cell(doc["meta"][key], text) for key, text in meta), argv
+        assert lines[2 + len(meta)] == "# columns: " + ",".join(doc["columns"])
+        rows = [line.split(",") for line in lines[3 + len(meta):]]
+        assert len(rows) == len(doc["rows"]) > 0, argv
+        for row, cells in zip(doc["rows"], rows):
+            assert list(row) == doc["columns"], argv
+            assert all(_same_cell(v, t) for v, t in zip(row.values(), cells)), (argv, cells)
 
 
 def _readme_cli_table(name):
@@ -741,10 +808,10 @@ def _readme_value(text):
 @pytest.mark.parametrize("name", ["README.md", "PAPER.md"])
 def test_readme_table_is_the_command_table(name):
     rows = _readme_cli_table(name)
-    expected = [(command, model) for command, (_, models) in cli._COMMANDS.items()
+    expected = [(command, model) for command, (_, models, _) in cli._COMMANDS.items()
                 for model in models]
     assert list(rows) == expected
-    for command, (_, models) in cli._COMMANDS.items():
+    for command, (_, models, _) in cli._COMMANDS.items():
         for i, (model, entry) in enumerate(models.items()):
             model_cell, listed = rows[command, model]
             assert ("(default)" in model_cell) == (i == 0 and model is not None)
@@ -928,7 +995,7 @@ def _window(rng):
 
 
 def _argv(rng):
-    command = rng.choice(sorted(cli._DISPATCH))
+    command = rng.choice(sorted(cli._COMMANDS))
     # --out would write files; the table must reach stdout to be checked.
     taken = [key for key in cli._options(command) if key != "out"]
     keys = rng.sample(taken, rng.randint(0, 5))

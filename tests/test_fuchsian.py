@@ -815,6 +815,23 @@ class TestReducedSums:
                         for z in points] == full
                 assert chain == [sol]
 
+    def test_value_and_slope_alone_are_the_first_two_of_three(self):
+        for sol, points in _reduced_sum_cases():
+            for z in points:
+                full = evaluate_with_derivatives(sol, z)
+                assert list(map(_bits, evaluate_with_derivatives(sol, z, 1))) == \
+                    list(map(_bits, full[:2])), (sol.expansion_point, z)
+
+    def test_reach_hops_below_a_radius_of_1e_154(self):
+        # each hop's scale is its radius, about 1e-300 here: a w'' sum,
+        # divided by the scale squared, which underflows to 0, raised
+        # ZeroDivisionError at the first hop
+        ode = build_ordinary_kg(CoulombSystem(0.3, 0.5))
+        chain = [taylor_series(ode, 1e-300, 1.0, 0.0)]
+        k = reach(ode, chain, 3e-300, 64)
+        assert k == len(chain) - 1 == 3
+        assert abs(evaluate(chain[k], 3e-300) - 1.0) < 1e-12
+
     @pytest.mark.parametrize("start", ["taylor", "frobenius"])
     def test_reach_is_the_chain_built_by_hand(self, start):
         if start == "taylor":

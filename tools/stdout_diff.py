@@ -5,8 +5,12 @@
 Each tree runs the command lists of ``perfbench/workloads.py`` (this
 repository's copy, read and not changed), ``commands(w, s, 15)`` for
 every workload w in its ``WORKLOADS`` and every seed s, through ``kgcoulomb.cli.main`` in one
-fresh interpreter per tree with that tree's ``src`` on the path. The
-report has seven parts:
+fresh interpreter per tree with that tree's ``src`` on the path. For the
+first seed, every command also runs once with ``--format json`` and once
+with ``--format gnuplot-dat`` appended; these runs count toward the exit
+codes, stdout and stderr compared below under their own kind (``exponents
+--format json``), not toward the cell comparisons. The report has seven
+parts:
 
 - every command whose exit code changed;
 - the number of commands whose stdout changed, per kind of command;
@@ -51,6 +55,9 @@ from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
+# the flags appended for the byte comparison of the other output formats
+_VARIANTS = (("--format", "json"), ("--format", "gnuplot-dat"))
+
 # columns (or row labels) that hold errors or differences, compared absolutely
 _ABSOLUTE = {"deviation", "abs_diff", "max_abs_diff", "agreement", "residual",
              "fuchsian_residual"}
@@ -61,26 +68,38 @@ def _seeds(text: str) -> list[int]:
     return list(range(int(lo), int(hi or lo) + 1))
 
 
+def _runs(seeds: list[int]):
+    """(key, kind, argv) of every command run: the benchmark's commands,
+    and for the first seed each once more per format in _VARIANTS, its
+    format added to the key and its flags to the kind. Needs
+    ``perfbench`` on the path."""
+    import workloads as wl
+
+    for w in wl.WORKLOADS:
+        for s in seeds:
+            for i, cmd in enumerate(wl.commands(w, s, 15)):
+                yield [w, s, i], cmd.kind, list(cmd.argv)
+                for extra in _VARIANTS if s == seeds[0] else ():
+                    yield ([w, s, i, extra[-1]], " ".join([cmd.kind, *extra]),
+                           list(cmd.argv) + list(extra))
+
+
 def _run_tree(tree: str, seeds: list[int]) -> None:
     """Child mode: print one JSON object per command. No bytecode is
     written, so a comparison leaves no ``__pycache__`` in either tree."""
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(Path(tree).resolve() / "src"), str(PERFBENCH)]
-    import workloads as wl
     from kgcoulomb import cli
 
-    for w in wl.WORKLOADS:
-        for s in seeds:
-            for i, cmd in enumerate(wl.commands(w, s, 15)):
-                out, err = io.StringIO(), io.StringIO()
-                try:
-                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                        code = cli.main(list(cmd.argv))
-                except (Exception, SystemExit) as exc:  # an escape is its own outcome
-                    code = f"raised {type(exc).__name__}"
-                print(json.dumps({"key": [w, s, i], "kind": cmd.kind, "argv": cmd.argv,
-                                  "code": code, "stdout": out.getvalue(),
-                                  "stderr": err.getvalue()}))
+    for key, kind, argv in _runs(seeds):
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+        except (Exception, SystemExit) as exc:  # an escape is its own outcome
+            code = f"raised {type(exc).__name__}"
+        print(json.dumps({"key": key, "kind": kind, "argv": argv, "code": code,
+                          "stdout": out.getvalue(), "stderr": err.getvalue()}))
 
 
 def _collect(tree: str, seeds: str) -> dict:
@@ -145,6 +164,8 @@ def compare(old: dict, new: dict) -> bool:
             continue
         if a["stdout"] != b["stdout"]:
             changed[a["kind"]] += 1
+        if len(key) > 3:  # a format variant: compared on its bytes alone
+            continue
         cells_a, cells_b = _cells(a["stdout"]), _cells(b["stdout"])
         for side, cells, other in (("old", cells_a, cells_b), ("new", cells_b, cells_a)):
             names = {cells[cell][0] for cell in cells if cell not in other}

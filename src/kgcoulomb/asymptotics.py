@@ -11,9 +11,14 @@ solutions, read as transfer matrices (``Transfer``). Everything is plain
 Python floats and complex numbers.
 
 The exponents are measured over the top of a window from the transfer
-matrices of two pieces, both read off one hop centred at the top
+matrices of two pieces of ratio r, [hi/r^2, hi/r] and [hi/r, hi], both
+read off one hop centred at hi/r, itself a read point, whose series are
+cut on the disk of span hi - hi/r that the reads cover
 (``transfer_exponents``): their eigenvalues give both exponents, complex
-pairs included, from the equation alone. This is the route of the
+pairs included, from the equation alone. A ratio that the exponents'
+phase cuts to r' takes one more hop, centred at hi/r', and a second
+Richardson level from its pieces of ratio sqrt(r'); the move it makes is
+the estimate by which such a row is refused. This is the route of the
 command line's ``exponents``.
 """
 
@@ -40,26 +45,31 @@ __all__ = [
 # near order 55 on a disk limited by a singular point
 _MAX_ORDER = 64
 # A series of a basis hop cut by the order cap counts as settled when
-# its last term on the half disk is below the larger of tol and _SETTLED
+# its last term on the read disk is below the larger of tol and _SETTLED
 # times its largest, and its largest below 1/_SETTLED times its value's
 # order 1: the sums then lose at most half the digits of a double.
 _SETTLED = 2.0 ** -26
-# Largest ratio hi/lo of a measuring piece. Both pieces lie on one hop
-# centred at hi, over [hi/sqrt(2), hi]: the singular point at 0 of
-# every model equation leaves it the radius hi, so every read lies within
-# 0.29 of the radius, well inside the trusted half disk, where the cut
-# tail leaves almost no truncation error. The Richardson step leaves
-# -C2 k(r)/hi^2, k(r) = r (r^2 - 1) / (2 ln r): 1.42 here, 4.33 at ratio 2.
-# Over the exponent-fit draws of seeds 1-10 no row is worse than 6.9e-6 at
-# the default tol and 7.1e-6 at tol 1e-3. Cap 2^(3/8) gives 8.3e-6 and
-# 3.0e-4, and sqrt(2), whose pieces reach the half disk's edge, 1.0e-5
-# and 0.26%. A wider piece aligns the transfer matrix's columns by the
-# ratio to the power of the gap between the real parts; its small
-# eigenvalue survives that only because the determinant is taken from the
-# hop's columns, which stay apart.
+# Largest ratio hi/lo of a measuring piece. Both pieces, [hi/r^2, hi/r]
+# and [hi/r, hi], lie on one hop centred at hi/r and read up to hi: the
+# singular point at 0 of every model equation leaves it the radius hi/r,
+# so every read lies within r - 1 = 0.19 of the radius, and the hop's
+# tail is cut on that disk, not on the trusted half disk. The Richardson
+# step leaves -C2 k(r)/hi^2, k(r) = r (r^2 - 1) / (2 ln r): 1.42 here,
+# 4.33 at ratio 2. A wider piece aligns the transfer matrix's columns by
+# the ratio to the power of the gap between the real parts; its small
+# eigenvalue survives that only because the determinant is taken from
+# the hop's columns, which stay apart.
 _RATIO_CAP = 2.0 ** 0.25
 # Smallest ratio of a measuring piece; the phase anchor is read over it.
 _RATIO_FLOOR = 1.01
+# Loosest tol a hop of transfer_exponents is cut at. Cut on the disk it is
+# read on, the tail's tol governs the truncation, so a coarser one would
+# show in the exponents: at 1e-3 the worst exponent-fit row reads 2.8%.
+_HOP_TOL = 1e-10
+# Largest move of either exponent under the second Richardson level of a
+# cut ratio, relative to the exponent and to its real part; a larger one
+# refuses the row.
+_ESTIMATE_BOUND = 0.01
 
 
 def _matmul(a: tuple, b: tuple) -> tuple:
@@ -76,16 +86,19 @@ class Transfer:
     z0 to v times the inverse of its transfer to u, returned with its
     determinant, the quotient of theirs: the columns stay apart, so the
     determinant carries no cancellation however far the product's columns
-    align. ``max_residual`` is the larger relative ODE defect
-    |w'' + p1 w' + p0 w| / (|w''| + |p1 w'| + |p0 w|) of the two columns
-    at the end point, w'' taken from the local series (nan where every
-    term underflows). Each point is read once, and w'' only at the end.
+    align. Only points within ``span`` of z0, the disk the hop's series
+    are cut on, are read. ``max_residual`` is the larger relative ODE
+    defect |w'' + p1 w' + p0 w| / (|w''| + |p1 w'| + |p0 w|) of the two
+    columns at the end point, w'' taken from the local series (nan where
+    every term underflows). Each point is read once, and w'' only at the
+    end.
     """
 
-    __slots__ = ("_pair", "_reads", "max_residual")
+    __slots__ = ("_pair", "_span", "_reads", "max_residual")
 
-    def __init__(self, ode: fuchsian.RationalCoeffODE, pair: tuple, u_end: float) -> None:
-        self._pair, self._reads = pair, {}
+    def __init__(self, ode: fuchsian.RationalCoeffODE, pair: tuple, u_end: float,
+                 span: float) -> None:
+        self._pair, self._span, self._reads = pair, span, {}
         z = complex(u_end)
         columns = [fuchsian.evaluate_with_derivatives(sol, z) for sol in pair]
         self._local(z, columns)
@@ -93,12 +106,12 @@ class Transfer:
         self.max_residual = max((d for d in defects if not math.isnan(d)), default=math.nan)
 
     def _local(self, z: complex, columns: list | None = None) -> tuple[tuple, complex]:
-        """The hop's transfer from its centre to z, a point of its trusted
-        half disk, with its determinant, from both columns' (w, w', ...)
-        at z, read here unless given; kept, so each point is read once."""
+        """The hop's transfer from its centre to z, a point within its span,
+        with its determinant, from both columns' (w, w', ...) at z, read
+        here unless given; kept, so each point is read once."""
         if z not in self._reads:
             first, second = self._pair
-            if abs(z - first.expansion_point) > 0.5 * first.radius:
+            if abs(z - first.expansion_point) > self._span:
                 raise ValueError(f"u = {z} is not on the march")
             (w1, dw1, *_), (w2, dw2, *_) = columns or [
                 fuchsian.evaluate_with_derivatives(sol, z, 1) for sol in (first, second)]
@@ -108,8 +121,8 @@ class Transfer:
         return self._reads[z]
 
     def matrix(self, u: float, v: float) -> tuple[tuple, complex]:
-        """The transfer matrix from u to v, both on the hop's trusted half
-        disk, as (m11, m12, m21, m22), with its determinant."""
+        """The transfer matrix from u to v, both within the hop's span, as
+        (m11, m12, m21, m22), with its determinant."""
         u, v = complex(u), complex(v)
         (a, b, c, d), det_start = self._local(u)
         # the inverse of the transfer to u, back to the hop's centre
@@ -123,17 +136,20 @@ class Transfer:
 
 
 def integrate(ode: fuchsian.RationalCoeffODE, u0: float, u_end: float,
-              tol: float = 1e-10) -> Transfer:
+              tol: float = 1e-10, span: float | None = None) -> Transfer:
     """One hop of a basis of psi'' + p1 psi' + p0 psi = 0 from u0 to u_end.
 
     The hop is ``fuchsian.taylor_basis`` at u0. Its radius is the
     distance to the nearest finite singular point, so the equation must
-    have one, and u_end must lie in its trusted half disk: then no
-    singular point lies between u0 and u_end. A longer path is
-    ``fuchsian.reach``'s. Each series is truncated where its terms on the
-    half disk fall below tol times the largest one, so tol bounds its
-    relative error. The hop is returned as its ``Transfer``. u0 must be
-    nonzero, since the basis (w, u w') degenerates at u = 0, and the
+    have one. It is read on the disk |u - u0| <= span, half the radius
+    (the trusted half disk) by default and never more, so u_end must lie
+    within span of u0: then no singular point lies between u0 and u_end.
+    A longer path is ``fuchsian.reach``'s. Each series is truncated where
+    its terms on that disk fall below tol times the largest one, so tol
+    bounds its relative error there, and a series cut by the order cap
+    must settle on the same disk. The hop is returned as its
+    ``Transfer``, which refuses reads farther than span from u0. u0 must
+    be nonzero, since the basis (w, u w') degenerates at u = 0, and the
     interval must not be empty.
     """
     if tol <= 0:
@@ -142,20 +158,28 @@ def integrate(ode: fuchsian.RationalCoeffODE, u0: float, u_end: float,
         raise ValueError("a basis march starts away from u = 0")
     if u0 == u_end:
         raise ValueError("empty integration interval")
-    pair = fuchsian.taylor_basis(ode, u0, _MAX_ORDER, tol)
-    if abs(u_end - u0) > 0.5 * pair[0].radius:
+    radius = fuchsian._series_radius(ode, complex(u0))
+    if span is None:
+        span = 0.5 * radius
+    elif span > 0.5 * radius:
         raise OutOfDomainError(
-            f"u = {u_end} lies outside the trusted half disk of the hop at {u0}, "
-            f"radius {pair[0].radius:.6g} to the nearest singular point")
+            f"a span of {span:.6g} leaves the trusted half disk of the hop at {u0}, "
+            f"radius {radius:.6g} to the nearest singular point")
+    if abs(u_end - u0) > span:
+        raise OutOfDomainError(
+            f"u = {u_end} lies outside the span {span:.6g} of the hop at {u0}, "
+            f"radius {radius:.6g} to the nearest singular point")
+    disk = span / radius
+    pair = fuchsian.taylor_basis(ode, u0, _MAX_ORDER, tol, disk)
     for series in (s for s in pair if len(s.coefficients) > _MAX_ORDER):
         # cut by the order cap, not by its tail (see _SETTLED)
-        sizes = [math.ldexp(abs(c), -k) for k, c in enumerate(series.coefficients)]
+        sizes = [abs(c) * disk ** k for k, c in enumerate(series.coefficients)]
         if sizes[-1] > max(tol, _SETTLED) * max(sizes) or max(sizes) * _SETTLED > 1.0:
             raise ConvergenceError(
                 f"the Taylor series at u = {series.expansion_point.real:.6g} do not settle "
                 f"in {_MAX_ORDER} terms: the solutions turn too fast for the hop")
     try:
-        return Transfer(ode, pair, u_end)
+        return Transfer(ode, pair, u_end, span)
     except (OverflowError, ZeroDivisionError):  # w'' out of range: a radius below about 1e-154
         raise OutOfDomainError(
             f"the hop from u = {u0} to {u_end} leaves the floating-point range") from None
@@ -182,6 +206,27 @@ def paired(reference, pair) -> tuple:
     return (a, b) if kept <= abs(b - reference[0]) + abs(a - reference[1]) else (b, a)
 
 
+def _hop(ode: fuchsian.RationalCoeffODE, hi: float, ratio: float, tol: float) -> Transfer:
+    """The hop that both pieces of the ratio are read off: centred at
+    hi/ratio and read up to hi, its series cut on that span."""
+    centre = hi / ratio
+    return integrate(ode, centre, hi, tol, span=hi - centre)
+
+
+def _richardson(pieces: tuple, ratio: float) -> tuple[complex, complex]:
+    """The pair's sum and squared difference with the O(1/u) term removed,
+    (ratio x_b - x_a) / (ratio - 1), from the lower piece's exponents and
+    the upper one's."""
+    (sum_a, square_a), (sum_b, square_b) = ((a + b, (a - b) ** 2) for a, b in pieces)
+    return (ratio * sum_b - sum_a) / (ratio - 1.0), (ratio * square_b - square_a) / (ratio - 1.0)
+
+
+def _split(total: complex, square: complex) -> tuple[complex, complex]:
+    """The pair with that sum and squared difference."""
+    root = cmath.sqrt(square)
+    return (total + root) / 2.0, (total - root) / 2.0
+
+
 def transfer_exponents(ode: fuchsian.RationalCoeffODE, window: tuple[float, float],
                        tol: float = 1e-10) -> tuple[complex, complex]:
     """Both exponents at infinity, measured over the top of the window.
@@ -192,49 +237,81 @@ def transfer_exponents(ode: fuchsian.RationalCoeffODE, window: tuple[float, floa
     gives an exponent, log(eigenvalue) / log r, complex pairs included
     (Coddington & Levinson, *Theory of ODEs*, ch. 4). With the ratio
     r = min(sqrt(hi/lo), _RATIO_CAP), the pieces [hi/r, hi] and
-    [hi/r^2, hi/r] each give the pair, [hi/sqrt(2), hi] for any window
-    wider than a factor sqrt(2), and one Richardson step,
+    [hi/r^2, hi/r] each give the pair, and one Richardson step,
     (r x_b - x_a) / (r - 1), removes the O(1/u) term from the pair's sum
     and from the square of its difference, leaving an O(1/u^2) remainder
     at u = hi/r^2. Both stay analytic in 1/u where the exponents meet (the
     Jordan block of a double root), where each exponent alone moves like
     u^(-1/2) and the step would leave that term. Both pieces are read off
-    one basis hop (``integrate``) from hi to hi/r^2. In the model
-    equations every finite singular point is 0 or imaginary, so the
-    radius at hi is hi and every read lies within 0.29 of it. The
-    principal log wraps once the imaginary part turns an eigenvalue by
-    pi, so r is first cut to the largest of r, r^(1/2), r^(1/4), ... at
-    which the turn over [hi/_RATIO_FLOOR, hi], scaled to r, stays below
-    pi/2, and then further until it does on both pieces; a cut r reads
-    the same hop. Raises ValueError for a window narrower than a factor
+    one basis hop (``integrate``) centred at hi/r, with span hi - hi/r
+    and tol min(tol, _HOP_TOL): in the model equations every finite
+    singular point is 0 or imaginary, so the radius there is hi/r and
+    every read lies within r - 1 of it, and a tol above _HOP_TOL cuts as
+    _HOP_TOL does. The principal log wraps once the imaginary part turns
+    an eigenvalue by pi, so r is first cut to the largest of r, r^(1/2),
+    r^(1/4), ... at which the turn over [hi/_RATIO_FLOOR, hi], read off
+    the first hop and scaled to r, stays below pi/2, and then further
+    until it does on both pieces. A cut ratio r' takes one more hop,
+    centred at hi/r' with span hi - hi/r', and a second Richardson level
+    from its pieces of ratio sqrt(r'), which removes the -C2 k(r)/hi^2
+    term; the move it makes on either exponent is the row's error
+    estimate. Raises ValueError for a window narrower than a factor
     _RATIO_FLOOR^2, OutOfDomainError when no ratio down to _RATIO_FLOOR
-    reads the turn below pi/2, and ConvergenceError when a piece's series
-    do not settle (a pair that turns too fast for a hop): no wrapped
-    number is returned.
+    reads the turn below pi/2 or when the estimate passes _ESTIMATE_BOUND,
+    and ConvergenceError when a hop's series do not settle (a pair that
+    turns too fast for a hop): no wrapped or untrusted number is returned.
     """
     lo, hi = window
     ratio = min(math.sqrt(hi / lo), _RATIO_CAP)
     if not ratio >= _RATIO_FLOOR:
         raise ValueError(f"the window spans less than a factor {_RATIO_FLOOR ** 2:.6g}, "
                          "too narrow to measure the exponents over")
-    march = integrate(ode, hi, hi / ratio ** 2, tol=tol)
+    tol = min(tol, _HOP_TOL)
+    first = built = ratio
+    march = _hop(ode, hi, ratio, tol)
     turn = max(abs(rho.imag) for rho in _piece_exponents(march, hi, hi / _RATIO_FLOOR))
     while ratio >= _RATIO_FLOOR:
         if turn * math.log(ratio) < 0.5 * math.pi:
+            if ratio != built:
+                march, built = _hop(ode, hi, ratio, tol), ratio
             mid = hi / ratio
             pieces = (_piece_exponents(march, mid, mid / ratio),
                       _piece_exponents(march, hi, mid))
             turns = max(abs(rho.imag) for pair in pieces for rho in pair) * math.log(ratio)
             if turns < 0.5 * math.pi:
-                (sum_a, square_a), (sum_b, square_b) = ((a + b, (a - b) ** 2) for a, b in pieces)
-                total = (ratio * sum_b - sum_a) / (ratio - 1.0)
-                root = cmath.sqrt((ratio * square_b - square_a) / (ratio - 1.0))
-                return (total + root) / 2.0, (total - root) / 2.0
+                level = _richardson(pieces, ratio)
+                if ratio != first:
+                    _check_estimate(march, hi, ratio, level)
+                return _split(*level)
         ratio = math.sqrt(ratio)
     raise OutOfDomainError(
         "the exponents' imaginary part turns the transfer matrix's eigenvalues by pi/2 "
         f"or more over every piece down to a ratio {_RATIO_FLOOR:g}; its phase cannot be "
         "read unwrapped")
+
+
+def _check_estimate(march: Transfer, hi: float, ratio: float, level: tuple) -> None:
+    """Refuse the exponents R = _split(*level) measured at a cut ratio r
+    when a second Richardson level, S = (k(r) R(sqrt r) - k(sqrt r) R(r)) /
+    (k(r) - k(sqrt r)) from the pieces of ratio sqrt(r) on the same hop,
+    moves either, or its real part, by more than _ESTIMATE_BOUND of it."""
+    half = math.sqrt(ratio)
+    between = hi / half
+    finer = _richardson((_piece_exponents(march, between, hi / ratio),
+                         _piece_exponents(march, hi, between)), half)
+    # one step at ratio r leaves -C2 k(r) / hi^2, k(r) = r (r^2 - 1) / (2 ln r)
+    k, k_half = (r * (r * r - 1.0) / (2.0 * math.log(r)) for r in (ratio, half))
+    measured = _split(*level)
+    second = _split(*((k * f - k_half * c) / (k - k_half) for c, f in zip(level, finer)))
+    # relative to the exponent and to its real part, which a row's deviation reads
+    moves = [max(abs(s - x) / abs(x), abs((s - x).real) / abs(x.real)) if x.real else math.inf
+             for x, s in zip(measured, paired(measured, second))]
+    if not max(moves) <= _ESTIMATE_BOUND:
+        raise OutOfDomainError(
+            f"the exponents' error estimate, the relative move of a second Richardson "
+            f"level over pieces of ratio {half:.6g}, is {max(moves):.2g}, past "
+            f"{_ESTIMATE_BOUND:g}: the window's top u = {hi:.6g} lies too low for the "
+            "ratio that their phase allows")
 
 
 # The log-log fit of a sampled solution. No command calls it; the

@@ -26,7 +26,9 @@ subcommand's own long flag names (without the leading dashes).
 
 ``exponents`` measures both exponents at infinity from the transfer
 matrix over the top of the window (``asymptotics.transfer_exponents``)
-and prints them next to the indicial exponents.
+and prints them next to the indicial exponents. Its --tol cuts the
+Taylor hop that the matrix is read off, and can only tighten it: any
+value above 1e-10 cuts as 1e-10 does.
 
 Exit codes: 0 on success, 1 on a usage or configuration error (a
 non-finite or out-of-range number among them, e.g. ``--eta`` outside
@@ -35,7 +37,8 @@ within 1%, an ``exponents --window`` narrower than a factor 1.0201, or
 a ``spectrum`` range of more than 10 000 levels), 2 on a physics-domain error
 (supercritical coupling, parameter pole, evaluation outside a solution's
 domain, a result that left the floating-point range, exponents whose
-imaginary part turns too fast to measure). Warnings go to stderr as one
+imaginary part turns too fast to measure or whose error estimate passes
+1%). Warnings go to stderr as one
 ``kgcoulomb: warning:`` line each.
 """
 
@@ -71,11 +74,11 @@ _WAVEFUNCTION_POINTS = 200
 # Most levels one spectrum run solves (10 000 levels take under a second)
 _MAX_LEVELS = 10_000
 _HEUN_CHECK_POINTS = 50
-# Largest relative tolerance that still measures the exponents within 1%:
-# at 1e-3 the worst of the 2880 rows of the exponent-fit draws of seeds 1-10
-# is off by 7.1e-6, against 6.9e-6 at the default tol, since every read
-# lies well inside its hop's trusted half disk. This rests on those draws,
-# not on a bound.
+# Largest --tol accepted. The exponents' hop is cut at min(tol, 1e-10), so
+# for exponents any value above 1e-10 cuts as 1e-10 does: over the 2880 rows
+# of the exponent-fit draws of seeds 1-10 the worst is off by 6.9e-6 at
+# every tol up to this one. That rests on those draws, not on a bound; a
+# ratio cut by the exponents' phase is refused past 1% by its estimate.
 _MAX_TOL = 1e-3
 
 
@@ -140,7 +143,8 @@ _OPTIONS = {
     "model": (str, "model selector"),
     "theta": (float, "dimensionless deformation parameter"),
     "theta-prime": (float, "second deformation parameter"),
-    "tol": (float, "Taylor series tolerance of the exponent march"),
+    "tol": (float, "Taylor series tolerance of the exponent hop; values above 1e-10 "
+                   "cut as 1e-10 does"),
     "window": (str, "wavefunction grid or exponent window 'lo:hi'"),
     "format": (str, f"output format: {', '.join(_FORMATS)} (default csv)"),
     "out": (str, "output file (default stdout)"),

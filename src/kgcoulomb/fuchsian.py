@@ -145,9 +145,9 @@ def _divide(coeffs, z0) -> tuple[list, complex]:
     return partial[::-1], remainder
 
 
-def _shift(coeffs, z0: complex) -> tuple[complex, ...]:
-    """Taylor coefficients of the polynomial around z0: the Horner table,
-    _divide repeated in place (pass i leaves the i-th coefficient at i)."""
+def _horner_passes(coeffs, z0: complex):
+    """The Horner table of the polynomial at z0, _divide repeated in place,
+    one pass at a time: pass i yields the i-th Taylor coefficient around z0."""
     work = [complex(x) for x in coeffs]
     n = len(work)
     for i in range(n):
@@ -155,21 +155,26 @@ def _shift(coeffs, z0: complex) -> tuple[complex, ...]:
         for k in range(n - 1, i - 1, -1):
             acc = acc * z0 + work[k]
             work[k] = acc
-    return tuple(work)
+        yield acc
+
+
+def _shift(coeffs, z0: complex) -> tuple[complex, ...]:
+    """Taylor coefficients of the polynomial around z0."""
+    return tuple(_horner_passes(coeffs, z0))
 
 
 def _vanish_order(coeffs, z0: complex) -> int:
     """Order of the zero at z0: the j-th Taylor coefficient there is zero
     while below 4 n eps sum_k C(k, j) |c_k| |z0|^(k-j), twice Horner's
-    rounding bound; at 0 only exact zeros are."""
-    shifted = _shift(coeffs, z0)
+    rounding bound; at 0 only exact zeros are. The table stops at the
+    first coefficient that does not vanish."""
     tol = 4.0 * (len(coeffs) - 1) * _EPS
     sizes = [abs(x) for x in coeffs]
-    for j, c in enumerate(shifted):
+    for j, c in enumerate(_horner_passes(coeffs, z0)):
         sizes, level = _divide(sizes, abs(z0))
         if abs(c) > tol * abs(level):
             return j
-    return len(shifted)
+    return len(coeffs)
 
 
 def _exact_zeros(coeffs) -> int:
@@ -522,7 +527,7 @@ def _series_radius(ode: RationalCoeffODE, point) -> float:
 
 def _recurrence(p2, p1, p0, kappa: int, rho: complex, order: int,
                 seeds: list[complex], tol: float | None = None,
-                second: list[complex] | None = None):
+                second: list[complex] | None = None, disk: float = 0.5):
     """Run the banded recurrence c_m I(rho+m) = -sum_{k<m} c_k L(m, k).
 
     (p2, p1, p0) is the least-degree form shifted to the expansion point
@@ -531,8 +536,9 @@ def _recurrence(p2, p1, p0, kappa: int, rho: complex, order: int,
     ``seeds`` supplies the leading coefficients (one for a Frobenius
     series, two for a Taylor series at an ordinary point); pivots for
     the seeded indices are never evaluated. With ``tol`` the series
-    stops before ``order`` once two successive terms on the half disk
-    |x| <= 1/2, |c_m| / 2^m, fall below tol times the largest term.
+    stops before ``order`` once two successive terms on the disk
+    |x| <= ``disk``, |c_m| disk^m, fall below tol times the largest term;
+    on the default half disk these sizes are |c_m| / 2^m exactly.
     With ``second``, as many leading coefficients again, the same pass
     runs a second column: each L(m, k) is computed once for both, the
     series stops once both tails have, and the pair of coefficient lists
@@ -556,8 +562,9 @@ def _recurrence(p2, p1, p0, kappa: int, rho: complex, order: int,
     two = second is not None
     other, waiting = (list(second), [0j] * (order + 1)) if two else ([], [])
     if tol is not None:
-        largest = max(math.ldexp(abs(c), -k) for k, c in enumerate(coeffs))
-        largest2 = max((math.ldexp(abs(c), -k) for k, c in enumerate(other)), default=0.0)
+        largest = max(abs(c) * disk ** k for k, c in enumerate(coeffs))
+        largest2 = max((abs(c) * disk ** k for k, c in enumerate(other)), default=0.0)
+    weight = disk ** len(seeds)  # disk^m, the term size per |c_m|
     quiet, quiet2 = 0, 0 if two else 2  # a missing column never holds the stop
     for m in range(order + 1):
         s = rho + m
@@ -570,17 +577,18 @@ def _recurrence(p2, p1, p0, kappa: int, rho: complex, order: int,
             if two:
                 other.append(-waiting[m] / piv)
             if tol is not None:
-                size = math.ldexp(abs(coeffs[m]), -m)
+                size = abs(coeffs[m]) * weight
                 if size > largest:
                     largest = size
                 quiet = quiet + 1 if size <= tol * largest else 0
                 if two:
-                    size = math.ldexp(abs(other[m]), -m)
+                    size = abs(other[m]) * weight
                     if size > largest2:
                         largest2 = size
                     quiet2 = quiet2 + 1 if size <= tol * largest2 else 0
                 if quiet >= 2 and quiet2 >= 2:
                     break
+                weight *= disk
         c = coeffs[m]
         if not two or other[m] == 0j:
             if c != 0j:
@@ -710,18 +718,21 @@ def taylor_series(ode: RationalCoeffODE, center: complex, value: complex,
 
 
 def taylor_basis(ode: RationalCoeffODE, center: complex, order: int = 64,
-                 tol: float = _TAIL_TOL) -> tuple[FrobeniusSolution, FrobeniusSolution]:
+                 tol: float = _TAIL_TOL,
+                 disk: float = 0.5) -> tuple[FrobeniusSolution, FrobeniusSolution]:
     """The two power series at an ordinary point with (w, radius w') equal
     to (1, 0) and to (0, 1) at the centre, as ``taylor_series`` builds
     them, both on one shifted, scaled triple and in one pass of the
-    recurrence, cut where both tails have fallen below tol. This is the
-    one hop of ``asymptotics.integrate``; a path of hops is ``reach``'s.
-    At the default tol the first has the bits of
+    recurrence, cut where both tails have fallen below tol on the disk
+    |z - center| <= disk * radius, the trusted half disk by default. This
+    is the one hop of ``asymptotics.integrate``; a path of hops is
+    ``reach``'s. At the default tol and disk the first has the bits of
     ``taylor_series(ode, center, 1, 0, order)`` as far as that one goes.
     """
     center = complex(center)
     (p2, p1, p0), radius = _taylor_triple(ode, center)
-    pair = _recurrence(p2, p1, p0, 0, 0j, order, [1 + 0j, 0j], tol, second=[0j, 1 + 0j])
+    pair = _recurrence(p2, p1, p0, 0, 0j, order, [1 + 0j, 0j], tol, second=[0j, 1 + 0j],
+                       disk=disk)
     return tuple(FrobeniusSolution(center, 0j, tuple(coeffs), radius, radius)
                  for coeffs in pair)
 
@@ -830,13 +841,19 @@ def evaluate(sol: FrobeniusSolution, z: complex) -> complex:
 def evaluate_with_derivatives(sol: FrobeniusSolution, z: complex,
                               derivatives: int = 2) -> tuple[complex, ...]:
     """(w, w', w'') at z, derivatives taken with respect to z; (w, w') with
-    ``derivatives`` 1, the same bits."""
+    ``derivatives`` 1, the same bits. At an analytic series' own centre
+    they are its first coefficients, c0, c1 / scale and 2 c2 / scale^2."""
     x, rho = _local_coordinate(sol, z), sol.exponent
-    if x == 0 and rho != 0:
-        raise OutOfDomainError("derivative evaluation needs a point away from the expansion center")
+    if x == 0:
+        if rho != 0:
+            raise OutOfDomainError(
+                "derivative evaluation needs a point away from the expansion center")
+        c0, c1, c2 = (*sol.coefficients[:3], 0j, 0j)[:3]  # a shorter series pads with 0
+        scale = sol.scale
+        if derivatives == 1:
+            return c0, c1 / scale
+        return c0, c1 / scale, 2.0 * c2 / (scale * scale)
     sums = _series_sums(sol.coefficients, x, sol.scale, derivatives)
-    if x == 0:  # an analytic series at its own centre
-        return sums
     s0, s1 = sums[0], sums[1]
     w = x ** rho * s0
     dw_dx = x ** (rho - 1) * (rho * s0 + x * s1)

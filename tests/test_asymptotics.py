@@ -99,6 +99,22 @@ class TestIntegrate:
         with pytest.raises(OutOfDomainError, match="floating-point range"):
             integrate(build_ordinary_kg(CoulombSystem(0.3, 0.5)), 1e-299, 0.8e-299)
 
+    def test_span_bounds_the_hop_and_its_reads(self):
+        # radius 2 at u = 2: a span of 0.4 cuts the series shorter than the
+        # trusted half disk does, still reads exp(u)/u at its edge, and
+        # refuses points past it; a span past the half disk is refused
+        march = integrate(_EXP_ODE, 2.0, 2.4, tol=1e-12, span=0.4)
+        assert len(march._pair[0].coefficients) < len(
+            integrate(_EXP_ODE, 2.0, 2.4, tol=1e-12)._pair[0].coefficients)
+        assert _psi(march, 2.0, *_exp(2.0), [1.6, 2.4]) == pytest.approx(
+            [_exp(1.6)[0], _exp(2.4)[0]], rel=1e-12)
+        with pytest.raises(ValueError, match="not on the march"):
+            march.matrix(2.0, 2.5)
+        with pytest.raises(OutOfDomainError, match="outside the span"):
+            integrate(_EXP_ODE, 2.0, 2.5, span=0.4)
+        with pytest.raises(OutOfDomainError, match="trusted half disk"):
+            integrate(_EXP_ODE, 2.0, 2.4, span=1.2)
+
     def test_empty_interval_rejected(self):
         with pytest.raises(ValueError):
             integrate(_EXP_ODE, 1.0, 1.0)
@@ -379,10 +395,10 @@ class TestTransferExponents:
         build_deformed_zero_energy(0.3, DeformationParams(0.05, 0.02)),
     ], ids=["ordinary", "deformed"])
     def test_default_window_marches_one_hop(self, monkeypatch, ode):
-        # both pieces of ratio 2^(1/4) are read off one hop centred at hi,
-        # of radius hi, over [hi/sqrt(2), hi]; a march per piece of ratio 2
-        # took two hops, one march up over [2.5e3, 1e4] 4, and ratio 10
-        # over [1e2, 1e4] 14
+        # both pieces of ratio r = 2^(1/4) are read off one hop centred at
+        # hi/r, of radius hi/r, over [hi/r^2, hi]; a march per piece of
+        # ratio 2 took two hops, one march up over [2.5e3, 1e4] 4, and
+        # ratio 10 over [1e2, 1e4] 14
         marches = []
 
         def recorded(*args, **kwargs):
@@ -392,16 +408,16 @@ class TestTransferExponents:
         monkeypatch.setattr(asymptotics, "integrate", recorded)
         asymptotics.transfer_exponents(ode, (1e2, 1e4))
         assert [(march._pair[0].expansion_point, march._pair[0].radius)
-                for march in marches] == [(1e4, 1e4)]
+                for march in marches] == [(1e4 / 2.0 ** 0.25, 1e4 / 2.0 ** 0.25)]
 
     @pytest.mark.parametrize("ode", [
         build_ordinary_kg(CoulombSystem(0.3, 0.5)),
         build_deformed_zero_energy(0.3, DeformationParams(0.05, 0.02)),
     ], ids=["ordinary", "deformed"])
     def test_each_transfer_point_is_read_once(self, monkeypatch, ode):
-        # the hop centre hi and the piece ends hi/1.01, hi/2^(1/4) and
-        # hi/sqrt(2), both columns each: 8 reads, w'' only at the hop's
-        # end, where its defect is checked
+        # the hop centre hi/2^(1/4), read off its first coefficients, and
+        # the piece ends hi/1.01, hi/sqrt(2) and hi, both columns each: 6
+        # sums, w'' only at the hop's end hi, where its defect is checked
         counts, marches, sums = Counter(), [], fuchsian._series_sums
 
         def counted(coeffs, x, scale=1.0, derivatives=2):
@@ -415,7 +431,7 @@ class TestTransferExponents:
         monkeypatch.setattr(fuchsian, "_series_sums", counted)
         monkeypatch.setattr(asymptotics, "integrate", recorded)
         asymptotics.transfer_exponents(ode, (1e2, 1e4))
-        assert counts == {1: 6, 2: 2}
+        assert counts == {1: 4, 2: 2}
         (march,) = marches
         assert len(march._reads) == 4
         # each kept matrix is bit for bit one made from fresh reads
@@ -428,9 +444,10 @@ class TestTransferExponents:
             assert kept == (m, m[0] * m[3] - m[1] * m[2])
 
     def test_cut_ratio_reads_the_same_march(self, monkeypatch):
-        # the pair turns by 30 ln r per piece: the phase anchor cuts r from
-        # 2^(1/4) twice, to 2^(1/16), and the pieces [hi/r^2, hi/r] and
-        # [hi/r, hi] lie on the one hop already marched
+        # the pair turns by 30 ln r per piece: the phase anchor, read off
+        # the hop at hi/2^(1/4), cuts r twice, to 2^(1/16); the pieces
+        # [hi/r^2, hi/r] and [hi/r, hi] lie on one more hop, centred at
+        # hi/r, and so do the estimate's pieces of ratio 2^(1/32), read last
         ode = build_ordinary_kg(CoulombSystem(30.0, 0.5))
         marches, pieces, piece_exponents = [], [], asymptotics._piece_exponents
 
@@ -445,8 +462,9 @@ class TestTransferExponents:
         monkeypatch.setattr(asymptotics, "integrate", recorded)
         monkeypatch.setattr(asymptotics, "_piece_exponents", read)
         asymptotics.transfer_exponents(ode, (1e2, 1e4))
-        assert len(marches) == 1
-        assert pieces[-2:] == pytest.approx([2.0 ** (1 / 16)] * 2, rel=1e-15)
+        assert [march._pair[0].expansion_point for march in marches] == [
+            1e4 / 2.0 ** 0.25, 1e4 / 2.0 ** (1 / 16)]
+        assert pieces[-2:] == pytest.approx([2.0 ** (1 / 32)] * 2, rel=1e-15)
 
     def test_window_too_narrow_is_refused(self):
         ode = build_ordinary_kg(CoulombSystem(0.3, 0.5))

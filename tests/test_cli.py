@@ -1220,6 +1220,38 @@ def test_fast_turning_pair_at_a_coarse_tol(capsys, argv):
     assert max(float(row[4]) for row in _csv_rows(out)) <= 1e-6
 
 
+@pytest.mark.parametrize("argv, bound", [
+    (("--g", "40"), 1e-8), (("--g", "50"), 1e-8), (("--g", "60"), 1e-8), (("--g", "100"), 1e-8),
+    (("--g", "31.5022", "--window", "14.2968:17.4251", "--eta", "0.4571"), 0.01),
+    (("--g", "37.6496", "--window", "429.789:8801.59", "--eta", "0.176428"), 1e-7),
+], ids=lambda arg: " ".join(arg) if isinstance(arg, tuple) else None)
+def test_fast_turning_pair_answers_at_the_default_tol(capsys, argv, bound):
+    # the hop's settle check judged its whole trusted half disk, and these
+    # exited 2 ("do not settle in 64 terms"); judged on the disk the pieces
+    # are read on, each answers, the last on a ratio cut within its estimate
+    code, out, err = _run(capsys, "exponents", *argv)
+    assert code == 0, err
+    assert max(float(row[4]) for row in _csv_rows(out)) <= bound
+
+
+def test_turn_too_fast_for_a_hop_is_refused(capsys):
+    code, out, err = _run(capsys, "exponents", "--g", "150")
+    assert code == 2
+    assert out == "" and err.startswith("kgcoulomb: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--model", "ordinary", "--g", "15.7492", "--window", "1.43648:2.79532", "--eta", "0.617259"),
+    ("--g", "10.9248", "--window", "2.13029:2.6871", "--eta", "0.881461"),
+], ids=" ".join)
+def test_cut_ratio_past_its_estimate_is_refused(capsys, argv):
+    # the phase cuts the ratio at a top too low for one Richardson step:
+    # these printed deviations of about 0.096 and 0.057 with exit 0
+    code, out, err = _run(capsys, "exponents", *argv)
+    assert code == 2
+    assert out == "" and err.startswith("kgcoulomb: ") and "error estimate" in err
+
+
 def test_exponents_need_no_local_data_at_finite_points(capsys):
     # +-i eps_tilde and +-i/sqrt(6 theta) lie one rounding apart, where
     # their local expansions are lost; infinity is classified alone

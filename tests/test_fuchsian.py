@@ -822,6 +822,17 @@ class TestReducedSums:
                 assert list(map(_bits, evaluate_with_derivatives(sol, z, 1))) == \
                     list(map(_bits, full[:2])), (sol.expansion_point, z)
 
+    def test_analytic_series_at_its_centre_reads_its_first_coefficients(self):
+        # no sum is run at the centre, and the bits are those the sums give
+        ode = _model_odes()[0]
+        for sol in (taylor_series(ode, 0.37 + 0.11j, 0.8 - 0.2j, 1.3 + 0.4j, order=40),
+                    *fuchsian.taylor_basis(ode, 40.0, 64, 1e-10, 0.19)):
+            centre = sol.expansion_point
+            summed = fuchsian._series_sums(sol.coefficients, 0j, sol.scale)
+            for derivatives in (1, 2):
+                got = evaluate_with_derivatives(sol, centre, derivatives)
+                assert list(map(_bits, got)) == list(map(_bits, summed[:derivatives + 1]))
+
     def test_reach_hops_below_a_radius_of_1e_154(self):
         # each hop's scale is its radius, about 1e-300 here: a w'' sum,
         # divided by the scale squared, which underflows to 0, raised
@@ -877,6 +888,24 @@ class TestTaylorBasis:
             assert (first.radius, first.scale) == (radius, radius)
             assert second.coefficients[:2] == (0j, 1 + 0j)
             assert len(second.coefficients) == len(first.coefficients)
+
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_tail_is_cut_on_the_disk_it_is_read(self, index):
+        # term sizes |c_m| d^m: at d = 1/2 the bits of the half-disk rule,
+        # and on a smaller disk a shorter series whose last two terms there
+        # lie below tol times the largest
+        ode, tol = _model_odes()[index], 1e-10
+        for center in (3.0, 40.0, 2.5e3):
+            half = fuchsian.taylor_basis(ode, center, 64, tol)
+            assert [list(map(_bits, s.coefficients)) for s in half] == [
+                list(map(_bits, s.coefficients))
+                for s in fuchsian.taylor_basis(ode, center, 64, tol, 0.5)]
+            small = fuchsian.taylor_basis(ode, center, 64, tol, 0.19)
+            assert len(small[0].coefficients) < len(half[0].coefficients)
+            for series in small:
+                sizes = [abs(c) * 0.19 ** m for m, c in enumerate(series.coefficients)]
+                assert max(sizes[-2:]) <= tol * max(sizes)
 
 
 class TestContinuationChain:

@@ -37,8 +37,8 @@ within 1%, an ``exponents --window`` narrower than a factor 1.0201, or
 a ``spectrum`` range of more than 10 000 levels), 2 on a physics-domain error
 (supercritical coupling, parameter pole, evaluation outside a solution's
 domain, a result that left the floating-point range, exponents whose
-imaginary part turns too fast to measure or whose error estimate passes
-1%). Warnings go to stderr as one
+imaginary part turns too fast to measure or, for a window above the
+singular scale, whose error estimate passes 1%). Warnings go to stderr as one
 ``kgcoulomb: warning:`` line each.
 """
 
@@ -50,7 +50,7 @@ import math
 import sys
 import warnings
 
-from .asymptotics import paired, transfer_exponents
+from .asymptotics import paired, singular_scale, transfer_exponents
 from .errors import (
     KGCoulombError,
     KGCoulombWarning,
@@ -78,7 +78,7 @@ _HEUN_CHECK_POINTS = 50
 # for exponents any value above 1e-10 cuts as 1e-10 does: over the 2880 rows
 # of the exponent-fit draws of seeds 1-10 the worst is off by 6.9e-6 at
 # every tol up to this one. That rests on those draws, not on a bound; a
-# ratio cut by the exponents' phase is refused past 1% by its estimate.
+# window above the singular scale is refused past 1% by its estimate.
 _MAX_TOL = 1e-3
 
 
@@ -216,6 +216,30 @@ def _build_parser() -> _Parser:
         cmd.add_argument("--config", type=str, default=None,
                          help="flat key=value configuration file")
     return parser
+
+
+def _plain_args(argv) -> argparse.Namespace | None:
+    """The namespace ``parse_args`` gives for the plain form ``COMMAND
+    --key value ...``: each key a full option name of the command, given
+    once, and each value one that converts and does not start with '-'.
+    None for any other argv, which the parser reads and words the errors
+    of. This skips the parser's walk, about a sixth of an exponents
+    command run in process."""
+    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
+        return None
+    given = dict.fromkeys((*_options(argv[0]), "config"))
+    seen = set()
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        key = flag[2:]
+        if flag[:2] != "--" or key not in given or key in seen or text[:1] == "-":
+            return None
+        try:
+            given[key] = text if key == "config" else _OPTIONS[key][0](text)
+        except ValueError:
+            return None
+        seen.add(key)
+    return argparse.Namespace(command=argv[0],
+                              **{key.replace("-", "_"): value for key, value in given.items()})
 
 
 def _merge(args: argparse.Namespace) -> dict:
@@ -379,7 +403,7 @@ def cmd_exponents(cfg: dict) -> tuple[dict, list, list]:
         measured = paired(exps, transfer_exponents(ode, window, tol=cfg["tol"]))
     except ValueError as exc:  # a window too narrow to measure over
         raise UsageError(f"--window {cfg['window']}: {exc}")
-    scale = max((abs(r) for r, _, _ in ode.points), default=0.0)
+    scale = singular_scale(ode)
     if window[0] < scale:
         warnings.warn(f"the window starts at u = {window[0]:.6g}, below the equation's "
                       f"singular scale {scale:.6g} (the largest |u| of a finite singular "
@@ -559,7 +583,7 @@ def main(argv=None) -> int:
         warnings.simplefilter("default", KGCoulombWarning)
         warnings.showwarning = _show_warning
         try:
-            args = _build_parser().parse_args(argv)
+            args = _plain_args(argv) or _build_parser().parse_args(argv)
             cfg = _merge(args)
             meta, columns, rows = _COMMANDS[args.command][2](cfg)
             _emit(_render(args.command, meta, columns, rows, cfg["format"]), cfg.get("out"))

@@ -145,9 +145,9 @@ def _divide(coeffs, z0) -> tuple[list, complex]:
     return partial[::-1], remainder
 
 
-def _horner_passes(coeffs, z0: complex):
-    """The Horner table of the polynomial at z0, _divide repeated in place,
-    one pass at a time: pass i yields the i-th Taylor coefficient around z0."""
+def _shift(coeffs, z0: complex) -> tuple[complex, ...]:
+    """Taylor coefficients of the polynomial around z0: the Horner table,
+    _divide repeated in place (pass i leaves the i-th coefficient at i)."""
     work = [complex(x) for x in coeffs]
     n = len(work)
     for i in range(n):
@@ -155,26 +155,28 @@ def _horner_passes(coeffs, z0: complex):
         for k in range(n - 1, i - 1, -1):
             acc = acc * z0 + work[k]
             work[k] = acc
-        yield acc
-
-
-def _shift(coeffs, z0: complex) -> tuple[complex, ...]:
-    """Taylor coefficients of the polynomial around z0."""
-    return tuple(_horner_passes(coeffs, z0))
+    return tuple(work)
 
 
 def _vanish_order(coeffs, z0: complex) -> int:
     """Order of the zero at z0: the j-th Taylor coefficient there is zero
     while below 4 n eps sum_k C(k, j) |c_k| |z0|^(k-j), twice Horner's
-    rounding bound; at 0 only exact zeros are. The table stops at the
-    first coefficient that does not vanish."""
+    rounding bound; at 0 only exact zeros are. Pass j of the Horner table
+    gives both, of the coefficients at z0 and of their sizes at |z0|, and
+    the table stops at the first coefficient that does not vanish."""
     tol = 4.0 * (len(coeffs) - 1) * _EPS
-    sizes = [abs(x) for x in coeffs]
-    for j, c in enumerate(_horner_passes(coeffs, z0)):
-        sizes, level = _divide(sizes, abs(z0))
-        if abs(c) > tol * abs(level):
+    radius = abs(z0)
+    work, sizes = [complex(x) for x in coeffs], [abs(x) for x in coeffs]
+    n = len(work)
+    for j in range(n):
+        value = level = 0j
+        for k in range(n - 1, j - 1, -1):
+            value = value * z0 + work[k]
+            level = level * radius + sizes[k]
+            work[k], sizes[k] = value, level
+        if abs(value) > tol * abs(level):
             return j
-    return len(coeffs)
+    return n
 
 
 def _exact_zeros(coeffs) -> int:

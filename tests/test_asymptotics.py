@@ -415,9 +415,10 @@ class TestTransferExponents:
         build_deformed_zero_energy(0.3, DeformationParams(0.05, 0.02)),
     ], ids=["ordinary", "deformed"])
     def test_each_transfer_point_is_read_once(self, monkeypatch, ode):
-        # the hop centre hi/2^(1/4), read off its first coefficients, and
-        # the piece ends hi/1.01, hi/sqrt(2) and hi, both columns each: 6
-        # sums, w'' only at the hop's end hi, where its defect is checked
+        # the hop centre hi/2^(1/4), read off its first coefficients, the
+        # piece ends hi/1.01, hi/sqrt(2) and hi, and the estimate's midpoint
+        # hi/2^(1/8), both columns each: 8 sums, w'' only at the hop's end
+        # hi, where its defect is checked
         counts, marches, sums = Counter(), [], fuchsian._series_sums
 
         def counted(coeffs, x, scale=1.0, derivatives=2):
@@ -431,9 +432,9 @@ class TestTransferExponents:
         monkeypatch.setattr(fuchsian, "_series_sums", counted)
         monkeypatch.setattr(asymptotics, "integrate", recorded)
         asymptotics.transfer_exponents(ode, (1e2, 1e4))
-        assert counts == {1: 4, 2: 2}
+        assert counts == {1: 6, 2: 2}
         (march,) = marches
-        assert len(march._reads) == 4
+        assert len(march._reads) == 5
         # each kept matrix is bit for bit one made from fresh reads
         for z, kept in march._reads.items():
             first, second = march._pair

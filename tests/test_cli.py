@@ -252,6 +252,15 @@ class TestExponents:
         assert out == ""
         assert err.startswith("kgcoulomb: usage error: --tol")
 
+    def test_tol_only_tightens_the_hop(self, capsys):
+        # the hop is cut at min(tol, 1e-10): every accepted tol above 1e-10
+        # prints the default's bytes, and a finer one moves the numbers
+        default = _run(capsys, "exponents", "--g", "20")
+        for tol in ("1e-9", "1e-6", "1e-3"):
+            assert _run(capsys, "exponents", "--g", "20", "--tol", tol) == default
+        finer = _run(capsys, "exponents", "--g", "20", "--tol", "1e-13")
+        assert finer[0] == 0 and finer[1] != default[1]
+
     def test_coarsest_tol_still_fits(self, capsys):
         code, out, _ = _run(capsys, "exponents", "--tol", "1e-3")
         assert code == 0
@@ -927,6 +936,34 @@ def test_parser_built_once_keeps_no_state(capsys):
     assert len(_csv_rows(out)) == 6
 
 
+@pytest.mark.parametrize("argv", [
+    ["exponents", "--g=0.3"], ["exponents", "--the", "0.1"], ["exponents", "--g", "-1"],
+    ["exponents", "--g", "0.3", "--g", "0.4"], ["exponents", "--g", "x"], ["exponents", "--g"],
+    ["exponents", "--help"], ["exponents", "--n", "0"], ["nosuch"], ["--g", "0.3"], [],
+], ids=repr)
+def test_plain_argv_parser_declines_the_rest(argv):
+    assert cli._plain_args(argv) is None
+
+
+def test_plain_argv_parses_as_the_parser_does():
+    # every benchmark command and a few edge forms the parser accepts; the
+    # parser is asked in this order, so a state it kept would show
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    argvs = [list(cmd.argv) for name in workloads.WORKLOADS for seed in (1, 2)
+             for cmd in workloads.commands(name, seed, 15)]
+    argvs += [["spectrum", "--Z", "10", "--n", "0"], ["spectrum"],
+              ["exponents", "--window", ""], ["exponents", "--config", "a.cfg", "--tol", "1e-6"],
+              ["wavefunction", "--model", "deformed-zero-energy", "--theta-prime", "0.02"]]
+    for argv in argvs:
+        plain = cli._plain_args(argv)
+        assert plain is not None, argv
+        assert vars(plain) == vars(cli._build_parser().parse_args(argv)), argv
+
+
 def test_commands_without_arrays_leave_numpy_unloaded():
     # no subcommand imports numpy, the exponents integration and fit included
     code = ("import contextlib, io, sys\n"
@@ -1243,10 +1280,16 @@ def test_turn_too_fast_for_a_hop_is_refused(capsys):
 @pytest.mark.parametrize("argv", [
     ("--model", "ordinary", "--g", "15.7492", "--window", "1.43648:2.79532", "--eta", "0.617259"),
     ("--g", "10.9248", "--window", "2.13029:2.6871", "--eta", "0.881461"),
+    ("--model", "deformed-zero-energy", "--g", "36.1452", "--window", "7.58967:11.863",
+     "--theta", "0.0128765", "--theta-prime", "0.0303547"),
+    ("--model", "deformed-zero-energy", "--g", "20.9073", "--window", "5.74188:6.84344",
+     "--theta", "0.0135097", "--theta-prime", "0.068539"),
 ], ids=" ".join)
-def test_cut_ratio_past_its_estimate_is_refused(capsys, argv):
-    # the phase cuts the ratio at a top too low for one Richardson step:
-    # these printed deviations of about 0.096 and 0.057 with exit 0
+def test_measure_past_its_estimate_is_refused(capsys, argv):
+    # a top too low for one Richardson step: the first two, on a ratio the
+    # phase cuts, printed deviations of about 0.096 and 0.057 with exit 0;
+    # the last two, on the uncut ratio above the singular scale, 4.67 and
+    # 3.11, the first of them once the hop was cut on its read disk
     code, out, err = _run(capsys, "exponents", *argv)
     assert code == 2
     assert out == "" and err.startswith("kgcoulomb: ") and "error estimate" in err

@@ -24,9 +24,13 @@ def _domain_sweep():
     # a window below the singular scale 8.9
     ("--model deformed-zero-energy --g 0.0968602 --window 1.62298:3.18227 --theta 0.0123346 "
      "--theta-prime 0.000156675", "warned"),
-    # deviation 3.11 with no warning, the worst silent row of seed 7
+    # deviation 3.11 on the uncut ratio, refused by its estimate
     ("--model deformed-zero-energy --g 20.9073 --window 5.74188:6.84344 --theta 0.0135097 "
-     "--theta-prime 0.068539", "silent"),
+     "--theta-prime 0.068539", "refused"),
+    # deviation 0.022 with no warning, within its estimate: the worst
+    # silent row of seed 7
+    ("--model deformed-first-order --g 0.0105586 --window 6.36459:11.5531 --eta 0.514139 "
+     "--theta 0.0047316 --theta-prime 0.0209601", "silent"),
 ])
 def test_classifier(argv, expected):
     name, deviation = _domain_sweep().classify(["exponents", *argv.split()])

@@ -776,6 +776,22 @@ class TestBandedRecurrence:
                     assert abs(g - ref) <= 4 * k * 2.0 ** -52 * abs(ref), (scale, k)
 
 
+def _half_disk_cut(pair, tol):
+    """The length at which the half-disk tail rule stops both columns of a
+    basis pair: two successive sizes ldexp(|c_m|, -m) past the seeds at
+    most tol times the largest of that column."""
+    largest = [max(math.ldexp(abs(c), -k) for k, c in enumerate(coeffs[:2])) for coeffs in pair]
+    quiet = [0, 0]
+    for m in range(2, len(pair[0])):
+        for i, coeffs in enumerate(pair):
+            size = math.ldexp(abs(coeffs[m]), -m)
+            largest[i] = max(largest[i], size)
+            quiet[i] = quiet[i] + 1 if size <= tol * largest[i] else 0
+        if min(quiet) >= 2:
+            return m + 1
+    return len(pair[0])
+
+
 def _bits(z):
     """A complex number's two parts as exact hex strings: equal bits, signed zeros included."""
     return z.real.hex(), z.imag.hex()
@@ -889,18 +905,19 @@ class TestTaylorBasis:
             assert second.coefficients[:2] == (0j, 1 + 0j)
             assert len(second.coefficients) == len(first.coefficients)
 
-
     @pytest.mark.parametrize("index", range(4))
     def test_tail_is_cut_on_the_disk_it_is_read(self, index):
-        # term sizes |c_m| d^m: at d = 1/2 the bits of the half-disk rule,
-        # and on a smaller disk a shorter series whose last two terms there
-        # lie below tol times the largest
+        # term sizes |c_m| d^m: at the default d = 1/2 the series stop where
+        # the half-disk rule, term sizes ldexp(|c_m|, -m), stops them, and
+        # on a smaller disk a shorter series whose last two terms there lie
+        # below tol times the largest
         ode, tol = _model_odes()[index], 1e-10
         for center in (3.0, 40.0, 2.5e3):
             half = fuchsian.taylor_basis(ode, center, 64, tol)
+            full = [s.coefficients for s in fuchsian.taylor_basis(ode, center, 64, None)]
+            n = _half_disk_cut(full, tol)
             assert [list(map(_bits, s.coefficients)) for s in half] == [
-                list(map(_bits, s.coefficients))
-                for s in fuchsian.taylor_basis(ode, center, 64, tol, 0.5)]
+                list(map(_bits, coeffs[:n])) for coeffs in full]
             small = fuchsian.taylor_basis(ode, center, 64, tol, 0.19)
             assert len(small[0].coefficients) < len(half[0].coefficients)
             for series in small:

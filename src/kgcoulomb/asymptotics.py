@@ -297,7 +297,7 @@ def transfer_exponents(ode: fuchsian.RationalCoeffODE, window: tuple[float, floa
             if turns < 0.5 * math.pi:
                 level = _richardson(pieces, ratio)
                 if lo >= singular_scale(ode):
-                    _check_estimate(march, hi, ratio, level)
+                    _check_estimate(march, lo, hi, ratio, level)
                 return _split(*level)
         ratio = math.sqrt(ratio)
     raise OutOfDomainError(
@@ -306,7 +306,7 @@ def transfer_exponents(ode: fuchsian.RationalCoeffODE, window: tuple[float, floa
         "read unwrapped")
 
 
-def _check_estimate(march: Transfer, hi: float, ratio: float, level: tuple) -> None:
+def _check_estimate(march: Transfer, lo: float, hi: float, ratio: float, level: tuple) -> None:
     """Refuse the exponents R = _split(*level) measured at a ratio r
     when a second Richardson level, S = (k(r) R(sqrt r) - k(sqrt r) R(r)) /
     (k(r) - k(sqrt r)) from the pieces of ratio sqrt(r) on the same hop,
@@ -323,11 +323,14 @@ def _check_estimate(march: Transfer, hi: float, ratio: float, level: tuple) -> N
     moves = [max(abs(s - x) / abs(x), abs((s - x).real) / abs(x.real)) if x.real else math.inf
              for x, s in zip(measured, paired(measured, second))]
     if not max(moves) <= _ESTIMATE_BOUND:
+        width = math.sqrt(hi / lo)
+        limit = ("their phase" if ratio < min(width, _RATIO_CAP) else
+                 "the window's width sqrt(hi/lo)" if width < _RATIO_CAP else "the cap 2^(1/4)")
         raise OutOfDomainError(
             f"the exponents' error estimate, the relative move of a second Richardson "
             f"level over pieces of ratio {half:.6g}, is {max(moves):.2g}, past "
             f"{_ESTIMATE_BOUND:g}: the window's top u = {hi:.6g} lies too low for the "
-            "ratio that their phase allows")
+            f"ratio that {limit} allows")
 
 
 # The log-log fit of a sampled solution. No command calls it; the

@@ -330,13 +330,16 @@ def _fmt(command: str, name: str, value) -> str:
 
 def _render(command: str, meta: dict, columns: list, rows: list, fmt: str) -> str:
     """The table in fmt. Every cell, meta first, is formatted and checked
-    in one walk; json dumps the raw cells once that walk has passed."""
+    in one walk, a row of floats by one %.17g format unless its text holds
+    an n (inf or nan: _fmt refuses it); json dumps the raw cells after."""
     sep = "," if fmt == "csv" else " "
+    floats = sep.join(["%.17g"] * len(columns))
     lines = [f"# kgcoulomb {command}",
              *[f"# {key} = {_fmt(command, key, val)}" for key, val in meta.items()],
              "# conventions: u = p / (m c) dimensionless, eta = E / (m c^2)",
              "# columns: " + sep.join(columns),
-             *[sep.join([_fmt(command, name, cell) for name, cell in zip(columns, row)])
+             *[text if all(type(x) is float for x in row) and "n" not in (text := floats % (*row,))
+               else sep.join([_fmt(command, name, cell) for name, cell in zip(columns, row)])
                for row in rows]]
     if fmt != "json":
         return "\n".join(lines) + "\n"

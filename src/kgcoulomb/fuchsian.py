@@ -73,17 +73,16 @@ __all__ = [
     "gauge",
 ]
 
-# hop budget of ``reach``: a fixed part, plus twice what a path away from
-# the singular points needs (there each hop multiplies the distance covered
-# by 1.4) per e-fold of |target - start| over the smaller of the first
-# radius and the target's distance to the nearest singular point, so
-# inward paths, and paths that close in on a singular point, where the
-# radius shrinks, are covered as well as outward ones
+# hop budget of ``reach`` (``_hop_budget``): a fixed part, plus twice what a
+# path away from the singular points needs, each hop there multiplying the
+# distance covered by 1.4, so that inward paths, and paths that close in on
+# a singular point, where the radius shrinks, are covered as well
 _MAX_HOPS = 200
 _HOPS_PER_E_FOLD = 2.0 / math.log(1.4)
 _EPS = 2.0 ** -52
 _TINY = 2.0 ** -1022  # the smallest normal double
 _TAIL_TOL = 1e-16  # a Taylor hop's tail is cut at double precision by default
+_READ_TOL = 1e-20  # a series cut on the disk it is read on sums as the uncut one
 
 
 class _InfinityType:
@@ -134,20 +133,9 @@ def _polyder(a) -> tuple:
     return tuple(k * a[k] for k in range(1, len(a)))
 
 
-def _divide(coeffs, z0) -> tuple[list, complex]:
-    """Quotient and remainder (the value at z0) of division by (z - z0)."""
-    acc = 0j
-    partial = []
-    for c in reversed(coeffs):
-        acc = acc * z0 + c
-        partial.append(acc)
-    remainder = partial.pop()
-    return partial[::-1], remainder
-
-
 def _shift(coeffs, z0: complex) -> tuple[complex, ...]:
-    """Taylor coefficients of the polynomial around z0: the Horner table,
-    _divide repeated in place (pass i leaves the i-th coefficient at i)."""
+    """Taylor coefficients of the polynomial around z0: the Horner table of
+    division by (z - z0), in place (pass i leaves the i-th coefficient at i)."""
     work = [complex(x) for x in coeffs]
     n = len(work)
     for i in range(n):
@@ -185,13 +173,17 @@ def _exact_zeros(coeffs) -> int:
 
 
 def _deflate(coeffs, z0: complex) -> tuple[complex, ...]:
-    """Divide by (z - z0), discarding the remainder; low-order exact zeros
-    stay exact, and at z0 = 0 the division is exact."""
+    """Divide by (z - z0) by Horner's rule, discarding the remainder (the
+    value at z0); low-order exact zeros stay exact, and at z0 = 0 the
+    division is exact."""
     if z0 == 0:
         return coeffs[1:]
     k = _exact_zeros(coeffs)
-    quotient, _ = _divide(coeffs[k:], z0)
-    return tuple([0j] * k + quotient)
+    acc, partial = 0j, []
+    for c in reversed(coeffs[k:]):
+        acc = acc * z0 + c
+        partial.append(acc)
+    return tuple([0j] * k + partial[-2::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +305,9 @@ class RationalCoeffODE:
             shared = min(m1, m0)
             q1 = reduce(_polymul, [(-r, 1.0)] * (m1 - shared), q1)
             q0 = reduce(_polymul, [(-r, 1.0)] * (m0 - shared), q0)
-        e1, e0, f1, f0 = (_binade(c) for c in (self.p1_den + self.p1_num, q0,
-                                                 self.p0_num, q1))
+        # e with 2^(e-1) <= max |c| < 2^e (0 when every coefficient is zero)
+        e1, e0, f1, f0 = (math.frexp(max(map(abs, c)))[1]
+                          for c in (self.p1_den + self.p1_num, q0, self.p0_num, q1))
         top = max(e1 + e0, f1 + f0)
         a, b = _ldexp_poly(self.p1_den, -e1), _ldexp_poly(self.p1_num, -e1)
         q0 = _ldexp_poly(q0, -e0)
@@ -357,12 +350,6 @@ def _quotient(num, den, z: complex) -> complex:
         t = 1.0 / z
         return t ** (len(den) - len(num)) * _horner(num[::-1], t) / _horner(den[::-1], t)
     return _horner(num, z) / _horner(den, z)
-
-
-def _binade(coeffs) -> int:
-    """e with 2^e the binade of the largest coefficient: 2^(e-1) <= max |c| < 2^e
-    (0 when every coefficient is zero)."""
-    return math.frexp(max(abs(c) for c in coeffs))[1]
 
 
 def _ldexp_poly(coeffs, e: int) -> tuple[complex, ...]:
@@ -614,20 +601,20 @@ def _recurrence(p2, p1, p0, kappa: int, rho: complex, order: int,
 
 
 def frobenius_series(ode: RationalCoeffODE, point: complex | _InfinityType, exponent: complex,
-                     order: int = 64) -> FrobeniusSolution:
+                     order: int = 64, read: float | None = None) -> FrobeniusSolution:
     """Frobenius series at a regular singular point for the given exponent.
 
     The exponent is replaced by the nearer root of the indicial pair,
     which must lie within 1e-6 relative, so a few digits are enough to
-    select a branch.
-    Raises ResonantExponentsError when the other root sits a positive
-    integer above the requested one (vanishing pivot); the series for
-    the larger root of a resonant pair, and for a double root, is still
-    available. Below radius 1 the coefficients are in x / scale, scale
-    the power of two <= radius.
-    At infinity it is the series in t = 1/z at t = 0, its exponent
-    0j - sigma for the root sigma of ``indicial_exponents``, and its
-    errors speak of the exponents in t.
+    select a branch. Raises ResonantExponentsError when the other root
+    sits a positive integer above the requested one (vanishing pivot);
+    the series for the larger root of a resonant pair, and for a double
+    root, is still available. Below radius 1 the coefficients are in
+    x / scale, scale the power of two <= radius. At infinity it is the
+    series in t = 1/z at t = 0, its exponent 0j - sigma for the root
+    sigma of ``indicial_exponents``, and its errors speak of the
+    exponents in t. With ``read`` it stops once two successive terms on
+    |x| <= min(read, radius/2) fall below _READ_TOL times the largest.
     """
     if point is not INFINITY:
         point = complex(point)
@@ -653,9 +640,26 @@ def frobenius_series(ode: RationalCoeffODE, point: complex | _InfinityType, expo
     # unscaled, the coefficients grow like radius^-k; a power of two scales exactly
     scale = math.ldexp(0.5, math.frexp(min(radius, 1.0))[1])
     p2, p1, p0 = _pow2_scaled_triple(p2, p1, p0, kappa, scale)
-    coeffs = _recurrence(p2, p1, p0, kappa, rho, order, [1 + 0j])
+    coeffs = _recurrence(p2, p1, p0, kappa, rho, order, [1 + 0j], read and _READ_TOL,
+                         disk=min(read or 0.0, 0.5 * radius) / scale)
     z0 = 0j if point is INFINITY else point
     return FrobeniusSolution(z0, rho, tuple(coeffs), radius, scale)
+
+
+def _truncate(sol: FrobeniusSolution, read: float) -> FrobeniusSolution:
+    """The prefix of a ``frobenius_series`` series that ``read`` would have
+    kept, the same bits: its stop, which only moves out as the disk grows,
+    run over the terms made, so a read no smaller than its own keeps all."""
+    coeffs, disk = sol.coefficients, read / sol.scale
+    largest, weight, quiet, n = abs(coeffs[0]), disk, 0, len(coeffs)
+    for m in range(1, n):
+        size = abs(coeffs[m]) * weight
+        largest, weight = max(largest, size), weight * disk
+        quiet = quiet + 1 if size <= _READ_TOL * largest else 0
+        if quiet == 2:
+            n = m + 1
+            break
+    return FrobeniusSolution(sol.expansion_point, sol.exponent, coeffs[:n], sol.radius, sol.scale)
 
 
 def _pow2_scaled_triple(p2, p1, p0, kappa: int, scale: float):
@@ -748,13 +752,11 @@ def reach(ode: RationalCoeffODE, chain: list[FrobeniusSolution], target: complex
     (exponent 0). Each appended hop is the Taylor re-expansion 0.4 of the
     last radius further along the straight path toward the target that
     needed it, built by ``taylor_series`` in its scaled variable, its tail
-    cut at double precision, ``order`` terms at most; the hop budget
-    grows with log(|target - start| / the smaller of the first radius and
-    the target's distance from the nearest singular point), so a long
-    path is not cut short, outward or inward. Each local series is trusted to half its own radius (the
-    radius already measures the distance to the nearest singular
-    point). On a real ray every hop heads in the direction exactly +1 or
-    -1, so the hop centres do not depend on which target is asked for.
+    cut at double precision, ``order`` terms at most, as many hops as
+    ``_hop_budget`` allows. Each local series is trusted to half its own
+    radius, the distance to the nearest singular point. On a real ray
+    every hop heads exactly +1 or -1, so the hop centres do not depend
+    on which target is asked for.
     """
     k = first
     while True:

@@ -15,7 +15,9 @@ The Heun side stores the parameter block of
 and evaluates the local solution analytic at xi = 0 (normalized to
 H(0) = 1) by Frobenius expansion, continued by the same hops past the
 first disk of convergence; the hops are scaled, so the march comes as
-close to xi = 1 (u -> infinity) as the grid asks.
+close to xi = 1 (u -> infinity) as the grid asks. The series at 0 runs
+only as far as its farthest read needs, and each point sums only the
+prefix that the binade of its |xi| needs.
 
 ``hyp2f1``, ``heun_local`` and ``psi_ordinary`` take a point or a
 sequence of points; one sweep (``_sweep``) serves a sequence, its points
@@ -64,21 +66,21 @@ def _near_nonpositive_int(x: complex) -> int | None:
 
 
 def _series_2f1(a: complex, b: complex, c: complex, z: complex,
-                n_cap: int | None = None) -> tuple[complex, list[complex]]:
-    """(sum, terms) of the plain power series at z: n_cap terms past the
-    first (a polynomial), or until two successive terms fall below _TOL
-    times the partial sum. Raises ConvergenceError when the sum cancels,
-    polynomial or infinite series alike: terms above 1e6 times both its
-    sum and 1 leave it fewer than 10 correct digits (large parameters,
-    such as b = 1/2 - w + mu near threshold, or a high level n summed at
-    z near 2)."""
+                n_cap: int | None = None, terms: list | None = None) -> complex:
+    """The plain power series' sum at z, each term past the first appended
+    to ``terms`` if given: n_cap of them (a polynomial), or until two
+    successive terms fall below _TOL times the partial sum. Raises
+    ConvergenceError when the sum cancels, polynomial or infinite series
+    alike: terms above 1e6 times both its sum and 1 leave it fewer than 10
+    correct digits (large parameters, such as b = 1/2 - w + mu near
+    threshold, or a high level n summed at z near 2)."""
     term = total = 1.0 + 0j
-    terms = [term]
     largest, small_streak = 1.0, 0
     for n in range(n_cap if n_cap is not None else _MAX_TERMS):
         term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
         total += term
-        terms.append(term)
+        if terms is not None:
+            terms.append(term)
         largest = max(largest, abs(term))
         if n_cap is None:
             small_streak = small_streak + 1 if abs(term) <= _TOL * max(abs(total), 1e-300) else 0
@@ -91,7 +93,7 @@ def _series_2f1(a: complex, b: complex, c: complex, z: complex,
     if largest > 1e6 * max(abs(total), 1.0):
         raise ConvergenceError(f"the hypergeometric series at z = {z} cancels: terms "
                                f"reach {largest:.3g} against a sum of {abs(total):.3g}")
-    return total, terms
+    return total
 
 
 def _parameters(a: complex, b: complex, c: complex):
@@ -105,14 +107,6 @@ def _parameters(a: complex, b: complex, c: complex):
     if stops and min(stops) >= _MAX_TERMS:  # every double above 2^52 is an integer
         raise ConvergenceError(f"2F1 is a polynomial of degree {min(stops):.6g}, too long to sum")
     return a, b, c, (min(stops) + 1 if stops else None)
-
-
-def _chain_start(a: complex, b: complex, c: complex):
-    """The hypergeometric equation and its exponent-0 Frobenius series at
-    0, the 2F1 series in the variable 2z, as many terms as its sum at
-    z = 1/2 takes to settle."""
-    terms = _series_2f1(a, b, c, 0.5)[1]
-    return hypergeometric_ode(a, b, c), fuchsian.FrobeniusSolution(0j, 0j, tuple(terms), 1.0, 0.5)
 
 
 def hyp2f1(a: complex, b: complex, c: complex,
@@ -138,12 +132,15 @@ def hyp2f1(a: complex, b: complex, c: complex,
             far.append(i)
             continue
         try:
-            values[i] = _series_2f1(a, b, c, x, cap)[0]
+            values[i] = _series_2f1(a, b, c, x, cap)
         except KGCoulombError as exc:
             exc.index = i
             raise
-    if far:
-        values.update(_sweep(*_chain_start(a, b, c), points, far, _ORDER))
+    if far:  # the chain starts from the 2F1 series in 2z, summed at z = 1/2 until it settles
+        terms = [1 + 0j]
+        _series_2f1(a, b, c, 0.5, terms=terms)
+        series = fuchsian.FrobeniusSolution(0j, 0j, tuple(terms), 1.0, 0.5)
+        values.update(_sweep(hypergeometric_ode(a, b, c), series, points, far, _ORDER))
     return values[0] if scalar else [values[i] for i in range(len(points))]
 
 
@@ -212,7 +209,8 @@ def _sweep(ode: fuchsian.RationalCoeffODE, series: fuchsian.FrobeniusSolution,
     """(i, value) for each index i of ``visit``: the solution at targets[i]
     (``fuchsian.evaluate``), read off the first disk, from the current one
     on, of one chain of Taylor hops from ``series`` (the series at 0,
-    analytic there) that holds it (``fuchsian.reach``, ``order`` terms).
+    analytic there) that holds it (``fuchsian.reach``, ``order`` terms);
+    off ``series`` itself, its prefix cut to the top of the binade of |z|.
 
     The points are visited in one order: those on the real ray [0, inf)
     first, ascending, then the others by ascending modulus, ties in the
@@ -235,7 +233,7 @@ def _sweep(ode: fuchsian.RationalCoeffODE, series: fuchsian.FrobeniusSolution,
     # every finite singular point but 0, where the series is analytic
     sings = [s.location for s in fuchsian.singular_points(ode)
              if s.location is not fuchsian.INFINITY and s.location != 0]
-    chain, k = [series], 0
+    chain, k, cuts = [series], 0, {}
     for i in visit:
         z, disk = targets[i], chain[k]
         c = complex(disk.expansion_point)
@@ -244,13 +242,18 @@ def _sweep(ode: fuchsian.RationalCoeffODE, series: fuchsian.FrobeniusSolution,
             chain, k, c = [series], 0, 0j
         try:
             _check_target(sings, z)
-            for s in sings if z.imag and z != c else ():
-                t = min(1.0, max(0.0, ((s - c) * (z - c).conjugate()).real / abs(z - c) ** 2))
-                if abs(c + t * (z - c) - s) < 0.5 * min(abs(z - s), abs(c - s)):
-                    detour = s + math.copysign(abs(z - s), z.imag) * 1j
-                    k = fuchsian.reach(ode, chain, detour, order, k)
-            k = fuchsian.reach(ode, chain, z, order, k)
-            yield i, fuchsian.evaluate(chain[k], z)
+            if not abs(z - c) <= 0.5 * chain[k].radius:  # nan as well, which reach refuses
+                for s in sings if z.imag else ():
+                    t = min(1.0, max(0.0, ((s - c) * (z - c).conjugate()).real / abs(z - c) ** 2))
+                    if abs(c + t * (z - c) - s) < 0.5 * min(abs(z - s), abs(c - s)):
+                        detour = s + math.copysign(abs(z - s), z.imag) * 1j
+                        k = fuchsian.reach(ode, chain, detour, order, k)
+                k = fuchsian.reach(ode, chain, z, order, k)
+            disk = chain[k]
+            if not k:  # the series at 0, cut to the top of the binade of |z|
+                e = math.frexp(abs(z))[1]
+                disk = cuts[e] = cuts.get(e) or fuchsian._truncate(series, math.ldexp(1.0, e))
+            yield i, fuchsian.evaluate(disk, z)
         except KGCoulombError as exc:
             exc.index = i
             raise
@@ -266,14 +269,17 @@ def heun_local(params: HeunParams, xi: complex | Sequence[complex],
     others are reached by Taylor hops (``_sweep``: each hop a series in
     its scaled variable, of at most the given order, cut where its tail
     falls below double precision). Each value is its sum alone
-    (``fuchsian.evaluate``). The sweep visits the points of the real ray
-    xi >= 0 first, in ascending order, so they share one chain and get
-    the values of one call per point.
+    (``fuchsian.evaluate``). The series at 0 is cut on the top of the
+    binade of the largest |xi|, the half disk at most, and a point read
+    off it sums its prefix cut on the top of its own binade, as one call
+    per point would; the sweep visits the real ray xi >= 0 first,
+    ascending, so its points share one chain and get those values too.
     """
     scalar = isinstance(xi, numbers.Number)
     targets = [complex(xi)] if scalar else [complex(x) for x in xi]
     ode = heun_ode(params)
-    series = fuchsian.frobenius_series(ode, 0j, 0j, order=order)
+    top = math.ldexp(1.0, math.frexp(max(map(abs, targets), default=0.0))[1])
+    series = fuchsian.frobenius_series(ode, 0j, 0j, order=order, read=top)
     values = dict(_sweep(ode, series, targets, range(len(targets)), order))
     return values[0] if scalar else [values[i] for i in range(len(targets))]
 

@@ -57,3 +57,32 @@ def test_failures_are_recorded_per_region_pair_by_pair(tmp_path, monkeypatch):
         "change": {"near-critical": [0, 0], "none": [0, 0]},
     }
     assert got["failed"] == {"parent": [2, 3], "change": [0, 0]}
+
+
+def test_raw_wall_time_median_is_reported_per_side(tmp_path, monkeypatch):
+    # the unscaled raw_wall_s of each run's trace0 record, next to the
+    # scaled metrics; a record without one counts as unknown, not as 0
+    tool = _bench_pairs()
+    trees = [str(tmp_path / "parent"), str(tmp_path / "change")]
+    raw = {trees[0]: {41: 0.040, 42: 0.044, 43: 0.046},
+           trees[1]: {41: 0.030, 42: None, 43: 0.034}}
+
+    def run(tree, workload, seed):
+        out = Path(tree, ".bench_out")
+        out.mkdir(parents=True, exist_ok=True)
+        record = {"summary": {}, "regions": {"none": {"attempted": 45, "failed": 0}}}
+        if raw[tree][seed] is not None:
+            record["raw_wall_s"] = raw[tree][seed]
+        (out / f"{workload}-seed{seed}-trace0.json").write_text(json.dumps(record))
+        return {"failed": 0, "correct": True,
+                "metrics": {"wall_s": {"value": 1.0 if tree == trees[0] else 0.8}}}
+
+    monkeypatch.setattr(tool, "_run", run)
+    metric = {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}
+    got = tool._workload(trees, "heun-march", [41, 42, 43], [metric])
+    assert got["raw_wall_s"] == {
+        "parent": {"median": 0.044, "runs": [0.040, 0.044, 0.046]},
+        "change": {"median": 0.032, "runs": [0.030, None, 0.034]},
+    }
+    assert got["metrics"]["wall_s"]["change_wins"] == 3
+    json.dumps(got, allow_nan=False)  # the report stays plain JSON

@@ -751,6 +751,58 @@ def test_non_finite_cell_is_refused(capsys, tmp_path, monkeypatch, target):
         assert out.splitlines()[-1] == ("a 1 nan" if target == "gnuplot-dat" else "a,1,nan")
 
 
+def _render_cell_by_cell(command, meta, columns, rows, fmt):
+    """The table as a walk that formats every cell through _fmt renders it."""
+    sep = "," if fmt == "csv" else " "
+    lines = [f"# kgcoulomb {command}",
+             *[f"# {key} = {cli._fmt(command, key, val)}" for key, val in meta.items()],
+             "# conventions: u = p / (m c) dimensionless, eta = E / (m c^2)",
+             "# columns: " + sep.join(columns),
+             *[sep.join([cli._fmt(command, name, cell) for name, cell in zip(columns, row)])
+               for row in rows]]
+    if fmt != "json":
+        return "\n".join(lines) + "\n"
+    doc = {"command": command, "meta": meta, "columns": columns,
+           "rows": [dict(zip(columns, row)) for row in rows]}
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+_FLOAT_ROWS = [[0.1, -0.0, 0.0, 1e17], [5e-324, -1.5e-310, 1.7976931348623157e308, 2.0 ** 53 + 2],
+               [123456789.12345679, -1e-5, 0.050000000000000003, 1e22]]
+# ints from 1e17 up and 2^53 + 1, which %.17g would round; a bool, None and a str
+_MIXED_ROWS = [[10 ** 17, 1.0, -0.0, 2.5], [2 ** 53 + 1, True, None, "x"], [0.5, 3, -0.0, "nan"]]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "gnuplot-dat"])
+def test_float_rows_render_as_the_cell_walk_does(monkeypatch, fmt):
+    meta = {"g": 0.2, "n": 10 ** 17, "flag": True, "name": "s", "none": None, "zero": -0.0}
+    columns = ["a", "b", "c", "d"]
+    for rows in (_FLOAT_ROWS, _MIXED_ROWS, _FLOAT_ROWS + _MIXED_ROWS + _FLOAT_ROWS):
+        want = _render_cell_by_cell("params", meta, columns, rows, fmt)
+        assert cli._render("params", meta, columns, rows, fmt) == want
+    # a row of finite floats alone takes one format, not a _fmt call per cell
+    calls = []
+    fmt_cell = cli._fmt
+    monkeypatch.setattr(cli, "_fmt", lambda *args: calls.append(args[1]) or fmt_cell(*args))
+    cli._render("params", meta, columns, _FLOAT_ROWS + _MIXED_ROWS, fmt)
+    assert calls == [*meta, *columns * len(_MIXED_ROWS)]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "gnuplot-dat"])
+@pytest.mark.parametrize("meta, rows, bad", [
+    ({"g": 0.2, "xi0": math.nan}, _FLOAT_ROWS, "xi0 = nan"),
+    ({"g": math.inf}, [[math.nan] * 4], "g = inf"),
+    ({"g": 0.2}, _FLOAT_ROWS + [[1.0, 2.0, math.inf, math.nan]], "c = inf"),
+    ({"g": 0.2}, [[1.0, -math.inf, 3.0, 4.0], [math.nan, 1.0, 1.0, 1.0]], "b = -inf"),
+    ({"g": 0.2}, [[0.5, 1.0, 2.0, math.nan]], "d = nan"),
+], ids=["meta-nan", "meta-first", "row-inf-before-nan", "row-neg-inf", "row-nan"])
+def test_non_finite_float_row_is_refused_at_its_first_bad_cell(fmt, meta, rows, bad):
+    with pytest.raises(cli.OutOfDomainError) as info:
+        cli._render("params", meta, ["a", "b", "c", "d"], rows, fmt)
+    assert str(info.value) == (f"params gives {bad}: the inputs take the computation out of "
+                               "the floating-point range")
+
+
 def _same_cell(value, text):
     """A json cell against its csv text: the number, the string, or null as nan."""
     if value is None:
@@ -1293,6 +1345,23 @@ def test_measure_past_its_estimate_is_refused(capsys, argv):
     code, out, err = _run(capsys, "exponents", *argv)
     assert code == 2
     assert out == "" and err.startswith("kgcoulomb: ") and "error estimate" in err
+
+
+@pytest.mark.parametrize("argv, limit", [
+    # the phase cuts the ratio below its width's
+    (("--model", "ordinary", "--g", "15.7492", "--window", "1.43648:2.79532", "--eta",
+      "0.617259"), "their phase"),
+    # sqrt(1.2 / 1.01) lies below the cap, and the phase cuts nothing
+    (("--g", "0.3", "--window", "1.01:1.2"), "the window's width sqrt(hi/lo)"),
+    # a window wider than a factor sqrt(2) meets the cap first
+    (("--model", "deformed-zero-energy", "--g", "36.1452", "--window", "7.58967:11.863",
+      "--theta", "0.0128765", "--theta-prime", "0.0303547"), "the cap 2^(1/4)"),
+], ids=["phase", "width", "cap"])
+def test_refused_estimate_names_what_set_the_ratio(capsys, argv, limit):
+    code, out, err = _run(capsys, "exponents", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("kgcoulomb: the exponents' error estimate")
+    assert err.endswith(f"lies too low for the ratio that {limit} allows\n")
 
 
 def test_exponents_need_no_local_data_at_finite_points(capsys):

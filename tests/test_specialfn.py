@@ -39,6 +39,12 @@ def _ref_2f1(a, b, c, z):
     return complex(mp.hyp2f1(a, b, c, mp.mpc(z)))
 
 
+def _bits(z):
+    """A complex number's two parts as exact hex strings: equal bits, signed zeros included."""
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
 class TestHyp2f1:
     def test_log_value(self):
         # 2F1(1,1;2;z) = -log(1-z)/z, so z = 1/2 gives 2 log 2
@@ -324,6 +330,48 @@ class TestHeunLocal:
         with pytest.raises(OutOfDomainError) as info:
             heun_local(self._generic(), [0.3, 0.8, 1.0, 0.5])
         assert info.value.index == 2
+
+    def test_first_disk_grid_matches_pointwise_bit_for_bit(self):
+        # a narrow wavefunction window: every point inside the first half
+        # disk, over many binades of |xi|; each is read off the series at 0
+        # cut on the top of its own binade, whatever else the call asks for
+        hp, vmap = to_heun(0.3, DeformationParams(0.05, 0.02))
+        grid = [vmap.forward(0.01 * 50 ** (k / 49)) for k in range(50)]
+        assert max(grid) < 0.5 * min(abs(hp.xi0), 1.0)
+        assert len({math.frexp(x)[1] for x in grid}) >= 10
+        alone = [_bits(heun_local(hp, x)) for x in grid]
+        assert list(map(_bits, heun_local(hp, grid))) == alone
+        assert list(map(_bits, heun_local(hp, grid[::-1])))[::-1] == alone
+        # a point past the first disk cuts the series on the half disk
+        assert list(map(_bits, heun_local(hp, grid + [0.9])))[:-1] == alone
+
+    @pytest.mark.parametrize("bad", [math.nan, complex(0.1, math.nan)])
+    def test_nan_target_is_refused_not_summed(self, bad):
+        # a nan fails every test of lying inside a disk, so it is sent on
+        # to the continuation, which refuses it, grid or single point
+        for xi in (bad, [0.01, bad, 0.02]):
+            with pytest.raises(OutOfDomainError):
+                heun_local(self._generic(), xi)
+
+    def test_cut_series_at_zero_is_a_prefix_of_the_full_one(self):
+        hp, _ = to_heun(0.3, DeformationParams(0.05, 0.02))
+        ode = heun_ode(hp)
+        full = fuchsian.frobenius_series(ode, 0j, 0j, order=64)
+        assert len(full.coefficients) == 65
+        lengths = []
+        for e in range(-24, 2):
+            read = math.ldexp(1.0, e)
+            cut = fuchsian.frobenius_series(ode, 0j, 0j, order=64, read=read)
+            n = len(cut.coefficients)
+            assert list(map(_bits, cut.coefficients)) == list(map(_bits, full.coefficients[:n]))
+            assert (cut.expansion_point, cut.exponent, cut.radius, cut.scale) == \
+                (full.expansion_point, full.exponent, full.radius, full.scale)
+            if read <= 0.5 * full.radius:  # below the half disk, the prefix its read keeps
+                assert fuchsian._truncate(full, read).coefficients == cut.coefficients
+            lengths.append(n)
+        # the stop moves out with the read, and the half disk caps it
+        assert lengths == sorted(lengths) and lengths[0] < 10 < 30 < lengths[-1]
+        assert len(set(lengths[-6:])) == 1
 
     @staticmethod
     def _generic():

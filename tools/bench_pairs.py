@@ -12,9 +12,10 @@ metric come from this repository's ``BENCHMARK.json``.
 
 Standard output is one JSON object, the skeleton of a ``BENCH_<n>.json``:
 per workload the seeds, the side that went first, ``failed`` and
-``correct`` pair by pair, ``failed`` per region pair by pair (read from
-each run's ``.bench_out/<workload>-seed<seed>-trace0.json``), and per
-end-to-end metric both sides' runs with
+``correct`` pair by pair, ``failed`` per region pair by pair and each
+side's runs of the unscaled ``raw_wall_s`` with their median (both read
+from each run's ``.bench_out/<workload>-seed<seed>-trace0.json``), and
+per end-to-end metric both sides' runs with
 their median and quartiles (inclusive method), the pairs the change wins
 and loses, the relative worsening of the median and whether it is within
 the metric's bound, and whether a gain in the metric can be claimed: the
@@ -62,12 +63,23 @@ def _run(tree: str, workload: str, seed: int) -> dict:
                          f"{proc.returncode} without a JSON line:\n{proc.stderr}")
 
 
-def _regions(tree: str, workload: str, seed: int) -> dict:
-    """``failed`` per region of the run just made in tree, as its
-    ``.bench_out/<workload>-seed<seed>-trace0.json`` records it (region
-    ``none`` holds the commands outside the known-failing regions)."""
+def _record(tree: str, workload: str, seed: int) -> tuple[dict, float | None]:
+    """``failed`` per region of the run just made in tree, and its raw
+    wall time in seconds, not scaled to reference seconds (None where the
+    record has none), as its ``.bench_out/<workload>-seed<seed>-trace0.json``
+    records them (region ``none`` holds the commands outside the
+    known-failing regions)."""
     path = Path(tree, ".bench_out", f"{workload}-seed{seed}-trace0.json")
-    return {name: slot["failed"] for name, slot in json.loads(path.read_text())["regions"].items()}
+    record = json.loads(path.read_text())
+    return ({name: slot["failed"] for name, slot in record["regions"].items()},
+            record.get("raw_wall_s"))
+
+
+def _raw(runs: list[float | None]) -> dict:
+    """The raw wall times of one side's runs and their median, over the
+    runs that recorded one (None when none did)."""
+    known = [x for x in runs if x is not None]
+    return {"median": statistics.median(known) if known else None, "runs": runs}
 
 
 def _spread(runs: list[float]) -> dict:
@@ -96,6 +108,7 @@ def _compare(parent: list[float], change: list[float], metric: dict) -> dict:
 def _workload(trees: list[str], workload: str, seeds: list[int], metrics: list[dict]) -> dict:
     results = {side: [] for side in SIDES}
     regions = {side: [] for side in SIDES}
+    raw = {side: [] for side in SIDES}
     first = []
     for i, seed in enumerate(seeds):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
@@ -104,7 +117,9 @@ def _workload(trees: list[str], workload: str, seeds: list[int], metrics: list[d
             print(f"bench_pairs: {workload} seed {seed} {side}", file=sys.stderr)
             tree = trees[SIDES.index(side)]
             results[side].append(_run(tree, workload, seed))
-            regions[side].append(_regions(tree, workload, seed))
+            failed, seconds = _record(tree, workload, seed)
+            regions[side].append(failed)
+            raw[side].append(seconds)
     return {
         "pairs": len(seeds),
         "seeds": seeds,
@@ -114,6 +129,7 @@ def _workload(trees: list[str], workload: str, seeds: list[int], metrics: list[d
                                     for name in sorted(set().union(*regions[side]))}
                              for side in SIDES},
         "correct": {side: all(r["correct"] for r in results[side]) for side in SIDES},
+        "raw_wall_s": {side: _raw(raw[side]) for side in SIDES},
         "metrics": {m["name"]: _compare(*([r["metrics"][m["name"]]["value"] for r in results[side]]
                                           for side in SIDES), m)
                     for m in metrics},

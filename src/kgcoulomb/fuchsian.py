@@ -4,7 +4,7 @@ The central object is ``RationalCoeffODE``, the equation
 
     w''(z) + p1(z) w'(z) + p0(z) w(z) = 0
 
-with both coefficients stored as polynomial quotients, together with
+with both coefficients kept as one polynomial form, together with
 the finite part of its Riemann scheme: the singular points and their
 multiplicities in each denominator, exact data supplied by whoever
 builds the equation (a Fuchsian equation is fixed by its singular
@@ -15,9 +15,9 @@ the Frobenius series. On top sit Frobenius and Taylor series, and
 series evaluation with derivatives and a defect check.
 
 Every series comes from one banded recurrence read off the polynomial
-form P2 w'' + P1 w' + P0 w = 0 of the equation, and its band is the
-degree of that form. The form used is the one of least degree: P2 is
-the least common multiple of the two denominators, of order
+form P2 w'' + P1 w' + P0 w = 0, the equation's only copy, and its band
+is the degree of that form. The form used is the one of least degree:
+P2 is the least common multiple of the two denominators, of order
 max(m1, m0) at a point with multiplicities m1 in p1's denominator and
 m0 in p0's, since the Riemann scheme gives the factors they share.
 Every point, infinity included, is read off that one form (Ince,
@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import cached_property, reduce
+from functools import reduce
 
 from .errors import (ConvergenceError, IrregularPointError, OutOfDomainError,
                      ResonantExponentsError)
@@ -222,7 +222,7 @@ def gauge(pair, f, k: int):
 
 class RationalCoeffODE:
     """w'' + (p1_num/p1_den) w' + (p0_num/p0_den) w = 0 with its finite
-    singular points.
+    singular points, kept as its least-degree polynomial form ``_triple``.
 
     Coefficient tuples are ascending-power. ``points`` is the finite part
     of the Riemann scheme as the builder knows it: (r, m1, m0) triples,
@@ -239,33 +239,59 @@ class RationalCoeffODE:
     record (``_local``) is made on its first request and kept.
     """
 
+    __slots__ = ("points", "_triple", "_records")
+
     def __init__(self, p1_num: tuple[complex, ...], p1_den: tuple[complex, ...],
                  p0_num: tuple[complex, ...], p0_den: tuple[complex, ...],
                  points: tuple[tuple[complex, int, int], ...]) -> None:
-        self.p1_num, self.p1_den, self.p0_num, self.p0_den = p1_num, p1_den, p0_num, p0_den
-        self.points = points
         self._records: dict = {}  # local records by point, see _local
-        self.__post_init__()  # the normalization, a method of its own so it can be timed
+        self.__post_init__(p1_num, p1_den, p0_num, p0_den, points)  # timed on its own
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, p1_num, p1_den, p0_num, p0_den, points) -> None:
+        """The points left and the unshifted (P2, P1, P0) of the least-degree
+        form (see _triple_at) from the normalized n1/d1 and n0/d0. With
+        g = prod (z - r)^min(m1, m0), the factor the monic denominators
+        share, P2 = d1 (d0/g), P1 = n1 (d0/g) and P0 = n0 (d1/g): P2 has
+        order max(m1, m0) at each point, not m1 + m0. The quotients d0/g
+        and d1/g are multiplied out from the points in ascending modulus,
+        not divided out of d0 and d1: a division loses the low-order
+        coefficients, which carry the local data at a point lying far
+        inside the others. Each factor, (d1, n1) together, d0/g, n0 and
+        d1/g, is brought to its own binade by an exact power of two before
+        the products are taken, and the two products are then brought to
+        the smaller of their scales, so all three carry one power of two:
+        the series are unchanged, and however far a singular point spreads
+        the monic coefficients, the top coefficients, which carry the
+        equation at large z, stay in range."""
         merged: dict[complex, list[int]] = {}
-        for r, m1, m0 in self.points:
+        for r, m1, m0 in points:
             counts = merged.setdefault(complex(r), [0, 0])
             counts[0] += m1
             counts[1] += m0
         roots = sorted(merged, key=lambda z: (z.real, z.imag))
-        n1, d1, k1 = _normalize_quotient(self.p1_num, self.p1_den, roots,
-                                         [merged[r][0] for r in roots])
-        n0, d0, k0 = _normalize_quotient(self.p0_num, self.p0_den, roots,
-                                         [merged[r][1] for r in roots])
-        self.p1_num, self.p1_den, self.p0_num, self.p0_den = n1, d1, n0, d0
+        n1, d1, k1 = _normalize_quotient(p1_num, p1_den, roots, [merged[r][0] for r in roots])
+        n0, _, k0 = _normalize_quotient(p0_num, p0_den, roots, [merged[r][1] for r in roots])
         self.points = tuple((r, a, b) for r, a, b in zip(roots, k1, k0) if a or b)
+        q1, q0 = (1.0,), (1.0,)  # become d1/g and d0/g
+        for r, m1, m0 in sorted(self.points, key=lambda p: abs(p[0])):
+            shared = min(m1, m0)
+            q1 = reduce(_polymul, [(-r, 1.0)] * (m1 - shared), q1)
+            q0 = reduce(_polymul, [(-r, 1.0)] * (m0 - shared), q0)
+        # e with 2^(e-1) <= max |c| < 2^e (0 when every coefficient is zero)
+        e1, e0, f1, f0 = (math.frexp(max(map(abs, c)))[1] for c in (d1 + n1, q0, n0, q1))
+        top = max(e1 + e0, f1 + f0)
+        a, b = _ldexp_poly(d1, -e1), _ldexp_poly(n1, -e1)
+        q0 = _ldexp_poly(q0, -e0)
+        p0 = _polymul(_ldexp_poly(n0, -f1), _ldexp_poly(q1, -f0))
+        self._triple = (_ldexp_poly(_polymul(a, q0), e1 + e0 - top),
+                        _ldexp_poly(_polymul(b, q0), e1 + e0 - top),
+                        _ldexp_poly(p0, f1 + f0 - top))
 
     def p1(self, z):
-        return _quotient(self.p1_num, self.p1_den, z)
+        return _quotient(self._triple[1], self._triple[0], z)
 
     def p0(self, z):
-        return _quotient(self.p0_num, self.p0_den, z)
+        return _quotient(self._triple[2], self._triple[0], z)
 
     def _multiplicities(self, z0: complex) -> tuple[int, int]:
         """(m1, m0) of z0 in the denominators; (0, 0) off the known roots."""
@@ -274,47 +300,14 @@ class RationalCoeffODE:
                 return m1, m0
         return 0, 0
 
-    # The records and the polynomial form depend only on the polynomial
-    # data, which nothing changes after construction: each is made once.
-
     def _local(self, point) -> "SingularPoint":
-        """The local record at a finite point or INFINITY, made on the first request."""
+        """The local record at a finite point or INFINITY, made on the first
+        request and kept: it depends only on the triple and the points,
+        which nothing changes after construction."""
         record = self._records.get(point)
         if record is None:
             record = self._records[point] = _local_record(self, point)
         return record
-
-    @cached_property
-    def _products(self) -> tuple[tuple[complex, ...], ...]:
-        """Unshifted (P2, P1, P0) of the least-degree polynomial form; see
-        _triple_at. With g = prod (z - r)^min(m1, m0), the factor the
-        monic denominators share, P2 = d1 (d0/g), P1 = n1 (d0/g) and
-        P0 = n0 (d1/g): P2 has order max(m1, m0) at each point, not
-        m1 + m0. The quotients d0/g and d1/g are multiplied out from the
-        points in ascending modulus, not divided out of d0 and d1: a
-        division loses the low-order coefficients, which carry the local
-        data at a point lying far inside the others. Each factor, (d1, n1)
-        together, d0/g, n0 and d1/g, is brought to its own binade by an
-        exact power of two before the products are taken, and the two
-        products are then brought to the smaller of their scales, so all
-        three carry one power of two: the series are unchanged, and however
-        far a singular point spreads the monic coefficients, the top
-        coefficients, which carry the equation at large z, stay in range."""
-        q1, q0 = (1.0,), (1.0,)  # become d1/g and d0/g
-        for r, m1, m0 in sorted(self.points, key=lambda p: abs(p[0])):
-            shared = min(m1, m0)
-            q1 = reduce(_polymul, [(-r, 1.0)] * (m1 - shared), q1)
-            q0 = reduce(_polymul, [(-r, 1.0)] * (m0 - shared), q0)
-        # e with 2^(e-1) <= max |c| < 2^e (0 when every coefficient is zero)
-        e1, e0, f1, f0 = (math.frexp(max(map(abs, c)))[1]
-                          for c in (self.p1_den + self.p1_num, q0, self.p0_num, q1))
-        top = max(e1 + e0, f1 + f0)
-        a, b = _ldexp_poly(self.p1_den, -e1), _ldexp_poly(self.p1_num, -e1)
-        q0 = _ldexp_poly(q0, -e0)
-        p0 = _polymul(_ldexp_poly(self.p0_num, -f1), _ldexp_poly(q1, -f0))
-        return (_ldexp_poly(_polymul(a, q0), e1 + e0 - top),
-                _ldexp_poly(_polymul(b, q0), e1 + e0 - top),
-                _ldexp_poly(p0, f1 + f0 - top))
 
 
 def _normalize_quotient(num, den, roots, mults):
@@ -343,12 +336,12 @@ def _normalize_quotient(num, den, roots, mults):
 
 
 def _quotient(num, den, z: complex) -> complex:
-    """num(z) / den(z); beyond |z| = 1 summed in t = 1/z on the reversed
-    coefficients, so it stays in range where num(z) and den(z) would not."""
+    """num(z) / den(z); beyond |z| = 1 the reversed sums in t = 1/z divided
+    first, then times their power of t, so that each step stays in range."""
     z = complex(z)
     if abs(z) > 1.0:
         t = 1.0 / z
-        return t ** (len(den) - len(num)) * _horner(num[::-1], t) / _horner(den[::-1], t)
+        return _horner(num[::-1], t) / _horner(den[::-1], t) * t ** (len(den) - len(num))
     return _horner(num, z) / _horner(den, z)
 
 
@@ -398,9 +391,11 @@ def _local_record(ode: RationalCoeffODE, point) -> SingularPoint:
     a regular point the exponents are the roots of the pivot on the
     triple of _triple_at, s (s - 1) + q1 s + q0 with q1 = P1[kappa-1] /
     P2[kappa] and q0 = P0[kappa-2] / P2[kappa], each zero below a full
-    pole; at infinity they are negated into the z^sigma convention."""
+    pole; at infinity they are negated into the z^sigma convention. A
+    finite point off the scheme within 4 eps |r| of a point r of it is
+    refused: it is r, rounded, and not an ordinary point."""
     if point is INFINITY:
-        p2, p1, p0 = ode._products
+        p2, p1, p0 = ode._triple
         n = len(p2) - 1
         if p2[n] == 0:
             raise OutOfDomainError("the expansion at infinity is lost to rounding or overflow")
@@ -409,6 +404,10 @@ def _local_record(ode: RationalCoeffODE, point) -> SingularPoint:
         m0 = max(0, len(p0) - n + 3) if any(p0) else 0
     else:
         m1, m0 = ode._multiplicities(point)
+        for r, _, _ in ode.points if not (m1 or m0) else ():
+            if abs(point - r) <= 4.0 * _EPS * abs(r):
+                raise OutOfDomainError(
+                    f"{point} is within rounding of the singular point {r}; expand at {r} itself")
     if m1 > 1 or m0 > 2:
         return SingularPoint(point, "irregular", m1, m0, None)
     p2, p1, p0, kappa = _triple_at(ode, point)
@@ -488,14 +487,14 @@ class FrobeniusSolution:
 
 
 def _triple_at(ode: RationalCoeffODE, point):
-    """(P2, P1, P0, kappa): the form of RationalCoeffODE._products at a
-    finite point or INFINITY, kappa the order of P2 there. At a finite
-    point it is shifted there, kappa = max(m1, m0). At infinity, with A,
+    """(P2, P1, P0, kappa): the equation's ``_triple`` at a finite point
+    or INFINITY, kappa the order of P2 there. At a finite point it is
+    shifted there, kappa = max(m1, m0). At infinity, with A,
     B, C the coefficients of P2, P1, P0 reversed over n = deg P2 (A(t) =
     t^n P2(1/t)), W(t) = w(1/t) solves t^2 A W'' + (2 t A - B) W' +
     (C / t^2) W = 0 and kappa = 2, wherever infinity is regular, that is
     deg P1 < n and deg P0 < n - 1."""
-    p2, p1, p0 = ode._products
+    p2, p1, p0 = ode._triple
     if point is INFINITY:
         n = len(p2) - 1
         a, b = p2[::-1], (0j,) * (n + 1 - len(p1)) + p1[::-1]

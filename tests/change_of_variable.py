@@ -4,8 +4,10 @@ record at infinity and both normal-form reductions against the model
 tables.
 
 It acts on ((p1_num, p1_den), (p0_num, p0_den)) pairs, the form
-``fuchsian.gauge`` takes; only +, - and * touch the coefficients, so
-sympy tables pass through too.
+``fuchsian.gauge`` takes: the builders' raw tables, or an equation's
+least-degree triple as ((P1, P2), (P0, P2)), since a RationalCoeffODE
+keeps no quotients of its own. Only +, - and * touch the coefficients,
+so sympy tables pass through too.
 """
 
 from functools import reduce

@@ -281,15 +281,18 @@ class TestFitExponent:
 def _abel(ode, z0, z1):
     """det of the transfer from z0 to z1 in the basis (w, u w') by Abel's
     identity: (z1/z0) W(z1)/W(z0), W = prod (z - r)^(-a_r) with a_r the
-    residue of p1 at its simple pole r (p1 has no polynomial part, since
-    infinity is a regular singular point)."""
-    assert len(ode.p1_num) < len(ode.p1_den)
+    residue of p1 = P1/P2 at its simple pole r, read off the triple
+    shifted to r: P1's coefficient of order kappa - 1 over P2's of order
+    kappa, kappa = max(m1, m0) the order of P2 there (p1 has no
+    polynomial part, since infinity is a regular singular point)."""
+    p2, p1, _ = ode._triple
+    assert len(p1) < len(p2)
     out = z1 / z0
-    for r, m1, _ in ode.points:
+    for r, m1, m0 in ode.points:
         assert m1 <= 1
         if m1:
-            a_r = (fuchsian._horner(ode.p1_num, r)
-                   / fuchsian._horner(fuchsian._polyder(ode.p1_den), r))
+            kappa = max(m1, m0)
+            a_r = fuchsian._shift(p1, r)[kappa - 1] / fuchsian._shift(p2, r)[kappa]
             out *= ((z1 - r) / (z0 - r)) ** (-a_r)
     return out
 

@@ -20,6 +20,7 @@ from kgcoulomb.fuchsian import (
     evaluate,
     evaluate_with_derivatives,
     frobenius_series,
+    gauge,
     indicial_exponents,
     reach,
     singular_points,
@@ -28,6 +29,7 @@ from kgcoulomb.fuchsian import (
 )
 from kgcoulomb.specialfn import heun_ode, hyp2f1, hypergeometric_ode
 from kgcoulomb.kgmodels import (
+    _deformed_zero_energy_coeffs,
     _first_order_phi_coeffs,
     _first_order_points,
     build_deformed_first_order_psi,
@@ -301,18 +303,26 @@ class TestEvaluation:
     def test_coefficients_stay_in_range_far_out(self):
         # at theta 1e-120 the denominators carry T^-2 = 1e240 and reach
         # degree 6; numerator and denominator each leave the range long
-        # before their quotient does
+        # before their quotient does, and the triple's top coefficients
+        # sit near 1e-241: p1 and p0, read off the triple, against the
+        # builder's raw table at 30 digits, for the zero-energy model and
+        # the first-order one
         import mpmath
 
-        ode = build_deformed_zero_energy(0.073, DeformationParams(1e-120, 0.0))
+        s = CoulombSystem(g=0.073, eta=0.5)
+        cases = [(build_deformed_zero_energy(0.073, DeformationParams(1e-120, 0.0)),
+                  _deformed_zero_energy_coeffs(0.073, 1e-120, 0.0))]
+        cases += [(build_deformed_first_order_psi(s, theta),
+                   gauge(_first_order_phi_coeffs(s.g, s.eta, theta), (0, 1), 1))
+                  for theta in (1e-60, 1e-100)]
         points = [0.3, 2.0, 1e40, 1e70, 1e150, 1e300]
-        for coeff, num, den in ((ode.p1, ode.p1_num, ode.p1_den),
-                                (ode.p0, ode.p0_num, ode.p0_den)):
-            for u in points:
-                with mpmath.workdps(30):
-                    ref = complex(mpmath.polyval([mpmath.mpc(c) for c in num[::-1]], u)
-                                  / mpmath.polyval([mpmath.mpc(c) for c in den[::-1]], u))
-                assert abs(coeff(u) - ref) <= 1e-14 * abs(ref), u
+        for ode, table in cases:
+            for coeff, (num, den) in zip((ode.p1, ode.p0), table):
+                for u in points:
+                    with mpmath.workdps(30):
+                        ref = complex(mpmath.polyval([mpmath.mpc(c) for c in num[::-1]], u)
+                                      / mpmath.polyval([mpmath.mpc(c) for c in den[::-1]], u))
+                    assert abs(coeff(u) - ref) <= 1e-14 * abs(ref), (ode.points, u)
 
     def test_residual_is_nan_where_every_term_underflows(self):
         # at u = 4/radius = 4e60 the dominant branch's w is near 1e-303,
@@ -338,11 +348,30 @@ class TestQuotientNormalization:
         seen = []
         normalize = RationalCoeffODE.__post_init__
         monkeypatch.setattr(RationalCoeffODE, "__post_init__",
-                            lambda ode: seen.append(ode) or normalize(ode))
+                            lambda ode, *table: seen.append(ode) or normalize(ode, *table))
         ode = RationalCoeffODE((-1.0, 1.0), (0.0, -1.0, 1.0), (0.0,), (1.0,),
                                ((0, 1, 0), (1, 1, 0)))
         assert len(seen) == 1 and seen[0] is ode
-        assert ode.p1_den == (0j, 1 + 0j) and ode.points == ((0j, 1, 0),)
+        # p1 = 1/z and p0 = 0: P2 = c z, P1 = c, P0 = 0
+        p2, p1, p0 = ode._triple
+        assert len(p2) == 2 and p2[0] == 0 and p1 == (p2[1],) and not any(p0)
+        assert ode.points == ((0j, 1, 0),)
+
+    def test_point_within_rounding_of_a_singular_point_is_refused(self):
+        # -i sqrt(b (2 - b)) rounds one ulp off the builder's -i eps_tilde:
+        # read as an ordinary point, its exponents (0, 1) made the series
+        # for 0 raise a misleading ResonantExponentsError
+        b = 0.1416769592301532
+        ode = build_ordinary_kg(CoulombSystem(0.2, 1 - b))
+        p = -1j * math.sqrt(b * (2 - b))
+        r = ode.points[0][0]
+        assert p == -0.5131096936168755j and r == -0.5131096936168756j
+        with pytest.raises(OutOfDomainError, match="within rounding of the singular point"):
+            frobenius_series(ode, p, 0)
+        assert frobenius_series(ode, r, 0, order=4).exponent == 0
+        # a point off the rounding is ordinary, and Taylor hops are not checked
+        assert indicial_exponents(ode, p * (1 + 1e-12)) == (1 + 0j, 0j)
+        assert taylor_series(ode, p, 1.0, 0.0, order=4).radius == abs(p - r)
 
     def test_exponents_are_python_complex(self):
         ode = build_ordinary_kg(CoulombSystem(g=100 * FINE_STRUCTURE_ALPHA, eta=0.5))
@@ -351,10 +380,31 @@ class TestQuotientNormalization:
         assert type(rho[1]) is complex
 
 
+def _built(build, *args):
+    """(equation, table): what build(*args) returns, and the raw table it
+    handed RationalCoeffODE, ((p1_num, p1_den), (p0_num, p0_den)) with the
+    points, before any normalization: the independent reference that the
+    equation's triple is checked against."""
+    tables = []
+    normalize = RationalCoeffODE.__post_init__
+
+    def record(ode, p1_num, p1_den, p0_num, p0_den, points):
+        tables.append((((p1_num, p1_den), (p0_num, p0_den)), points))
+        normalize(ode, p1_num, p1_den, p0_num, p0_den, points)
+
+    RationalCoeffODE.__post_init__ = record
+    try:
+        ode = build(*args)
+    finally:
+        RationalCoeffODE.__post_init__ = normalize
+    assert len(tables) == 1
+    return ode, tables[0]
+
+
 def _package_equations(draws):
-    """(equation, {location: (pole order in p1, in p0)}) for every
-    equation the package builds, over the CLI's parameter ranges, with
-    the finite singular points worked out here from the parameters."""
+    """(equation, raw table, {location: (pole order in p1, in p0)}) for
+    every equation the package builds, over the CLI's parameter ranges,
+    with the finite singular points worked out here from the parameters."""
     rng = random.Random(7)
     for _ in range(draws):
         g = rng.uniform(0.005, 1.0)
@@ -373,14 +423,14 @@ def _package_equations(draws):
                  -1j / math.sqrt(6.0 * theta): (1, 1)}
         # at theta = theta' the Heun point xi = 1 is ordinary (e = 0, ab + q = 0)
         heun = {0: (1, 1), hp.xi0: (1, 1), **({} if theta_prime == theta else {1: (1, 1)})}
-        yield build_ordinary_kg(s), {0: (1, 1), eps: (1, 1), -eps: (1, 1)}
-        yield build_deformed_zero_energy(g, dp), {0: (1, 0), 1j: (1, 1), -1j: (1, 1),
-                                                  big: (1, 2), -big: (1, 2)}
-        yield _first_order_phi(s, theta), first
-        yield build_deformed_first_order_psi(s, theta), {**first, 0: (1, 1)}
-        yield heun_ode(hp), heun
-        yield hypergeometric_ode(hp.a, hp.b, hp.c), {0: (1, 1), 1: (1, 1)}
-        yield gen_heun_ode(ghp), {x: (1, 1) for x in (0, 1, ghp.x1, ghp.x2)}
+        yield *_built(build_ordinary_kg, s), {0: (1, 1), eps: (1, 1), -eps: (1, 1)}
+        yield *_built(build_deformed_zero_energy, g, dp), {0: (1, 0), 1j: (1, 1), -1j: (1, 1),
+                                                           big: (1, 2), -big: (1, 2)}
+        yield *_built(_first_order_phi, s, theta), first
+        yield *_built(build_deformed_first_order_psi, s, theta), {**first, 0: (1, 1)}
+        yield *_built(heun_ode, hp), heun
+        yield *_built(hypergeometric_ode, hp.a, hp.b, hp.c), {0: (1, 1), 1: (1, 1)}
+        yield *_built(gen_heun_ode, ghp), {x: (1, 1) for x in (0, 1, ghp.x1, ghp.x2)}
 
 
 def _finite_census(ode):
@@ -389,16 +439,23 @@ def _finite_census(ode):
     return {p.location: (p.pole_order_p1, p.pole_order_p0) for p in pts[:-1]}
 
 
-def _pullback(ode):
-    """The equation for W(t) = w(1/t), built by ``substitute``: the
-    independent reference for the record at infinity. A root r != 0 goes
-    to 1/r with its multiplicities; the order of t = 0 in each
-    denominator is its count of exactly zero low-order coefficients."""
-    (n1, d1), (n0, d0) = substitute(
-        ((ode.p1_num, ode.p1_den), (ode.p0_num, ode.p0_den)), (1,), (0, 1))
-    points = [(1.0 / r, m1, m0) for r, m1, m0 in ode.points if r != 0]
-    points.append((0j, fuchsian._exact_zeros(d1), fuchsian._exact_zeros(d0)))
-    return RationalCoeffODE(n1, d1, n0, d0, tuple(points))
+def _pullback(table):
+    """The raw table of the equation for W(t) = w(1/t), pushed by
+    ``substitute`` from an equation's raw table: the independent reference
+    for the record at infinity. A root r != 0 goes to 1/r with its
+    multiplicities; the order of t = 0 in each denominator is its count
+    of exactly zero low-order coefficients."""
+    pair, points = table
+    (n1, d1), (n0, d0) = pulled = substitute(pair, (1,), (0, 1))
+    moved = [(1.0 / r, m1, m0) for r, m1, m0 in points if r != 0]
+    moved.append((0j, fuchsian._exact_zeros(d1), fuchsian._exact_zeros(d0)))
+    return pulled, tuple(moved)
+
+
+def _ode(table):
+    """The RationalCoeffODE of a raw table."""
+    ((n1, d1), (n0, d0)), points = table
+    return RationalCoeffODE(n1, d1, n0, d0, points)
 
 
 def _trim(coeffs):
@@ -416,13 +473,13 @@ class TestPolynomialAlgebra:
         # none is found numerically: the census lists exactly the points
         # worked out from the parameters, and the pullback's census their
         # reciprocals plus t = 0 when infinity is singular
-        for ode, expected in _package_equations(150):
+        for ode, table, expected in _package_equations(150):
             assert _finite_census(ode) == expected, ode.points
             inf = singular_points(ode)[-1]
             pulled = {1.0 / complex(r): orders for r, orders in expected.items() if r != 0}
             if inf.pole_order_p1 > 0 or inf.pole_order_p0 > 0:
                 pulled[0j] = (inf.pole_order_p1, inf.pole_order_p0)
-            assert _finite_census(_pullback(ode)) == pulled, ode.points
+            assert _finite_census(_ode(_pullback(table))) == pulled, ode.points
 
     @pytest.mark.parametrize("coeffs, expected", [
         ((0j, 0j, 1.0), [(0j, 2)]),                                  # u^2
@@ -480,17 +537,20 @@ class TestPolynomialAlgebra:
             assert fuchsian._polyadd(a, b) == _trim(npoly.polyadd(a, b))
 
 
-def _pulled_record(ode):
+def _pulled_record(table):
     """The pullback's kind, pole orders and exponents at t = 0, the
-    exponents in the z^sigma convention, from its quotients: q1 and q0
-    the limits of t p1 and t^2 p0, each a numerator's constant term over
-    its denominator's lowest nonzero coefficient."""
-    pulled = _pullback(ode)
-    m1, m0 = pulled._multiplicities(0j)
+    exponents in the z^sigma convention, from its raw quotients: q1 and
+    q0 the limits of t p1 and t^2 p0, each a numerator's lowest nonzero
+    coefficient over its denominator's one, one or two places up (t = 0
+    cancels only by exact zeros, as in RationalCoeffODE)."""
+    pulled = _pullback(table)
+    m1, m0 = _ode(pulled)._multiplicities(0j)
     if m1 > 1 or m0 > 2:
         return "irregular", m1, m0, None
-    q1 = pulled.p1_num[0] / pulled.p1_den[1] if m1 == 1 else 0j
-    q0 = pulled.p0_num[0] / pulled.p0_den[2] if m0 == 2 else 0j
+    ((n1, d1), (n0, d0)), _ = pulled
+    j1, j0 = fuchsian._exact_zeros(n1), fuchsian._exact_zeros(n0)
+    q1 = n1[j1] / d1[j1 + 1] if m1 == 1 else 0j
+    q0 = n0[j0] / d0[j0 + 2] if m0 == 2 else 0j
     s1, s2 = fuchsian._indicial_roots(0j, q1, q0)
     return "regular", m1, m0, fuchsian._sorted_pair(0j - s1, 0j - s2)
 
@@ -501,9 +561,9 @@ class TestRecordAtInfinity:
     pole orders and, to rounding, the same pair."""
 
     def test_every_builders_equation_matches_its_pullback(self):
-        for ode, _ in _package_equations(40):
+        for ode, table, _ in _package_equations(40):
             rec = ode._local(INFINITY)
-            kind, m1, m0, exps = _pulled_record(ode)
+            kind, m1, m0, exps = _pulled_record(table)
             assert (rec.kind, rec.pole_order_p1, rec.pole_order_p0) == (kind, m1, m0), ode.points
             for got, ref in zip(rec.exponents, exps):
                 assert abs(got - ref) <= 8 * math.ulp(abs(ref)), ode.points
@@ -525,24 +585,25 @@ class TestRecordAtInfinity:
                 close(build_deformed_zero_energy(g, DeformationParams(theta, theta_prime)),
                       (-2.0, -3.0 - 2.0 * theta / (theta + theta_prime)))
 
-    @pytest.mark.parametrize("ode, orders", [
-        (_COS_ODE, (1, 4)),                                           # w'' + w = 0
-        (RationalCoeffODE((0.0, -2.0), (1.0,), (6.0,), (1.0,), ()), (3, 4)),  # Hermite
+    @pytest.mark.parametrize("table, orders", [
+        (((((0,), (1,)), ((1,), (1,))), ()), (1, 4)),                      # w'' + w = 0
+        (((((0.0, -2.0), (1.0,)), ((6.0,), (1.0,))), ()), (3, 4)),         # Hermite
     ], ids=["cosine", "hermite"])
-    def test_irregular_infinity_raises(self, ode, orders):
+    def test_irregular_infinity_raises(self, table, orders):
+        ode = _ode(table)
         rec = ode._local(INFINITY)
         assert (rec.kind, rec.pole_order_p1, rec.pole_order_p0) == ("irregular", *orders)
-        assert _pulled_record(ode) == ("irregular", *orders, None)
+        assert _pulled_record(table) == ("irregular", *orders, None)
         with pytest.raises(IrregularPointError):
             indicial_exponents(ode, INFINITY)
 
     def test_exact_cancellation_leaves_p1_regular(self):
         # z^2 w'' + 2 z w' - 2 w = 0: B = 2A, so the pullback's p1 is zero
         # and only p0 has a pole at t = 0; sigma^2 + sigma - 2 = 0
-        ode = RationalCoeffODE((2.0,), (0.0, 1.0), (-2.0,), (0.0, 0.0, 1.0), ((0j, 1, 2),))
-        rec = ode._local(INFINITY)
+        table = (((2.0,), (0.0, 1.0)), ((-2.0,), (0.0, 0.0, 1.0))), ((0j, 1, 2),)
+        rec = _ode(table)._local(INFINITY)
         assert (rec.kind, rec.pole_order_p1, rec.pole_order_p0) == ("regular", 0, 2)
-        assert _pulled_record(ode) == ("regular", 0, 2, rec.exponents)
+        assert _pulled_record(table) == ("regular", 0, 2, rec.exponents)
         assert rec.exponents == (1 + 0j, -2 + 0j)
 
 
@@ -589,7 +650,7 @@ class TestSeriesAtInfinity:
         made = []
         normalize = RationalCoeffODE.__post_init__
         monkeypatch.setattr(RationalCoeffODE, "__post_init__",
-                            lambda work: made.append(work) or normalize(work))
+                            lambda work, *table: made.append(work) or normalize(work, *table))
         for sigma in indicial_exponents(ode, INFINITY):
             frobenius_series(ode, INFINITY, sigma, order=8)
         assert made == []
@@ -598,11 +659,12 @@ class TestSeriesAtInfinity:
         # w'' + (3/z) w' + z^-3 w = 0: in t = 1/z, p0 has a simple pole
         # (m0 = 1), so the triple's C / t^2 starts at a zero-filled C_2 = 0.
         # Exponents 0 and -2; the series for -2 is t^2 (1 - t/3 + t^2/24 - ...)
-        ode = RationalCoeffODE((3.0,), (0.0, 1.0), (1.0,), (0.0, 0.0, 0.0, 1.0), ((0, 1, 3),))
+        table = (((3.0,), (0.0, 1.0)), ((1.0,), (0.0, 0.0, 0.0, 1.0))), ((0, 1, 3),)
+        ode = _ode(table)
         rec = singular_points(ode)[-1]
         assert (rec.kind, rec.pole_order_p1, rec.pole_order_p0) == ("regular", 1, 1)
         assert rec.exponents == (0j, -2 + 0j)
-        assert _pulled_record(ode) == ("regular", 1, 1, rec.exponents)
+        assert _pulled_record(table) == ("regular", 1, 1, rec.exponents)
         sol = frobenius_series(ode, INFINITY, -2.0, order=4)
         assert (sol.exponent, sol.radius, sol.scale) == (2, math.inf, 1.0)
         assert sol.coefficients[:3] == pytest.approx((1.0, -1.0 / 3.0, 1.0 / 24.0), rel=1e-15)
@@ -660,18 +722,19 @@ def _size(coeffs, z):
 class TestLeastDegreeForm:
     def test_products_are_the_least_degree_form(self):
         # P2 = d1 d0 / g with g the factor the denominators share: order
-        # max(m1, m0) at each point, and P2 p1 = P1, P2 p0 = P0 (checked
-        # as P2 n = P d, which needs no division near a singular point)
+        # max(m1, m0) at each point, and P2 p1 = P1, P2 p0 = P0 for the
+        # raw quotients n/d the builder handed over (checked as P2 n = P d,
+        # which needs no division near a singular point)
         rng = random.Random(5)
         val = fuchsian._horner
-        for ode, _ in _package_equations(100):
-            for work in (ode, _pullback(ode)):
-                p2, p1, p0 = work._products
+        for _, table, _ in _package_equations(100):
+            for raw in (table, _pullback(table)):
+                work = _ode(raw)
+                p2, p1, p0 = work._triple
                 assert len(p2) - 1 == sum(max(m1, m0) for _, m1, m0 in work.points), work.points
                 for _ in range(4):
                     z = cmath.rect(math.exp(rng.uniform(-3.0, 3.0)), rng.uniform(0.0, 2 * math.pi))
-                    for prod, num, den in ((p1, work.p1_num, work.p1_den),
-                                           (p0, work.p0_num, work.p0_den)):
+                    for prod, (num, den) in zip((p1, p0), raw[0]):
                         err = abs(val(p2, z) * val(num, z) - val(prod, z) * val(den, z))
                         size = _size(p2, z) * _size(num, z) + _size(prod, z) * _size(den, z)
                         assert err <= 16 * 2.0 ** -52 * size, (work.points, z)
@@ -710,12 +773,16 @@ class TestLeastDegreeForm:
         # coefficients over 1e240; one shared factor s0 s1 put P2's, P1's
         # and P0's top coefficients below the range, so every hop past
         # u ~ theta^(-1/2) solved an equation with exponents (-2, -4)
-        ode = build_deformed_zero_energy(10 * FINE_STRUCTURE_ALPHA,
-                                         DeformationParams(1e-120, 0.0))
-        p2, p1, p0 = ode._products
+        # (checked against the builder's raw table, whose terms at u = 1e63
+        # are all positive and in range)
+        g = 10 * FINE_STRUCTURE_ALPHA
+        ode = build_deformed_zero_energy(g, DeformationParams(1e-120, 0.0))
+        (n1, d1), (n0, d0) = _deformed_zero_energy_coeffs(g, 1e-120, 0.0)
+        p2, p1, p0 = ode._triple
         val, u = fuchsian._horner, 1e63
-        assert u * val(p1, u) / val(p2, u) == pytest.approx(u * ode.p1(u), rel=1e-12)
-        assert u * u * val(p0, u) / val(p2, u) == pytest.approx(u * u * ode.p0(u), rel=1e-12)
+        assert u * val(p1, u) / val(p2, u) == pytest.approx(u * val(n1, u) / val(d1, u), rel=1e-12)
+        assert u * u * val(p0, u) / val(p2, u) == pytest.approx(u * u * val(n0, u) / val(d0, u),
+                                                                rel=1e-12)
 
 
 class TestBandedRecurrence:

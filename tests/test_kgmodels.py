@@ -342,6 +342,13 @@ def _assert_same_equation(got, table):
             assert value(mine, u) == pytest.approx(value(ref, u), rel=1e-12, abs=0), u
 
 
+def _triple_pair(ode):
+    """((P1, P2), (P0, P2)): the equation's stored least-degree triple as
+    the quotient pair that ``substitute`` and ``gauge`` take."""
+    p2, p1, p0 = ode._triple
+    return (p1, p2), (p0, p2)
+
+
 class TestReductions:
     """Each normal form pushed back to u along its own map reproduces the
     model equation, at random parameters."""
@@ -356,8 +363,7 @@ class TestReductions:
             dp = DeformationParams(theta, theta_prime)
             hp, vmap = to_heun(g, dp)
             ode = heun_ode(hp)
-            pushed = gauge(substitute(((ode.p1_num, ode.p1_den), (ode.p0_num, ode.p0_den)),
-                                      vmap.num, vmap.den), (1, 0, dp.total), 1)
+            pushed = gauge(substitute(_triple_pair(ode), vmap.num, vmap.den), (1, 0, dp.total), 1)
             _assert_same_equation(pushed, _deformed_zero_energy_coeffs(g, theta, theta_prime))
 
     def test_generalized_heun_reproduces_first_order_phi(self):
@@ -370,6 +376,5 @@ class TestReductions:
                 warnings.simplefilter("ignore", ConfluenceWarning)
                 gp, vmap = to_generalized_heun(s, theta)
             ode = gen_heun_ode(gp)
-            pushed = substitute(((ode.p1_num, ode.p1_den), (ode.p0_num, ode.p0_den)),
-                                vmap.num, vmap.den)
+            pushed = substitute(_triple_pair(ode), vmap.num, vmap.den)
             _assert_same_equation(pushed, _first_order_phi_coeffs(s.g, s.eta, theta))

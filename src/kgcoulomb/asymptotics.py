@@ -64,9 +64,9 @@ _SETTLED = 2.0 ** -26
 _RATIO_CAP = 2.0 ** 0.25
 # Smallest ratio of a measuring piece; the phase anchor is read over it.
 _RATIO_FLOOR = 1.01
-# Loosest tol a hop of transfer_exponents is cut at. Cut on the disk it is
-# read on, the tail's tol governs the truncation, so a coarser one would
-# show in the exponents: at 1e-3 the worst exponent-fit row reads 2.8%.
+# The cut of a hop of transfer_exponents. Cut on the disk it is read on,
+# the tail's tol governs the truncation, so a coarser cut would show in
+# the exponents: at 1e-3 the worst exponent-fit row reads 2.8%.
 _HOP_TOL = 1e-10
 # Largest move of either exponent under the second Richardson level,
 # relative to the exponent and to its real part; a larger one refuses a
@@ -216,11 +216,11 @@ def singular_scale(ode: fuchsian.RationalCoeffODE) -> float:
     return max((abs(r) for r, _, _ in ode.points), default=0.0)
 
 
-def _hop(ode: fuchsian.RationalCoeffODE, hi: float, ratio: float, tol: float) -> Transfer:
+def _hop(ode: fuchsian.RationalCoeffODE, hi: float, ratio: float) -> Transfer:
     """The hop that both pieces of the ratio are read off: centred at
-    hi/ratio and read up to hi, its series cut on that span."""
+    hi/ratio and read up to hi, its series cut at _HOP_TOL on that span."""
     centre = hi / ratio
-    return integrate(ode, centre, hi, tol, span=hi - centre)
+    return integrate(ode, centre, hi, _HOP_TOL, span=hi - centre)
 
 
 def _richardson(pieces: tuple, ratio: float) -> tuple[complex, complex]:
@@ -237,8 +237,8 @@ def _split(total: complex, square: complex) -> tuple[complex, complex]:
     return (total + root) / 2.0, (total - root) / 2.0
 
 
-def transfer_exponents(ode: fuchsian.RationalCoeffODE, window: tuple[float, float],
-                       tol: float = 1e-10) -> tuple[complex, complex]:
+def transfer_exponents(ode: fuchsian.RationalCoeffODE,
+                       window: tuple[float, float]) -> tuple[complex, complex]:
     """Both exponents at infinity, measured over the top of the window.
 
     In the basis (w, u w') the equation is u Y' = A(u) Y with A(u) tending
@@ -254,14 +254,13 @@ def transfer_exponents(ode: fuchsian.RationalCoeffODE, window: tuple[float, floa
     Jordan block of a double root), where each exponent alone moves like
     u^(-1/2) and the step would leave that term. Both pieces are read off
     one basis hop (``integrate``) centred at hi/r, with span hi - hi/r
-    and tol min(tol, _HOP_TOL): in the model equations every finite
-    singular point is 0 or imaginary, so the radius there is hi/r and
-    every read lies within r - 1 of it, and a tol above _HOP_TOL cuts as
-    _HOP_TOL does. The principal log wraps once the imaginary part turns
-    an eigenvalue by pi, so r is first cut to the largest of r, r^(1/2),
-    r^(1/4), ... at which the turn over [hi/_RATIO_FLOOR, hi], read off
-    the first hop and scaled to r, stays below pi/2, and then further
-    until it does on both pieces. A cut ratio r' takes one more hop,
+    and the cut _HOP_TOL: in the model equations every finite singular
+    point is 0 or imaginary, so the radius there is hi/r and every read
+    lies within r - 1 of it. The principal log wraps once the imaginary
+    part turns an eigenvalue by pi, so r is first cut to the largest of r,
+    r^(1/2), r^(1/4), ... at which the turn over [hi/_RATIO_FLOOR, hi],
+    read off the first hop and scaled to r, stays below pi/2, and then
+    further until it does on both pieces. A cut ratio r' takes one more hop,
     centred at hi/r' with span hi - hi/r'; read off the first hop, the
     cut pieces of ``exponents --g 37.6496 --window 429.789:8801.59 --eta
     0.176428`` miss by 6.8e-7, against 1.1e-8, and ``--g 60`` is refused
@@ -282,14 +281,13 @@ def transfer_exponents(ode: fuchsian.RationalCoeffODE, window: tuple[float, floa
     if not ratio >= _RATIO_FLOOR:
         raise ValueError(f"the window spans less than a factor {_RATIO_FLOOR ** 2:.6g}, "
                          "too narrow to measure the exponents over")
-    tol = min(tol, _HOP_TOL)
     built = ratio
-    march = _hop(ode, hi, ratio, tol)
+    march = _hop(ode, hi, ratio)
     turn = max(abs(rho.imag) for rho in _piece_exponents(march, hi, hi / _RATIO_FLOOR))
     while ratio >= _RATIO_FLOOR:
         if turn * math.log(ratio) < 0.5 * math.pi:
             if ratio != built:
-                march, built = _hop(ode, hi, ratio, tol), ratio
+                march, built = _hop(ode, hi, ratio), ratio
             mid = hi / ratio
             pieces = (_piece_exponents(march, mid, mid / ratio),
                       _piece_exponents(march, hi, mid))

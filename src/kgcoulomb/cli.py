@@ -26,15 +26,12 @@ subcommand's own long flag names (without the leading dashes).
 
 ``exponents`` measures both exponents at infinity from the transfer
 matrix over the top of the window (``asymptotics.transfer_exponents``)
-and prints them next to the indicial exponents. Its --tol cuts the
-Taylor hop that the matrix is read off, and can only tighten it: any
-value above 1e-10 cuts as 1e-10 does.
+and prints them next to the indicial exponents.
 
 Exit codes: 0 on success, 1 on a usage or configuration error (a
 non-finite or out-of-range number among them, e.g. ``--eta`` outside
-(0, 1), a ``--tol`` above 1e-3, too coarse to measure an exponent
-within 1%, an ``exponents --window`` narrower than a factor 1.0201, or
-a ``spectrum`` range of more than 10 000 levels), 2 on a physics-domain error
+(0, 1), an ``exponents --window`` narrower than a factor 1.0201, or a
+``spectrum`` range of more than 10 000 levels), 2 on a physics-domain error
 (supercritical coupling, parameter pole, evaluation outside a solution's
 domain, a result that left the floating-point range, exponents whose
 imaginary part turns too fast to measure or, for a window above the
@@ -74,12 +71,6 @@ _WAVEFUNCTION_POINTS = 200
 # Most levels one spectrum run solves (10 000 levels take under a second)
 _MAX_LEVELS = 10_000
 _HEUN_CHECK_POINTS = 50
-# Largest --tol accepted. The exponents' hop is cut at min(tol, 1e-10), so
-# for exponents any value above 1e-10 cuts as 1e-10 does: over the 2880 rows
-# of the exponent-fit draws of seeds 1-10 the worst is off by 6.9e-6 at
-# every tol up to this one. That rests on those draws, not on a bound; a
-# window above the singular scale is refused past 1% by its estimate.
-_MAX_TOL = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +134,6 @@ _OPTIONS = {
     "model": (str, "model selector"),
     "theta": (float, "dimensionless deformation parameter"),
     "theta-prime": (float, "second deformation parameter"),
-    "tol": (float, "Taylor series tolerance of the exponent hop; values above 1e-10 "
-                   "cut as 1e-10 does"),
     "window": (str, "wavefunction grid or exponent window 'lo:hi'"),
     "format": (str, f"output format: {', '.join(_FORMATS)} (default csv)"),
     "out": (str, "output file (default stdout)"),
@@ -277,9 +266,6 @@ def _merge(args: argparse.Namespace) -> dict:
         raise UsageError(f"--eta must lie strictly between 0 and 1, got {cfg['eta']!r}")
     if cfg["format"] not in _FORMATS:
         raise UsageError(f"unknown format {cfg['format']!r}")
-    if cfg.get("tol") is not None and not 0.0 < cfg["tol"] <= _MAX_TOL:
-        raise UsageError(f"--tol must be positive and at most {_MAX_TOL:g}, "
-                         f"got {cfg['tol']:g}")
     if "Z" in cfg and cfg["Z"] < 1:
         raise UsageError("--Z must be a positive integer")
     return cfg
@@ -403,7 +389,7 @@ def cmd_exponents(cfg: dict) -> tuple[dict, list, list]:
     window = _parse_window(cfg["window"])
     exps = indicial_exponents(ode, INFINITY)
     try:
-        measured = paired(exps, transfer_exponents(ode, window, tol=cfg["tol"]))
+        measured = paired(exps, transfer_exponents(ode, window))
     except ValueError as exc:  # a window too narrow to measure over
         raise UsageError(f"--window {cfg['window']}: {exc}")
     scale = singular_scale(ode)
@@ -531,7 +517,6 @@ def cmd_heun_check(cfg: dict) -> tuple[dict, list, list]:
 
 
 _COUPLING = {"Z": 1, "alpha": FINE_STRUCTURE_ALPHA, "g": None}
-_EXPONENT_FIT = {"tol": 1e-10, "window": "1e2:1e4"}
 
 # Per subcommand: its help line, per model the options that model reads,
 # each with its default (None: no default), and its handler, which returns
@@ -543,12 +528,12 @@ _COMMANDS = {
     "spectrum": ("bound-state energies: closed form vs quantization root",
                  {None: {**_COUPLING, "n": "0..5"}}, cmd_spectrum),
     "exponents": ("decay exponents at large momentum: analytic vs measured", {
-        "ordinary": {**_COUPLING, "eta": 0.5, **_EXPONENT_FIT},
+        "ordinary": {**_COUPLING, "eta": 0.5, "window": "1e2:1e4"},
         "deformed-zero-energy": {**_COUPLING, "theta": None, "theta-prime": 0.0,
-                                 **_EXPONENT_FIT},
+                                 "window": "1e2:1e4"},
         # theta' = 2 theta in this model: theta-prime is taken and not read
         "deformed-first-order": {**_COUPLING, "eta": 0.5, "theta": None, "theta-prime": None,
-                                 **_EXPONENT_FIT},
+                                 "window": "1e2:1e4"},
     }, cmd_exponents),
     "wavefunction": ("sample psi(u) on a logarithmic grid", {
         "ordinary": {**_COUPLING, "eta": None, "n": None, "window": "0.01:100"},

@@ -377,8 +377,9 @@ class TestTransfer:
                 ode, _ = cli._exponent_ode(cfg, cli._coupling(cfg), cfg.get("eta"))
                 lo, hi = cli._parse_window(cfg["window"])
                 ratio = min(math.sqrt(hi / lo), asymptotics._RATIO_CAP)
-                for z0, z1, det in _hop_dets(ode, hi / ratio ** 2, hi, cfg["tol"]):
-                    worst = max(worst, abs(det / _abel(ode, z0, z1) - 1) / cfg["tol"])
+                tol = asymptotics._HOP_TOL
+                for z0, z1, det in _hop_dets(ode, hi / ratio ** 2, hi, tol):
+                    worst = max(worst, abs(det / _abel(ode, z0, z1) - 1) / tol)
                 chains += 1
         assert chains == 432
         assert worst <= 100

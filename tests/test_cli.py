@@ -243,55 +243,39 @@ class TestExponents:
         assert out == ""
         assert err.startswith("kgcoulomb: ")
 
-    @pytest.mark.parametrize("tol", ["0.002", "0.1", "0.5", "10"])
-    def test_tol_too_coarse_for_a_fit_is_usage_error(self, capsys, tol):
-        # at tol 0.1 and above most real pairs came out nan with the
-        # oscillatory flag set, a silently wrong answer
-        code, out, err = _run(capsys, "exponents", "--tol", tol)
-        assert code == 1
-        assert out == ""
-        assert err.startswith("kgcoulomb: usage error: --tol")
+    def test_tol_is_not_an_option_of_exponents(self, capsys, tmp_path):
+        # the exponent hop is cut at one constant, asymptotics._HOP_TOL
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tol = 1e-6\n")
+        for argv in (["--tol", "1e-6"], ["--config", str(cfg)]):
+            code, out, err = _run(capsys, "exponents", *argv)
+            assert (code, out) == (1, ""), argv
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("kgcoulomb: usage error: "), argv
 
-    def test_tol_only_tightens_the_hop(self, capsys):
-        # the hop is cut at min(tol, 1e-10): every accepted tol above 1e-10
-        # prints the default's bytes, and a finer one moves the numbers
-        default = _run(capsys, "exponents", "--g", "20")
-        for tol in ("1e-9", "1e-6", "1e-3"):
-            assert _run(capsys, "exponents", "--g", "20", "--tol", tol) == default
-        finer = _run(capsys, "exponents", "--g", "20", "--tol", "1e-13")
-        assert finer[0] == 0 and finer[1] != default[1]
-
-    def test_coarsest_tol_still_fits(self, capsys):
-        code, out, _ = _run(capsys, "exponents", "--tol", "1e-3")
+    def test_default_fits_a_real_pair(self, capsys):
+        code, out, _ = _run(capsys, "exponents")
         assert code == 0
         for row in _csv_rows(out):
             assert row[5] == "0"
             assert abs(float(row[3]) - float(row[1])) <= 0.01 * abs(float(row[1]))
 
-    def test_coarsest_tol_measures_the_worst_draw_within_one_percent(self, capsys):
-        # the worst draw of exponent-fit seeds 1-10 at --tol 1e-3 over pieces
-        # of ratio 10, where its dominant row missed by 1.06%; one march up
-        # over pieces of ratio 2 missed by 0.52%, one hop per piece 0.017%,
-        # and pieces of ratio 2^(1/4) on one hop 2.3e-6
-        code, out, err = _run(capsys, "exponents", "--model", "deformed-zero-energy",
-                              "--Z", "78", "--theta", "0.171644", "--theta-prime", "0.0164598",
-                              "--window", "40.4637:1328.4", "--tol", "1e-3")
-        assert code == 0, err
-        worst = max(float(row[4]) for row in _csv_rows(out))
-        assert worst <= 0.01
-        assert worst <= 1e-3
-        assert worst <= 1e-5
-
     @pytest.mark.parametrize("argv", [
-        # the worst draw of exponent-fit seeds 1-10 at the default tol:
-        # 2.1e-5 over pieces of ratio 2, 6.9e-6 over pieces of ratio 2^(1/4)
+        # the worst draw of exponent-fit seeds 1-10: 2.1e-5 over pieces of
+        # ratio 2, 6.9e-6 over pieces of ratio 2^(1/4)
         ["--model", "deformed-zero-energy", "--Z", "10", "--theta", "0.0294479",
          "--theta-prime", "0.0160015", "--window", "37.9669:1239.58"],
-        # the worst at --tol 1e-3: 0.15% over pieces of ratio 2, each on its
-        # own hop, and 1.8e-6 over pieces of ratio 2^(1/4) on one hop
+        # the worst with the hop cut at 1e-3: 0.15% over pieces of ratio 2,
+        # each on its own hop, and 1.8e-6 over pieces of ratio 2^(1/4) on one hop
         ["--model", "ordinary", "--Z", "68", "--eta", "0.281127",
-         "--window", "63.0213:12879.4", "--tol", "1e-3"],
-    ], ids=["default-tol", "tol-1e-3"])
+         "--window", "63.0213:12879.4"],
+        # the worst with the hop cut at 1e-3 over pieces of ratio 10, where
+        # its dominant row missed by 1.06%; one march up over pieces of
+        # ratio 2 missed by 0.52%, one hop per piece 0.017%, and pieces of
+        # ratio 2^(1/4) on one hop 2.3e-6
+        ["--model", "deformed-zero-energy", "--Z", "78", "--theta", "0.171644",
+         "--theta-prime", "0.0164598", "--window", "40.4637:1328.4"],
+    ], ids=["default-tol", "ordinary-Z68", "deformed-zero-energy-Z78"])
     def test_worst_draw_measures_within_1e_5(self, capsys, argv):
         code, out, err = _run(capsys, "exponents", *argv)
         assert code == 0, err
@@ -568,7 +552,7 @@ class TestConfigPrecedence:
         assert err.startswith("kgcoulomb: usage error: ") and "'order'" in err
 
     @pytest.mark.parametrize("text, flags", [
-        ("tol = 1e-5\n", ()),            # a key of exponents, not of spectrum
+        ("window = 1:2\n", ()),          # a key of exponents, not of spectrum
         ("g = 0.3\n", ("--Z", "50")),
         ("Z = 50\n", ("--g", "0.3")),
         ("g = 0.3\nalpha = 0.01\n", ()),
@@ -1008,7 +992,7 @@ def test_plain_argv_parses_as_the_parser_does():
     argvs = [list(cmd.argv) for name in workloads.WORKLOADS for seed in (1, 2)
              for cmd in workloads.commands(name, seed, 15)]
     argvs += [["spectrum", "--Z", "10", "--n", "0"], ["spectrum"],
-              ["exponents", "--window", ""], ["exponents", "--config", "a.cfg", "--tol", "1e-6"],
+              ["exponents", "--window", ""], ["exponents", "--config", "a.cfg", "--eta", "0.3"],
               ["wavefunction", "--model", "deformed-zero-energy", "--theta-prime", "0.02"]]
     for argv in argvs:
         plain = cli._plain_args(argv)
@@ -1090,9 +1074,10 @@ def _argv(rng):
     keys = rng.sample(taken, rng.randint(0, 5))
     if rng.randrange(10) == 9:
         # now and then an option the command does not take, or the removed
-        # --order, so that their usage error stays covered
+        # --order and --tol, so that their usage error stays covered
         keys.append(rng.choice(
-            [key for key in cli._OPTIONS if key not in taken and key != "out"] + ["order"]))
+            [key for key in cli._OPTIONS if key not in taken and key != "out"]
+            + ["order", "tol"]))
     argv = [command]
     for key in keys:
         if key in _VALUES:
@@ -1179,7 +1164,6 @@ _EXTREME = {
     "n": ["0", "0..3", "47", "200"],
     "theta": ["1e-300", "1e-150", "1e-8", "0.05", "0.5", "1", "1e150", "1e300"],
     "theta-prime": ["0", "1e-300", "1e-8", "0.05", "1e150"],
-    "tol": ["1e-300", "1e-16", "1e-10", "1e-3"],
     "window": ["1e-300:1e-299", "1e-3:1e-2", "0.01:100", "1.5:100", "1e2:1e4",
                "1e100:1e200", "1e300:1e308", "1:1e308"],
 }
@@ -1296,28 +1280,19 @@ def test_fast_turning_pair_read_near_hop_centres(capsys):
     assert max(float(row[4]) for row in _csv_rows(out)) <= 1e-6
 
 
-@pytest.mark.parametrize("argv", [("--g", "20", "--tol", "1e-3"),
-                                  ("--g", "30", "--tol", "1e-3"),
-                                  ("--g", "40", "--tol", "1e-4"),
-                                  ("--g", "40", "--tol", "1e-3", "--window", "10:1e3")],
-                         ids=" ".join)
-def test_fast_turning_pair_at_a_coarse_tol(capsys, argv):
-    # read across the hand-overs of one march up over [hi/4, hi], these
-    # rows missed by 0.092, 0.070, 0.94 and 0.030 and still exited 0
-    code, out, err = _run(capsys, "exponents", *argv)
-    assert code == 0, err
-    assert max(float(row[4]) for row in _csv_rows(out)) <= 1e-6
-
-
 @pytest.mark.parametrize("argv, bound", [
     (("--g", "40"), 1e-8), (("--g", "50"), 1e-8), (("--g", "60"), 1e-8), (("--g", "100"), 1e-8),
     (("--g", "31.5022", "--window", "14.2968:17.4251", "--eta", "0.4571"), 0.01),
     (("--g", "37.6496", "--window", "429.789:8801.59", "--eta", "0.176428"), 1e-7),
+    (("--g", "20"), 1e-6), (("--g", "40", "--window", "10:1e3"), 1e-6),
 ], ids=lambda arg: " ".join(arg) if isinstance(arg, tuple) else None)
 def test_fast_turning_pair_answers_at_the_default_tol(capsys, argv, bound):
-    # the hop's settle check judged its whole trusted half disk, and these
-    # exited 2 ("do not settle in 64 terms"); judged on the disk the pieces
-    # are read on, each answers, the last on a ratio cut within its estimate
+    # the hop's settle check judged its whole trusted half disk, and the
+    # first six exited 2 ("do not settle in 64 terms"); judged on the disk
+    # the pieces are read on, each answers, the sixth on a ratio cut within
+    # its estimate. Read across the hand-overs of one march up over
+    # [hi/4, hi] with the hop cut at 1e-3, the last two missed by 0.092
+    # and 0.030 and still exited 0
     code, out, err = _run(capsys, "exponents", *argv)
     assert code == 0, err
     assert max(float(row[4]) for row in _csv_rows(out)) <= bound

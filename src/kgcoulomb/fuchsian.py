@@ -83,6 +83,7 @@ _EPS = 2.0 ** -52
 _TINY = 2.0 ** -1022  # the smallest normal double
 _TAIL_TOL = 1e-16  # a Taylor hop's tail is cut at double precision by default
 _READ_TOL = 1e-20  # a series cut on the disk it is read on sums as the uncut one
+_MAX_ORDER = 64  # order cap of every series: Frobenius, Taylor hop or basis hop
 
 
 class _InfinityType:
@@ -545,10 +546,11 @@ def _recurrence(p2, p1, p0, kappa: int, rho: complex, order: int,
     off_diagonal = list(zip(range(1, band), a[1:], b[1:], d[1:]))
     coeffs: list[complex] = list(seeds)
     # scatter form: each new c_k adds c_k L(k + j, k) to the pending sum of
-    # c_(k+j), for k + j <= order, so every sum still runs over ascending k
-    pending = [0j] * (order + 1)
+    # c_(k+j), so every sum still runs over ascending k; the sums past
+    # ``order`` are never read
+    pending = [0j] * (order + band)
     two = second is not None
-    other, waiting = (list(second), [0j] * (order + 1)) if two else ([], [])
+    other, waiting = (list(second), [0j] * (order + band)) if two else ([], [])
     if tol is not None:
         largest = max(abs(c) * disk ** k for k, c in enumerate(coeffs))
         largest2 = max((abs(c) * disk ** k for k, c in enumerate(other)), default=0.0)
@@ -577,30 +579,22 @@ def _recurrence(p2, p1, p0, kappa: int, rho: complex, order: int,
                 if quiet >= 2 and quiet2 >= 2:
                     break
                 weight *= disk
-        c = coeffs[m]
-        if not two or other[m] == 0j:
-            if c != 0j:
-                s1 = s - 1.0
-                rows = off_diagonal if m + band <= order + 1 else off_diagonal[:order - m]
-                for j, aj, bj, dj in rows:
-                    term = aj * s * s1 + bj * s + dj
-                    if term != 0j:
-                        pending[m + j] += c * term
-        else:  # the second column, with the first where its coefficient is not zero
+        c, c2 = coeffs[m], other[m] if two else 0j
+        nonzero, nonzero2 = c != 0j, c2 != 0j  # a zero adds nothing: each column keeps its bits
+        if nonzero or nonzero2:
             s1 = s - 1.0
-            rows = off_diagonal if m + band <= order + 1 else off_diagonal[:order - m]
-            c2, both = other[m], c != 0j
-            for j, aj, bj, dj in rows:
+            for j, aj, bj, dj in off_diagonal:
                 term = aj * s * s1 + bj * s + dj
                 if term != 0j:
-                    if both:
+                    if nonzero:
                         pending[m + j] += c * term
-                    waiting[m + j] += c2 * term
+                    if nonzero2:
+                        waiting[m + j] += c2 * term
     return (coeffs, other) if two else coeffs
 
 
 def frobenius_series(ode: RationalCoeffODE, point: complex | _InfinityType, exponent: complex,
-                     order: int = 64, read: float | None = None) -> FrobeniusSolution:
+                     order: int = _MAX_ORDER, read: float | None = None) -> FrobeniusSolution:
     """Frobenius series at a regular singular point for the given exponent.
 
     The exponent is replaced by the nearer root of the indicial pair,
@@ -704,7 +698,7 @@ def _taylor_triple(ode: RationalCoeffODE, center: complex):
 
 
 def taylor_series(ode: RationalCoeffODE, center: complex, value: complex,
-                  derivative: complex, order: int = 64) -> FrobeniusSolution:
+                  derivative: complex, order: int = _MAX_ORDER) -> FrobeniusSolution:
     """Power series at an ordinary point with given w(center), w'(center).
 
     The radius is the distance to the nearest finite singular point, so
@@ -722,7 +716,7 @@ def taylor_series(ode: RationalCoeffODE, center: complex, value: complex,
     return FrobeniusSolution(center, 0j, tuple(coeffs), radius, radius)
 
 
-def taylor_basis(ode: RationalCoeffODE, center: complex, order: int = 64,
+def taylor_basis(ode: RationalCoeffODE, center: complex, order: int = _MAX_ORDER,
                  tol: float = _TAIL_TOL,
                  disk: float = 0.5) -> tuple[FrobeniusSolution, FrobeniusSolution]:
     """The two power series at an ordinary point with (w, radius w') equal

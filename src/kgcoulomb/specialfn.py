@@ -46,7 +46,6 @@ __all__ = [
 
 _MAX_TERMS = 10_000
 _TOL = 1e-15  # the direct series stops after two terms below this, relative
-_ORDER = 64  # the largest order of a Taylor hop of the hypergeometric equation
 
 
 def _near_nonpositive_int(x: complex) -> int | None:
@@ -140,7 +139,8 @@ def hyp2f1(a: complex, b: complex, c: complex,
         terms = [1 + 0j]
         _series_2f1(a, b, c, 0.5, terms=terms)
         series = fuchsian.FrobeniusSolution(0j, 0j, tuple(terms), 1.0, 0.5)
-        values.update(_sweep(hypergeometric_ode(a, b, c), series, points, far, _ORDER))
+        values.update(_sweep(hypergeometric_ode(a, b, c), series, points, far,
+                             fuchsian._MAX_ORDER))
     return values[0] if scalar else [values[i] for i in range(len(points))]
 
 
@@ -260,7 +260,7 @@ def _sweep(ode: fuchsian.RationalCoeffODE, series: fuchsian.FrobeniusSolution,
 
 
 def heun_local(params: HeunParams, xi: complex | Sequence[complex],
-               order: int = 64) -> complex | list[complex]:
+               order: int = fuchsian._MAX_ORDER) -> complex | list[complex]:
     """The local Heun solution analytic at xi = 0 with H(0) = 1.
 
     ``xi`` is a point (the result is a complex) or a 1-D sequence of

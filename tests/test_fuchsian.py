@@ -951,26 +951,29 @@ class TestReducedSums:
 class TestTaylorBasis:
     @pytest.mark.parametrize("index", range(4))
     @pytest.mark.parametrize("tol", [1e-10, 1e-16])
-    def test_first_column_has_the_bits_of_one_column(self, index, tol):
-        # the shared pass runs until both tails have settled; up to where the
-        # first column stops alone, it is the same sums in the same order.
-        # The column alone is the recurrence's one-column pass on the same
-        # triple, which taylor_series runs at the default tol
+    def test_each_column_has_the_bits_of_one_column(self, index, tol):
+        # the shared pass runs until both tails have settled; up to where a
+        # column stops alone, it is the same sums in the same order. A
+        # column alone is the recurrence's one-column pass on the same
+        # triple, which taylor_series runs at the default tol for the
+        # first; the second starts from a zero first coefficient, so its
+        # first scatter step is the second column's alone
         ode = _model_odes()[index]
         for center in (3.0, 40.0, 2.5e3):
-            first, second = fuchsian.taylor_basis(ode, center, 64, tol)
+            pair = fuchsian.taylor_basis(ode, center, 64, tol)
             (p2, p1, p0), radius = fuchsian._taylor_triple(ode, center)
-            alone = fuchsian._recurrence(p2, p1, p0, 0, 0j, 64, [1 + 0j, 0j], tol)
-            if tol == fuchsian._TAIL_TOL:
-                hop = taylor_series(ode, center, 1.0, 0.0, 64)
-                assert list(map(_bits, hop.coefficients)) == list(map(_bits, alone))
-                assert (hop.radius, hop.scale) == (radius, radius)
-            n = len(alone)
-            assert len(first.coefficients) >= n
-            assert [_bits(c) for c in first.coefficients[:n]] == [_bits(c) for c in alone]
-            assert (first.radius, first.scale) == (radius, radius)
-            assert second.coefficients[:2] == (0j, 1 + 0j)
-            assert len(second.coefficients) == len(first.coefficients)
+            for series, seeds in zip(pair, ([1 + 0j, 0j], [0j, 1 + 0j])):
+                alone = fuchsian._recurrence(p2, p1, p0, 0, 0j, 64, seeds, tol)
+                if tol == fuchsian._TAIL_TOL and seeds[0]:
+                    hop = taylor_series(ode, center, 1.0, 0.0, 64)
+                    assert list(map(_bits, hop.coefficients)) == list(map(_bits, alone))
+                    assert (hop.radius, hop.scale) == (radius, radius)
+                n = len(alone)
+                assert len(series.coefficients) >= n
+                assert [_bits(c) for c in series.coefficients[:n]] == [_bits(c) for c in alone]
+                assert (series.radius, series.scale) == (radius, radius)
+            assert pair[1].coefficients[:2] == (0j, 1 + 0j)
+            assert len(pair[1].coefficients) == len(pair[0].coefficients)
 
     @pytest.mark.parametrize("index", range(4))
     def test_tail_is_cut_on_the_disk_it_is_read(self, index):

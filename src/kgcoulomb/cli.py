@@ -41,11 +41,11 @@ singular scale, whose error estimate passes 1%). Warnings go to stderr as one
 
 from __future__ import annotations
 
-import argparse
 import functools
 import math
 import sys
 import warnings
+from types import SimpleNamespace
 
 from .asymptotics import paired, singular_scale, transfer_exponents
 from .errors import (
@@ -174,22 +174,18 @@ def _read_config(path: str, command: str) -> dict:
     return values
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse variant that reports usage problems via UsageError.
-
-    The stock parser calls sys.exit(2) on bad flags; this package
-    reserves exit code 2 for physics-domain failures, so usage
-    problems must come back as exceptions and exit with code 1.
-    """
-
-    def error(self, message):
-        raise UsageError(message)
-
-
 @functools.cache
-def _build_parser() -> _Parser:
+def _build_parser():
     """The argument parser, built once per process (parse_args leaves no
-    state on it)."""
+    state on it). It raises UsageError (exit 1) where the stock parser exits
+    2, the code this package keeps for physics-domain failures. argparse is
+    imported here: a plain argv (``_plain_args``) never needs it."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise UsageError(message)
+
     parser = _Parser(prog="kgcoulomb",
                      description="Momentum-space Coulomb problem: spectra, exponents, "
                                  "wavefunctions, and special-function parameter blocks.")
@@ -207,7 +203,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _plain_args(argv) -> argparse.Namespace | None:
+def _plain_args(argv) -> SimpleNamespace | None:
     """The namespace ``parse_args`` gives for the plain form ``COMMAND
     --key value ...``: each key a full option name of the command, given
     once, and each value one that converts and does not start with '-'.
@@ -227,11 +223,11 @@ def _plain_args(argv) -> argparse.Namespace | None:
         except ValueError:
             return None
         seen.add(key)
-    return argparse.Namespace(command=argv[0],
-                              **{key.replace("-", "_"): value for key, value in given.items()})
+    return SimpleNamespace(command=argv[0],
+                           **{key.replace("-", "_"): value for key, value in given.items()})
 
 
-def _merge(args: argparse.Namespace) -> dict:
+def _merge(args) -> dict:
     """Apply precedence: flags > config file > per-command defaults."""
     if args.command is None:
         raise UsageError(f"a subcommand is required ({', '.join(_COMMANDS)})")
@@ -316,17 +312,24 @@ def _fmt(command: str, name: str, value) -> str:
 
 def _render(command: str, meta: dict, columns: list, rows: list, fmt: str) -> str:
     """The table in fmt. Every cell, meta first, is formatted and checked
-    in one walk, a row of floats by one %.17g format unless its text holds
-    an n (inf or nan: _fmt refuses it); json dumps the raw cells after."""
+    in one walk: a table of floats alone by one %.17g format, else a row of
+    floats by one; text holding an n (inf or nan) falls back to the finer
+    walk, down to _fmt per cell, which refuses it. json dumps the raw cells."""
     sep = "," if fmt == "csv" else " "
     floats = sep.join(["%.17g"] * len(columns))
     lines = [f"# kgcoulomb {command}",
              *[f"# {key} = {_fmt(command, key, val)}" for key, val in meta.items()],
              "# conventions: u = p / (m c) dimensionless, eta = E / (m c^2)",
-             "# columns: " + sep.join(columns),
-             *[text if all(type(x) is float for x in row) and "n" not in (text := floats % (*row,))
-               else sep.join([_fmt(command, name, cell) for name, cell in zip(columns, row)])
-               for row in rows]]
+             "# columns: " + sep.join(columns)]
+    cells = [cell for row in rows for cell in row]
+    if set(map(type, cells)) == {float} and "n" not in (
+            text := "\n".join([floats] * len(rows)) % (*cells,)):
+        lines.append(text)
+    else:
+        lines += [text if all(type(x) is float for x in row)
+                  and "n" not in (text := floats % (*row,))
+                  else sep.join([_fmt(command, name, cell) for name, cell in zip(columns, row)])
+                  for row in rows]
     if fmt != "json":
         return "\n".join(lines) + "\n"
     import json  # loaded only for the one format that needs it
@@ -443,7 +446,7 @@ def cmd_wavefunction(cfg: dict) -> tuple[dict, list, list]:
                 "theta_prime": dp.theta_prime, "xi0": hp.xi0}
 
         def sample(us: list[float]) -> list[complex]:
-            xis = [vmap.forward(u) for u in us]
+            xis = vmap.forward(us)
             heun = heun_local(hp, xis)
             return [(1.0 - xi) * h for xi, h in zip(xis, heun)]
 
@@ -566,6 +569,7 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv  # a process's own argv: plain path too
     with warnings.catch_warnings():
         # setting a filter re-arms "default" warnings for every run
         warnings.simplefilter("default", KGCoulombWarning)

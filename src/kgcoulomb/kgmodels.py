@@ -59,8 +59,17 @@ class VariableMap:
         self.num, self.den = num, den
 
     def forward(self, u):
-        """x(u) by Horner's rule in u's own type: a real u gives a float."""
-        return _horner(self.num, u) / _horner(self.den, u)
+        """x(u) by Horner's rule in u's own type: a real u gives a float, and a
+        list of points the list of their x, each with the bits it has alone."""
+        if not isinstance(u, list):
+            return _horner(self.num, u) / _horner(self.den, u)
+
+        def horner(p):  # _horner's operations, in its order, on every point at once
+            acc = [p[-1]] * len(u)
+            for c in p[-2::-1]:
+                acc = [a * x + c for a, x in zip(acc, u)]
+            return acc
+        return [a / b for a, b in zip(horner(self.num), horner(self.den))]
 
 
 # ---------------------------------------------------------------------------

@@ -205,8 +205,8 @@ def _check_target(sings: list[complex], target: complex) -> None:
 
 
 def _sweep(ode: fuchsian.RationalCoeffODE, series: fuchsian.FrobeniusSolution,
-           targets: list[complex], visit: Sequence[int], order: int):
-    """(i, value) for each index i of ``visit``: the solution at targets[i]
+           targets: list[complex], visit: Sequence[int], order: int) -> dict:
+    """{i: value} for each index i of ``visit``: the solution at targets[i]
     (``fuchsian.evaluate``), read off the first disk, from the current one
     on, of one chain of Taylor hops from ``series`` (the series at 0,
     analytic there) that holds it (``fuchsian.reach``, ``order`` terms);
@@ -214,33 +214,48 @@ def _sweep(ode: fuchsian.RationalCoeffODE, series: fuchsian.FrobeniusSolution,
 
     The points are visited in one order: those on the real ray [0, inf)
     first, ascending, then the others by ascending modulus, ties in the
-    order given. Each point is reached from the disk that held the last.
-    A new chain starts from 0 when the next point z lies in the other
-    open half-plane from the current centre c, or lies outside that disk
-    and no farther out than c along c's direction (Re(z conj c) < |c|^2).
-    A path toward z off the real axis that would pass a singular point s
-    at less than half the distance of either end goes round it through
-    s + i |z - s| on z's side, since an error made near s can grow by
-    orders of magnitude on the way out. So every path stays in one
-    closed half-plane, moving away from 0 and clear of the singular
-    points, and a solution cut along the real axis keeps its principal
-    branch. On a real ray every hop heads exactly +1 or -1, so points
-    visited outward along it get the values each would get alone. A
-    point's error carries i as its ``index``.
+    order given. The leading run of that order inside the half disk of
+    ``series`` is read in one pass, one cut per binade and one sum per
+    point: no restart or hop can happen there, and a singular point s is
+    at least |s|/2 away and farther out than z, so the target check runs
+    only where that is within its 1e-9. Each later point is reached from
+    the disk that held the last. A new chain starts from 0 when the next
+    point z lies in the other open half-plane from the current centre c,
+    or lies outside that disk and no farther out than c along c's
+    direction (Re(z conj c) < |c|^2). A path toward z off the real axis
+    that would pass a singular point s at less than half the distance of
+    either end goes round it through s + i |z - s| on z's side, since an
+    error made near s can grow by orders of magnitude on the way out. So
+    every path stays in one closed half-plane, moving away from 0 and
+    clear of the singular points, and a solution cut along the real axis
+    keeps its principal branch. On a real ray every hop heads exactly +1
+    or -1, so points visited outward along it get the values each would
+    get alone. A point's error carries i as its ``index``.
     """
-    visit = sorted(visit, key=lambda i: (0, targets[i].real)
-                   if targets[i].imag == 0 and targets[i].real >= 0 else (1, abs(targets[i])))
+    keys = [(0, z.real) if z.imag == 0 and z.real >= 0 else (1, abs(z)) for z in targets]
+    visit = sorted(visit, key=keys.__getitem__)
     # every finite singular point but 0, where the series is analytic
     sings = [s.location for s in fuchsian.singular_points(ode)
              if s.location is not fuchsian.INFINITY and s.location != 0]
-    chain, k, cuts = [series], 0, {}
-    for i in visit:
-        z, disk = targets[i], chain[k]
-        c = complex(disk.expansion_point)
-        if c.imag * z.imag < 0 or (abs(z - c) > 0.5 * disk.radius
-                                   and (z * c.conjugate()).real < abs(c) ** 2):
-            chain, k, c = [series], 0, 0j
-        try:
+    values, cuts, half, binade = {}, {}, 0.5 * series.radius, None
+    try:
+        for i in visit:  # the first half disk
+            z = targets[i]
+            if not (r := abs(z)) <= half:  # nan as well, which reach refuses
+                break
+            if half < 1e-9:
+                _check_target(sings, z)
+            if (e := math.frexp(r)[1]) != binade:
+                binade = e
+                disk = cuts[e] = cuts.get(e) or fuchsian._truncate(series, math.ldexp(1.0, e))
+            values[i] = fuchsian.evaluate(disk, z)
+        chain, k = [series], 0
+        for i in visit[len(values):]:
+            z, disk = targets[i], chain[k]
+            c = complex(disk.expansion_point)
+            if c.imag * z.imag < 0 or (abs(z - c) > 0.5 * disk.radius
+                                       and (z * c.conjugate()).real < abs(c) ** 2):
+                chain, k, c = [series], 0, 0j
             _check_target(sings, z)
             if not abs(z - c) <= 0.5 * chain[k].radius:  # nan as well, which reach refuses
                 for s in sings if z.imag else ():
@@ -253,10 +268,11 @@ def _sweep(ode: fuchsian.RationalCoeffODE, series: fuchsian.FrobeniusSolution,
             if not k:  # the series at 0, cut to the top of the binade of |z|
                 e = math.frexp(abs(z))[1]
                 disk = cuts[e] = cuts.get(e) or fuchsian._truncate(series, math.ldexp(1.0, e))
-            yield i, fuchsian.evaluate(disk, z)
-        except KGCoulombError as exc:
-            exc.index = i
-            raise
+            values[i] = fuchsian.evaluate(disk, z)
+    except KGCoulombError as exc:
+        exc.index = i
+        raise
+    return values
 
 
 def heun_local(params: HeunParams, xi: complex | Sequence[complex],
@@ -272,15 +288,16 @@ def heun_local(params: HeunParams, xi: complex | Sequence[complex],
     (``fuchsian.evaluate``). The series at 0 is cut on the top of the
     binade of the largest |xi|, the half disk at most, and a point read
     off it sums its prefix cut on the top of its own binade, as one call
-    per point would; the sweep visits the real ray xi >= 0 first,
-    ascending, so its points share one chain and get those values too.
+    per point would, the points of the first half disk in one pass; the
+    sweep visits the real ray xi >= 0 first, ascending, so its points
+    share one chain and get those values too.
     """
     scalar = isinstance(xi, numbers.Number)
     targets = [complex(xi)] if scalar else [complex(x) for x in xi]
     ode = heun_ode(params)
     top = math.ldexp(1.0, math.frexp(max(map(abs, targets), default=0.0))[1])
     series = fuchsian.frobenius_series(ode, 0j, 0j, order=order, read=top)
-    values = dict(_sweep(ode, series, targets, range(len(targets)), order))
+    values = _sweep(ode, series, targets, range(len(targets)), order)
     return values[0] if scalar else [values[i] for i in range(len(targets))]
 
 

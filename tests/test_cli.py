@@ -755,6 +755,8 @@ _FLOAT_ROWS = [[0.1, -0.0, 0.0, 1e17], [5e-324, -1.5e-310, 1.7976931348623157e30
                [123456789.12345679, -1e-5, 0.050000000000000003, 1e22]]
 # ints from 1e17 up and 2^53 + 1, which %.17g would round; a bool, None and a str
 _MIXED_ROWS = [[10 ** 17, 1.0, -0.0, 2.5], [2 ** 53 + 1, True, None, "x"], [0.5, 3, -0.0, "nan"]]
+# a table of finite floats alone, long like a wavefunction's
+_LONG_ROWS = [[k / 7.0, -1.0 / (k + 1), 2.0 ** (k - 100), 1e300 * k] for k in range(200)]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "gnuplot-dat"])
@@ -770,6 +772,18 @@ def test_float_rows_render_as_the_cell_walk_does(monkeypatch, fmt):
     monkeypatch.setattr(cli, "_fmt", lambda *args: calls.append(args[1]) or fmt_cell(*args))
     cli._render("params", meta, columns, _FLOAT_ROWS + _MIXED_ROWS, fmt)
     assert calls == [*meta, *columns * len(_MIXED_ROWS)]
+    # a long table of floats alone takes one format for all its rows
+    rng = random.Random(7)
+    rows = [[rng.choice([rng.uniform(-1.0, 1.0), 10.0 ** rng.randint(-320, 308), -0.0, 0.1])
+             for _ in columns] for _ in range(200)] + _FLOAT_ROWS
+    want = _render_cell_by_cell("params", meta, columns, rows, fmt)
+    calls.clear()
+    assert cli._render("params", meta, columns, rows, fmt) == want
+    assert calls == [*meta]
+    # one row of another type sends the table row by row: only that row walks its cells
+    calls.clear()
+    cli._render("params", meta, columns, rows + _MIXED_ROWS[1:2], fmt)
+    assert calls == [*meta, *columns]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "gnuplot-dat"])
@@ -779,7 +793,11 @@ def test_float_rows_render_as_the_cell_walk_does(monkeypatch, fmt):
     ({"g": 0.2}, _FLOAT_ROWS + [[1.0, 2.0, math.inf, math.nan]], "c = inf"),
     ({"g": 0.2}, [[1.0, -math.inf, 3.0, 4.0], [math.nan, 1.0, 1.0, 1.0]], "b = -inf"),
     ({"g": 0.2}, [[0.5, 1.0, 2.0, math.nan]], "d = nan"),
-], ids=["meta-nan", "meta-first", "row-inf-before-nan", "row-neg-inf", "row-nan"])
+    ({"g": 0.2}, _LONG_ROWS[:150] + [[1.0, 2.0, 3.0, -math.inf]] + _LONG_ROWS[150:]
+     + [[math.nan] * 4], "d = -inf"),
+    ({"g": 0.2}, _LONG_ROWS + [[0.5, 1.0, math.nan, math.inf]], "c = nan"),
+], ids=["meta-nan", "meta-first", "row-inf-before-nan", "row-neg-inf", "row-nan",
+        "deep-in-long-table", "last-row-of-long-table"])
 def test_non_finite_float_row_is_refused_at_its_first_bad_cell(fmt, meta, rows, bad):
     with pytest.raises(cli.OutOfDomainError) as info:
         cli._render("params", meta, ["a", "b", "c", "d"], rows, fmt)
@@ -970,6 +988,21 @@ def test_parser_built_once_keeps_no_state(capsys):
     code, out, _ = _run(capsys, "spectrum")
     assert code == 0 and "# Z = 1\n" in out
     assert len(_csv_rows(out)) == 6
+
+
+def test_process_argv_takes_the_plain_path_without_argparse(capsys):
+    # a fresh `python -m kgcoulomb.cli` calls main() with no argument: its
+    # own plain argv skips the parser, so argparse (and the locale module its
+    # gettext loads) is never imported, and it prints what main(argv) prints
+    argv = ["spectrum", "--Z", "3", "--n", "0..2"]
+    code = ("import sys\n"
+            f"sys.argv = ['kgcoulomb', *{argv!r}]\n"
+            "from kgcoulomb import cli\n"
+            "assert cli.main() == 0\n"
+            "assert 'argparse' not in sys.modules, 'argparse'\n"
+            "assert cli._build_parser.cache_info().misses == 0\n")
+    proc = _fresh_python("-c", code)
+    assert (0, proc.stdout, "") == _run(capsys, *argv)
 
 
 @pytest.mark.parametrize("argv", [

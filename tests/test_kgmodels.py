@@ -262,6 +262,22 @@ class TestToHeun:
         assert transported == pytest.approx(at_one, abs=1e-12)
 
 
+def test_variable_map_over_a_list_has_each_point_s_bits():
+    # a list is mapped in one pass per coefficient, with the operations
+    # Horner's rule takes on each point alone
+    rng = random.Random(3)
+    maps = [to_heun(0.3, DeformationParams(0.05, 0.02))[1],
+            to_heun(0.7, DeformationParams(0.2, 0.01))[1],
+            to_generalized_heun(CoulombSystem(0.3, 0.5), 0.04)[1]]
+    us = [10.0 ** rng.uniform(-3.0, 3.0) for _ in range(50)] + [0.0, -0.0, 1.0, 1e300]
+    for vmap in maps:
+        for points in (us, [complex(u, rng.uniform(-1.0, 1.0)) for u in us], []):
+            got = vmap.forward(points)
+            want = [vmap.forward(u) for u in points]
+            assert [repr(complex(x)) for x in got] == [repr(complex(x)) for x in want]
+            assert [type(x) for x in got] == [type(x) for x in want]
+
+
 class TestToGeneralizedHeun:
     _SYSTEM = CoulombSystem(g=30 * FINE_STRUCTURE_ALPHA, eta=0.8)
 

@@ -15,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import closed_form
-from kgcoulomb import fuchsian
-from kgcoulomb.errors import (ConvergenceError, OutOfDomainError, ParameterPoleError,
-                              ResonantExponentsError)
+import sweep_oracle
+from kgcoulomb import fuchsian, specialfn
+from kgcoulomb.errors import (ConvergenceError, KGCoulombError, OutOfDomainError,
+                              ParameterPoleError, ResonantExponentsError)
 from kgcoulomb.kgmodels import to_heun
 from kgcoulomb.physcore import FINE_STRUCTURE_ALPHA, CoulombSystem, DeformationParams
 from kgcoulomb.spectra import energy_closed_form
@@ -376,6 +377,92 @@ class TestHeunLocal:
     @staticmethod
     def _generic():
         return HeunParams(xi0=-0.35, q=0.2, a=0.9, b=1.7, c=1.4, d=1.1, e=1.1)
+
+
+class TestSweepAgainstPerPointLoop:
+    """``_sweep`` against the per-point loop of ``sweep_oracle``: the same
+    values bit for bit, or the same error type, message and index."""
+
+    @staticmethod
+    def _both(hp, targets):
+        targets = [complex(x) for x in targets]
+        ode = heun_ode(hp)
+        top = math.ldexp(1.0, math.frexp(max(map(abs, targets), default=0.0))[1])
+        series = fuchsian.frobenius_series(ode, 0j, 0j, read=top)
+        visit = range(len(targets))
+        out = []
+        for run in (lambda: specialfn._sweep(ode, series, targets, visit, fuchsian._MAX_ORDER),
+                    lambda: dict(sweep_oracle.sweep(ode, series, targets, visit,
+                                                    fuchsian._MAX_ORDER))):
+            try:
+                out.append({i: _bits(v) for i, v in run().items()})
+            except KGCoulombError as exc:
+                out.append((type(exc), str(exc), exc.index))
+        return out
+
+    def _agree(self, hp, targets):
+        new, old = self._both(hp, targets)
+        assert new == old
+        return new
+
+    @staticmethod
+    def _blocks():
+        return [TestHeunLocal._generic(), to_heun(0.3, DeformationParams(0.05, 0.02))[0],
+                to_heun(0.7, DeformationParams(0.2, 0.01))[0]]
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("arrange", ["ascending", "descending", "shuffled"])
+    def test_real_grids(self, seed, arrange):
+        rng = random.Random(seed)
+        for hp in self._blocks():
+            half = 0.5 * min(abs(hp.xi0), 1.0)
+            grid = [half * 10 ** -rng.uniform(0.0, 6.0) for _ in range(25)]
+            grid += [half + (0.95 - half) * rng.random() for _ in range(rng.randrange(0, 6))]
+            grid += [0.0] * (seed % 2) + grid[:3]  # the origin and repeated points
+            grid.sort(reverse=arrange == "descending")
+            if arrange == "shuffled":
+                rng.shuffle(grid)
+            assert len(self._agree(hp, grid)) == len(grid)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_complex_points_back_in_the_first_disk(self, seed):
+        # the real ray hops past the first disk first, then the complex
+        # points restart from 0, some read off the series at 0 again
+        rng = random.Random(100 + seed)
+        for hp in self._blocks():
+            half = 0.5 * min(abs(hp.xi0), 1.0)
+            reals = [half * rng.uniform(0.01, 1.0) for _ in range(8)] + [0.9, 0.6]
+            near = [half * rng.uniform(0.001, 1.0) * complex(math.cos(a), math.sin(a))
+                    for a in (rng.uniform(-math.pi, math.pi) for _ in range(8))]
+            far = [rng.uniform(0.2, 0.8) * complex(math.cos(a), math.sin(a))
+                   for a in (rng.uniform(0.3, 2.8) * rng.choice((-1, 1)) for _ in range(3))]
+            grid = reals + near + far
+            rng.shuffle(grid)
+            values = self._agree(hp, grid)
+            assert isinstance(values, dict) and len(values) == len(grid)
+
+    @pytest.mark.parametrize("bad, message", [
+        (-0.35, "sits on a singular point"), (1.0, "sits on a singular point"),
+        (1.5, "lies on the branch cut from"), (math.nan, "coefficients overflow at (nan+nanj)"),
+        (complex(0.1, math.nan), "coefficients overflow at (nan+nanj)")])
+    def test_refused_points_keep_their_error_and_index(self, bad, message):
+        hp = TestHeunLocal._generic()
+        for grid in ([bad], [0.01, 0.02, bad, 0.1, 0.003], [0.6, bad, 0.01 + 0.01j, 0.9]):
+            kind, text, index = self._agree(hp, grid)
+            assert kind is OutOfDomainError and message in text
+            assert index == next(i for i, x in enumerate(grid) if x is bad)
+
+    def test_tiny_xi0_keeps_the_target_check(self):
+        # half the first radius is below the check's 1e-9, so a target
+        # inside it may still sit on xi0
+        hp = HeunParams(xi0=1e-10, q=0.2, a=0.9, b=1.7, c=1.4, d=1.1, e=1.1)
+        for grid in ([1e-11], [0.3, 1e-11]):
+            kind, message, index = self._agree(hp, grid)
+            assert kind is OutOfDomainError and index == len(grid) - 1
+            assert message == "target (1e-11+0j) sits on a singular point"
+        with pytest.raises(OutOfDomainError) as info:
+            heun_local(hp, [0.3, 1e-11])
+        assert info.value.index == 1
 
 
 class TestPsiOrdinary:

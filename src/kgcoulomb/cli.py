@@ -311,32 +311,32 @@ def _fmt(command: str, name: str, value) -> str:
 
 
 def _render(command: str, meta: dict, columns: list, rows: list, fmt: str) -> str:
-    """The table in fmt. Every cell, meta first, is formatted and checked
-    in one walk: a table of floats alone by one %.17g format, else a row of
-    floats by one; text holding an n (inf or nan) falls back to the finer
-    walk, down to _fmt per cell, which refuses it. json dumps the raw cells."""
+    """The table in fmt, meta checked and formatted by _fmt first. json
+    dumps the raw cells; text puts a table of floats alone through one
+    %.17g format. Any other table, text holding an n (inf or nan) or a
+    refused dump walks its cells through _fmt, which refuses the first bad one."""
     sep = "," if fmt == "csv" else " "
-    floats = sep.join(["%.17g"] * len(columns))
     lines = [f"# kgcoulomb {command}",
              *[f"# {key} = {_fmt(command, key, val)}" for key, val in meta.items()],
              "# conventions: u = p / (m c) dimensionless, eta = E / (m c^2)",
              "# columns: " + sep.join(columns)]
+    if fmt == "json":
+        import json  # loaded only for the one format that needs it
+
+        doc = {"command": command, "meta": meta, "columns": columns,
+               "rows": [dict(zip(columns, row)) for row in rows]}
+        try:
+            return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        except ValueError:  # a cell of inf or nan: the walk below refuses it
+            pass
     cells = [cell for row in rows for cell in row]
     if set(map(type, cells)) == {float} and "n" not in (
-            text := "\n".join([floats] * len(rows)) % (*cells,)):
+            text := "\n".join([sep.join(["%.17g"] * len(columns))] * len(rows)) % (*cells,)):
         lines.append(text)
     else:
-        lines += [text if all(type(x) is float for x in row)
-                  and "n" not in (text := floats % (*row,))
-                  else sep.join([_fmt(command, name, cell) for name, cell in zip(columns, row)])
+        lines += [sep.join([_fmt(command, name, cell) for name, cell in zip(columns, row)])
                   for row in rows]
-    if fmt != "json":
-        return "\n".join(lines) + "\n"
-    import json  # loaded only for the one format that needs it
-
-    doc = {"command": command, "meta": meta, "columns": columns,
-           "rows": [dict(zip(columns, row)) for row in rows]}
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -212,25 +212,26 @@ def _sweep(ode: fuchsian.RationalCoeffODE, series: fuchsian.FrobeniusSolution,
     analytic there) that holds it (``fuchsian.reach``, ``order`` terms);
     off ``series`` itself, its prefix cut to the top of the binade of |z|.
 
-    The points are visited in one order: those on the real ray [0, inf)
-    first, ascending, then the others by ascending modulus, ties in the
-    order given. The leading run of that order inside the half disk of
-    ``series`` is read in one pass, one cut per binade and one sum per
-    point: no restart or hop can happen there, and a singular point s is
-    at least |s|/2 away and farther out than z, so the target check runs
-    only where that is within its 1e-9. Each later point is reached from
-    the disk that held the last. A new chain starts from 0 when the next
-    point z lies in the other open half-plane from the current centre c,
-    or lies outside that disk and no farther out than c along c's
-    direction (Re(z conj c) < |c|^2). A path toward z off the real axis
-    that would pass a singular point s at less than half the distance of
-    either end goes round it through s + i |z - s| on z's side, since an
-    error made near s can grow by orders of magnitude on the way out. So
-    every path stays in one closed half-plane, moving away from 0 and
-    clear of the singular points, and a solution cut along the real axis
-    keeps its principal branch. On a real ray every hop heads exactly +1
-    or -1, so points visited outward along it get the values each would
-    get alone. A point's error carries i as its ``index``.
+    The points are visited in one order, in one loop: those on the real
+    ray [0, inf) first, ascending, then the others by ascending modulus,
+    ties in the order given. While the chain stands on ``series``, a point
+    in its half disk is one sum off its binade's cut: no restart or hop
+    can happen there, and a singular point s is at least |s|/2 away and
+    farther out than z, so the target check runs only where that is
+    within its 1e-9. Every other point, one of that half disk on a hop
+    too, is reached from the disk that held the last. A new chain starts
+    from 0 when the next point z lies in the other open half-plane from
+    the current centre c, or lies outside that disk and no farther out
+    than c along c's direction (Re(z conj c) < |c|^2). A path toward z
+    off the real axis that would pass a singular point s at less than
+    half the distance of either end goes round it through s + i |z - s|
+    on z's side, since an error made near s can grow by orders of
+    magnitude on the way out. So every path stays in one closed
+    half-plane, moving away from 0 and clear of the singular points, and
+    a solution cut along the real axis keeps its principal branch. On a
+    real ray every hop heads exactly +1 or -1, so points visited outward
+    along it get the values each would get alone. A point's error carries
+    i as its ``index``.
     """
     keys = [(0, z.real) if z.imag == 0 and z.real >= 0 else (1, abs(z)) for z in targets]
     visit = sorted(visit, key=keys.__getitem__)
@@ -238,37 +239,33 @@ def _sweep(ode: fuchsian.RationalCoeffODE, series: fuchsian.FrobeniusSolution,
     sings = [s.location for s in fuchsian.singular_points(ode)
              if s.location is not fuchsian.INFINITY and s.location != 0]
     values, cuts, half, binade = {}, {}, 0.5 * series.radius, None
+    chain, k = [series], 0
     try:
-        for i in visit:  # the first half disk
+        for i in visit:
             z = targets[i]
-            if not (r := abs(z)) <= half:  # nan as well, which reach refuses
-                break
-            if half < 1e-9:
+            if not (r := abs(z)) <= half or k:  # nan as well, which reach refuses
+                c = complex(chain[k].expansion_point)
+                if c.imag * z.imag < 0 or (abs(z - c) > 0.5 * chain[k].radius
+                                           and (z * c.conjugate()).real < abs(c) ** 2):
+                    chain, k, c = [series], 0, 0j
                 _check_target(sings, z)
-            if (e := math.frexp(r)[1]) != binade:
+                if not abs(z - c) <= 0.5 * chain[k].radius:
+                    for s in sings if z.imag else ():
+                        t = min(1.0, max(0.0, ((s - c) * (z - c).conjugate()).real
+                                         / abs(z - c) ** 2))
+                        if abs(c + t * (z - c) - s) < 0.5 * min(abs(z - s), abs(c - s)):
+                            detour = s + math.copysign(abs(z - s), z.imag) * 1j
+                            k = fuchsian.reach(ode, chain, detour, order, k)
+                    k = fuchsian.reach(ode, chain, z, order, k)
+                if k:
+                    values[i] = fuchsian.evaluate(chain[k], z)
+                    continue
+            elif half < 1e-9:
+                _check_target(sings, z)
+            if (e := math.frexp(r)[1]) != binade:  # the series at 0, cut on the binade of |z|
                 binade = e
-                disk = cuts[e] = cuts.get(e) or fuchsian._truncate(series, math.ldexp(1.0, e))
-            values[i] = fuchsian.evaluate(disk, z)
-        chain, k = [series], 0
-        for i in visit[len(values):]:
-            z, disk = targets[i], chain[k]
-            c = complex(disk.expansion_point)
-            if c.imag * z.imag < 0 or (abs(z - c) > 0.5 * disk.radius
-                                       and (z * c.conjugate()).real < abs(c) ** 2):
-                chain, k, c = [series], 0, 0j
-            _check_target(sings, z)
-            if not abs(z - c) <= 0.5 * chain[k].radius:  # nan as well, which reach refuses
-                for s in sings if z.imag else ():
-                    t = min(1.0, max(0.0, ((s - c) * (z - c).conjugate()).real / abs(z - c) ** 2))
-                    if abs(c + t * (z - c) - s) < 0.5 * min(abs(z - s), abs(c - s)):
-                        detour = s + math.copysign(abs(z - s), z.imag) * 1j
-                        k = fuchsian.reach(ode, chain, detour, order, k)
-                k = fuchsian.reach(ode, chain, z, order, k)
-            disk = chain[k]
-            if not k:  # the series at 0, cut to the top of the binade of |z|
-                e = math.frexp(abs(z))[1]
-                disk = cuts[e] = cuts.get(e) or fuchsian._truncate(series, math.ldexp(1.0, e))
-            values[i] = fuchsian.evaluate(disk, z)
+                cut = cuts[e] = cuts.get(e) or fuchsian._truncate(series, math.ldexp(1.0, e))
+            values[i] = fuchsian.evaluate(cut, z)
     except KGCoulombError as exc:
         exc.index = i
         raise
@@ -288,9 +285,8 @@ def heun_local(params: HeunParams, xi: complex | Sequence[complex],
     (``fuchsian.evaluate``). The series at 0 is cut on the top of the
     binade of the largest |xi|, the half disk at most, and a point read
     off it sums its prefix cut on the top of its own binade, as one call
-    per point would, the points of the first half disk in one pass; the
-    sweep visits the real ray xi >= 0 first, ascending, so its points
-    share one chain and get those values too.
+    per point would; the sweep visits the real ray xi >= 0 first,
+    ascending, so its points share one chain and get those values too.
     """
     scalar = isinstance(xi, numbers.Number)
     targets = [complex(xi)] if scalar else [complex(x) for x in xi]

@@ -27,10 +27,10 @@ __all__ = [
 
 
 class SpectrumLine:
-    __slots__ = ("n", "eta", "residual", "binding")
+    __slots__ = ("eta", "residual", "binding")
 
-    def __init__(self, n: int, eta: float, residual: float, binding: float) -> None:
-        self.n, self.eta, self.residual = n, eta, residual
+    def __init__(self, eta: float, residual: float, binding: float) -> None:
+        self.eta, self.residual = eta, residual
         self.binding = binding  # 1 - eta, solved for directly
 
 
@@ -101,4 +101,4 @@ def solve_quantization(g: float, n: int) -> SpectrumLine:
             raise RootFindingError("Newton polish left the physical interval")
         if abs(step) < 1e-16 * b:
             break
-    return SpectrumLine(n=n, eta=1.0 - b, binding=b, residual=binding_residual(g, b, n))
+    return SpectrumLine(eta=1.0 - b, binding=b, residual=binding_residual(g, b, n))

@@ -2,10 +2,11 @@
 
 Every point walks the whole loop on its own: the restart test, the
 target check, the reach test and, on the series at 0, the cut on its
-binade. ``specialfn._sweep`` reads the leading run of points inside the
-first half disk in one pass and hands the rest to this same loop, so on
-any target list it must give the same values, bit for bit, and raise the
-same error at the same point.
+binade. ``specialfn._sweep`` walks the same loop but reads a point of the
+first half disk straight off its binade's cut while the chain stands on
+the series at 0, with the target check only where that half disk is
+below its 1e-9; so on any target list it must give the same values, bit
+for bit, and raise the same error at the same point.
 """
 
 import math

@@ -766,12 +766,14 @@ def test_float_rows_render_as_the_cell_walk_does(monkeypatch, fmt):
     for rows in (_FLOAT_ROWS, _MIXED_ROWS, _FLOAT_ROWS + _MIXED_ROWS + _FLOAT_ROWS):
         want = _render_cell_by_cell("params", meta, columns, rows, fmt)
         assert cli._render("params", meta, columns, rows, fmt) == want
-    # a row of finite floats alone takes one format, not a _fmt call per cell
+    # json formats no cell of a finite table, only meta; in csv and
+    # gnuplot-dat a table that is not all floats walks every cell
     calls = []
     fmt_cell = cli._fmt
     monkeypatch.setattr(cli, "_fmt", lambda *args: calls.append(args[1]) or fmt_cell(*args))
-    cli._render("params", meta, columns, _FLOAT_ROWS + _MIXED_ROWS, fmt)
-    assert calls == [*meta, *columns * len(_MIXED_ROWS)]
+    rows = _FLOAT_ROWS + _MIXED_ROWS
+    cli._render("params", meta, columns, rows, fmt)
+    assert calls == [*meta] + ([] if fmt == "json" else [*columns * len(rows)])
     # a long table of floats alone takes one format for all its rows
     rng = random.Random(7)
     rows = [[rng.choice([rng.uniform(-1.0, 1.0), 10.0 ** rng.randint(-320, 308), -0.0, 0.1])
@@ -780,10 +782,12 @@ def test_float_rows_render_as_the_cell_walk_does(monkeypatch, fmt):
     calls.clear()
     assert cli._render("params", meta, columns, rows, fmt) == want
     assert calls == [*meta]
-    # one row of another type sends the table row by row: only that row walks its cells
+    # one row of another type sends the whole text table through the cell walk
+    rows += _MIXED_ROWS[1:2]
+    want = _render_cell_by_cell("params", meta, columns, rows, fmt)
     calls.clear()
-    cli._render("params", meta, columns, rows + _MIXED_ROWS[1:2], fmt)
-    assert calls == [*meta, *columns]
+    assert cli._render("params", meta, columns, rows, fmt) == want
+    assert calls == [*meta] + ([] if fmt == "json" else [*columns * len(rows)])
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "gnuplot-dat"])

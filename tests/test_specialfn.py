@@ -441,6 +441,17 @@ class TestSweepAgainstPerPointLoop:
             values = self._agree(hp, grid)
             assert isinstance(values, dict) and len(values) == len(grid)
 
+    def test_first_disk_point_visited_on_a_hop_is_read_off_the_hop(self):
+        # the real ray hops past the first half disk, and the complex points
+        # that follow lie back inside it but within that hop's half disk:
+        # they are read off the hop, not off the series at 0
+        hp = to_heun(0.3, DeformationParams(0.05, 0.02))[0]
+        h = 0.5 * abs(hp.xi0)
+        grid = [0.2 * h, 1.3 * h, complex(0.93 * h, 0.02 * h), complex(0.9 * h, -0.01 * h)]
+        values = self._agree(hp, grid)
+        assert max(map(abs, grid[2:])) <= h
+        assert values[3] == _bits(complex(0.6852167767278272, 0.0024066978497136577))
+
     @pytest.mark.parametrize("bad, message", [
         (-0.35, "sits on a singular point"), (1.0, "sits on a singular point"),
         (1.5, "lies on the branch cut from"), (math.nan, "coefficients overflow at (nan+nanj)"),

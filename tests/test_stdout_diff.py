@@ -109,15 +109,16 @@ def test_child_run_writes_no_bytecode(tmp_path):
 
 
 def test_first_seed_runs_in_every_format(monkeypatch):
-    # each command of the first seed runs again with json and gnuplot-dat
-    # appended, so that the byte comparison covers every format; a later
-    # seed runs its commands once
+    # each command of the first seed, and of every tenth seed after it,
+    # runs again with json and gnuplot-dat appended, so that the byte
+    # comparison covers every format; any other seed runs its commands once
     tool = _stdout_diff()
     monkeypatch.syspath_prepend(str(tool.PERFBENCH))
-    runs = {tuple(key): (kind, argv) for key, kind, argv in tool._runs([3, 4])}
+    seeds = list(range(3, 25))
+    runs = {tuple(key): (kind, argv) for key, kind, argv in tool._runs(seeds)}
     plain = {key: run for key, run in runs.items() if len(key) == 3}
-    assert {key[1] for key in plain} == {3, 4}
+    assert {key[1] for key in plain} == set(seeds)
     expected = {key + (fmt,): (f"{kind} --format {fmt}", argv + ["--format", fmt])
-                for key, (kind, argv) in plain.items() if key[1] == 3
+                for key, (kind, argv) in plain.items() if key[1] in (3, 13, 23)
                 for fmt in ("json", "gnuplot-dat")}
     assert {key: run for key, run in runs.items() if len(key) == 4} == expected

@@ -959,6 +959,19 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_package_binds_its_modules_alone():
+    # every public name is imported from its module; the package re-exports
+    # none, and importing it loads the whole library
+    library = {"asymptotics", "errors", "fuchsian", "kgmodels", "physcore", "specialfn",
+               "spectra"}
+    proc = _fresh_python("-c", "import sys, kgcoulomb\n"
+                         "print(*(n for n in vars(kgcoulomb) if not n.startswith('__')))\n"
+                         "print(*sys.modules)")
+    names, loaded = (set(line.split()) for line in proc.stdout.splitlines())
+    assert names == library
+    assert {f"kgcoulomb.{name}" for name in library} <= loaded
+
+
 def test_cli_import_loads_neither_dataclasses_nor_json():
     # measured against a bare interpreter, whose site setup may load any of them
     listing = "import sys; print(*sys.modules)"

@@ -2,6 +2,7 @@
 and its child run leaves no compiled bytecode in the tree it reads."""
 
 import importlib.util
+import json
 import math
 import os
 import shutil
@@ -110,15 +111,44 @@ def test_child_run_writes_no_bytecode(tmp_path):
 
 def test_first_seed_runs_in_every_format(monkeypatch):
     # each command of the first seed, and of every tenth seed after it,
-    # runs again with json and gnuplot-dat appended, so that the byte
-    # comparison covers every format; any other seed runs its commands once
+    # runs again with json and gnuplot-dat appended, with its pairs
+    # written --key=value, from a --config file and with --out, so that
+    # the byte comparison covers every format and every way of passing
+    # options and output; any other seed runs its commands once
     tool = _stdout_diff()
     monkeypatch.syspath_prepend(str(tool.PERFBENCH))
     seeds = list(range(3, 25))
-    runs = {tuple(key): (kind, argv) for key, kind, argv in tool._runs(seeds)}
+    runs = {tuple(key): (kind, argv, config) for key, kind, argv, config in tool._runs(seeds)}
     plain = {key: run for key, run in runs.items() if len(key) == 3}
     assert {key[1] for key in plain} == set(seeds)
-    expected = {key + (fmt,): (f"{kind} --format {fmt}", argv + ["--format", fmt])
-                for key, (kind, argv) in plain.items() if key[1] in (3, 13, 23)
-                for fmt in ("json", "gnuplot-dat")}
+    assert all(config is None for _, _, config in plain.values())
+    expected = {}
+    for key, (kind, argv, _) in plain.items():
+        if key[1] not in (3, 13, 23):
+            continue
+        for fmt in ("json", "gnuplot-dat"):
+            expected[key + (fmt,)] = f"{kind} --format {fmt}", argv + ["--format", fmt], None
+        pairs = list(zip(argv[1::2], argv[2::2]))
+        expected[key + ("key=value",)] = (f"{kind} --key=value",
+                                          [argv[0], *(f"{k}={v}" for k, v in pairs)], None)
+        expected[key + ("config",)] = (f"{kind} --config", [argv[0], "--config", tool._CONFIG],
+                                       "".join(f"{k[2:]} = {v}\n" for k, v in pairs))
+        expected[key + ("out",)] = f"{kind} --out", argv + ["--out", tool._OUT], None
     assert {key: run for key, run in runs.items() if len(key) == 4} == expected
+
+
+def test_option_variants_print_the_plain_bytes():
+    # on one tree the --key=value, --config and --out variants of a
+    # command read the same options and so print its plain run's bytes;
+    # a config file not written, or an --out file not read, would not
+    repo = Path(__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, str(repo / "tools" / "stdout_diff.py"),
+                           "--child", str(repo), "--seeds", "1"],
+                          capture_output=True, text=True, check=True)
+    records = [json.loads(line) for line in proc.stdout.splitlines()]
+    plain = {tuple(r["key"]): r for r in records if len(r["key"]) == 3}
+    variants = [r for r in records if r["key"][3:] in (["key=value"], ["config"], ["out"])]
+    assert len(variants) == 3 * len(plain)
+    fields = ("code", "stdout", "stderr")
+    for r in variants:
+        assert [r[f] for f in fields] == [plain[tuple(r["key"][:3])][f] for f in fields], r["argv"]

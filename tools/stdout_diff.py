@@ -7,11 +7,21 @@ repository's copy, read and not changed), ``commands(w, s, 15)`` for
 every workload w in its ``WORKLOADS`` and every seed s, through ``kgcoulomb.cli.main`` in one
 fresh interpreter per tree with that tree's ``src`` on the path. For the
 first seed and every tenth seed after it (seeds 1, 11, ..., 51 of 1-60),
-every command also runs once with ``--format json`` and once with
-``--format gnuplot-dat`` appended; these runs count toward the exit
-codes, stdout and stderr compared below under their own kind (``exponents
---format json``), not toward the cell comparisons. The report has seven
-parts:
+every command also runs five more times:
+
+- with ``--format json`` appended, and with ``--format gnuplot-dat``;
+- with each pair written ``--key=value``, which the plain-argv fast path
+  does not take, so argparse reads it;
+- with its options in a ``key = value`` file passed by ``--config``;
+- with ``--out`` to a file, whose bytes stand in for stdout (after
+  anything printed there).
+
+The config and ``--out`` files have fixed names in a temporary working
+directory, so a diagnostic that names them reads the same in both
+trees. These runs count toward the exit codes, stdout and stderr
+compared below under their own kind (``exponents --format json``,
+``exponents --config``), not toward the cell comparisons. The report has
+seven parts:
 
 - every command whose exit code changed;
 - the number of commands whose stdout changed, per kind of command;
@@ -49,15 +59,17 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
-# the flags appended for the byte comparison of the other output formats
-_VARIANTS = (("--format", "json"), ("--format", "gnuplot-dat"))
+# the variants' files, named relative to the child's temporary working directory
+_CONFIG, _OUT = "kgcoulomb.cfg", "out.txt"
 
 # columns (or row labels) that hold errors or differences, compared absolutely
 _ABSOLUTE = {"deviation", "abs_diff", "max_abs_diff", "agreement", "residual",
@@ -69,38 +81,60 @@ def _seeds(text: str) -> list[int]:
     return list(range(int(lo), int(hi or lo) + 1))
 
 
+def _variants(argv: list[str]):
+    """(name, flags, argv, config file text or None) of each variant run
+    of a plain ``COMMAND --key value ...`` argv."""
+    command, pairs = argv[0], list(zip(argv[1::2], argv[2::2]))
+    for fmt in ("json", "gnuplot-dat"):
+        yield fmt, f"--format {fmt}", argv + ["--format", fmt], None
+    yield "key=value", "--key=value", [command, *(f"{k}={v}" for k, v in pairs)], None
+    yield ("config", "--config", [command, "--config", _CONFIG],
+           "".join(f"{k[2:]} = {v}\n" for k, v in pairs))
+    yield "out", "--out", argv + ["--out", _OUT], None
+
+
 def _runs(seeds: list[int]):
-    """(key, kind, argv) of every command run: the benchmark's commands,
-    and for each seed congruent to the first modulo 10 each once more per
-    format in _VARIANTS, its format added to the key and its flags to the
-    kind. Needs ``perfbench`` on the path."""
+    """(key, kind, argv, config file text or None) of every command run:
+    the benchmark's commands, and for each seed congruent to the first
+    modulo 10 each once more per variant of _variants, its name added to
+    the key and its flags to the kind. Needs ``perfbench`` on the path."""
     import workloads as wl
 
     for w in wl.WORKLOADS:
         for s in seeds:
             for i, cmd in enumerate(wl.commands(w, s, 15)):
-                yield [w, s, i], cmd.kind, list(cmd.argv)
-                for extra in _VARIANTS if (s - seeds[0]) % 10 == 0 else ():
-                    yield ([w, s, i, extra[-1]], " ".join([cmd.kind, *extra]),
-                           list(cmd.argv) + list(extra))
+                yield [w, s, i], cmd.kind, list(cmd.argv), None
+                for name, flags, argv, config in (
+                        _variants(list(cmd.argv)) if (s - seeds[0]) % 10 == 0 else ()):
+                    yield [w, s, i, name], f"{cmd.kind} {flags}", argv, config
 
 
 def _run_tree(tree: str, seeds: list[int]) -> None:
     """Child mode: print one JSON object per command. No bytecode is
-    written, so a comparison leaves no ``__pycache__`` in either tree."""
+    written, so a comparison leaves no ``__pycache__`` in either tree.
+    Commands run in a temporary working directory, which holds the
+    variants' files."""
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(Path(tree).resolve() / "src"), str(PERFBENCH)]
     from kgcoulomb import cli
 
-    for key, kind, argv in _runs(seeds):
-        out, err = io.StringIO(), io.StringIO()
-        try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.main(argv)
-        except (Exception, SystemExit) as exc:  # an escape is its own outcome
-            code = f"raised {type(exc).__name__}"
-        print(json.dumps({"key": key, "kind": kind, "argv": argv, "code": code,
-                          "stdout": out.getvalue(), "stderr": err.getvalue()}))
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        for key, kind, argv, config in _runs(seeds):
+            if config is not None:
+                Path(_CONFIG).write_text(config, encoding="ascii")
+            out, err = io.StringIO(), io.StringIO()
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.main(argv)
+            except (Exception, SystemExit) as exc:  # an escape is its own outcome
+                code = f"raised {type(exc).__name__}"
+            stdout, written = out.getvalue(), Path(_OUT)
+            if written.exists():
+                stdout += written.read_bytes().decode("ascii")
+                written.unlink()
+            print(json.dumps({"key": key, "kind": kind, "argv": argv, "code": code,
+                              "stdout": stdout, "stderr": err.getvalue()}))
 
 
 def _collect(tree: str, seeds: str) -> dict:

@@ -1,9 +1,9 @@
 """Exception types shared across the package.
 
-The split matters for the command line tool: ``UsageError`` maps to exit
-code 1 and every other ``KGCoulombError`` to exit code 2, a numerical method
-that failed as well as input outside the physical domain (``PhysicsDomainError``).
-Library callers can catch ``KGCoulombError`` to get everything at once.
+Domain errors and numerical failures both derive from ``KGCoulombError``,
+which library callers can catch to get everything at once. The command
+line tool maps ``UsageError`` to exit code 1 and every other
+``KGCoulombError`` to exit code 2.
 Warnings derive from ``KGCoulombWarning``, which the CLI prints as one
 ``kgcoulomb: warning:`` line each.
 """
@@ -23,23 +23,19 @@ class UsageError(KGCoulombError):
     """Bad arguments or argument combinations (CLI exit code 1)."""
 
 
-class PhysicsDomainError(KGCoulombError):
-    """Valid-looking input that lands outside the physical domain."""
-
-
-class SupercriticalCouplingError(PhysicsDomainError):
+class SupercriticalCouplingError(KGCoulombError):
     """Coupling Z*alpha exceeds 1/2, where the bound-state formulas turn complex."""
 
 
-class ParameterPoleError(PhysicsDomainError):
+class ParameterPoleError(KGCoulombError):
     """Parameters sit exactly on a pole of a mapping (e.g. theta + theta' = 1)."""
 
 
-class OutOfDomainError(PhysicsDomainError):
+class OutOfDomainError(KGCoulombError):
     """Evaluation point outside the validated domain of a series or grid."""
 
 
-class OscillationError(PhysicsDomainError):
+class OscillationError(KGCoulombError):
     """A power-law fit was requested on data that oscillates in sign."""
 
 

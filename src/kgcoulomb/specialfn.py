@@ -238,7 +238,7 @@ def _sweep(ode: fuchsian.RationalCoeffODE, series: fuchsian.FrobeniusSolution,
     # every finite singular point but 0, where the series is analytic
     sings = [s.location for s in fuchsian.singular_points(ode)
              if s.location is not fuchsian.INFINITY and s.location != 0]
-    values, cuts, half, binade = {}, {}, 0.5 * series.radius, None
+    values, half, binade = {}, 0.5 * series.radius, None
     chain, k = [series], 0
     try:
         for i in visit:
@@ -263,8 +263,7 @@ def _sweep(ode: fuchsian.RationalCoeffODE, series: fuchsian.FrobeniusSolution,
             elif half < 1e-9:
                 _check_target(sings, z)
             if (e := math.frexp(r)[1]) != binade:  # the series at 0, cut on the binade of |z|
-                binade = e
-                cut = cuts[e] = cuts.get(e) or fuchsian._truncate(series, math.ldexp(1.0, e))
+                binade, cut = e, fuchsian._truncate(series, math.ldexp(1.0, e))
             values[i] = fuchsian.evaluate(cut, z)
     except KGCoulombError as exc:
         exc.index = i

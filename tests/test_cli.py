@@ -492,6 +492,18 @@ class TestHeunCheck:
         doc = json.loads(out)
         assert doc["meta"]["max_abs_diff"] <= 1e-10
 
+    def test_cancelling_hypergeometric_sum_is_refused(self, capsys):
+        # at theta 0.3 the 2F1 side's argument xi/xi0 is negative, where the
+        # alternating terms of the direct sum cancel: at g 40 each point's
+        # own check refuses it, a check at z = +1/2 alone would not
+        code, out, err = _run(capsys, "heun-check", "--g", "40", "--theta", "0.3")
+        assert code == 2 and out == ""
+        assert re.search(r"the hypergeometric series at z = \S+ cancels", err)
+        code, out, err = _run(capsys, "heun-check", "--g", "20", "--theta", "0.3",
+                              "--format", "json")
+        assert code == 0, err
+        assert json.loads(out)["meta"]["max_abs_diff"] <= 1e-10
+
     def test_mismatched_strengths_rejected(self, capsys):
         code, _, err = _run(capsys, "heun-check", "--g", "0.2",
                             "--theta", "0.05", "--theta-prime", "0.02")

@@ -32,17 +32,6 @@ from operator import lt, mul, sub
 from . import fuchsian
 from .errors import ConvergenceError, OscillationError, OutOfDomainError
 
-__all__ = [
-    "integrate",
-    "Transfer",
-    "transfer_exponents",
-    "singular_scale",
-    "paired",
-    "Trajectory",
-    "FitResult",
-    "fit_exponent",
-]
-
 # A series of a basis hop cut by the order cap, fuchsian._MAX_ORDER,
 # counts as settled when its last term on the read disk is below the
 # larger of tol and _SETTLED times its largest, and its largest below

@@ -514,7 +514,9 @@ def cmd_heun_check(cfg: dict) -> tuple[dict, list, list]:
     heun = heun_local(hp, grid)
     hyper = hyp2f1(hp.a, hp.b, hp.c, [xi / hp.xi0 for xi in grid])
     rows = [[xi, h.real, f.real, abs(h - f)] for xi, h, f in zip(grid, heun, hyper)]
-    meta = {"g": g, "theta": theta, "a": hp.a.real, "b": hp.b.real, "c": hp.c, "xi0": hp.xi0,
+    # a and b as float parts, which json and _fmt take; + 0.0: a zero part prints 0, not -0
+    meta = {"g": g, "theta": theta, "re_a": hp.a.real + 0.0, "im_a": hp.a.imag + 0.0,
+            "re_b": hp.b.real + 0.0, "im_b": hp.b.imag + 0.0, "c": hp.c, "xi0": hp.xi0,
             "max_abs_diff": max(row[3] for row in rows)}
     return meta, ["xi", "heun", "hypergeometric", "abs_diff"], rows
 

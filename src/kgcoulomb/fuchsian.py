@@ -57,22 +57,6 @@ from functools import reduce
 from .errors import (ConvergenceError, IrregularPointError, OutOfDomainError,
                      ResonantExponentsError)
 
-__all__ = [
-    "INFINITY",
-    "RationalCoeffODE",
-    "SingularPoint",
-    "FrobeniusSolution",
-    "singular_points",
-    "indicial_exponents",
-    "frobenius_series",
-    "taylor_series",
-    "taylor_basis",
-    "reach",
-    "evaluate",
-    "evaluate_with_derivatives",
-    "gauge",
-]
-
 # hop budget of ``reach`` (``_hop_budget``): a fixed part, plus twice what a
 # path away from the singular points needs, each hop there multiplying the
 # distance covered by 1.4, so that inward paths, and paths that close in on

@@ -32,18 +32,6 @@ from .fuchsian import RationalCoeffODE, _horner, _polyadd, _polymul, _polyscale,
 from .physcore import CoulombSystem, DeformationParams
 from .specialfn import HeunParams
 
-__all__ = [
-    "VariableMap",
-    "GenHeunParams",
-    "ConfluenceWarning",
-    "build_ordinary_kg",
-    "build_deformed_zero_energy",
-    "build_deformed_first_order_psi",
-    "to_heun",
-    "to_generalized_heun",
-    "gen_heun_ode",
-]
-
 
 class ConfluenceWarning(KGCoulombWarning):
     """Two singular points are about to collide (deformation too weak)."""

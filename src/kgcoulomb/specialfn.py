@@ -35,15 +35,6 @@ from . import fuchsian
 from .errors import ConvergenceError, KGCoulombError, OutOfDomainError, ParameterPoleError
 from .physcore import CoulombSystem
 
-__all__ = [
-    "hyp2f1",
-    "hypergeometric_ode",
-    "HeunParams",
-    "heun_ode",
-    "heun_local",
-    "psi_ordinary",
-]
-
 _MAX_TERMS = 10_000
 _TOL = 1e-15  # the direct series stops after two terms below this, relative
 

@@ -18,13 +18,6 @@ import sys
 
 from .errors import RootFindingError, SupercriticalCouplingError
 
-__all__ = [
-    "SpectrumLine",
-    "binding_residual",
-    "energy_closed_form",
-    "solve_quantization",
-]
-
 
 class SpectrumLine:
     __slots__ = ("eta", "residual", "binding")

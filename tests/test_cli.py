@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import closed_form
-from kgcoulomb import cli, fuchsian, specialfn
+from kgcoulomb import cli, fuchsian, kgmodels, physcore, specialfn, spectra
 
 
 def _run(capsys, *argv):
@@ -504,6 +504,20 @@ class TestHeunCheck:
         assert code == 0, err
         assert json.loads(out)["meta"]["max_abs_diff"] <= 1e-10
 
+    def test_complex_pair_meta_matches_params(self, capsys):
+        # past g of about 0.3 at theta 0.3, a and b are the pair 1.25 -+ 0.75i
+        _, out, _ = _run(capsys, "heun-check", "--g", "1", "--theta", "0.3")
+        meta = dict(re.findall(r"^# (\w+) = (\S+)$", out, re.MULTILINE))
+        _, out, _ = _run(capsys, "params", "--model", "heun", "--g", "1",
+                         "--theta", "0.3", "--theta-prime", "0.3")
+        rows = {row[0]: row[1:] for row in _csv_rows(out)}
+        assert [meta["re_a"], meta["im_a"]] == rows["a"] == ["1.25", "-0.75"]
+        assert [meta["re_b"], meta["im_b"]] == rows["b"] == ["1.25", "0.75"]
+
+    def test_real_pair_prints_zero_imaginary_parts(self, capsys):
+        _, out, _ = _run(capsys, "heun-check", "--g", "0.2", "--theta", "0.05")
+        assert "\n# im_a = 0\n" in out and "\n# im_b = 0\n" in out
+
     def test_mismatched_strengths_rejected(self, capsys):
         code, _, err = _run(capsys, "heun-check", "--g", "0.2",
                             "--theta", "0.05", "--theta-prime", "0.02")
@@ -857,6 +871,57 @@ def test_three_formats_carry_one_table(capsys, command):
         for row, cells in zip(doc["rows"], rows):
             assert list(row) == doc["columns"], argv
             assert all(_same_cell(v, t) for v, t in zip(row.values(), cells)), (argv, cells)
+
+
+def _heun_check_meta(g, theta):
+    hp, _ = kgmodels.to_heun(g, physcore.DeformationParams(theta, theta))
+    grid = cli._linspace(0.0, 0.4, cli._HEUN_CHECK_POINTS)
+    heun = specialfn.heun_local(hp, grid)
+    hyper = specialfn.hyp2f1(hp.a, hp.b, hp.c, [xi / hp.xi0 for xi in grid])
+    return {"g": g, "theta": theta, "re_a": hp.a.real, "im_a": hp.a.imag,
+            "re_b": hp.b.real, "im_b": hp.b.imag, "c": hp.c, "xi0": hp.xi0,
+            "max_abs_diff": max(abs(h - f) for h, f in zip(heun, hyper))}
+
+
+_ALPHA = physcore.FINE_STRUCTURE_ALPHA
+_DP = physcore.DeformationParams
+
+
+# one command per subcommand and model, with the meta each should print,
+# every value read off the library object it came from
+@pytest.mark.parametrize("argv, meta", [
+    (["spectrum", "--Z", "3", "--n", "0..1"], {"Z": 3, "alpha": _ALPHA, "g": 3 * _ALPHA}),
+    (["exponents", "--model", "ordinary", "--g", "0.3", "--eta", "0.6"],
+     {"model": "ordinary", "g": 0.3, "eta": 0.6, "window_lo": 1e2, "window_hi": 1e4}),
+    (["exponents", "--model", "deformed-zero-energy", "--theta", "0.05",
+      "--theta-prime", "0.02", "--window", "1e3:1e5"],
+     {"model": "deformed-zero-energy", "g": _ALPHA, "window_lo": 1e3, "window_hi": 1e5,
+      "theta": 0.05, "theta_prime": 0.02}),
+    (["exponents", "--model", "deformed-first-order", "--g", "0.2", "--theta", "0.04",
+      "--theta-prime", "0.08"],
+     {"model": "deformed-first-order", "g": 0.2, "eta": 0.5, "window_lo": 1e2,
+      "window_hi": 1e4, "theta": 0.04}),
+    (["wavefunction", "--model", "ordinary", "--Z", "2", "--n", "1"],
+     {"model": "ordinary", "g": 2 * _ALPHA, "eta": spectra.energy_closed_form(2 * _ALPHA, 1)}),
+    (["wavefunction", "--model", "deformed-zero-energy", "--g", "0.2", "--theta", "0.05",
+      "--theta-prime", "0.02"],
+     {"model": "deformed-zero-energy", "g": 0.2, "theta": 0.05, "theta_prime": 0.02,
+      "xi0": kgmodels.to_heun(0.2, _DP(0.05, 0.02))[0].xi0}),
+    (["params", "--model", "heun", "--g", "1", "--theta", "0.3", "--theta-prime", "0.3"],
+     {"model": "heun", "g": 1.0, "theta": 0.3, "theta_prime": 0.3,
+      "minimal_length_3d": physcore.minimal_length(_DP(0.3, 0.3))}),
+    (["params", "--model", "generalized-heun", "--g", "0.3", "--eta", "0.8", "--theta", "0.04"],
+     {"model": "generalized-heun", "g": 0.3, "eta": 0.8, "theta": 0.04}),
+    (["heun-check", "--g", "1", "--theta", "0.3"], _heun_check_meta(1.0, 0.3)),
+    (["heun-check", "--g", "0.2", "--theta", "0.05"], _heun_check_meta(0.2, 0.05)),
+])
+def test_meta_is_what_the_library_computed(capsys, argv, meta):
+    code, out, err = _run(capsys, *argv)
+    assert code == 0, err
+    printed = re.findall(r"^# (\w+) = (\S+)$", out, re.MULTILINE)
+    assert [key for key, _ in printed] == list(meta), argv
+    for key, text in printed:
+        assert _same_cell(meta[key], text), (argv, key, text)
 
 
 def _readme_cli_table(name):

@@ -24,6 +24,14 @@ command-line flags > --config file > built-in defaults.  The config
 file is a flat ``key = value`` text file whose keys are the
 subcommand's own long flag names (without the leading dashes).
 
+One reader, ``_parse_args``, reads every argv, and no command imports
+argparse.  The subcommand comes first; options follow as ``--key value``
+or ``--key=value``, a key by its name or a unique prefix of it, and a
+repeated key keeps its last value.  ``-h`` or ``--help`` prints the
+subcommands, or a subcommand's options, and exits 0.  Any other argv (a
+single-dash flag, ``--``, a stray token, a missing value) is a usage
+error.
+
 ``exponents`` measures both exponents at infinity from the transfer
 matrix over the top of the window (``asymptotics.transfer_exponents``)
 and prints them next to the indicial exponents.
@@ -45,13 +53,13 @@ import functools
 import math
 import sys
 import warnings
-from types import SimpleNamespace
 
 from .asymptotics import paired, singular_scale, transfer_exponents
 from .errors import (
     KGCoulombError,
     KGCoulombWarning,
     OutOfDomainError,
+    RootFindingError,
     UsageError,
     WindowWarning,
 )
@@ -65,7 +73,7 @@ from .kgmodels import (
 )
 from .physcore import FINE_STRUCTURE_ALPHA, CoulombSystem, DeformationParams, minimal_length
 from .specialfn import heun_local, hyp2f1, psi_ordinary
-from .spectra import energy_closed_form, solve_quantization
+from .spectra import binding_closed_form, energy_closed_form, solve_quantization
 
 _WAVEFUNCTION_POINTS = 200
 # Most levels one spectrum run solves (10 000 levels take under a second)
@@ -123,8 +131,8 @@ def _geomspace(lo: float, hi: float, n: int) -> list[float]:
 
 _FORMATS = ("csv", "json", "gnuplot-dat")
 
-# (type, help) per option, for the flags and the config file alike, in the
-# order --help lists them.
+# (type, help) per option, for the flags and the config file alike (but
+# --config, a flag only), in the order --help lists them.
 _OPTIONS = {
     "Z": (int, "nuclear charge (default 1)"),
     "alpha": (float, f"coupling per unit charge (default {FINE_STRUCTURE_ALPHA:.12g})"),
@@ -137,6 +145,7 @@ _OPTIONS = {
     "window": (str, "wavefunction grid or exponent window 'lo:hi'"),
     "format": (str, f"output format: {', '.join(_FORMATS)} (default csv)"),
     "out": (str, "output file (default stdout)"),
+    "config": (str, "flat 'key = value' configuration file"),
 }
 
 
@@ -147,6 +156,16 @@ def _options(command: str) -> list:
     if None not in models:
         taken.add("model")
     return [key for key in _OPTIONS if key in taken]
+
+
+def _value(key: str, text: str, origin: str = ""):
+    """text as option key's type; the usage error names origin or --key."""
+    kind = _OPTIONS[key][0]
+    try:
+        return kind(text)
+    except ValueError:
+        raise UsageError(f"{origin or 'argument --' + key}: "
+                         f"invalid {kind.__name__} value: {text!r}")
 
 
 def _read_config(path: str, command: str) -> dict:
@@ -167,86 +186,71 @@ def _read_config(path: str, command: str) -> dict:
         val = val.strip()
         if key not in _options(command):
             raise UsageError(f"{path}:{lineno}: {command} takes no configuration key {key!r}")
-        try:
-            values[key] = _OPTIONS[key][0](val)
-        except ValueError:
-            raise UsageError(f"{path}:{lineno}: bad value {val!r} for key {key!r}")
+        values[key] = _value(key, val, f"{path}:{lineno}: key {key!r}")
     return values
 
 
-@functools.cache
-def _build_parser():
-    """The argument parser, built once per process (parse_args leaves no
-    state on it). It raises UsageError (exit 1) where the stock parser exits
-    2, the code this package keeps for physics-domain failures. argparse is
-    imported here: a plain argv (``_plain_args``) never needs it."""
-    import argparse
-
-    class _Parser(argparse.ArgumentParser):
-        def error(self, message):
-            raise UsageError(message)
-
-    parser = _Parser(prog="kgcoulomb",
-                     description="Momentum-space Coulomb problem: spectra, exponents, "
-                                 "wavefunctions, and special-function parameter blocks.")
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    for command, (text, models, _) in _COMMANDS.items():
-        cmd = sub.add_parser(command, help=text)
-        for key in _options(command):
-            kind, doc = _OPTIONS[key]
-            if key == "model":
-                first, *rest = models
-                doc = f"{doc}: {first} (default), {', '.join(rest)}"
-            cmd.add_argument("--" + key, type=kind, default=None, help=doc)
-        cmd.add_argument("--config", type=str, default=None,
-                         help="flat key=value configuration file")
-    return parser
-
-
-def _plain_args(argv) -> SimpleNamespace | None:
-    """The namespace ``parse_args`` gives for the plain form ``COMMAND
-    --key value ...``: each key a full option name of the command, given
-    once, and each value one that converts and does not start with '-'.
-    None for any other argv, which the parser reads and words the errors
-    of. This skips the parser's walk, about a sixth of an exponents
-    command run in process."""
-    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
-        return None
-    given = dict.fromkeys((*_options(argv[0]), "config"))
-    seen = set()
-    for flag, text in zip(argv[1::2], argv[2::2]):
-        key = flag[2:]
-        if flag[:2] != "--" or key not in given or key in seen or text[:1] == "-":
-            return None
-        try:
-            given[key] = text if key == "config" else _OPTIONS[key][0](text)
-        except ValueError:
-            return None
-        seen.add(key)
-    return SimpleNamespace(command=argv[0],
-                           **{key.replace("-", "_"): value for key, value in given.items()})
+def _parse_args(argv: list) -> tuple:
+    """``COMMAND --key value ...`` as (command, {option: value}), each key an
+    option name or a unique prefix of one, each value read by _value; at -h
+    or --help, (command, None), command None before a subcommand. A value
+    that starts with '-' is taken by a numeric option only, or after '='."""
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        return None, None
+    if command not in _COMMANDS:
+        raise UsageError(f"unknown subcommand {command!r}; choose from {', '.join(_COMMANDS)}"
+                         if argv else f"a subcommand is required ({', '.join(_COMMANDS)})")
+    names = (*_options(command), "config")
+    flags, tokens = {}, iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return command, None
+        key, eq, value = token[2:].partition("=")
+        if token[:2] != "--" or not key:
+            raise UsageError(f"unrecognized argument {token!r}; give --key value or --key=value")
+        if key not in names:
+            matches = [name for name in names if name.startswith(key)]
+            if len(matches) != 1:
+                raise UsageError(f"ambiguous option: --{key} could match --" + ", --".join(matches)
+                                 if matches else f"{command} takes no --{key}")
+            key = matches[0]
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value[:1] == "-" and _OPTIONS[key][0] is str:
+                raise UsageError(f"argument --{key}: expected one argument")
+        flags[key] = _value(key, value)
+    return command, flags
 
 
-def _merge(args) -> dict:
+def _help(command: str | None) -> str:
+    """The --help text: the subcommands, or a subcommand's options."""
+    if command is None:
+        rows = [(name, doc) for name, (doc, _, _) in _COMMANDS.items()]
+    else:
+        first, *rest = _COMMANDS[command][1]
+        rows = [("--" + key, _OPTIONS[key][1]
+                 + (f": {first} (default), {', '.join(rest)}" if key == "model" else ""))
+                for key in (*_options(command), "config")]
+    rows.append(("-h, --help", "show this help and exit"))
+    return (f"usage: kgcoulomb {command or 'COMMAND'} [options]\n"
+            + "".join(f"  {name:<15} {doc}\n" for name, doc in rows))
+
+
+def _merge(command: str, flags: dict) -> dict:
     """Apply precedence: flags > config file > per-command defaults."""
-    if args.command is None:
-        raise UsageError(f"a subcommand is required ({', '.join(_COMMANDS)})")
-    models = _COMMANDS[args.command][1]
-    given = _read_config(args.config, args.command) if args.config is not None else {}
-    for key in _options(args.command):
-        flag = getattr(args, key.replace("-", "_"))
-        if flag is not None:
-            given[key] = flag
+    models = _COMMANDS[command][1]
+    given = {**(_read_config(flags["config"], command) if "config" in flags else {}), **flags}
     if "g" in given and ("Z" in given or "alpha" in given):
         raise UsageError("--g is the coupling Z * alpha; give either --g or --Z/--alpha")
     model = given.get("model", next(iter(models)))
     if model not in models:
-        raise UsageError(f"unknown {args.command} model {model!r}; "
+        raise UsageError(f"unknown {command} model {model!r}; "
                          f"choose from {', '.join(models)}")
-    options = {**models[model], "model": model, "format": "csv", "out": None}
+    options = {**models[model], "model": model, "format": "csv", "out": None, "config": None}
     for key in given:
         if key not in options:
-            raise UsageError(f"{args.command} --model {model} takes no --{key}")
+            raise UsageError(f"{command} --model {model} takes no --{key}")
     cfg = {key: val for key, val in options.items() if val is not None}
     if "g" in given:  # the coupling is g alone: no default Z or alpha enters
         del cfg["Z"], cfg["alpha"]
@@ -345,7 +349,10 @@ def _render(command: str, meta: dict, columns: list, rows: list, fmt: str) -> st
 
 
 def cmd_spectrum(cfg: dict) -> tuple[dict, list, list]:
-    """Closed-form energies against quantization-condition roots."""
+    """Closed-form levels against quantization-condition roots;
+    ``agreement`` compares the bindings 1 - eta, relative to the closed
+    one. The range is all-or-nothing: a level the solver cannot hold
+    refuses the run, and the diagnostic names the levels before it."""
     g = _coupling(cfg)
     n_lo, n_hi = _parse_n_range(cfg["n"])
     if n_hi - n_lo >= _MAX_LEVELS:
@@ -354,12 +361,19 @@ def cmd_spectrum(cfg: dict) -> tuple[dict, list, list]:
     rows = []
     for n in range(n_lo, n_hi + 1):
         eta_closed = energy_closed_form(g, n)
-        line = solve_quantization(g, n)
-        agreement = abs(line.eta - eta_closed) / eta_closed
-        rows.append([n, cfg.get("Z"), eta_closed, line.eta, agreement,
-                     line.residual, line.binding])
+        try:
+            line = solve_quantization(g, n)
+        except RootFindingError as exc:  # bound too weakly, and so is every later level
+            solved = (f"the levels --n {n_lo}..{n - 1} solve" if n > n_lo
+                      else f"no level of --n {cfg['n']} solves")
+            raise RootFindingError(f"{exc}; {solved}")
+        binding_closed = binding_closed_form(g, n)
+        rows.append([n, cfg.get("Z"), eta_closed, line.eta,
+                     abs(line.binding - binding_closed) / binding_closed,
+                     line.residual, line.binding, binding_closed])
     meta = {**{key: cfg[key] for key in ("Z", "alpha") if key in cfg}, "g": g}
-    return meta, ["n", "Z", "eta_closed", "eta_solver", "agreement", "residual", "binding"], rows
+    return meta, ["n", "Z", "eta_closed", "eta_solver", "agreement", "residual", "binding",
+                  "binding_closed"], rows
 
 
 def _exponent_ode(cfg: dict, g: float, eta: float | None):
@@ -571,16 +585,19 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv  # a process's own argv: plain path too
+    argv = sys.argv[1:] if argv is None else argv
     with warnings.catch_warnings():
         # setting a filter re-arms "default" warnings for every run
         warnings.simplefilter("default", KGCoulombWarning)
         warnings.showwarning = _show_warning
         try:
-            args = _plain_args(argv) or _build_parser().parse_args(argv)
-            cfg = _merge(args)
-            meta, columns, rows = _COMMANDS[args.command][2](cfg)
-            _emit(_render(args.command, meta, columns, rows, cfg["format"]), cfg.get("out"))
+            command, flags = _parse_args(argv)
+            if flags is None:  # -h or --help
+                sys.stdout.write(_help(command))
+                return 0
+            cfg = _merge(command, flags)
+            meta, columns, rows = _COMMANDS[command][2](cfg)
+            _emit(_render(command, meta, columns, rows, cfg["format"]), cfg.get("out"))
             return 0
         except UsageError as exc:
             print(f"kgcoulomb: usage error: {exc}", file=sys.stderr)

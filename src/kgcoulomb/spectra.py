@@ -17,6 +17,7 @@ import math
 import sys
 
 from .errors import RootFindingError, SupercriticalCouplingError
+from .physcore import mu_of_coupling
 
 
 class SpectrumLine:
@@ -28,13 +29,11 @@ class SpectrumLine:
 
 
 def _real_mu(g: float) -> float:
-    if g < 0:
-        raise ValueError("coupling must be nonnegative")
     if g > 0.5:
         raise SupercriticalCouplingError(
             f"coupling g = {g} exceeds 1/2: sqrt(1/4 - g^2) is imaginary and "
             "the square-integrability condition has no real solution")
-    return math.sqrt(0.25 - g * g)
+    return mu_of_coupling(g).real
 
 
 def binding_residual(g: float, binding: float, n: int) -> float:
@@ -49,13 +48,26 @@ def binding_residual(g: float, binding: float, n: int) -> float:
     return 0.5 + mu + n - g * (1.0 - binding) / math.sqrt(binding * (2.0 - binding))
 
 
-def energy_closed_form(g: float, n: int) -> float:
-    """eta = N / sqrt(N^2 + g^2), N = n + 1/2 + mu(g)."""
+def _level(g: float, n: int) -> tuple[float, float]:
+    """N = n + 1/2 + mu(g) and S = sqrt(N^2 + g^2) of level n."""
     mu = _real_mu(g)
     if n < 0:
         raise ValueError("n must be a nonnegative integer")
     big_n = n + 0.5 + mu
-    return big_n / math.sqrt(big_n * big_n + g * g)
+    return big_n, math.sqrt(big_n * big_n + g * g)
+
+
+def energy_closed_form(g: float, n: int) -> float:
+    """eta = N / S."""
+    big_n, s = _level(g, n)
+    return big_n / s
+
+
+def binding_closed_form(g: float, n: int) -> float:
+    """The binding 1 - eta = g^2 / (S (S + N)), which keeps full relative
+    precision however weakly the level is bound."""
+    big_n, s = _level(g, n)
+    return g * g / (s * (s + big_n))
 
 
 def solve_quantization(g: float, n: int) -> SpectrumLine:

@@ -373,7 +373,7 @@ class TestTransfer:
         worst, chains = 0.0, 0
         for seed in (1, 2, 3):
             for cmd in workloads.commands("exponent-fit", seed, 15):
-                cfg = cli._merge(cli._build_parser().parse_args(list(cmd.argv)))
+                cfg = cli._merge(*cli._parse_args(list(cmd.argv)))
                 ode, _ = cli._exponent_ode(cfg, cli._coupling(cfg), cfg.get("eta"))
                 lo, hi = cli._parse_window(cfg["window"])
                 ratio = min(math.sqrt(hi / lo), asymptotics._RATIO_CAP)

@@ -85,10 +85,47 @@ class TestSpectrum:
         code, out, err = _run(capsys, "spectrum", "--g", "2e-154", "--n", "0")
         assert (code, out) == (2, "")
         assert err == ("kgcoulomb: level n = 0 at g = 2e-154 is bound by less than the "
-                       "smallest normal double, 2.23e-308 m c^2\n")
+                       "smallest normal double, 2.23e-308 m c^2; no level of --n 0 solves\n")
         code, out, _ = _run(capsys, "spectrum", "--g", "2.2e-154", "--n", "0")
         assert code == 0
         assert float(_csv_rows(out)[0][6]) == pytest.approx(2.2e-154 ** 2 / 2, rel=1e-12)
+
+    def test_range_refused_at_its_first_unsolved_level_names_the_levels_before(self, capsys):
+        # the binding falls with n, so the levels that solve are the ones
+        # before the first that does not; the run prints none of them
+        code, out, err = _run(capsys, "spectrum", "--g", "1e-152", "--n", "0..200")
+        assert (code, out) == (2, "")
+        assert err.startswith("kgcoulomb: level n = 47 at g = 1e-152 is bound by less than ")
+        assert err.endswith("; the levels --n 0..46 solve\n")
+        code, out, _ = _run(capsys, "spectrum", "--g", "1e-152", "--n", "0..46")
+        assert code == 0 and len(_csv_rows(out)) == 47
+        code, out, err = _run(capsys, "spectrum", "--g", "1e-152", "--n", "47..200")
+        assert (code, out) == (2, "")
+        assert err.endswith("; no level of --n 47..200 solves\n")
+
+    @pytest.mark.parametrize("z", [1, 68])
+    def test_both_bindings_against_mpmath(self, capsys, z):
+        # b = g^2 / (S (S + N)), S = sqrt(N^2 + g^2), at 50 digits: the
+        # solver's binding and the closed one each hold 14 digits, and
+        # agreement is their distance relative to the closed one
+        import mpmath
+
+        code, out, _ = _run(capsys, "spectrum", "--Z", str(z), "--n", "0..9999")
+        assert code == 0
+        columns = out.split("# columns: ")[1].splitlines()[0].split(",")
+        assert columns[-1] == "binding_closed"
+        rows = _csv_rows(out)
+        with mpmath.workdps(50):
+            gm = mpmath.mpf(z * physcore.FINE_STRUCTURE_ALPHA)
+            for n in (0, 100, 5000, 9999):
+                row = dict(zip(columns[2:], map(float, rows[n][2:])))
+                big_n = n + mpmath.mpf(1) / 2 + mpmath.sqrt(mpmath.mpf(1) / 4 - gm * gm)
+                big_s = mpmath.sqrt(big_n * big_n + gm * gm)
+                exact = gm * gm / (big_s * (big_s + big_n))
+                for name in ("binding", "binding_closed"):
+                    assert abs(row[name] - exact) <= 1e-14 * exact, (n, name)
+                assert row["agreement"] == (abs(row["binding"] - row["binding_closed"])
+                                            / row["binding_closed"])
 
     def test_level_range_past_the_cap_is_usage_error(self, capsys):
         # 10^12 levels would run for years; the cap names itself
@@ -650,10 +687,16 @@ def test_out_of_range_flag_is_usage_error(capsys, argv):
 
 
 def _help(capsys, command):
-    with pytest.raises(SystemExit) as exc:
-        cli.main([command, "--help"])
-    assert exc.value.code == 0
-    return capsys.readouterr().out
+    code, out, err = _run(capsys, command, "--help")
+    assert (code, err) == (0, "")
+    return out
+
+
+def test_top_level_help_lists_the_subcommands(capsys):
+    for flag in ("-h", "--help"):
+        code, out, err = _run(capsys, flag)
+        assert (code, err) == (0, "")
+        assert [line.split()[0] for line in out.splitlines()[1:-1]] == list(cli._COMMANDS)
 
 
 def test_spectrum_help_omits_window(capsys):
@@ -661,8 +704,7 @@ def test_spectrum_help_omits_window(capsys):
 
 
 @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
-def test_help_lists_the_table_entry(capsys, monkeypatch, command):
-    monkeypatch.setenv("COLUMNS", "1000")  # one line per option
+def test_help_lists_the_table_entry(capsys, command):
     text = _help(capsys, command)
     models = cli._COMMANDS[command][1]
     taken = set().union(*models.values())
@@ -704,7 +746,7 @@ def test_table_entry_is_what_the_command_reads(capsys, tmp_path, command):
         argv = [command] + (["--model", model] if model else [])
         if "theta" in entry and entry["theta"] is None:  # required, no default
             argv += ["--theta", "0.05"]
-        cfg = _ReadLog(cli._merge(cli._build_parser().parse_args(argv)))
+        cfg = _ReadLog(cli._merge(*cli._parse_args(argv)))
         _, _, rows = cli._COMMANDS[command][2](cfg)
         assert rows
         listed = set(entry) | ({"model"} if model else set())
@@ -1024,11 +1066,11 @@ def test_exponent_fit_seed_1_passes_every_check():
     assert worst <= 2e-5
 
 
-def _fresh_python(*args):
+def _fresh_python(*args, check=True):
     """A fresh interpreter with the package on its path."""
     src = str(Path(cli.__file__).resolve().parents[1])
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, check=True)
+                          env={**os.environ, "PYTHONPATH": src}, check=check)
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -1075,56 +1117,79 @@ def test_exponents_leave_scipy_unloaded():
     assert proc.stdout.strip() == "False"
 
 
-def test_parser_built_once_keeps_no_state(capsys):
-    assert cli._build_parser() is cli._build_parser()
-    code, out, _ = _run(capsys, "spectrum", "--Z", "10", "--n", "0")
-    assert code == 0 and "# Z = 10" in out
-    code, out, _ = _run(capsys, "spectrum")
-    assert code == 0 and "# Z = 1\n" in out
-    assert len(_csv_rows(out)) == 6
+def test_process_argv_takes_the_plain_path_without_argparse(capsys, tmp_path):
+    # a fresh `python -m kgcoulomb.cli` calls main() with no argument and
+    # reads its own argv. No argv imports argparse (or the locale module
+    # its gettext loads), help and refusals included, and each prints
+    # what main(argv) prints
+    config = tmp_path / "run.cfg"
+    config.write_text("Z = 3\nn = 0..2\n")
+    for argv in (["spectrum", "--Z", "3", "--n", "0..2"], ["--help"], ["spectrum", "-h"],
+                 ["spectrum", "--Z=3", "--n=0..2"], ["spectrum", "--config", str(config)],
+                 ["spectrum", "--Z", "3", "extra"]):
+        code = ("import sys\n"
+                f"sys.argv = ['kgcoulomb', *{argv!r}]\n"
+                "from kgcoulomb import cli\n"
+                "code = cli.main()\n"
+                "assert 'argparse' not in sys.modules, 'argparse'\n"
+                "sys.exit(code)\n")
+        proc = _fresh_python("-c", code, check=False)
+        assert (proc.returncode, proc.stdout, proc.stderr) == _run(capsys, *argv), argv
 
 
-def test_process_argv_takes_the_plain_path_without_argparse(capsys):
-    # a fresh `python -m kgcoulomb.cli` calls main() with no argument: its
-    # own plain argv skips the parser, so argparse (and the locale module its
-    # gettext loads) is never imported, and it prints what main(argv) prints
-    argv = ["spectrum", "--Z", "3", "--n", "0..2"]
-    code = ("import sys\n"
-            f"sys.argv = ['kgcoulomb', *{argv!r}]\n"
-            "from kgcoulomb import cli\n"
-            "assert cli.main() == 0\n"
-            "assert 'argparse' not in sys.modules, 'argparse'\n"
-            "assert cli._build_parser.cache_info().misses == 0\n")
-    proc = _fresh_python("-c", code)
-    assert (0, proc.stdout, "") == _run(capsys, *argv)
+# argv beyond the plain `COMMAND --key value ...` form, each with the exit
+# code that argparse gave it when it read them: the forms a user may give
+# (--key=value, a unique prefix, a repeated key, -h or --help) and the
+# ones refused with one usage error line
+_PROBES = [
+    (["exponents", "--g=0.3"], 0), (["exponents", "--the", "0.1"], 1),
+    (["exponents", "--g", "-1"], 1), (["exponents", "--g", "0.3", "--g", "0.4"], 0),
+    (["exponents", "--g", "x"], 1), (["exponents", "--g"], 1), (["exponents", "--help"], 0),
+    (["exponents", "--n", "0"], 1), (["nosuch"], 1), (["--g", "0.3"], 1), ([], 1),
+    (["exponents", "--"], 1), (["exponents", "--", "--g", "0.3"], 1),
+    (["exponents", "--Z", "5", "extra"], 1), (["exponents", "--window", "-1:2"], 1),
+    (["exponents", "-g", "0.3"], 1), (["exponents", "--wind=100:1000"], 0),
+    (["exponents", "--mod", "deformed-zero-energy", "--theta", "0.05"], 0),
+    (["spectrum", "--config"], 1), (["exponents", "--g=0.3=4"], 1),
+]
 
 
-@pytest.mark.parametrize("argv", [
-    ["exponents", "--g=0.3"], ["exponents", "--the", "0.1"], ["exponents", "--g", "-1"],
-    ["exponents", "--g", "0.3", "--g", "0.4"], ["exponents", "--g", "x"], ["exponents", "--g"],
-    ["exponents", "--help"], ["exponents", "--n", "0"], ["nosuch"], ["--g", "0.3"], [],
-], ids=repr)
-def test_plain_argv_parser_declines_the_rest(argv):
-    assert cli._plain_args(argv) is None
+@pytest.mark.parametrize("argv, code", [pytest.param(*probe, id=repr(probe[0]))
+                                        for probe in _PROBES])
+def test_plain_argv_parser_declines_the_rest(capsys, argv, code):
+    # each argv off the plain form is answered by the one reader: with a
+    # table, or with exit 1 and one usage error line
+    got, out, err = _run(capsys, *argv)
+    assert got == code
+    if code:
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("kgcoulomb: usage error: ")
 
 
-def test_plain_argv_parses_as_the_parser_does():
-    # every benchmark command and a few edge forms the parser accepts; the
-    # parser is asked in this order, so a state it kept would show
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads
-    spec.loader.exec_module(workloads)
-    argvs = [list(cmd.argv) for name in workloads.WORKLOADS for seed in (1, 2)
-             for cmd in workloads.commands(name, seed, 15)]
-    argvs += [["spectrum", "--Z", "10", "--n", "0"], ["spectrum"],
-              ["exponents", "--window", ""], ["exponents", "--config", "a.cfg", "--eta", "0.3"],
-              ["wavefunction", "--model", "deformed-zero-energy", "--theta-prime", "0.02"]]
-    for argv in argvs:
-        plain = cli._plain_args(argv)
-        assert plain is not None, argv
-        assert vars(plain) == vars(cli._build_parser().parse_args(argv)), argv
+def test_argv_is_read_left_to_right(capsys):
+    # the first token that decides the run decides it: an unknown option
+    # before --help is refused, and -h before a bad value prints the help
+    assert _run(capsys, "exponents", "--bogus", "1", "--help")[:2] == (1, "")
+    assert _run(capsys, "exponents", "--g", "x", "-h")[:2] == (1, "")
+    code, out, _ = _run(capsys, "exponents", "-h", "--g", "x")
+    assert code == 0 and out.startswith("usage: kgcoulomb exponents ")
+
+
+def test_argv_forms_read_as_the_plain_form(capsys):
+    # --key=value, a unique prefix and a repeated key (the last one wins)
+    # read the options the plain form gives
+    plain = ("exponents", "--model", "deformed-zero-energy", "--theta", "0.05",
+             "--window", "100:1000")
+    expected = cli._parse_args(list(plain))
+    assert expected == ("exponents", {"model": "deformed-zero-energy", "theta": 0.05,
+                                      "window": "100:1000"})
+    for argv in (["--model=deformed-zero-energy", "--theta=0.05", "--window=100:1000"],
+                 ["--mod", "deformed-zero-energy", "--theta", "0.05", "--wind=100:1000"],
+                 ["--model", "ordinary", "--theta", "0.3", "--window", "1:2",
+                  *plain[1:]]):
+        assert cli._parse_args(["exponents", *argv]) == expected, argv
+    assert _run(capsys, "exponents", "--mod", "deformed-zero-energy", "--theta=0.05",
+                "--wind", "100:1000") == _run(capsys, *plain)
 
 
 def test_commands_without_arrays_leave_numpy_unloaded():

@@ -152,3 +152,57 @@ def test_option_variants_print_the_plain_bytes():
     fields = ("code", "stdout", "stderr")
     for r in variants:
         assert [r[f] for f in fields] == [plain[tuple(r["key"][:3])][f] for f in fields], r["argv"]
+
+
+def test_help_and_probes_run_once_under_their_own_kinds(capsys, monkeypatch):
+    # given any seed, a tree runs the top-level and every subcommand's
+    # --help (kind help) and the argv of _PROBES (kind refused) once; each
+    # changed run of those kinds is listed with its exit codes and
+    # stderr, and its stdout is compared on its bytes alone
+    tool = _stdout_diff()
+    monkeypatch.syspath_prepend(str(tool.PERFBENCH))
+    once = [(key, kind, argv) for key, kind, argv, _ in tool._runs([4, 5])
+            if kind in ("help", "refused")]
+    assert once == ([(["help", i], "help", argv) for i, argv in enumerate(tool._HELP)]
+                    + [(["refused", i], "refused", argv) for i, argv in enumerate(tool._PROBES)])
+    assert [argv[0] for argv in tool._HELP] == ["--help", "spectrum", "exponents",
+                                                "wavefunction", "params", "heun-check"]
+    assert list(tool._runs([])) == []
+
+    def record(kind, argv, code, stdout, stderr):
+        return {"kind": kind, "argv": argv, "code": code, "stdout": stdout, "stderr": stderr}
+
+    old = {("help", 0): record("help", ["--help"], 0, "# a = 1\n", ""),
+           ("refused", 0): record("refused", ["exponents", "--"], 1, "", "kgcoulomb: x\n"),
+           ("refused", 1): record("refused", ["nosuch"], 1, "", "kgcoulomb: z\n")}
+    new = {("help", 0): record("help", ["--help"], 0, "# b = 1\n", ""),
+           ("refused", 0): record("refused", ["exponents", "--"], 0, "", "kgcoulomb: y\n"),
+           ("refused", 1): record("refused", ["nosuch"], 1, "", "kgcoulomb: z\n")}
+    assert tool.compare(old, new) is False
+    report = capsys.readouterr().out
+    assert "  1 -> 0: exponents --\n" in report
+    listed = report.split("help and refused runs that changed:\n")[1].splitlines()[:3]
+    assert listed == ["  help [--help]: code 0 -> 0; stdout changed; stderr '' -> ''",
+                      "  refused [exponents --]: code 1 -> 0; stdout same; "
+                      "stderr 'kgcoulomb: x' -> 'kgcoulomb: y'",
+                      "keys on one side only, commands per key: none"]
+
+
+def test_child_counts_a_system_exit_as_its_exit_code(tmp_path):
+    # a --help that exits the way argparse does reads as the exit code
+    # the process would give, not as an escaped exception
+    repo = Path(__file__).resolve().parent.parent
+    package = tmp_path / "tree" / "src" / "kgcoulomb"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text("def main(argv):\n"
+                                    "    if '--help' in argv:\n"
+                                    "        raise SystemExit(0)\n"
+                                    "    raise ValueError(argv)\n")
+    proc = subprocess.run([sys.executable, str(repo / "tools" / "stdout_diff.py"),
+                           "--child", str(tmp_path / "tree"), "--seeds", "1"],
+                          capture_output=True, text=True, check=True)
+    records = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(records) > len(_stdout_diff()._HELP)
+    for r in records:
+        assert r["code"] == (0 if "--help" in r["argv"] else "raised ValueError"), r["argv"]

@@ -10,24 +10,31 @@ first seed and every tenth seed after it (seeds 1, 11, ..., 51 of 1-60),
 every command also runs five more times:
 
 - with ``--format json`` appended, and with ``--format gnuplot-dat``;
-- with each pair written ``--key=value``, which the plain-argv fast path
-  does not take, so argparse reads it;
+- with each pair written ``--key=value``;
 - with its options in a ``key = value`` file passed by ``--config``;
 - with ``--out`` to a file, whose bytes stand in for stdout (after
   anything printed there).
+
+Once per tree (for any nonempty seed range) it also runs the top-level
+``--help`` and every subcommand's ``--help``, kind ``help``, and a fixed
+list of argv off the plain ``COMMAND --key value ...`` form (``_PROBES``:
+``--key=value``, prefixes, a repeated key, stray tokens, missing
+values), kind ``refused``. A ``SystemExit`` counts as its exit code.
 
 The config and ``--out`` files have fixed names in a temporary working
 directory, so a diagnostic that names them reads the same in both
 trees. These runs count toward the exit codes, stdout and stderr
 compared below under their own kind (``exponents --format json``,
-``exponents --config``), not toward the cell comparisons. The report has
-seven parts:
+``exponents --config``, ``help``, ``refused``), not toward the cell
+comparisons. The report has eight parts:
 
 - every command whose exit code changed;
 - the number of commands whose stdout changed, per kind of command;
 - the number of commands whose stderr changed, per kind of command, with
   one example each, so that a diagnostic or warning that appears or goes
   away shows up;
+- each ``help`` and ``refused`` run that changed, with its exit code and
+  stderr on both sides and whether its stdout changed;
 - the meta keys and table columns present on one side only, with the
   number of commands each is missing from on the other side;
 - the largest move of each numeric column (and numeric ``# key = value``
@@ -76,6 +83,21 @@ _ABSOLUTE = {"deviation", "abs_diff", "max_abs_diff", "agreement", "residual",
              "fuchsian_residual"}
 
 
+# the help runs, and argv off the plain form; each runs once per tree
+_HELP = [["--help"]] + [[command, "--help"] for command in
+                        ("spectrum", "exponents", "wavefunction", "params", "heun-check")]
+_PROBES = [
+    ["exponents", "--g=0.3"], ["exponents", "--the", "0.1"], ["exponents", "--g", "-1"],
+    ["exponents", "--g", "0.3", "--g", "0.4"], ["exponents", "--g", "x"], ["exponents", "--g"],
+    ["exponents", "--help"], ["exponents", "--n", "0"], ["nosuch"], ["--g", "0.3"], [],
+    ["exponents", "--"], ["exponents", "--", "--g", "0.3"], ["exponents", "--Z", "5", "extra"],
+    ["exponents", "--window", "-1:2"], ["exponents", "-g", "0.3"],
+    ["exponents", "--wind=100:1000"],
+    ["exponents", "--mod", "deformed-zero-energy", "--theta", "0.05"],
+    ["spectrum", "--config"], ["exponents", "--g=0.3=4"],
+]
+
+
 def _seeds(text: str) -> list[int]:
     lo, _, hi = text.partition("-")
     return list(range(int(lo), int(hi or lo) + 1))
@@ -97,9 +119,13 @@ def _runs(seeds: list[int]):
     """(key, kind, argv, config file text or None) of every command run:
     the benchmark's commands, and for each seed congruent to the first
     modulo 10 each once more per variant of _variants, its name added to
-    the key and its flags to the kind. Needs ``perfbench`` on the path."""
+    the key and its flags to the kind; before them, given any seed, the
+    help runs and _PROBES. Needs ``perfbench`` on the path."""
     import workloads as wl
 
+    for kind, argvs in (("help", _HELP), ("refused", _PROBES)) if seeds else ():
+        for i, argv in enumerate(argvs):
+            yield [kind, i], kind, argv, None
     for w in wl.WORKLOADS:
         for s in seeds:
             for i, cmd in enumerate(wl.commands(w, s, 15)):
@@ -127,7 +153,9 @@ def _run_tree(tree: str, seeds: list[int]) -> None:
             try:
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                     code = cli.main(argv)
-            except (Exception, SystemExit) as exc:  # an escape is its own outcome
+            except SystemExit as exc:  # what the process would exit with
+                code = exc.code
+            except Exception as exc:  # an escape is its own outcome
                 code = f"raised {type(exc).__name__}"
             stdout, written = out.getvalue(), Path(_OUT)
             if written.exists():
@@ -199,7 +227,7 @@ def compare(old: dict, new: dict) -> bool:
             continue
         if a["stdout"] != b["stdout"]:
             changed[a["kind"]] += 1
-        if len(key) > 3:  # a format variant: compared on its bytes alone
+        if len(key) != 3:  # a variant, help or probe: compared on its bytes alone
             continue
         cells_a, cells_b = _cells(a["stdout"]), _cells(b["stdout"])
         for side, cells, other in (("old", cells_a, cells_b), ("new", cells_b, cells_a)):
@@ -230,6 +258,13 @@ def compare(old: dict, new: dict) -> bool:
     for kind, count in sorted(stderr_changed.items()):
         argv, x, y = stderr_example[kind]
         print(f"  {kind}: {count}  (e.g. {' '.join(argv)}: {x.strip()!r} -> {y.strip()!r})")
+    runs = [(a, new[key]) for key, a in old.items() if a["kind"] in ("help", "refused")
+            and any(a[field] != new[key][field] for field in ("code", "stdout", "stderr"))]
+    print("help and refused runs that changed:" + ("" if runs else " none"))
+    for a, b in runs:
+        print(f"  {a['kind']} [{' '.join(a['argv'])}]: code {a['code']} -> {b['code']}; "
+              f"stdout {'changed' if a['stdout'] != b['stdout'] else 'same'}; "
+              f"stderr {a['stderr'].strip()!r} -> {b['stderr'].strip()!r}")
     print("keys on one side only, commands per key:" + ("" if one_sided else " none"))
     for field, count in sorted(one_sided.items()):
         print(f"  {field}: {count}")

@@ -121,10 +121,10 @@ def _polyder(a) -> tuple:
 def _shift(coeffs, z0: complex) -> tuple[complex, ...]:
     """Taylor coefficients of the polynomial around z0: the Horner table of
     division by (z - z0), in place (pass i leaves the i-th coefficient at i)."""
-    work = [complex(x) for x in coeffs]
+    work = list(coeffs)
     n = len(work)
     for i in range(n):
-        acc = 0j
+        acc = 0  # 0 * z0 is 0.0 * z0 or 0j * z0: z0's arithmetic
         for k in range(n - 1, i - 1, -1):
             acc = acc * z0 + work[k]
             work[k] = acc
@@ -221,10 +221,10 @@ class RationalCoeffODE:
     stored ``points`` are sorted by (real, imaginary) and keep the
     multiplicities left after cancelling, so they are the pole orders.
     Singular points are never searched for numerically. A point's local
-    record (``_local``) is made on its first request and kept.
+    record (``_local``) is made on its first request and kept. A real triple is floats (``_real``).
     """
 
-    __slots__ = ("points", "_triple", "_records")
+    __slots__ = ("points", "_triple", "_real", "_records")
 
     def __init__(self, p1_num: tuple[complex, ...], p1_den: tuple[complex, ...],
                  p0_num: tuple[complex, ...], p0_den: tuple[complex, ...],
@@ -268,9 +268,10 @@ class RationalCoeffODE:
         a, b = _ldexp_poly(d1, -e1), _ldexp_poly(n1, -e1)
         q0 = _ldexp_poly(q0, -e0)
         p0 = _polymul(_ldexp_poly(n0, -f1), _ldexp_poly(q1, -f0))
-        self._triple = (_ldexp_poly(_polymul(a, q0), e1 + e0 - top),
-                        _ldexp_poly(_polymul(b, q0), e1 + e0 - top),
-                        _ldexp_poly(p0, f1 + f0 - top))
+        triple = (_ldexp_poly(_polymul(a, q0), e1 + e0 - top),
+                  _ldexp_poly(_polymul(b, q0), e1 + e0 - top), _ldexp_poly(p0, f1 + f0 - top))
+        self._real = not any(c.imag for p in triple for c in p)
+        self._triple = tuple(tuple(c.real for c in p) for p in triple) if self._real else triple
 
     def p1(self, z):
         return _quotient(self._triple[1], self._triple[0], z)
@@ -332,10 +333,13 @@ def _quotient(num, den, z: complex) -> complex:
 
 def _ldexp_poly(coeffs, e: int) -> tuple[complex, ...]:
     """The coefficients times 2^e, exactly unless a result leaves the normal range."""
-    if e == 0:
-        return tuple(complex(c) for c in coeffs)
     return tuple(complex(math.ldexp(c.real, e), math.ldexp(c.imag, e))
                  for c in map(complex, coeffs))
+
+
+def _numbers(real: bool, *zs) -> list:
+    """The numbers in the arithmetic of an equation's series: floats if it is real and they are."""
+    return [*map(float if real and not any(isinstance(z, complex) for z in zs) else complex, zs)]
 
 
 def _exact_top(coeffs) -> tuple[complex, ...]:
@@ -364,8 +368,7 @@ class SingularPoint:
 
 def _sorted_pair(a: complex, b: complex) -> tuple[complex, complex]:
     """Descending by real part, ties broken by descending imaginary part."""
-    pair = sorted([a, b], key=lambda s: (-s.real, -s.imag))
-    return (pair[0], pair[1])
+    return tuple(sorted([a, b], key=lambda s: (-s.real, -s.imag)))
 
 
 def _local_record(ode: RationalCoeffODE, point) -> SingularPoint:
@@ -375,10 +378,10 @@ def _local_record(ode: RationalCoeffODE, point) -> SingularPoint:
     P1[n-1] = 2 P2[n] exactly, and p0's is deg P0 - n + 4, none below 1. At
     a regular point the exponents are the roots of the pivot on the
     triple of _triple_at, s (s - 1) + q1 s + q0 with q1 = P1[kappa-1] /
-    P2[kappa] and q0 = P0[kappa-2] / P2[kappa], each zero below a full
-    pole; at infinity they are negated into the z^sigma convention. A
-    finite point off the scheme within 4 eps |r| of a point r of it is
-    refused: it is r, rounded, and not an ordinary point."""
+    P2[kappa] and q0 = P0[kappa-2] / P2[kappa], each zero below a full pole
+    and complex (a float's ** 2 is C's pow, not a product); at infinity they
+    are negated into the z^sigma convention. A finite point off the scheme
+    within 4 eps |r| of a point r of it is refused: it is r, rounded, not an ordinary point."""
     if point is INFINITY:
         p2, p1, p0 = ode._triple
         n = len(p2) - 1
@@ -398,8 +401,8 @@ def _local_record(ode: RationalCoeffODE, point) -> SingularPoint:
     p2, p1, p0, kappa = _triple_at(ode, point)
     if (m1 == 1 or m0 == 2) and p2[kappa] == 0:
         raise OutOfDomainError(f"the expansion at {point} is lost to rounding or overflow")
-    q1 = p1[kappa - 1] / p2[kappa] if m1 == 1 else 0j
-    q0 = p0[kappa - 2] / p2[kappa] if m0 == 2 else 0j
+    q1 = complex(p1[kappa - 1] / p2[kappa]) if m1 == 1 else 0j
+    q0 = complex(p0[kappa - 2] / p2[kappa]) if m0 == 2 else 0j
     s1, s2 = _indicial_roots(point, q1, q0)
     if point is INFINITY:  # 0j - s, not -s: a zero imaginary part stays +0.0
         s1, s2 = 0j - s1, 0j - s2
@@ -481,10 +484,10 @@ def _triple_at(ode: RationalCoeffODE, point):
     deg P1 < n and deg P0 < n - 1."""
     p2, p1, p0 = ode._triple
     if point is INFINITY:
-        n = len(p2) - 1
-        a, b = p2[::-1], (0j,) * (n + 1 - len(p1)) + p1[::-1]
-        c = ((0j,) * (n + 1 - len(p0)) + p0[::-1])[2:]
-        return (0j, 0j) + a, _polyadd((0j,) + _polyscale(a, 2.0), _polyscale(b, -1.0)), c, 2
+        n, zero = len(p2) - 1, tuple(_numbers(ode._real, 0))
+        a, b = p2[::-1], zero * (n + 1 - len(p1)) + p1[::-1]
+        c = (zero * (n + 1 - len(p0)) + p0[::-1])[2:]
+        return zero * 2 + a, _polyadd(zero + _polyscale(a, 2.0), _polyscale(b, -1.0)), c, 2
     if point != 0:
         p2, p1, p0 = _shift(p2, point), _shift(p1, point), _shift(p0, point)
     return p2, p1, p0, max(ode._multiplicities(point))
@@ -522,9 +525,10 @@ def _recurrence(p2, p1, p0, kappa: int, rho: complex, order: int,
     # kappa - 1, kappa - 2, so it vanishes once j reaches the band width;
     # the tables hold those entries, zero-padded, for j = 0 .. band - 1
     band = max(len(p2) - kappa, len(p1) - kappa + 1, len(p0) - kappa + 2)
+    zero = 0j if isinstance(rho, complex) else 0.0  # rho's arithmetic: floats for a real rho
 
     def table(p, offset):
-        return [p[offset + j] if 0 <= offset + j < len(p) else 0j for j in range(band)]
+        return [p[offset + j] if 0 <= offset + j < len(p) else zero for j in range(band)]
 
     a, b, d = table(p2, kappa), table(p1, kappa - 1), table(p0, kappa - 2)
     off_diagonal = list(zip(range(1, band), a[1:], b[1:], d[1:]))
@@ -532,9 +536,9 @@ def _recurrence(p2, p1, p0, kappa: int, rho: complex, order: int,
     # scatter form: each new c_k adds c_k L(k + j, k) to the pending sum of
     # c_(k+j), so every sum still runs over ascending k; the sums past
     # ``order`` are never read
-    pending = [0j] * (order + band)
+    pending = [zero] * (order + band)
     two = second is not None
-    other, waiting = (list(second), [0j] * (order + band)) if two else ([], [])
+    other, waiting = (list(second), [zero] * (order + band)) if two else ([], [])
     if tol is not None:
         largest = max(abs(c) * disk ** k for k, c in enumerate(coeffs))
         largest2 = max((abs(c) * disk ** k for k, c in enumerate(other)), default=0.0)
@@ -544,7 +548,7 @@ def _recurrence(p2, p1, p0, kappa: int, rho: complex, order: int,
         s = rho + m
         if m >= len(seeds):
             piv = a[0] * s * (s - 1.0) + b[0] * s + d[0]
-            if piv == 0j:
+            if piv == 0:
                 raise ResonantExponentsError(
                     f"recurrence pivot vanished at series index {m}")
             coeffs.append(-pending[m] / piv)
@@ -563,13 +567,13 @@ def _recurrence(p2, p1, p0, kappa: int, rho: complex, order: int,
                 if quiet >= 2 and quiet2 >= 2:
                     break
                 weight *= disk
-        c, c2 = coeffs[m], other[m] if two else 0j
-        nonzero, nonzero2 = c != 0j, c2 != 0j  # a zero adds nothing: each column keeps its bits
+        c, c2 = coeffs[m], other[m] if two else zero
+        nonzero, nonzero2 = c != 0, c2 != 0  # a zero adds nothing: each column keeps its bits
         if nonzero or nonzero2:
             s1 = s - 1.0
             for j, aj, bj, dj in off_diagonal:
                 term = aj * s * s1 + bj * s + dj
-                if term != 0j:
+                if term != 0:
                     if nonzero:
                         pending[m + j] += c * term
                     if nonzero2:
@@ -594,7 +598,7 @@ def frobenius_series(ode: RationalCoeffODE, point: complex | _InfinityType, expo
     |x| <= min(read, radius/2) fall below _READ_TOL times the largest.
     """
     if point is not INFINITY:
-        point = complex(point)
+        point = _numbers(ode._real, point)[0]
     pair = indicial_exponents(ode, point)
     if point is INFINITY:  # the exponents in t = 1/z
         pair, exponent = (0j - pair[0], 0j - pair[1]), 0j - exponent
@@ -612,12 +616,13 @@ def frobenius_series(ode: RationalCoeffODE, point: complex | _InfinityType, expo
     p2, p1, p0, kappa = _triple_at(ode, point)
     if not abs(p2[kappa]) >= _TINY:
         raise OutOfDomainError(
-            f"the series recurrence at {point} lost its leading coefficient to underflow")
+            f"the series recurrence at {complex(point)} lost its leading coefficient to underflow")
     radius = _series_radius(ode, point)
     # unscaled, the coefficients grow like radius^-k; a power of two scales exactly
     scale = math.ldexp(0.5, math.frexp(min(radius, 1.0))[1])
     p2, p1, p0 = _pow2_scaled_triple(p2, p1, p0, kappa, scale)
-    coeffs = _recurrence(p2, p1, p0, kappa, rho, order, [1 + 0j], read and _READ_TOL,
+    rho, one = (rho.real, 1.0) if isinstance(point, float) and not rho.imag else (rho, 1 + 0j)
+    coeffs = _recurrence(p2, p1, p0, kappa, rho, order, [one], read and _READ_TOL,
                          disk=min(read or 0.0, 0.5 * radius) / scale)
     z0 = 0j if point is INFINITY else point
     return FrobeniusSolution(z0, rho, tuple(coeffs), radius, scale)
@@ -631,7 +636,7 @@ def _truncate(sol: FrobeniusSolution, read: float) -> FrobeniusSolution:
     largest, weight, quiet, n = abs(coeffs[0]), disk, 0, len(coeffs)
     for m in range(1, n):
         size = abs(coeffs[m]) * weight
-        largest, weight = max(largest, size), weight * disk
+        largest, weight = size if size > largest else largest, weight * disk  # max, no call
         quiet = quiet + 1 if size <= _READ_TOL * largest else 0
         if quiet == 2:
             n = m + 1
@@ -658,6 +663,7 @@ def _pow2_scaled_triple(p2, p1, p0, kappa: int, scale: float):
     def scaled(poly, offset):
         return [complex(math.ldexp(c.real * powers[k], k * e - top),
                         math.ldexp(c.imag * powers[k], k * e - top))
+                if isinstance(c, complex) else math.ldexp(c * powers[k], k * e - top)
                 for k, c in enumerate(poly, offset)]
 
     try:
@@ -693,11 +699,10 @@ def taylor_series(ode: RationalCoeffODE, center: complex, value: complex,
     trusted half disk fall below double precision (_TAIL_TOL) times the
     largest, at ``order`` at the latest.
     """
-    center = complex(center)
+    center, value, derivative, zero = _numbers(ode._real, center, value, derivative, 0)
     (p2, p1, p0), radius = _taylor_triple(ode, center)
-    seeds = [complex(value), complex(derivative) * radius]
-    coeffs = _recurrence(p2, p1, p0, 0, 0j, order, seeds, _TAIL_TOL)
-    return FrobeniusSolution(center, 0j, tuple(coeffs), radius, radius)
+    coeffs = _recurrence(p2, p1, p0, 0, zero, order, [value, derivative * radius], _TAIL_TOL)
+    return FrobeniusSolution(center, zero, tuple(coeffs), radius, radius)
 
 
 def taylor_basis(ode: RationalCoeffODE, center: complex, order: int = _MAX_ORDER,
@@ -712,11 +717,11 @@ def taylor_basis(ode: RationalCoeffODE, center: complex, order: int = _MAX_ORDER
     ``reach``'s. At the default tol and disk the first has the bits of
     ``taylor_series(ode, center, 1, 0, order)`` as far as that one goes.
     """
-    center = complex(center)
+    center, zero, one = _numbers(ode._real, center, 0, 1)
     (p2, p1, p0), radius = _taylor_triple(ode, center)
-    pair = _recurrence(p2, p1, p0, 0, 0j, order, [1 + 0j, 0j], tol, second=[0j, 1 + 0j],
+    pair = _recurrence(p2, p1, p0, 0, zero, order, [one, zero], tol, second=[zero, one],
                        disk=disk)
-    return tuple(FrobeniusSolution(center, 0j, tuple(coeffs), radius, radius)
+    return tuple(FrobeniusSolution(center, zero, tuple(coeffs), radius, radius)
                  for coeffs in pair)
 
 
@@ -745,7 +750,7 @@ def reach(ode: RationalCoeffODE, chain: list[FrobeniusSolution], target: complex
         k += 1
         if k >= _MAX_HOPS and k >= (budget := _hop_budget(ode, chain[0], target)):
             raise ConvergenceError(
-                f"analytic continuation toward {target} did not arrive in {budget} "
+                f"analytic continuation toward {complex(target)} did not arrive in {budget} "
                 "hops (target too close to a singular point, or too far away?)")
         if k == len(chain):
             nxt = center + remaining / abs(remaining) * (0.4 * current.radius)
@@ -753,8 +758,8 @@ def reach(ode: RationalCoeffODE, chain: list[FrobeniusSolution], target: complex
             try:
                 chain.append(taylor_series(ode, nxt, w, dw, order))
             except ValueError as exc:
-                raise OutOfDomainError(
-                    f"continuation toward {target} stalls at {nxt}: {exc}") from exc
+                raise OutOfDomainError(f"continuation toward {complex(target)} stalls at "
+                                       f"{complex(nxt)}: {exc}") from exc
 
 
 def _hop_budget(ode: RationalCoeffODE, origin: FrobeniusSolution, target: complex) -> int:
@@ -773,7 +778,7 @@ def _hop_budget(ode: RationalCoeffODE, origin: FrobeniusSolution, target: comple
 
 def _local_coordinate(sol: FrobeniusSolution, z: complex) -> complex:
     """x = z - z0, refused at or beyond the series' radius."""
-    x = complex(z) - sol.expansion_point
+    x = z - sol.expansion_point
     if abs(x) >= sol.radius:
         raise OutOfDomainError(
             f"evaluation point has |z - z0| = {abs(x):.6g} outside the series "
@@ -789,7 +794,7 @@ def _series_sums(coeffs, x, scale: float = 1.0, derivatives: int = 2):
     scale * scale, which underflows to 0 below a scale of about 1e-154."""
     if scale != 1.0:
         x = x / scale
-    s0 = s1 = s2 = 0j
+    s0 = s1 = s2 = 0  # 0 * x is 0.0 * x or 0j * x: x's arithmetic
     if not derivatives:
         for c in reversed(coeffs):
             s0 = s0 * x + c
@@ -806,6 +811,12 @@ def _series_sums(coeffs, x, scale: float = 1.0, derivatives: int = 2):
     return (s0, s1, s2) if scale == 1.0 else (s0, s1 / scale, s2 / (scale * scale))
 
 
+def _power(x, p):
+    """x ** p as complex(x) ** p has it (integral p by products, not C's pow); real stays real."""
+    y = x ** p if isinstance(x, complex) or not p else complex(x) ** p  # x ** 0 is exactly 1
+    return y.real if isinstance(x, float) and not y.imag else y
+
+
 def evaluate(sol: FrobeniusSolution, z: complex) -> complex:
     """Value of the local solution at z, from its value's sum alone (away
     from z0, the bits ``evaluate_with_derivatives`` gives)."""
@@ -814,9 +825,9 @@ def evaluate(sol: FrobeniusSolution, z: complex) -> complex:
         if rho == 0:
             return sol.coefficients[0]
         if rho.real > 0:
-            return 0j
+            return 0j if isinstance(x, complex) else 0.0
         raise OutOfDomainError("series diverges at its own expansion point")
-    return x ** rho * _series_sums(sol.coefficients, x, sol.scale, derivatives=0)
+    return _power(x, rho) * _series_sums(sol.coefficients, x, sol.scale, derivatives=0)
 
 
 def evaluate_with_derivatives(sol: FrobeniusSolution, z: complex,
@@ -829,18 +840,19 @@ def evaluate_with_derivatives(sol: FrobeniusSolution, z: complex,
         if rho != 0:
             raise OutOfDomainError(
                 "derivative evaluation needs a point away from the expansion center")
-        c0, c1, c2 = (*sol.coefficients[:3], 0j, 0j)[:3]  # a shorter series pads with 0
+        zero = 0j if isinstance(x, complex) else 0.0
+        c0, c1, c2 = (*sol.coefficients[:3], zero, zero)[:3]  # a shorter series pads with 0
         scale = sol.scale
         if derivatives == 1:
             return c0, c1 / scale
         return c0, c1 / scale, 2.0 * c2 / (scale * scale)
     sums = _series_sums(sol.coefficients, x, sol.scale, derivatives)
     s0, s1 = sums[0], sums[1]
-    w = x ** rho * s0
-    dw_dx = x ** (rho - 1) * (rho * s0 + x * s1)
+    w = _power(x, rho) * s0
+    dw_dx = _power(x, rho - 1) * (rho * s0 + x * s1)
     if derivatives == 1:
         return w, dw_dx
-    d2w_dx2 = x ** (rho - 2) * (rho * (rho - 1.0) * s0 + 2.0 * rho * x * s1 + x * x * sums[2])
+    d2w_dx2 = _power(x, rho - 2) * (rho * (rho - 1.0) * s0 + 2.0 * rho * x * s1 + x * x * sums[2])
     return w, dw_dx, d2w_dx2
 
 

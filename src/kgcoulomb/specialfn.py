@@ -87,49 +87,51 @@ def _series_2f1(a: complex, b: complex, c: complex, z: complex,
 
 
 def _parameters(a: complex, b: complex, c: complex):
-    """(a, b, c) as complex numbers and the number of terms past the first
-    of a terminating series, else None; ParameterPoleError for c = 0, -1, ...,
-    ConvergenceError for a polynomial longer than _MAX_TERMS terms."""
+    """(a, b, c) as complex numbers, the number of terms past the first of a
+    terminating series (else None) and whether c, a + b and a b are real;
+    ParameterPoleError for c = 0, -1, ..., ConvergenceError past _MAX_TERMS terms."""
     a, b, c = complex(a), complex(b), complex(c)
     if _near_nonpositive_int(c) is not None:
         raise ParameterPoleError(f"2F1 pole: c = {c} is a nonpositive integer")
     stops = [-n for x in (a, b) if (n := _near_nonpositive_int(x)) is not None]
     if stops and min(stops) >= _MAX_TERMS:  # every double above 2^52 is an integer
         raise ConvergenceError(f"2F1 is a polynomial of degree {min(stops):.6g}, too long to sum")
-    return a, b, c, (min(stops) + 1 if stops else None)
+    real = not (c.imag or (a + b).imag or (a * b).imag)
+    return a, b, c, (min(stops) + 1 if stops else None), real
 
 
 def hyp2f1(a: complex, b: complex, c: complex,
            z: complex | Sequence[complex]) -> complex | list[complex]:
     """Gauss 2F1(a, b; c; z), principal branch.
 
-    ``z`` is a point (the result is a complex) or a 1-D sequence of
-    points (the result is a list of values in input order). The direct
-    series serves terminating parameters at any z and every z with
-    |z| <= 1/2; the other points share one continuation chain
-    (``_sweep``). Raises ParameterPoleError when c is a nonpositive
-    integer, OutOfDomainError for a point on the cut [1, inf) and
-    ConvergenceError where a direct sum cancels, the error's ``index``
-    being the point's position.
+    ``z`` is a point or a 1-D sequence of points (a list of values in
+    input order); real points of a real equation (real c, a + b and a b)
+    give floats, and any complex point gives complex values. The direct
+    series serves terminating parameters at any z and every z with |z| <=
+    1/2; the other points share one continuation chain (``_sweep``).
+    Raises ParameterPoleError when c is a nonpositive integer,
+    OutOfDomainError for a point on the cut [1, inf) and ConvergenceError
+    where a direct sum cancels, the error's ``index`` being the point's position.
     """
     scalar = isinstance(z, numbers.Number)
-    points = [complex(z)] if scalar else [complex(x) for x in z]
-    a, b, c, cap = _parameters(a, b, c)
-    values = {}  # by position
-    far = []
+    a, b, c, cap, real = _parameters(a, b, c)
+    zero, *points = fuchsian._numbers(real, *((0, z) if scalar else (0, *z)))
+    values, far = {}, []  # values by position
     for i, x in enumerate(points):
         if cap is None and abs(x) > 0.5:
             far.append(i)
             continue
         try:
-            values[i] = _series_2f1(a, b, c, x, cap)
+            value = _series_2f1(a, b, c, complex(x), cap)
         except KGCoulombError as exc:
             exc.index = i
             raise
+        values[i] = value.real if isinstance(x, float) else value  # a real equation, real x
     if far:  # the chain starts from the 2F1 series in 2z, summed at z = 1/2 until it settles
         terms = [1 + 0j]
         _series_2f1(a, b, c, 0.5, terms=terms)
-        series = fuchsian.FrobeniusSolution(0j, 0j, tuple(terms), 1.0, 0.5)
+        terms = [t.real for t in terms] if isinstance(zero, float) else terms
+        series = fuchsian.FrobeniusSolution(zero, zero, tuple(terms), 1.0, 0.5)
         values.update(_sweep(hypergeometric_ode(a, b, c), series, points, far,
                              fuchsian._MAX_ORDER))
     return values[0] if scalar else [values[i] for i in range(len(points))]
@@ -190,9 +192,9 @@ def _check_target(sings: list[complex], target: complex) -> None:
     real s as seen from 0, where the branch cut from s runs."""
     for s in sings:
         if abs(target - s) < 1e-9:
-            raise OutOfDomainError(f"target {target} sits on a singular point")
+            raise OutOfDomainError(f"target {complex(target)} sits on a singular point")
         if target.imag == 0 == s.imag and s.real * target.real > 0 and abs(s) < abs(target):
-            raise OutOfDomainError(f"target {target} lies on the branch cut from {s}")
+            raise OutOfDomainError(f"target {complex(target)} lies on the branch cut from {s}")
 
 
 def _sweep(ode: fuchsian.RationalCoeffODE, series: fuchsian.FrobeniusSolution,
@@ -235,10 +237,10 @@ def _sweep(ode: fuchsian.RationalCoeffODE, series: fuchsian.FrobeniusSolution,
         for i in visit:
             z = targets[i]
             if not (r := abs(z)) <= half or k:  # nan as well, which reach refuses
-                c = complex(chain[k].expansion_point)
+                c = chain[k].expansion_point
                 if c.imag * z.imag < 0 or (abs(z - c) > 0.5 * chain[k].radius
                                            and (z * c.conjugate()).real < abs(c) ** 2):
-                    chain, k, c = [series], 0, 0j
+                    chain, k, c = [series], 0, series.expansion_point
                 _check_target(sings, z)
                 if not abs(z - c) <= 0.5 * chain[k].radius:
                     for s in sings if z.imag else ():
@@ -266,23 +268,24 @@ def heun_local(params: HeunParams, xi: complex | Sequence[complex],
                order: int = fuchsian._MAX_ORDER) -> complex | list[complex]:
     """The local Heun solution analytic at xi = 0 with H(0) = 1.
 
-    ``xi`` is a point (the result is a complex) or a 1-D sequence of
-    points (the result is a list of values in input order). Points within
-    half the first radius of convergence are single Frobenius sums; the
-    others are reached by Taylor hops (``_sweep``: each hop a series in
-    its scaled variable, of at most the given order, cut where its tail
-    falls below double precision). Each value is its sum alone
-    (``fuchsian.evaluate``). The series at 0 is cut on the top of the
-    binade of the largest |xi|, the half disk at most, and a point read
-    off it sums its prefix cut on the top of its own binade, as one call
-    per point would; the sweep visits the real ray xi >= 0 first,
-    ascending, so its points share one chain and get those values too.
+    ``xi`` is a point or a 1-D sequence of points (a list of values in input
+    order); real points of a real block (q, a b, c, d, e, xi0 real) give
+    floats, its series and hops run in floats, and any complex point gives
+    complex values. Points within half the first radius of convergence are
+    single Frobenius sums; the others are reached by Taylor hops (``_sweep``:
+    each hop a series in its scaled variable, of at most the given order,
+    cut where its tail falls below double precision). Each value is its sum
+    alone (``fuchsian.evaluate``). The series at 0 is cut on the top of the
+    binade of the largest |xi|, the half disk at most, and a point read off
+    it sums its prefix cut on the top of its own binade, as one call per
+    point would; the sweep visits the real ray xi >= 0 first, ascending, so
+    its points share one chain and get those values too.
     """
     scalar = isinstance(xi, numbers.Number)
-    targets = [complex(xi)] if scalar else [complex(x) for x in xi]
     ode = heun_ode(params)
+    origin, *targets = fuchsian._numbers(ode._real, *((0, xi) if scalar else (0, *xi)))
     top = math.ldexp(1.0, math.frexp(max(map(abs, targets), default=0.0))[1])
-    series = fuchsian.frobenius_series(ode, 0j, 0j, order=order, read=top)
+    series = fuchsian.frobenius_series(ode, origin, 0, order=order, read=top)
     values = _sweep(ode, series, targets, range(len(targets)), order)
     return values[0] if scalar else [values[i] for i in range(len(targets))]
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import closed_form
-from kgcoulomb import cli, fuchsian, kgmodels, physcore, specialfn, spectra
+from kgcoulomb import asymptotics, cli, fuchsian, kgmodels, physcore, specialfn, spectra
 
 
 def _run(capsys, *argv):
@@ -958,12 +958,76 @@ _DP = physcore.DeformationParams
     (["heun-check", "--g", "0.2", "--theta", "0.05"], _heun_check_meta(0.2, 0.05)),
 ])
 def test_meta_is_what_the_library_computed(capsys, argv, meta):
+    # the meta lines, and then every cell of the table
     code, out, err = _run(capsys, *argv)
     assert code == 0, err
     printed = re.findall(r"^# (\w+) = (\S+)$", out, re.MULTILINE)
     assert [key for key, _ in printed] == list(meta), argv
     for key, text in printed:
         assert _same_cell(meta[key], text), (argv, key, text)
+    rows, expected = _csv_rows(out), _library_rows(argv, meta)
+    assert len(rows) == len(expected) > 0, argv
+    for cells, row in zip(rows, expected):
+        assert len(cells) == len(row) and all(map(_same_cell, row, cells)), (argv, cells)
+
+
+def _library_rows(argv, meta):
+    """The rows a command of test_meta_is_what_the_library_computed prints,
+    each cell from the library call it came from; a string cell is the
+    text it prints (a deformed wavefunction is real: im_psi prints 0)."""
+    opts = {key[2:]: text for key, text in zip(argv[1::2], argv[2::2])}
+    command, model, g = argv[0], opts.get("model"), meta.get("g")
+    theta = float(opts.get("theta", "nan"))
+    dp = _DP(theta, float(opts.get("theta-prime", theta)))
+    if command == "spectrum":
+        rows = []
+        for n in range(2):
+            line, closed = spectra.solve_quantization(g, n), spectra.binding_closed_form(g, n)
+            rows.append([n, 3, spectra.energy_closed_form(g, n), line.eta,
+                         abs(line.binding - closed) / closed, line.residual, line.binding, closed])
+        return rows
+    if command == "exponents":
+        if model == "deformed-zero-energy":
+            ode = kgmodels.build_deformed_zero_energy(g, dp)
+        elif model == "ordinary":
+            ode = kgmodels.build_ordinary_kg(physcore.CoulombSystem(g, meta["eta"]))
+        else:
+            system = physcore.CoulombSystem(g, meta["eta"])
+            ode = kgmodels.build_deformed_first_order_psi(system, theta)
+        exps = fuchsian.indicial_exponents(ode, fuchsian.INFINITY)
+        window = (meta["window_lo"], meta["window_hi"])
+        measured = asymptotics.paired(exps, asymptotics.transfer_exponents(ode, window))
+        return [[label, s.real, s.imag, rho.real, abs(rho.real - s.real) / abs(s.real),
+                 int(exps[0].imag != 0.0), rho.imag]
+                for label, s, rho in zip(("subdominant", "dominant"), exps, measured)]
+    if command == "wavefunction":
+        grid = cli._geomspace(0.01, 100.0, cli._WAVEFUNCTION_POINTS)
+        if model == "ordinary":
+            psis = specialfn.psi_ordinary(physcore.CoulombSystem(g, meta["eta"]), grid)
+            return [[u, psi.real, psi.imag, abs(psi)] for u, psi in zip(grid, psis)]
+        hp, vmap = kgmodels.to_heun(g, dp)
+        xis = vmap.forward(grid)
+        psis = [(1.0 - xi) * h for xi, h in zip(xis, specialfn.heun_local(hp, xis))]
+        assert all(type(psi) is float for psi in psis)
+        return [[u, psi, "0", abs(psi)] for u, psi in zip(grid, psis)]
+    if command == "params":
+        if model == "heun":
+            hp, _ = kgmodels.to_heun(g, dp)
+            values = [("omega1", dp.omega1), ("omega2", dp.omega2), ("nu", hp.b - hp.a)]
+            values += [(name, getattr(hp, name)) for name in ("q", "xi0", "a", "b", "c", "d", "e")]
+            residual = hp.fuchsian_residual
+        else:
+            ghp, _ = kgmodels.to_generalized_heun(physcore.CoulombSystem(g, meta["eta"]), theta)
+            values = [(name, getattr(ghp, name))
+                      for name in ("a", "b", "rho1", "rho2", "c", "d", "e", "f", "x1", "x2")]
+            residual = ghp.fuchsian_residual
+        return ([[name, complex(v).real, complex(v).imag] for name, v in values]
+                + [["fuchsian_residual", residual, 0.0]])
+    hp, _ = kgmodels.to_heun(g, _DP(theta, theta))  # heun-check
+    grid = cli._linspace(0.0, 0.4, cli._HEUN_CHECK_POINTS)
+    heun = specialfn.heun_local(hp, grid)
+    hyper = specialfn.hyp2f1(hp.a, hp.b, hp.c, [xi / hp.xi0 for xi in grid])
+    return [[xi, h, f, abs(h - f)] for xi, h, f in zip(grid, heun, hyper)]
 
 
 def _readme_cli_table(name):

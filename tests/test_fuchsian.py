@@ -27,7 +27,7 @@ from kgcoulomb.fuchsian import (
     taylor_basis,
     taylor_series,
 )
-from kgcoulomb.specialfn import heun_ode, hyp2f1, hypergeometric_ode
+from kgcoulomb.specialfn import HeunParams, heun_ode, hyp2f1, hypergeometric_ode
 from kgcoulomb.kgmodels import (
     _deformed_zero_energy_coeffs,
     _first_order_phi_coeffs,
@@ -948,6 +948,56 @@ class TestReducedSums:
             assert list(map(_bits, got.coefficients)) == list(map(_bits, ref.coefficients))
 
 
+class TestRealArithmetic:
+    """A real equation read at real points runs in floats, with the bits of
+    the real parts that the same calls at complex points give."""
+
+    @staticmethod
+    def _same_bits(real, complex_route):
+        assert [type(v) for v in real] == [float] * len(real)
+        assert [type(v) for v in complex_route] == [complex] * len(real)
+        assert [v.hex() for v in real] == [v.real.hex() for v in complex_route]
+
+    def test_hop_reads_with_derivatives(self):
+        # w' and w'' take x ** (rho - 1) and x ** (rho - 2) at rho = 0, which
+        # complex arithmetic forms by products; a float's C pow differs in
+        # about 0.08% and 26% of reads
+        ode = _model_odes()[1]  # the zero-energy model, the only real one
+        assert ode._real and not any(m._real for m in _model_odes()[::2])
+        rng = random.Random(5)
+        for center in (3.0, 40.0, 2.5e3):
+            real = taylor_series(ode, center, 1.0, -0.3)
+            route = taylor_series(ode, complex(center), 1 + 0j, -0.3 + 0j)
+            self._same_bits(real.coefficients, route.coefficients)
+            for _ in range(400):
+                z = center + real.radius * rng.uniform(-0.45, 0.45)
+                self._same_bits([*evaluate_with_derivatives(real, z), evaluate(real, z)],
+                                [*evaluate_with_derivatives(route, complex(z)),
+                                 evaluate(route, complex(z))])
+
+    def test_frobenius_series_at_real_exponents(self):
+        # the exponents 0 and 1 - c of a real Heun block at 0
+        ode = heun_ode(HeunParams(xi0=-0.35, q=0.2, a=0.9, b=1.7, c=1.4, d=1.1, e=1.1))
+        rng = random.Random(6)
+        for rho in (0.0, -0.4):
+            real, route = frobenius_series(ode, 0, rho), frobenius_series(ode, 0j, rho)
+            assert type(real.exponent) is float and type(route.exponent) is complex
+            self._same_bits(real.coefficients, route.coefficients)
+            for z in (rng.uniform(1e-3, 0.17) for _ in range(200)):
+                self._same_bits([*evaluate_with_derivatives(real, z), evaluate(real, z)],
+                                [*evaluate_with_derivatives(route, complex(z)),
+                                 evaluate(route, complex(z))])
+
+    def test_exponents_of_a_real_equation_stay_complex_arithmetic(self):
+        # q1 and q0 come off a float triple; a float (q1 - 1) ** 2 is C's pow
+        # and would move these by up to 2 ulps
+        ode = build_deformed_zero_energy(28 * FINE_STRUCTURE_ALPHA,
+                                         DeformationParams(0.0600452, 0.188118))
+        assert ode._real
+        assert [_bits(s) for s in indicial_exponents(ode, INFINITY)] == [
+            ("-0x1.ffffffffffffep+0", "0x0.0p+0"), ("-0x1.bdf0fe502b5cfp+1", "0x0.0p+0")]
+
+
 class TestTaylorBasis:
     @pytest.mark.parametrize("index", range(4))
     @pytest.mark.parametrize("tol", [1e-10, 1e-16])
@@ -957,13 +1007,17 @@ class TestTaylorBasis:
         # column alone is the recurrence's one-column pass on the same
         # triple, which taylor_series runs at the default tol for the
         # first; the second starts from a zero first coefficient, so its
-        # first scatter step is the second column's alone
+        # first scatter step is the second column's alone. The reference is
+        # seeded in the hops' own arithmetic: floats on the real zero-energy
+        # triple, complex on the others
         ode = _model_odes()[index]
         for center in (3.0, 40.0, 2.5e3):
             pair = fuchsian.taylor_basis(ode, center, 64, tol)
             (p2, p1, p0), radius = fuchsian._taylor_triple(ode, center)
-            for series, seeds in zip(pair, ([1 + 0j, 0j], [0j, 1 + 0j])):
-                alone = fuchsian._recurrence(p2, p1, p0, 0, 0j, 64, seeds, tol)
+            zero = 0.0 if ode._real else 0j
+            assert type(pair[0].coefficients[0]) is type(zero) is type(p2[0])
+            for series, seeds in zip(pair, ([1 + zero, zero], [zero, 1 + zero])):
+                alone = fuchsian._recurrence(p2, p1, p0, 0, zero, 64, seeds, tol)
                 if tol == fuchsian._TAIL_TOL and seeds[0]:
                     hop = taylor_series(ode, center, 1.0, 0.0, 64)
                     assert list(map(_bits, hop.coefficients)) == list(map(_bits, alone))

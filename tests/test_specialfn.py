@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import closed_form
 import sweep_oracle
-from kgcoulomb import fuchsian, specialfn
+from kgcoulomb import cli, fuchsian, kgmodels, specialfn
 from kgcoulomb.errors import (ConvergenceError, KGCoulombError, OutOfDomainError,
                               ParameterPoleError, ResonantExponentsError)
 from kgcoulomb.kgmodels import to_heun
@@ -474,6 +474,74 @@ class TestSweepAgainstPerPointLoop:
         with pytest.raises(OutOfDomainError) as info:
             heun_local(hp, [0.3, 1e-11])
         assert info.value.index == 1
+
+
+class TestRealRouteIsTheComplexRoute:
+    """A real equation read at real points runs in floats: ``heun_local``
+    and ``hyp2f1`` return floats with the bits, signed zeros included, of
+    the real parts that the same calls at complex points return, where
+    every series, hop and sum is complex. A complex equation stays complex."""
+
+    @staticmethod
+    def _same_bits(real, complex_route):
+        assert all(type(v) is float for v in real)
+        assert all(type(v) is complex for v in complex_route)
+        assert [v.hex() for v in real] == [v.real.hex() for v in complex_route]
+
+    @staticmethod
+    def _windows(rng, hi_lo, hi_hi):
+        """Deformed wavefunction windows drawn as the benchmark draws them:
+        (Heun block, its xi grid)."""
+        for _ in range(4):
+            theta, theta_prime = (math.exp(rng.uniform(math.log(0.01), math.log(0.3)))
+                                  for _ in range(2))
+            g, lo = rng.uniform(0.05, 0.9), math.exp(rng.uniform(math.log(0.01), math.log(0.1)))
+            hi = math.exp(rng.uniform(math.log(hi_lo), math.log(hi_hi)))
+            hp, vmap = to_heun(g, DeformationParams(theta, theta_prime))
+            yield hp, vmap.forward(cli._geomspace(lo, hi, cli._WAVEFUNCTION_POINTS))
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("hi_lo, hi_hi", [(0.2, 1.0), (100.0, 1000.0)],
+                             ids=["narrow", "wide"])
+    def test_heun_local_on_wavefunction_windows(self, seed, hi_lo, hi_hi):
+        for hp, xis in self._windows(random.Random(seed), hi_lo, hi_hi):
+            assert all(type(x) is float for x in xis)
+            self._same_bits(heun_local(hp, xis), heun_local(hp, [complex(x) for x in xis]))
+            assert type(heun_local(hp, xis[-1])) is float
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_heun_check_grids(self, seed):
+        # both sides of heun-check, among them conjugate pairs a, b at large g
+        rng = random.Random(seed)
+        grid = cli._linspace(0.0, 0.4, cli._HEUN_CHECK_POINTS)
+        for g in (rng.uniform(0.05, 0.9), rng.uniform(5.0, 20.0)):
+            theta = math.exp(rng.uniform(math.log(0.01), math.log(0.3)))
+            hp, _ = to_heun(g, DeformationParams(theta, theta))
+            zs = [xi / hp.xi0 for xi in grid]
+            assert max(map(abs, zs)) > 0.5  # the 2F1 side runs its chain too
+            self._same_bits(heun_local(hp, grid), heun_local(hp, [complex(x) for x in grid]))
+            self._same_bits(hyp2f1(hp.a, hp.b, hp.c, zs),
+                            hyp2f1(hp.a, hp.b, hp.c, [complex(z) for z in zs]))
+
+    def test_hyp2f1_on_the_real_line_off_the_cut(self):
+        rng = random.Random(7)
+        zs = [rng.uniform(-6.0, 0.98) for _ in range(40)] + [0.0, 0.5, -0.5]
+        for a, b, c in (_ABC, (1.25 - 3.5j, 1.25 + 3.5j, 1.5), (-3.0, 1.3, 1.9)):
+            self._same_bits(hyp2f1(a, b, c, zs), hyp2f1(a, b, c, [complex(z) for z in zs]))
+            assert type(hyp2f1(a, b, c, 0.75)) is float
+
+    def test_complex_equations_stay_complex(self):
+        # the ordinary and first-order models carry 2 i g eta, and a 2F1
+        # with a complex parameter is a complex equation at real points too
+        system = CoulombSystem(0.3, 0.6)
+        for ode in (kgmodels.build_ordinary_kg(system),
+                    kgmodels.build_deformed_first_order_psi(system, 0.04)):
+            assert not ode._real
+            for series in fuchsian.taylor_basis(ode, 40.0):
+                assert all(type(c) is complex for c in series.coefficients)
+        assert kgmodels.build_deformed_zero_energy(0.3, DeformationParams(0.05, 0.02))._real
+        assert all(type(v) is complex for v in hyp2f1(0.7 + 0.1j, 1.3, 1.9, [0.3, 0.8, -2.0]))
+        assert all(type(v) is complex for v in psi_ordinary(system, [0.5, 2.0]))
 
 
 class TestPsiOrdinary:

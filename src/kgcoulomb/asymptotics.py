@@ -7,8 +7,8 @@ two series come from one banded recurrence, truncated where their tails
 drop below the tolerance. Its radius is the distance to the nearest
 finite singular point, which along the real u-axis grows like u; the
 one loop of hops is ``fuchsian.reach``. The hop carries a basis of two
-solutions, read as transfer matrices (``Transfer``). Everything is plain
-Python floats and complex numbers.
+solutions, read as transfer matrices (``Transfer``); a real equation's
+hop is built and read in floats at real points, any other in complex.
 
 The exponents are measured over the top of a window from the transfer
 matrices of two pieces of ratio r, [hi/r^2, hi/r] and [hi/r, hi], both
@@ -90,10 +90,9 @@ class Transfer:
     def __init__(self, ode: fuchsian.RationalCoeffODE, pair: tuple, u_end: float,
                  span: float) -> None:
         self._pair, self._span, self._reads = pair, span, {}
-        z = complex(u_end)
-        columns = [fuchsian.evaluate_with_derivatives(sol, z) for sol in pair]
-        self._local(z, columns)
-        defects = [fuchsian._defect(ode, z, *column) for column in columns]
+        columns = [fuchsian.evaluate_with_derivatives(sol, u_end) for sol in pair]
+        self._local(u_end, columns)
+        defects = [fuchsian._defect(ode, u_end, *column) for column in columns]
         self.max_residual = max((d for d in defects if not math.isnan(d)), default=math.nan)
 
     def _local(self, z: complex, columns: list | None = None) -> tuple[tuple, complex]:
@@ -114,7 +113,6 @@ class Transfer:
     def matrix(self, u: float, v: float) -> tuple[tuple, complex]:
         """The transfer matrix from u to v, both within the hop's span, as
         (m11, m12, m21, m22), with its determinant."""
-        u, v = complex(u), complex(v)
         (a, b, c, d), det_start = self._local(u)
         # the inverse of the transfer to u, back to the hop's centre
         out, det = (d / det_start, -b / det_start, -c / det_start, a / det_start), 1.0 / det_start
@@ -122,7 +120,7 @@ class Transfer:
         out, det = _matmul(end, out), det * det_end
         if not (all(map(cmath.isfinite, out)) and cmath.isfinite(det)):
             raise OutOfDomainError(
-                f"continuation from u = {u.real} to {v.real} left the floating-point range")
+                f"continuation from u = {u} to {v} left the floating-point range")
         return out, det
 
 
@@ -151,7 +149,7 @@ def integrate(ode: fuchsian.RationalCoeffODE, u0: float, u_end: float,
         raise ValueError("a basis march starts away from u = 0")
     if u0 == u_end:
         raise ValueError("empty integration interval")
-    radius = fuchsian._series_radius(ode, complex(u0))
+    radius = fuchsian._series_radius(ode, u0)
     if span is None:
         span = 0.5 * radius
     elif span > 0.5 * radius:
@@ -183,7 +181,7 @@ def _piece_exponents(march: Transfer, u: float, v: float) -> list[complex]:
     log(v/u), the smaller eigenvalue taken as the determinant over the
     larger."""
     (a, b, c, d), det = march.matrix(u, v)
-    trace, root = a + d, cmath.sqrt((a - d) ** 2 + 4.0 * b * c)
+    trace, root = a + d, cmath.sqrt((a - d) * (a - d) + 4.0 * b * c)
     big = max((trace + root) / 2.0, (trace - root) / 2.0, key=abs)
     try:
         return [cmath.log(mu) / math.log(v / u) for mu in (big, det / big)]

@@ -323,11 +323,10 @@ def _normalize_quotient(num, den, roots, mults):
 
 def _quotient(num, den, z: complex) -> complex:
     """num(z) / den(z); beyond |z| = 1 the reversed sums in t = 1/z divided
-    first, then times their power of t, so that each step stays in range."""
-    z = complex(z)
+    first, then times their power of t (``_power``), so each step stays in range."""
     if abs(z) > 1.0:
         t = 1.0 / z
-        return _horner(num[::-1], t) / _horner(den[::-1], t) * t ** (len(den) - len(num))
+        return _horner(num[::-1], t) / _horner(den[::-1], t) * _power(t, len(den) - len(num))
     return _horner(num, z) / _horner(den, z)
 
 

@@ -27,6 +27,7 @@ first, ascending, then the other points by ascending modulus.
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 from collections.abc import Sequence
@@ -188,8 +189,10 @@ def heun_ode(params: HeunParams) -> fuchsian.RationalCoeffODE:
 
 
 def _check_target(sings: list[complex], target: complex) -> None:
-    """Refuse a target on a singular point s, or on the real axis past a
-    real s as seen from 0, where the branch cut from s runs."""
+    """Refuse a target that is not finite, on a singular point s, or on the
+    real axis past a real s as seen from 0, where the branch cut from s runs."""
+    if not cmath.isfinite(target):
+        raise OutOfDomainError(f"target {complex(target)} is not finite")
     for s in sings:
         if abs(target - s) < 1e-9:
             raise OutOfDomainError(f"target {complex(target)} sits on a singular point")
@@ -236,7 +239,7 @@ def _sweep(ode: fuchsian.RationalCoeffODE, series: fuchsian.FrobeniusSolution,
     try:
         for i in visit:
             z = targets[i]
-            if not (r := abs(z)) <= half or k:  # nan as well, which reach refuses
+            if not (r := abs(z)) <= half or k:  # inf and nan too, which _check_target refuses
                 c = chain[k].expansion_point
                 if c.imag * z.imag < 0 or (abs(z - c) > 0.5 * chain[k].radius
                                            and (z * c.conjugate()).real < abs(c) ** 2):

@@ -318,6 +318,20 @@ class TestExponents:
         assert code == 0, err
         assert max(float(row[4]) for row in _csv_rows(out)) <= 1e-5
 
+    @pytest.mark.parametrize("argv, fitted", [
+        (["--Z", "100", "--theta", "0.0774178", "--theta-prime", "0.167589",
+          "--window", "137.267:21035.7"], ["-1.9999999984998147", "-3.6319645260923896"]),
+        (["--Z", "45", "--theta", "0.0156428", "--theta-prime", "0.0203915",
+          "--window", "32.8028:3378.42"], ["-1.9999999823903285", "-3.8682207466253575"]),
+    ], ids=["Z100", "Z45"])
+    def test_real_hop_keeps_the_bits_of_complex_reads(self, capsys, argv, fitted):
+        # the zero-energy hop is read in floats; a float (a - d) ** 2 in the
+        # eigenvalues is C's pow and moved these by about 1e-15, where the
+        # complex square is a product
+        code, out, err = _run(capsys, "exponents", "--model", "deformed-zero-energy", *argv)
+        assert code == 0, err
+        assert [row[3] for row in _csv_rows(out)] == fitted
+
     def test_bad_window_rejected(self, capsys):
         code, _, err = _run(capsys, "exponents", "--model", "deformed-zero-energy",
                             "--g", "0.3", "--theta", "0.05", "--window", "5:2")
@@ -399,6 +413,14 @@ class TestWavefunction:
         for row in _csv_rows(out)[::66]:
             ref = closed_form.psi(system, float(row[0]))
             assert abs(complex(float(row[1]), float(row[2])) - ref) <= 1e-10 * abs(ref)
+
+    def test_grid_point_past_the_float_range_is_refused_by_name(self, capsys):
+        # u^2 overflows to inf past u ~ 1e154 and maps xi to nan
+        code, out, err = _run(capsys, "wavefunction", "--model", "deformed-zero-energy",
+                              "--g", "0.3", "--theta", "0.05", "--window", "1e160:1e200")
+        assert (code, out) == (2, "")
+        assert err == ("kgcoulomb: wavefunction grid point u = 1e+160 cannot be evaluated: "
+                       "target (nan+0j) is not finite\n")
 
     def test_computed_energy_at_threshold_is_domain_error(self, capsys):
         # at g = 1e-9 the closed-form eta rounds to 1; no flag is at fault

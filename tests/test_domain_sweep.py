@@ -1,5 +1,6 @@
 """tools/domain_sweep.py classes an ``exponents`` command by its exit code,
-its larger ``deviation`` and its warnings; the sweep itself is not run here."""
+its larger ``deviation`` and its warnings, and groups the draws whose class
+changed between two trees by transition; the sweep itself is not run here."""
 
 import importlib.util
 from pathlib import Path
@@ -49,3 +50,14 @@ def test_draws_are_seeded_and_stay_in_the_domain():
         assert 0.01 <= float(argv[argv.index("--g") + 1]) <= 45.0
         assert ("--eta" in argv) is (argv[2] != "deformed-zero-energy")
         assert ("--theta" in argv) is (argv[2] != "ordinary")
+
+
+def test_transitions_group_the_changed_draws_in_class_order():
+    old = ["within 1%", "refused", "refused", "silent", "warned", "refused", "raised"]
+    new = ["within 1%", "silent", "refused", "silent", "refused", "silent", "within 1%"]
+    changed = _domain_sweep().transitions(old, new)
+    assert changed == {("warned", "refused"): [4], ("refused", "silent"): [1, 5],
+                       ("raised", "within 1%"): [6]}
+    assert list(changed) == [("warned", "refused"), ("refused", "silent"),
+                             ("raised", "within 1%")]
+    assert _domain_sweep().transitions(old, old) == {}

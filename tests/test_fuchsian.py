@@ -8,6 +8,7 @@ from numpy.polynomial import polynomial as npoly
 
 from change_of_variable import substitute
 from kgcoulomb import fuchsian
+from kgcoulomb.asymptotics import integrate
 from kgcoulomb.errors import (
     ConvergenceError,
     IrregularPointError,
@@ -987,6 +988,32 @@ class TestRealArithmetic:
                 self._same_bits([*evaluate_with_derivatives(real, z), evaluate(real, z)],
                                 [*evaluate_with_derivatives(route, complex(z)),
                                  evaluate(route, complex(z))])
+
+    def test_basis_hop_reads_in_floats(self):
+        # the exponent hop of asymptotics: its transfer matrices, their
+        # determinants and its max_residual, read at real points, against
+        # a fresh hop built and read at complex ones; the ordinary model's
+        # hop stays complex and reads the same either way
+        real_ode = build_deformed_zero_energy(28 * FINE_STRUCTURE_ALPHA,
+                                              DeformationParams(0.0600452, 0.188118))
+        ordinary = build_ordinary_kg(CoulombSystem(0.3, 0.7))
+        ratio = 2.0 ** 0.25
+        for hi in (7.0, 180.0, 2.5e4):
+            mid, low = hi / ratio, hi / ratio ** 2
+            reads = [(hi, mid), (mid, low), (hi, low), (hi / ratio ** 0.5, hi)]
+            for ode in (real_ode, ordinary):
+                hop = integrate(ode, mid, hi, 1e-10, span=hi - mid)
+                route = integrate(ode, complex(mid), complex(hi), 1e-10, span=hi - mid)
+                assert type(hop.max_residual) is float
+                assert hop.max_residual.hex() == route.max_residual.hex()
+                for u, v in reads:
+                    m, det = hop.matrix(u, v)
+                    m_route, det_route = route.matrix(complex(u), complex(v))
+                    if ode is ordinary:
+                        assert [*m, det] == [*m_route, det_route]
+                        assert {type(x) for x in (*m, det)} == {complex}
+                    else:
+                        self._same_bits([*m, det], [*m_route, det_route])
 
     def test_exponents_of_a_real_equation_stay_complex_arithmetic(self):
         # q1 and q0 come off a float triple; a float (q1 - 1) ** 2 is C's pow

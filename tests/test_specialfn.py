@@ -346,13 +346,21 @@ class TestHeunLocal:
         # a point past the first disk cuts the series on the half disk
         assert list(map(_bits, heun_local(hp, grid + [0.9])))[:-1] == alone
 
-    @pytest.mark.parametrize("bad", [math.nan, complex(0.1, math.nan)])
-    def test_nan_target_is_refused_not_summed(self, bad):
+    @pytest.mark.parametrize("bad", [math.nan, complex(0.1, math.nan), math.inf])
+    def test_nan_target_is_refused_not_summed(self, bad, monkeypatch):
         # a nan fails every test of lying inside a disk, so it is sent on
-        # to the continuation, which refuses it, grid or single point
-        for xi in (bad, [0.01, bad, 0.02]):
-            with pytest.raises(OutOfDomainError):
+        # to the target check, which refuses it before any hop, grid or
+        # single point; a deformed wavefunction's u^2 overflows to inf past
+        # u ~ 1e154 and maps xi to nan, and the error names that point, not
+        # a hop centre that a continuation toward it made up
+        def no_hop(*args):
+            raise AssertionError("a hop toward a target that is not finite")
+
+        monkeypatch.setattr(fuchsian, "reach", no_hop)
+        for xi, index in ((bad, 0), ([0.1, bad], 1), ([0.01, bad, 0.02], 1)):
+            with pytest.raises(OutOfDomainError, match="is not finite") as info:
                 heun_local(self._generic(), xi)
+            assert info.value.index == index
 
     def test_cut_series_at_zero_is_a_prefix_of_the_full_one(self):
         hp, _ = to_heun(0.3, DeformationParams(0.05, 0.02))
@@ -454,8 +462,8 @@ class TestSweepAgainstPerPointLoop:
 
     @pytest.mark.parametrize("bad, message", [
         (-0.35, "sits on a singular point"), (1.0, "sits on a singular point"),
-        (1.5, "lies on the branch cut from"), (math.nan, "coefficients overflow at (nan+nanj)"),
-        (complex(0.1, math.nan), "coefficients overflow at (nan+nanj)")])
+        (1.5, "lies on the branch cut from"), (math.nan, "target (nan+0j) is not finite"),
+        (complex(0.1, math.nan), "target (0.1+nanj) is not finite")])
     def test_refused_points_keep_their_error_and_index(self, bad, message):
         hp = TestHeunLocal._generic()
         for grid in ([bad], [0.01, 0.02, bad, 0.1, 0.003], [0.6, bad, 0.01 + 0.01j, 0.9]):

@@ -1,6 +1,7 @@
 """Sweep the inputs the CLI accepts for silent wrong numbers.
 
     python3 tools/domain_sweep.py [--tree TREE] [--seed 7] [--draws 1500] [--worst 5]
+        [--against OLD_TREE]
 
 The benchmark draws physical inputs in narrow ranges; the CLI accepts far
 more. This tool draws ``exponents`` commands over that wider domain and
@@ -31,8 +32,11 @@ is exp(rng.uniform(ln lo, ln hi)). Each command falls in one class:
 
 The report gives the count of each class, the silent commands with
 g < 1, the worst silent commands by ``deviation``, and every command that
-raised. Nothing is timed,
-so the counts do not depend on the machine's load.
+raised. With ``--against OLD_TREE`` the same draws are also classed on
+OLD_TREE, in a child process so that the two trees' packages do not
+share ``sys.modules``, and every draw whose class changed is listed,
+grouped by transition (for example ``refused -> silent``). Nothing is
+timed, so the counts do not depend on the machine's load.
 """
 
 from __future__ import annotations
@@ -40,8 +44,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import json
 import math
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -95,16 +101,43 @@ def classify(argv: list[str]) -> tuple[str, float]:
     return ("warned" if "kgcoulomb: warning:" in err.getvalue() else "silent"), deviation
 
 
+def sweep(tree: str, seed: int, n: int) -> list[tuple[list[str], str, float]]:
+    """(argv, class, deviation) of each of the n draws, run on TREE's ``src``."""
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(Path(tree).resolve() / "src"))
+    return [(cmd, *classify(cmd)) for cmd in draws(seed, n)]
+
+
+def _classes_in_child(tree: str, seed: int, n: int) -> list[str]:
+    """The class of each draw on TREE, classed by a fresh interpreter."""
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); import domain_sweep; "
+            "print(json.dumps([c for _, c, _ in domain_sweep.sweep(sys.argv[2], "
+            "int(sys.argv[3]), int(sys.argv[4]))]))")
+    child = subprocess.run([sys.executable, "-B", "-c", code, str(Path(__file__).resolve().parent),
+                            tree, str(seed), str(n)], stdout=subprocess.PIPE, text=True, check=True)
+    return json.loads(child.stdout)
+
+
+def transitions(old: list[str], new: list[str]) -> dict[tuple[str, str], list[int]]:
+    """The positions of the draws whose class changed from old to new, by
+    (old class, new class), the transitions in the order of CLASSES."""
+    groups: dict[tuple[str, str], list[int]] = {}
+    for i, (before, after) in enumerate(zip(old, new)):
+        if before != after:
+            groups.setdefault((before, after), []).append(i)
+    return dict(sorted(groups.items(), key=lambda item: tuple(map(CLASSES.index, item[0]))))
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tree", default=str(ROOT), help="source tree to run (default: this one)")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--draws", type=int, default=1500)
     parser.add_argument("--worst", type=int, default=5, help="silent commands listed")
+    parser.add_argument("--against", metavar="OLD_TREE",
+                        help="list the draws whose class differs on OLD_TREE")
     args = parser.parse_args(argv)
-    sys.dont_write_bytecode = True
-    sys.path.insert(0, str(Path(args.tree).resolve() / "src"))
-    results = [(cmd, *classify(cmd)) for cmd in draws(args.seed, args.draws)]
+    results = sweep(args.tree, args.seed, args.draws)
     counts = {name: sum(1 for _, c, _ in results if c == name) for name in CLASSES}
     silent = sorted(((d, cmd) for cmd, c, d in results if c == "silent"), reverse=True)
     weak = sum(1 for _, cmd in silent if float(cmd[cmd.index("--g") + 1]) < 1.0)
@@ -116,6 +149,14 @@ def main(argv: list[str]) -> int:
         print(f"  {deviation:.3g}  {' '.join(cmd)}")
     for cmd in (cmd for cmd, c, _ in results if c == "raised"):  # rerun one for its traceback
         print(f"  raised: {' '.join(cmd)}")
+    if args.against:
+        old = _classes_in_child(args.against, args.seed, args.draws)
+        changed = transitions(old, [c for _, c, _ in results])
+        print(f"against {args.against}: {sum(map(len, changed.values()))} draws changed class")
+        for (before, after), positions in changed.items():
+            print(f"  {before} -> {after}: {len(positions)}")
+            for i in positions:
+                print(f"    {' '.join(results[i][0])}")
     return 0
 
 

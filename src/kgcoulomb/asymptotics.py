@@ -161,7 +161,7 @@ def integrate(ode: fuchsian.RationalCoeffODE, u0: float, u_end: float,
             f"u = {u_end} lies outside the span {span:.6g} of the hop at {u0}, "
             f"radius {radius:.6g} to the nearest singular point")
     disk = span / radius
-    pair = fuchsian.taylor_basis(ode, u0, fuchsian._MAX_ORDER, tol, disk)
+    pair = fuchsian.taylor_basis(ode, u0, tol, disk)
     for series in (s for s in pair if len(s.coefficients) > fuchsian._MAX_ORDER):
         # cut by the order cap, not by its tail (see _SETTLED)
         sizes = [abs(c) * disk ** k for k, c in enumerate(series.coefficients)]

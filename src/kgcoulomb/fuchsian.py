@@ -10,9 +10,9 @@ multiplicities in each denominator, exact data supplied by whoever
 builds the equation (a Fuchsian equation is fixed by its singular
 points and their exponents). Nothing here searches for roots. A
 point's local record, its pole orders and indicial exponents, is made
-once per equation and read by the census, ``indicial_exponents`` and
-the Frobenius series. On top sit Frobenius and Taylor series, and
-series evaluation with derivatives and a defect check.
+where it is read: by the census, ``indicial_exponents`` and the
+Frobenius series. On top sit Frobenius and Taylor series, and series
+evaluation with derivatives and a defect check.
 
 Every series comes from one banded recurrence read off the polynomial
 form P2 w'' + P1 w' + P0 w = 0, the equation's only copy, and its band
@@ -41,7 +41,7 @@ finite singular points, the hop count grows only logarithmically along
 a ray to infinity.
 
 One transform acts on raw coefficient quotients: ``gauge`` peels off a
-prefactor, w = f^k v.
+prefactor, w = f v.
 
 Exponents at infinity follow the convention w ~ z^sigma, so decaying
 solutions carry negative sigma; the series at infinity is a series in
@@ -177,11 +177,11 @@ def _deflate(coeffs, z0: complex) -> tuple[complex, ...]:
 # ---------------------------------------------------------------------------
 
 
-def gauge(pair, f, k: int):
-    """The equation for v where w = f^k v, f a polynomial:
+def gauge(pair, f):
+    """The equation for v where w = f v, f a polynomial:
 
-        Q1 = p1 + 2 k f'/f,
-        Q0 = p0 + k p1 f'/f + k f''/f + k (k - 1) (f'/f)^2,
+        Q1 = p1 + 2 f'/f,
+        Q0 = p0 + p1 f'/f + f''/f,
 
     both over C f^2, with C = D1 when p1 and p0 share their denominator
     and D0 D1 otherwise. Each root of f enters both denominators twice
@@ -191,11 +191,9 @@ def gauge(pair, f, k: int):
     if common != d0:
         common, n1, n0 = _polymul(d0, common), _polymul(n1, d0), _polymul(n0, common)
     df = _polyder(f)
-    curve = _polyadd(_polyscale(_polymul(_polyder(df), f), k),
-                     _polyscale(_polymul(df, df), k * (k - 1)))
-    num1 = _polymul(_polyadd(_polymul(n1, f), _polyscale(_polymul(df, common), 2 * k)), f)
-    num0 = _polyadd(_polymul(_polyadd(_polymul(n0, f), _polyscale(_polymul(n1, df), k)), f),
-                    _polymul(curve, common))
+    num1 = _polymul(_polyadd(_polymul(n1, f), _polyscale(_polymul(df, common), 2)), f)
+    num0 = _polyadd(_polymul(_polyadd(_polymul(n0, f), _polymul(n1, df)), f),
+                    _polymul(_polymul(_polyder(df), f), common))
     den = _polymul(common, _polymul(f, f))
     return (num1, den), (num0, den)
 
@@ -220,16 +218,15 @@ class RationalCoeffODE:
     counted by ``_vanish_order``), and the denominator made monic; the
     stored ``points`` are sorted by (real, imaginary) and keep the
     multiplicities left after cancelling, so they are the pole orders.
-    Singular points are never searched for numerically. A point's local
-    record (``_local``) is made on its first request and kept. A real triple is floats (``_real``).
+    Singular points are never searched for numerically. A real triple is
+    floats (``_real``).
     """
 
-    __slots__ = ("points", "_triple", "_real", "_records")
+    __slots__ = ("points", "_triple", "_real")
 
     def __init__(self, p1_num: tuple[complex, ...], p1_den: tuple[complex, ...],
                  p0_num: tuple[complex, ...], p0_den: tuple[complex, ...],
                  points: tuple[tuple[complex, int, int], ...]) -> None:
-        self._records: dict = {}  # local records by point, see _local
         self.__post_init__(p1_num, p1_den, p0_num, p0_den, points)  # timed on its own
 
     def __post_init__(self, p1_num, p1_den, p0_num, p0_den, points) -> None:
@@ -285,15 +282,6 @@ class RationalCoeffODE:
             if r == z0:
                 return m1, m0
         return 0, 0
-
-    def _local(self, point) -> "SingularPoint":
-        """The local record at a finite point or INFINITY, made on the first
-        request and kept: it depends only on the triple and the points,
-        which nothing changes after construction."""
-        record = self._records.get(point)
-        if record is None:
-            record = self._records[point] = _local_record(self, point)
-        return record
 
 
 def _normalize_quotient(num, den, roots, mults):
@@ -426,10 +414,9 @@ def singular_points(ode: RationalCoeffODE) -> list[SingularPoint]:
     Finite points are the builder's points surviving normalization, their
     multiplicities the pole orders; infinity is always reported. Points
     are ordered by (real, imaginary), infinity last. Exponents at infinity
-    use the z^sigma convention. The records are the equation's shared
-    ones; each call returns a fresh list.
+    use the z^sigma convention. Each call makes fresh records.
     """
-    return [ode._local(r) for r, _, _ in ode.points] + [ode._local(INFINITY)]
+    return [_local_record(ode, r) for r, _, _ in ode.points] + [_local_record(ode, INFINITY)]
 
 
 def indicial_exponents(ode: RationalCoeffODE,
@@ -439,7 +426,8 @@ def indicial_exponents(ode: RationalCoeffODE,
     At infinity the pair is returned in the w ~ z^sigma convention.
     Raises IrregularPointError when the point fails the pole-order test.
     """
-    rec = ode._local(point if point is INFINITY else complex(point))
+    # a finite point shifts the triple in complex arithmetic, whatever its own type
+    rec = _local_record(ode, point if point is INFINITY else complex(point))
     if rec.exponents is None:
         where = ("infinity is irregular: in t = 1/z," if point is INFINITY
                  else f"point {complex(point)} is irregular:")
@@ -704,21 +692,21 @@ def taylor_series(ode: RationalCoeffODE, center: complex, value: complex,
     return FrobeniusSolution(center, zero, tuple(coeffs), radius, radius)
 
 
-def taylor_basis(ode: RationalCoeffODE, center: complex, order: int = _MAX_ORDER,
-                 tol: float = _TAIL_TOL,
+def taylor_basis(ode: RationalCoeffODE, center: complex, tol: float = _TAIL_TOL,
                  disk: float = 0.5) -> tuple[FrobeniusSolution, FrobeniusSolution]:
     """The two power series at an ordinary point with (w, radius w') equal
     to (1, 0) and to (0, 1) at the centre, as ``taylor_series`` builds
     them, both on one shifted, scaled triple and in one pass of the
     recurrence, cut where both tails have fallen below tol on the disk
-    |z - center| <= disk * radius, the trusted half disk by default. This
-    is the one hop of ``asymptotics.integrate``; a path of hops is
-    ``reach``'s. At the default tol and disk the first has the bits of
-    ``taylor_series(ode, center, 1, 0, order)`` as far as that one goes.
+    |z - center| <= disk * radius, the trusted half disk by default, at
+    _MAX_ORDER at the latest. This is the one hop of
+    ``asymptotics.integrate``; a path of hops is ``reach``'s. At the
+    default tol and disk the first has the bits of
+    ``taylor_series(ode, center, 1, 0)`` as far as that one goes.
     """
     center, zero, one = _numbers(ode._real, center, 0, 1)
     (p2, p1, p0), radius = _taylor_triple(ode, center)
-    pair = _recurrence(p2, p1, p0, 0, zero, order, [one, zero], tol, second=[zero, one],
+    pair = _recurrence(p2, p1, p0, 0, zero, _MAX_ORDER, [one, zero], tol, second=[zero, one],
                        disk=disk)
     return tuple(FrobeniusSolution(center, zero, tuple(coeffs), radius, radius)
                  for coeffs in pair)

@@ -162,7 +162,7 @@ def build_deformed_first_order_psi(system: CoulombSystem, theta: float) -> Ratio
     _require_bound_state(system)
     if theta <= 0.0:
         raise ValueError("theta must be positive; for theta = 0 use build_ordinary_kg")
-    (p1n, p1d), (p0n, p0d) = gauge(_first_order_phi_coeffs(system.g, system.eta, theta), (0, 1), 1)
+    (p1n, p1d), (p0n, p0d) = gauge(_first_order_phi_coeffs(system.g, system.eta, theta), (0, 1))
     # the gauge multiplies both denominators by u^2
     points = _first_order_points(system, theta) + ((0, 2, 2),)
     return RationalCoeffODE(p1n, p1d, p0n, p0d, points)

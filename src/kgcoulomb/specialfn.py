@@ -111,8 +111,9 @@ def hyp2f1(a: complex, b: complex, c: complex,
     series serves terminating parameters at any z and every z with |z| <=
     1/2; the other points share one continuation chain (``_sweep``).
     Raises ParameterPoleError when c is a nonpositive integer,
-    OutOfDomainError for a point on the cut [1, inf) and ConvergenceError
-    where a direct sum cancels, the error's ``index`` being the point's position.
+    OutOfDomainError for a point on the cut [1, inf) or not finite and
+    ConvergenceError where a direct sum cancels, the error's ``index``
+    being the point's position.
     """
     scalar = isinstance(z, numbers.Number)
     a, b, c, cap, real = _parameters(a, b, c)
@@ -123,6 +124,7 @@ def hyp2f1(a: complex, b: complex, c: complex,
             far.append(i)
             continue
         try:
+            _check_target([], x)  # nan passes abs(x) > 0.5, and a terminating sum takes inf
             value = _series_2f1(a, b, c, complex(x), cap)
         except KGCoulombError as exc:
             exc.index = i

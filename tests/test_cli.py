@@ -447,9 +447,10 @@ class TestWavefunction:
 
     def test_one_census_per_equation(self, capsys, monkeypatch):
         # 200 grid points reached through many Taylor hops, each reading
-        # the equation's points for its radius; the local record of each of
-        # the Heun equation's three finite points and of infinity is made
-        # once, and the series at xi = 0 reads the one the census made
+        # the equation's points for its radius, none making a local record;
+        # the census makes the record of each of the Heun equation's three
+        # finite points and of infinity, and the series at xi = 0 makes its
+        # own record there: five records, two of them at 0
         made, hops, built = [], [], []
         make_record, taylor, make_heun = (fuchsian._local_record, fuchsian.taylor_series,
                                           specialfn.heun_ode)
@@ -472,8 +473,9 @@ class TestWavefunction:
         assert len(_csv_rows(out)) == 200
         assert len(hops) > 8
         heun = [(ode, point) for ode, point in made if ode in built]
-        assert len(built) == 1 and len(heun) == 4
-        assert [point for _, point in heun].count(fuchsian.INFINITY) == 1
+        assert len(built) == 1 and len(heun) == 5
+        points = [point for _, point in heun]
+        assert points.count(0) == 2 and len(set(points)) == 4
         assert {point for _, point in heun} == {r for r, _, _ in built[0].points} | {
             fuchsian.INFINITY}
 
@@ -607,7 +609,7 @@ class TestGrids:
 class TestConfigPrecedence:
     def test_flag_beats_config_beats_default(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("Z = 10\nn = 0..1\n")
+        cfg.write_text("# a comment\nZ = 10\n\nn = 0..1\n")
         # config supplies both values
         code, out, _ = _run(capsys, "spectrum", "--config", str(cfg))
         assert code == 0
@@ -641,6 +643,7 @@ class TestConfigPrecedence:
         ("g = 0.3\n", ("--Z", "50")),
         ("Z = 50\n", ("--g", "0.3")),
         ("g = 0.3\nalpha = 0.01\n", ()),
+        ("g 0.3\n", ()),                 # no '=': expected 'key = value'
     ])
     def test_key_the_command_would_ignore_is_usage_error(self, capsys, tmp_path, text, flags):
         cfg = tmp_path / "run.cfg"
@@ -1237,6 +1240,8 @@ _PROBES = [
     (["exponents", "-g", "0.3"], 1), (["exponents", "--wind=100:1000"], 0),
     (["exponents", "--mod", "deformed-zero-energy", "--theta", "0.05"], 0),
     (["spectrum", "--config"], 1), (["exponents", "--g=0.3=4"], 1),
+    (["spectrum", "--n=-1"], 1), (["spectrum", "--n", "abc"], 1),
+    (["exponents", "--model", "deformed-zero-energy", "--theta", "-1", "--theta-prime", "2"], 1),
 ]
 
 
@@ -1250,6 +1255,13 @@ def test_plain_argv_parser_declines_the_rest(capsys, argv, code):
     if code:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("kgcoulomb: usage error: ")
+
+
+def test_negative_deformation_strength_is_named(capsys):
+    # theta + theta' is positive, so the refusal is DeformationParams' own
+    _, _, err = _run(capsys, "exponents", "--model", "deformed-zero-energy", "--theta", "-1",
+                     "--theta-prime", "2")
+    assert err == "kgcoulomb: usage error: deformation strengths must be nonnegative\n"
 
 
 def test_argv_is_read_left_to_right(capsys):

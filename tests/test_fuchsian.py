@@ -254,7 +254,7 @@ class TestEvaluation:
     def _spherical_cosine(z):
         """(w, w', w'') at z of cos(z)/z, combined from the basis at 2,
         radius 2, whose columns have (w, 2 w') = (1, 0) and (0, 1) there."""
-        first, second = taylor_basis(_SPHERICAL_ODE, 2.0, 40)
+        first, second = taylor_basis(_SPHERICAL_ODE, 2.0)
         w0, dw0 = math.cos(2.0) / 2.0, -math.sin(2.0) / 2.0 - math.cos(2.0) / 4.0
         return [w0 * a + 2.0 * dw0 * b for a, b in zip(evaluate_with_derivatives(first, z),
                                                      evaluate_with_derivatives(second, z))]
@@ -314,7 +314,7 @@ class TestEvaluation:
         cases = [(build_deformed_zero_energy(0.073, DeformationParams(1e-120, 0.0)),
                   _deformed_zero_energy_coeffs(0.073, 1e-120, 0.0))]
         cases += [(build_deformed_first_order_psi(s, theta),
-                   gauge(_first_order_phi_coeffs(s.g, s.eta, theta), (0, 1), 1))
+                   gauge(_first_order_phi_coeffs(s.g, s.eta, theta), (0, 1)))
                   for theta in (1e-60, 1e-100)]
         points = [0.3, 2.0, 1e40, 1e70, 1e150, 1e300]
         for ode, table in cases:
@@ -563,7 +563,7 @@ class TestRecordAtInfinity:
 
     def test_every_builders_equation_matches_its_pullback(self):
         for ode, table, _ in _package_equations(40):
-            rec = ode._local(INFINITY)
+            rec = fuchsian._local_record(ode, INFINITY)
             kind, m1, m0, exps = _pulled_record(table)
             assert (rec.kind, rec.pole_order_p1, rec.pole_order_p0) == (kind, m1, m0), ode.points
             for got, ref in zip(rec.exponents, exps):
@@ -592,7 +592,7 @@ class TestRecordAtInfinity:
     ], ids=["cosine", "hermite"])
     def test_irregular_infinity_raises(self, table, orders):
         ode = _ode(table)
-        rec = ode._local(INFINITY)
+        rec = fuchsian._local_record(ode, INFINITY)
         assert (rec.kind, rec.pole_order_p1, rec.pole_order_p0) == ("irregular", *orders)
         assert _pulled_record(table) == ("irregular", *orders, None)
         with pytest.raises(IrregularPointError):
@@ -602,7 +602,7 @@ class TestRecordAtInfinity:
         # z^2 w'' + 2 z w' - 2 w = 0: B = 2A, so the pullback's p1 is zero
         # and only p0 has a pole at t = 0; sigma^2 + sigma - 2 = 0
         table = (((2.0,), (0.0, 1.0)), ((-2.0,), (0.0, 0.0, 1.0))), ((0j, 1, 2),)
-        rec = _ode(table)._local(INFINITY)
+        rec = fuchsian._local_record(_ode(table), INFINITY)
         assert (rec.kind, rec.pole_order_p1, rec.pole_order_p0) == ("regular", 0, 2)
         assert _pulled_record(table) == ("regular", 0, 2, rec.exponents)
         assert rec.exponents == (1 + 0j, -2 + 0j)
@@ -910,7 +910,7 @@ class TestReducedSums:
         # no sum is run at the centre, and the bits are those the sums give
         ode = _model_odes()[0]
         for sol in (taylor_series(ode, 0.37 + 0.11j, 0.8 - 0.2j, 1.3 + 0.4j, order=40),
-                    *fuchsian.taylor_basis(ode, 40.0, 64, 1e-10, 0.19)):
+                    *fuchsian.taylor_basis(ode, 40.0, 1e-10, 0.19)):
             centre = sol.expansion_point
             summed = fuchsian._series_sums(sol.coefficients, 0j, sol.scale)
             for derivatives in (1, 2):
@@ -1039,7 +1039,7 @@ class TestTaylorBasis:
         # triple, complex on the others
         ode = _model_odes()[index]
         for center in (3.0, 40.0, 2.5e3):
-            pair = fuchsian.taylor_basis(ode, center, 64, tol)
+            pair = fuchsian.taylor_basis(ode, center, tol)
             (p2, p1, p0), radius = fuchsian._taylor_triple(ode, center)
             zero = 0.0 if ode._real else 0j
             assert type(pair[0].coefficients[0]) is type(zero) is type(p2[0])
@@ -1064,12 +1064,12 @@ class TestTaylorBasis:
         # below tol times the largest
         ode, tol = _model_odes()[index], 1e-10
         for center in (3.0, 40.0, 2.5e3):
-            half = fuchsian.taylor_basis(ode, center, 64, tol)
-            full = [s.coefficients for s in fuchsian.taylor_basis(ode, center, 64, None)]
+            half = fuchsian.taylor_basis(ode, center, tol)
+            full = [s.coefficients for s in fuchsian.taylor_basis(ode, center, None)]
             n = _half_disk_cut(full, tol)
             assert [list(map(_bits, s.coefficients)) for s in half] == [
                 list(map(_bits, coeffs[:n])) for coeffs in full]
-            small = fuchsian.taylor_basis(ode, center, 64, tol, 0.19)
+            small = fuchsian.taylor_basis(ode, center, tol, 0.19)
             assert len(small[0].coefficients) < len(half[0].coefficients)
             for series in small:
                 sizes = [abs(c) * 0.19 ** m for m, c in enumerate(series.coefficients)]
@@ -1079,8 +1079,8 @@ class TestTaylorBasis:
 class TestContinuationChain:
     def test_tail_rule_picks_order_from_tol(self):
         ode = build_ordinary_kg(CoulombSystem(g=0.3, eta=0.5))
-        coarse = taylor_basis(ode, 3.0, 64, 1e-5)[0]
-        fine = taylor_basis(ode, 3.0, 64, 1e-12)[0]
+        coarse = taylor_basis(ode, 3.0, 1e-5)[0]
+        fine = taylor_basis(ode, 3.0, 1e-12)[0]
         assert len(coarse.coefficients) < len(fine.coefficients) < 65
         # the tail-truncated series is the plain one in x / radius
         p2, p1, p0, _ = fuchsian._triple_at(ode, 3.0)
@@ -1154,7 +1154,7 @@ class TestContinuationChain:
         points = [u0 * step ** i for i in range(60)] + [u_end]
 
         def start():
-            return [taylor_basis(ode, u0, 64)[0]]
+            return [taylor_basis(ode, u0)[0]]
 
         whole = start()
         reach(ode, whole, complex(u_end), 64)

@@ -75,7 +75,7 @@ class TestOperatorDerivation:
 
     def test_first_order_psi(self):
         # the psi table is the phi table under the gauge phi = u psi
-        impl = gauge(_first_order_phi_coeffs(so.g, so.eta, so.theta, imag=sp.I), (0, 1), 1)
+        impl = gauge(_first_order_phi_coeffs(so.g, so.eta, so.theta, imag=sp.I), (0, 1))
         derived = so.derive_first_order_psi()
         assert so.quotients_equal(impl[0], derived[0], so.u)
         assert so.quotients_equal(impl[1], derived[1], so.u)
@@ -379,7 +379,7 @@ class TestReductions:
             dp = DeformationParams(theta, theta_prime)
             hp, vmap = to_heun(g, dp)
             ode = heun_ode(hp)
-            pushed = gauge(substitute(_triple_pair(ode), vmap.num, vmap.den), (1, 0, dp.total), 1)
+            pushed = gauge(substitute(_triple_pair(ode), vmap.num, vmap.den), (1, 0, dp.total))
             _assert_same_equation(pushed, _deformed_zero_energy_coeffs(g, theta, theta_prime))
 
     def test_generalized_heun_reproduces_first_order_phi(self):

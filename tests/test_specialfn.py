@@ -118,6 +118,18 @@ class TestHyp2f1:
             hyp2f1(*_ABC, [0.3, -2.0, 2.0, 0.5j])
         assert info.value.index == 2
 
+    @pytest.mark.parametrize("a, z, shown", [
+        (0.3, math.nan, "(nan+0j)"), (0.3, complex(2.0, math.nan), "(2+nanj)"),
+        (-2, math.nan, "(nan+0j)"), (-2, math.inf, "(inf+0j)"),
+    ], ids=["nan", "nan-imaginary", "terminating-nan", "terminating-inf"])
+    def test_point_not_finite_in_a_sequence_carries_its_index(self, a, z, shown):
+        # abs(nan) > 0.5 is false and a terminating sum takes any point, so
+        # these reach the direct sum, which refuses them before summing
+        with pytest.raises(OutOfDomainError) as info:
+            hyp2f1(a, 0.7, 1.4, [0.1, z])
+        assert info.value.index == 1
+        assert str(info.value) == f"target {shown} is not finite"
+
     def test_terminating_everywhere(self):
         # polynomial case stays valid far outside both series regions
         ref = _ref_2f1(0.7, -3, 1.9, 2.5)

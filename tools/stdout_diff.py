@@ -95,6 +95,8 @@ _PROBES = [
     ["exponents", "--wind=100:1000"],
     ["exponents", "--mod", "deformed-zero-energy", "--theta", "0.05"],
     ["spectrum", "--config"], ["exponents", "--g=0.3=4"],
+    ["spectrum", "--n=-1"], ["spectrum", "--n", "abc"],
+    ["exponents", "--model", "deformed-zero-energy", "--theta", "-1", "--theta-prime", "2"],
 ]
 
 
